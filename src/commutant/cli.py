@@ -52,7 +52,7 @@ def _sizes(text: str) -> tuple[tuple[int, int], ...]:
         if len(parts) != 2:
             raise argparse.ArgumentTypeError(f"bad size {chunk!r}; expected like 2x3")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs.append((_positive_int(parts[0]), _positive_int(parts[1])))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad size {chunk!r}: {exc}") from exc
     if not pairs:

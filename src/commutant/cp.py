@@ -27,8 +27,8 @@ from .errors import (
 from .permutation import Permutation
 from .tensor import DenseTensor, TensorLike, as_matrix, as_tensor
 
-#: absolute bound on 2x2 unfolding minors for rank-1 certification of
-#: unit-scale inputs
+#: bound on the rank-1 residual, relative to the entry scale, for
+#: :func:`extract_sym_rank1`
 RANK1_MINOR_TOL = 1e-10
 #: relative tolerance for symmetry probes
 SYMMETRY_TOL = 1e-9
@@ -181,22 +181,19 @@ def matrix_rank(mat, tol: float) -> int:
     return linalg.rank(as_matrix(mat), tol)
 
 
-def _mode1_unfold(t: DenseTensor) -> np.ndarray:
-    return t.array.reshape(t.shape[0], -1, order="F")
-
-
-def _minors_vanish(mat: np.ndarray, tol: float) -> bool:
-    """All 2x2 minors of ``mat`` below ``tol`` in magnitude."""
-    rows, cols = mat.shape
-    if rows < 2 or cols < 2:
-        return True
-    # minor(r1 r2; c1 c2) over all pairs, vectorized per row pair
-    for r1 in range(rows):
-        for r2 in range(r1 + 1, rows):
-            prod = np.multiply.outer(mat[r1], mat[r2])
-            if np.max(np.abs(prod - prod.T)) > tol:
-                return False
-    return True
+def _rank1_residual(arr: np.ndarray) -> float:
+    """max|arr - â| for the rank-1 candidate â = f_1 ⊗ (f_2/piv) ⊗ ... ⊗
+    (f_m/piv), where piv is the max-abs entry and f_k the mode-k fibre
+    through it.  â equals ``arr`` iff ``arr`` is rank 1, i.e. iff every
+    unfolding has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs
+    O(m * arr.size); ``arr`` must be finite and nonzero."""
+    pivot = np.unravel_index(np.abs(arr).argmax(), arr.shape)
+    piv = arr[pivot]
+    cand = arr[(slice(None),) + pivot[1:]]
+    for k in range(1, arr.ndim):
+        fibre = arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]]
+        cand = np.multiply.outer(cand, fibre / piv)
+    return float(np.abs(arr - cand).max())
 
 
 def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:
@@ -207,21 +204,26 @@ def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:
     is positive and lambda carries the sign; for odd m, lambda >= 0 takes
     precedence and the sign of y follows.
 
-    Raises SymmetryError if the input is not symmetric, RankError if it is
-    not rank 1 (all 2x2 minors of the mode-1 unfolding must vanish below
-    1e-10; unit-scale inputs assumed).
+    Raises DomainError on a non-finite entry, SymmetryError if the input is
+    not symmetric, RankError if it is not rank 1: the rank-1 residual must
+    be at most ``RANK1_MINOR_TOL`` times the entry scale max|a|.  (A 2x2
+    unfolding minor of rank-1-plus-E is about scale * |E|, so this matches
+    the former bound of 1e-10 on the minors at unit scale.)
     """
     t = as_tensor(a)
     n = t.shape[0]
     if any(d != n for d in t.shape):
         raise DimensionError(f"symmetric tensors are cubical, got shape {t.shape}")
+    if not np.isfinite(t.array).all():
+        raise DomainError("tensor has a non-finite entry")
     if not is_symmetric(t):
         raise SymmetryError("input is not symmetric")
-    if not t.array.any():
+    scale = float(np.abs(t.array).max())
+    if scale == 0.0:
         raise RankError("zero tensor has no rank-1 form")
-    unfolding = _mode1_unfold(t)
-    if not _minors_vanish(unfolding, RANK1_MINOR_TOL):
-        raise RankError("2x2 minors of the mode-1 unfolding do not vanish")
+    if _rank1_residual(t.array) > RANK1_MINOR_TOL * scale:
+        raise RankError("tensor is not rank 1")
+    unfolding = t.array.reshape(n, -1, order="F")
     col = int(np.argmax(np.linalg.norm(unfolding, axis=0)))
     y = unfolding[:, col]
     y = y / np.linalg.norm(y)

@@ -88,6 +88,13 @@ def _loads(text: str) -> Any:
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
+def _ints(data: dict, keys: tuple[str, ...], what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(data[k]) for k in keys)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what}: fields {list(keys)} must be integers") from exc
+
+
 def _require(data: Any, keys: list[str], what: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{what}: expected a JSON object")
@@ -192,7 +199,7 @@ def gct_from_json(text: str) -> Gct:
         g = build_gct(mats)
     except CommutantError as exc:
         raise ParseError(f"gct: {exc}") from exc
-    if g.m != int(data["m"]) or g.n != int(data["n"]):
+    if (g.m, g.n) != _ints(data, ("m", "n"), "gct"):
         raise ParseError("gct: m/n fields disagree with the generators")
     return g
 
@@ -220,10 +227,9 @@ def cp_from_json(text: str) -> CpForm:
         cp = cp_form(mats)
     except CommutantError as exc:
         raise ParseError(f"cp form: {exc}") from exc
-    if cp.m != int(data["m"]) or cp.rank != int(data["rank"]):
-        raise ParseError("cp form: m/rank fields disagree with the factors")
-    if any(e != int(data["n"]) for e in cp.extents):
-        raise ParseError("cp form: n field disagrees with the factors")
+    m, n, rank = _ints(data, ("m", "n", "rank"), "cp form")
+    if (cp.m, cp.rank) != (m, rank) or any(e != n for e in cp.extents):
+        raise ParseError("cp form: m/n/rank fields disagree with the factors")
     return cp
 
 
@@ -248,7 +254,8 @@ def preserver_from_json(text: str) -> RankPreserver:
         tau = Permutation(data["tau"])
     except (TypeError, ValueError, CommutantError) as exc:
         raise ParseError(f"preserver: bad tau: {exc}") from exc
-    if len(mats) != int(data["m"]) or (mats and mats[0].shape[0] != int(data["n"])):
+    m, n = _ints(data, ("m", "n"), "preserver")
+    if len(mats) != m or (mats and mats[0].shape[0] != n):
         raise ParseError("preserver: m/n fields disagree with the matrices")
     return rank_preserver(mats, tau)
 

@@ -143,6 +143,11 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--sizes", "2x")
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["0x2", "2x0", "2x3,-1x2"])
+    def test_non_positive_sizes_exits_2(self, capsys, sizes):
+        code, out, _ = run(capsys, "verify", "--sizes", sizes)
+        assert code == 2 and out == ""
+
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("COMMUTANT_SEED", "99")
         code, out, _ = run(
@@ -221,6 +226,17 @@ class TestApply:
         tfile = self._write(tmp_path, "t.json", '{"shape":[2,2],"values":[1,2,3,4]}')
         code, _, _ = run(capsys, "apply", str(tmp_path / "nope.json"), tfile)
         assert code == 2
+
+    def test_non_integer_header_exits_2(self, capsys, tmp_path):
+        pfile = self._write(
+            tmp_path,
+            "phi.json",
+            '{"m":"x","n":2,"tau":[1],"matrices":[[[1,0],[0,1]]]}',
+        )
+        tfile = self._write(tmp_path, "t.json", '{"shape":[2],"values":[1,2]}')
+        code, out, err = run(capsys, "apply", pfile, tfile)
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
 
     def test_singular_preserver_exits_3(self, capsys, tmp_path):
         pfile = self._write(

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,29 @@ class TestExtractSymRank1:
     def test_rejects_zero(self):
         with pytest.raises(RankError):
             extract_sym_rank1(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_roundtrip_across_entry_scales(self, m, scale):
+        rng = np.random.default_rng(int(m * 100 + np.log10(scale)))
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        t = DenseTensor(scale * sym_power(v, m).array)
+        lam, y = extract_sym_rank1(t)
+        assert abs(abs(float(np.dot(y, v))) - 1.0) <= 1e-12
+        assert abs(abs(lam) - scale) <= 1e-9 * scale
+        assert np.max(np.abs(lam * sym_power(y, m).array - t.array)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        sym = sym_power(np.array([1.0, 2.0]), 3).array.copy()
+        sym[1, 1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                extract_sym_rank1(np.full((2, 2), bad))
+            with pytest.raises(DomainError):
+                extract_sym_rank1(sym)
 
     def test_rejects_non_cubical(self):
         with pytest.raises(DimensionError):

@@ -1,7 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutant import (
     DimensionError,
@@ -292,6 +295,48 @@ class TestRank1Certification:
         e2 = np.array([0.0, 1.0])
         t = rank1([e1, e1, e1]).array + rank1([e1, e2, e2]).array
         assert not is_rank1_tensor(t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 3, 2)])
+    def test_rejects_non_finite_without_warnings(self, bad, shape):
+        t = np.ones(shape)
+        t.flat[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_rank1_tensor(t)
+
+
+def _svd_rank1(arr):
+    """Reference certificate: every mode unfolding has sigma_2 <= 1e-9 sigma_1."""
+    for k in range(arr.ndim):
+        unfolding = np.moveaxis(arr, k, 0).reshape(arr.shape[k], -1)
+        sv = np.linalg.svd(unfolding, compute_uv=False)
+        if sv.size > 1 and sv[1] > 1e-9 * sv[0]:
+            return False
+    return True
+
+
+class TestRank1CertificationProperty:
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        st.sampled_from(["rank1", "rank2", "near-rank1"]),
+        st.floats(-3.0, 6.0),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_svd_reference(self, shape, kind, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        t = scale * rank1([rng.standard_normal(d) for d in shape]).array
+        if kind == "rank2":
+            t = t + scale * rank1([rng.standard_normal(d) for d in shape]).array
+        elif kind == "near-rank1":
+            t = t + 1e-5 * scale * rng.standard_normal(t.shape)
+        want = _svd_rank1(t)
+        assert is_rank1_tensor(t) == want
+        if sum(d > 1 for d in shape) >= 2:
+            # the reference is not vacuous: the kind decides the answer
+            assert want == (kind == "rank1")
 
 
 class TestVerifyRankPreservation:

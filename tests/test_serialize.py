@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,26 @@ class TestStructuredObjects:
         text = ser.gct_to_json(g).replace('"n":2', '"n":3')
         with pytest.raises(ser.ParseError):
             ser.gct_from_json(text)
+
+    @pytest.mark.parametrize("bad", ["x", None, [2], float("inf")])
+    def test_non_integer_header_fields(self, bad):
+        rng = np.random.default_rng(205)
+        phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
+        cases = [
+            (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)])), ("m", "n")),
+            (
+                ser.cp_from_json,
+                ser.cp_to_json(cp_form([rng.standard_normal((2, 2))] * 2)),
+                ("m", "n", "rank"),
+            ),
+            (ser.preserver_from_json, ser.preserver_to_json(phi), ("m", "n")),
+        ]
+        for parse, text, keys in cases:
+            for key in keys:
+                data = json.loads(text)
+                data[key] = bad
+                with pytest.raises(ser.ParseError):
+                    parse(json.dumps(data))
 
     def test_cp_roundtrip(self):
         rng = np.random.default_rng(203)
