@@ -1,20 +1,21 @@
 """The vec-permutation (commutation) matrix K_{p,q} and its calculus.
 
 K_{p,q} is the pq x pq permutation matrix with K vec(X) = vec(Xᵀ) for every
-p x q matrix X.  It is stored structurally as the row permutation it
-performs, so building and applying it cost O(pq); the dense matrix is
-materialized on demand.
+p x q matrix X.  It is stored as its closed-form index: row s (0-based) has
+its 1 in column ``(s % q)·p + s // q``, so applying it is one gather and the
+dense matrix is materialized on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, RangeError
 from .permutation import Permutation
-from .tensor import as_matrix
+from .tensor import _check_dense_budget, as_matrix
 
 
 def _check_dims(p: int, q: int) -> None:
@@ -24,34 +25,37 @@ def _check_dims(p: int, q: int) -> None:
 
 @dataclass(frozen=True)
 class CommutationMatrix:
-    """K_{p,q} held as a permutation: row s has its 1 in column perm(s)."""
+    """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based), or ``perm(s)``
+    (1-based); both are built on first use."""
 
     p: int
     q: int
-    perm: Permutation
+
+    def __post_init__(self):
+        _check_dims(self.p, self.q)
+
+    @cached_property
+    def idx(self) -> np.ndarray:
+        # row s = i·q + j (i < p, j < q) holds column j·p + i: the transposed grid
+        idx = np.arange(self.p * self.q).reshape(self.q, self.p).T.ravel()
+        idx.flags.writeable = False
+        return idx
+
+    @cached_property
+    def perm(self) -> Permutation:
+        return Permutation((self.idx + 1).tolist())
 
     def dense(self) -> np.ndarray:
         size = self.p * self.q
+        _check_dense_budget((size, size), f"K_{{{self.p},{self.q}}}")
         mat = np.zeros((size, size))
-        for s in range(1, size + 1):
-            mat[s - 1, self.perm(s) - 1] = 1.0
+        mat[np.arange(size), self.idx] = 1.0
         return mat
 
 
 def build_commutation(p: int, q: int) -> CommutationMatrix:
-    """Build K_{p,q} structurally.
-
-    Row s = j + (i-1)q (for i in 1..p, j in 1..q) has its 1 in column
-    i + (j-1)p, which is exactly the index transposition behind
-    K vec(X) = vec(Xᵀ).
-    """
-    _check_dims(p, q)
-    images = []
-    for s in range(1, p * q + 1):
-        i = (s - 1) // q + 1
-        j = (s - 1) % q + 1
-        images.append(i + (j - 1) * p)
-    return CommutationMatrix(p, q, Permutation(images))
+    """Build K_{p,q} structurally: O(1) until its index is first used."""
+    return CommutationMatrix(p, q)
 
 
 def build_commutation_rank1(p: int, q: int) -> np.ndarray:
@@ -61,25 +65,19 @@ def build_commutation_rank1(p: int, q: int) -> np.ndarray:
     """
     _check_dims(p, q)
     size = p * q
-    out = np.zeros((size, size))
-    for i in range(p):
-        for j in range(q):
-            left = np.zeros(size)
-            left[i * q + j] = 1.0  # e_i ⊗ f_j
-            right = np.zeros(size)
-            right[j * p + i] = 1.0  # f_j ⊗ e_i
-            out += np.outer(left, right)
-    return out
+    _check_dense_budget((size, size), f"K_{{{p},{q}}}")
+    # term (i, j) is the single 1 at row (i, j), column (j, i)
+    return np.einsum("ad,bc->abcd", np.eye(p), np.eye(q)).reshape(size, size)
 
 
 def apply(k: CommutationMatrix, x) -> np.ndarray:
-    """K x without materializing K: entry s of the result is x[perm(s)]."""
+    """K x without materializing K: entry s of the result is x[idx[s]]."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"expected a vector, got order {arr.ndim}")
     if arr.size != k.p * k.q:
         raise DimensionError(f"vector length {arr.size} != {k.p}*{k.q}")
-    return arr[[k.perm(s) - 1 for s in range(1, arr.size + 1)]]
+    return arr[k.idx]
 
 
 def block_to_flat(i: int, j: int, k: int, l: int, p: int, q: int) -> tuple[int, int]:
@@ -112,23 +110,21 @@ def det_commutation(p: int, q: int) -> int:
 
 def trace_commutation(p: int) -> int:
     """Diagonal sum of K_{p,p}: the number of fixed points of its permutation."""
-    k = build_commutation(p, p)
-    return sum(1 for s in range(1, p * p + 1) if k.perm(s) == s)
+    return int(np.count_nonzero(build_commutation(p, p).idx == np.arange(p * p)))
 
 
 def transpose_matrix(k: CommutationMatrix) -> CommutationMatrix:
     """K_{p,q}ᵀ, which equals K_{q,p}."""
-    return CommutationMatrix(k.q, k.p, k.perm.inverse())
+    return build_commutation(k.q, k.p)
 
 
 def conjugate_kron(a, b) -> np.ndarray:
     """A ⊗ B computed as K_{p,q} (B ⊗ A) K_{q,p} for square A (p x p) and
     B (q x q) — the two Kronecker orders are similar via commutation matrices.
-    """
+    Both K factors swap the (q, p) index pair of B ⊗ A, so the product is an
+    exact reshape and transpose."""
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape[0] != am.shape[1] or bm.shape[0] != bm.shape[1]:
         raise DimensionError(f"both factors must be square, got {am.shape}, {bm.shape}")
     p, q = am.shape[0], bm.shape[0]
-    kpq = build_commutation(p, q).dense()
-    kqp = build_commutation(q, p).dense()
-    return kpq @ np.kron(bm, am) @ kqp
+    return np.kron(bm, am).reshape(q, p, q, p).transpose(1, 0, 3, 2).reshape(p * q, p * q)

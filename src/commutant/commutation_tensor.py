@@ -21,7 +21,6 @@ all modes of ``a``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,12 @@ from .permutation import Permutation
 from .tensor import (
     DenseTensor,
     TensorLike,
+    _check_dense_budget,
     _even_order_cubic,
     as_matrix,
     as_tensor,
     balance_unfold,
+    contract_34,
     mul_2m,
 )
 
@@ -60,10 +61,10 @@ def build_ctensor(m: int, n: int) -> CommutationTensor4:
     """
     if m < 1 or n < 1:
         raise ArgumentError(f"dimensions must be positive, got m={m}, n={n}")
+    _check_dense_budget((n, m, m, n), "transpose tensor")
     arr = np.zeros((n, m, m, n))
-    for i in range(n):
-        for j in range(m):
-            arr[i, j, j, i] = 1.0
+    i, j = np.arange(n)[:, None], np.arange(m)  # broadcast to every (i, j)
+    arr[i, j, j, i] = 1.0
     return CommutationTensor4(m, n, DenseTensor(arr))
 
 
@@ -73,14 +74,14 @@ def tensor_transpose(kt: CommutationTensor4, x) -> np.ndarray:
     xm = as_matrix(x)
     if xm.shape != (kt.m, kt.n):
         raise DimensionError(f"expected an {kt.m} x {kt.n} matrix, got {xm.shape}")
-    return np.tensordot(kt.backing.array, xm, axes=([2, 3], [0, 1]))
+    return contract_34(kt.backing, xm)
 
 
 def ctensor_flatten(kt: CommutationTensor4) -> np.ndarray:
     """Pair modes (1,2) as rows and (3,4) as columns, first mode fastest.
     The result is the commutation matrix K_{m,n}."""
     nm = kt.n * kt.m
-    return kt.backing.array.reshape(nm, nm, order="F").copy()
+    return np.array(kt.backing.array.transpose(1, 0, 3, 2), order="C").reshape(nm, nm)
 
 
 def ctensor_power(exponent: int, n: int) -> DenseTensor:
@@ -180,10 +181,10 @@ def build_mode_perm_tensor(tau: Permutation, n: int) -> ModePermTensor:
 
 def mode_perm_dense(t: ModePermTensor) -> DenseTensor:
     m, n = t.m, t.n
+    _check_dense_budget((n,) * (2 * m), "mode-permutation tensor")
     arr = np.zeros((n,) * (2 * m))
-    for i in itertools.product(range(n), repeat=m):
-        j = tuple(i[t.tau(k) - 1] for k in range(1, m + 1))
-        arr[i + j] = 1.0
+    i = tuple(np.indices((n,) * m).reshape(m, -1))  # every multi-index
+    arr[i + tuple(i[k] for k in t.tau.zero_based())] = 1.0  # j_k = i_{tau(k)}
     return DenseTensor(arr)
 
 

@@ -16,17 +16,17 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(v) for v in images)
+        raw = tuple(images)
+        imgs = tuple(map(int, raw))
         if len(imgs) == 0:
             raise ArgumentError("permutation degree must be at least 1")
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ArgumentError(f"not a permutation of 1..{len(imgs)}: {imgs}")
+        # imgs != raw: some image is not integral (1.7), so int() changed it
+        if imgs != raw or sorted(imgs) != list(range(1, len(imgs) + 1)):
+            raise ArgumentError(f"not a permutation of 1..{len(imgs)}: {raw}")
         self.images = imgs
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
-        if k < 1:
-            raise ArgumentError("degree must be positive")
         return cls(range(1, k + 1))
 
     @classmethod
@@ -71,14 +71,15 @@ class Permutation:
         return Permutation(inv)
 
     def sign(self) -> int:
-        """+1 for even, -1 for odd, by inversion count."""
-        inv = sum(
-            1
-            for a in range(self.degree)
-            for b in range(a + 1, self.degree)
-            if self.images[a] > self.images[b]
-        )
-        return -1 if inv % 2 else 1
+        """+1 for even, -1 for odd: the parity of degree minus cycle count."""
+        todo, parity = set(self.images), self.degree
+        while todo:
+            parity -= 1  # one more cycle: follow it from any unvisited point
+            j = self.images[todo.pop() - 1]
+            while j in todo:
+                todo.remove(j)
+                j = self.images[j - 1]
+        return -1 if parity % 2 else 1
 
     def matrix(self) -> np.ndarray:
         """Permutation matrix P with P e_j = e_{images[j-1]}.

@@ -51,7 +51,6 @@ __all__ = [
     "apply_matrix_preserver",
     "compose_rank_preservers",
     "is_determinant_preserver",
-    "identity_tensor",
     "fixes_identity",
     "is_rank1_tensor",
     "verify_rank_preservation",

@@ -9,7 +9,7 @@ Schemas
 -------
 * tensor:        ``{"shape": [...], "values": [...]}`` — values in canonical
   flat order (first mode fastest).
-* commutation:   ``{"p": p, "q": q, "perm": [...]}`` — 1-based row images.
+* commutation:   ``{"p": p, "q": q, "perm": [...]}`` — K_{p,q}'s 1-based row images.
 * gct:           ``{"m": m, "n": n, "generators": [[[...]]]}`` — matrices as
   lists of rows.
 * cp form:       ``{"m": m, "n": n, "rank": r, "factors": [[[...]]]}``.
@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .commutation_matrix import CommutationMatrix
+from .commutation_matrix import CommutationMatrix, build_commutation
 from .commutation_tensor import Gct, build_gct
 from .cp import CpForm, cp_form
 from .errors import CommutantError, DimensionError
@@ -177,10 +177,14 @@ def commutation_to_json(k: CommutationMatrix) -> str:
 
 def commutation_from_json(text: str) -> CommutationMatrix:
     data = _require(_loads(text), ["p", "q", "perm"], "commutation matrix")
-    try:
-        return CommutationMatrix(int(data["p"]), int(data["q"]), Permutation(data["perm"]))
-    except (TypeError, ValueError, CommutantError) as exc:
-        raise ParseError(f"commutation matrix: {exc}") from exc
+    p, q = _ints(data, ("p", "q"), "commutation matrix")
+    perm = data["perm"]
+    # the length test comes first, so a huge p*q never builds its index
+    if min(p, q) >= 1 and isinstance(perm, list) and len(perm) == p * q:
+        k = build_commutation(p, q)
+        if perm == list(k.perm.images):
+            return k
+    raise ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
 
 
 def gct_to_json(g: Gct) -> str:

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -24,6 +25,15 @@ import numpy as np
 from .errors import ArgumentError, DimensionError, DomainError, ModeError, RangeError
 
 TensorLike = Union["DenseTensor", np.ndarray, Sequence]
+
+#: most entries any dense builder materializes (2**24 float64s = 128 MiB)
+MAX_DENSE_ENTRIES = 2**24
+
+
+def _check_dense_budget(shape: Sequence[int], what: str) -> None:
+    """Refuse, before allocating, a dense array over MAX_DENSE_ENTRIES."""
+    if math.prod(shape) > MAX_DENSE_ENTRIES:
+        raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
 
 
 def flat_offset(coords: Sequence[int], dims: Sequence[int]) -> int:
@@ -271,6 +281,5 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     if m < 1 or n < 1:
         raise ArgumentError(f"m and n must be positive, got m={m}, n={n}")
     arr = np.zeros((n,) * m)
-    for i in range(n):
-        arr[(i,) * m] = 1.0
+    arr[(np.arange(n),) * m] = 1.0
     return DenseTensor(arr)

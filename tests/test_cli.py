@@ -22,6 +22,48 @@ K23_TEXT = (
 )
 
 
+# Output bytes of the commands below, pinned so that no change of internal
+# representation can move them.
+KMAT34_TEXT = (
+    "1 0 0 0 0 0 0 0 0 0 0 0\n"
+    "0 0 0 1 0 0 0 0 0 0 0 0\n"
+    "0 0 0 0 0 0 1 0 0 0 0 0\n"
+    "0 0 0 0 0 0 0 0 0 1 0 0\n"
+    "0 1 0 0 0 0 0 0 0 0 0 0\n"
+    "0 0 0 0 1 0 0 0 0 0 0 0\n"
+    "0 0 0 0 0 0 0 1 0 0 0 0\n"
+    "0 0 0 0 0 0 0 0 0 0 1 0\n"
+    "0 0 1 0 0 0 0 0 0 0 0 0\n"
+    "0 0 0 0 0 1 0 0 0 0 0 0\n"
+    "0 0 0 0 0 0 0 0 1 0 0 0\n"
+    "0 0 0 0 0 0 0 0 0 0 0 1\n"
+)
+KMAT34_JSON = '{"p":3,"q":4,"perm":[1,4,7,10,2,5,8,11,3,6,9,12]}\n'
+KTENSOR23_JSON = (
+    '{"shape":[3,2,2,3],"values":[1,0,0,0,0,0,0,0,0,1,0,0,0,1,0,0'
+    ',0,0,0,0,0,0,1,0,0,0,1,0,0,0,0,0,0,0,0,1]}\n'
+)
+VERIFY_TEXT = (
+    "vec-identity: PASS (84 checks)\n"
+    "swap-law: PASS (84 checks)\n"
+    "kron-conjugation: PASS (80 checks)\n"
+    "powers: PASS (10 checks)\n"
+    "group-axioms: PASS (192 checks)\n"
+    "mode-perm-lemma: PASS (320 checks)\n"
+    "preserver-suite: PASS (98 checks)\n"
+)
+VERIFY_JSON_T10_S7 = (
+    '{"seed":7,"suites":[{"name":"vec-identity","checks":44,"failures":[]},{'
+    '"name":"swap-law","checks":44,"failures":[]},{'
+    '"name":"kron-conjugation","checks":40,"failures":[]},{'
+    '"name":"powers","checks":10,"failures":[]},{'
+    '"name":"group-axioms","checks":192,"failures":[]},{'
+    '"name":"mode-perm-lemma","checks":160,"failures":[]},{'
+    '"name":"preserver-suite","checks":58,"failures":[]}],"passed":true}'
+    "\n"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -296,3 +338,37 @@ class TestHarness:
         _, second, _ = run(capsys, "verify", "--suite", "powers", "--sizes", "3x3",
                            "--format", "json")
         assert first == second
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["gen-kmat", "3", "4"], KMAT34_TEXT),
+            (["gen-kmat", "3", "4", "--format", "json"], KMAT34_JSON),
+            (["gen-ktensor", "2", "3"], KTENSOR23_JSON),
+            (["verify"], VERIFY_TEXT),
+            (["verify", "--format", "json", "--trials", "10", "--seed", "7"], VERIFY_JSON_T10_S7),
+        ],
+    )
+    def test_stdout_bytes(self, capsys, monkeypatch, argv, want):
+        monkeypatch.delenv("COMMUTANT_SEED", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == want
+
+
+class TestDenseBudget:
+    # both requests are refused before anything of their size is allocated
+
+    def test_gen_kmat_over_budget_exits_3(self, capsys):
+        code, out, err = run(capsys, "gen-kmat", "5000", "5000")
+        assert code == 3 and out == ""
+        assert "MAX_DENSE_ENTRIES" in err
+
+    def test_mode_perm_lemma_over_budget_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "mode-perm-lemma", "--sizes", "4x12"
+        )
+        assert code == 3 and out == ""
+        assert "MAX_DENSE_ENTRIES" in err

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutant import (
     ArgumentError,
     DimensionError,
+    DomainError,
     RangeError,
     apply,
     block_to_flat,
@@ -20,6 +23,7 @@ from commutant import (
     transpose_matrix,
     vec,
 )
+from commutant import tensor as tensor_mod
 
 # The anchor instance: every 1 placed by hand from the defining action
 # K vec(X) = vec(X^T) on 2x3 inputs.
@@ -235,3 +239,95 @@ class TestConjugateKron:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
             conjugate_kron(np.zeros((2, 3)), np.eye(2))
+
+
+# ---------------------------------------------------------------- properties
+# Oracles below never read K's index array: they rebuild K from its
+# defining action or from the literal 1-based formula.
+
+DIMS = st.integers(1, 40)
+
+
+def literal_k(p, q):
+    # row (i-1)q + j has its 1 in column i + (j-1)p
+    mat = np.zeros((p * q, p * q))
+    for i in range(1, p + 1):
+        for j in range(1, q + 1):
+            mat[(i - 1) * q + j - 1, (j - 1) * p + i - 1] = 1.0
+    return mat
+
+
+@given(DIMS, DIMS, st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prop_apply_transposes(p, q, seed):
+    x = np.random.default_rng(seed).standard_normal((p, q))
+    got = apply(build_commutation(p, q), x.reshape(-1, order="F"))
+    assert np.array_equal(got, x.T.reshape(-1, order="F"))
+
+
+@given(DIMS, DIMS)
+@settings(max_examples=40, deadline=None)
+def test_prop_dense_routes_agree(p, q):
+    dense = build_commutation(p, q).dense()
+    assert np.array_equal(dense, build_commutation_rank1(p, q))
+    assert np.array_equal(dense, literal_k(p, q))
+
+
+@given(DIMS, DIMS)
+@settings(max_examples=60, deadline=None)
+def test_prop_transpose_has_swapped_perm(p, q):
+    k = build_commutation(p, q)
+    kt = transpose_matrix(k)
+    assert (kt.p, kt.q) == (q, p)
+    want = [0] * (p * q)
+    for i in range(1, q + 1):
+        for j in range(1, p + 1):
+            want[(i - 1) * p + j - 1] = i + (j - 1) * q
+    assert list(kt.perm.images) == want
+    assert kt.perm == k.perm.inverse()
+
+
+@given(DIMS, DIMS)
+@settings(max_examples=60, deadline=None)
+def test_prop_det_closed_form(p, q):
+    assert det_commutation(p, q) == (-1) ** (p * (p - 1) * q * (q - 1) // 4)
+
+
+@pytest.mark.parametrize("p", range(1, 41))
+def test_trace_is_p_up_to_40(p):
+    assert trace_commutation(p) == p
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conjugate_kron_is_exact(p, q, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    b = rng.standard_normal((q, q))
+    assert np.array_equal(conjugate_kron(a, b), np.kron(a, b))
+
+
+def test_index_is_read_only():
+    k = build_commutation(3, 4)
+    with pytest.raises(ValueError):
+        k.idx[0] = 1
+    assert k == build_commutation(3, 4) and k != build_commutation(4, 3)
+
+
+class TestDenseBudget:
+    # every size here is refused before anything of its size is allocated
+
+    def test_dense_k_over_budget(self):
+        with pytest.raises(DomainError):
+            build_commutation(5000, 5000).dense()
+        with pytest.raises(DomainError):
+            build_commutation_rank1(5000, 5000)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 36)
+        assert build_commutation(2, 3).dense().size == 36
+        assert build_commutation_rank1(3, 2).size == 36
+        with pytest.raises(DomainError):
+            build_commutation(2, 4).dense()
+        with pytest.raises(DomainError):
+            build_commutation_rank1(7, 1)

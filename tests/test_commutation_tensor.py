@@ -35,6 +35,7 @@ from commutant import (
     sym_power,
     tensor_transpose,
 )
+from commutant import tensor as tensor_mod
 
 
 class TestBuildCtensor:
@@ -371,3 +372,51 @@ class TestCheckNonnegInverse:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             check_nonneg_inverse(np.ones((2, 2, 2, 2)), np.ones((3, 3, 3, 3)))
+
+
+def loop_mode_perm_dense(tau, n):
+    # the per-entry construction: one 1 at (i, j) with j_k = i_{tau(k)}
+    m = tau.degree
+    arr = np.zeros((n,) * (2 * m))
+    for i in itertools.product(range(n), repeat=m):
+        j = tuple(i[tau(k) - 1] for k in range(1, m + 1))
+        arr[i + j] = 1.0
+    return arr
+
+
+@pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), range(1, 5))))
+def test_mode_perm_dense_matches_entry_loop(m, n):
+    for tau in Permutation.all(m):
+        got = mode_perm_dense(build_mode_perm_tensor(tau, n)).array
+        assert np.array_equal(got, loop_mode_perm_dense(tau, n))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 2), (2, 5)])
+def test_ctensor_matches_entry_loop(m, n):
+    want = np.zeros((n, m, m, n))
+    for i in range(n):
+        for j in range(m):
+            want[i, j, j, i] = 1.0
+    assert np.array_equal(build_ctensor(m, n).backing.array, want)
+
+
+class TestDenseBudget:
+    # every size here is refused before anything of its size is allocated
+
+    def test_ctensor_over_budget(self):
+        with pytest.raises(DomainError):
+            build_ctensor(5000, 5000)
+
+    def test_mode_perm_over_budget(self):
+        t = build_mode_perm_tensor(Permutation.identity(4), 12)
+        with pytest.raises(DomainError):
+            mode_perm_dense(t)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+        assert mode_perm_dense(build_mode_perm_tensor(Permutation([2, 1]), 2)).array.size == 16
+        assert build_ctensor(2, 2).backing.array.size == 16
+        with pytest.raises(DomainError):
+            mode_perm_dense(build_mode_perm_tensor(Permutation([2, 1]), 3))
+        with pytest.raises(DomainError):
+            build_ctensor(2, 3)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutant import ArgumentError, Permutation, RangeError
 
@@ -81,3 +83,24 @@ def test_matrix_convention(k):
 def test_matrix_inverse_is_transpose():
     s = Permutation([3, 1, 4, 2])
     assert np.array_equal(s.inverse().matrix(), s.matrix().T)
+
+
+@given(st.integers(1, 8).flatmap(lambda k: st.permutations(range(1, k + 1))))
+@settings(max_examples=300, deadline=None)
+def test_sign_matches_inversion_parity(images):
+    assert Permutation(images).sign() == brute_sign(images)
+
+
+def test_rejects_non_integral_images():
+    with pytest.raises(ArgumentError):
+        Permutation([1.7, 2])
+    with pytest.raises(ArgumentError):
+        Permutation([1, 2.5, 3])
+    with pytest.raises(ArgumentError):
+        Permutation(["1", "2"])
+
+
+def test_accepts_integral_values():
+    assert Permutation([2.0, 1.0]).images == (2, 1)
+    assert Permutation(np.array([3, 1, 2])).images == (3, 1, 2)
+    assert all(type(v) is int for v in Permutation(np.array([2.0, 1.0])).images)

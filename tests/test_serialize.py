@@ -100,6 +100,26 @@ class TestStructuredObjects:
         assert (back.p, back.q) == (3, 2)
         assert np.array_equal(back.dense(), k.dense())
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"p":5,"q":7,"perm":[2,1]}',  # a permutation, but not K_{5,7}'s
+            '{"p":1,"q":2,"perm":[2,1]}',  # a swap, but K_{1,2} = I
+            '{"p":3,"q":2,"perm":[1,2,3,4,5,6]}',
+            '{"p":3,"q":2,"perm":"1,4,2,5,3,6"}',
+            '{"p":0,"q":2,"perm":[]}',
+            '{"p":"x","q":2,"perm":[1,2]}',
+            '{"p":1000000000,"q":1000000000,"perm":[1]}',
+        ],
+    )
+    def test_commutation_perm_must_be_k(self, text):
+        with pytest.raises(ser.ParseError):
+            ser.commutation_from_json(text)
+
+    def test_commutation_accepts_identity_cases(self):
+        back = ser.commutation_from_json('{"p":1,"q":2,"perm":[1,2]}')
+        assert np.array_equal(back.dense(), np.eye(2))
+
     def test_gct_roundtrip(self):
         g = build_gct([np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)])
         back = ser.gct_from_json(ser.gct_to_json(g))

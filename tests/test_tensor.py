@@ -310,3 +310,11 @@ def test_identity_tensor_positions():
     nz = {idx for idx in itertools.product(range(2), repeat=3) if t.array[idx] != 0}
     assert nz == {(0, 0, 0), (1, 1, 1)}
     assert np.array_equal(identity_tensor(2, 3).array, np.eye(3))
+
+
+@pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), range(1, 5))))
+def test_identity_tensor_matches_entry_loop(m, n):
+    want = np.zeros((n,) * m)
+    for i in range(n):
+        want[(i,) * m] = 1.0
+    assert np.array_equal(identity_tensor(m, n).array, want)
