@@ -20,6 +20,7 @@ bytes.  The environment variable ``COMMUTANT_SEED`` overrides ``--seed``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,6 +43,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -75,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format where both are defined (default: text)",
     )
-    common.add_argument("--tol", type=float, default=1e-12, help="comparison tolerance")
+    common.add_argument("--tol", type=_positive_float, default=1e-12, help="comparison tolerance")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument(
         "--trials", type=_positive_int, default=20, help="random trials per check"

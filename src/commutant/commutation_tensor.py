@@ -31,8 +31,11 @@ from .permutation import Permutation
 from .tensor import (
     DenseTensor,
     TensorLike,
+    _adjacent_swaps,
     _check_dense_budget,
     _even_order_cubic,
+    _frozen,
+    _outer,
     as_matrix,
     as_tensor,
     balance_unfold,
@@ -116,9 +119,7 @@ def build_gct(generators) -> Gct:
         gm = as_matrix(g)
         if gm.shape[0] != gm.shape[1]:
             raise DimensionError(f"generators must be square, got {gm.shape}")
-        gm = gm.copy()
-        gm.flags.writeable = False
-        gens.append(gm)
+        gens.append(_frozen(gm))
     if not gens:
         raise ArgumentError("at least one generator is required")
     n = gens[0].shape[0]
@@ -139,9 +140,7 @@ def gct_identity(m: int, n: int) -> Gct:
 
 
 def gct_dense(g: Gct) -> DenseTensor:
-    arr = np.array(1.0)
-    for gen in g.generators:
-        arr = np.multiply.outer(arr, gen)
+    arr = _outer(g.generators)
     # axes are now (i_1, j_1, i_2, j_2, ...); regroup to (i_1..i_m, j_1..j_m)
     axes = list(range(0, 2 * g.m, 2)) + list(range(1, 2 * g.m, 2))
     return DenseTensor(np.transpose(arr, axes))
@@ -188,32 +187,22 @@ def mode_perm_dense(t: ModePermTensor) -> DenseTensor:
     return DenseTensor(arr)
 
 
-def is_pair_symmetric(a: TensorLike, samples: int = 1000) -> bool:
+def is_pair_symmetric(a: TensorLike) -> bool:
     """Whether simultaneously shuffling the first and last m modes by the
-    same permutation leaves the tensor unchanged.
+    same permutation leaves the tensor exactly unchanged.
 
-    Checked exhaustively over all mode permutations for m <= 3; for larger m
-    a fixed-seed sample of (permutation, entry) probes is used.
+    Exact for every m: the m-1 adjacent transpositions, each applied to both
+    halves at once, generate S_m, so invariance under them is invariance
+    under every permutation.
     """
     t = as_tensor(a)
-    m, _ = _even_order_cubic(t, "is_pair_symmetric")
-    if m <= 3:
-        for tau in Permutation.all(m):
-            inv = tau.inverse().zero_based()
-            axes = list(inv) + [m + v for v in inv]
-            if not np.array_equal(np.transpose(t.array, axes), t.array):
-                return False
-        return True
-    rng = np.random.default_rng(0)
-    n = t.shape[0]
-    for _ in range(samples):
-        tau = rng.permutation(m)
-        i = rng.integers(0, n, size=m)
-        j = rng.integers(0, n, size=m)
-        shuffled = tuple(i[tau]) + tuple(j[tau])
-        if t.array[shuffled] != t.array[tuple(i) + tuple(j)]:
-            return False
-    return True
+    _even_order_cubic(t, "is_pair_symmetric")
+    return all(np.array_equal(s, t.array) for s in _adjacent_swaps(t.array, 2))
+
+
+def _one_per_line(mask: np.ndarray) -> bool:
+    """Whether a boolean matrix has exactly one True per row and per column."""
+    return bool(np.all(mask.sum(axis=0) == 1) and np.all(mask.sum(axis=1) == 1))
 
 
 def is_balanced_permutation(a: TensorLike, tol: float = STRUCTURE_TOL) -> bool:
@@ -222,9 +211,7 @@ def is_balanced_permutation(a: TensorLike, tol: float = STRUCTURE_TOL) -> bool:
     u = balance_unfold(a)
     ones = np.abs(u - 1.0) <= tol
     zeros = np.abs(u) <= tol
-    if not np.all(ones | zeros):
-        return False
-    return bool(np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1))
+    return bool(np.all(ones | zeros)) and _one_per_line(ones)
 
 
 def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
@@ -253,9 +240,7 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
         raise PreconditionError("operands are not mutual inverses")
     u = balance_unfold(ta)
     positive = u > STRUCTURE_TOL
-    rows_ok = np.all(positive.sum(axis=1) == 1)
-    cols_ok = np.all(positive.sum(axis=0) == 1)
-    if not (rows_ok and cols_ok):
+    if not _one_per_line(positive):
         raise PreconditionError(
             "unfolding is not a generalized permutation matrix; "
             "inputs are numerically degenerate"

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     ArgumentError,
     DimensionError,
@@ -25,7 +24,15 @@ from .errors import (
     SymmetryError,
 )
 from .permutation import Permutation
-from .tensor import DenseTensor, TensorLike, as_matrix, as_tensor
+from .tensor import (
+    DenseTensor,
+    TensorLike,
+    _adjacent_swaps,
+    _frozen,
+    _outer,
+    as_matrix,
+    as_tensor,
+)
 
 #: bound on the rank-1 residual, relative to the entry scale, for
 #: :func:`extract_sym_rank1`
@@ -48,10 +55,7 @@ def rank1(vectors: Sequence) -> DenseTensor:
             raise DimensionError("factors must be nonempty vectors")
         if not v.any():
             raise DomainError("zero vector is not a rank-1 factor")
-    out = np.array(1.0)
-    for v in vecs:
-        out = np.multiply.outer(out, v)
-    return DenseTensor(out)
+    return DenseTensor(_outer(vecs))
 
 
 def sym_power(x, m: int) -> DenseTensor:
@@ -97,12 +101,7 @@ class CpForm:
 
 
 def cp_form(factors: Sequence) -> CpForm:
-    mats = []
-    for f in factors:
-        fm = as_matrix(f).copy()
-        fm.flags.writeable = False
-        mats.append(fm)
-    return CpForm(tuple(mats))
+    return CpForm(tuple(_frozen(as_matrix(f)) for f in factors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,26 +126,22 @@ class SymCpForm:
 
 
 def sym_cp_form(m: int, vectors: Sequence, weights: Sequence[float]) -> SymCpForm:
-    vecs = []
-    for v in vectors:
-        va = np.asarray(v, dtype=float).copy()
-        va.flags.writeable = False
-        vecs.append(va)
-    return SymCpForm(int(m), tuple(vecs), tuple(float(w) for w in weights))
+    vecs = tuple(_frozen(np.asarray(v, dtype=float)) for v in vectors)
+    return SymCpForm(int(m), vecs, tuple(float(w) for w in weights))
 
 
 def materialize(cp: CpForm) -> DenseTensor:
     """Dense sum of the rank-1 terms."""
     out = np.zeros(cp.extents)
     for r in range(cp.rank):
-        out += rank1([f[:, r] for f in cp.factors]).array
+        out += _outer([f[:, r] for f in cp.factors])
     return DenseTensor(out)
 
 
 def materialize_sym(cp: SymCpForm) -> DenseTensor:
     out = np.zeros((cp.vectors[0].size,) * cp.m)
     for w, v in zip(cp.weights, cp.vectors):
-        out += w * sym_power(v, cp.m).array
+        out += w * _outer([v] * cp.m)
     return DenseTensor(out)
 
 
@@ -168,17 +163,10 @@ def is_symmetric(a: TensorLike, tol: float = SYMMETRY_TOL) -> bool:
     if any(d != n for d in t.shape):
         return False
     scale = max(1.0, float(np.max(np.abs(t.array))))
-    for k in range(t.order - 1):
-        axes = list(range(t.order))
-        axes[k], axes[k + 1] = axes[k + 1], axes[k]
-        if np.max(np.abs(np.transpose(t.array, axes) - t.array)) > tol * scale:
-            return False
-    return True
-
-
-def matrix_rank(mat, tol: float) -> int:
-    """Rank as the number of elimination pivots exceeding ``tol``."""
-    return linalg.rank(as_matrix(mat), tol)
+    return not any(
+        np.max(np.abs(swapped - t.array)) > tol * scale
+        for swapped in _adjacent_swaps(t.array, 1)
+    )
 
 
 def _rank1_residual(arr: np.ndarray) -> float:
@@ -188,11 +176,8 @@ def _rank1_residual(arr: np.ndarray) -> float:
     unfolding has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs
     O(m * arr.size); ``arr`` must be finite and nonzero."""
     pivot = np.unravel_index(np.abs(arr).argmax(), arr.shape)
-    piv = arr[pivot]
-    cand = arr[(slice(None),) + pivot[1:]]
-    for k in range(1, arr.ndim):
-        fibre = arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]]
-        cand = np.multiply.outer(cand, fibre / piv)
+    fibres = [arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]] for k in range(arr.ndim)]
+    cand = _outer([fibres[0]] + [f / arr[pivot] for f in fibres[1:]])
     return float(np.abs(arr - cand).max())
 
 

@@ -1,15 +1,16 @@
 """Small dense linear algebra by Gaussian elimination with partial pivoting.
 
-Deterministic and dependency-free on purpose: determinant, inverse, and rank
-each expose an explicit pivot threshold instead of inheriting one from a
-backend.  Matrices at this scale are tiny, so O(n^3) elimination is plenty.
+Deterministic and dependency-free on purpose: determinant and rank share one
+elimination with an explicit pivot threshold, and the inverse keeps its own,
+instead of inheriting one from a backend.  Non-finite matrices are refused.
+Matrices at this scale are tiny, so O(n^3) elimination is plenty.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, DomainError, SingularMatrixError
 
 #: a pivot smaller than this makes a matrix singular for inversion purposes
 INVERSE_PIVOT_TOL = 1e-10
@@ -17,57 +18,29 @@ INVERSE_PIVOT_TOL = 1e-10
 DET_SINGULAR_TOL = 1e-12
 
 
-def _square(mat) -> np.ndarray:
+def _matrix(mat) -> np.ndarray:
     arr = np.array(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2:
+        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError("matrix has a non-finite entry")
+    return arr
+
+
+def _square(mat) -> np.ndarray:
+    arr = _matrix(mat)
+    if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
-def det(mat) -> float:
-    """Determinant via LU with partial pivoting; snaps |det| < 1e-12 to 0.0."""
-    a = _square(mat)
-    n = a.shape[0]
-    sign = 1.0
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
-    value = sign * float(np.prod(np.diagonal(a)))
-    return 0.0 if abs(value) < DET_SINGULAR_TOL else value
-
-
-def inv(mat, pivot_tol: float = INVERSE_PIVOT_TOL) -> np.ndarray:
-    """Inverse via Gauss-Jordan; raises SingularMatrixError on a tiny pivot."""
-    a = _square(mat)
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < pivot_tol:
-            raise SingularMatrixError(
-                f"pivot {abs(aug[piv, col]):.3e} below threshold {pivot_tol:g}"
-            )
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0.0:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:]
-
-
-def rank(mat, tol: float) -> int:
-    """Number of elimination pivots exceeding ``tol`` (absolute)."""
-    a = np.array(mat, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {a.shape}")
+def _eliminate(a: np.ndarray, tol: float) -> tuple[int, float]:
+    """Row-reduce ``a`` in place with partial pivoting, skipping each column
+    with no entry above ``tol`` in absolute value.  Returns the number of
+    pivots, which then sit on the diagonal if every column has one, and the
+    sign of the row swaps."""
     rows, cols = a.shape
-    r = 0
+    r, sign = 0, 1.0
     for col in range(cols):
         if r == rows:
             break
@@ -76,6 +49,43 @@ def rank(mat, tol: float) -> int:
             continue
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
+            sign = -sign
         a[r + 1 :, col:] -= np.outer(a[r + 1 :, col] / a[r, col], a[r, col:])
         r += 1
-    return r
+    return r, sign
+
+
+def det(mat) -> float:
+    """Determinant via LU with partial pivoting; snaps |det| < 1e-12 to 0.0."""
+    a = _square(mat)
+    pivots, sign = _eliminate(a, 0.0)
+    if pivots < a.shape[0]:
+        return 0.0
+    value = sign * float(np.prod(np.diagonal(a)))
+    return 0.0 if abs(value) < DET_SINGULAR_TOL else value
+
+
+def inv(mat) -> np.ndarray:
+    """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
+    ``INVERSE_PIVOT_TOL``."""
+    a = _square(mat)
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) < INVERSE_PIVOT_TOL:
+            raise SingularMatrixError(
+                f"pivot {abs(aug[piv, col]):.3e} below threshold {INVERSE_PIVOT_TOL:g}"
+            )
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] /= aug[col, col]
+        factor = aug[:, col].copy()
+        factor[col] = 0.0  # every row but the pivot row
+        aug -= np.outer(factor, aug[col])
+    return aug[:, n:]
+
+
+def rank(mat, tol: float) -> int:
+    """Number of elimination pivots exceeding ``tol`` (absolute)."""
+    return _eliminate(_matrix(mat), tol)[0]

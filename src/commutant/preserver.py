@@ -23,12 +23,12 @@ from .permutation import Permutation
 from .tensor import (
     DenseTensor,
     TensorLike,
+    _frozen,
+    _mode_products,
     as_matrix,
     as_tensor,
     complete_right_product,
     identity_tensor,
-    mode_n_product,
-    permute_modes,
 )
 
 #: relative tolerance for rank-1 certification of preserver outputs
@@ -65,18 +65,17 @@ class RankPreserver:
     tau: Permutation
 
 
+def _invertible(mat) -> np.ndarray:
+    """A frozen copy of ``mat``, checked square, finite and invertible."""
+    mm = as_matrix(mat)
+    linalg.inv(mm)  # gate: raises unless square, finite and invertible
+    return _frozen(mm)
+
+
 def rank_preserver(matrices, tau: Permutation) -> RankPreserver:
     """Validate and freeze a rank preserver.  Raises SingularMatrixError if
     any matrix is singular at the inversion pivot threshold."""
-    mats = []
-    for m in matrices:
-        mm = as_matrix(m)
-        if mm.shape[0] != mm.shape[1]:
-            raise DimensionError(f"mode matrices must be square, got {mm.shape}")
-        linalg.inv(mm)  # invertibility gate
-        mm = mm.copy()
-        mm.flags.writeable = False
-        mats.append(mm)
+    mats = [_invertible(m) for m in matrices]
     if not mats:
         raise ArgumentError("at least one mode matrix is required")
     n = mats[0].shape[0]
@@ -98,16 +97,11 @@ class SymPreserver:
 
 
 def sym_preserver(b, m: int, require_nonnegative: bool = False) -> SymPreserver:
-    bm = as_matrix(b)
-    if bm.shape[0] != bm.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {bm.shape}")
+    bm = _invertible(b)
     if m < 1:
         raise ArgumentError(f"order must be positive, got {m}")
     if require_nonnegative and np.any(bm < 0):
         raise DomainError("matrix has negative entries")
-    linalg.inv(bm)
-    bm = bm.copy()
-    bm.flags.writeable = False
     return SymPreserver(bm, int(m))
 
 
@@ -121,16 +115,9 @@ class MatrixPreserver:
 
 
 def matrix_preserver(p, q, transposed: bool = False) -> MatrixPreserver:
-    pm, qm = as_matrix(p), as_matrix(q)
-    if pm.shape[0] != pm.shape[1] or qm.shape[0] != qm.shape[1]:
-        raise DimensionError("P and Q must be square")
+    pm, qm = _invertible(p), _invertible(q)
     if pm.shape != qm.shape:
         raise DimensionError(f"P {pm.shape} and Q {qm.shape} differ in size")
-    linalg.inv(pm)
-    linalg.inv(qm)
-    pm, qm = pm.copy(), qm.copy()
-    pm.flags.writeable = False
-    qm.flags.writeable = False
     return MatrixPreserver(pm, qm, bool(transposed))
 
 
@@ -146,10 +133,9 @@ def apply_rank_preserver(phi: RankPreserver, a: TensorLike) -> DenseTensor:
             f"tensor shape {t.shape} does not match preserver ({len(phi.matrices)} "
             f"modes of size {n})"
         )
-    out = permute_modes(t, phi.tau.inverse())
-    for k, mat in enumerate(phi.matrices, start=1):
-        out = mode_n_product(out, mat, k)
-    return out
+    # permute_modes by tau^-1, whose transpose axes are tau's own images
+    shuffled = np.transpose(t.array, phi.tau.zero_based())
+    return DenseTensor(_mode_products(shuffled, enumerate(phi.matrices)))
 
 
 def apply_sym_preserver(phi: SymPreserver, a: TensorLike) -> DenseTensor:

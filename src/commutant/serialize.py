@@ -89,10 +89,21 @@ def _loads(text: str) -> Any:
 
 
 def _ints(data: dict, keys: tuple[str, ...], what: str) -> tuple[int, ...]:
+    raw = tuple(data[k] for k in keys)
     try:
-        return tuple(int(data[k]) for k in keys)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what}: fields {list(keys)} must be integers") from exc
+        ints = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    # int() failed, or changed a field that is not integral (2.5, "3")
+    if ints != raw:
+        raise ParseError(f"{what}: fields {list(keys)} must be integers")
+    return ints
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what}: values must be finite")
+    return arr
 
 
 def _require(data: Any, keys: list[str], what: str) -> dict:
@@ -122,11 +133,11 @@ def tensor_from_json(text: str) -> DenseTensor:
     if not isinstance(values, list):
         raise ParseError("tensor: values must be a list")
     try:
-        return DenseTensor.from_flat(shape, [float(v) for v in values])
-    except ParseError:
-        raise
+        t = DenseTensor.from_flat(shape, [float(v) for v in values])
     except (TypeError, ValueError, CommutantError) as exc:
         raise ParseError(f"tensor: {exc}") from exc
+    _finite(t.array, "tensor")
+    return t
 
 
 # ---------------------------------------------------------------- matrices
@@ -151,7 +162,7 @@ def matrix_from_text(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix text: ragged rows")
-    return np.array(rows, dtype=float)
+    return _finite(np.array(rows, dtype=float), "matrix text")
 
 
 def _matrix_lists(mat: np.ndarray) -> list[list[float]]:
@@ -165,7 +176,7 @@ def _matrix_from_lists(data: Any, what: str) -> np.ndarray:
         raise ParseError(f"{what}: not a numeric matrix") from exc
     if arr.ndim != 2:
         raise ParseError(f"{what}: expected a matrix, got {arr.ndim} dimensions")
-    return arr
+    return _finite(arr, what)
 
 
 # ------------------------------------------------- structured objects

@@ -36,6 +36,41 @@ def _check_dense_budget(shape: Sequence[int], what: str) -> None:
         raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``."""
+    out = arr.copy()
+    out.flags.writeable = False
+    return out
+
+
+def _outer(factors) -> np.ndarray:
+    """Outer product of vectors or matrices, axes in factor order."""
+    out = np.array(1.0)
+    for f in factors:
+        out = np.multiply.outer(out, f)
+    return out
+
+
+def _adjacent_swaps(arr: np.ndarray, blocks: int):
+    """Yield ``arr`` with modes k and k+1 swapped in each of ``blocks`` equal
+    runs of modes at once, for every k.  These adjacent transpositions
+    generate all shuffles applied to every run alike."""
+    m = arr.ndim // blocks
+    for k in range(m - 1):
+        axes = list(range(arr.ndim))
+        for i in range(k, arr.ndim, m):
+            axes[i], axes[i + 1] = axes[i + 1], axes[i]
+        yield np.transpose(arr, axes)
+
+
+def _mode_products(arr: np.ndarray, pairs) -> np.ndarray:
+    """Unchecked ``arr`` times ``mat`` on 0-based mode ``axis``, for each
+    ``(axis, mat)`` pair in turn."""
+    for axis, mat in pairs:
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+    return arr
+
+
 def flat_offset(coords: Sequence[int], dims: Sequence[int]) -> int:
     """0-based canonical offset of 1-based coordinates ``coords`` in ``dims``."""
     if len(coords) != len(dims):
@@ -179,8 +214,7 @@ def mode_n_product(a: TensorLike, mat: TensorLike, k: int) -> DenseTensor:
         raise DimensionError(
             f"matrix has {m.shape[1]} columns but mode {k} has extent {t.shape[k - 1]}"
         )
-    moved = np.tensordot(m, t.array, axes=([1], [k - 1]))
-    return DenseTensor(np.moveaxis(moved, 0, k - 1))
+    return DenseTensor(_mode_products(t.array, [(k - 1, m)]))
 
 
 def contract_34(a: TensorLike, mat: TensorLike) -> np.ndarray:
@@ -270,10 +304,7 @@ def complete_right_product(a: TensorLike, mat: TensorLike) -> DenseTensor:
         raise DimensionError(f"matrix must be square, got {m.shape}")
     if any(d != m.shape[1] for d in t.shape):
         raise DimensionError(f"matrix of size {m.shape[0]} cannot act on shape {t.shape}")
-    out = t
-    for k in range(1, t.order + 1):
-        out = mode_n_product(out, m, k)
-    return out
+    return DenseTensor(_mode_products(t.array, enumerate([m] * t.order)))
 
 
 def identity_tensor(m: int, n: int) -> DenseTensor:

@@ -62,8 +62,8 @@ class RunConfig:
             raise ArgumentError(f"sizes must be positive pairs, got {self.sizes}")
         if self.trials < 1:
             raise ArgumentError(f"trials must be positive, got {self.trials}")
-        if self.tol <= 0:
-            raise ArgumentError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ArgumentError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 @dataclass
@@ -108,6 +108,7 @@ def _suite_vec_identity(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("vec-identity")
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
+        dense = k.dense()  # checks the dense budget before recon is allocated
         # uniqueness: the matrix reconstructed column-by-column from the vec
         # action must be the built matrix
         recon = np.zeros((p * q, p * q))
@@ -117,7 +118,7 @@ def _suite_vec_identity(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
                 basis[i, j] = 1.0
                 recon[:, j * p + i] = vec(basis.T)
         res.record(
-            np.array_equal(recon, k.dense()),
+            np.array_equal(recon, dense),
             f"size {p}x{q}: reconstructed matrix differs from the built one",
         )
         for t in range(cfg.trials):
@@ -135,6 +136,7 @@ def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("swap-law")
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
+        dense = k.dense()  # checks the dense budget before recon is allocated
         recon = np.zeros((p * q, p * q))
         for j in range(q):
             for i in range(p):
@@ -144,7 +146,7 @@ def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
                 y[i] = 1.0
                 recon[:, j * p + i] = kron_vec(y, x)
         res.record(
-            np.array_equal(recon, k.dense()),
+            np.array_equal(recon, dense),
             f"size {p}x{q}: swap-action reconstruction differs",
         )
         for t in range(cfg.trials):

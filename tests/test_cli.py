@@ -64,6 +64,59 @@ VERIFY_JSON_T10_S7 = (
 )
 
 
+# `apply` inputs with a non-identity tau at orders 2 (matrix text), 3 and 4
+# (tensor JSON), and their output bytes.
+APPLY_CASES = [
+    (
+        (
+            '{"m":2,"n":3,"tau":[2,1],"matrices":[[[1.5,0.25,-1],[0.1,2,0.3],'
+            '[-0.7,0.2,1.1]],[[0.9,-0.4,0],[0.35,1.2,-0.15],[0,0.6,1.3]]]}'
+        ),
+        "a.txt",
+        "0.3 -1.2 2.5\n1.7 0.05 -0.9\n-2.2 0.8 1.1\n",
+        (
+            '{"shape":[3,3],"values":[-3.5000000000000004,'
+            '-1.4580000000000002,2.9380000000000002,3.9624999999999995,'
+            '-0.82350000000000001,-2.2354999999999996,-3.3825000000000007,'
+            '2.2230000000000003,2.4810000000000003]}\n'
+        ),
+    ),
+    (
+        (
+            '{"m":3,"n":2,"tau":[2,3,1],"matrices":[[[1.1,-0.3],[0.2,0.9]],'
+            '[[0.7,0.45],[-0.6,1.3]],[[2,0.1],[0.35,-1.4]]]}'
+        ),
+        "a.json",
+        '{"shape":[2,2,2],"values":[0.5,-1.25,2,0.1,-0.3,1.7,0.9,-2.2]}',
+        (
+            '{"shape":[2,2,2],"values":[-0.59449999999999981,3.25,-1.0868,'
+            '-0.53360000000000019,-0.32375000000000026,1.773625,'
+            '-6.0473000000000008,2.7926499999999996]}\n'
+        ),
+    ),
+    (
+        (
+            '{"m":4,"n":2,"tau":[3,1,4,2],"matrices":[[[1.2,0.4],[-0.5,0.8]],'
+            '[[0.3,1.1],[1.6,-0.2]],[[0.9,-0.7],[0.25,1.05]],[[-1.3,0.6],'
+            '[0.15,0.95]]]}'
+        ),
+        "a.json",
+        (
+            '{"shape":[2,2,2,2],"values":[0.1,0.2,-0.3,0.4,0.5,-0.6,0.7,0.8,'
+            '-0.9,1.1,1.2,-1.3,1.4,1.5,-1.6,1.7]}'
+        ),
+        (
+            '{"shape":[2,2,2,2],"values":[2.4356400000000002,1.38751,'
+            '-2.4726400000000002,3.3748200000000002,-3.0313800000000009,'
+            '-0.30350500000000008,2.3675200000000007,-5.4622300000000017,'
+            '1.0235800000000002,-0.69580500000000012,-1.0176799999999997,'
+            '3.0048399999999997,-0.21121000000000012,1.9752275000000006,'
+            '1.2116399999999998,-2.7520600000000006]}\n'
+        ),
+    ),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -356,6 +409,71 @@ class TestGoldenBytes:
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
         assert out == want
+
+    @pytest.mark.parametrize("phi,name,tensor,want", APPLY_CASES)
+    def test_apply_stdout_bytes(self, capsys, tmp_path, phi, name, tensor, want):
+        pfile, tfile = tmp_path / "phi.json", tmp_path / name
+        pfile.write_text(phi, encoding="utf-8")
+        tfile.write_text(tensor, encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(pfile), str(tfile))
+        assert code == 0 and err == ""
+        assert out == want
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN/Infinity tokens real JSON lacks."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+PHI22 = '{"m":2,"n":2,"tau":[2,1],"matrices":[[[1,0],[0,1]],[[2,1],[1,1]]]}'
+A22_JSON = '{"shape":[2,2],"values":[1,2,3,4]}'
+
+
+class TestRefusedInputs:
+    """Non-finite values, non-integral header fields and bad tolerances end
+    in exit 2 or 3, with nothing on stdout that is not strict JSON."""
+
+    @pytest.mark.parametrize(
+        "phi,tensor",
+        [
+            (PHI22.replace("[2,1],[1,1]", "[NaN,1],[1,1]"), A22_JSON),
+            (PHI22.replace("[2,1],[1,1]", "[Infinity,1],[1,1]"), A22_JSON),
+            (PHI22.replace("[2,1],[1,1]", "[1e999,1],[1,1]"), A22_JSON),
+            (PHI22, "1 2\ninf 4\n"),
+            (PHI22, "nan 2\n3 4\n"),
+            (PHI22, '{"shape":[2,2],"values":[1,NaN,3,4]}'),
+            (PHI22, '{"shape":[2,2],"values":[1,-Infinity,3,4]}'),
+            (PHI22.replace('"m":2', '"m":2.5'), A22_JSON),
+            (PHI22.replace('"n":2', '"n":"2"'), A22_JSON),
+        ],
+    )
+    def test_apply(self, capsys, tmp_path, phi, tensor):
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t"
+        pfile.write_text(phi, encoding="utf-8")
+        tfile.write_text(tensor, encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(pfile), str(tfile))
+        assert code in (2, 3) and "Traceback" not in err
+        for line in out.splitlines():
+            _strict_json(line)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_tol(self, capsys, tol):
+        argv = ["verify", "--suite", "powers", "--sizes", "2x2", "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--tol", tol)
+        assert code == 2
+        for line in out.splitlines():
+            _strict_json(line)
+
+    @pytest.mark.parametrize("suite", ["vec-identity", "swap-law"])
+    def test_reconstruction_oracles_check_the_dense_budget_first(self, capsys, suite):
+        # refused before either pq x pq matrix is allocated
+        code, out, err = run(capsys, "verify", "--suite", suite, "--sizes", "5000x5000")
+        assert code == 3 and out == ""
+        assert "MAX_DENSE_ENTRIES" in err
 
 
 class TestDenseBudget:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutant import (
     ArgumentError,
@@ -320,6 +322,45 @@ class TestPairSymmetry:
     def test_odd_order_rejected(self):
         with pytest.raises(DimensionError):
             is_pair_symmetric(np.zeros((2, 2, 2)))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_exhaustive_walk(self, data):
+        # pair-symmetric tensors (GCTs with one generator on every mode,
+        # transpose tensors), GCTs with mixed generators, and single-entry
+        # perturbations of them, for m <= 4 and n <= 3; weighted towards the
+        # largest case, where a perturbation hides among n^(2m) entries
+        m = data.draw(st.sampled_from([1, 2, 3, 4, 4, 4]))
+        n = data.draw(st.sampled_from([1, 2, 3, 3]))
+        entries = st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
+        gens = [np.reshape(data.draw(entries), (n, n)).astype(float)]
+        kind = data.draw(st.sampled_from(["one generator", "mixed", "transpose tensor"]))
+        if kind == "transpose tensor":
+            arr = np.array(build_ctensor(n, n).backing.array)
+        else:
+            if kind == "mixed":
+                gens += [np.reshape(data.draw(entries), (n, n)) for _ in range(m - 1)]
+            arr = np.array(gct_dense(build_gct(gens * (m if len(gens) == 1 else 1))).array)
+        if data.draw(st.booleans()):
+            arr.flat[data.draw(st.integers(0, arr.size - 1))] += 0.25
+        assert is_pair_symmetric(arr) == _pair_symmetric_exhaustive(arr)
+
+    def test_order8_perturbations_agree_with_exhaustive_walk(self):
+        base = gct_dense(gct_identity(4, 3)).array
+        for flat in range(0, base.size, 97):
+            arr = np.array(base)
+            arr.flat[flat] += 0.25
+            assert is_pair_symmetric(arr) == _pair_symmetric_exhaustive(arr), flat
+
+
+def _pair_symmetric_exhaustive(arr):
+    """Invariance under every tau in S_m applied to both mode halves."""
+    m = arr.ndim // 2
+    for tau in itertools.permutations(range(m)):
+        axes = list(tau) + [m + v for v in tau]
+        if not np.array_equal(np.transpose(arr, axes), arr):
+            return False
+    return True
 
 
 class TestBalancedPermutation:

@@ -18,13 +18,13 @@ from commutant import (
     is_symmetric,
     materialize,
     materialize_sym,
-    matrix_rank,
     permute_cp_factors,
     permute_modes,
     rank1,
     sym_cp_form,
     sym_power,
 )
+from commutant import linalg
 
 
 class TestRank1:
@@ -147,18 +147,6 @@ class TestIsSymmetric:
         assert not is_symmetric(np.zeros((2, 3)))
 
 
-class TestMatrixRank:
-    def test_small_cases(self):
-        assert matrix_rank(np.eye(3), 1e-9) == 3
-        assert matrix_rank(np.outer([1.0, 2.0], [3.0, 4.0]), 1e-9) == 1
-        assert matrix_rank(np.zeros((3, 3)), 1e-9) == 0
-
-    def test_threshold_behavior(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-7]])
-        assert matrix_rank(a, 1e-9) == 2
-        assert matrix_rank(a, 1e-3) == 1
-
-
 class TestExtractSymRank1:
     def test_even_order_frozen(self):
         lam, y = extract_sym_rank1(sym_power(np.array([3.0, 4.0]), 2))
@@ -192,7 +180,7 @@ class TestExtractSymRank1:
         assert lam == pytest.approx(10.0, rel=1e-12)
         # recovered factor matrix has rank 1: columns are proportional
         factors = np.column_stack([y, y])
-        assert matrix_rank(factors, 1e-9) == 1
+        assert linalg.rank(factors, 1e-9) == 1
         assert np.allclose(lam * sym_power(y, 2).array, t.array, atol=1e-9)
 
     def test_roundtrip_random(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commutant import DimensionError, SingularMatrixError
+from commutant import DimensionError, DomainError, SingularMatrixError
 from commutant import linalg
 
 
@@ -64,6 +64,18 @@ def test_rank_thresholding():
         assert linalg.rank(a, 1e-9) == np.linalg.matrix_rank(a, tol=1e-9)
 
 
+def test_rank_small_cases():
+    assert linalg.rank(np.eye(3), 1e-9) == 3
+    assert linalg.rank(np.outer([1.0, 2.0], [3.0, 4.0]), 1e-9) == 1
+    assert linalg.rank(np.zeros((3, 3)), 1e-9) == 0
+
+
+def test_rank_threshold_behavior():
+    a = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-7]])
+    assert linalg.rank(a, 1e-9) == 2
+    assert linalg.rank(a, 1e-3) == 1
+
+
 def test_shape_errors():
     with pytest.raises(DimensionError):
         linalg.det([[1.0, 2.0]])
@@ -71,3 +83,105 @@ def test_shape_errors():
         linalg.inv(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         linalg.rank(np.zeros(4), 1e-9)
+
+
+# The elimination loops as they stood before det and rank shared one
+# elimination, kept as references: the shared one must match them bit for bit.
+
+
+def _det_reference(mat):
+    a = np.array(mat, dtype=float)
+    n = a.shape[0]
+    sign = 1.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return 0.0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            sign = -sign
+        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
+    value = sign * float(np.prod(np.diagonal(a)))
+    return 0.0 if abs(value) < linalg.DET_SINGULAR_TOL else value
+
+
+def _rank_reference(mat, tol):
+    a = np.array(mat, dtype=float)
+    rows, cols = a.shape
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        piv = r + int(np.argmax(np.abs(a[r:, col])))
+        if abs(a[piv, col]) <= tol:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r + 1 :, col:] -= np.outer(a[r + 1 :, col] / a[r, col], a[r, col:])
+        r += 1
+    return r
+
+
+def _inv_reference(mat):
+    a = np.array(mat, dtype=float)
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) < linalg.INVERSE_PIVOT_TOL:
+            return None
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] /= aug[col, col]
+        for row in range(n):
+            if row != col and aug[row, col] != 0.0:
+                aug[row] -= aug[row, col] * aug[col]
+    return aug[:, n:]
+
+
+def _test_matrices(rng, count):
+    """Random, low-rank (singular), integer and 0/1 matrices of sizes 1..8."""
+    for i in range(count):
+        rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        kind = i % 4
+        if kind == 0:
+            yield rng.standard_normal((rows, cols))
+        elif kind == 1:
+            k = int(rng.integers(1, min(rows, cols) + 1))
+            yield rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+        elif kind == 2:
+            yield rng.integers(-3, 4, (rows, cols)).astype(float)
+        else:
+            yield rng.integers(0, 2, (rows, cols)).astype(float)
+
+
+def test_det_and_rank_match_the_reference_loops_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for a in _test_matrices(rng, 1200):
+        for tol in (0.0, 1e-12, 1e-9, 1e-3):
+            assert linalg.rank(a, tol) == _rank_reference(a, tol)
+        sq = a[: min(a.shape), : min(a.shape)]
+        got, want = linalg.det(sq), _det_reference(sq)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_inv_matches_the_reference_loop():
+    rng = np.random.default_rng(37)
+    for a in _test_matrices(rng, 1200):
+        sq = a[: min(a.shape), : min(a.shape)]
+        want = _inv_reference(sq)
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                linalg.inv(sq)
+        else:
+            got = linalg.inv(sq)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_are_refused(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    for op in (linalg.det, linalg.inv, lambda m: linalg.rank(m, 1e-9)):
+        with pytest.raises(DomainError):
+            op(a)

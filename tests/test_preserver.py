@@ -56,6 +56,18 @@ class TestRankPreserverConstruction:
         with pytest.raises(DimensionError):
             rank_preserver([np.eye(2), np.eye(3)], Permutation.identity(2))
 
+    def test_non_finite_matrix_rejected(self):
+        # a NaN slips through every pivot comparison, so it is refused first
+        for bad in (np.nan, np.inf):
+            mat = np.eye(2)
+            mat[0, 0] = bad
+            with pytest.raises(DomainError):
+                rank_preserver([np.eye(2), mat], Permutation.identity(2))
+            with pytest.raises(DomainError):
+                sym_preserver(mat, 2)
+            with pytest.raises(DomainError):
+                matrix_preserver(np.eye(2), mat)
+
 
 class TestApplyRankPreserver:
     def test_identity_preserver(self):

@@ -65,6 +65,9 @@ class TestTensorJson:
             ser.tensor_from_json('{"shape":[2,2],"values":[1,2,3]}')
         with pytest.raises(ser.ParseError):
             ser.tensor_from_json('{"shape":[2,"x"],"values":[1,2]}')
+        for bad in ("NaN", "Infinity", "-Infinity", "1e999", '"nan"'):
+            with pytest.raises(ser.ParseError):
+                ser.tensor_from_json('{"shape":[2],"values":[1,%s]}' % bad)
 
 
 class TestMatrixText:
@@ -89,6 +92,9 @@ class TestMatrixText:
             ser.matrix_from_text("1 2\n3\n")
         with pytest.raises(ser.ParseError):
             ser.matrix_from_text("1 x\n")
+        for bad in ("nan", "inf", "-inf", "1e999"):
+            with pytest.raises(ser.ParseError):
+                ser.matrix_from_text(f"1 2\n{bad} 4\n")
 
 
 class TestStructuredObjects:
@@ -152,6 +158,41 @@ class TestStructuredObjects:
                 data[key] = bad
                 with pytest.raises(ser.ParseError):
                     parse(json.dumps(data))
+
+    def test_non_integral_header_fields(self):
+        # a field that int() would change is refused; an integral float is not
+        rng = np.random.default_rng(206)
+        phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
+        cases = [
+            (ser.commutation_from_json, ser.commutation_to_json(build_commutation(3, 2))),
+            (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)] * 2))),
+            (ser.cp_from_json, ser.cp_to_json(cp_form([rng.standard_normal((2, 2))] * 2))),
+            (ser.preserver_from_json, ser.preserver_to_json(phi)),
+        ]
+        for parse, text in cases:
+            for key, value in json.loads(text).items():
+                if not isinstance(value, int):
+                    continue
+                for bad in (value + 0.5, str(value)):
+                    data = json.loads(text)
+                    data[key] = bad
+                    with pytest.raises(ser.ParseError):
+                        parse(json.dumps(data))
+                data = json.loads(text)
+                data[key] = float(value)
+                parse(json.dumps(data))
+
+    def test_non_finite_matrix_entries(self):
+        phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
+        texts = [
+            (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)]))),
+            (ser.cp_from_json, ser.cp_to_json(cp_form([np.eye(2)] * 2))),
+            (ser.preserver_from_json, ser.preserver_to_json(phi)),
+        ]
+        for parse, text in texts:
+            for bad in ("NaN", "Infinity", "-Infinity", "1e999"):
+                with pytest.raises(ser.ParseError):
+                    parse(text.replace("[[1,0]", f"[[{bad},0]", 1))
 
     def test_cp_roundtrip(self):
         rng = np.random.default_rng(203)

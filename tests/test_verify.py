@@ -24,6 +24,9 @@ class TestRunConfig:
             RunConfig(trials=0)
         with pytest.raises(ArgumentError):
             RunConfig(tol=0.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ArgumentError):
+                RunConfig(tol=tol)
         with pytest.raises(ArgumentError):
             RunConfig(sizes=((0, 2),))
         with pytest.raises(ArgumentError):
