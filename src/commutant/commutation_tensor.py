@@ -21,6 +21,7 @@ all modes of ``a``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ from .tensor import (
 STRUCTURE_TOL = 1e-12
 #: tolerance for the mutual-inverse precondition of check_nonneg_inverse
 INVERSE_CHECK_TOL = 1e-9
+#: relative part of that test, np.allclose's default rtol
+_ALLCLOSE_RTOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,50 +203,123 @@ def is_pair_symmetric(a: TensorLike) -> bool:
     return all(np.array_equal(s, t.array) for s in _adjacent_swaps(t.array, 2))
 
 
-def _one_per_line(mask: np.ndarray) -> bool:
-    """Whether a boolean matrix has exactly one True per row and per column."""
-    return bool(np.all(mask.sum(axis=0) == 1) and np.all(mask.sum(axis=1) == 1))
+def _monomial_support(arr: np.ndarray, m: int):
+    """The nonzero entries of an order-2m tensor whose balance unfolding has
+    exactly one nonzero per row and per column, as (row multi-index, column
+    multi-index, values); None for any other tensor."""
+    shape = arr.shape[:m]
+    size = math.prod(shape)
+    # scan in memory order: np.nonzero on a strided order-2m view builds its
+    # multi-indices entry by entry, several times slower than this
+    axes = np.argsort(arr.strides)[::-1]
+    walk = arr.transpose(axes) != 0
+    if np.count_nonzero(walk) != size:
+        return None
+    found = np.unravel_index(np.flatnonzero(walk), walk.shape)
+    idx = tuple(found[k] for k in np.argsort(axes))
+    rows, cols = idx[:m], idx[m:]
+    for part in (rows, cols):
+        if not np.all(np.bincount(np.ravel_multi_index(part, shape), minlength=size) == 1):
+            return None
+    return rows, cols, arr[idx]
 
 
 def is_balanced_permutation(a: TensorLike, tol: float = STRUCTURE_TOL) -> bool:
     """Whether the balance unfolding is a permutation matrix: every entry
     within ``tol`` of 0 or 1, with exactly one 1 per row and per column."""
-    u = balance_unfold(a)
-    ones = np.abs(u - 1.0) <= tol
-    zeros = np.abs(u) <= tol
-    return bool(np.all(ones | zeros)) and _one_per_line(ones)
+    t = as_tensor(a)
+    m, _ = _even_order_cubic(t, "is_balanced_permutation")
+    ones = np.abs(t.array - 1.0) <= tol
+    zeros = np.abs(t.array) <= tol
+    return bool(np.all(ones | zeros)) and _monomial_support(ones, m) is not None
+
+
+def _near_pattern(scaled: np.ndarray, ones_at) -> bool:
+    """``np.allclose(scaled, E, atol=INVERSE_CHECK_TOL)`` for the 0/1 tensor
+    E with ones at ``ones_at``, without building E: |x - 1| <= atol + rtol
+    there and |x| <= atol elsewhere, NaN and inf failing.  ``scaled`` must be
+    nonnegative and is overwritten."""
+    ones = scaled[ones_at]
+    scaled[ones_at] = 0.0
+    return bool(
+        np.all(np.abs(ones - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL)
+        and scaled.max() <= INVERSE_CHECK_TOL
+    )
+
+
+def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
+    """Whether U_a U_b and U_b U_a are near the identity, for the U_a whose
+    only nonzeros are ``scale`` at (rows, cols).  U_a U_b is U_b with row
+    cols[k] scaled by scale[k] and moved to row rows[k]; U_b U_a is U_b with
+    column rows[k] scaled by scale[k] and moved to column cols[k].  So each
+    is near the identity iff its scaled U_b is near 1 at every
+    (cols[k], rows[k]) and near 0 elsewhere."""
+    half = b.shape[: len(rows)]
+    row_scale, col_scale = np.empty(half), np.empty(half)
+    row_scale[cols], col_scale[rows] = scale, scale
+    pad = (None,) * len(rows)
+    return _near_pattern(b * row_scale[(...,) + pad], cols + rows) and _near_pattern(
+        b * col_scale[pad + (...,)], cols + rows
+    )
+
+
+def _dense_products_near_identity(ta: DenseTensor, tb: DenseTensor, size: int) -> bool:
+    ident = np.eye(size)
+    return np.allclose(
+        balance_unfold(mul_2m(ta, tb)), ident, atol=INVERSE_CHECK_TOL
+    ) and np.allclose(balance_unfold(mul_2m(tb, ta)), ident, atol=INVERSE_CHECK_TOL)
 
 
 def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     """Verify that two entrywise-nonnegative order-2m tensors are mutual
     inverses, and certify the structural consequence: the balance unfolding
     of each factor has exactly one positive entry per row and per column
-    (it is a generalized permutation matrix).
+    (it is a generalized permutation matrix).  A nonnegative matrix with a
+    nonnegative inverse is monomial (Berman & Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences).
+
+    Both products are tested against the identity with ``np.allclose``'s
+    rule at ``atol=INVERSE_CHECK_TOL``.  When the unfolding U_a of ``a`` has
+    exactly one nonzero per row and per column, U_a = D P, so U_a U_b is U_b
+    with its rows scaled by D and permuted and U_b U_a is U_b with its
+    columns scaled and permuted; every other term of either product is an
+    exact 0 * x.  Both products are then read off U_b in O(N^2) for
+    N = n^m, with the same values as the matrix products.  Any other
+    ``a`` (a stray tiny entry, a positive blob) takes the two dense
+    O(N^3) products.
 
     Returns the 0-based (row, column) positions of the positive entries of
-    the unfolding of ``a``, sorted by row.  Raises DomainError on a negative
-    entry and PreconditionError if the operands are not mutual inverses.
+    the unfolding of ``a``, sorted by row.  Raises DomainError on a
+    non-finite or negative entry and PreconditionError if the operands are
+    not mutual inverses.
     """
     ta, tb = as_tensor(a), as_tensor(b)
     m, n = _even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
+    if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
+        raise DomainError("operands must be finite")
     if np.any(ta.array < 0) or np.any(tb.array < 0):
         raise DomainError("operands must be entrywise nonnegative")
-    ident = np.eye(n**m)
-    left = balance_unfold(mul_2m(ta, tb))
-    right = balance_unfold(mul_2m(tb, ta))
-    if not (
-        np.allclose(left, ident, atol=INVERSE_CHECK_TOL)
-        and np.allclose(right, ident, atol=INVERSE_CHECK_TOL)
-    ):
+    support = _monomial_support(ta.array, m)
+    if support is None:
+        inverse = _dense_products_near_identity(ta, tb, n**m)
+    else:
+        inverse = _monomial_products_near_identity(tb.array, *support)
+    if not inverse:
         raise PreconditionError("operands are not mutual inverses")
-    u = balance_unfold(ta)
-    positive = u > STRUCTURE_TOL
-    if not _one_per_line(positive):
+    # the witnesses are the entries above STRUCTURE_TOL; unless U_a is
+    # monomial with all of them there, find them and test their pattern
+    if support is None or support[2].min() <= STRUCTURE_TOL:
+        support = _monomial_support(ta.array > STRUCTURE_TOL, m)
+    if support is None:
         raise PreconditionError(
             "unfolding is not a generalized permutation matrix; "
             "inputs are numerically degenerate"
         )
-    rr, cc = np.nonzero(positive)
-    return sorted(zip(rr.tolist(), cc.tolist()))
+    rows, cols, _ = support
+    witness = np.empty(n**m, dtype=np.intp)
+    witness[np.ravel_multi_index(rows, (n,) * m, order="F")] = np.ravel_multi_index(
+        cols, (n,) * m, order="F"
+    )
+    return list(enumerate(witness.tolist()))

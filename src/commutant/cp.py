@@ -157,10 +157,11 @@ def permute_cp_factors(cp: CpForm, sigma: Permutation) -> CpForm:
 
 def is_symmetric(a: TensorLike, tol: float = SYMMETRY_TOL) -> bool:
     """Whether an order-m cubical tensor is invariant (to relative tolerance
-    ``tol``) under every mode shuffle; adjacent transpositions suffice."""
+    ``tol``) under every mode shuffle; adjacent transpositions suffice.  A
+    tensor with a non-finite entry is never symmetric."""
     t = as_tensor(a)
     n = t.shape[0]
-    if any(d != n for d in t.shape):
+    if any(d != n for d in t.shape) or not np.isfinite(t.array).all():
         return False
     scale = max(1.0, float(np.max(np.abs(t.array))))
     return not any(

@@ -100,6 +100,12 @@ def _ints(data: dict, keys: tuple[str, ...], what: str) -> tuple[int, ...]:
     return ints
 
 
+def _is_json_int(v: Any) -> bool:
+    """Whether a parsed JSON value is an integer; json loads true/false as
+    bool, a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParseError(f"{what}: values must be finite")
@@ -128,13 +134,15 @@ def tensor_from_json(text: str) -> DenseTensor:
     data = _require(_loads(text), ["shape", "values"], "tensor")
     shape = data["shape"]
     values = data["values"]
-    if not isinstance(shape, list) or not all(isinstance(d, int) for d in shape):
+    if not isinstance(shape, list) or not all(_is_json_int(d) for d in shape):
         raise ParseError("tensor: shape must be a list of integers")
-    if not isinstance(values, list):
-        raise ParseError("tensor: values must be a list")
+    if not isinstance(values, list) or not all(
+        _is_json_int(v) or isinstance(v, float) for v in values
+    ):
+        raise ParseError("tensor: values must be a list of numbers")
     try:
         t = DenseTensor.from_flat(shape, [float(v) for v in values])
-    except (TypeError, ValueError, CommutantError) as exc:
+    except (TypeError, OverflowError, ValueError, CommutantError) as exc:
         raise ParseError(f"tensor: {exc}") from exc
     _finite(t.array, "tensor")
     return t

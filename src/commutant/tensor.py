@@ -265,12 +265,13 @@ def balance_unfold(a: TensorLike) -> np.ndarray:
     m modes (rows) against the last m modes (columns), both in canonical
     flat order.  This is a pure memory reinterpretation, and it is a ring
     homomorphism: the unfolding of ``mul_2m(a, b)`` is the matrix product of
-    the unfoldings.
+    the unfoldings.  Returns a fresh writable array, copied once.
     """
     t = as_tensor(a)
     m, n = _even_order_cubic(t, "balance_unfold")
     size = n**m
-    return t.array.reshape(size, size, order="F").copy()
+    # flatten always copies; reshaping its 1-D result is a view
+    return t.array.flatten(order="F").reshape(size, size, order="F")
 
 
 def balance_refold(mat: TensorLike, m: int, n: int) -> DenseTensor:

@@ -460,6 +460,20 @@ class TestRefusedInputs:
         for line in out.splitlines():
             _strict_json(line)
 
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            '{"shape":[2,2],"values":["1","0","0","1"]}',
+            '{"shape":[2,2],"values":[true,false,false,true]}',
+            '{"shape":[true,1,1,1],"values":[1]}',
+        ],
+    )
+    def test_unfold_non_numeric_tensor_json(self, capsys, tmp_path, tensor):
+        tfile = tmp_path / "t.json"
+        tfile.write_text(tensor, encoding="utf-8")
+        code, out, err = run(capsys, "unfold", str(tfile))
+        assert code == 2 and out == "" and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
     def test_tol(self, capsys, tol):
         argv = ["verify", "--suite", "powers", "--sizes", "2x2", "--format", "json"]

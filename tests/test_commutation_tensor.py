@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from commutant import (
     sym_power,
     tensor_transpose,
 )
+from commutant import commutation_tensor as ct_mod
 from commutant import tensor as tensor_mod
 
 
@@ -413,6 +415,189 @@ class TestCheckNonnegInverse:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             check_nonneg_inverse(np.ones((2, 2, 2, 2)), np.ones((3, 3, 3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_refused_before_arithmetic(self, bad, side):
+        pair = [gct_dense(gct_identity(2, 2)).array.copy() for _ in range(2)]
+        pair[side][0, 1, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                check_nonneg_inverse(*pair)
+
+
+def reference_check_nonneg_inverse(a, b):
+    """The dense O(N^3) certifier: both products formed as matrices and
+    compared to np.eye, positions read off the positive mask."""
+    ta, tb = DenseTensor(a), DenseTensor(b)
+    m, n = tensor_mod._even_order_cubic(ta, "check_nonneg_inverse")
+    if ta.shape != tb.shape:
+        raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
+    if np.any(ta.array < 0) or np.any(tb.array < 0):
+        raise DomainError("operands must be entrywise nonnegative")
+    ident = np.eye(n**m)
+    left = balance_unfold(mul_2m(ta, tb))
+    right = balance_unfold(mul_2m(tb, ta))
+    if not (
+        np.allclose(left, ident, atol=ct_mod.INVERSE_CHECK_TOL)
+        and np.allclose(right, ident, atol=ct_mod.INVERSE_CHECK_TOL)
+    ):
+        raise PreconditionError("operands are not mutual inverses")
+    positive = balance_unfold(ta) > ct_mod.STRUCTURE_TOL
+    if not (np.all(positive.sum(axis=0) == 1) and np.all(positive.sum(axis=1) == 1)):
+        raise PreconditionError(
+            "unfolding is not a generalized permutation matrix; "
+            "inputs are numerically degenerate"
+        )
+    rr, cc = np.nonzero(positive)
+    return sorted(zip(rr.tolist(), cc.tolist()))
+
+
+def outcome(f, a, b):
+    """f's return value, or its exception class and message."""
+    try:
+        return f(a, b)
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
+
+
+def generalized_permutations(rng, m, n):
+    gens = []
+    for _ in range(m):
+        g = np.zeros((n, n))
+        g[rng.permutation(n), np.arange(n)] = rng.uniform(0.5, 2.0, n)
+        gens.append(g)
+    return gens
+
+
+def monomial_pair(rng, m, n):
+    g = build_gct(generalized_permutations(rng, m, n))
+    return gct_dense(g).array.copy(), gct_dense(gct_inverse(g)).array.copy()
+
+
+@st.composite
+def nonneg_pairs(draw):
+    """A GCT of generalized permutations and its inverse, then one edit:
+    none, an added entry of size 1e-14..1, b scaled by 1 +- eps around
+    either tolerance, a zeroed entry, or b built from swapped generators."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = generalized_permutations(rng, m, n)
+    a = gct_dense(build_gct(gens)).array.copy()
+    b = gct_dense(gct_inverse(build_gct(gens))).array.copy()
+    kind = draw(st.sampled_from(["exact", "add", "scale", "zero", "swap"]))
+    target = draw(st.sampled_from([a, b]))
+    if kind == "add":
+        at = tuple(draw(st.integers(0, n - 1)) for _ in range(2 * m))
+        target[at] += 10.0 ** draw(st.floats(-14.0, 0.0))
+    elif kind == "scale":
+        tol = draw(st.sampled_from([1e-9, 1e-5, 1e-5 + 1e-9]))
+        # eps at half, at or twice a tolerance, nudged a few ulp-sized steps
+        # so that some products land on the tolerance itself
+        near = draw(st.sampled_from([0.5, 1.0, 2.0])) * (1.0 + draw(st.integers(-4, 4)) * 1e-12)
+        b *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * tol * near
+    elif kind == "zero":
+        nonzero = np.argwhere(target)
+        target[tuple(nonzero[draw(st.integers(0, len(nonzero) - 1))])] = 0.0
+    elif kind == "swap":
+        b = gct_dense(gct_inverse(build_gct(gens[::-1]))).array.copy()
+    return a, b
+
+
+class TestCheckNonnegInverseMatchesReference:
+    """Same list, or the same exception class and message, as the dense
+    reference on finite inputs, on both the monomial and the dense route."""
+
+    @given(nonneg_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_edited_gct_pairs(self, pair):
+        a, b = pair
+        want = outcome(reference_check_nonneg_inverse, a, b)
+        assert outcome(check_nonneg_inverse, a, b) == want
+
+    @staticmethod
+    def counted_products(monkeypatch):
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return mul_2m(x, y)
+
+        monkeypatch.setattr(ct_mod, "mul_2m", counting)
+        return calls
+
+    def test_monomial_input_runs_no_dense_product(self, monkeypatch):
+        a, b = monomial_pair(np.random.default_rng(31), 3, 4)
+        calls = self.counted_products(monkeypatch)
+        assert check_nonneg_inverse(a, b) == reference_check_nonneg_inverse(a, b)
+        assert calls == []
+
+    def test_dense_route_certifies_a_stray_tiny_entry(self, monkeypatch):
+        a, b = monomial_pair(np.random.default_rng(32), 2, 3)
+        a[np.unravel_index(np.argmin(a), a.shape)] = 1e-13
+        calls = self.counted_products(monkeypatch)
+        got = check_nonneg_inverse(a, b)
+        assert len(calls) == 2
+        assert got == reference_check_nonneg_inverse(a, b)
+        assert len(got) == 9
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [(1e-3, "not mutual inverses"), (5e-12, "not a generalized permutation")],
+    )
+    def test_dense_route_refusals(self, monkeypatch, extra, message):
+        a, b = monomial_pair(np.random.default_rng(33), 2, 3)
+        a[np.unravel_index(np.argmin(a), a.shape)] = extra
+        calls = self.counted_products(monkeypatch)
+        with pytest.raises(PreconditionError, match=message):
+            check_nonneg_inverse(a, b)
+        assert calls
+        assert outcome(check_nonneg_inverse, a, b) == outcome(
+            reference_check_nonneg_inverse, a, b
+        )
+
+    @pytest.mark.parametrize("off,certified", [(1e-9, True), (np.nextafter(1e-9, 1.0), False)])
+    def test_off_pattern_entry_at_the_absolute_tolerance(self, off, certified):
+        # with 0/1 generators every product entry is exactly an entry of b
+        pi = Permutation([2, 3, 1])
+        a = gct_dense(gct_from_permutation(pi, 2)).array
+        b = gct_dense(gct_from_permutation(pi.inverse(), 2)).array.copy()
+        b[np.unravel_index(np.argmin(b), b.shape)] = off
+        got = outcome(check_nonneg_inverse, a, b)
+        assert got == outcome(reference_check_nonneg_inverse, a, b)
+        assert isinstance(got, list) == certified
+
+    @pytest.mark.parametrize("at", [(0, 1), (1, 0)])
+    def test_each_product_is_tested(self, at):
+        # U_a = diag(1, 2): an off-diagonal e of U_b is e in one product and
+        # 2e in the other, so exactly one of them is within INVERSE_CHECK_TOL
+        a, b = np.diag([1.0, 2.0]), np.diag([1.0, 0.5])
+        b[at] = 0.75e-9
+        with pytest.raises(PreconditionError, match="not mutual inverses"):
+            check_nonneg_inverse(a, b)
+        assert outcome(check_nonneg_inverse, a, b) == outcome(
+            reference_check_nonneg_inverse, a, b
+        )
+
+    @pytest.mark.parametrize("a", [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]])
+    def test_two_nonzeros_in_one_line_is_not_monomial(self, a):
+        # as many nonzeros as rows, but two share a column (or a row)
+        a, b = np.array(a), np.array(a).T
+        with pytest.raises(PreconditionError, match="not mutual inverses"):
+            check_nonneg_inverse(a, b)
+        assert outcome(check_nonneg_inverse, a, b) == outcome(
+            reference_check_nonneg_inverse, a, b
+        )
+
+    def test_monomial_route_below_structure_tol_is_degenerate(self):
+        a, b = monomial_pair(np.random.default_rng(34), 2, 3)
+        a, b = a * 1e-13, b * 1e13
+        with pytest.raises(PreconditionError, match="not a generalized permutation"):
+            check_nonneg_inverse(a, b)
+        assert outcome(check_nonneg_inverse, a, b) == outcome(
+            reference_check_nonneg_inverse, a, b
+        )
 
 
 def loop_mode_perm_dense(tau, n):

@@ -146,6 +146,13 @@ class TestIsSymmetric:
         # non-cubical can't be symmetric
         assert not is_symmetric(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_never_symmetric(self, bad):
+        # a NaN or inf difference never exceeds a tolerance
+        assert not is_symmetric(np.array([[bad, 1.0], [2.0, 3.0]]))
+        assert not is_symmetric(np.array([[bad, 1.0], [1.0, 3.0]]))
+        assert not is_symmetric(np.array([bad, 1.0]))
+
 
 class TestExtractSymRank1:
     def test_even_order_frozen(self):

@@ -69,6 +69,26 @@ class TestTensorJson:
             with pytest.raises(ser.ParseError):
                 ser.tensor_from_json('{"shape":[2],"values":[1,%s]}' % bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"shape":[2],"values":["1.5","2"]}',
+            '{"shape":[2],"values":[true,2]}',
+            '{"shape":[2],"values":[null,2]}',
+            '{"shape":[2],"values":[[1],2]}',
+            '{"shape":[true,2],"values":[1,2]}',
+            '{"shape":[2,false],"values":[1,2]}',
+            pytest.param('{"shape":[1],"values":[1%s]}' % ("0" * 400), id="int-beyond-float"),
+        ],
+    )
+    def test_values_and_extents_must_be_json_numbers(self, text):
+        with pytest.raises(ser.ParseError):
+            ser.tensor_from_json(text)
+
+    def test_json_ints_and_floats_load(self):
+        t = ser.tensor_from_json('{"shape":[1,2],"values":[1,2.5]}')
+        assert t.shape == (1, 2) and t.values.tolist() == [1.0, 2.5]
+
 
 class TestMatrixText:
     def test_emit(self):

@@ -230,6 +230,17 @@ class TestBalanceUnfold:
                 c = flat_offset(j, (3, 3))
                 assert u[r, c] == a.entry(*(i + j))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    def test_fresh_writable_copy_for_every_layout(self, layout):
+        arr = np.random.default_rng(21).standard_normal((3,) * 4)
+        src = {"C": arr, "F": np.asfortranarray(arr), "transposed": arr.transpose(2, 0, 3, 1)}
+        t = DenseTensor(src[layout])
+        assert t.array.flags.c_contiguous == (layout == "C")
+        assert t.array.flags.f_contiguous == (layout == "F")
+        u = balance_unfold(t)
+        assert np.array_equal(u, t.array.reshape(9, 9, order="F"))
+        assert u.flags.writeable and not np.shares_memory(u, t.array)
+
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
     def test_roundtrip(self, m, n):
         rng = np.random.default_rng(m + n)
