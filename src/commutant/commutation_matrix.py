@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, RangeError
 from .permutation import Permutation
-from .tensor import _check_dense_budget, as_matrix
+from .tensor import _check_dense_budget, _outer_into, as_matrix
 
 
 def _check_dims(p: int, q: int) -> None:
@@ -121,10 +121,13 @@ def transpose_matrix(k: CommutationMatrix) -> CommutationMatrix:
 def conjugate_kron(a, b) -> np.ndarray:
     """A ⊗ B computed as K_{p,q} (B ⊗ A) K_{q,p} for square A (p x p) and
     B (q x q) — the two Kronecker orders are similar via commutation matrices.
-    Both K factors swap the (q, p) index pair of B ⊗ A, so the product is an
-    exact reshape and transpose."""
+    Both K factors swap the (q, p) index pair of B ⊗ A, so the conjugation
+    is a permutation of axes: the outer product of B and A is written once,
+    each entry one product, straight into the layout of A ⊗ B.  The result
+    is a fresh array equal to ``np.kron(A, B)`` bit for bit."""
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape[0] != am.shape[1] or bm.shape[0] != bm.shape[1]:
         raise DimensionError(f"both factors must be square, got {am.shape}, {bm.shape}")
     p, q = am.shape[0], bm.shape[0]
-    return np.kron(bm, am).reshape(q, p, q, p).transpose(1, 0, 3, 2).reshape(p * q, p * q)
+    # outer(B, A) has axes (k, l, i, j); A ⊗ B stores them as (i, k, j, l)
+    return _outer_into(bm, am, (p, q, p, q), (1, 3, 0, 2)).reshape(p * q, p * q)

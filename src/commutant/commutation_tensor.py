@@ -36,7 +36,7 @@ from .tensor import (
     _check_dense_budget,
     _even_order_cubic,
     _frozen,
-    _outer,
+    _outer_into,
     as_matrix,
     as_tensor,
     balance_unfold,
@@ -71,7 +71,7 @@ def build_ctensor(m: int, n: int) -> CommutationTensor4:
     arr = np.zeros((n, m, m, n))
     i, j = np.arange(n)[:, None], np.arange(m)  # broadcast to every (i, j)
     arr[i, j, j, i] = 1.0
-    return CommutationTensor4(m, n, DenseTensor(arr))
+    return CommutationTensor4(m, n, DenseTensor._adopt(arr))
 
 
 def tensor_transpose(kt: CommutationTensor4, x) -> np.ndarray:
@@ -143,10 +143,17 @@ def gct_identity(m: int, n: int) -> Gct:
 
 
 def gct_dense(g: Gct) -> DenseTensor:
-    arr = _outer(g.generators)
-    # axes are now (i_1, j_1, i_2, j_2, ...); regroup to (i_1..i_m, j_1..j_m)
-    axes = list(range(0, 2 * g.m, 2)) + list(range(1, 2 * g.m, 2))
-    return DenseTensor(np.transpose(arr, axes))
+    """The dense order-2m tensor, C-contiguous in its (i_1..i_m, j_1..j_m)
+    axis order.  Its C-order unfolding is kron(g_1, ..., g_m), built right
+    to left: each step writes one generator times the Kronecker product of
+    the generators after it once, straight into its final layout.  The
+    tensor adopts the result, which shares no memory with the generators."""
+    acc = np.ones((1, 1))
+    for gen in reversed(g.generators):
+        size = acc.shape[0]
+        acc = _outer_into(gen, acc, (g.n, size, g.n, size), (0, 2, 1, 3))
+        acc = acc.reshape(g.n * size, g.n * size)
+    return DenseTensor._adopt(acc.reshape((g.n,) * (2 * g.m)))
 
 
 def gct_multiply(a: Gct, b: Gct) -> Gct:
@@ -187,7 +194,7 @@ def mode_perm_dense(t: ModePermTensor) -> DenseTensor:
     arr = np.zeros((n,) * (2 * m))
     i = tuple(np.indices((n,) * m).reshape(m, -1))  # every multi-index
     arr[i + tuple(i[k] for k in t.tau.zero_based())] = 1.0  # j_k = i_{tau(k)}
-    return DenseTensor(arr)
+    return DenseTensor._adopt(arr)
 
 
 def is_pair_symmetric(a: TensorLike) -> bool:

@@ -55,7 +55,7 @@ def rank1(vectors: Sequence) -> DenseTensor:
             raise DimensionError("factors must be nonempty vectors")
         if not v.any():
             raise DomainError("zero vector is not a rank-1 factor")
-    return DenseTensor(_outer(vecs))
+    return DenseTensor._adopt(_outer(vecs))
 
 
 def sym_power(x, m: int) -> DenseTensor:
@@ -135,14 +135,14 @@ def materialize(cp: CpForm) -> DenseTensor:
     out = np.zeros(cp.extents)
     for r in range(cp.rank):
         out += _outer([f[:, r] for f in cp.factors])
-    return DenseTensor(out)
+    return DenseTensor._adopt(out)
 
 
 def materialize_sym(cp: SymCpForm) -> DenseTensor:
     out = np.zeros((cp.vectors[0].size,) * cp.m)
     for w, v in zip(cp.weights, cp.vectors):
         out += w * _outer([v] * cp.m)
-    return DenseTensor(out)
+    return DenseTensor._adopt(out)
 
 
 def permute_cp_factors(cp: CpForm, sigma: Permutation) -> CpForm:

@@ -135,7 +135,7 @@ def apply_rank_preserver(phi: RankPreserver, a: TensorLike) -> DenseTensor:
         )
     # permute_modes by tau^-1, whose transpose axes are tau's own images
     shuffled = np.transpose(t.array, phi.tau.zero_based())
-    return DenseTensor(_mode_products(shuffled, enumerate(phi.matrices)))
+    return DenseTensor._adopt(_mode_products(shuffled, enumerate(phi.matrices)))
 
 
 def apply_sym_preserver(phi: SymPreserver, a: TensorLike) -> DenseTensor:

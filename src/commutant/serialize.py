@@ -106,6 +106,11 @@ def _is_json_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_json_number(v: Any) -> bool:
+    """Whether a parsed JSON value is a number: not a string, not a bool."""
+    return _is_json_int(v) or isinstance(v, float)
+
+
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParseError(f"{what}: values must be finite")
@@ -136,9 +141,7 @@ def tensor_from_json(text: str) -> DenseTensor:
     values = data["values"]
     if not isinstance(shape, list) or not all(_is_json_int(d) for d in shape):
         raise ParseError("tensor: shape must be a list of integers")
-    if not isinstance(values, list) or not all(
-        _is_json_int(v) or isinstance(v, float) for v in values
-    ):
+    if not isinstance(values, list) or not all(map(_is_json_number, values)):
         raise ParseError("tensor: values must be a list of numbers")
     try:
         t = DenseTensor.from_flat(shape, [float(v) for v in values])
@@ -178,9 +181,15 @@ def _matrix_lists(mat: np.ndarray) -> list[list[float]]:
 
 
 def _matrix_from_lists(data: Any, what: str) -> np.ndarray:
+    """A matrix from a JSON list of rows whose entries are JSON numbers;
+    strings and booleans are refused, not converted."""
+    if not isinstance(data, list) or not all(
+        isinstance(row, list) and all(map(_is_json_number, row)) for row in data
+    ):
+        raise ParseError(f"{what}: expected a list of rows of numbers")
     try:
         arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # ragged rows; an int beyond float range
         raise ParseError(f"{what}: not a numeric matrix") from exc
     if arr.ndim != 2:
         raise ParseError(f"{what}: expected a matrix, got {arr.ndim} dimensions")

@@ -51,6 +51,15 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
+def _outer_into(x: np.ndarray, y: np.ndarray, shape, axes) -> np.ndarray:
+    """A fresh float64 array of ``shape`` whose view ``transpose(axes)`` is
+    ``np.multiply.outer(x, y)``: each entry is written once, as one product,
+    straight into the permuted layout, with no temporary."""
+    out = np.empty(shape)
+    np.multiply.outer(x, y, out=out.transpose(axes))
+    return out
+
+
 def _adjacent_swaps(arr: np.ndarray, blocks: int):
     """Yield ``arr`` with modes k and k+1 swapped in each of ``blocks`` equal
     runs of modes at once, for every k.  These adjacent transpositions
@@ -105,8 +114,11 @@ class DenseTensor:
     Parameters
     ----------
     data : array-like
-        Anything ``np.array`` accepts; copied and frozen.  All entries are
-        stored as float64.
+        Anything ``np.array`` accepts; copied and frozen, so a caller who
+        later writes to ``data`` does not change the tensor.  All entries
+        are stored as float64.  The package's own builders hand over the
+        arrays they allocate through the private :meth:`_adopt`, which
+        freezes in place instead of copying.
 
     Examples
     --------
@@ -122,7 +134,19 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, data):
-        arr = np.array(data, dtype=float)
+        self._own(np.array(data, dtype=float))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
+        """Wrap a float64 array without copying it, and freeze it in place.
+        Only for an array the caller allocated itself and shares with no
+        one: never for a view of an array that came from outside."""
+        t = cls.__new__(cls)
+        t._own(arr)
+        return t
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Validate ``arr`` and keep it as the entries, frozen in place."""
         if arr.ndim < 1:
             raise DimensionError("a tensor has at least one mode")
         if any(d < 1 for d in arr.shape):
@@ -132,7 +156,8 @@ class DenseTensor:
 
     @classmethod
     def from_flat(cls, shape: Sequence[int], values: Iterable[float]) -> "DenseTensor":
-        """Rebuild from a shape and canonical (first-mode-fastest) flat values."""
+        """Rebuild from a shape and canonical (first-mode-fastest) flat values.
+        The values are copied once, into an array the tensor adopts."""
         shape = tuple(int(d) for d in shape)
         vals = np.array(list(values), dtype=float)
         size = int(np.prod(shape)) if shape else 0
@@ -140,7 +165,7 @@ class DenseTensor:
             raise ArgumentError(f"bad shape {shape}")
         if vals.size != size:
             raise DimensionError(f"{vals.size} values for shape {shape} (need {size})")
-        return cls(vals.reshape(shape, order="F"))
+        return cls._adopt(vals.reshape(shape, order="F"))
 
     @property
     def array(self) -> np.ndarray:
@@ -214,7 +239,7 @@ def mode_n_product(a: TensorLike, mat: TensorLike, k: int) -> DenseTensor:
         raise DimensionError(
             f"matrix has {m.shape[1]} columns but mode {k} has extent {t.shape[k - 1]}"
         )
-    return DenseTensor(_mode_products(t.array, [(k - 1, m)]))
+    return DenseTensor._adopt(_mode_products(t.array, [(k - 1, m)]))
 
 
 def contract_34(a: TensorLike, mat: TensorLike) -> np.ndarray:
@@ -243,7 +268,7 @@ def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:
     mb, nb = _even_order_cubic(tb, "mul_2m")
     if (m, n) != (mb, nb):
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    return DenseTensor(np.tensordot(ta.array, tb.array, axes=m))
+    return DenseTensor._adopt(np.tensordot(ta.array, tb.array, axes=m))
 
 
 def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
@@ -257,7 +282,7 @@ def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
         raise DimensionError(
             f"operand of shape {tx.shape} does not match acting tensor of shape {ta.shape}"
         )
-    return DenseTensor(np.tensordot(ta.array, tx.array, axes=m))
+    return DenseTensor._adopt(np.tensordot(ta.array, tx.array, axes=m))
 
 
 def balance_unfold(a: TensorLike) -> np.ndarray:
@@ -305,7 +330,7 @@ def complete_right_product(a: TensorLike, mat: TensorLike) -> DenseTensor:
         raise DimensionError(f"matrix must be square, got {m.shape}")
     if any(d != m.shape[1] for d in t.shape):
         raise DimensionError(f"matrix of size {m.shape[0]} cannot act on shape {t.shape}")
-    return DenseTensor(_mode_products(t.array, enumerate([m] * t.order)))
+    return DenseTensor._adopt(_mode_products(t.array, enumerate([m] * t.order)))
 
 
 def identity_tensor(m: int, n: int) -> DenseTensor:
@@ -314,4 +339,4 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
         raise ArgumentError(f"m and n must be positive, got m={m}, n={n}")
     arr = np.zeros((n,) * m)
     arr[(np.arange(n),) * m] = 1.0
-    return DenseTensor(arr)
+    return DenseTensor._adopt(arr)

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, DimensionError
-from .tensor import as_matrix
+from .tensor import _mode_products, _outer_into, as_matrix
 
 
 class VecLayout(Enum):
@@ -46,8 +46,15 @@ def unvec(x, p: int, q: int, layout: VecLayout = VecLayout.COLUMN_MAJOR) -> np.n
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices: block ``a[i, j] * b``."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product of two matrices: block ``a[i, j] * b``.
+
+    Each entry is one product ``a[i, j] * b[k, l]``, written once into a
+    fresh array, so the result equals ``np.kron(a, b)`` bit for bit and
+    shares no memory with either factor."""
+    am, bm = as_matrix(a), as_matrix(b)
+    (m, n), (r, s) = am.shape, bm.shape
+    # entry (i·r + k, j·s + l) is a[i, j]·b[k, l]: axes (i, k, j, l)
+    return _outer_into(am, bm, (m, r, n, s), (0, 2, 1, 3)).reshape(m * r, n * s)
 
 
 def kron_vec(x, y) -> np.ndarray:
@@ -60,13 +67,16 @@ def kron_vec(x, y) -> np.ndarray:
 
 
 def vec_sandwich(a, b, c) -> np.ndarray:
-    """vec(A B C) computed as (Cᵀ ⊗ A) vec(B), without forming A B C."""
+    """vec(A B C) computed as (Cᵀ ⊗ A) vec(B), applied by its Kronecker
+    structure: a mode-1 product of B with A, then a mode-2 product with Cᵀ.
+    For a p x q B this costs O(pq(p + q)) and never forms the pq x pq
+    matrix Cᵀ ⊗ A.  Returns a fresh vector."""
     am, bm, cm = as_matrix(a), as_matrix(b), as_matrix(c)
     if am.shape[1] != bm.shape[0] or bm.shape[1] != cm.shape[0]:
         raise DimensionError(
             f"chain {am.shape} · {bm.shape} · {cm.shape} does not compose"
         )
-    return kron(cm.T, am) @ vec(bm)
+    return vec(_mode_products(bm, [(0, am), (1, cm.T)]))
 
 
 def trace_via_vec(a, b) -> float:

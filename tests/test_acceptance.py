@@ -52,6 +52,10 @@ from commutant import (
 )
 from commutant.cli import main as cli_main
 
+# an input generator, not an oracle: the tests draw their matrices the way
+# the verify suites do
+from commutant.verify import _random_invertible
+
 GOLDEN_K23 = np.array(
     [
         [1, 0, 0, 0, 0, 0],
@@ -73,13 +77,6 @@ def criterion(num: int, label: str):
         print(f"ACCEPTANCE {num:02d} FAIL — {label}")
         raise
     print(f"ACCEPTANCE {num:02d} PASS — {label}")
-
-
-def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        mat = rng.standard_normal((n, n))
-        if abs(linalg.det(mat)) > 0.1:
-            return mat
 
 
 def test_01_kmat_golden_bytes(capsys):

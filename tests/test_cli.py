@@ -474,6 +474,24 @@ class TestRefusedInputs:
         code, out, err = run(capsys, "unfold", str(tfile))
         assert code == 2 and out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            PHI22.replace("[2,1],[1,1]", '["2",1],[1,1]'),
+            PHI22.replace("[2,1],[1,1]", "[2,true],[false,1]"),
+            PHI22.replace("[2,1],[1,1]", "[2,1],[1,null]"),
+            pytest.param(
+                PHI22.replace("[2,1]", "[1%s,1]" % ("0" * 400)), id="int-beyond-float"
+            ),
+        ],
+    )
+    def test_apply_non_numeric_preserver_matrix(self, capsys, tmp_path, phi):
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t.json"
+        pfile.write_text(phi, encoding="utf-8")
+        tfile.write_text(A22_JSON, encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(pfile), str(tfile))
+        assert code == 2 and out == "" and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
     def test_tol(self, capsys, tol):
         argv = ["verify", "--suite", "powers", "--sizes", "2x2", "--format", "json"]

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commutant import (
@@ -305,6 +305,21 @@ def test_conjugate_kron_is_exact(p, q, seed):
     a = rng.standard_normal((p, p))
     b = rng.standard_normal((q, q))
     assert np.array_equal(conjugate_kron(a, b), np.kron(a, b))
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**31 - 1))
+@example(1, 12, 0)
+@example(12, 1, 1)
+@example(5, 11, 2)
+@settings(max_examples=80, deadline=None)
+def test_conjugate_kron_is_np_kron_up_to_12(p, q, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((p, p)), rng.standard_normal((q, q))
+    assert np.array_equal(conjugate_kron(a, b), np.kron(a, b))
+    with pytest.raises(DimensionError):
+        conjugate_kron(rng.standard_normal((p, p + 1)), b)
+    with pytest.raises(DimensionError):
+        conjugate_kron(a, rng.standard_normal((q + 1, q)))
 
 
 def test_index_is_read_only():

@@ -214,6 +214,41 @@ class TestStructuredObjects:
                 with pytest.raises(ser.ParseError):
                     parse(text.replace("[[1,0]", f"[[{bad},0]", 1))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '"1.5"',
+            "true",
+            "false",
+            "null",
+            "[1]",
+            pytest.param("1" + "0" * 400, id="int-beyond-float"),
+        ],
+    )
+    def test_matrix_entries_must_be_json_numbers(self, bad):
+        phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
+        texts = [
+            (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)]))),
+            (ser.cp_from_json, ser.cp_to_json(cp_form([np.eye(2)] * 2))),
+            (ser.preserver_from_json, ser.preserver_to_json(phi)),
+        ]
+        for parse, text in texts:
+            with pytest.raises(ser.ParseError):
+                parse(text.replace("[[1,0]", f"[[{bad},0]", 1))
+
+    def test_gct_strings_and_booleans_do_not_load(self):
+        with pytest.raises(ser.ParseError):
+            ser.gct_from_json('{"m":1,"n":2,"generators":[[["1.5",true],[false,"2"]]]}')
+        g = ser.gct_from_json('{"m":1,"n":2,"generators":[[[1.5,1],[0,2]]]}')
+        assert np.array_equal(g.generators[0], [[1.5, 1.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "bad", ["3", '["1", "0"]', "[[1, 0], 2]", "[[[1]]]", "[[1, 2], [3]]"]
+    )
+    def test_matrix_shape_errors(self, bad):
+        with pytest.raises(ser.ParseError):
+            ser.gct_from_json('{"m":1,"n":2,"generators":[%s]}' % bad)
+
     def test_cp_roundtrip(self):
         rng = np.random.default_rng(203)
         cp = cp_form([rng.standard_normal((3, 2)) for _ in range(2)])

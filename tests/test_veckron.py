@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commutant import (
@@ -125,3 +125,54 @@ def test_trace_via_vec_rectangular_and_identity():
     assert trace_via_vec(a, b) == pytest.approx(np.trace(a @ b), abs=1e-12)
     with pytest.raises(DimensionError):
         trace_via_vec(a, a)
+
+
+# ------------------------------------- properties against dense np.kron oracles
+# The oracles form Cᵀ ⊗ A with np.kron, which the library never does.
+
+_extent = st.integers(1, 12)
+_seed = st.integers(0, 2**31 - 1)
+
+
+@given(_extent, _extent, _extent, _extent, _seed)
+@example(1, 12, 1, 12, 0)
+@example(12, 1, 12, 1, 1)
+@settings(max_examples=120, deadline=None)
+def test_vec_sandwich_matches_dense_kronecker(m, p, q, n, seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = (rng.standard_normal(s) for s in ((m, p), (p, q), (q, n)))
+    want = np.kron(c.T, a) @ b.ravel(order="F")
+    # every entry is a sum of products a·b·c; its rounding is relative to
+    # the largest sum of their magnitudes
+    scale = max(1.0, float(np.max(np.abs(a) @ np.abs(b) @ np.abs(c))))
+    got = vec_sandwich(a, b, c)
+    assert got.shape == (m * n,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@given(_extent, _extent, _extent, _extent, _seed)
+@example(1, 12, 7, 1, 0)
+@settings(max_examples=120, deadline=None)
+def test_kron_is_np_kron(m, n, r, s, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((m, n)), rng.standard_normal((r, s))
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+
+
+@given(
+    st.tuples(_extent, _extent, _extent, _extent, _extent, _extent).filter(
+        lambda d: d[1] != d[2] or d[3] != d[4]
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_vec_sandwich_refuses_chains_that_do_not_compose(d):
+    a, b, c = np.ones((d[0], d[1])), np.ones((d[2], d[3])), np.ones((d[4], d[5]))
+    with pytest.raises(DimensionError):
+        vec_sandwich(a, b, c)
+
+
+def test_kron_refuses_non_matrices():
+    with pytest.raises(DimensionError):
+        kron(np.ones(3), np.eye(2))
+    with pytest.raises(DimensionError):
+        kron(np.eye(2), np.ones((2, 2, 2)))
