@@ -1,9 +1,9 @@
 """The vec-permutation (commutation) matrix K_{p,q} and its calculus.
 
 K_{p,q} is the pq x pq permutation matrix with K vec(X) = vec(Xᵀ) for every
-p x q matrix X.  It is stored as its closed-form index: row s (0-based) has
-its 1 in column ``(s % q)·p + s // q``, so applying it is one gather and the
-dense matrix is materialized on demand.
+p x q matrix X.  It is the axis swap of a (q, p) C-order grid, stored as the
+shared shuffle index of :mod:`commutant.tensor`: applying it is one gather,
+and the dense matrix is the same shuffle's dense form, built on demand.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ArgumentError, DimensionError, RangeError
 from .permutation import Permutation
-from .tensor import _check_dense_budget, _outer_into, as_matrix
+from .tensor import _check_dense_budget, _outer_into, _shuffle_dense, _shuffle_index, as_matrix
 
 
 def _check_dims(p: int, q: int) -> None:
@@ -36,8 +36,8 @@ class CommutationMatrix:
 
     @cached_property
     def idx(self) -> np.ndarray:
-        # row s = i·q + j (i < p, j < q) holds column j·p + i: the transposed grid
-        idx = np.arange(self.p * self.q).reshape(self.q, self.p).T.ravel()
+        # vec(X) is X's (q, p) C-order grid; vec(Xᵀ) reads it with the axes swapped
+        idx = _shuffle_index((self.q, self.p), (1, 0))
         idx.flags.writeable = False
         return idx
 
@@ -46,11 +46,8 @@ class CommutationMatrix:
         return Permutation((self.idx + 1).tolist())
 
     def dense(self) -> np.ndarray:
-        size = self.p * self.q
-        _check_dense_budget((size, size), f"K_{{{self.p},{self.q}}}")
-        mat = np.zeros((size, size))
-        mat[np.arange(size), self.idx] = 1.0
-        return mat
+        shuffle = _shuffle_dense((self.q, self.p), (1, 0), f"K_{{{self.p},{self.q}}}")
+        return shuffle.reshape(self.p * self.q, -1)
 
 
 def build_commutation(p: int, q: int) -> CommutationMatrix:
@@ -130,4 +127,4 @@ def conjugate_kron(a, b) -> np.ndarray:
         raise DimensionError(f"both factors must be square, got {am.shape}, {bm.shape}")
     p, q = am.shape[0], bm.shape[0]
     # outer(B, A) has axes (k, l, i, j); A ⊗ B stores them as (i, k, j, l)
-    return _outer_into(bm, am, (p, q, p, q), (1, 3, 0, 2)).reshape(p * q, p * q)
+    return _outer_into(bm, am, (p, q, p, q), (1, 3, 0, 2), "A ⊗ B").reshape(p * q, p * q)

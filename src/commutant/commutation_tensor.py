@@ -17,6 +17,10 @@ Three constructions live here:
 The acting orientation is fixed package-wide: an order-2m tensor acts on the
 LEFT, ``mul_2m_on_m(dense(T), a)``, contracting T's trailing m modes against
 all modes of ``a``.
+
+Like K_{p,q}, the transpose and mode-permutation tensors are axis shuffles,
+built (budget check included) by the one shuffle of :mod:`commutant.tensor`,
+and :func:`ctensor_flatten` is its one pair unfold.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .tensor import (
     DenseTensor,
     TensorLike,
     _adjacent_swaps,
-    _check_dense_budget,
     _even_order_cubic,
     _frozen,
     _outer_into,
+    _pair_unfold,
+    _shuffle_dense,
     as_matrix,
     as_tensor,
     balance_unfold,
@@ -67,10 +72,8 @@ def build_ctensor(m: int, n: int) -> CommutationTensor4:
     """
     if m < 1 or n < 1:
         raise ArgumentError(f"dimensions must be positive, got m={m}, n={n}")
-    _check_dense_budget((n, m, m, n), "transpose tensor")
-    arr = np.zeros((n, m, m, n))
-    i, j = np.arange(n)[:, None], np.arange(m)  # broadcast to every (i, j)
-    arr[i, j, j, i] = 1.0
+    # the swap of an (m, n) grid: row (i, j) of (n, m) meets column (j, i)
+    arr = _shuffle_dense((m, n), (1, 0), "transpose tensor")
     return CommutationTensor4(m, n, DenseTensor._adopt(arr))
 
 
@@ -86,8 +89,7 @@ def tensor_transpose(kt: CommutationTensor4, x) -> np.ndarray:
 def ctensor_flatten(kt: CommutationTensor4) -> np.ndarray:
     """Pair modes (1,2) as rows and (3,4) as columns, first mode fastest.
     The result is the commutation matrix K_{m,n}."""
-    nm = kt.n * kt.m
-    return np.array(kt.backing.array.transpose(1, 0, 3, 2), order="C").reshape(nm, nm)
+    return _pair_unfold(kt.backing.array)
 
 
 def ctensor_power(exponent: int, n: int) -> DenseTensor:
@@ -146,12 +148,13 @@ def gct_dense(g: Gct) -> DenseTensor:
     """The dense order-2m tensor, C-contiguous in its (i_1..i_m, j_1..j_m)
     axis order.  Its C-order unfolding is kron(g_1, ..., g_m), built right
     to left: each step writes one generator times the Kronecker product of
-    the generators after it once, straight into its final layout.  The
+    the generators after it once, straight into its final layout, after a
+    dense budget check, so no step over the budget is ever allocated.  The
     tensor adopts the result, which shares no memory with the generators."""
     acc = np.ones((1, 1))
     for gen in reversed(g.generators):
         size = acc.shape[0]
-        acc = _outer_into(gen, acc, (g.n, size, g.n, size), (0, 2, 1, 3))
+        acc = _outer_into(gen, acc, (g.n, size, g.n, size), (0, 2, 1, 3), "dense GCT")
         acc = acc.reshape(g.n * size, g.n * size)
     return DenseTensor._adopt(acc.reshape((g.n,) * (2 * g.m)))
 
@@ -189,12 +192,10 @@ def build_mode_perm_tensor(tau: Permutation, n: int) -> ModePermTensor:
 
 
 def mode_perm_dense(t: ModePermTensor) -> DenseTensor:
-    m, n = t.m, t.n
-    _check_dense_budget((n,) * (2 * m), "mode-permutation tensor")
-    arr = np.zeros((n,) * (2 * m))
-    i = tuple(np.indices((n,) * m).reshape(m, -1))  # every multi-index
-    arr[i + tuple(i[k] for k in t.tau.zero_based())] = 1.0  # j_k = i_{tau(k)}
-    return DenseTensor._adopt(arr)
+    # j_k = i_{tau(k)}: the column multi-index is the row one read through
+    # transpose(tau^-1); tau itself agrees only for involutions
+    axes = t.tau.inverse().zero_based()
+    return DenseTensor._adopt(_shuffle_dense((t.n,) * t.m, axes, "mode-permutation tensor"))
 
 
 def is_pair_symmetric(a: TensorLike) -> bool:

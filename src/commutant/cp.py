@@ -28,6 +28,7 @@ from .tensor import (
     DenseTensor,
     TensorLike,
     _adjacent_swaps,
+    _check_dense_budget,
     _frozen,
     _outer,
     as_matrix,
@@ -55,6 +56,7 @@ def rank1(vectors: Sequence) -> DenseTensor:
             raise DimensionError("factors must be nonempty vectors")
         if not v.any():
             raise DomainError("zero vector is not a rank-1 factor")
+    _check_dense_budget(tuple(v.size for v in vecs), "rank-1 tensor")
     return DenseTensor._adopt(_outer(vecs))
 
 
@@ -132,6 +134,7 @@ def sym_cp_form(m: int, vectors: Sequence, weights: Sequence[float]) -> SymCpFor
 
 def materialize(cp: CpForm) -> DenseTensor:
     """Dense sum of the rank-1 terms."""
+    _check_dense_budget(cp.extents, "CP form")
     out = np.zeros(cp.extents)
     for r in range(cp.rank):
         out += _outer([f[:, r] for f in cp.factors])
@@ -139,6 +142,7 @@ def materialize(cp: CpForm) -> DenseTensor:
 
 
 def materialize_sym(cp: SymCpForm) -> DenseTensor:
+    _check_dense_budget((cp.vectors[0].size,) * cp.m, "symmetric CP form")
     out = np.zeros((cp.vectors[0].size,) * cp.m)
     for w, v in zip(cp.weights, cp.vectors):
         out += w * _outer([v] * cp.m)

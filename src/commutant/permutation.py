@@ -17,6 +17,9 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         raw = tuple(images)
+        # True == 1 passes the integrality test below, so booleans are refused by type
+        if not {bool, np.bool_}.isdisjoint(map(type, raw)):
+            raise ArgumentError(f"permutation images must be integers, not booleans: {raw}")
         imgs = tuple(map(int, raw))
         if len(imgs) == 0:
             raise ArgumentError("permutation degree must be at least 1")
@@ -88,8 +91,7 @@ class Permutation:
         """
         k = self.degree
         mat = np.zeros((k, k))
-        for j, img in enumerate(self.images, start=1):
-            mat[img - 1, j - 1] = 1.0
+        mat[self.zero_based(), np.arange(k)] = 1.0
         return mat
 
     def zero_based(self) -> tuple[int, ...]:

@@ -210,7 +210,8 @@ def commutation_from_json(text: str) -> CommutationMatrix:
     # the length test comes first, so a huge p*q never builds its index
     if min(p, q) >= 1 and isinstance(perm, list) and len(perm) == p * q:
         k = build_commutation(p, q)
-        if perm == list(k.perm.images):
+        # true == 1 in Python, so the images must be JSON integers first
+        if all(map(_is_json_int, perm)) and perm == list(k.perm.images):
             return k
     raise ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
 

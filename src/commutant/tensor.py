@@ -11,6 +11,10 @@ Conventions
   i.e. the first mode varies fastest (column-major / Fortran order).
   ``vec`` of a matrix, every unfolding, and every serialization in this
   package derive from this single rule.
+* An order-2m tensor unfolds (first m modes as rows) by one route,
+  :func:`_pair_unfold`.  K_{p,q}, the transpose and the mode-permutation
+  tensors are each the 0/1 array of one axis permutation, placed by
+  :func:`_shuffle_index` (gather index) and :func:`_shuffle_dense`.
 * Tensors are immutable after construction.  A :class:`DenseTensor` may be
   shared freely between threads; all operations return new tensors.
 """
@@ -18,7 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,6 +40,33 @@ def _check_dense_budget(shape: Sequence[int], what: str) -> None:
         raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
 
 
+def _shuffle_index(shape: Sequence[int], axes: Sequence[int]) -> np.ndarray:
+    """Entry s is the C-order offset, in an array of ``shape``, of the entry
+    at C-order offset s of its ``transpose(axes)``."""
+    return np.arange(math.prod(shape)).reshape(shape).transpose(axes).ravel()
+
+
+def _shuffle_dense(shape: Sequence[int], axes: Sequence[int], what: str) -> np.ndarray:
+    """The C-contiguous 0/1 array of shape ``shape[axes] + shape`` whose
+    (N, N) C-order view has row s's one in column ``_shuffle_index(...)[s]``;
+    refused over the dense budget before anything is allocated."""
+    out_shape = tuple(shape[a] for a in axes) + tuple(shape)
+    _check_dense_budget(out_shape, what)
+    size = math.prod(shape)
+    arr = np.zeros(out_shape)
+    arr.reshape(size, size)[np.arange(size), _shuffle_index(shape, axes)] = 1.0
+    return arr
+
+
+def _pair_unfold(arr: np.ndarray) -> np.ndarray:
+    """Rows: the first half of the modes, columns: the second, each in
+    canonical flat order.  One copy, through the transpose that reverses
+    the modes within each half, then a C reshape; fresh and writable."""
+    m = arr.ndim // 2
+    rev = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
+    return np.array(arr.transpose(rev), order="C").reshape(math.prod(arr.shape[:m]), -1)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only copy of ``arr``."""
     out = arr.copy()
@@ -51,10 +82,12 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
-def _outer_into(x: np.ndarray, y: np.ndarray, shape, axes) -> np.ndarray:
+def _outer_into(x: np.ndarray, y: np.ndarray, shape, axes, what: str) -> np.ndarray:
     """A fresh float64 array of ``shape`` whose view ``transpose(axes)`` is
     ``np.multiply.outer(x, y)``: each entry is written once, as one product,
-    straight into the permuted layout, with no temporary."""
+    straight into the permuted layout, with no temporary.  Refused over the
+    dense budget before anything is allocated."""
+    _check_dense_budget(shape, what)
     out = np.empty(shape)
     np.multiply.outer(x, y, out=out.transpose(axes))
     return out
@@ -155,11 +188,11 @@ class DenseTensor:
         self._array = arr
 
     @classmethod
-    def from_flat(cls, shape: Sequence[int], values: Iterable[float]) -> "DenseTensor":
+    def from_flat(cls, shape: Sequence[int], values: list[float] | np.ndarray) -> "DenseTensor":
         """Rebuild from a shape and canonical (first-mode-fastest) flat values.
-        The values are copied once, into an array the tensor adopts."""
+        The values are converted once, into an array the tensor adopts."""
         shape = tuple(int(d) for d in shape)
-        vals = np.array(list(values), dtype=float)
+        vals = np.array(values, dtype=float)
         size = int(np.prod(shape)) if shape else 0
         if len(shape) < 1 or any(d < 1 for d in shape):
             raise ArgumentError(f"bad shape {shape}")
@@ -293,10 +326,8 @@ def balance_unfold(a: TensorLike) -> np.ndarray:
     the unfoldings.  Returns a fresh writable array, copied once.
     """
     t = as_tensor(a)
-    m, n = _even_order_cubic(t, "balance_unfold")
-    size = n**m
-    # flatten always copies; reshaping its 1-D result is a view
-    return t.array.flatten(order="F").reshape(size, size, order="F")
+    _even_order_cubic(t, "balance_unfold")
+    return _pair_unfold(t.array)
 
 
 def balance_refold(mat: TensorLike, m: int, n: int) -> DenseTensor:
@@ -337,6 +368,7 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     """Order-m tensor with 1 at every diagonal position (i, i, ..., i)."""
     if m < 1 or n < 1:
         raise ArgumentError(f"m and n must be positive, got m={m}, n={n}")
+    _check_dense_budget((n,) * m, "identity tensor")
     arr = np.zeros((n,) * m)
     arr[(np.arange(n),) * m] = 1.0
     return DenseTensor._adopt(arr)

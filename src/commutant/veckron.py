@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ArgumentError, DimensionError
-from .tensor import _mode_products, _outer_into, as_matrix
+from .tensor import _check_dense_budget, _mode_products, _outer_into, as_matrix
 
 
 class VecLayout(Enum):
@@ -54,7 +54,7 @@ def kron(a, b) -> np.ndarray:
     am, bm = as_matrix(a), as_matrix(b)
     (m, n), (r, s) = am.shape, bm.shape
     # entry (i·r + k, j·s + l) is a[i, j]·b[k, l]: axes (i, k, j, l)
-    return _outer_into(am, bm, (m, r, n, s), (0, 2, 1, 3)).reshape(m * r, n * s)
+    return _outer_into(am, bm, (m, r, n, s), (0, 2, 1, 3), "A ⊗ B").reshape(m * r, n * s)
 
 
 def kron_vec(x, y) -> np.ndarray:
@@ -63,6 +63,7 @@ def kron_vec(x, y) -> np.ndarray:
     ay = np.asarray(y, dtype=float)
     if ax.ndim != 1 or ay.ndim != 1:
         raise DimensionError("kron_vec takes two vectors")
+    _check_dense_budget((ax.size, ay.size), "x ⊗ y")
     return np.kron(ax, ay)
 
 

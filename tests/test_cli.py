@@ -508,8 +508,18 @@ class TestRefusedInputs:
         assert "MAX_DENSE_ENTRIES" in err
 
 
+class TestBooleanPermutations:
+    def test_apply_refuses_a_boolean_tau(self, capsys, tmp_path):
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t.json"
+        pfile.write_text(PHI22.replace('"tau":[2,1]', '"tau":[true,2]'), encoding="utf-8")
+        tfile.write_text(A22_JSON, encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(pfile), str(tfile))
+        assert code == 2 and out == ""
+        assert "tau" in err and "Traceback" not in err
+
+
 class TestDenseBudget:
-    # both requests are refused before anything of their size is allocated
+    # every request is refused before anything of its size is allocated
 
     def test_gen_kmat_over_budget_exits_3(self, capsys):
         code, out, err = run(capsys, "gen-kmat", "5000", "5000")
@@ -522,3 +532,19 @@ class TestDenseBudget:
         )
         assert code == 3 and out == ""
         assert "MAX_DENSE_ENTRIES" in err
+
+    def test_kron_conjugation_over_budget_exits_3(self, capsys):
+        # each 10^6 x 10^6 Kronecker product is 7 TiB
+        code, out, err = run(
+            capsys, "verify", "--suite", "kron-conjugation", "--sizes", "1000x1000", "--trials", "1"
+        )
+        assert code == 3 and out == ""
+        assert "MAX_DENSE_ENTRIES" in err and "Traceback" not in err
+
+    def test_preserver_suite_over_budget_exits_3(self, capsys):
+        # its 16^7 rank-1 input is 2 GiB
+        code, out, err = run(
+            capsys, "verify", "--suite", "preserver-suite", "--sizes", "7x16", "--trials", "1"
+        )
+        assert code == 3 and out == ""
+        assert "MAX_DENSE_ENTRIES" in err and "Traceback" not in err

@@ -346,3 +346,12 @@ class TestDenseBudget:
             build_commutation(2, 4).dense()
         with pytest.raises(DomainError):
             build_commutation_rank1(7, 1)
+
+    def test_conjugate_kron_budget(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 36)
+        assert conjugate_kron(np.eye(2), np.eye(3)).size == 36
+        with pytest.raises(DomainError):
+            conjugate_kron(np.eye(7), np.eye(1))
+        monkeypatch.undo()
+        with pytest.raises(DomainError):
+            conjugate_kron(np.eye(1000), np.eye(1000))

@@ -646,3 +646,17 @@ class TestDenseBudget:
             mode_perm_dense(build_mode_perm_tensor(Permutation([2, 1]), 3))
         with pytest.raises(DomainError):
             build_ctensor(2, 3)
+
+    def test_gct_dense_over_budget(self):
+        # 300^4 float64s are 60 GiB
+        with pytest.raises(DomainError):
+            gct_dense(build_gct([np.eye(300)] * 2))
+
+    def test_gct_dense_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+        assert gct_dense(build_gct([np.eye(2)] * 2)).array.size == 16
+        assert gct_dense(build_gct([np.eye(4)])).array.size == 16
+        with pytest.raises(DomainError):
+            gct_dense(build_gct([np.eye(5)]))
+        with pytest.raises(DomainError):
+            gct_dense(build_gct([np.eye(2)] * 3))

@@ -25,6 +25,7 @@ from commutant import (
     sym_power,
 )
 from commutant import linalg
+from commutant import tensor as tensor_mod
 
 
 class TestRank1:
@@ -248,3 +249,22 @@ class TestExtractSymRank1:
         lam, y = extract_sym_rank1(np.array([0.0, -3.0, 4.0]))
         assert lam == pytest.approx(5.0)
         assert np.allclose(lam * y, [0.0, -3.0, 4.0], atol=1e-12)
+
+
+class TestDenseBudget:
+    # each builder checks its dense size before allocating anything of it
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+        assert rank1([np.ones(4), np.ones(4)]).array.size == 16
+        assert sym_power(np.ones(2), 4).array.size == 16
+        assert materialize(cp_form([np.ones((2, 1)), np.ones((8, 1))])).array.size == 16
+        assert materialize_sym(sym_cp_form(2, [np.ones(4)], [1.0])).array.size == 16
+        with pytest.raises(DomainError):
+            rank1([np.ones(17)])
+        with pytest.raises(DomainError):
+            sym_power(np.ones(2), 5)
+        with pytest.raises(DomainError):
+            materialize(cp_form([np.ones((2, 1)), np.ones((9, 1))]))
+        with pytest.raises(DomainError):
+            materialize_sym(sym_cp_form(2, [np.ones(5)], [1.0]))

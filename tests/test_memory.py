@@ -18,12 +18,14 @@ from commutant import (
     apply_rank_preserver,
     apply_sym_preserver,
     balance_refold,
+    balance_unfold,
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
     complete_right_product,
     conjugate_kron,
     cp_form,
+    ctensor_flatten,
     gct_dense,
     identity_tensor,
     kron,
@@ -176,3 +178,21 @@ def test_kronecker_products_write_their_result_once(name):
 def test_dense_builders_allocate_their_result_once(name, call):
     result, peak = _peak_bytes(call)
     assert peak <= 1.25 * result.array.nbytes
+
+
+@pytest.mark.parametrize(
+    "name,make,unfold",
+    [
+        ("balance_unfold", lambda: DenseTensor(_inputs(5, (8,) * 6)[0]), balance_unfold),
+        (
+            "balance_unfold_F",
+            lambda: DenseTensor(np.asfortranarray(_inputs(5, (8,) * 6)[0])),
+            balance_unfold,
+        ),
+        ("ctensor_flatten", lambda: build_ctensor(30, 20), ctensor_flatten),
+    ],
+)
+def test_unfoldings_copy_once(name, make, unfold):
+    operand = make()
+    result, peak = _peak_bytes(lambda: unfold(operand))
+    assert peak <= 1.25 * result.nbytes

@@ -100,6 +100,15 @@ def test_rejects_non_integral_images():
         Permutation(["1", "2"])
 
 
+@pytest.mark.parametrize(
+    "images", [[True, 2], [2, True], [np.True_, 2], np.array([True])], ids=repr
+)
+def test_rejects_boolean_images(images):
+    # True == 1, so only the type tells a boolean from an image
+    with pytest.raises(ArgumentError):
+        Permutation(images)
+
+
 def test_accepts_integral_values():
     assert Permutation([2.0, 1.0]).images == (2, 1)
     assert Permutation(np.array([3, 1, 2])).images == (3, 1, 2)

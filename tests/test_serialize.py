@@ -136,6 +136,7 @@ class TestStructuredObjects:
             '{"p":0,"q":2,"perm":[]}',
             '{"p":"x","q":2,"perm":[1,2]}',
             '{"p":1000000000,"q":1000000000,"perm":[1]}',
+            '{"p":2,"q":1,"perm":[true,2]}',  # equal to K_{2,1}'s [1,2] in Python
         ],
     )
     def test_commutation_perm_must_be_k(self, text):
@@ -265,6 +266,11 @@ class TestStructuredObjects:
         assert back.tau.images == (3, 1, 2)
         for a, b in zip(back.matrices, phi.matrices):
             assert np.array_equal(a, b)
+
+    def test_preserver_rejects_boolean_tau(self):
+        text = '{"m":2,"n":2,"tau":[true,2],"matrices":[[[1,0],[0,1]],[[1,0],[0,1]]]}'
+        with pytest.raises(ser.ParseError):
+            ser.preserver_from_json(text)
 
     def test_preserver_rejects_singular(self):
         from commutant import SingularMatrixError

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from commutant import (
     ArgumentError,
+    CommutationTensor4,
     DenseTensor,
     DimensionError,
+    DomainError,
     ModeError,
     Permutation,
     RangeError,
@@ -17,6 +19,7 @@ from commutant import (
     complete_right_product,
     contract_34,
     coords_from_offset,
+    ctensor_flatten,
     flat_offset,
     identity_tensor,
     mode_n_product,
@@ -24,6 +27,7 @@ from commutant import (
     mul_2m_on_m,
     permute_modes,
 )
+from commutant import tensor as tensor_mod
 
 
 class TestDenseTensor:
@@ -214,6 +218,9 @@ class TestMul2mOnM:
             mul_2m_on_m(np.zeros((2, 2, 2, 2)), np.zeros((3, 3)))
 
 
+LAYOUTS = ["C", "F", "transposed"]
+
+
 class TestBalanceUnfold:
     def test_pairing_layout(self):
         # rows pair the leading modes, columns the trailing ones,
@@ -230,16 +237,31 @@ class TestBalanceUnfold:
                 c = flat_offset(j, (3, 3))
                 assert u[r, c] == a.entry(*(i + j))
 
-    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
-    def test_fresh_writable_copy_for_every_layout(self, layout):
-        arr = np.random.default_rng(21).standard_normal((3,) * 4)
-        src = {"C": arr, "F": np.asfortranarray(arr), "transposed": arr.transpose(2, 0, 3, 1)}
+    @pytest.mark.parametrize(
+        "layout,shape",
+        [(lay, (3, 3, 3, 3)) for lay in LAYOUTS] + [(lay, (2, 3, 3, 2)) for lay in LAYOUTS],
+        ids=LAYOUTS + [f"{lay}-non-cubic" for lay in LAYOUTS],
+    )
+    def test_fresh_writable_copy_for_every_layout(self, layout, shape):
+        # balance_unfold takes the cubic tensors; ctensor_flatten, the same
+        # unfold, takes every (n, m, m, n) backing
+        perm = (2, 0, 3, 1)  # arr is drawn so that arr.transpose(perm) has ``shape``
+        arr = np.random.default_rng(21).standard_normal([shape[perm.index(a)] for a in range(4)])
+        src = {
+            "C": np.ascontiguousarray(arr.transpose(perm)),
+            "F": np.asfortranarray(arr.transpose(perm)),
+            "transposed": arr.transpose(perm),
+        }
         t = DenseTensor(src[layout])
+        assert t.shape == shape
         assert t.array.flags.c_contiguous == (layout == "C")
         assert t.array.flags.f_contiguous == (layout == "F")
-        u = balance_unfold(t)
-        assert np.array_equal(u, t.array.reshape(9, 9, order="F"))
-        assert u.flags.writeable and not np.shares_memory(u, t.array)
+        unfolds = [ctensor_flatten(CommutationTensor4(shape[1], shape[0], t))]
+        if len(set(shape)) == 1:
+            unfolds.append(balance_unfold(t))
+        for u in unfolds:
+            assert np.array_equal(u, t.array.reshape(shape[0] * shape[1], -1, order="F"))
+            assert u.flags.writeable and not np.shares_memory(u, t.array)
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
     def test_roundtrip(self, m, n):
@@ -329,3 +351,10 @@ def test_identity_tensor_matches_entry_loop(m, n):
     for i in range(n):
         want[(i,) * m] = 1.0
     assert np.array_equal(identity_tensor(m, n).array, want)
+
+
+def test_identity_tensor_budget_boundary(monkeypatch):
+    monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+    assert identity_tensor(2, 4).array.size == 16
+    with pytest.raises(DomainError):
+        identity_tensor(3, 3)

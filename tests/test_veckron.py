@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from commutant import (
     DimensionError,
+    DomainError,
     VecLayout,
     kron,
     kron_vec,
@@ -14,6 +15,7 @@ from commutant import (
     vec_sandwich,
 )
 from commutant import linalg
+from commutant import tensor as tensor_mod
 
 
 def test_vec_stacks_columns():
@@ -176,3 +178,19 @@ def test_kron_refuses_non_matrices():
         kron(np.ones(3), np.eye(2))
     with pytest.raises(DimensionError):
         kron(np.eye(2), np.ones((2, 2, 2)))
+
+
+def test_kronecker_products_check_the_dense_budget(monkeypatch):
+    monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+    assert kron(np.ones((2, 2)), np.ones((2, 2))).size == 16
+    assert kron_vec(np.ones(4), np.ones(4)).size == 16
+    with pytest.raises(DomainError):
+        kron(np.ones((2, 3)), np.ones((3, 1)))
+    with pytest.raises(DomainError):
+        kron_vec(np.ones(17), np.ones(1))
+
+
+def test_kron_over_budget():
+    # 10^12 float64s are 7 TiB
+    with pytest.raises(DomainError):
+        kron(np.eye(1000), np.eye(1000))
