@@ -5,7 +5,8 @@ Three constructions live here:
 * :class:`CommutationTensor4` — the order-4 tensor that performs matrix
   transposition under a trailing-pair contraction.  For an m x n argument it
   has shape (n, m, m, n), and flattening its leading index pair against its
-  trailing pair reproduces the commutation matrix K_{m,n}.
+  trailing pair reproduces K_{m,n}: both are one axis shuffle of the tensor
+  module, as are the mode-permutation tensors.
 * :class:`Gct` — a generalized commutation tensor of order 2m built from m
   square generator matrices; its entries are products
   ``gen_1[i_1, j_1] * ... * gen_m[i_m, j_m]``.  With all generators equal to
@@ -17,10 +18,6 @@ Three constructions live here:
 The acting orientation is fixed package-wide: an order-2m tensor acts on the
 LEFT, ``mul_2m_on_m(dense(T), a)``, contracting T's trailing m modes against
 all modes of ``a``.
-
-Like K_{p,q}, the transpose and mode-permutation tensors are axis shuffles,
-built (budget check included) by the one shuffle of :mod:`commutant.tensor`,
-and :func:`ctensor_flatten` is its one pair unfold.
 """
 
 from __future__ import annotations
@@ -72,7 +69,6 @@ def build_ctensor(m: int, n: int) -> CommutationTensor4:
     """
     if m < 1 or n < 1:
         raise ArgumentError(f"dimensions must be positive, got m={m}, n={n}")
-    # the swap of an (m, n) grid: row (i, j) of (n, m) meets column (j, i)
     arr = _shuffle_dense((m, n), (1, 0), "transpose tensor")
     return CommutationTensor4(m, n, DenseTensor._adopt(arr))
 
@@ -148,8 +144,7 @@ def gct_dense(g: Gct) -> DenseTensor:
     """The dense order-2m tensor, C-contiguous in its (i_1..i_m, j_1..j_m)
     axis order.  Its C-order unfolding is kron(g_1, ..., g_m), built right
     to left: each step writes one generator times the Kronecker product of
-    the generators after it once, straight into its final layout, after a
-    dense budget check, so no step over the budget is ever allocated.  The
+    the generators after it once, straight into its final layout.  The
     tensor adopts the result, which shares no memory with the generators."""
     acc = np.ones((1, 1))
     for gen in reversed(g.generators):
@@ -192,8 +187,7 @@ def build_mode_perm_tensor(tau: Permutation, n: int) -> ModePermTensor:
 
 
 def mode_perm_dense(t: ModePermTensor) -> DenseTensor:
-    # j_k = i_{tau(k)}: the column multi-index is the row one read through
-    # transpose(tau^-1); tau itself agrees only for involutions
+    # j_k = i_{tau(k)} is the transpose by tau^-1 (tau itself only for involutions)
     axes = t.tau.inverse().zero_based()
     return DenseTensor._adopt(_shuffle_dense((t.n,) * t.m, axes, "mode-permutation tensor"))
 

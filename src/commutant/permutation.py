@@ -17,14 +17,13 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         raw = tuple(images)
-        # True == 1 passes the integrality test below, so booleans are refused by type
-        if not {bool, np.bool_}.isdisjoint(map(type, raw)):
-            raise ArgumentError(f"permutation images must be integers, not booleans: {raw}")
         imgs = tuple(map(int, raw))
         if len(imgs) == 0:
             raise ArgumentError("permutation degree must be at least 1")
-        # imgs != raw: some image is not integral (1.7), so int() changed it
-        if imgs != raw or sorted(imgs) != list(range(1, len(imgs) + 1)):
+        # imgs != raw: some image is not integral (1.7), so int() changed it;
+        # True == 1 passes that test, so a boolean image is told by its type
+        booleans = not {bool, np.bool_}.isdisjoint(map(type, raw))
+        if imgs != raw or booleans or sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ArgumentError(f"not a permutation of 1..{len(imgs)}: {raw}")
         self.images = imgs
 

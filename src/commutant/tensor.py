@@ -9,12 +9,8 @@ Conventions
 * The canonical flat layout of a tensor of shape ``(d_1, ..., d_m)`` places
   entry ``(i_1, ..., i_m)`` at offset ``sum_k (i_k - 1) * d_1*...*d_{k-1}``,
   i.e. the first mode varies fastest (column-major / Fortran order).
-  ``vec`` of a matrix, every unfolding, and every serialization in this
-  package derive from this single rule.
-* An order-2m tensor unfolds (first m modes as rows) by one route,
-  :func:`_pair_unfold`.  K_{p,q}, the transpose and the mode-permutation
-  tensors are each the 0/1 array of one axis permutation, placed by
-  :func:`_shuffle_index` (gather index) and :func:`_shuffle_dense`.
+  ``vec`` of a matrix, every unfolding (one route: :func:`_pair_unfold`)
+  and every serialization in this package derive from this single rule.
 * Tensors are immutable after construction.  A :class:`DenseTensor` may be
   shared freely between threads; all operations return new tensors.
 """
@@ -41,27 +37,23 @@ def _check_dense_budget(shape: Sequence[int], what: str) -> None:
 
 
 def _shuffle_index(shape: Sequence[int], axes: Sequence[int]) -> np.ndarray:
-    """Entry s is the C-order offset, in an array of ``shape``, of the entry
-    at C-order offset s of its ``transpose(axes)``."""
+    """The gather index that reads an array of ``shape`` as ``transpose(axes)``."""
     return np.arange(math.prod(shape)).reshape(shape).transpose(axes).ravel()
 
 
 def _shuffle_dense(shape: Sequence[int], axes: Sequence[int], what: str) -> np.ndarray:
-    """The C-contiguous 0/1 array of shape ``shape[axes] + shape`` whose
-    (N, N) C-order view has row s's one in column ``_shuffle_index(...)[s]``;
-    refused over the dense budget before anything is allocated."""
-    out_shape = tuple(shape[a] for a in axes) + tuple(shape)
-    _check_dense_budget(out_shape, what)
+    """That gather's 0/1 matrix, C-contiguous in shape ``shape[axes] + shape``;
+    refused before allocating when its N x N size is over the budget."""
     size = math.prod(shape)
-    arr = np.zeros(out_shape)
+    _check_dense_budget((size, size), what)
+    arr = np.zeros(tuple(shape[a] for a in axes) + tuple(shape))
     arr.reshape(size, size)[np.arange(size), _shuffle_index(shape, axes)] = 1.0
     return arr
 
 
 def _pair_unfold(arr: np.ndarray) -> np.ndarray:
-    """Rows: the first half of the modes, columns: the second, each in
-    canonical flat order.  One copy, through the transpose that reverses
-    the modes within each half, then a C reshape; fresh and writable."""
+    """First half of the modes as rows, second as columns, each in canonical
+    order: one copy (reversing the modes within each half), then a reshape."""
     m = arr.ndim // 2
     rev = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
     return np.array(arr.transpose(rev), order="C").reshape(math.prod(arr.shape[:m]), -1)
@@ -85,8 +77,7 @@ def _outer(factors) -> np.ndarray:
 def _outer_into(x: np.ndarray, y: np.ndarray, shape, axes, what: str) -> np.ndarray:
     """A fresh float64 array of ``shape`` whose view ``transpose(axes)`` is
     ``np.multiply.outer(x, y)``: each entry is written once, as one product,
-    straight into the permuted layout, with no temporary.  Refused over the
-    dense budget before anything is allocated."""
+    straight into the permuted layout, with no temporary, within the budget."""
     _check_dense_budget(shape, what)
     out = np.empty(shape)
     np.multiply.outer(x, y, out=out.transpose(axes))

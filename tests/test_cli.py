@@ -524,14 +524,15 @@ class TestDenseBudget:
     def test_gen_kmat_over_budget_exits_3(self, capsys):
         code, out, err = run(capsys, "gen-kmat", "5000", "5000")
         assert code == 3 and out == ""
-        assert "MAX_DENSE_ENTRIES" in err
+        assert "K_{5000,5000}: (25000000, 25000000) is over MAX_DENSE_ENTRIES" in err
 
     def test_mode_perm_lemma_over_budget_exits_3(self, capsys):
         code, out, err = run(
             capsys, "verify", "--suite", "mode-perm-lemma", "--sizes", "4x12"
         )
         assert code == 3 and out == ""
-        assert "MAX_DENSE_ENTRIES" in err
+        # the size is named as the N x N matrix, N = 12^4, not as the order-8 shape
+        assert "(20736, 20736) is over MAX_DENSE_ENTRIES" in err
 
     def test_kron_conjugation_over_budget_exits_3(self, capsys):
         # each 10^6 x 10^6 Kronecker product is 7 TiB
