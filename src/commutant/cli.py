@@ -24,6 +24,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import serialize
 from .commutation_matrix import build_commutation
 from .commutation_tensor import build_ctensor, gct_from_permutation
@@ -149,25 +151,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_tensor_file(path: str) -> DenseTensor:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise serialize.ParseError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+
+
+def _read_tensor_file(path: str) -> DenseTensor:
+    text = _read(path)
+    if text.lstrip().startswith("{"):
         return serialize.tensor_from_json(text)
     return DenseTensor(serialize.matrix_from_text(text))
-
-
-def _read_preserver_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise serialize.ParseError(f"cannot read {path}: {exc}") from exc
-    return serialize.preserver_from_json(text)
 
 
 def _effective_seed(args) -> int:
@@ -238,9 +234,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    phi = _read_preserver_file(args.preserver)
+    phi = serialize.preserver_from_json(_read(args.preserver))
     tensor = _read_tensor_file(args.tensor)
-    print(serialize.tensor_to_json(apply_rank_preserver(phi, tensor)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf and nan
+        print(serialize.tensor_to_json(apply_rank_preserver(phi, tensor)))
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, RangeError
-from .permutation import Permutation
 from .tensor import _check_dense_budget, _outer_into, _shuffle_dense, _shuffle_index, as_matrix
 
 
@@ -25,8 +24,8 @@ def _check_dims(p: int, q: int) -> None:
 
 @dataclass(frozen=True)
 class CommutationMatrix:
-    """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based), or ``perm(s)``
-    (1-based); both are built on first use."""
+    """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based).  The index
+    is K's only stored form, built on first use."""
 
     p: int
     q: int
@@ -40,10 +39,6 @@ class CommutationMatrix:
         idx = _shuffle_index((self.q, self.p), (1, 0))
         idx.flags.writeable = False
         return idx
-
-    @cached_property
-    def perm(self) -> Permutation:
-        return Permutation((self.idx + 1).tolist())
 
     def dense(self) -> np.ndarray:
         shuffle = _shuffle_dense((self.q, self.p), (1, 0), f"K_{{{self.p},{self.q}}}")
@@ -97,12 +92,12 @@ def flat_to_block(s: int, t: int, p: int, q: int) -> tuple[int, int, int, int]:
 
 
 def det_commutation(p: int, q: int) -> int:
-    """Determinant of K_{p,q}: the sign of its row permutation.
-
-    For the square case this is (-1)^(p(p-1)/2); computed here from the
-    stored permutation so the closed form stays a testable claim.
+    """Determinant of K_{p,q}, the sign of its row permutation, in closed
+    form: (-1)^(p(p-1)q(q-1)/4) (Magnus & Neudecker 1979).  K is not built;
+    the tests check the closed form against the parity of ``idx``.
     """
-    return build_commutation(p, q).perm.sign()
+    _check_dims(p, q)
+    return -1 if (p * (p - 1) // 2) * (q * (q - 1) // 2) % 2 else 1
 
 
 def trace_commutation(p: int) -> int:

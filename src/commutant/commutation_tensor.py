@@ -35,10 +35,10 @@ from .tensor import (
     TensorLike,
     _adjacent_swaps,
     _even_order_cubic,
-    _frozen,
     _outer_into,
     _pair_unfold,
     _shuffle_dense,
+    _square_stack,
     as_matrix,
     as_tensor,
     balance_unfold,
@@ -115,18 +115,8 @@ class Gct:
 
 
 def build_gct(generators) -> Gct:
-    gens = []
-    for g in generators:
-        gm = as_matrix(g)
-        if gm.shape[0] != gm.shape[1]:
-            raise DimensionError(f"generators must be square, got {gm.shape}")
-        gens.append(_frozen(gm))
-    if not gens:
-        raise ArgumentError("at least one generator is required")
-    n = gens[0].shape[0]
-    if any(g.shape[0] != n for g in gens):
-        raise DimensionError("all generators must have the same size")
-    return Gct(len(gens), n, tuple(gens))
+    gens = _square_stack(generators, "generators")
+    return Gct(len(gens), gens[0].shape[0], gens)
 
 
 def gct_from_permutation(pi: Permutation, m: int) -> Gct:

@@ -16,8 +16,11 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        raw = tuple(images)
-        imgs = tuple(map(int, raw))
+        try:
+            raw = tuple(images)
+            imgs = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError) as exc:  # None, [[1]], ["a"], [nan], [inf]
+            raise ArgumentError(f"permutation images must be integers: {exc}") from exc
         if len(imgs) == 0:
             raise ArgumentError("permutation degree must be at least 1")
         # imgs != raw: some image is not integral (1.7), so int() changed it;

@@ -25,6 +25,7 @@ from .tensor import (
     TensorLike,
     _frozen,
     _mode_products,
+    _square_stack,
     as_matrix,
     as_tensor,
     complete_right_product,
@@ -75,17 +76,14 @@ def _invertible(mat) -> np.ndarray:
 def rank_preserver(matrices, tau: Permutation) -> RankPreserver:
     """Validate and freeze a rank preserver.  Raises SingularMatrixError if
     any matrix is singular at the inversion pivot threshold."""
-    mats = [_invertible(m) for m in matrices]
-    if not mats:
-        raise ArgumentError("at least one mode matrix is required")
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
-        raise DimensionError("all mode matrices must share one size")
+    mats = _square_stack(matrices, "mode matrices")
+    for m in mats:
+        linalg.inv(m)  # gate: raises unless finite and invertible
     if tau.degree != len(mats):
         raise DimensionError(
             f"permutation degree {tau.degree} != {len(mats)} mode matrices"
         )
-    return RankPreserver(tuple(mats), tau)
+    return RankPreserver(mats, tau)
 
 
 @dataclass(frozen=True, eq=False)

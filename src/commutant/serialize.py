@@ -9,7 +9,8 @@ Schemas
 -------
 * tensor:        ``{"shape": [...], "values": [...]}`` — values in canonical
   flat order (first mode fastest).
-* commutation:   ``{"p": p, "q": q, "perm": [...]}`` — K_{p,q}'s 1-based row images.
+* commutation:   ``{"p": p, "q": q, "perm": [...]}`` — K_{p,q}'s 1-based row
+  images, written from its gather index as ``idx + 1``.
 * gct:           ``{"m": m, "n": n, "generators": [[[...]]]}`` — matrices as
   lists of rows.
 * cp form:       ``{"m": m, "n": n, "rank": r, "factors": [[[...]]]}``.
@@ -20,6 +21,7 @@ Schemas
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from .commutation_matrix import CommutationMatrix, build_commutation
 from .commutation_tensor import Gct, build_gct
 from .cp import CpForm, cp_form
-from .errors import CommutantError, DimensionError
+from .errors import CommutantError, DimensionError, DomainError
 from .permutation import Permutation
 from .preserver import RankPreserver, VerificationReport, rank_preserver
 from .tensor import DenseTensor, as_matrix
@@ -72,6 +74,8 @@ def _emit(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise DomainError(f"cannot write the non-finite float {obj} as JSON")
         parts.append(format_float(float(obj)))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
@@ -83,8 +87,9 @@ def _emit(obj: Any, parts: list[str]) -> None:
 
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        # format_float writes -0.0 as "-0", which int() would load as +0
+        return json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int over 4300 digits, deep nesting
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -145,7 +150,7 @@ def tensor_from_json(text: str) -> DenseTensor:
         raise ParseError("tensor: values must be a list of numbers")
     try:
         t = DenseTensor.from_flat(shape, [float(v) for v in values])
-    except (TypeError, OverflowError, ValueError, CommutantError) as exc:
+    except (OverflowError, CommutantError) as exc:  # a value beyond float range; a bad shape
         raise ParseError(f"tensor: {exc}") from exc
     _finite(t.array, "tensor")
     return t
@@ -200,7 +205,7 @@ def _matrix_from_lists(data: Any, what: str) -> np.ndarray:
 
 
 def commutation_to_json(k: CommutationMatrix) -> str:
-    return canonical_json({"p": k.p, "q": k.q, "perm": list(k.perm.images)})
+    return canonical_json({"p": k.p, "q": k.q, "perm": (k.idx + 1).tolist()})
 
 
 def commutation_from_json(text: str) -> CommutationMatrix:
@@ -211,7 +216,7 @@ def commutation_from_json(text: str) -> CommutationMatrix:
     if min(p, q) >= 1 and isinstance(perm, list) and len(perm) == p * q:
         k = build_commutation(p, q)
         # true == 1 in Python, so the images must be JSON integers first
-        if all(map(_is_json_int, perm)) and perm == list(k.perm.images):
+        if all(map(_is_json_int, perm)) and perm == (k.idx + 1).tolist():
             return k
     raise ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
 
@@ -285,7 +290,7 @@ def preserver_from_json(text: str) -> RankPreserver:
     mats = [_matrix_from_lists(m, "preserver matrix") for m in mats_data]
     try:
         tau = Permutation(data["tau"])
-    except (TypeError, ValueError, CommutantError) as exc:
+    except CommutantError as exc:
         raise ParseError(f"preserver: bad tau: {exc}") from exc
     m, n = _ints(data, ("m", "n"), "preserver")
     if len(mats) != m or (mats and mats[0].shape[0] != n):

@@ -66,6 +66,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _square_stack(matrices, what: str) -> tuple[np.ndarray, ...]:
+    """Frozen copies of one or more square matrices of one size."""
+    mats = tuple(_frozen(as_matrix(m)) for m in matrices)
+    if not mats:
+        raise ArgumentError(f"at least one of the {what} is required")
+    n = mats[0].shape[0]
+    if any(m.shape != (n, n) for m in mats):
+        raise DimensionError(f"{what} must be square and of one size: {[m.shape for m in mats]}")
+    return mats
+
+
 def _outer(factors) -> np.ndarray:
     """Outer product of vectors or matrices, axes in factor order."""
     out = np.array(1.0)
@@ -184,7 +195,7 @@ class DenseTensor:
         The values are converted once, into an array the tensor adopts."""
         shape = tuple(int(d) for d in shape)
         vals = np.array(values, dtype=float)
-        size = int(np.prod(shape)) if shape else 0
+        size = math.prod(shape) if shape else 0
         if len(shape) < 1 or any(d < 1 for d in shape):
             raise ArgumentError(f"bad shape {shape}")
         if vals.size != size:

@@ -277,8 +277,7 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("preserver-suite")
     for si, (m, n) in enumerate(cfg.sizes):
         rng = _rng(cfg, res.name, si)
-        taus = list(Permutation.all(m))
-        tau = taus[int(rng.integers(0, len(taus)))]
+        tau = Permutation(rng.permutation(m) + 1)
         phi = rank_preserver([_random_invertible(rng, n) for _ in range(m)], tau)
         report = verify_rank_preservation(phi, cfg.trials, cfg.seed + si)
         res.checks += report.trials
@@ -317,7 +316,7 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
                 f"({m},{n}): determinant not preserved ({dx:.6f} -> {dfx:.6f})",
             )
         # identity fixing: permutation matrices fix the identity tensor
-        pi_n = list(Permutation.all(n))[int(rng.integers(0, math.factorial(n)))]
+        pi_n = Permutation(rng.permutation(n) + 1)
         res.record(
             fixes_identity(sym_preserver(pi_n.matrix(), m)),
             f"({m},{n}): permutation matrix does not fix the identity tensor",

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "powers", "--sizes", "2x2")
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["2x12", "12x2"])
+    def test_preserver_suite_draws_its_permutations(self, capsys, sizes):
+        # listing S_12 to pick one element would hold 479 million objects
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "verify", "--suite", "preserver-suite", "--sizes", sizes, "--trials", "1"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "" and "PASS" in out
+        assert peak < 8 * 2**20
+
 
 class TestApply:
     @staticmethod
@@ -473,6 +488,14 @@ class TestRefusedInputs:
         tfile.write_text(tensor, encoding="utf-8")
         code, out, err = run(capsys, "unfold", str(tfile))
         assert code == 2 and out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["unfold", "apply"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, command, *[str(bad)] * (2 if command == "apply" else 1))
+        assert code == 2 and out == ""
+        assert "cannot read" in err
 
     @pytest.mark.parametrize(
         "phi",

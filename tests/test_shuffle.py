@@ -17,6 +17,7 @@ from commutant import (
     build_mode_perm_tensor,
     mode_perm_dense,
 )
+from commutant.serialize import commutation_to_json
 
 SIZES = list(itertools.product(range(1, 8), repeat=2))
 
@@ -55,6 +56,13 @@ def test_k_matches_the_closed_form(p, q):
     ref[np.arange(p * q), want] = 1.0
     assert np.array_equal(dense, ref)
     assert dense.flags.c_contiguous
+
+
+@pytest.mark.parametrize("p,q", [(30, 30), (100, 40)])
+def test_k_json_is_written_from_the_closed_form(p, q):
+    images = ",".join(str(v) for v in _k_closed_form(p, q) + 1)
+    want = f'{{"p":{p},"q":{q},"perm":[{images}]}}'
+    assert commutation_to_json(build_commutation(p, q)) == want
 
 
 @pytest.mark.parametrize("m,n", SIZES)
