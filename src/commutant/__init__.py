@@ -60,13 +60,9 @@ from .errors import (
 )
 from .permutation import Permutation
 from .preserver import (
-    MatrixPreserver,
     RankPreserver,
-    SymPreserver,
     VerificationReport,
-    apply_matrix_preserver,
     apply_rank_preserver,
-    apply_sym_preserver,
     compose_rank_preservers,
     fixes_identity,
     is_determinant_preserver,

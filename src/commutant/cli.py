@@ -48,6 +48,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -86,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format where both are defined (default: text)",
     )
     common.add_argument("--tol", type=_positive_float, default=1e-12, help="comparison tolerance")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    common.add_argument("--seed", type=_seed, default=0, help="random seed (non-negative)")
     common.add_argument(
         "--trials", type=_positive_int, default=20, help="random trials per check"
     )
@@ -171,9 +178,11 @@ def _effective_seed(args) -> int:
     if env is None:
         return args.seed
     try:
-        return int(env)
-    except ValueError as exc:
-        raise serialize.ParseError(f"COMMUTANT_SEED is not an integer: {env!r}") from exc
+        return _seed(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise serialize.ParseError(
+            f"COMMUTANT_SEED is not a non-negative integer: {env!r}"
+        ) from exc
 
 
 def _cmd_gen_kmat(args) -> int:

@@ -8,6 +8,8 @@ Matrices at this scale are tiny, so O(n^3) elimination is plenty.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularMatrixError
@@ -55,14 +57,30 @@ def _eliminate(a: np.ndarray, tol: float) -> tuple[int, float]:
     return r, sign
 
 
+def _pivots(mat) -> tuple[float, np.ndarray | None]:
+    """The sign of the row swaps and the LU pivots of ``mat``, or None in
+    place of the pivots when a column has no nonzero one."""
+    a = _square(mat)
+    count, sign = _eliminate(a, 0.0)
+    return sign, (np.diagonal(a) if count == a.shape[0] else None)
+
+
 def det(mat) -> float:
     """Determinant via LU with partial pivoting; snaps |det| < 1e-12 to 0.0."""
-    a = _square(mat)
-    pivots, sign = _eliminate(a, 0.0)
-    if pivots < a.shape[0]:
+    sign, pivots = _pivots(mat)
+    if pivots is None:
         return 0.0
-    value = sign * float(np.prod(np.diagonal(a)))
+    value = sign * float(np.prod(pivots))
     return 0.0 if abs(value) < DET_SINGULAR_TOL else value
+
+
+def _slogdet(mat) -> tuple[float, float]:
+    """Sign and log|det| of ``mat`` from the same pivots as :func:`det`, so
+    finite where the determinant itself overflows; (0.0, -inf) if singular."""
+    sign, pivots = _pivots(mat)
+    if pivots is None:
+        return 0.0, -math.inf
+    return sign * float(np.prod(np.sign(pivots))), float(np.sum(np.log(np.abs(pivots))))
 
 
 def inv(mat) -> np.ndarray:

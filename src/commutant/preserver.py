@@ -1,13 +1,10 @@
-"""Linear maps on tensor space that preserve rank-1 structure, and the
-classical matrix preservers they reduce to at order 2.
+"""Linear maps on tensor space that preserve rank-1 structure.
 
-A rank preserver is determined by one invertible matrix per mode and a
-permutation of the modes; on a rank-1 tensor with factors
-``alpha_1, ..., alpha_m`` its image is rank 1 with factor
-``matrices[k] @ alpha_{tau(k)}`` in mode k.  For m = 2 this is exactly the
-``A -> P A Q`` / ``A -> P Aᵀ Q`` dichotomy; determinant preservers are the
-pairs with det(P Q) = 1, and the order-m symmetric specialization applies a
-single matrix on every mode.
+One type, :class:`RankPreserver`: an invertible matrix per mode and a mode
+permutation tau.  It maps the rank-1 tensor with factors ``alpha_k`` to the
+one with factors ``matrices[k] @ alpha_{tau(k)}``.  At m = 2, with P =
+matrices[0] and Q = matrices[1]ᵀ, tau = id is Marcus's A -> P A Q and the
+swap is A -> P Aᵀ Q.  The symmetric preserver is one matrix on every mode.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .cp import _rank1_residual, rank1
-from .errors import ArgumentError, DimensionError, DomainError
+from .errors import ArgumentError, DimensionError
 from .permutation import Permutation
 from .tensor import (
     DenseTensor,
@@ -28,7 +25,6 @@ from .tensor import (
     _square_stack,
     as_matrix,
     as_tensor,
-    complete_right_product,
     identity_tensor,
 )
 
@@ -41,15 +37,11 @@ EXACT_TOL = 1e-12
 
 __all__ = [
     "RankPreserver",
-    "SymPreserver",
-    "MatrixPreserver",
     "VerificationReport",
     "rank_preserver",
     "sym_preserver",
     "matrix_preserver",
     "apply_rank_preserver",
-    "apply_sym_preserver",
-    "apply_matrix_preserver",
     "compose_rank_preservers",
     "is_determinant_preserver",
     "fixes_identity",
@@ -66,13 +58,6 @@ class RankPreserver:
     tau: Permutation
 
 
-def _invertible(mat) -> np.ndarray:
-    """A frozen copy of ``mat``, checked square, finite and invertible."""
-    mm = as_matrix(mat)
-    linalg.inv(mm)  # gate: raises unless square, finite and invertible
-    return _frozen(mm)
-
-
 def rank_preserver(matrices, tau: Permutation) -> RankPreserver:
     """Validate and freeze a rank preserver.  Raises SingularMatrixError if
     any matrix is singular at the inversion pivot threshold."""
@@ -86,37 +71,21 @@ def rank_preserver(matrices, tau: Permutation) -> RankPreserver:
     return RankPreserver(mats, tau)
 
 
-@dataclass(frozen=True, eq=False)
-class SymPreserver:
-    """Symmetric-space preserver: one matrix applied on every one of m modes."""
-
-    b: np.ndarray
-    m: int
-
-
-def sym_preserver(b, m: int, require_nonnegative: bool = False) -> SymPreserver:
-    bm = _invertible(b)
+def sym_preserver(b, m: int) -> RankPreserver:
+    """The symmetric preserver: the one matrix ``b`` on each of ``m`` modes,
+    tau = id.  All modes hold the same frozen copy of ``b``."""
+    bm = _frozen(as_matrix(b))
+    linalg.inv(bm)  # gate: raises unless square, finite and invertible
     if m < 1:
         raise ArgumentError(f"order must be positive, got {m}")
-    if require_nonnegative and np.any(bm < 0):
-        raise DomainError("matrix has negative entries")
-    return SymPreserver(bm, int(m))
+    return RankPreserver((bm,) * m, Permutation.identity(m))
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixPreserver:
-    """Order-2 preserver A -> P A Q, or A -> P Aᵀ Q when transposed."""
-
-    p: np.ndarray
-    q: np.ndarray
-    transposed: bool
-
-
-def matrix_preserver(p, q, transposed: bool = False) -> MatrixPreserver:
-    pm, qm = _invertible(p), _invertible(q)
-    if pm.shape != qm.shape:
-        raise DimensionError(f"P {pm.shape} and Q {qm.shape} differ in size")
-    return MatrixPreserver(pm, qm, bool(transposed))
+def matrix_preserver(p, q, transposed: bool = False) -> RankPreserver:
+    """Marcus's A -> P A Q, or A -> P Aᵀ Q when transposed: the preserver
+    with mode matrices (P, Qᵀ) and tau the swap when transposed."""
+    tau = Permutation([2, 1]) if transposed else Permutation.identity(2)
+    return rank_preserver([p, as_matrix(q).T], tau)
 
 
 def apply_rank_preserver(phi: RankPreserver, a: TensorLike) -> DenseTensor:
@@ -136,22 +105,6 @@ def apply_rank_preserver(phi: RankPreserver, a: TensorLike) -> DenseTensor:
     return DenseTensor._adopt(_mode_products(shuffled, enumerate(phi.matrices)))
 
 
-def apply_sym_preserver(phi: SymPreserver, a: TensorLike) -> DenseTensor:
-    """Apply B on every mode; maps weight*(y)^{⊗m} to weight*(B y)^{⊗m}."""
-    t = as_tensor(a)
-    if t.order != phi.m:
-        raise DimensionError(f"tensor order {t.order} != preserver order {phi.m}")
-    return complete_right_product(t, phi.b)
-
-
-def apply_matrix_preserver(phi: MatrixPreserver, a) -> np.ndarray:
-    am = as_matrix(a)
-    base = am.T if phi.transposed else am
-    if phi.p.shape[1] != base.shape[0] or base.shape[1] != phi.q.shape[0]:
-        raise DimensionError(f"matrix shape {am.shape} does not fit the preserver")
-    return phi.p @ base @ phi.q
-
-
 def compose_rank_preservers(outer: RankPreserver, inner: RankPreserver) -> RankPreserver:
     """The preserver acting as ``outer after inner``.  Its mode matrices are
     ``outer.matrices[k] @ inner.matrices[outer.tau(k)]`` and its permutation
@@ -167,18 +120,22 @@ def compose_rank_preservers(outer: RankPreserver, inner: RankPreserver) -> RankP
     return rank_preserver(mats, inner.tau.compose(outer.tau))
 
 
-def is_determinant_preserver(phi: MatrixPreserver, tol: float = DET_ONE_TOL) -> bool:
-    """Whether det(P Q) == 1 within ``tol`` — exactly the condition under
-    which the preserver leaves every determinant unchanged."""
-    return abs(linalg.det(phi.p @ phi.q) - 1.0) <= tol
+def is_determinant_preserver(phi: RankPreserver, tol: float = DET_ONE_TOL) -> bool:
+    """Whether det(P Q) == 1 within ``tol`` for P = matrices[0] and Q =
+    matrices[1]ᵀ — exactly when A -> P A Q (or P Aᵀ Q) leaves every
+    determinant unchanged.  Raises DimensionError unless m = 2."""
+    if len(phi.matrices) != 2:
+        raise DimensionError(f"a determinant preserver has 2 modes, not {len(phi.matrices)}")
+    p, q_t = phi.matrices
+    return abs(linalg.det(p @ q_t.T) - 1.0) <= tol
 
 
-def fixes_identity(phi: SymPreserver, n: int | None = None) -> bool:
+def fixes_identity(phi: RankPreserver) -> bool:
     """Whether the preserver maps the order-m identity tensor to itself.
-    Holds precisely when B is a permutation matrix."""
-    size = phi.b.shape[0] if n is None else n
-    ident = identity_tensor(phi.m, size)
-    image = apply_sym_preserver(phi, ident)
+    The symmetric preserver of B does precisely when B is a permutation
+    matrix."""
+    ident = identity_tensor(len(phi.matrices), phi.matrices[0].shape[0])
+    image = apply_rank_preserver(phi, ident)
     return bool(np.max(np.abs(image.array - ident.array)) <= EXACT_TOL)
 
 

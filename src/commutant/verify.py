@@ -30,9 +30,7 @@ from .cp import sym_power
 from .errors import ArgumentError
 from .permutation import Permutation
 from .preserver import (
-    apply_matrix_preserver,
     apply_rank_preserver,
-    apply_sym_preserver,
     fixes_identity,
     is_determinant_preserver,
     matrix_preserver,
@@ -40,7 +38,7 @@ from .preserver import (
     sym_preserver,
     verify_rank_preservation,
 )
-from .tensor import DenseTensor, mul_2m, mul_2m_on_m, permute_modes
+from .tensor import DenseTensor, _check_dense_budget, mul_2m, mul_2m_on_m, permute_modes
 from .veckron import kron, kron_vec, vec
 
 DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -60,6 +58,8 @@ class RunConfig:
             raise ArgumentError("at least one size is required")
         if any(a < 1 or b < 1 for a, b in self.sizes):
             raise ArgumentError(f"sizes must be positive pairs, got {self.sizes}")
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
             raise ArgumentError(f"trials must be positive, got {self.trials}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -164,6 +164,7 @@ def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
 def _suite_kron_conjugation(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("kron-conjugation")
     for si, (p, q) in enumerate(cfg.sizes):
+        _check_dense_budget((p, q, p, q), "A ⊗ B")  # before A and B are drawn
         for t in range(cfg.trials):
             rng = _rng(cfg, res.name, si * cfg.trials + t)
             a = rng.standard_normal((p, p))
@@ -269,7 +270,7 @@ def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
 def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         mat = rng.standard_normal((n, n))
-        if abs(linalg.det(mat)) > 0.1:
+        if linalg._slogdet(mat)[1] > math.log(0.1):
             return mat
 
 
@@ -285,32 +286,32 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             f"({m},{n}) rank preservation: {msg}" for msg in report.failures
         )
         if m == 2:
-            # reduction to the matrix forms, both branches
+            # reduction to Marcus's formulae, both branches, written out
             p_mat = phi.matrices[0]
             q_mat = phi.matrices[1].T
-            mp = matrix_preserver(p_mat, q_mat, transposed=not tau.is_identity())
             a = rng.standard_normal((n, n))
             via_tensor = fault.corrupt(apply_rank_preserver(phi, a).array)
-            via_matrix = apply_matrix_preserver(mp, a)
+            via_matrix = p_mat @ (a if tau.is_identity() else a.T) @ q_mat
             err = float(np.max(np.abs(via_tensor - via_matrix)))
             res.record(
                 err <= cfg.tol,
                 f"({m},{n}): order-2 reduction differs by {err:.3e}",
             )
-            # determinant preserver: normalize det(PQ) to 1, check invariance
-            d = linalg.det(p_mat @ q_mat)
-            if d < 0:
+            # determinant preserver: normalize det(PQ) to 1 through the log
+            # determinants of P and Q, since det(PQ) overflows at large n
+            (sign_p, log_p), (sign_q, log_q) = linalg._slogdet(p_mat), linalg._slogdet(q_mat)
+            if sign_p * sign_q < 0:
                 q_mat = q_mat.copy()
                 q_mat[:, 0] = -q_mat[:, 0]
-                d = -d
-            q_mat = q_mat / d ** (1.0 / n)
+            q_mat = q_mat / math.exp((log_p + log_q) / n)
             dp = matrix_preserver(p_mat, q_mat)
             res.record(
                 is_determinant_preserver(dp),
                 f"({m},{n}): normalized pair is not a determinant preserver",
             )
             x = rng.standard_normal((n, n))
-            dx, dfx = linalg.det(x), linalg.det(apply_matrix_preserver(dp, x))
+            x = x / math.exp(linalg._slogdet(x)[1] / n)  # |det x| = 1
+            dx, dfx = linalg.det(x), linalg.det(apply_rank_preserver(dp, x).array)
             res.record(
                 abs(dfx - dx) <= 1e-9 * max(1.0, abs(dx)),
                 f"({m},{n}): determinant not preserved ({dx:.6f} -> {dfx:.6f})",
@@ -330,7 +331,7 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         # symmetric preserver pushes through the factor
         y = rng.standard_normal(n)
         b = _random_invertible(rng, n)
-        lhs = apply_sym_preserver(sym_preserver(b, m), sym_power(y, m)).array
+        lhs = apply_rank_preserver(sym_preserver(b, m), sym_power(y, m)).array
         rhs = sym_power(b @ y, m).array
         err = float(np.max(np.abs(lhs - rhs)))
         res.record(

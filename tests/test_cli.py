@@ -266,6 +266,24 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "powers", "--sizes", "2x2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-7"]])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--suite", "powers", *argv)
+        assert code == 2 and out == "" and "non-negative" in err
+
+    def test_negative_seed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMMUTANT_SEED", "-5")
+        code, out, err = run(capsys, "verify", "--suite", "powers", "--sizes", "2x2")
+        assert code == 2 and out == "" and "non-negative" in err
+
+    @pytest.mark.parametrize("sizes", ["2x200", "2x320"])
+    def test_preserver_suite_normalizes_without_overflow(self, capsys, sizes):
+        # det(PQ), and at n = 320 det(P) alone, is beyond float range
+        code, out, err = run(
+            capsys, "verify", "--suite", "preserver-suite", "--sizes", sizes, "--trials", "1"
+        )
+        assert code == 0 and err == "" and "PASS" in out
+
     @pytest.mark.parametrize("sizes", ["2x12", "12x2"])
     def test_preserver_suite_draws_its_permutations(self, capsys, sizes):
         # listing S_12 to pick one element would hold 479 million objects
@@ -564,6 +582,20 @@ class TestDenseBudget:
         )
         assert code == 3 and out == ""
         assert "MAX_DENSE_ENTRIES" in err and "Traceback" not in err
+
+    def test_kron_conjugation_refuses_before_drawing(self, capsys):
+        # A alone would be 4100^2 entries (134 MB); A ⊗ B is just over the budget
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "verify", "--suite", "kron-conjugation", "--sizes", "4100x1",
+                "--trials", "1",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "MAX_DENSE_ENTRIES" in err
+        assert peak < 8 * 2**20
 
     def test_preserver_suite_over_budget_exits_3(self, capsys):
         # its 16^7 rank-1 input is 2 GiB

@@ -1,11 +1,12 @@
-"""Fuzz the five JSON loaders and the CLI commands that read files.
+"""Fuzz the five JSON loaders and the CLI's external inputs.
 
 Each document either loads to an object whose writer output reloads to the
 same bytes, or is refused with a CommutantError.  `apply` and `unfold` on
 such files exit 0, 2 or 3 and never raise.  On exit 0 their stdout is
 strict JSON, with no NaN or Infinity token.  The documents are random JSON
 (NaN/Infinity tokens, booleans, strings, nested lists, huge integers) and
-valid documents with one field replaced, removed or nudged.
+valid documents with one field replaced, removed or nudged.  `verify` with
+random `COMMUTANT_SEED`, `--seed` and `--sizes` text exits 0, 2, 3 or 4.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -229,3 +231,64 @@ def test_apply_with_tau_beyond_float_range_exits_2():
     # 1e400 loads as inf, which int() cannot convert
     code = _check_cli_run(["apply"], [TAU_OVERFLOW, '{"shape":[2],"values":[1,2]}'])
     assert code == 2
+
+
+# junk without digits, so that no text reaches a size beyond the bound below
+JUNK = st.text(alphabet="xX,-+ ._eE\t\u00a0abc", max_size=4)
+SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["-0", "+3", " 7 ", "0x10", "1e3", "1_000", "07", "", "9" * 5000]),
+    # any text an environment variable can hold: no NUL, no lone surrogate
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+)
+# at most 9x9 on a cheap suite keeps each run to milliseconds; most chunks parse
+SIDES = st.one_of(
+    st.integers(1, 9).map(str),
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["+2", " 3", "03", "2.0", "1e1"]),
+    JUNK,
+)
+CHUNKS = st.tuples(SIDES, st.sampled_from(["x", "x", "X", "*", "xx", ""]), SIDES)
+SIZES = st.lists(CHUNKS.map("".join), max_size=3).map(",".join) | JUNK
+CHEAP = ["--suite", "kron-conjugation", "--trials", "1", "--format", "json"]
+
+
+def _check_verify(argv, env_seed=None):
+    """Exit code and, on exit 0 or 4, the strict-JSON report of one run."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("COMMUTANT_SEED", None)
+        if env_seed is not None:
+            os.environ["COMMUTANT_SEED"] = env_seed
+        code, out, err = _run("verify", *argv)
+    assert code in (0, 2, 3, 4), (code, err)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == ""
+        return code, None
+    report = _strict_json(out)
+    assert report["passed"] is (code == 0)
+    return code, report
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+@example("-5")
+def test_verify_seed_env_exits_0_or_2(seed):
+    code, report = _check_verify([*CHEAP, "--sizes", "2x2"], env_seed=seed)
+    assert code in (0, 2)
+    assert code == 2 or report["seed"] == int(seed) >= 0
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+@example("-1")
+def test_verify_seed_arg_exits_0_or_2(seed):
+    code, report = _check_verify([*CHEAP, "--sizes", "2x2", f"--seed={seed}"])
+    assert code in (0, 2)
+    assert code == 2 or report["seed"] == int(seed) >= 0
+
+
+@given(SIZES)
+@settings(max_examples=200, deadline=None)
+def test_verify_sizes_exit_0_2_3_or_4(sizes):
+    _check_verify([*CHEAP, f"--sizes={sizes}"])

@@ -185,3 +185,15 @@ def test_non_finite_matrices_are_refused(bad):
     for op in (linalg.det, linalg.inv, lambda m: linalg.rank(m, 1e-9)):
         with pytest.raises(DomainError):
             op(a)
+
+
+def test_slogdet_agrees_with_det_and_does_not_overflow():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 6):
+        a = rng.standard_normal((n, n))
+        sign, logabs = linalg._slogdet(a)
+        assert sign * np.exp(logabs) == pytest.approx(linalg.det(a), rel=1e-12)
+    assert linalg._slogdet(np.diag([2.0, -3.0])) == (-1.0, pytest.approx(np.log(6.0)))
+    assert linalg._slogdet([[1.0, 2.0], [2.0, 4.0]]) == (0.0, -np.inf)
+    # det(1e10 I) = 1e400 is beyond float range; its log is not
+    assert linalg._slogdet(1e10 * np.eye(40)) == (1.0, pytest.approx(400 * np.log(10.0)))

@@ -16,7 +16,6 @@ from commutant import (
     DenseTensor,
     Permutation,
     apply_rank_preserver,
-    apply_sym_preserver,
     balance_refold,
     balance_unfold,
     build_ctensor,
@@ -77,7 +76,7 @@ BUILDERS = {
     ),
     "apply_sym_preserver": (
         [(3, 3), (3, 3)],
-        lambda b, x: apply_sym_preserver(sym_preserver(b, 2), x),
+        lambda b, x: apply_rank_preserver(sym_preserver(b, 2), x),
     ),
 }
 

@@ -11,9 +11,7 @@ from commutant import (
     DomainError,
     Permutation,
     SingularMatrixError,
-    apply_matrix_preserver,
     apply_rank_preserver,
-    apply_sym_preserver,
     build_gct,
     compose_rank_preservers,
     fixes_identity,
@@ -34,13 +32,7 @@ from commutant import (
     verify_rank_preservation,
 )
 from commutant import linalg
-
-
-def invertible(rng, n):
-    while True:
-        mat = rng.standard_normal((n, n))
-        if abs(linalg.det(mat)) > 0.1:
-            return mat
+from commutant.verify import _random_invertible as invertible
 
 
 class TestRankPreserverConstruction:
@@ -67,6 +59,27 @@ class TestRankPreserverConstruction:
                 sym_preserver(mat, 2)
             with pytest.raises(DomainError):
                 matrix_preserver(np.eye(2), mat)
+
+
+class TestOneType:
+    @pytest.mark.parametrize("transposed,tau", [(False, [1, 2]), (True, [2, 1])])
+    def test_matrix_preserver_is_the_rank_preserver_of_p_and_q_transposed(self, transposed, tau):
+        rng = np.random.default_rng(85)
+        p, q = invertible(rng, 3), invertible(rng, 3)
+        got = matrix_preserver(p, q, transposed)
+        want = rank_preserver([p, q.T], Permutation(tau))
+        assert got.tau == want.tau == Permutation(tau)
+        assert len(got.matrices) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
+
+    def test_sym_preserver_holds_one_frozen_copy_on_every_mode(self):
+        b = invertible(np.random.default_rng(86), 3)
+        phi = sym_preserver(b, 4)
+        assert phi.tau == Permutation.identity(4) and len(phi.matrices) == 4
+        assert all(mat is phi.matrices[0] for mat in phi.matrices)
+        assert not phi.matrices[0].flags.writeable
+        assert not np.shares_memory(phi.matrices[0], b)
+        assert np.array_equal(phi.matrices[0], b)
 
 
 class TestApplyRankPreserver:
@@ -140,7 +153,7 @@ class TestOrderTwoReduction:
         mp = matrix_preserver(b1, b2.T)
         a = rng.standard_normal((n, n))
         lhs = apply_rank_preserver(phi, a).array
-        rhs = apply_matrix_preserver(mp, a)
+        rhs = apply_rank_preserver(mp, a).array
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
         assert np.allclose(rhs, b1 @ a @ b2.T, atol=1e-12)
 
@@ -152,7 +165,7 @@ class TestOrderTwoReduction:
         mp = matrix_preserver(b1, b2.T, transposed=True)
         a = rng.standard_normal((n, n))
         lhs = apply_rank_preserver(phi, a).array
-        rhs = apply_matrix_preserver(mp, a)
+        rhs = apply_rank_preserver(mp, a).array
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
         assert np.allclose(rhs, b1 @ a.T @ b2.T, atol=1e-12)
 
@@ -171,11 +184,11 @@ class TestApplySymPreserver:
         rng = np.random.default_rng(101)
         x = rng.standard_normal((2, 2, 2))
         phi = sym_preserver(np.eye(2), 3)
-        assert np.array_equal(apply_sym_preserver(phi, x).array, x)
+        assert np.array_equal(apply_rank_preserver(phi, x).array, x)
 
     def test_shear_on_identity_matrix(self):
         phi = sym_preserver(np.array([[1.0, 1.0], [0.0, 1.0]]), 2)
-        got = apply_sym_preserver(phi, np.eye(2)).array
+        got = apply_rank_preserver(phi, np.eye(2)).array
         # B I B^T for the shear
         assert np.array_equal(got, [[2.0, 1.0], [1.0, 1.0]])
 
@@ -185,15 +198,9 @@ class TestApplySymPreserver:
         vs = [rng.standard_normal(3) for _ in range(2)]
         ws = [1.5, -0.5]
         phi = sym_preserver(b, 3)
-        lhs = apply_sym_preserver(phi, materialize_sym(sym_cp_form(3, vs, ws))).array
+        lhs = apply_rank_preserver(phi, materialize_sym(sym_cp_form(3, vs, ws))).array
         rhs = materialize_sym(sym_cp_form(3, [b @ v for v in vs], ws)).array
         assert np.allclose(lhs, rhs, atol=1e-9)
-
-    def test_nonnegativity_flag(self):
-        with pytest.raises(DomainError):
-            sym_preserver(np.array([[1.0, -0.5], [0.0, 1.0]]), 2, require_nonnegative=True)
-        # without the flag the same matrix is accepted
-        sym_preserver(np.array([[1.0, -0.5], [0.0, 1.0]]), 2)
 
 
 class TestComposition:
@@ -220,6 +227,10 @@ class TestDeterminantPreserver:
         q = np.array([[0.5, 0.0], [0.0, 1.0]])
         assert is_determinant_preserver(matrix_preserver(p, q))
 
+    def test_needs_two_modes(self):
+        with pytest.raises(DimensionError):
+            is_determinant_preserver(rank_preserver([np.eye(2)] * 3, Permutation.identity(3)))
+
     def test_det_scaling_pair(self):
         p = 2.0 * np.eye(2)
         assert not is_determinant_preserver(matrix_preserver(p, np.eye(2)))
@@ -239,7 +250,7 @@ class TestDeterminantPreserver:
             for _ in range(20):
                 x = rng.standard_normal((n, n))
                 dx = linalg.det(x)
-                assert linalg.det(apply_matrix_preserver(phi, x)) == pytest.approx(
+                assert linalg.det(apply_rank_preserver(phi, x).array) == pytest.approx(
                     dx, abs=1e-9 * max(1.0, abs(dx))
                 )
 
@@ -257,12 +268,21 @@ class TestDeterminantPreserver:
         phi = matrix_preserver(p, q)
         assert not is_determinant_preserver(phi)
         x = rng.standard_normal((n, n))
-        assert linalg.det(apply_matrix_preserver(phi, x)) == pytest.approx(
+        assert linalg.det(apply_rank_preserver(phi, x).array) == pytest.approx(
             4.0 * linalg.det(x), rel=1e-9
         )
 
 
 class TestFixesIdentity:
+    def test_any_preserver_is_accepted(self):
+        # a permutation matrix on every mode fixes the identity whatever tau is
+        pm = Permutation([3, 1, 2]).matrix()
+        assert fixes_identity(rank_preserver([pm] * 3, Permutation([2, 3, 1])))
+        # (B, B^-T) maps I to B I B^-1 = I; powers of two keep it exact
+        b, b_inv_t = np.diag([2.0, 0.5, 4.0]), np.diag([0.5, 2.0, 0.25])
+        assert fixes_identity(rank_preserver([b, b_inv_t], Permutation.identity(2)))
+        assert not fixes_identity(rank_preserver([b, b], Permutation([2, 1])))
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_permutation_matrices_fix(self, m):
         for pi in Permutation.all(3):

@@ -23,8 +23,7 @@ PUBLIC = {
     "CpForm", "SymCpForm", "cp_form", "extract_sym_rank1", "is_symmetric", "materialize",
     "materialize_sym", "permute_cp_factors", "rank1", "sym_cp_form", "sym_power",
     # preservers
-    "MatrixPreserver", "RankPreserver", "SymPreserver", "VerificationReport",
-    "apply_matrix_preserver", "apply_rank_preserver", "apply_sym_preserver",
+    "RankPreserver", "VerificationReport", "apply_rank_preserver",
     "compose_rank_preservers", "fixes_identity", "is_determinant_preserver",
     "is_rank1_tensor", "matrix_preserver", "rank_preserver", "sym_preserver",
     "verify_rank_preservation",

@@ -31,6 +31,8 @@ class TestRunConfig:
             RunConfig(sizes=((0, 2),))
         with pytest.raises(ArgumentError):
             RunConfig(sizes=())
+        with pytest.raises(ArgumentError):
+            RunConfig(seed=-1)
 
 
 class TestSuites:
