@@ -16,7 +16,7 @@ from .commutation_matrix import (
 from .commutation_tensor import (
     CommutationTensor4,
     Gct,
-    ModePermTensor,
+    apply_rank_preserver,
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
@@ -60,9 +60,7 @@ from .errors import (
 )
 from .permutation import Permutation
 from .preserver import (
-    RankPreserver,
     VerificationReport,
-    apply_rank_preserver,
     compose_rank_preservers,
     fixes_identity,
     is_determinant_preserver,
@@ -76,7 +74,6 @@ from .tensor import (
     DenseTensor,
     balance_refold,
     balance_unfold,
-    complete_right_product,
     contract_34,
     coords_from_offset,
     flat_offset,

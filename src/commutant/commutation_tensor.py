@@ -1,19 +1,19 @@
-"""Commutation tensors and their generalizations.
+"""Commutation tensors and the order-2m operators they unify.
 
-Three constructions live here:
+Two constructions live here:
 
 * :class:`CommutationTensor4` — the order-4 tensor that performs matrix
   transposition under a trailing-pair contraction.  For an m x n argument it
   has shape (n, m, m, n), and flattening its leading index pair against its
   trailing pair reproduces K_{m,n}: both are one axis shuffle of the tensor
   module, as are the mode-permutation tensors.
-* :class:`Gct` — a generalized commutation tensor of order 2m built from m
-  square generator matrices; its entries are products
-  ``gen_1[i_1, j_1] * ... * gen_m[i_m, j_m]``.  With all generators equal to
-  one permutation matrix these form a group under :func:`gct_multiply`.
-* :class:`ModePermTensor` — the order-2m tensor whose action under
-  :func:`~commutant.tensor.mul_2m_on_m` shuffles the modes of an order-m
-  tensor by a permutation of the mode positions (not of the entries).
+* :class:`Gct` — the one order-2m operator: m square generator matrices
+  and a mode permutation tau.  tau = id is a generalized commutation tensor
+  (with one permutation matrix on every mode these form a group under
+  :func:`gct_multiply`), identity generators a mode-permutation tensor, and
+  invertible generators a rank preserver.  At m = 2 the swap's dense form is
+  the square commutation tensor, so Marcus's A -> P A Q and A -> P Aᵀ Q are
+  one operator with one compose rule, inverse, dense form and action.
 
 The acting orientation is fixed package-wide: an order-2m tensor acts on the
 LEFT, ``mul_2m_on_m(dense(T), a)``, contracting T's trailing m modes against
@@ -34,7 +34,10 @@ from .tensor import (
     DenseTensor,
     TensorLike,
     _adjacent_swaps,
+    _check_dense_budget,
+    _check_order,
     _even_order_cubic,
+    _mode_products,
     _outer_into,
     _pair_unfold,
     _shuffle_dense,
@@ -103,83 +106,120 @@ def ctensor_power(exponent: int, n: int) -> DenseTensor:
 
 @dataclass(frozen=True, eq=False)
 class Gct:
-    """Generalized commutation tensor: m generator matrices, each n x n.
+    """m generator matrices B_k, each n x n, and a mode permutation tau: the
+    operator that maps the rank-1 tensor with factors ``alpha_k`` to the one
+    with factors ``B_k @ alpha_{tau(k)}``.  Built only by :func:`_operator`."""
 
-    The dense form is the order-2m tensor with entries
-    ``prod_k generators[k][i_k, j_k]``.
-    """
-
-    m: int
-    n: int
     generators: tuple[np.ndarray, ...]
+    tau: Permutation
+
+    @property
+    def m(self) -> int:
+        return len(self.generators)
+
+    @property
+    def n(self) -> int:
+        return self.generators[0].shape[0]
+
+
+def _operator(generators, tau: Permutation | None = None, gate: bool = False) -> Gct:
+    """The one validator: freeze square generators of one size, refuse a
+    singular one when ``gate`` is set (SingularMatrixError, or DomainError
+    for a non-finite entry), and check tau's degree (tau = id when None)."""
+    gens = _square_stack(generators, "generators")
+    if gate:
+        for gen in {id(b): b for b in gens}.values():  # each shared matrix once
+            linalg.inv(gen)  # raises unless finite and invertible
+    tau = Permutation.identity(len(gens)) if tau is None else tau
+    if tau.degree != len(gens):
+        raise DimensionError(f"permutation degree {tau.degree} != {len(gens)} generators")
+    return Gct(gens, tau)
 
 
 def build_gct(generators) -> Gct:
-    gens = _square_stack(generators, "generators")
-    return Gct(len(gens), gens[0].shape[0], gens)
+    """The GCT of ``generators`` (tau = id); they need not be invertible."""
+    return _operator(generators)
 
 
 def gct_from_permutation(pi: Permutation, m: int) -> Gct:
     """The group-case tensor: m copies of the permutation matrix of pi."""
-    if m < 1:
-        raise ArgumentError(f"m must be positive, got {m}")
-    return build_gct([pi.matrix()] * m)
+    _check_dense_budget((pi.degree, pi.degree), "permutation matrix")
+    return _operator([pi.matrix()] * m)
 
 
 def gct_identity(m: int, n: int) -> Gct:
-    return build_gct([np.eye(n)] * m)
+    return build_mode_perm_tensor(Permutation.identity(m), n)
 
 
-def gct_dense(g: Gct) -> DenseTensor:
-    """The dense order-2m tensor, C-contiguous in its (i_1..i_m, j_1..j_m)
-    axis order.  Its C-order unfolding is kron(g_1, ..., g_m), built right
-    to left: each step writes one generator times the Kronecker product of
-    the generators after it once, straight into its final layout.  The
-    tensor adopts the result, which shares no memory with the generators."""
-    acc = np.ones((1, 1))
-    for gen in reversed(g.generators):
-        size = acc.shape[0]
-        acc = _outer_into(gen, acc, (g.n, size, g.n, size), (0, 2, 1, 3), "dense GCT")
-        acc = acc.reshape(g.n * size, g.n * size)
-    return DenseTensor._adopt(acc.reshape((g.n,) * (2 * g.m)))
+def build_mode_perm_tensor(sigma: Permutation, n: int) -> Gct:
+    """The operator that shuffles modes as ``permute_modes(., sigma)``:
+    identity generators and tau = sigma^-1.  Its dense entry
+    (i_1..i_m, j_1..j_m) is 1 exactly when j_k = i_{sigma(k)} for every k."""
+    if n < 1:
+        raise ArgumentError(f"n must be positive, got {n}")
+    _check_dense_budget((n, n), "identity generator")
+    return _operator([np.eye(n)] * sigma.degree, sigma.inverse())
+
+
+def _compose(outer: Gct, inner: Gct, gate: bool = False) -> Gct:
+    """``outer`` after ``inner``: generator k is ``outer.B_k @
+    inner.B_{outer.tau(k)}``, and the permutation ``inner.tau ∘ outer.tau``."""
+    if (outer.m, outer.n) != (inner.m, inner.n):
+        raise DimensionError(f"size mismatch: ({outer.m},{outer.n}) vs ({inner.m},{inner.n})")
+    gens = [b @ inner.generators[t - 1] for b, t in zip(outer.generators, outer.tau.images)]
+    return _operator(gens, inner.tau.compose(outer.tau), gate)
 
 
 def gct_multiply(a: Gct, b: Gct) -> Gct:
-    """Product in the order-2m algebra, computed slotwise: generator k of the
-    result is ``a.generators[k] @ b.generators[k]``.  Matches
-    :func:`~commutant.tensor.mul_2m` on the dense forms."""
-    if (a.m, a.n) != (b.m, b.n):
-        raise DimensionError(f"size mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
-    return build_gct([ga @ gb for ga, gb in zip(a.generators, b.generators)])
+    """Product in the order-2m algebra, ``a`` after ``b``, from the generators.
+    Matches :func:`~commutant.tensor.mul_2m` on the dense forms."""
+    return _compose(a, b)
 
 
 def gct_inverse(g: Gct) -> Gct:
-    """Slotwise inverse; raises SingularMatrixError if any generator is
-    singular at the pivot threshold."""
-    return build_gct([linalg.inv(gen) for gen in g.generators])
+    """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
+    tau^-1.  Raises SingularMatrixError if any generator is singular at the
+    pivot threshold."""
+    inv = g.tau.inverse()
+    return _operator([linalg.inv(g.generators[t - 1]) for t in inv.images], inv)
 
 
-@dataclass(frozen=True)
-class ModePermTensor:
-    """Order-2m tensor acting as a mode shuffle by tau (a permutation of the
-    m mode positions): entry (i_1..i_m, j_1..j_m) is 1 exactly when
-    j_k = i_{tau(k)} for every k."""
+def gct_dense(g: Gct) -> DenseTensor:
+    """The order-2m tensor that acts as ``g`` under ``mul_2m_on_m``: entry
+    (i, j) is ``prod_k B_k[i_k, l_k]`` at l_k = j_{tau(k)}.  Identity
+    generators give the C-contiguous 0/1 array of one axis shuffle; others
+    the C-order unfolding kron(B_1, ..., B_m), each entry written once, with
+    the trailing modes then viewed by tau.  Shares no memory with g."""
+    m, n = g.m, g.n
+    _check_order(2 * m, "dense GCT")
+    eye = np.eye(n).tobytes()  # bytes, so -0.0 takes the kron route like any entry
+    if all(gen.tobytes() == eye for gen in g.generators):
+        arr = _shuffle_dense((n,) * m, g.tau.zero_based(), "mode-permutation tensor")
+        return DenseTensor._adopt(arr)
+    acc = np.ones((1, 1))
+    for gen in reversed(g.generators):
+        size = acc.shape[0]
+        acc = _outer_into(gen, acc, (n, size, n, size), (0, 2, 1, 3), "dense GCT")
+        acc = acc.reshape(n * size, n * size)
+    trailing = tuple(m + k for k in g.tau.inverse().zero_based())
+    return DenseTensor._adopt(acc.reshape((n,) * (2 * m)).transpose(tuple(range(m)) + trailing))
 
-    m: int
-    n: int
-    tau: Permutation
+
+mode_perm_dense = gct_dense  # the one dense form, under its mode-permutation name
 
 
-def build_mode_perm_tensor(tau: Permutation, n: int) -> ModePermTensor:
-    if n < 1:
-        raise ArgumentError(f"n must be positive, got {n}")
-    return ModePermTensor(tau.degree, n, tau)
-
-
-def mode_perm_dense(t: ModePermTensor) -> DenseTensor:
-    # j_k = i_{tau(k)} is the transpose by tau^-1 (tau itself only for involutions)
-    axes = t.tau.inverse().zero_based()
-    return DenseTensor._adopt(_shuffle_dense((t.n,) * t.m, axes, "mode-permutation tensor"))
+def apply_rank_preserver(g: Gct, a: TensorLike) -> DenseTensor:
+    """Apply the operator to an order-m tensor without its dense form:
+    shuffle the modes so that mode k draws its factor from mode tau(k),
+    then act with generators[k] on mode k, in O(m n^(m+1)).  On a rank-1
+    input with factors alpha_k the output factors are generators[k] @
+    alpha_{tau(k)}."""
+    t = as_tensor(a)
+    if t.order != g.m or any(d != g.n for d in t.shape):
+        raise DimensionError(f"tensor shape {t.shape} does not fit {g.m} modes of size {g.n}")
+    # permute_modes by tau^-1, whose transpose axes are tau's own images
+    shuffled = np.transpose(t.array, g.tau.zero_based())
+    return DenseTensor._adopt(_mode_products(shuffled, enumerate(g.generators)))
 
 
 def is_pair_symmetric(a: TensorLike) -> bool:

@@ -31,6 +31,13 @@ class Permutation:
         self.images = imgs
 
     @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images known to permute 1..k, skipping the checks of __init__."""
+        p = cls.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, k: int) -> "Permutation":
         return cls(range(1, k + 1))
 
@@ -67,13 +74,13 @@ class Permutation:
         """self∘other: first apply ``other``, then ``self``."""
         if other.degree != self.degree:
             raise ArgumentError("degree mismatch in composition")
-        return Permutation(self.images[j - 1] for j in other.images)
+        return Permutation._of(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def sign(self) -> int:
         """+1 for even, -1 for odd: the parity of degree minus cycle count."""

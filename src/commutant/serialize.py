@@ -12,9 +12,10 @@ Schemas
 * commutation:   ``{"p": p, "q": q, "perm": [...]}`` — K_{p,q}'s 1-based row
   images, written from its gather index as ``idx + 1``.
 * gct:           ``{"m": m, "n": n, "generators": [[[...]]]}`` — matrices as
-  lists of rows.
+  lists of rows; tau = id only.
 * cp form:       ``{"m": m, "n": n, "rank": r, "factors": [[[...]]]}``.
-* preserver:     ``{"m": m, "n": n, "tau": [...], "matrices": [[[...]]]}``.
+* preserver:     ``{"m": m, "n": n, "tau": [...], "matrices": [[[...]]]}`` —
+  any operator, its generators as ``matrices``.
 * matrix text:   one row per line, entries space-separated.
 """
 
@@ -31,7 +32,7 @@ from .commutation_tensor import Gct, build_gct
 from .cp import CpForm, cp_form
 from .errors import CommutantError, DimensionError, DomainError
 from .permutation import Permutation
-from .preserver import RankPreserver, VerificationReport, rank_preserver
+from .preserver import VerificationReport, rank_preserver
 from .tensor import DenseTensor, as_matrix
 
 
@@ -222,6 +223,10 @@ def commutation_from_json(text: str) -> CommutationMatrix:
 
 
 def gct_to_json(g: Gct) -> str:
+    """The GCT schema has no tau: an operator with tau != id is refused
+    with DomainError and written by :func:`preserver_to_json` instead."""
+    if not g.tau.is_identity():
+        raise DomainError(f"gct: the schema has no tau, and this tau is {list(g.tau.images)}")
     return canonical_json(
         {"m": g.m, "n": g.n, "generators": [_matrix_lists(gen) for gen in g.generators]}
     )
@@ -271,18 +276,18 @@ def cp_from_json(text: str) -> CpForm:
     return cp
 
 
-def preserver_to_json(phi: RankPreserver) -> str:
+def preserver_to_json(phi: Gct) -> str:
     return canonical_json(
         {
-            "m": len(phi.matrices),
-            "n": phi.matrices[0].shape[0],
+            "m": phi.m,
+            "n": phi.n,
             "tau": list(phi.tau.images),
-            "matrices": [_matrix_lists(m) for m in phi.matrices],
+            "matrices": [_matrix_lists(m) for m in phi.generators],
         }
     )
 
 
-def preserver_from_json(text: str) -> RankPreserver:
+def preserver_from_json(text: str) -> Gct:
     data = _require(_loads(text), ["m", "n", "tau", "matrices"], "preserver")
     mats_data = data["matrices"]
     if not isinstance(mats_data, list):

@@ -28,10 +28,20 @@ TensorLike = Union["DenseTensor", np.ndarray, Sequence]
 
 #: most entries any dense builder materializes (2**24 float64s = 128 MiB)
 MAX_DENSE_ENTRIES = 2**24
+#: most modes a numpy array can have
+MAX_ORDER = 64
+
+
+def _check_order(order: int, what: str) -> None:
+    """Refuse a dense array of more modes than numpy allows."""
+    if order > MAX_ORDER:
+        raise DimensionError(f"{what}: order {order} is over numpy's {MAX_ORDER} modes")
 
 
 def _check_dense_budget(shape: Sequence[int], what: str) -> None:
-    """Refuse, before allocating, a dense array over MAX_DENSE_ENTRIES."""
+    """Refuse, before allocating, a dense array over MAX_DENSE_ENTRIES or
+    over numpy's MAX_ORDER modes."""
+    _check_order(len(shape), what)
     if math.prod(shape) > MAX_DENSE_ENTRIES:
         raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
 
@@ -67,13 +77,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _square_stack(matrices, what: str) -> tuple[np.ndarray, ...]:
-    """Frozen copies of one or more square matrices of one size."""
-    mats = tuple(_frozen(as_matrix(m)) for m in matrices)
+    """Frozen copies of one or more nonempty square matrices of one size.  A
+    matrix passed on several modes is copied once and the copy shared."""
+    matrices = list(matrices)  # holds every input, so no id is reused
+    copies = {id(m): m for m in matrices}
+    copies = {key: _frozen(as_matrix(m)) for key, m in copies.items()}
+    mats = tuple(copies[id(m)] for m in matrices)
     if not mats:
         raise ArgumentError(f"at least one of the {what} is required")
     n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise DimensionError(f"{what} must be square and of one size: {[m.shape for m in mats]}")
+    if n < 1 or any(m.shape != (n, n) for m in mats):
+        raise DimensionError(
+            f"{what} must be nonempty, square and of one size: {[m.shape for m in mats]}"
+        )
     return mats
 
 
@@ -198,6 +214,7 @@ class DenseTensor:
         size = math.prod(shape) if shape else 0
         if len(shape) < 1 or any(d < 1 for d in shape):
             raise ArgumentError(f"bad shape {shape}")
+        _check_order(len(shape), "tensor")
         if vals.size != size:
             raise DimensionError(f"{vals.size} values for shape {shape} (need {size})")
         return cls._adopt(vals.reshape(shape, order="F"))
@@ -353,17 +370,6 @@ def permute_modes(a: TensorLike, tau) -> DenseTensor:
     # np.transpose's axes[k] names the source axis that becomes result axis k,
     # which is the inverse of the index-level rule above.
     return DenseTensor(np.transpose(t.array, tau.inverse().zero_based()))
-
-
-def complete_right_product(a: TensorLike, mat: TensorLike) -> DenseTensor:
-    """Apply one square matrix on every mode: ``a x_1 mat x_2 mat ... x_m mat``."""
-    t = as_tensor(a)
-    m = as_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"matrix must be square, got {m.shape}")
-    if any(d != m.shape[1] for d in t.shape):
-        raise DimensionError(f"matrix of size {m.shape[0]} cannot act on shape {t.shape}")
-    return DenseTensor._adopt(_mode_products(t.array, enumerate([m] * t.order)))
 
 
 def identity_tensor(m: int, n: int) -> DenseTensor:

@@ -42,6 +42,8 @@ from .tensor import DenseTensor, _check_dense_budget, mul_2m, mul_2m_on_m, permu
 from .veckron import kron, kron_vec, vec
 
 DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3))
+#: largest kmax the powers suite builds: it forms kmax(kmax-1)/2 products
+MAX_POWER = 64
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,9 @@ def _suite_kron_conjugation(cfg: RunConfig, fault: FaultInjector) -> SuiteResult
 
 def _suite_powers(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("powers")
+    for kmax, _ in cfg.sizes:
+        if kmax > MAX_POWER:
+            raise ArgumentError(f"powers: kmax={kmax} is over the bound MAX_POWER={MAX_POWER}")
     for kmax, n in cfg.sizes:
         base = build_ctensor(n, n).backing
         square = mul_2m(base, base)
@@ -251,6 +256,7 @@ def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         if m > 4:
             raise ArgumentError(f"mode-perm-lemma is exhaustive over S_m; m={m} > 4")
         counter = 0
+        _check_dense_budget((n**m, n**m), "mode-permutation tensor")  # before any generator
         for tau in Permutation.all(m):
             acting = mode_perm_dense(build_mode_perm_tensor(tau, n))
             for t in range(cfg.trials):
@@ -287,8 +293,8 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         )
         if m == 2:
             # reduction to Marcus's formulae, both branches, written out
-            p_mat = phi.matrices[0]
-            q_mat = phi.matrices[1].T
+            p_mat = phi.generators[0]
+            q_mat = phi.generators[1].T
             a = rng.standard_normal((n, n))
             via_tensor = fault.corrupt(apply_rank_preserver(phi, a).array)
             via_matrix = p_mat @ (a if tau.is_identity() else a.T) @ q_mat

@@ -508,6 +508,18 @@ class TestRefusedInputs:
         assert code == 2 and out == "" and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["unfold", "apply"])
+    def test_tensor_over_numpys_order(self, capsys, tmp_path, command):
+        # 70 modes of extent 1: one value, but numpy arrays have at most 64 modes
+        tfile, pfile = tmp_path / "t.json", tmp_path / "phi.json"
+        tfile.write_text(json.dumps({"shape": [1] * 70, "values": [1.0]}), encoding="utf-8")
+        phi = {"m": 70, "n": 1, "tau": list(range(1, 71)), "matrices": [[[1.0]]] * 70}
+        pfile.write_text(json.dumps(phi), encoding="utf-8")
+        argv = [str(pfile), str(tfile)] if command == "apply" else [str(tfile)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert "order 70" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["unfold", "apply"])
     def test_file_that_is_not_utf8(self, capsys, tmp_path, command):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{")
@@ -604,3 +616,52 @@ class TestDenseBudget:
         )
         assert code == 3 and out == ""
         assert "MAX_DENSE_ENTRIES" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,size",
+        [
+            (["gen-gct", "1", "5000"], "(5000, 5000)"),
+            (["verify", "--suite", "mode-perm-lemma", "--sizes", "2x5000"], "(25000000, 25000000)"),
+        ],
+    )
+    def test_square_generators_are_refused_before_allocating(self, capsys, argv, size):
+        # the 5000 x 5000 generator alone would be 200 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert f"{size} is over MAX_DENSE_ENTRIES" in err
+        assert peak < 8 * 2**20
+
+    def test_preserver_suite_over_numpys_order_exits_3(self, capsys):
+        # 1^70 entries fit the budget, but numpy arrays have at most 64 modes
+        code, out, err = run(
+            capsys, "verify", "--suite", "preserver-suite", "--sizes", "70x1", "--trials", "1"
+        )
+        assert code == 3 and out == ""
+        assert "order 70" in err and "Traceback" not in err
+
+
+class TestPowersBound:
+    def test_kmax_over_the_bound_exits_3_before_any_product(self, capsys, monkeypatch):
+        from commutant import verify
+
+        def refuse(*args):
+            raise AssertionError("a power was built")
+
+        monkeypatch.setattr(verify, "build_ctensor", refuse)
+        monkeypatch.setattr(verify, "ctensor_power", refuse)
+        code, out, err = run(
+            capsys, "verify", "--suite", "powers", "--sizes", "2x2,100000x2"
+        )
+        assert code == 3 and out == ""
+        assert "kmax=100000" in err and f"MAX_POWER={verify.MAX_POWER}" in err
+
+    def test_kmax_at_the_bound_runs(self, capsys):
+        from commutant.verify import MAX_POWER
+
+        code, out, _ = run(capsys, "verify", "--suite", "powers", "--sizes", f"{MAX_POWER}x2")
+        assert code == 0 and out == f"powers: PASS ({MAX_POWER} checks)\n"

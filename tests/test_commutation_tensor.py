@@ -14,13 +14,13 @@ from commutant import (
     Permutation,
     PreconditionError,
     SingularMatrixError,
+    apply_rank_preserver,
     balance_unfold,
     build_commutation,
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
     check_nonneg_inverse,
-    complete_right_product,
     ctensor_flatten,
     ctensor_power,
     gct_dense,
@@ -283,12 +283,14 @@ class TestModePermTensor:
 
 
 class TestCompleteRightProduct:
+    """One matrix b on every mode: the action of ``build_gct([b] * m)``."""
+
     def test_pushes_through_rank1(self):
         rng = np.random.default_rng(51)
         for m, n in [(2, 2), (3, 2), (3, 4)]:
             b = rng.standard_normal((n, n))
             x = rng.standard_normal(n)
-            lhs = complete_right_product(sym_power(x, m), b).array
+            lhs = apply_rank_preserver(build_gct([b] * m), sym_power(x, m)).array
             rhs = sym_power(b @ x, m).array
             assert np.allclose(lhs, rhs, atol=1e-9)
 
@@ -296,7 +298,7 @@ class TestCompleteRightProduct:
         rng = np.random.default_rng(52)
         b = rng.standard_normal((3, 3))
         vs = [rng.standard_normal(3) for _ in range(3)]
-        lhs = complete_right_product(rank1(vs), b).array
+        lhs = apply_rank_preserver(build_gct([b] * 3), rank1(vs)).array
         rhs = rank1([b @ v for v in vs]).array
         assert np.allclose(lhs, rhs, atol=1e-9)
 
@@ -305,7 +307,7 @@ class TestCompleteRightProduct:
         rng = np.random.default_rng(53)
         b = rng.standard_normal((2, 2))
         a = DenseTensor(rng.standard_normal((2, 2, 2)))
-        lhs = complete_right_product(a, b)
+        lhs = apply_rank_preserver(build_gct([b] * 3), a)
         rhs = mul_2m_on_m(gct_dense(build_gct([b, b, b])), a)
         assert np.allclose(lhs.array, rhs.array, atol=1e-12)
 

@@ -21,7 +21,6 @@ from commutant import (
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
-    complete_right_product,
     conjugate_kron,
     cp_form,
     ctensor_flatten,
@@ -60,7 +59,11 @@ BUILDERS = {
     "balance_refold": ([(9, 9)], lambda u: balance_refold(u, 2, 3)),
     "permute_modes": ([(2, 3, 4)], lambda x: permute_modes(x, Permutation([2, 3, 1]))),
     "mode_n_product": ([(2, 3, 4), (5, 3)], lambda x, m: mode_n_product(x, m, 2)),
-    "complete_right_product": ([(3, 3, 3), (3, 3)], complete_right_product),
+    # one matrix on every mode: the action of build_gct([b] * m)
+    "complete_right_product": (
+        [(3, 3, 3), (3, 3)],
+        lambda x, b: apply_rank_preserver(build_gct([b] * 3), x),
+    ),
     "mul_2m": ([(2, 2, 2, 2), (2, 2, 2, 2)], mul_2m),
     "mul_2m_on_m": ([(2, 2, 2, 2), (2, 2)], mul_2m_on_m),
     "rank1": ([(2,), (3,), (4,)], lambda *v: rank1(v)),

@@ -69,17 +69,17 @@ class TestOneType:
         got = matrix_preserver(p, q, transposed)
         want = rank_preserver([p, q.T], Permutation(tau))
         assert got.tau == want.tau == Permutation(tau)
-        assert len(got.matrices) == 2
-        assert all(np.array_equal(a, b) for a, b in zip(got.matrices, want.matrices))
+        assert len(got.generators) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got.generators, want.generators))
 
     def test_sym_preserver_holds_one_frozen_copy_on_every_mode(self):
         b = invertible(np.random.default_rng(86), 3)
         phi = sym_preserver(b, 4)
-        assert phi.tau == Permutation.identity(4) and len(phi.matrices) == 4
-        assert all(mat is phi.matrices[0] for mat in phi.matrices)
-        assert not phi.matrices[0].flags.writeable
-        assert not np.shares_memory(phi.matrices[0], b)
-        assert np.array_equal(phi.matrices[0], b)
+        assert phi.tau == Permutation.identity(4) and len(phi.generators) == 4
+        assert all(mat is phi.generators[0] for mat in phi.generators)
+        assert not phi.generators[0].flags.writeable
+        assert not np.shares_memory(phi.generators[0], b)
+        assert np.array_equal(phi.generators[0], b)
 
 
 class TestApplyRankPreserver:

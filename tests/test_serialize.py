@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from commutant import (
+    CommutantError,
     DenseTensor,
     Permutation,
     build_commutation,
     build_gct,
+    build_mode_perm_tensor,
     cp_form,
     rank_preserver,
     verify_rank_preservation,
@@ -154,6 +156,18 @@ class TestStructuredObjects:
         for a, b in zip(back.generators, g.generators):
             assert np.array_equal(a, b)
 
+    def test_gct_schema_refuses_a_mode_permutation(self):
+        # the GCT schema has no tau, so an operator with tau != id is not
+        # written there with its tau dropped; the preserver schema holds it
+        op = build_mode_perm_tensor(Permutation([2, 3, 1]), 2)
+        with pytest.raises(CommutantError, match="tau"):
+            ser.gct_to_json(op)
+        back = ser.preserver_from_json(ser.preserver_to_json(op))
+        assert back.tau == op.tau == Permutation([3, 1, 2])
+        assert all(np.array_equal(g, np.eye(2)) for g in back.generators)
+        same = rank_preserver(op.generators, Permutation.identity(3))
+        assert ser.gct_to_json(same) == ser.gct_to_json(build_gct([np.eye(2)] * 3))
+
     def test_gct_inconsistent_header(self):
         g = build_gct([np.eye(2)])
         text = ser.gct_to_json(g).replace('"n":2', '"n":3')
@@ -264,7 +278,7 @@ class TestStructuredObjects:
         phi = rank_preserver(mats, Permutation([3, 1, 2]))
         back = ser.preserver_from_json(ser.preserver_to_json(phi))
         assert back.tau.images == (3, 1, 2)
-        for a, b in zip(back.matrices, phi.matrices):
+        for a, b in zip(back.generators, phi.generators):
             assert np.array_equal(a, b)
 
     def test_preserver_rejects_boolean_tau(self):

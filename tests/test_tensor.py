@@ -14,9 +14,10 @@ from commutant import (
     ModeError,
     Permutation,
     RangeError,
+    apply_rank_preserver,
     balance_refold,
     balance_unfold,
-    complete_right_product,
+    build_gct,
     contract_34,
     coords_from_offset,
     ctensor_flatten,
@@ -318,23 +319,26 @@ class TestPermuteModes:
 
 
 class TestCompleteRightProduct:
+    """One matrix b on every mode: the action of ``build_gct([b] * m)``."""
+
     def test_identity_neutral(self):
         rng = np.random.default_rng(30)
         a = rng.standard_normal((2, 2, 2))
-        assert np.array_equal(complete_right_product(a, np.eye(2)).array, a)
+        got = apply_rank_preserver(build_gct([np.eye(2)] * 3), a).array
+        assert np.array_equal(got, a)
 
     def test_order2_is_sandwich(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
-        got = complete_right_product(x, b).array
+        got = apply_rank_preserver(build_gct([b, b]), x).array
         assert np.allclose(got, b @ x @ b.T, atol=1e-12)
 
     def test_errors(self):
         with pytest.raises(DimensionError):
-            complete_right_product(np.zeros((2, 3)), np.eye(2))
+            apply_rank_preserver(build_gct([np.eye(2)] * 2), np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            complete_right_product(np.zeros((2, 2)), np.zeros((2, 3)))
+            apply_rank_preserver(build_gct([np.zeros((2, 3))] * 2), np.zeros((2, 2)))
 
 
 def test_identity_tensor_positions():
