@@ -4,12 +4,10 @@ rank-1 CP forms, and linear rank/determinant preservers."""
 from .commutation_matrix import (
     CommutationMatrix,
     apply,
-    block_to_flat,
     build_commutation,
     build_commutation_rank1,
     conjugate_kron,
     det_commutation,
-    flat_to_block,
     trace_commutation,
     transpose_matrix,
 )
@@ -35,15 +33,12 @@ from .commutation_tensor import (
 )
 from .cp import (
     CpForm,
-    SymCpForm,
     cp_form,
     extract_sym_rank1,
     is_symmetric,
     materialize,
-    materialize_sym,
     permute_cp_factors,
     rank1,
-    sym_cp_form,
     sym_power,
 )
 from .errors import (
@@ -72,17 +67,13 @@ from .preserver import (
 )
 from .tensor import (
     DenseTensor,
-    balance_refold,
     balance_unfold,
-    contract_34,
-    coords_from_offset,
-    flat_offset,
     identity_tensor,
     mode_n_product,
     mul_2m,
     mul_2m_on_m,
     permute_modes,
 )
-from .veckron import VecLayout, kron, kron_vec, trace_via_vec, unvec, vec, vec_sandwich
+from .veckron import kron, kron_vec, unvec, vec, vec_sandwich
 
 __version__ = "0.1.0"

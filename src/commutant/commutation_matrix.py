@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, RangeError
+from .errors import ArgumentError, DimensionError
 from .tensor import _check_dense_budget, _outer_into, _shuffle_dense, _shuffle_index, as_matrix
 
 
@@ -70,25 +70,6 @@ def apply(k: CommutationMatrix, x) -> np.ndarray:
     if arr.size != k.p * k.q:
         raise DimensionError(f"vector length {arr.size} != {k.p}*{k.q}")
     return arr[k.idx]
-
-
-def block_to_flat(i: int, j: int, k: int, l: int, p: int, q: int) -> tuple[int, int]:
-    """Map block coordinates (block (i,j), in-block (k,l)) of the p x q grid
-    of q x p blocks to flat 1-based matrix coordinates (s, t)."""
-    _check_dims(p, q)
-    if not (1 <= i <= p and 1 <= j <= q and 1 <= k <= q and 1 <= l <= p):
-        raise RangeError(f"block coordinates ({i},{j},{k},{l}) outside p={p}, q={q}")
-    return (i - 1) * q + k, (j - 1) * p + l
-
-
-def flat_to_block(s: int, t: int, p: int, q: int) -> tuple[int, int, int, int]:
-    """Inverse of :func:`block_to_flat`."""
-    _check_dims(p, q)
-    if not (1 <= s <= p * q and 1 <= t <= p * q):
-        raise RangeError(f"flat coordinates ({s},{t}) outside 1..{p * q}")
-    i, k = (s - 1) // q + 1, (s - 1) % q + 1
-    j, l = (t - 1) // p + 1, (t - 1) % p + 1
-    return i, j, k, l
 
 
 def det_commutation(p: int, q: int) -> int:

@@ -2,8 +2,8 @@
 
 A rank-1 order-m tensor is an outer product of m vectors; a CP form stores
 one factor matrix per mode, column r of mode k being the k-th vector of the
-r-th rank-1 term.  A symmetric CP form stores one vector and one weight per
-term, every mode sharing the vector.
+r-th rank-1 term.  A symmetric rank-1 term is a power y^{⊗m}
+(:func:`sym_power`).
 
 Factor-level operations (permuting factors, applying a matrix per mode)
 commute with materialization; tests pin those diagrams down.
@@ -106,46 +106,12 @@ def cp_form(factors: Sequence) -> CpForm:
     return CpForm(tuple(_frozen(as_matrix(f)) for f in factors))
 
 
-@dataclass(frozen=True, eq=False)
-class SymCpForm:
-    """Symmetric CP form: terms weight_r * (vector_r)^{⊗m}."""
-
-    m: int
-    vectors: tuple[np.ndarray, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ArgumentError(f"order must be positive, got {self.m}")
-        if not self.vectors or len(self.vectors) != len(self.weights):
-            raise ArgumentError("need one weight per vector, at least one term")
-        n = self.vectors[0].size
-        for v in self.vectors:
-            if v.ndim != 1 or v.size != n:
-                raise DimensionError("vectors must share one length")
-            if not v.any():
-                raise DomainError("zero vector is not a rank-1 factor")
-
-
-def sym_cp_form(m: int, vectors: Sequence, weights: Sequence[float]) -> SymCpForm:
-    vecs = tuple(_frozen(np.asarray(v, dtype=float)) for v in vectors)
-    return SymCpForm(int(m), vecs, tuple(float(w) for w in weights))
-
-
 def materialize(cp: CpForm) -> DenseTensor:
     """Dense sum of the rank-1 terms."""
     _check_dense_budget(cp.extents, "CP form")
     out = np.zeros(cp.extents)
     for r in range(cp.rank):
         out += _outer([f[:, r] for f in cp.factors])
-    return DenseTensor._adopt(out)
-
-
-def materialize_sym(cp: SymCpForm) -> DenseTensor:
-    _check_dense_budget((cp.vectors[0].size,) * cp.m, "symmetric CP form")
-    out = np.zeros((cp.vectors[0].size,) * cp.m)
-    for w, v in zip(cp.weights, cp.vectors):
-        out += w * _outer([v] * cp.m)
     return DenseTensor._adopt(out)
 
 

@@ -9,8 +9,8 @@ Conventions
 * The canonical flat layout of a tensor of shape ``(d_1, ..., d_m)`` places
   entry ``(i_1, ..., i_m)`` at offset ``sum_k (i_k - 1) * d_1*...*d_{k-1}``,
   i.e. the first mode varies fastest (column-major / Fortran order).
-  ``vec`` of a matrix, every unfolding (one route: :func:`_pair_unfold`)
-  and every serialization in this package derive from this single rule.
+  ``vec`` of a matrix, the unfolding (:func:`balance_unfold`) and every
+  serialization in this package derive from this single rule.
 * Tensors are immutable after construction.  A :class:`DenseTensor` may be
   shared freely between threads; all operations return new tensors.
 """
@@ -59,14 +59,6 @@ def _shuffle_dense(shape: Sequence[int], axes: Sequence[int], what: str) -> np.n
     arr = np.zeros(tuple(shape[a] for a in axes) + tuple(shape))
     arr.reshape(size, size)[np.arange(size), _shuffle_index(shape, axes)] = 1.0
     return arr
-
-
-def _pair_unfold(arr: np.ndarray) -> np.ndarray:
-    """First half of the modes as rows, second as columns, each in canonical
-    order: one copy (reversing the modes within each half), then a reshape."""
-    m = arr.ndim // 2
-    rev = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
-    return np.array(arr.transpose(rev), order="C").reshape(math.prod(arr.shape[:m]), -1)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -131,32 +123,12 @@ def _mode_products(arr: np.ndarray, pairs) -> np.ndarray:
     return arr
 
 
-def flat_offset(coords: Sequence[int], dims: Sequence[int]) -> int:
-    """0-based canonical offset of 1-based coordinates ``coords`` in ``dims``."""
-    if len(coords) != len(dims):
-        raise DimensionError(f"{len(coords)} coordinates for {len(dims)} modes")
-    offset = 0
-    stride = 1
-    for c, d in zip(coords, dims):
-        if not 1 <= c <= d:
-            raise RangeError(f"coordinate {c} outside 1..{d}")
-        offset += (c - 1) * stride
-        stride *= d
-    return offset
-
-
-def coords_from_offset(offset: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`flat_offset`: 1-based coordinates of a 0-based offset."""
-    total = 1
-    for d in dims:
-        total *= d
-    if not 0 <= offset < total:
-        raise RangeError(f"offset {offset} outside 0..{total - 1}")
-    coords = []
-    for d in dims:
-        coords.append(offset % d + 1)
-        offset //= d
-    return tuple(coords)
+def _nesting_depth(data) -> int:
+    """The modes nested sequences imply, read down their first elements."""
+    depth = 0
+    while isinstance(data, (list, tuple)) and data:
+        depth, data = depth + 1, data[0]
+    return depth + np.ndim(data)
 
 
 class DenseTensor:
@@ -165,7 +137,9 @@ class DenseTensor:
     Parameters
     ----------
     data : array-like
-        Anything ``np.array`` accepts; copied and frozen, so a caller who
+        A regular array of numbers, as ``np.array`` reads it (ragged or
+        non-numeric data is an ArgumentError, more than MAX_ORDER modes a
+        DimensionError); copied and frozen, so a caller who
         later writes to ``data`` does not change the tensor.  All entries
         are stored as float64.  The package's own builders hand over the
         arrays they allocate through the private :meth:`_adopt`, which
@@ -185,7 +159,12 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, data):
-        self._own(np.array(data, dtype=float))
+        try:
+            arr = np.array(data, dtype=float)
+        except ValueError as exc:  # ragged, non-numeric or too deep
+            _check_order(_nesting_depth(data), "tensor")
+            raise ArgumentError(f"not a regular array of numbers: {exc}") from None
+        self._own(arr)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
@@ -294,22 +273,6 @@ def mode_n_product(a: TensorLike, mat: TensorLike, k: int) -> DenseTensor:
     return DenseTensor._adopt(_mode_products(t.array, [(k - 1, m)]))
 
 
-def contract_34(a: TensorLike, mat: TensorLike) -> np.ndarray:
-    """Contract modes 3 and 4 of an order-4 tensor against a matrix.
-
-    Returns the matrix with entries ``sum_{k,l} a[i,j,k,l] * mat[k,l]``.
-    """
-    t = as_tensor(a)
-    if t.order != 4:
-        raise DimensionError(f"contract_34 needs an order-4 tensor, got order {t.order}")
-    m = as_matrix(mat)
-    if m.shape != t.shape[2:]:
-        raise DimensionError(
-            f"matrix shape {m.shape} does not match trailing modes {t.shape[2:]}"
-        )
-    return np.tensordot(t.array, m, axes=([2, 3], [0, 1]))
-
-
 def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:
     """Product of two order-2m tensors with all extents equal:
 
@@ -345,19 +308,10 @@ def balance_unfold(a: TensorLike) -> np.ndarray:
     the unfoldings.  Returns a fresh writable array, copied once.
     """
     t = as_tensor(a)
-    _even_order_cubic(t, "balance_unfold")
-    return _pair_unfold(t.array)
-
-
-def balance_refold(mat: TensorLike, m: int, n: int) -> DenseTensor:
-    """Inverse of :func:`balance_unfold` for given mode count m and extent n."""
-    u = as_matrix(mat)
-    if m < 1 or n < 1:
-        raise ArgumentError(f"m and n must be positive, got m={m}, n={n}")
-    size = n**m
-    if u.shape != (size, size):
-        raise DimensionError(f"matrix shape {u.shape} is not ({size}, {size})")
-    return DenseTensor(u.reshape((n,) * (2 * m), order="F"))
+    m, n = _even_order_cubic(t, "balance_unfold")
+    # one copy that reverses the modes within each half, then a reshape
+    rev = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
+    return np.array(t.array.transpose(rev), order="C").reshape(n**m, n**m)
 
 
 def permute_modes(a: TensorLike, tau) -> DenseTensor:

@@ -2,12 +2,13 @@
 
 All matrix arguments are 2-D arrays (or order-2 :class:`DenseTensor`);
 vectors are 1-D arrays.  ``vec`` stacks columns — the matrix analogue of the
-package-wide canonical layout.
+package-wide canonical layout — and ``unvec`` is its inverse; no other layout
+is offered.  The Kronecker products write each entry once and the sandwich
+acts by mode products, so no pq x pq matrix is formed that the caller did
+not ask for.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -15,24 +16,14 @@ from .errors import ArgumentError, DimensionError
 from .tensor import _check_dense_budget, _mode_products, _outer_into, as_matrix
 
 
-class VecLayout(Enum):
-    """Which unvec layout to use: entry rule for x of length p*q."""
-
-    COLUMN_MAJOR = "column-major"  # X[i, j] = x[i + (j-1)p], shape p x q
-    ROW_MAJOR = "row-major"  # X[i, j] = x[j + (i-1)q], shape p x q
-
-
 def vec(mat) -> np.ndarray:
     """Stack the columns of a p x q matrix into a vector of length pq."""
     return as_matrix(mat).ravel(order="F")
 
 
-def unvec(x, p: int, q: int, layout: VecLayout = VecLayout.COLUMN_MAJOR) -> np.ndarray:
-    """Reshape a vector of length p*q into a p x q matrix.
-
-    COLUMN_MAJOR inverts :func:`vec`; ROW_MAJOR fills rows first, so
-    ``unvec(x, p, q, ROW_MAJOR) == unvec(x, q, p).T``.
-    """
+def unvec(x, p: int, q: int) -> np.ndarray:
+    """Reshape a vector of length p*q into a p x q matrix, column by column:
+    the inverse of :func:`vec`."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"expected a vector, got order {arr.ndim}")
@@ -40,9 +31,7 @@ def unvec(x, p: int, q: int, layout: VecLayout = VecLayout.COLUMN_MAJOR) -> np.n
         raise ArgumentError(f"p and q must be positive, got p={p}, q={q}")
     if arr.size != p * q:
         raise DimensionError(f"vector length {arr.size} != {p}*{q}")
-    if layout is VecLayout.COLUMN_MAJOR:
-        return arr.reshape((p, q), order="F")
-    return arr.reshape((p, q), order="C")
+    return arr.reshape((p, q), order="F")
 
 
 def kron(a, b) -> np.ndarray:
@@ -79,10 +68,3 @@ def vec_sandwich(a, b, c) -> np.ndarray:
         )
     return vec(_mode_products(bm, [(0, am), (1, cm.T)]))
 
-
-def trace_via_vec(a, b) -> float:
-    """Tr(A B) computed as vec(Aᵀ)ᵀ vec(B) — no product matrix is formed."""
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape[1] != bm.shape[0] or bm.shape[1] != am.shape[0]:
-        raise DimensionError(f"A {am.shape} and B {bm.shape} give no square AB")
-    return float(vec(am.T) @ vec(bm))

@@ -653,7 +653,7 @@ class TestPowersBound:
             raise AssertionError("a power was built")
 
         monkeypatch.setattr(verify, "build_ctensor", refuse)
-        monkeypatch.setattr(verify, "ctensor_power", refuse)
+        monkeypatch.setattr(verify, "mul_2m", refuse)
         code, out, err = run(
             capsys, "verify", "--suite", "powers", "--sizes", "2x2,100000x2"
         )

@@ -10,14 +10,11 @@ from commutant import (
     DimensionError,
     DomainError,
     Permutation,
-    RangeError,
     apply,
-    block_to_flat,
     build_commutation,
     build_commutation_rank1,
     conjugate_kron,
     det_commutation,
-    flat_to_block,
     kron,
     kron_vec,
     trace_commutation,
@@ -128,38 +125,15 @@ def test_swap_law_and_reconstruction():
 
 
 class TestIndexMaps:
-    def test_frozen_example(self):
-        assert block_to_flat(2, 3, 1, 2, 2, 3) == (4, 6)
-        assert flat_to_block(4, 6, 2, 3) == (2, 3, 1, 2)
-
-    @pytest.mark.parametrize("p,q", [(2, 3), (3, 2), (4, 4)])
-    def test_bijection_exhaustive(self, p, q):
-        seen = set()
-        for i in range(1, p + 1):
-            for j in range(1, q + 1):
-                for k in range(1, q + 1):
-                    for l in range(1, p + 1):
-                        s, t = block_to_flat(i, j, k, l, p, q)
-                        assert 1 <= s <= p * q and 1 <= t <= p * q
-                        assert flat_to_block(s, t, p, q) == (i, j, k, l)
-                        seen.add((s, t))
-        assert len(seen) == (p * q) ** 2
-
     def test_block_structure_of_ones(self):
-        # the 1 of block (i, j) sits at in-block position (j, i)
+        # K is a p x q grid of q x p blocks, and the 1 of block (i, j) sits at
+        # in-block position (j, i): flat 1-based (s, t) = ((i-1)q + j, (j-1)p + i)
         p, q = 3, 4
         dense = build_commutation(p, q).dense()
         for i in range(1, p + 1):
             for j in range(1, q + 1):
-                s, t = block_to_flat(i, j, j, i, p, q)
-                assert dense[s - 1, t - 1] == 1.0
+                assert dense[(i - 1) * q + j - 1, (j - 1) * p + i - 1] == 1.0
         assert dense.sum() == p * q
-
-    def test_range_errors(self):
-        with pytest.raises(RangeError):
-            block_to_flat(3, 1, 1, 1, 2, 3)
-        with pytest.raises(RangeError):
-            flat_to_block(7, 1, 2, 3)
 
 
 class TestStructuralConstants:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from commutant import (
     ArgumentError,
+    CommutationTensor4,
     DenseTensor,
     DimensionError,
     DomainError,
@@ -75,6 +76,17 @@ class TestBuildCtensor:
     def test_bad_sizes(self):
         with pytest.raises(ArgumentError):
             build_ctensor(0, 2)
+        with pytest.raises(ArgumentError):
+            CommutationTensor4(2, 0)
+
+    def test_stores_its_dimensions_and_builds_the_backing_on_first_use(self):
+        kt = build_ctensor(3, 2)
+        assert kt == CommutationTensor4(3, 2) and kt != build_ctensor(2, 3)
+        assert "backing" not in vars(kt)
+        tensor_transpose(kt, np.zeros((3, 2)))
+        ctensor_flatten(kt)
+        assert "backing" not in vars(kt)
+        assert kt.backing is kt.backing and kt.backing.array.flags.c_contiguous
 
 
 class TestTensorTranspose:
@@ -93,6 +105,38 @@ class TestTensorTranspose:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             tensor_transpose(build_ctensor(3, 2), np.zeros((2, 3)))
+
+    def test_exact_on_special_values(self):
+        x = np.array([[-0.0, np.inf, 1.0], [np.nan, -np.inf, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tensor_transpose(build_ctensor(2, 3), x)
+        assert got.tobytes() == np.ascontiguousarray(x.T).tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, x)
+
+
+PAPER_SIZES = [(1, 1), (2, 3), (3, 2), (4, 4), (10, 10), (10, 30), (30, 10), (30, 30)]
+
+
+class TestPaperIdentities:
+    # both identities read the dense backing with numpy alone, not through
+    # tensor_transpose or ctensor_flatten
+
+    @pytest.mark.parametrize("m,n", PAPER_SIZES)
+    def test_trailing_pair_contraction_transposes(self, m, n):
+        x = np.random.default_rng(m * 100 + n).standard_normal((m, n))
+        backing = build_ctensor(m, n).backing.array
+        assert np.array_equal(np.tensordot(backing, x, axes=([2, 3], [0, 1])), x.T)
+
+    @pytest.mark.parametrize("m,n", PAPER_SIZES)
+    def test_pair_unfolding_is_the_commutation_matrix(self, m, n):
+        backing = build_ctensor(m, n).backing.array
+        # rows pair modes (1, 2), columns (3, 4), first mode fastest on each side
+        unfold = np.ascontiguousarray(backing.transpose(1, 0, 3, 2)).reshape(m * n, m * n)
+        k = build_commutation(m, n).dense()
+        assert unfold.tobytes() == k.tobytes()
+        assert ctensor_flatten(build_ctensor(m, n)).tobytes() == k.tobytes()
 
 
 @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), range(1, 5))))
@@ -632,7 +676,7 @@ class TestDenseBudget:
     # every size here is refused before anything of its size is allocated
 
     def test_ctensor_over_budget(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^transpose tensor: \(25000000, 25000000\) is over"):
             build_ctensor(5000, 5000)
 
     def test_mode_perm_over_budget(self):

@@ -17,11 +17,9 @@ from commutant import (
     identity_tensor,
     is_symmetric,
     materialize,
-    materialize_sym,
     permute_cp_factors,
     permute_modes,
     rank1,
-    sym_cp_form,
     sym_power,
 )
 from commutant import linalg
@@ -100,14 +98,6 @@ class TestCpForm:
     def test_column_count_mismatch(self):
         with pytest.raises(DimensionError):
             cp_form([np.ones((2, 2)), np.ones((2, 3))])
-
-    def test_sym_materialize(self):
-        rng = np.random.default_rng(71)
-        vs = [rng.standard_normal(3) for _ in range(2)]
-        ws = [0.5, -2.0]
-        sym = sym_cp_form(3, vs, ws)
-        want = ws[0] * sym_power(vs[0], 3).array + ws[1] * sym_power(vs[1], 3).array
-        assert np.allclose(materialize_sym(sym).array, want, atol=1e-12)
 
 
 class TestPermuteCpFactors:
@@ -259,12 +249,9 @@ class TestDenseBudget:
         assert rank1([np.ones(4), np.ones(4)]).array.size == 16
         assert sym_power(np.ones(2), 4).array.size == 16
         assert materialize(cp_form([np.ones((2, 1)), np.ones((8, 1))])).array.size == 16
-        assert materialize_sym(sym_cp_form(2, [np.ones(4)], [1.0])).array.size == 16
         with pytest.raises(DomainError):
             rank1([np.ones(17)])
         with pytest.raises(DomainError):
             sym_power(np.ones(2), 5)
         with pytest.raises(DomainError):
             materialize(cp_form([np.ones((2, 1)), np.ones((9, 1))]))
-        with pytest.raises(DomainError):
-            materialize_sym(sym_cp_form(2, [np.ones(5)], [1.0]))

@@ -16,7 +16,6 @@ from commutant import (
     DenseTensor,
     Permutation,
     apply_rank_preserver,
-    balance_refold,
     balance_unfold,
     build_ctensor,
     build_gct,
@@ -28,7 +27,6 @@ from commutant import (
     identity_tensor,
     kron,
     materialize,
-    materialize_sym,
     mode_n_product,
     mode_perm_dense,
     mul_2m,
@@ -36,9 +34,9 @@ from commutant import (
     permute_modes,
     rank1,
     rank_preserver,
-    sym_cp_form,
     sym_power,
     sym_preserver,
+    tensor_transpose,
     vec_sandwich,
 )
 
@@ -56,7 +54,6 @@ def _inputs(seed, *shapes):
 BUILDERS = {
     "DenseTensor": ([(2, 3, 4)], lambda x: DenseTensor(x)),
     "from_flat": ([(24,)], lambda v: DenseTensor.from_flat((2, 3, 4), v)),
-    "balance_refold": ([(9, 9)], lambda u: balance_refold(u, 2, 3)),
     "permute_modes": ([(2, 3, 4)], lambda x: permute_modes(x, Permutation([2, 3, 1]))),
     "mode_n_product": ([(2, 3, 4), (5, 3)], lambda x, m: mode_n_product(x, m, 2)),
     # one matrix on every mode: the action of build_gct([b] * m)
@@ -70,7 +67,6 @@ BUILDERS = {
     "rank1_one_vector": ([(5,)], lambda v: rank1([v])),
     "sym_power": ([(3,)], lambda v: sym_power(v, 3)),
     "materialize": ([(2, 2), (3, 2)], lambda f, g: materialize(cp_form([f, g]))),
-    "materialize_sym": ([(3,)], lambda v: materialize_sym(sym_cp_form(2, [v], [2.0]))),
     "gct_dense": ([(3, 3), (3, 3)], lambda a, b: gct_dense(build_gct([a, b]))),
     "gct_dense_m1": ([(4, 4)], lambda a: gct_dense(build_gct([a]))),
     "apply_rank_preserver": (
@@ -112,8 +108,6 @@ def test_result_is_read_only_and_shares_nothing_with_the_caller(name):
 def test_results_do_not_alias_an_input_tensor():
     t = DenseTensor(np.arange(24.0).reshape(2, 3, 4))
     assert not np.shares_memory(permute_modes(t, Permutation([2, 3, 1])).array, t.array)
-    u = DenseTensor(np.eye(9))
-    assert not np.shares_memory(balance_refold(u, 2, 3).array, u.array)
 
 
 @pytest.mark.parametrize("name", sorted(FRESH))
@@ -150,6 +144,13 @@ def test_vec_sandwich_never_forms_the_kronecker_matrix():
     a, b, c = _inputs(1, (30, 30), (30, 30), (30, 30))
     _, peak = _peak_bytes(lambda: vec_sandwich(a, b, c))
     assert peak < 0.1 * 900 * 900 * 8
+
+
+def test_tensor_transpose_allocates_only_its_result():
+    kt = build_ctensor(60, 40)  # its dense form would be 44 MiB
+    x = _inputs(6, (60, 40))[0]
+    result, peak = _peak_bytes(lambda: tensor_transpose(kt, x))
+    assert result.shape == (40, 60) and peak <= 1.25 * result.nbytes
 
 
 SIZED = {

@@ -19,14 +19,12 @@ from commutant import (
     identity_tensor,
     is_determinant_preserver,
     is_rank1_tensor,
-    materialize_sym,
     matrix_preserver,
     mode_n_product,
     mul_2m_on_m,
     permute_modes,
     rank1,
     rank_preserver,
-    sym_cp_form,
     sym_power,
     sym_preserver,
     verify_rank_preservation,
@@ -198,8 +196,12 @@ class TestApplySymPreserver:
         vs = [rng.standard_normal(3) for _ in range(2)]
         ws = [1.5, -0.5]
         phi = sym_preserver(b, 3)
-        lhs = apply_rank_preserver(phi, materialize_sym(sym_cp_form(3, vs, ws))).array
-        rhs = materialize_sym(sym_cp_form(3, [b @ v for v in vs], ws)).array
+
+        def cp_sum(vectors):
+            return sum(w * sym_power(v, 3).array for w, v in zip(ws, vectors))
+
+        lhs = apply_rank_preserver(phi, cp_sum(vs)).array
+        rhs = cp_sum([b @ v for v in vs])
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 

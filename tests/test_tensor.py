@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from commutant import (
     ArgumentError,
-    CommutationTensor4,
     DenseTensor,
     DimensionError,
     DomainError,
@@ -15,13 +14,8 @@ from commutant import (
     Permutation,
     RangeError,
     apply_rank_preserver,
-    balance_refold,
     balance_unfold,
     build_gct,
-    contract_34,
-    coords_from_offset,
-    ctensor_flatten,
-    flat_offset,
     identity_tensor,
     mode_n_product,
     mul_2m,
@@ -39,22 +33,12 @@ class TestDenseTensor:
         back = DenseTensor.from_flat((2, 2), t.values)
         assert np.array_equal(back.array, t.array)
 
-    def test_flat_offset_roundtrip(self):
-        dims = (2, 3, 4)
-        seen = set()
-        for coords in itertools.product(range(1, 3), range(1, 4), range(1, 5)):
-            off = flat_offset(coords, dims)
-            seen.add(off)
-            assert coords_from_offset(off, dims) == coords
-        assert seen == set(range(24))
-        # explicit mixed-radix check: strides are 1, 2, 6
-        assert flat_offset((2, 3, 4), dims) == 1 + 2 * 2 + 6 * 3
-
     def test_entry_matches_flat_offset(self):
         rng = np.random.default_rng(3)
         t = DenseTensor(rng.standard_normal((2, 3, 2)))
         for coords in itertools.product(range(1, 3), range(1, 4), range(1, 3)):
-            assert t.entry(*coords) == t.values[flat_offset(coords, t.shape)]
+            offset = np.ravel_multi_index(tuple(c - 1 for c in coords), t.shape, order="F")
+            assert t.entry(*coords) == t.values[offset]
 
     def test_immutable(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
@@ -70,6 +54,21 @@ class TestDenseTensor:
             DenseTensor.from_flat((2, 2), [1.0, 2.0, 3.0])
         with pytest.raises(RangeError):
             DenseTensor([1.0, 2.0]).entry(3)
+
+    @pytest.mark.parametrize("data", [[[1.0, 2.0], [3.0]], [[1.0], [[2.0]]], ["a"]])
+    def test_irregular_data_is_an_argument_error(self, data):
+        with pytest.raises(ArgumentError, match="not a regular array of numbers"):
+            DenseTensor(data)
+
+    def test_nesting_over_max_order_is_a_dimension_error(self):
+        data = [1.0]
+        for _ in range(tensor_mod.MAX_ORDER - 1):
+            data = [data]
+        assert DenseTensor(data).order == tensor_mod.MAX_ORDER
+        for _ in range(6):
+            data = [data]
+        with pytest.raises(DimensionError, match="order 70"):
+            DenseTensor(data)
 
 
 class TestModeNProduct:
@@ -117,40 +116,22 @@ class TestModeNProduct:
             mode_n_product(t, np.eye(3), 1)
 
 
-class TestContract34:
-    def test_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        t = rng.standard_normal((2, 3, 4, 5))
-        b = rng.standard_normal((4, 5))
-        got = contract_34(t, b)
-        want = np.zeros((2, 3))
-        for i in range(2):
-            for j in range(3):
-                want[i, j] = float(np.sum(t[i, j] * b))
-        assert np.allclose(got, want, atol=1e-12)
-
-    def test_zero_matrix(self):
-        t = np.ones((2, 2, 2, 2))
-        assert np.array_equal(contract_34(t, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_errors(self):
-        with pytest.raises(DimensionError):
-            contract_34(np.zeros((2, 2, 2)), np.zeros((2, 2)))
-        with pytest.raises(DimensionError):
-            contract_34(np.zeros((2, 2, 2, 2)), np.zeros((3, 2)))
+def refold(u, m, n):
+    """The inverse of balance_unfold: both halves first-mode-fastest."""
+    return DenseTensor(u.reshape((n,) * (2 * m), order="F"))
 
 
 def unfold_multiply_refold(a, b):
     """Independent route for mul_2m: unfold both, multiply, refold."""
     m = a.order // 2
     n = a.shape[0]
-    return balance_refold(balance_unfold(a) @ balance_unfold(b), m, n)
+    return refold(balance_unfold(a) @ balance_unfold(b), m, n)
 
 
 class TestMul2m:
     def test_unfolding_identity_is_neutral(self):
         n, m = 2, 2
-        ident = balance_refold(np.eye(n**m), m, n)
+        ident = refold(np.eye(n**m), m, n)
         rng = np.random.default_rng(4)
         a = DenseTensor(rng.standard_normal((n,) * (2 * m)))
         assert np.allclose(mul_2m(a, ident).array, a.array, atol=1e-12)
@@ -185,7 +166,7 @@ class TestMul2m:
 class TestMul2mOnM:
     def test_identity_action(self):
         n, m = 3, 2
-        ident = balance_refold(np.eye(n**m), m, n)
+        ident = refold(np.eye(n**m), m, n)
         rng = np.random.default_rng(8)
         x = DenseTensor(rng.standard_normal((n,) * m))
         assert np.allclose(mul_2m_on_m(ident, x).array, x.array, atol=1e-12)
@@ -234,8 +215,8 @@ class TestBalanceUnfold:
         u = balance_unfold(a)
         for i in itertools.product(range(1, 4), repeat=2):
             for j in itertools.product(range(1, 4), repeat=2):
-                r = flat_offset(i, (3, 3))
-                c = flat_offset(j, (3, 3))
+                r = np.ravel_multi_index(tuple(k - 1 for k in i), (3, 3), order="F")
+                c = np.ravel_multi_index(tuple(k - 1 for k in j), (3, 3), order="F")
                 assert u[r, c] == a.entry(*(i + j))
 
     @pytest.mark.parametrize(
@@ -244,8 +225,7 @@ class TestBalanceUnfold:
         ids=LAYOUTS + [f"{lay}-non-cubic" for lay in LAYOUTS],
     )
     def test_fresh_writable_copy_for_every_layout(self, layout, shape):
-        # balance_unfold takes the cubic tensors; ctensor_flatten, the same
-        # unfold, takes every (n, m, m, n) backing
+        # balance_unfold copies every cubic layout once and refuses the rest
         perm = (2, 0, 3, 1)  # arr is drawn so that arr.transpose(perm) has ``shape``
         arr = np.random.default_rng(21).standard_normal([shape[perm.index(a)] for a in range(4)])
         src = {
@@ -257,18 +237,19 @@ class TestBalanceUnfold:
         assert t.shape == shape
         assert t.array.flags.c_contiguous == (layout == "C")
         assert t.array.flags.f_contiguous == (layout == "F")
-        unfolds = [ctensor_flatten(CommutationTensor4(shape[1], shape[0], t))]
-        if len(set(shape)) == 1:
-            unfolds.append(balance_unfold(t))
-        for u in unfolds:
-            assert np.array_equal(u, t.array.reshape(shape[0] * shape[1], -1, order="F"))
-            assert u.flags.writeable and not np.shares_memory(u, t.array)
+        if len(set(shape)) > 1:
+            with pytest.raises(DimensionError):
+                balance_unfold(t)
+            return
+        u = balance_unfold(t)
+        assert np.array_equal(u, t.array.reshape(shape[0] * shape[1], -1, order="F"))
+        assert u.flags.writeable and not np.shares_memory(u, t.array)
 
     @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (2, 3), (3, 2)])
     def test_roundtrip(self, m, n):
         rng = np.random.default_rng(m + n)
         a = DenseTensor(rng.standard_normal((n,) * (2 * m)))
-        back = balance_refold(balance_unfold(a), m, n)
+        back = refold(balance_unfold(a), m, n)
         assert np.array_equal(back.array, a.array)
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1))
@@ -276,13 +257,7 @@ class TestBalanceUnfold:
     def test_roundtrip_property(self, m, n, seed):
         rng = np.random.default_rng(seed)
         a = DenseTensor(rng.standard_normal((n,) * (2 * m)))
-        assert np.array_equal(balance_refold(balance_unfold(a), m, n).array, a.array)
-
-    def test_refold_validation(self):
-        with pytest.raises(DimensionError):
-            balance_refold(np.eye(5), 2, 2)
-        with pytest.raises(ArgumentError):
-            balance_refold(np.eye(4), 0, 2)
+        assert np.array_equal(refold(balance_unfold(a), m, n).array, a.array)
 
 
 class TestPermuteModes:

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from commutant import (
     DimensionError,
     DomainError,
-    VecLayout,
     kron,
     kron_vec,
-    trace_via_vec,
     unvec,
     vec,
     vec_sandwich,
@@ -26,13 +24,11 @@ def test_vec_stacks_columns():
 
 
 def test_unvec_layouts():
+    # one layout, column by column; there is no layout option
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    col = unvec(x, 2, 3)
-    assert np.array_equal(col, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
-    row = unvec(x, 2, 3, VecLayout.ROW_MAJOR)
-    assert np.array_equal(row, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    # the two layouts are transposes of one another with p and q swapped
-    assert np.array_equal(row, unvec(x, 3, 2).T)
+    assert np.array_equal(unvec(x, 2, 3), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+    with pytest.raises(TypeError):
+        unvec(x, 2, 3, "row-major")
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1))
@@ -109,24 +105,6 @@ def test_vec_sandwich_matches_direct_product():
 def test_vec_sandwich_chain_error():
     with pytest.raises(DimensionError):
         vec_sandwich(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)))
-
-
-def test_trace_via_vec_frozen_value():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    # frozen: direct product gives AB = [[19, 22], [43, 50]], trace 69
-    assert trace_via_vec(a, b) == 69.0
-    assert float(np.trace(a @ b)) == 69.0
-
-
-def test_trace_via_vec_rectangular_and_identity():
-    assert trace_via_vec(np.eye(3), np.eye(3)) == 3.0
-    rng = np.random.default_rng(23)
-    a = rng.standard_normal((3, 2))
-    b = rng.standard_normal((2, 3))
-    assert trace_via_vec(a, b) == pytest.approx(np.trace(a @ b), abs=1e-12)
-    with pytest.raises(DimensionError):
-        trace_via_vec(a, a)
 
 
 # ------------------------------------- properties against dense np.kron oracles

@@ -94,3 +94,30 @@ class TestFaultInjection:
         inj = FaultInjector()
         arr = np.arange(4.0)
         assert np.array_equal(inj.corrupt(arr), arr)
+
+
+class TestDeterminantBound:
+    # the check's bound scales with n * eps * cond_2(P x Q); at small n it
+    # must still see a determinant that is off by one part in a million
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relative_error_of_1e_6_fails_at_small_n(self, monkeypatch, seed):
+        from types import SimpleNamespace
+
+        from commutant import linalg, verify
+
+        calls = []
+
+        def skewed_det(a):
+            calls.append(a)
+            d = linalg.det(a)
+            return d * (1 + 1e-6) if len(calls) % 2 == 0 else d  # det x, then det(P x Q)
+
+        fake = SimpleNamespace(det=skewed_det, _slogdet=linalg._slogdet)
+        monkeypatch.setattr(verify, "linalg", fake)
+        sizes = tuple((2, n) for n in range(1, 9))
+        [res] = run_suites(RunConfig(sizes=sizes, trials=1, seed=seed), ["preserver-suite"])
+        assert len(calls) == 2 * len(sizes)
+        caught = {f.split(":")[0] for f in res.failures if "determinant not preserved" in f}
+        assert caught == {f"(2,{n})" for n in range(1, 9)}
+        assert len(res.failures) == len(sizes)
