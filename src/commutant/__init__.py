@@ -6,21 +6,20 @@ from .commutation_matrix import (
     apply,
     build_commutation,
     build_commutation_rank1,
+    build_ctensor,
     conjugate_kron,
+    ctensor_flatten,
     det_commutation,
+    tensor_transpose,
     trace_commutation,
     transpose_matrix,
 )
 from .commutation_tensor import (
-    CommutationTensor4,
     Gct,
     apply_rank_preserver,
-    build_ctensor,
     build_gct,
     build_mode_perm_tensor,
     check_nonneg_inverse,
-    ctensor_flatten,
-    ctensor_power,
     gct_dense,
     gct_from_permutation,
     gct_identity,
@@ -29,7 +28,6 @@ from .commutation_tensor import (
     is_balanced_permutation,
     is_pair_symmetric,
     mode_perm_dense,
-    tensor_transpose,
 )
 from .cp import (
     CpForm,
@@ -46,7 +44,6 @@ from .errors import (
     CommutantError,
     DimensionError,
     DomainError,
-    ModeError,
     PreconditionError,
     RangeError,
     RankError,
@@ -69,7 +66,6 @@ from .tensor import (
     DenseTensor,
     balance_unfold,
     identity_tensor,
-    mode_n_product,
     mul_2m,
     mul_2m_on_m,
     permute_modes,

@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import serialize
-from .commutation_matrix import build_commutation
-from .commutation_tensor import build_ctensor, gct_from_permutation
+from .commutation_matrix import build_commutation, build_ctensor
+from .commutation_tensor import gct_from_permutation
 from .errors import ArgumentError, CommutantError, RangeError
 from .permutation import Permutation
 from .preserver import apply_rank_preserver

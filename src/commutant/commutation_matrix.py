@@ -1,9 +1,15 @@
-"""The vec-permutation (commutation) matrix K_{p,q} and its calculus.
+"""The vec-permutation (commutation) matrix K_{p,q}, the commutation tensor
+C_{p,q}, and their calculus.
 
 K_{p,q} is the pq x pq permutation matrix with K vec(X) = vec(Xᵀ) for every
 p x q matrix X.  It is the axis swap of a (q, p) C-order grid, stored as the
 shared shuffle index of :mod:`commutant.tensor`: applying it is one gather,
 and the dense matrix is the same shuffle's dense form, built on demand.
+
+C_{p,q} is the same permutation with its row and column indices split into
+pairs: the order-4 0/1 tensor of shape (q, p, p, q) whose contraction
+against a p x q matrix over its trailing pair is the transpose, and whose
+pair unfolding is K_{p,q}.  So one type holds both: C is K's ``backing``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, DimensionError
-from .tensor import _check_dense_budget, _outer_into, _shuffle_dense, _shuffle_index, as_matrix
+from .tensor import (
+    DenseTensor,
+    _check_dense_budget,
+    _outer_into,
+    _shuffle_dense,
+    _shuffle_index,
+    as_matrix,
+)
 
 
 def _check_dims(p: int, q: int) -> None:
@@ -25,7 +38,9 @@ def _check_dims(p: int, q: int) -> None:
 @dataclass(frozen=True)
 class CommutationMatrix:
     """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based).  The index
-    is K's only stored form, built on first use."""
+    is K's only stored form, built on first use; read as an order-4 tensor,
+    K is the commutation tensor C_{p,q}, its ``backing``, also built on
+    first use."""
 
     p: int
     q: int
@@ -40,6 +55,12 @@ class CommutationMatrix:
         idx.flags.writeable = False
         return idx
 
+    @cached_property
+    def backing(self) -> DenseTensor:
+        """C_{p,q}, of shape (q, p, p, q): entry (i, j, k, l) is 1 exactly
+        when j = k and i = l (i, l in 1..q; j, k in 1..p), else 0."""
+        return DenseTensor._adopt(_shuffle_dense((self.p, self.q), (1, 0), "transpose tensor"))
+
     def dense(self) -> np.ndarray:
         shuffle = _shuffle_dense((self.q, self.p), (1, 0), f"K_{{{self.p},{self.q}}}")
         return shuffle.reshape(self.p * self.q, -1)
@@ -48,6 +69,31 @@ class CommutationMatrix:
 def build_commutation(p: int, q: int) -> CommutationMatrix:
     """Build K_{p,q} structurally: O(1) until its index is first used."""
     return CommutationMatrix(p, q)
+
+
+def build_ctensor(m: int, n: int) -> CommutationMatrix:
+    """The commutation tensor for m x n arguments, which is K_{m,n} read as
+    an order-4 tensor; an over-budget ``backing`` is refused here, before
+    anything is allocated."""
+    k = build_commutation(m, n)
+    _check_dense_budget((m * n, m * n), "transpose tensor")
+    return k
+
+
+def tensor_transpose(k: CommutationMatrix, x) -> np.ndarray:
+    """The q x p transpose of a p x q matrix, which contracting it against
+    C_{p,q}'s trailing index pair yields: a fresh C-order copy of ``x.T``,
+    exact on every entry (-0.0, inf and NaN included)."""
+    xm = as_matrix(x)
+    if xm.shape != (k.p, k.q):
+        raise DimensionError(f"expected an {k.p} x {k.q} matrix, got {xm.shape}")
+    return xm.T.copy()
+
+
+def ctensor_flatten(k: CommutationMatrix) -> np.ndarray:
+    """C_{p,q} with modes (1,2) paired as rows and (3,4) as columns, first
+    mode fastest: K_{p,q}'s dense form, built without the order-4 backing."""
+    return k.dense()
 
 
 def build_commutation_rank1(p: int, q: int) -> np.ndarray:

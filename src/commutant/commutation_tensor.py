@@ -1,21 +1,14 @@
-"""Commutation tensors and the order-2m operators they unify.
+"""The one order-2m operator, which unifies generalized commutation tensors,
+mode-permutation tensors and rank preservers.
 
-Two constructions live here:
-
-* :class:`CommutationTensor4` — the order-4 tensor that performs matrix
-  transposition under a trailing-pair contraction.  For an m x n argument it
-  has shape (n, m, m, n), and flattening its leading index pair against its
-  trailing pair reproduces K_{m,n}.  Like K it is the (m, n) axis swap and
-  stores only (m, n): it acts as ``x.T``, and its dense form is one axis
-  shuffle of the tensor module, as are the mode-permutation tensors, built
-  only when asked for.
-* :class:`Gct` — the one order-2m operator: m square generator matrices
-  and a mode permutation tau.  tau = id is a generalized commutation tensor
-  (with one permutation matrix on every mode these form a group under
-  :func:`gct_multiply`), identity generators a mode-permutation tensor, and
-  invertible generators a rank preserver.  At m = 2 the swap's dense form is
-  the square commutation tensor, so Marcus's A -> P A Q and A -> P Aᵀ Q are
-  one operator with one compose rule, inverse, dense form and action.
+:class:`Gct` is the one operator: m square generator matrices and a mode
+permutation tau.  tau = id is a generalized commutation tensor (with one
+permutation matrix on every mode these form a group under
+:func:`gct_multiply`), identity generators a mode-permutation tensor, and
+invertible generators a rank preserver.  At m = 2 the swap's dense form is
+the square commutation tensor C_{n,n} of :mod:`commutant.commutation_matrix`,
+so Marcus's A -> P A Q and A -> P Aᵀ Q are one operator with one compose
+rule, inverse, dense form and action.
 
 The acting orientation is fixed package-wide: an order-2m tensor acts on the
 LEFT, ``mul_2m_on_m(dense(T), a)``, contracting T's trailing m modes against
@@ -26,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +36,6 @@ from .tensor import (
     _outer_into,
     _shuffle_dense,
     _square_stack,
-    as_matrix,
     as_tensor,
     balance_unfold,
     mul_2m,
@@ -56,64 +47,6 @@ STRUCTURE_TOL = 1e-12
 INVERSE_CHECK_TOL = 1e-9
 #: relative part of that test, np.allclose's default rtol
 _ALLCLOSE_RTOL = 1e-5
-
-
-@dataclass(frozen=True)
-class CommutationTensor4:
-    """The order-4 transpose tensor for m x n arguments: the (m, n) axis
-    swap.  Its dense ``backing`` of shape (n, m, m, n) is built on first use."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ArgumentError(f"dimensions must be positive, got m={self.m}, n={self.n}")
-
-    @cached_property
-    def backing(self) -> DenseTensor:
-        """Entry (i, j, k, l) is 1 exactly when j = k and i = l
-        (i, l in 1..n; j, k in 1..m), else 0."""
-        return DenseTensor._adopt(_shuffle_dense((self.m, self.n), (1, 0), "transpose tensor"))
-
-
-def build_ctensor(m: int, n: int) -> CommutationTensor4:
-    """The transpose tensor for m x n arguments; an over-budget dense form
-    is refused here, before anything is allocated."""
-    kt = CommutationTensor4(m, n)
-    _check_dense_budget((m * n, m * n), "transpose tensor")
-    return kt
-
-
-def tensor_transpose(kt: CommutationTensor4, x) -> np.ndarray:
-    """The n x m transpose of an m x n matrix, which contracting it against
-    the tensor's trailing index pair yields: a fresh C-order copy of ``x.T``,
-    exact on every entry (-0.0, inf and NaN included)."""
-    xm = as_matrix(x)
-    if xm.shape != (kt.m, kt.n):
-        raise DimensionError(f"expected an {kt.m} x {kt.n} matrix, got {xm.shape}")
-    return xm.T.copy()
-
-
-def ctensor_flatten(kt: CommutationTensor4) -> np.ndarray:
-    """Pair modes (1,2) as rows and (3,4) as columns, first mode fastest.
-    The result is the commutation matrix K_{m,n}, the swap of an (n, m)
-    grid, built from that shuffle without the order-4 backing."""
-    shuffle = _shuffle_dense((kt.n, kt.m), (1, 0), "transpose tensor")
-    return shuffle.reshape(kt.m * kt.n, -1)
-
-
-def ctensor_power(exponent: int, n: int) -> DenseTensor:
-    """The exponent-fold product of the square-case (n x n) transpose tensor
-    with itself.  Powers collapse: every odd power equals the tensor itself
-    and every even power equals its square (the identity element)."""
-    if exponent < 1:
-        raise ArgumentError(f"exponent must be positive, got {exponent}")
-    base = build_ctensor(n, n).backing
-    out = base
-    for _ in range(exponent - 1):
-        out = mul_2m(out, base)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

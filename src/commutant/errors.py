@@ -19,10 +19,6 @@ class DimensionError(CommutantError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class ModeError(CommutantError):
-    """A mode index is outside ``1..order``."""
-
-
 class RangeError(CommutantError):
     """An index is outside its admissible 1-based range."""
 

@@ -1,7 +1,7 @@
 """Small dense linear algebra by Gaussian elimination with partial pivoting.
 
-Deterministic and dependency-free on purpose: determinant and rank share one
-elimination with an explicit pivot threshold, and the inverse keeps its own,
+Deterministic and dependency-free on purpose: the determinant and its log
+share one elimination, and the inverse keeps its own pivot threshold,
 instead of inheriting one from a backend.  Non-finite matrices are refused.
 Matrices at this scale are tiny, so O(n^3) elimination is plenty.
 """
@@ -20,49 +20,32 @@ INVERSE_PIVOT_TOL = 1e-10
 DET_SINGULAR_TOL = 1e-12
 
 
-def _matrix(mat) -> np.ndarray:
+def _square(mat) -> np.ndarray:
     arr = np.array(mat, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"expected a matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError("matrix has a non-finite entry")
-    return arr
-
-
-def _square(mat) -> np.ndarray:
-    arr = _matrix(mat)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
-def _eliminate(a: np.ndarray, tol: float) -> tuple[int, float]:
-    """Row-reduce ``a`` in place with partial pivoting, skipping each column
-    with no entry above ``tol`` in absolute value.  Returns the number of
-    pivots, which then sit on the diagonal if every column has one, and the
-    sign of the row swaps."""
-    rows, cols = a.shape
-    r, sign = 0, 1.0
-    for col in range(cols):
-        if r == rows:
-            break
-        piv = r + int(np.argmax(np.abs(a[r:, col])))
-        if abs(a[piv, col]) <= tol:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            sign = -sign
-        a[r + 1 :, col:] -= np.outer(a[r + 1 :, col] / a[r, col], a[r, col:])
-        r += 1
-    return r, sign
-
-
 def _pivots(mat) -> tuple[float, np.ndarray | None]:
-    """The sign of the row swaps and the LU pivots of ``mat``, or None in
-    place of the pivots when a column has no nonzero one."""
+    """The sign of the row swaps and the LU pivots of ``mat``, by partial
+    pivoting, or None in place of the pivots when a column has no nonzero
+    one."""
     a = _square(mat)
-    count, sign = _eliminate(a, 0.0)
-    return sign, (np.diagonal(a) if count == a.shape[0] else None)
+    sign = 1.0
+    for col in range(a.shape[0]):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return sign, None
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            sign = -sign
+        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
+    return sign, np.diagonal(a)
 
 
 def det(mat) -> float:
@@ -103,7 +86,3 @@ def inv(mat) -> np.ndarray:
         aug -= np.outer(factor, aug[col])
     return aug[:, n:]
 
-
-def rank(mat, tol: float) -> int:
-    """Number of elimination pivots exceeding ``tol`` (absolute)."""
-    return _eliminate(_matrix(mat), tol)[0]

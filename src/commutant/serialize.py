@@ -32,7 +32,7 @@ from .commutation_tensor import Gct, build_gct
 from .cp import CpForm, cp_form
 from .errors import CommutantError, DimensionError, DomainError
 from .permutation import Permutation
-from .preserver import VerificationReport, rank_preserver
+from .preserver import rank_preserver
 from .tensor import DenseTensor, as_matrix
 
 
@@ -302,12 +302,3 @@ def preserver_from_json(text: str) -> Gct:
         raise ParseError("preserver: m/n fields disagree with the matrices")
     return rank_preserver(mats, tau)
 
-
-def report_to_json(report: VerificationReport) -> str:
-    return canonical_json(
-        {
-            "trials": report.trials,
-            "passed": report.passed,
-            "failures": list(report.failures),
-        }
-    )

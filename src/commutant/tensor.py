@@ -4,7 +4,7 @@ algebra used throughout the package.
 Conventions
 -----------
 * Mode indices ``i_k`` are 1-based in the math and in every docstring; numpy
-  storage is 0-based.  Public APIs that take a mode number ``k`` take it
+  storage is 0-based.  Public APIs take coordinates and permutation images
   1-based.
 * The canonical flat layout of a tensor of shape ``(d_1, ..., d_m)`` places
   entry ``(i_1, ..., i_m)`` at offset ``sum_k (i_k - 1) * d_1*...*d_{k-1}``,
@@ -18,11 +18,12 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, DomainError, ModeError, RangeError
+from .errors import ArgumentError, DimensionError, DomainError, RangeError
 
 TensorLike = Union["DenseTensor", np.ndarray, Sequence]
 
@@ -137,9 +138,9 @@ class DenseTensor:
     Parameters
     ----------
     data : array-like
-        A regular array of numbers, as ``np.array`` reads it (ragged or
-        non-numeric data is an ArgumentError, more than MAX_ORDER modes a
-        DimensionError); copied and frozen, so a caller who
+        A regular array of numbers, as ``np.array`` reads it (ragged data
+        and None, dict or string entries are an ArgumentError, more than
+        MAX_ORDER modes a DimensionError); copied once and frozen, so a caller who
         later writes to ``data`` does not change the tensor.  All entries
         are stored as float64.  The package's own builders hand over the
         arrays they allocate through the private :meth:`_adopt`, which
@@ -160,11 +161,20 @@ class DenseTensor:
 
     def __init__(self, data):
         try:
-            arr = np.array(data, dtype=float)
-        except ValueError as exc:  # ragged, non-numeric or too deep
+            arr = np.asarray(data)  # a list is converted here, anything else copied below
+        except ValueError as exc:  # ragged or too deep
             _check_order(_nesting_depth(data), "tensor")
             raise ArgumentError(f"not a regular array of numbers: {exc}") from None
-        self._own(arr)
+        # None, dict and string entries read as object or string arrays, which
+        # a float conversion would turn into NaN, a TypeError or parsed text;
+        # an object array of numbers (an int over 64 bits among them) converts
+        if arr.dtype.kind == "O":
+            numeric = all(isinstance(v, numbers.Real) for v in arr.flat)
+        else:
+            numeric = arr.dtype.kind in "biuf"
+        if not numeric:
+            raise ArgumentError(f"not a regular array of numbers: {arr.dtype} entries")
+        self._own(arr.astype(float, copy=not isinstance(data, (list, tuple))))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
@@ -253,24 +263,6 @@ def _even_order_cubic(t: DenseTensor, name: str) -> tuple[int, int]:
     if any(d != n for d in t.shape):
         raise DimensionError(f"{name}: all mode extents must agree, got {t.shape}")
     return t.order // 2, n
-
-
-def mode_n_product(a: TensorLike, mat: TensorLike, k: int) -> DenseTensor:
-    """Mode-k product: contract mode k of ``a`` against the columns of ``mat``.
-
-    Entry ``(i_1, ..., i_m)`` of the result is
-    ``sum_j mat[i_k, j] * a[i_1, ..., j, ..., i_m]`` (j in mode k), so the
-    row count of ``mat`` becomes the new extent of mode k.
-    """
-    t = as_tensor(a)
-    m = as_matrix(mat)
-    if not 1 <= k <= t.order:
-        raise ModeError(f"mode {k} outside 1..{t.order}")
-    if m.shape[1] != t.shape[k - 1]:
-        raise DimensionError(
-            f"matrix has {m.shape[1]} columns but mode {k} has extent {t.shape[k - 1]}"
-        )
-    return DenseTensor._adopt(_mode_products(t.array, [(k - 1, m)]))
 
 
 def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import linalg
 from .commutation_matrix import apply as kapply
-from .commutation_matrix import build_commutation, conjugate_kron
+from .commutation_matrix import build_commutation, build_ctensor, conjugate_kron
 from .commutation_tensor import (
-    build_ctensor,
     build_mode_perm_tensor,
     gct_dense,
     gct_from_permutation,
@@ -43,6 +42,9 @@ from .veckron import kron, kron_vec, vec
 DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3))
 #: largest kmax the powers suite builds: it forms one product per power
 MAX_POWER = 64
+#: largest (kmax + 1) * n^6 the powers suite admits: its kmax products are
+#: n^2 x n^2 matrix products of n^6 multiply-adds each
+MAX_POWER_WORK = 2**36
 #: c in the determinant check's backward-error bound c * n * eps * cond_2(P x Q)
 DET_ROUNDING_FACTOR = 1.0
 
@@ -107,21 +109,35 @@ def _rng(cfg: RunConfig, suite: str, counter: int) -> np.random.Generator:
     )
 
 
+def _unit(shape, at) -> np.ndarray:
+    """The basis array of ``shape`` with its one 1 at ``at``."""
+    e = np.zeros(shape)
+    e[at] = 1.0
+    return e
+
+
+def _rebuilds_dense(k, column) -> bool:
+    """Whether K_{p,q}'s dense form is the matrix whose column j*p + i is
+    ``column(i, j)``, K's action on the basis input at (i, j) (0-based) as
+    an oracle computes it.  ``k.dense()`` checks the dense budget before the
+    reconstruction is allocated."""
+    p, q = k.p, k.q
+    dense = k.dense()
+    recon = np.zeros((p * q, p * q))
+    for j in range(q):
+        for i in range(p):
+            recon[:, j * p + i] = column(i, j)
+    return np.array_equal(recon, dense)
+
+
 def _suite_vec_identity(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("vec-identity")
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
-        dense = k.dense()  # checks the dense budget before recon is allocated
         # uniqueness: the matrix reconstructed column-by-column from the vec
         # action must be the built matrix
-        recon = np.zeros((p * q, p * q))
-        for j in range(q):
-            for i in range(p):
-                basis = np.zeros((p, q))
-                basis[i, j] = 1.0
-                recon[:, j * p + i] = vec(basis.T)
         res.record(
-            np.array_equal(recon, dense),
+            _rebuilds_dense(k, lambda i, j: vec(_unit((p, q), (i, j)).T)),
             f"size {p}x{q}: reconstructed matrix differs from the built one",
         )
         for t in range(cfg.trials):
@@ -139,17 +155,8 @@ def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     res = SuiteResult("swap-law")
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
-        dense = k.dense()  # checks the dense budget before recon is allocated
-        recon = np.zeros((p * q, p * q))
-        for j in range(q):
-            for i in range(p):
-                x = np.zeros(q)
-                x[j] = 1.0
-                y = np.zeros(p)
-                y[i] = 1.0
-                recon[:, j * p + i] = kron_vec(y, x)
         res.record(
-            np.array_equal(recon, dense),
+            _rebuilds_dense(k, lambda i, j: kron_vec(_unit(p, i), _unit(q, j))),
             f"size {p}x{q}: swap-action reconstruction differs",
         )
         for t in range(cfg.trials):
@@ -187,11 +194,18 @@ def _suite_powers(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         if kmax > MAX_POWER:
             raise ArgumentError(f"powers: kmax={kmax} is over the bound MAX_POWER={MAX_POWER}")
     for kmax, n in cfg.sizes:
+        build_ctensor(n, n)  # allocates nothing; an over-budget n is refused here first
+        if (kmax + 1) * n**6 > MAX_POWER_WORK:
+            raise ArgumentError(
+                f"powers: (kmax+1)*n^6 = {(kmax + 1) * n**6} at kmax={kmax}, n={n} "
+                f"is over the bound MAX_POWER_WORK={MAX_POWER_WORK}"
+            )
+    for kmax, n in cfg.sizes:
         base = build_ctensor(n, n).backing
         square = mul_2m(base, base)
         power = base
         for exp in range(1, kmax + 1):
-            if exp > 1:  # ctensor_power's own step, so the values are its own
+            if exp > 1:  # one product per power
                 power = mul_2m(power, base)
             got = fault.corrupt(power.array)
             want = base.array if exp % 2 == 1 else square.array

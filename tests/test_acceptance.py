@@ -23,7 +23,6 @@ from commutant import (
     build_mode_perm_tensor,
     check_nonneg_inverse,
     conjugate_kron,
-    ctensor_power,
     det_commutation,
     extract_sym_rank1,
     fixes_identity,
@@ -199,9 +198,6 @@ def test_07_powers_collapse():
                 power = mul_2m(power, base)
                 want = base if exp % 2 == 1 else square
                 assert np.array_equal(power.array, want.array)
-                assert np.array_equal(ctensor_power(exp, n).array, want.array)
-            assert np.array_equal(ctensor_power(1, n).array, base.array)
-            assert np.array_equal(ctensor_power(5, n).array, base.array)
         assert time.perf_counter() - start < 2.0
 
 

@@ -660,6 +660,51 @@ class TestPowersBound:
         assert code == 3 and out == ""
         assert "kmax=100000" in err and f"MAX_POWER={verify.MAX_POWER}" in err
 
+    @pytest.mark.parametrize("sizes", ["2x64", "3x8,2x64"])
+    def test_product_work_over_the_bound_exits_3_before_any_product(
+        self, capsys, monkeypatch, sizes
+    ):
+        # 3 * 64^6 multiply-adds: three 4096 x 4096 matrix products, and the
+        # 64 x 64 transpose tensor alone is 128 MiB
+        from commutant import verify
+
+        def refuse(*args):
+            raise AssertionError("a power was formed")
+
+        monkeypatch.setattr(verify, "mul_2m", refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "verify", "--suite", "powers", "--sizes", sizes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and peak < 8 * 2**20
+        assert "kmax=2, n=64" in err and f"MAX_POWER_WORK={verify.MAX_POWER_WORK}" in err
+        assert "Traceback" not in err
+
+    def test_product_work_at_the_bound_runs(self, capsys, monkeypatch):
+        from commutant import verify
+
+        monkeypatch.setattr(verify, "MAX_POWER_WORK", 3 * 3**6)
+        code, out, _ = run(capsys, "verify", "--suite", "powers", "--sizes", "2x3")
+        assert code == 0 and out == "powers: PASS (2 checks)\n"
+        code, out, err = run(capsys, "verify", "--suite", "powers", "--sizes", "3x3")
+        assert code == 3 and out == "" and "kmax=3, n=3" in err
+
+    def test_the_largest_sizes_in_use_fit_the_work_bound(self):
+        # 64x2, 3x8 and 3x48 run; 3x48 forms three 2304 x 2304 products
+        from commutant.verify import MAX_POWER_WORK
+
+        assert all((k + 1) * n**6 <= MAX_POWER_WORK for k, n in [(64, 2), (3, 8), (3, 48)])
+
+    def test_the_transpose_tensor_budget_is_checked_first(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "powers", "--sizes", "2x5000")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: transpose tensor: (25000000, 25000000) is over "
+            "MAX_DENSE_ENTRIES=16777216\n"
+        )
+
     def test_kmax_at_the_bound_runs(self, capsys):
         from commutant.verify import MAX_POWER
 

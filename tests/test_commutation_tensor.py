@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from commutant import (
     ArgumentError,
-    CommutationTensor4,
     DenseTensor,
     DimensionError,
     DomainError,
@@ -23,7 +22,6 @@ from commutant import (
     build_mode_perm_tensor,
     check_nonneg_inverse,
     ctensor_flatten,
-    ctensor_power,
     gct_dense,
     gct_from_permutation,
     gct_identity,
@@ -77,11 +75,11 @@ class TestBuildCtensor:
         with pytest.raises(ArgumentError):
             build_ctensor(0, 2)
         with pytest.raises(ArgumentError):
-            CommutationTensor4(2, 0)
+            build_ctensor(2, 0)
 
     def test_stores_its_dimensions_and_builds_the_backing_on_first_use(self):
         kt = build_ctensor(3, 2)
-        assert kt == CommutationTensor4(3, 2) and kt != build_ctensor(2, 3)
+        assert kt == build_commutation(3, 2) and kt != build_ctensor(2, 3)
         assert "backing" not in vars(kt)
         tensor_transpose(kt, np.zeros((3, 2)))
         ctensor_flatten(kt)
@@ -258,30 +256,23 @@ class TestGroupAxioms:
 
 
 class TestCtensorPower:
+    """Powers of the square commutation tensor, each the previous one times C."""
+
     def test_square_tensor_squares_to_identity_element(self):
         for n in (2, 3):
-            sq = ctensor_power(2, n)
-            assert np.array_equal(balance_unfold(sq), np.eye(n * n))
+            base = build_ctensor(n, n).backing
+            assert np.array_equal(balance_unfold(mul_2m(base, base)), np.eye(n * n))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_collapse_pattern(self, n):
-        base = ctensor_power(1, n)
-        square = ctensor_power(2, n)
+        base = build_ctensor(n, n).backing
+        square = mul_2m(base, base)
+        got = base
         for exponent in range(1, 7):
-            got = ctensor_power(exponent, n)
+            if exponent > 1:
+                got = mul_2m(got, base)
             want = base if exponent % 2 == 1 else square
             assert np.array_equal(got.array, want.array), f"exponent {exponent}"
-
-    def test_power_matches_repeated_product(self):
-        base = build_ctensor(2, 2).backing
-        acc = base
-        for exponent in range(2, 6):
-            acc = mul_2m(acc, base)
-            assert np.array_equal(ctensor_power(exponent, 2).array, acc.array)
-
-    def test_bad_exponent(self):
-        with pytest.raises(ArgumentError):
-            ctensor_power(0, 2)
 
 
 class TestModePermTensor:

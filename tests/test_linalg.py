@@ -49,44 +49,17 @@ def test_inv_singular_raises():
         linalg.inv([[1e-11]])
 
 
-def test_rank_thresholding():
-    assert linalg.rank(np.eye(3), 1e-9) == 3
-    assert linalg.rank(np.zeros((2, 5)), 1e-9) == 0
-    assert linalg.rank([[1.0, 2.0], [2.0, 4.0]], 1e-9) == 1
-    # near-dependent second row: rank depends on the threshold
-    a = [[1.0, 2.0], [2.0, 4.0 + 1e-7]]
-    assert linalg.rank(a, 1e-9) == 2
-    assert linalg.rank(a, 1e-3) == 1
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        a = rng.standard_normal((rows, cols))
-        assert linalg.rank(a, 1e-9) == np.linalg.matrix_rank(a, tol=1e-9)
-
-
-def test_rank_small_cases():
-    assert linalg.rank(np.eye(3), 1e-9) == 3
-    assert linalg.rank(np.outer([1.0, 2.0], [3.0, 4.0]), 1e-9) == 1
-    assert linalg.rank(np.zeros((3, 3)), 1e-9) == 0
-
-
-def test_rank_threshold_behavior():
-    a = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-7]])
-    assert linalg.rank(a, 1e-9) == 2
-    assert linalg.rank(a, 1e-3) == 1
-
-
 def test_shape_errors():
     with pytest.raises(DimensionError):
         linalg.det([[1.0, 2.0]])
     with pytest.raises(DimensionError):
         linalg.inv(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
-        linalg.rank(np.zeros(4), 1e-9)
+        linalg.det(np.zeros(4))
 
 
-# The elimination loops as they stood before det and rank shared one
-# elimination, kept as references: the shared one must match them bit for bit.
+# Earlier elimination loops of det and inv, kept as references: det must
+# match its loop bit for bit, and inv its loop to rounding.
 
 
 def _det_reference(mat):
@@ -103,23 +76,6 @@ def _det_reference(mat):
         a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
     value = sign * float(np.prod(np.diagonal(a)))
     return 0.0 if abs(value) < linalg.DET_SINGULAR_TOL else value
-
-
-def _rank_reference(mat, tol):
-    a = np.array(mat, dtype=float)
-    rows, cols = a.shape
-    r = 0
-    for col in range(cols):
-        if r == rows:
-            break
-        piv = r + int(np.argmax(np.abs(a[r:, col])))
-        if abs(a[piv, col]) <= tol:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r + 1 :, col:] -= np.outer(a[r + 1 :, col] / a[r, col], a[r, col:])
-        r += 1
-    return r
 
 
 def _inv_reference(mat):
@@ -155,11 +111,9 @@ def _test_matrices(rng, count):
             yield rng.integers(0, 2, (rows, cols)).astype(float)
 
 
-def test_det_and_rank_match_the_reference_loops_bit_for_bit():
+def test_det_matches_the_reference_loop_bit_for_bit():
     rng = np.random.default_rng(31)
     for a in _test_matrices(rng, 1200):
-        for tol in (0.0, 1e-12, 1e-9, 1e-3):
-            assert linalg.rank(a, tol) == _rank_reference(a, tol)
         sq = a[: min(a.shape), : min(a.shape)]
         got, want = linalg.det(sq), _det_reference(sq)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -182,7 +136,7 @@ def test_inv_matches_the_reference_loop():
 def test_non_finite_matrices_are_refused(bad):
     a = np.eye(3)
     a[1, 2] = bad
-    for op in (linalg.det, linalg.inv, lambda m: linalg.rank(m, 1e-9)):
+    for op in (linalg.det, linalg.inv):
         with pytest.raises(DomainError):
             op(a)
 

@@ -27,7 +27,6 @@ from commutant import (
     identity_tensor,
     kron,
     materialize,
-    mode_n_product,
     mode_perm_dense,
     mul_2m,
     mul_2m_on_m,
@@ -55,7 +54,6 @@ BUILDERS = {
     "DenseTensor": ([(2, 3, 4)], lambda x: DenseTensor(x)),
     "from_flat": ([(24,)], lambda v: DenseTensor.from_flat((2, 3, 4), v)),
     "permute_modes": ([(2, 3, 4)], lambda x: permute_modes(x, Permutation([2, 3, 1]))),
-    "mode_n_product": ([(2, 3, 4), (5, 3)], lambda x, m: mode_n_product(x, m, 2)),
     # one matrix on every mode: the action of build_gct([b] * m)
     "complete_right_product": (
         [(3, 3, 3), (3, 3)],

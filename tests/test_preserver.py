@@ -20,7 +20,6 @@ from commutant import (
     is_determinant_preserver,
     is_rank1_tensor,
     matrix_preserver,
-    mode_n_product,
     mul_2m_on_m,
     permute_modes,
     rank1,
@@ -168,11 +167,12 @@ class TestOrderTwoReduction:
         assert np.allclose(rhs, b1 @ a.T @ b2.T, atol=1e-12)
 
     def test_mode_product_correspondence_regression(self):
-        # the sandwich form under the fixed mode-product orientation:
-        # X x1 B1 x2 B2 equals B1 X B2^T (and differs from B1 X B2 generically)
+        # the sandwich form under the fixed mode-product orientation: the
+        # operator (B1, B2) acts as X x1 B1 x2 B2, which equals B1 X B2^T
+        # (and differs from B1 X B2 generically)
         rng = np.random.default_rng(100)
         b1, b2, x = (rng.standard_normal((3, 3)) for _ in range(3))
-        got = mode_n_product(mode_n_product(x, b1, 1), b2, 2).array
+        got = apply_rank_preserver(build_gct([b1, b2]), x).array
         assert np.allclose(got, b1 @ x @ b2.T, atol=1e-12)
         assert not np.allclose(got, b1 @ x @ b2, atol=1e-6)
 

@@ -6,21 +6,24 @@ import types
 from pathlib import Path
 
 import commutant
+from commutant import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     # errors
-    "ArgumentError", "CommutantError", "DimensionError", "DomainError", "ModeError",
+    "ArgumentError", "CommutantError", "DimensionError", "DomainError",
     "PreconditionError", "RangeError", "RankError", "SingularMatrixError",
     "SymmetryError",
-    # permutations and the commutation matrix
+    # permutations, the commutation matrix and the commutation tensor
     "Permutation", "CommutationMatrix", "apply", "build_commutation",
-    "build_commutation_rank1", "conjugate_kron", "det_commutation",
-    "trace_commutation", "transpose_matrix",
-    # commutation tensors and the one order-2m operator
-    "CommutationTensor4", "Gct", "apply_rank_preserver", "build_ctensor", "build_gct",
-    "build_mode_perm_tensor", "check_nonneg_inverse", "ctensor_flatten", "ctensor_power",
-    "gct_dense", "gct_from_permutation", "gct_identity", "gct_inverse", "gct_multiply",
-    "is_balanced_permutation", "is_pair_symmetric", "mode_perm_dense", "tensor_transpose",
+    "build_commutation_rank1", "build_ctensor", "conjugate_kron", "ctensor_flatten",
+    "det_commutation", "tensor_transpose", "trace_commutation", "transpose_matrix",
+    # the one order-2m operator
+    "Gct", "apply_rank_preserver", "build_gct", "build_mode_perm_tensor",
+    "check_nonneg_inverse", "gct_dense", "gct_from_permutation", "gct_identity",
+    "gct_inverse", "gct_multiply", "is_balanced_permutation", "is_pair_symmetric",
+    "mode_perm_dense",
     # CP forms
     "CpForm", "cp_form", "extract_sym_rank1", "is_symmetric", "materialize",
     "permute_cp_factors", "rank1", "sym_power",
@@ -29,8 +32,8 @@ PUBLIC = {
     "is_determinant_preserver", "is_rank1_tensor", "matrix_preserver", "rank_preserver",
     "sym_preserver", "verify_rank_preservation",
     # dense tensors
-    "DenseTensor", "balance_unfold", "identity_tensor", "mode_n_product", "mul_2m",
-    "mul_2m_on_m", "permute_modes",
+    "DenseTensor", "balance_unfold", "identity_tensor", "mul_2m", "mul_2m_on_m",
+    "permute_modes",
     # vec-Kronecker calculus
     "kron", "kron_vec", "unvec", "vec", "vec_sandwich",
 }
@@ -62,8 +65,31 @@ def test_every_name_the_benchmark_calls_resolves():
 def test_readme_library_entry_points_run():
     # the README's Python example is the API a reader sees first; an API cut
     # that leaves it stale fails here
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("## Library entry points", 1)[1]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     assert blocks, "no python block under 'Library entry points'"
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def _readme_cli_examples():
+    """The README's CLI examples that show their output, as (argv, output)."""
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", readme, flags=re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ commutant "):
+            examples.append((line.removeprefix("$ commutant ").split("#")[0].split(), []))
+        elif line:
+            examples[-1][1].append(line + "\n")
+    return [(argv, "".join(shown)) for argv, shown in examples if shown]
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys):
+    # the README's shown output is what a reader compares a run against; a
+    # change of the output bytes that leaves it stale fails here
+    examples = _readme_cli_examples()
+    assert [argv[0] for argv, _ in examples] == ["gen-kmat", "verify"]
+    for argv, shown in examples:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().out == shown, argv

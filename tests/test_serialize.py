@@ -12,7 +12,6 @@ from commutant import (
     build_mode_perm_tensor,
     cp_form,
     rank_preserver,
-    verify_rank_preservation,
 )
 from commutant import serialize as ser
 
@@ -294,9 +293,3 @@ class TestStructuredObjects:
         )
         with pytest.raises(SingularMatrixError):
             ser.preserver_from_json(text)
-
-    def test_report_json(self):
-        phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
-        report = verify_rank_preservation(phi, trials=5, seed=0)
-        text = ser.report_to_json(report)
-        assert text == '{"trials":5,"passed":5,"failures":[]}'
