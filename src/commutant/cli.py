@@ -72,8 +72,6 @@ def _sizes(text: str) -> tuple[tuple[int, int], ...]:
             pairs.append((_positive_int(parts[0]), _positive_int(parts[1])))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad size {chunk!r}: {exc}") from exc
-    if not pairs:
-        raise argparse.ArgumentTypeError("no sizes given")
     return tuple(pairs)
 
 
@@ -91,11 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format where both are defined (default: text)",
-    )
-    common.add_argument("--tol", type=_positive_float, default=1e-12, help="comparison tolerance")
-    common.add_argument("--seed", type=_seed, default=0, help="random seed (non-negative)")
-    common.add_argument(
-        "--trials", type=_positive_int, default=20, help="random trials per check"
     )
 
     parser = argparse.ArgumentParser(
@@ -128,6 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p.add_argument("--tol", type=_positive_float, default=1e-12, help="comparison tolerance")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed (non-negative)")
+    p.add_argument(
+        "--trials", type=_positive_int, default=20, help="random trials per check"
+    )
     p.add_argument(
         "--suite",
         action="append",

@@ -67,14 +67,10 @@ class Gct:
         return self.generators[0].shape[0]
 
 
-def _operator(generators, tau: Permutation | None = None, gate: bool = False) -> Gct:
-    """The one validator: freeze square generators of one size, refuse a
-    singular one when ``gate`` is set (SingularMatrixError, or DomainError
-    for a non-finite entry), and check tau's degree (tau = id when None)."""
+def _operator(generators, tau: Permutation | None = None) -> Gct:
+    """The one validator: freeze square generators of one size and check
+    tau's degree (tau = id when None)."""
     gens = _square_stack(generators, "generators")
-    if gate:
-        for gen in {id(b): b for b in gens}.values():  # each shared matrix once
-            linalg.inv(gen)  # raises unless finite and invertible
     tau = Permutation.identity(len(gens)) if tau is None else tau
     if tau.degree != len(gens):
         raise DimensionError(f"permutation degree {tau.degree} != {len(gens)} generators")
@@ -106,19 +102,15 @@ def build_mode_perm_tensor(sigma: Permutation, n: int) -> Gct:
     return _operator([np.eye(n)] * sigma.degree, sigma.inverse())
 
 
-def _compose(outer: Gct, inner: Gct, gate: bool = False) -> Gct:
-    """``outer`` after ``inner``: generator k is ``outer.B_k @
-    inner.B_{outer.tau(k)}``, and the permutation ``inner.tau ∘ outer.tau``."""
-    if (outer.m, outer.n) != (inner.m, inner.n):
-        raise DimensionError(f"size mismatch: ({outer.m},{outer.n}) vs ({inner.m},{inner.n})")
-    gens = [b @ inner.generators[t - 1] for b, t in zip(outer.generators, outer.tau.images)]
-    return _operator(gens, inner.tau.compose(outer.tau), gate)
-
-
 def gct_multiply(a: Gct, b: Gct) -> Gct:
-    """Product in the order-2m algebra, ``a`` after ``b``, from the generators.
-    Matches :func:`~commutant.tensor.mul_2m` on the dense forms."""
-    return _compose(a, b)
+    """Product in the order-2m algebra, ``a`` after ``b``, from the generators:
+    generator k is ``a.B_k @ b.B_{a.tau(k)}``, and the permutation
+    ``b.tau ∘ a.tau``.  Matches :func:`~commutant.tensor.mul_2m` on the dense
+    forms."""
+    if (a.m, a.n) != (b.m, b.n):
+        raise DimensionError(f"size mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
+    gens = [g @ b.generators[t - 1] for g, t in zip(a.generators, a.tau.images)]
+    return _operator(gens, b.tau.compose(a.tau))
 
 
 def gct_inverse(g: Gct) -> Gct:
@@ -201,13 +193,14 @@ def _monomial_support(arr: np.ndarray, m: int):
     return rows, cols, arr[idx]
 
 
-def is_balanced_permutation(a: TensorLike, tol: float = STRUCTURE_TOL) -> bool:
+def is_balanced_permutation(a: TensorLike) -> bool:
     """Whether the balance unfolding is a permutation matrix: every entry
-    within ``tol`` of 0 or 1, with exactly one 1 per row and per column."""
+    within ``STRUCTURE_TOL`` of 0 or 1, with exactly one 1 per row and per
+    column."""
     t = as_tensor(a)
     m, _ = _even_order_cubic(t, "is_balanced_permutation")
-    ones = np.abs(t.array - 1.0) <= tol
-    zeros = np.abs(t.array) <= tol
+    ones = np.abs(t.array - 1.0) <= STRUCTURE_TOL
+    zeros = np.abs(t.array) <= STRUCTURE_TOL
     return bool(np.all(ones | zeros)) and _monomial_support(ones, m) is not None
 
 

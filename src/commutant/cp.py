@@ -125,17 +125,17 @@ def permute_cp_factors(cp: CpForm, sigma: Permutation) -> CpForm:
     return CpForm(tuple(cp.factors[inv(k) - 1] for k in range(1, cp.m + 1)))
 
 
-def is_symmetric(a: TensorLike, tol: float = SYMMETRY_TOL) -> bool:
+def is_symmetric(a: TensorLike) -> bool:
     """Whether an order-m cubical tensor is invariant (to relative tolerance
-    ``tol``) under every mode shuffle; adjacent transpositions suffice.  A
-    tensor with a non-finite entry is never symmetric."""
+    ``SYMMETRY_TOL``) under every mode shuffle; adjacent transpositions
+    suffice.  A tensor with a non-finite entry is never symmetric."""
     t = as_tensor(a)
     n = t.shape[0]
     if any(d != n for d in t.shape) or not np.isfinite(t.array).all():
         return False
     scale = max(1.0, float(np.max(np.abs(t.array))))
     return not any(
-        np.max(np.abs(swapped - t.array)) > tol * scale
+        np.max(np.abs(swapped - t.array)) > SYMMETRY_TOL * scale
         for swapped in _adjacent_swaps(t.array, 1)
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .commutation_tensor import Gct, _compose, _operator, apply_rank_preserver
+from .commutation_tensor import Gct, _operator, apply_rank_preserver, gct_multiply
 from .cp import _rank1_residual, rank1
 from .errors import ArgumentError, DimensionError
 from .permutation import Permutation
@@ -28,16 +28,24 @@ DET_ONE_TOL = 1e-9
 EXACT_TOL = 1e-12
 
 
+def _invertible(phi: Gct) -> Gct:
+    """The invertibility gate: ``phi`` once ``linalg.inv`` accepts each shared
+    generator once; else SingularMatrixError, or DomainError if non-finite."""
+    for gen in {id(b): b for b in phi.generators}.values():
+        linalg.inv(gen)
+    return phi
+
+
 def rank_preserver(matrices, tau: Permutation) -> Gct:
     """Validate and freeze a rank preserver.  Raises SingularMatrixError if
     any matrix is singular at the inversion pivot threshold."""
-    return _operator(matrices, tau, gate=True)
+    return _invertible(_operator(matrices, tau))
 
 
 def sym_preserver(b, m: int) -> Gct:
     """The symmetric preserver: the one matrix ``b`` on each of ``m`` modes,
     tau = id.  All modes hold the same frozen copy of ``b``."""
-    return _operator([b] * m, gate=True)
+    return _invertible(_operator([b] * m))
 
 
 def matrix_preserver(p, q, transposed: bool = False) -> Gct:
@@ -51,17 +59,17 @@ def compose_rank_preservers(outer: Gct, inner: Gct) -> Gct:
     """The preserver acting as ``outer after inner`` (the operator product,
     :func:`~commutant.commutation_tensor.gct_multiply`), with the
     invertibility gate of :func:`rank_preserver`."""
-    return _compose(outer, inner, gate=True)
+    return _invertible(gct_multiply(outer, inner))
 
 
-def is_determinant_preserver(phi: Gct, tol: float = DET_ONE_TOL) -> bool:
-    """Whether det(P Q) == 1 within ``tol`` for P = generators[0] and Q =
-    generators[1]ᵀ — exactly when A -> P A Q (or P Aᵀ Q) leaves every
+def is_determinant_preserver(phi: Gct) -> bool:
+    """Whether det(P Q) == 1 within ``DET_ONE_TOL`` for P = generators[0] and
+    Q = generators[1]ᵀ — exactly when A -> P A Q (or P Aᵀ Q) leaves every
     determinant unchanged.  Raises DimensionError unless m = 2."""
     if phi.m != 2:
         raise DimensionError(f"a determinant preserver has 2 modes, not {phi.m}")
     p, q_t = phi.generators
-    return abs(linalg.det(p @ q_t.T) - 1.0) <= tol
+    return abs(linalg.det(p @ q_t.T) - 1.0) <= DET_ONE_TOL
 
 
 def fixes_identity(phi: Gct) -> bool:
@@ -73,18 +81,18 @@ def fixes_identity(phi: Gct) -> bool:
     return bool(np.max(np.abs(image.array - ident.array)) <= EXACT_TOL)
 
 
-def is_rank1_tensor(a: TensorLike, tol: float = CERT_TOL) -> bool:
-    """Certify rank 1: finite, nonzero, and rank-1 residual at most ``tol``
+def is_rank1_tensor(a: TensorLike) -> bool:
+    """Certify rank 1: finite, nonzero, and rank-1 residual at most ``CERT_TOL``
     times the entry scale max|a|, at every order in O(m * a.size).  (A 2x2
     unfolding minor of rank-1-plus-E is about scale * |E|, so this matches
-    the former bound of tol * scale**2 on every minor.)"""
+    the former bound of CERT_TOL * scale**2 on every minor.)"""
     t = as_tensor(a)
     if not np.isfinite(t.array).all():
         return False
     scale = float(np.abs(t.array).max())
     if scale == 0.0:
         return False
-    return _rank1_residual(t.array) <= tol * scale
+    return _rank1_residual(t.array) <= CERT_TOL * scale
 
 
 @dataclass(frozen=True)

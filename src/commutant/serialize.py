@@ -100,8 +100,9 @@ def _ints(data: dict, keys: tuple[str, ...], what: str) -> tuple[int, ...]:
         ints = tuple(map(int, raw))
     except (TypeError, ValueError, OverflowError):
         ints = None
-    # int() failed, or changed a field that is not integral (2.5, "3")
-    if ints != raw:
+    # int() failed, or changed a field that is not integral (2.5, "3"), or
+    # the field is a JSON boolean, which equals 0 or 1
+    if ints != raw or any(isinstance(v, bool) for v in raw):
         raise ParseError(f"{what}: fields {list(keys)} must be integers")
     return ints
 

@@ -174,7 +174,11 @@ class DenseTensor:
             numeric = arr.dtype.kind in "biuf"
         if not numeric:
             raise ArgumentError(f"not a regular array of numbers: {arr.dtype} entries")
-        self._own(arr.astype(float, copy=not isinstance(data, (list, tuple))))
+        try:
+            arr = arr.astype(float, copy=not isinstance(data, (list, tuple)))
+        except OverflowError as exc:  # an int beyond float range
+            raise ArgumentError(f"not a regular array of numbers: {exc}") from None
+        self._own(arr)
 
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "DenseTensor":

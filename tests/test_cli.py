@@ -10,6 +10,7 @@ from commutant import (
     apply_rank_preserver,
     rank_preserver,
 )
+from commutant import cli
 from commutant import serialize as ser
 from commutant.cli import main
 
@@ -187,6 +188,8 @@ class TestGenGct:
         assert code == 2 and "error:" in err
         code, _, err = run(capsys, "gen-gct", "2", "3", "--perm", "1,2")
         assert code == 2 and "error:" in err
+        code, _, err = run(capsys, "gen-gct", "2", "3", "--perm", "a,b")
+        assert code == 2 and "bad permutation" in err
 
 
 class TestVerify:
@@ -231,9 +234,29 @@ class TestVerify:
         assert "powers: FAIL" in out
         assert "  FAIL " in out
 
+    def test_a_valid_tol_reaches_the_run(self, capsys, monkeypatch):
+        seen, real = [], cli.run_suites
+
+        def spy(cfg, *args, **kwargs):
+            seen.append(cfg.tol)
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_suites", spy)
+        code, out, err = run(
+            capsys, "verify", "--suite", "kron-conjugation", "--sizes", "2x3", "--trials", "2",
+            "--tol", "1e-9",
+        )
+        assert code == 0 and err == "" and out.startswith("kron-conjugation: PASS")
+        assert seen == [1e-9]
+
     def test_unknown_suite_exits_3(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 3 and "unknown suite" in err
+
+    def test_mode_perm_lemma_past_its_exhaustive_degree_exits_3(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "mode-perm-lemma", "--sizes", "5x2")
+        assert code == 3 and out == ""
+        assert "m=5 > 4" in err
 
     def test_bad_sizes_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--sizes", "2x")
@@ -569,6 +592,50 @@ class TestBooleanPermutations:
         code, out, err = run(capsys, "apply", str(pfile), str(tfile))
         assert code == 2 and out == ""
         assert "tau" in err and "Traceback" not in err
+
+
+class TestBooleanHeaderFields:
+    @pytest.mark.parametrize(
+        "phi,tensor",
+        [
+            (
+                '{"m":true,"n":2,"tau":[1],"matrices":[[[1,0],[0,1]]]}',
+                '{"shape":[2],"values":[1,2]}',
+            ),
+            ('{"m":1,"n":true,"tau":[1],"matrices":[[[2]]]}', '{"shape":[1],"values":[3]}'),
+        ],
+    )
+    def test_apply_refuses_a_boolean_header_field(self, capsys, tmp_path, phi, tensor):
+        # json loads true as a bool, which equals 1; the same file with 1 applies
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t.json"
+        tfile.write_text(tensor, encoding="utf-8")
+        pfile.write_text(phi.replace("true", "1"), encoding="utf-8")
+        assert run(capsys, "apply", str(pfile), str(tfile))[0] == 0
+        pfile.write_text(phi, encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(pfile), str(tfile))
+        assert code == 2 and out == ""
+        assert "must be integers" in err and "Traceback" not in err
+
+
+class TestVerifyOnlyOptions:
+    """--tol, --seed and --trials belong to verify, the one subcommand that
+    reads them; every other subcommand refuses them as a usage error."""
+
+    @pytest.mark.parametrize("option", [["--tol", "5"], ["--seed", "3"], ["--trials", "9"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gen-kmat", "2", "2"],
+            ["gen-ktensor", "2", "2"],
+            ["gen-gct", "2", "3"],
+            ["apply", "phi.json", "t.json"],
+            ["unfold", "t.json"],
+        ],
+    )
+    def test_other_subcommands_refuse_them(self, capsys, command, option):
+        code, out, err = run(capsys, *command, *option)
+        assert code == 2 and out == ""
+        assert "usage:" in err and "unrecognized arguments" in err
 
 
 class TestDenseBudget:

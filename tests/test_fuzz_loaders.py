@@ -97,12 +97,17 @@ def _valid(kind: str, seed: int) -> dict:
 
 @st.composite
 def _mutated(draw, doc: dict):
-    """``doc`` with one field replaced or removed, or one entry somewhere
-    inside it replaced by any JSON value or by a finite number."""
+    """``doc`` with one field replaced or removed, one integer header field
+    replaced by a boolean, or one entry somewhere inside it replaced by any
+    JSON value or by a finite number."""
     doc = json.loads(json.dumps(doc))
     key = draw(st.sampled_from(sorted(doc)))
-    how = draw(st.sampled_from(["replace", "remove", "nudge", "number"]))
-    if how == "replace":
+    header = sorted(k for k, v in doc.items() if type(v) is int)
+    hows = ["replace", "remove", "nudge", "number"] + ["boolean"] * bool(header)
+    how = draw(st.sampled_from(hows))
+    if how == "boolean":
+        doc[draw(st.sampled_from(header))] = draw(st.booleans())
+    elif how == "replace":
         doc[key] = draw(VALUES)
     elif how == "remove":
         del doc[key]
@@ -144,7 +149,11 @@ def _check_loader(kind: str, text: str) -> None:
     except CommutantError:
         return
     out = dump(obj)
-    _strict_json(out)
+    given = json.loads(text)
+    # json loads true as a bool, which equals 1: a field written as an
+    # integer was not a boolean in the input
+    for key, value in _strict_json(out).items():
+        assert not (type(value) is int and isinstance(given[key], bool)), key
     assert dump(load(out)) == out
 
 
@@ -155,6 +164,8 @@ CASES = st.sampled_from(sorted(LOADERS)).flatmap(lambda k: st.tuples(st.just(k),
 @given(CASES)
 @settings(max_examples=400, deadline=None)
 @example(("preserver", TAU_OVERFLOW))
+@example(("commutation", '{"p":true,"q":2,"perm":[1,2]}'))
+@example(("preserver", '{"m":true,"n":2,"tau":[1],"matrices":[[[1,0],[0,1]]]}'))
 @example(("tensor", '{"shape":[2],"values":[-0.0,1]}'))
 @example(("tensor", '{"shape":[1],"values":[%s]}' % HUGE_LITERAL))
 @example(("gct", '{"m":1,"n":1,"generators":%s}' % ("[" * 5000 + "]" * 5000)))

@@ -390,3 +390,12 @@ class TestVerifyRankPreservation:
         r1 = verify_rank_preservation(phi, trials=10, seed=3)
         r2 = verify_rank_preservation(phi, trials=10, seed=3)
         assert (r1.trials, r1.passed, r1.failures) == (r2.trials, r2.passed, r2.failures)
+
+    def test_a_rank_2_image_is_reported_per_trial(self, monkeypatch):
+        phi = sym_preserver(np.eye(2), 2)
+        monkeypatch.setattr(
+            "commutant.preserver.apply_rank_preserver", lambda phi, a: identity_tensor(2, 2)
+        )
+        report = verify_rank_preservation(phi, trials=3, seed=0)
+        assert (report.trials, report.passed, report.all_passed) == (3, 0, False)
+        assert report.failures == tuple(f"trial {t}: image is not rank 1" for t in range(3))

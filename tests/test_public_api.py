@@ -1,6 +1,7 @@
 """The set of public names of the package, pinned so that no refactor grows
 (or shrinks) the API without a visible change here."""
 
+import argparse
 import re
 import types
 from pathlib import Path
@@ -93,3 +94,29 @@ def test_readme_cli_examples_print_what_the_readme_shows(capsys):
     for argv, shown in examples:
         assert cli.main(argv) == 0, argv
         assert capsys.readouterr().out == shown, argv
+
+
+def _readme_synopsis():
+    """The options on each subcommand's README synopsis line, by subcommand;
+    an indented line continues the one above it."""
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, flags=re.S).group(1)
+    options = {}
+    for line in block.splitlines():
+        if line.startswith("commutant "):
+            command = line.split()[1]
+            options[command] = set()
+        options[command] |= set(re.findall(r"--[a-z-]+", line))
+    return options
+
+
+def test_each_subcommand_accepts_exactly_its_readme_synopsis():
+    # an option a subcommand accepts but never reads would pass silently;
+    # the synopsis names every option, and the parser accepts no other
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for command, p in sub.choices.items()
+    }
+    assert accepted == _readme_synopsis()

@@ -216,6 +216,26 @@ class TestStructuredObjects:
                 data[key] = float(value)
                 parse(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "parse,text",
+        [
+            (ser.commutation_from_json, '{"p":true,"q":2,"perm":[1,2]}'),
+            (ser.commutation_from_json, '{"p":2,"q":true,"perm":[1,2]}'),
+            (ser.gct_from_json, '{"m":true,"n":2,"generators":[[[1,0],[0,1]]]}'),
+            (ser.gct_from_json, '{"m":1,"n":true,"generators":[[[3]]]}'),
+            (ser.cp_from_json, '{"m":true,"n":2,"rank":1,"factors":[[[1],[2]]]}'),
+            (ser.cp_from_json, '{"m":1,"n":2,"rank":true,"factors":[[[1],[2]]]}'),
+            (ser.preserver_from_json, '{"m":true,"n":2,"tau":[1],"matrices":[[[1,0],[0,1]]]}'),
+            (ser.preserver_from_json, '{"m":1,"n":true,"tau":[1],"matrices":[[[3]]]}'),
+        ],
+    )
+    def test_boolean_header_fields(self, parse, text):
+        # json loads true as a bool, which equals 1; 1 and 1.0 load, true does not
+        for one in ("1", "1.0"):
+            parse(text.replace("true", one))
+        with pytest.raises(ser.ParseError, match="must be integers"):
+            parse(text)
+
     def test_non_finite_matrix_entries(self):
         phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
         texts = [

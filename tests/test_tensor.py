@@ -67,6 +67,9 @@ class TestDenseTensor:
             [{"a": 1}],
             ["1.5"],
             [1.0, "2"],
+            # not Python's untyped OverflowError from the float conversion
+            [10**400],
+            [[1, -(10**400)], [2, 3]],
         ],
     )
     def test_irregular_data_is_an_argument_error(self, data):
