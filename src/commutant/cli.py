@@ -188,7 +188,7 @@ def _cmd_gen_kmat(args) -> int:
     if args.format == "json":
         print(serialize.commutation_to_json(k))
     else:
-        sys.stdout.write(serialize.matrix_to_text(k.dense()))
+        sys.stdout.write(serialize._commutation_to_text(k))
     return EXIT_OK
 
 

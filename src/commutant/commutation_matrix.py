@@ -128,8 +128,11 @@ def det_commutation(p: int, q: int) -> int:
 
 
 def trace_commutation(p: int) -> int:
-    """Diagonal sum of K_{p,p}: the number of fixed points of its permutation."""
-    return int(np.count_nonzero(build_commutation(p, p).idx == np.arange(p * p)))
+    """Diagonal sum of K_{p,p}: the number of fixed points of its permutation,
+    which are exactly the p diagonal pairs (i, i), so p.  K is not built; the
+    tests count the fixed points of ``idx``."""
+    _check_dims(p, p)
+    return p
 
 
 def transpose_matrix(k: CommutationMatrix) -> CommutationMatrix:

@@ -204,32 +204,30 @@ def is_balanced_permutation(a: TensorLike) -> bool:
     return bool(np.all(ones | zeros)) and _monomial_support(ones, m) is not None
 
 
-def _near_pattern(scaled: np.ndarray, ones_at) -> bool:
-    """``np.allclose(scaled, E, atol=INVERSE_CHECK_TOL)`` for the 0/1 tensor
-    E with ones at ``ones_at``, without building E: |x - 1| <= atol + rtol
-    there and |x| <= atol elsewhere, NaN and inf failing.  ``scaled`` must be
-    nonnegative and is overwritten."""
-    ones = scaled[ones_at]
-    scaled[ones_at] = 0.0
-    return bool(
-        np.all(np.abs(ones - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL)
-        and scaled.max() <= INVERSE_CHECK_TOL
-    )
-
-
 def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     """Whether U_a U_b and U_b U_a are near the identity, for the U_a whose
-    only nonzeros are ``scale`` at (rows, cols).  U_a U_b is U_b with row
-    cols[k] scaled by scale[k] and moved to row rows[k]; U_b U_a is U_b with
-    column rows[k] scaled by scale[k] and moved to column cols[k].  So each
-    is near the identity iff its scaled U_b is near 1 at every
-    (cols[k], rows[k]) and near 0 elsewhere."""
+    only nonzeros are ``scale`` at (rows, cols), by ``np.allclose``'s rule
+    at ``atol=INVERSE_CHECK_TOL``.  U_a U_b is U_b with row cols[k] scaled
+    by scale[k] and moved to row rows[k]; U_b U_a is U_b with column rows[k]
+    scaled by scale[k] and moved to column cols[k].  So each is near the
+    identity iff its scaled U_b is near 1 at every (cols[k], rows[k]), the
+    same products in both, and near 0 elsewhere.  Rounding is monotone, so
+    for s > 0 the largest of s * x over a row or column is s times its
+    largest x: one copy of U_b with the pattern zeroed, and its row and
+    column maxima, decide both without forming either scaled U_b."""
     half = b.shape[: len(rows)]
+    pattern = cols + rows
+    ones = b[pattern] * scale
+    if not np.all(np.abs(ones - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL):
+        return False
+    off = b.copy()
+    off[pattern] = 0.0
+    flat = off.reshape(math.prod(half), -1)
     row_scale, col_scale = np.empty(half), np.empty(half)
     row_scale[cols], col_scale[rows] = scale, scale
-    pad = (None,) * len(rows)
-    return _near_pattern(b * row_scale[(...,) + pad], cols + rows) and _near_pattern(
-        b * col_scale[pad + (...,)], cols + rows
+    return bool(
+        (row_scale.ravel() * flat.max(axis=1)).max() <= INVERSE_CHECK_TOL
+        and (col_scale.ravel() * flat.max(axis=0)).max() <= INVERSE_CHECK_TOL
     )
 
 
@@ -267,10 +265,14 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     m, n = _even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
-        raise DomainError("operands must be finite")
-    if np.any(ta.array < 0) or np.any(tb.array < 0):
-        raise DomainError("operands must be entrywise nonnegative")
+    # one min and one max per operand accept the finite nonnegative case
+    # (NaN propagates, so it fails); only a failure pays for the checks
+    # that pick the message
+    if not all(0.0 <= t.array.min() and t.array.max() < math.inf for t in (ta, tb)):
+        if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
+            raise DomainError("operands must be finite")
+        if np.any(ta.array < 0) or np.any(tb.array < 0):
+            raise DomainError("operands must be entrywise nonnegative")
     support = _monomial_support(ta.array, m)
     if support is None:
         inverse = _dense_products_near_identity(ta, tb, n**m)

@@ -121,9 +121,11 @@ def verify_rank_preservation(phi: Gct, trials: int, seed: int) -> VerificationRe
         factors = []
         for _ in range(m):
             v = rng.standard_normal(n)
-            while np.linalg.norm(v) < 1e-6:
+            norm = np.linalg.norm(v)
+            while norm < 1e-6:
                 v = rng.standard_normal(n)
-            factors.append(v / np.linalg.norm(v))
+                norm = np.linalg.norm(v)
+            factors.append(v / norm)
         image = apply_rank_preserver(phi, rank1(factors))
         if not is_rank1_tensor(image):
             failures.append(f"trial {trial}: image is not rank 1")

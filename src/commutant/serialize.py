@@ -33,7 +33,7 @@ from .cp import CpForm, cp_form
 from .errors import CommutantError, DimensionError, DomainError
 from .permutation import Permutation
 from .preserver import rank_preserver
-from .tensor import DenseTensor, as_matrix
+from .tensor import DenseTensor, _check_dense_budget, as_matrix
 
 
 class ParseError(CommutantError):
@@ -164,6 +164,15 @@ def tensor_from_json(text: str) -> DenseTensor:
 def matrix_to_text(mat) -> str:
     m = as_matrix(mat)
     return "\n".join(" ".join(format_float(v) for v in row) for row in m) + "\n"
+
+
+def _commutation_to_text(k: CommutationMatrix) -> str:
+    """``matrix_to_text(k.dense())`` written from K's index: row s is a 1 at
+    column ``idx[s]`` among zeros, and format_float writes 0.0 as "0" and
+    1.0 as "1".  Refused as ``k.dense()`` refuses an over-budget K."""
+    size = k.p * k.q
+    _check_dense_budget((size, size), f"K_{{{k.p},{k.q}}}")
+    return "".join("0 " * s + "1" + " 0" * (size - 1 - s) + "\n" for s in k.idx.tolist())
 
 
 def matrix_from_text(text: str) -> np.ndarray:

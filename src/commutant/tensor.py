@@ -118,9 +118,16 @@ def _adjacent_swaps(arr: np.ndarray, blocks: int):
 
 def _mode_products(arr: np.ndarray, pairs) -> np.ndarray:
     """Unchecked ``arr`` times ``mat`` on 0-based mode ``axis``, for each
-    ``(axis, mat)`` pair in turn."""
+    ``(axis, mat)`` pair in turn.  Each is one ``np.dot`` on the operands
+    ``np.tensordot(mat, arr, ([1], [axis]))`` would build, ``mat`` and
+    ``arr`` with ``axis`` first as an (n, -1) matrix, so its bits are
+    tensordot's, without tensordot's axis handling."""
     for axis, mat in pairs:
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+        later = range(axis + 1, arr.ndim)
+        moved = arr.transpose((axis, *range(axis), *later))
+        flat = moved.reshape(moved.shape[0], -1)
+        out = np.dot(mat, flat).reshape(mat.shape[:1] + moved.shape[1:])
+        arr = out.transpose((*range(1, axis + 1), 0, *later))
     return arr
 
 

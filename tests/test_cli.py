@@ -8,6 +8,7 @@ from commutant import (
     DenseTensor,
     Permutation,
     apply_rank_preserver,
+    build_commutation,
     rank_preserver,
 )
 from commutant import cli
@@ -144,6 +145,14 @@ class TestGenKmat:
     def test_rejects_zero(self, capsys):
         code, _, _ = run(capsys, "gen-kmat", "0", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 12, 30])
+    @pytest.mark.parametrize("q", [1, 2, 5, 9, 20])
+    def test_text_is_the_dense_matrix_text(self, capsys, p, q):
+        # written from K's index, byte for byte the text of its dense form
+        code, out, err = run(capsys, "gen-kmat", str(p), str(q))
+        assert code == 0 and err == ""
+        assert out == ser.matrix_to_text(build_commutation(p, q).dense())
 
 
 class TestGenKtensor:

@@ -274,6 +274,15 @@ def test_prop_det_closed_form(p, q):
 @pytest.mark.parametrize("p", range(1, 41))
 def test_trace_is_p_up_to_40(p):
     assert trace_commutation(p) == p
+    # the oracle: the fixed points of the stored index
+    idx = build_commutation(p, p).idx
+    assert trace_commutation(p) == int(np.count_nonzero(idx == np.arange(p * p)))
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_trace_refuses_a_nonpositive_size(p):
+    with pytest.raises(ArgumentError):
+        trace_commutation(p)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))

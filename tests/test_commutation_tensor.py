@@ -627,6 +627,40 @@ class TestCheckNonnegInverseMatchesReference:
             reference_check_nonneg_inverse, a, b
         )
 
+    @pytest.mark.parametrize("at", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize(
+        "big,off,certified",
+        [
+            (1.0, 5e-324, True),  # the smallest subnormal, off the pattern
+            (2.0, 5e-324, True),  # 2 * 5e-324 is still subnormal
+            (1e300, 1e-320, True),  # a subnormal scaled up to 1e-20
+            (1e300, 1e8, False),  # 1e308: finite, far over the tolerance
+            (1e300, 1e10, False),  # 1e310 overflows to inf
+        ],
+    )
+    def test_off_pattern_maxima_at_the_float_edges(self, big, off, certified, at):
+        # U_a = diag(big, 1): an off-diagonal entry of U_b is scaled by big in
+        # one product and by 1 in the other, so its row or its column maximum
+        # carries a subnormal or an overflow
+        a, b = np.diag([big, 1.0]), np.diag([1.0 / big, 1.0])
+        b[at] = off
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an overflow to inf warns; it is not an error
+            got = outcome(check_nonneg_inverse, a, b)
+            assert got == outcome(reference_check_nonneg_inverse, a, b)
+        assert isinstance(got, list) == certified
+
+    @pytest.mark.parametrize("off,certified", [(1e-320, True), (1e10, False)])
+    def test_scaled_pair_with_a_subnormal_or_overflowing_entry(self, off, certified):
+        a, b = monomial_pair(np.random.default_rng(35), 2, 3)
+        a, b = a * 1e300, b * 1e-300
+        b[np.unravel_index(np.argmin(b), b.shape)] = off
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an overflow to inf warns; it is not an error
+            got = outcome(check_nonneg_inverse, a, b)
+            assert got == outcome(reference_check_nonneg_inverse, a, b)
+        assert isinstance(got, list) == certified
+
     def test_monomial_route_below_structure_tol_is_degenerate(self):
         a, b = monomial_pair(np.random.default_rng(34), 2, 3)
         a, b = a * 1e-13, b * 1e13

@@ -95,6 +95,27 @@ def _inv_reference(mat):
     return aug[:, n:]
 
 
+def _inv_vectorised_reference(mat):
+    """The whole-matrix Gauss-Jordan loop ``inv`` ran before its per-column
+    numpy calls were cut: same pivots, same products, same errors."""
+    a = linalg._square(mat)
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) < linalg.INVERSE_PIVOT_TOL:
+            raise SingularMatrixError(
+                f"pivot {abs(aug[piv, col]):.3e} below threshold {linalg.INVERSE_PIVOT_TOL:g}"
+            )
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] /= aug[col, col]
+        factor = aug[:, col].copy()
+        factor[col] = 0.0
+        aug -= np.outer(factor, aug[col])
+    return aug[:, n:]
+
+
 def _test_matrices(rng, count):
     """Random, low-rank (singular), integer and 0/1 matrices of sizes 1..8."""
     for i in range(count):
@@ -151,3 +172,45 @@ def test_slogdet_agrees_with_det_and_does_not_overflow():
     assert linalg._slogdet([[1.0, 2.0], [2.0, 4.0]]) == (0.0, -np.inf)
     # det(1e10 I) = 1e400 is beyond float range; its log is not
     assert linalg._slogdet(1e10 * np.eye(40)) == (1.0, pytest.approx(400 * np.log(10.0)))
+
+
+def _bytes_or_error(f, a):
+    try:
+        return f(a).tobytes()
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
+
+
+def _gauss_jordan_cases(rng):
+    """The squares of ``_test_matrices``, then scaled permutations (a row
+    swap at most columns), their perturbations, and entries spread over
+    1e-150..1e150, which round differently and reach the pivot threshold."""
+    for a in _test_matrices(rng, 1200):
+        yield a[: min(a.shape), : min(a.shape)]
+    for n in (1, 2, 5, 8, 12, 16):
+        for _ in range(40):
+            perm = np.eye(n)[rng.permutation(n)] * rng.uniform(0.5, 2.0, n)
+            yield perm
+            yield perm + 1e-3 * rng.standard_normal((n, n))
+            yield rng.standard_normal((n, n)) * 10.0 ** rng.integers(-150, 151, (n, n))
+
+
+def test_inv_matches_the_vectorised_loop_byte_for_byte():
+    singular = total = 0
+    for a in _gauss_jordan_cases(np.random.default_rng(41)):
+        want = _bytes_or_error(_inv_vectorised_reference, a)
+        assert _bytes_or_error(linalg.inv, a) == want
+        singular += isinstance(want, tuple)
+        total += 1
+    assert 0 < singular < total  # both outcomes are exercised
+
+
+@pytest.mark.parametrize(
+    "pivot", [linalg.INVERSE_PIVOT_TOL, np.nextafter(linalg.INVERSE_PIVOT_TOL, 0.0)]
+)
+def test_inv_at_the_pivot_threshold_matches_the_vectorised_loop(pivot):
+    # the threshold itself is accepted, the float below it refused
+    a = np.diag([2.0, pivot, 3.0])[[1, 0, 2]]
+    got = _bytes_or_error(linalg.inv, a)
+    assert got == _bytes_or_error(_inv_vectorised_reference, a)
+    assert isinstance(got, bytes) == (pivot == linalg.INVERSE_PIVOT_TOL)

@@ -158,6 +158,37 @@ class TestModeNProduct:
         assert out.shape == (2, 5)
 
 
+def tensordot_mode_products(arr, pairs):
+    """The tensordot formulation ``_mode_products`` must reproduce bit for bit."""
+    for axis, mat in pairs:
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+    return arr
+
+
+@pytest.mark.parametrize("layout", ["c-contiguous", "permuted", "strided"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_mode_products_are_the_tensordot_products_byte_for_byte(order, layout):
+    rng = np.random.default_rng(100 * order + len(layout))
+    for _ in range(30):
+        shape = tuple(int(d) for d in rng.integers(1, 6, order))
+        arr = rng.standard_normal(shape)
+        if layout == "permuted":
+            arr = arr.transpose(rng.permutation(order))
+        elif layout == "strided":
+            big = rng.standard_normal(tuple(2 * d for d in shape))
+            arr = big[(slice(None, None, 2),) * order].transpose(rng.permutation(order))
+        pairs = []
+        for axis in rng.permutation(order)[: int(rng.integers(1, order + 1))]:
+            mat = rng.standard_normal((arr.shape[axis], int(rng.integers(1, 6)))).T
+            if rng.integers(2):
+                mat = np.ascontiguousarray(mat)  # C order as well as a transposed view
+            pairs.append((int(axis), mat))
+        got = tensor_mod._mode_products(arr, pairs)
+        want = tensordot_mode_products(arr, pairs)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
 def refold(u, m, n):
     """The inverse of balance_unfold: both halves first-mode-fastest."""
     return DenseTensor(u.reshape((n,) * (2 * m), order="F"))
