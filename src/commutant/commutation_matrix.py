@@ -23,7 +23,7 @@ from .errors import ArgumentError, DimensionError
 from .tensor import (
     DenseTensor,
     _check_dense_budget,
-    _outer_into,
+    _kron_into,
     _shuffle_dense,
     _shuffle_index,
     as_matrix,
@@ -141,15 +141,15 @@ def transpose_matrix(k: CommutationMatrix) -> CommutationMatrix:
 
 
 def conjugate_kron(a, b) -> np.ndarray:
-    """A ⊗ B computed as K_{p,q} (B ⊗ A) K_{q,p} for square A (p x p) and
-    B (q x q) — the two Kronecker orders are similar via commutation matrices.
-    Both K factors swap the (q, p) index pair of B ⊗ A, so the conjugation
-    is a permutation of axes: the outer product of B and A is written once,
-    each entry one product, straight into the layout of A ⊗ B.  The result
-    is a fresh array equal to ``np.kron(A, B)`` bit for bit."""
+    """A ⊗ B, the Kronecker product of square A (p x p) and B (q x q), which
+    equals K_{p,q} (B ⊗ A) K_{q,p}: the two Kronecker orders are similar via
+    commutation matrices.  The conjugation only permutes entries, so A ⊗ B
+    is written directly, by the one Kronecker kernel of
+    :func:`~commutant.veckron.kron`, as a fresh array equal to
+    ``np.kron(A, B)`` bit for bit (a NaN times a NaN aside, as for
+    :func:`~commutant.veckron.kron`); the ``kron-conjugation`` verify suite
+    checks the paper's identity against B ⊗ A conjugated through K's index."""
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape[0] != am.shape[1] or bm.shape[0] != bm.shape[1]:
         raise DimensionError(f"both factors must be square, got {am.shape}, {bm.shape}")
-    p, q = am.shape[0], bm.shape[0]
-    # outer(B, A) has axes (k, l, i, j); A ⊗ B stores them as (i, k, j, l)
-    return _outer_into(bm, am, (p, q, p, q), (1, 3, 0, 2), "A ⊗ B").reshape(p * q, p * q)
+    return _kron_into(am, bm, "A ⊗ B")

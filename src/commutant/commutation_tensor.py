@@ -32,8 +32,8 @@ from .tensor import (
     _check_dense_budget,
     _check_order,
     _even_order_cubic,
+    _kron_into,
     _mode_products,
-    _outer_into,
     _shuffle_dense,
     _square_stack,
     as_tensor,
@@ -125,19 +125,20 @@ def gct_dense(g: Gct) -> DenseTensor:
     """The order-2m tensor that acts as ``g`` under ``mul_2m_on_m``: entry
     (i, j) is ``prod_k B_k[i_k, l_k]`` at l_k = j_{tau(k)}.  Identity
     generators give the C-contiguous 0/1 array of one axis shuffle; others
-    the C-order unfolding kron(B_1, ..., B_m), each entry written once, with
-    the trailing modes then viewed by tau.  Shares no memory with g."""
+    the C-order unfolding kron(B_1, ..., B_m), accumulated from a copy of
+    B_m by m - 1 calls of the Kronecker kernel, each writing whole output
+    rows, with the trailing modes then viewed by tau.  Shares no memory
+    with g."""
     m, n = g.m, g.n
     _check_order(2 * m, "dense GCT")
     eye = np.eye(n).tobytes()  # bytes, so -0.0 takes the kron route like any entry
     if all(gen.tobytes() == eye for gen in g.generators):
         arr = _shuffle_dense((n,) * m, g.tau.zero_based(), "mode-permutation tensor")
         return DenseTensor._adopt(arr)
-    acc = np.ones((1, 1))
-    for gen in reversed(g.generators):
-        size = acc.shape[0]
-        acc = _outer_into(gen, acc, (n, size, n, size), (0, 2, 1, 3), "dense GCT")
-        acc = acc.reshape(n * size, n * size)
+    _check_dense_budget((n, 1, n, 1), "dense GCT")  # as the step B_m ⊗ [1]
+    acc = g.generators[-1].copy()
+    for gen in reversed(g.generators[:-1]):
+        acc = _kron_into(gen, acc, "dense GCT")
     trailing = tuple(m + k for k in g.tau.inverse().zero_based())
     return DenseTensor._adopt(acc.reshape((n,) * (2 * m)).transpose(tuple(range(m)) + trailing))
 

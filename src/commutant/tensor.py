@@ -94,14 +94,23 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
-def _outer_into(x: np.ndarray, y: np.ndarray, shape, axes, what: str) -> np.ndarray:
-    """A fresh float64 array of ``shape`` whose view ``transpose(axes)`` is
-    ``np.multiply.outer(x, y)``: each entry is written once, as one product,
-    straight into the permuted layout, with no temporary, within the budget."""
-    _check_dense_budget(shape, what)
-    out = np.empty(shape)
-    np.multiply.outer(x, y, out=out.transpose(axes))
-    return out
+def _kron_into(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
+    """kron(x, y) of an (m, n) and an (r, s) matrix as a fresh C-contiguous
+    (m·r, n·s) array, refused before any allocation when over the budget.
+
+    Entry (i·r + k, j·s + l) is the one product ``x[i, j] * y[k, l]``, so the
+    result is ``np.kron(x, y)`` byte for byte; only a NaN times a NaN has no
+    fixed bytes, as IEEE 754 leaves its sign and payload open and numpy's
+    loops pick either operand's.  Both factors are first expanded to rows of
+    the output's width, x's entries each repeated s times and y's rows each
+    tiled n times, so that one multiply writes whole output rows.  The
+    expansions hold (1/m + 1/r) of the result's entries."""
+    (m, n), (r, s) = x.shape, y.shape
+    _check_dense_budget((m, r, n, s), what)
+    wide_x = x.repeat(s, axis=1)
+    wide_y = y[:, None, :].repeat(n, axis=1).reshape(r, n * s)
+    out = np.multiply(wide_x[:, None, :], wide_y, out=np.empty((m, r, n * s)))
+    return out.reshape(m * r, n * s)
 
 
 def _adjacent_swaps(arr: np.ndarray, blocks: int):

@@ -3,9 +3,10 @@
 All matrix arguments are 2-D arrays (or order-2 :class:`DenseTensor`);
 vectors are 1-D arrays.  ``vec`` stacks columns — the matrix analogue of the
 package-wide canonical layout — and ``unvec`` is its inverse; no other layout
-is offered.  The Kronecker products write each entry once and the sandwich
-acts by mode products, so no pq x pq matrix is formed that the caller did
-not ask for.
+is offered.  The matrix Kronecker product writes each entry once, whole
+output rows per inner loop (the kernel of ``tensor._kron_into``, which
+``conjugate_kron`` and ``gct_dense`` share), and the sandwich acts by mode
+products, so no pq x pq matrix is formed that the caller did not ask for.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DimensionError
-from .tensor import _check_dense_budget, _mode_products, _outer_into, as_matrix
+from .tensor import _check_dense_budget, _kron_into, _mode_products, as_matrix
 
 
 def vec(mat) -> np.ndarray:
@@ -38,12 +39,14 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices: block ``a[i, j] * b``.
 
     Each entry is one product ``a[i, j] * b[k, l]``, written once into a
-    fresh array, so the result equals ``np.kron(a, b)`` bit for bit and
-    shares no memory with either factor."""
-    am, bm = as_matrix(a), as_matrix(b)
-    (m, n), (r, s) = am.shape, bm.shape
-    # entry (i·r + k, j·s + l) is a[i, j]·b[k, l]: axes (i, k, j, l)
-    return _outer_into(am, bm, (m, r, n, s), (0, 2, 1, 3), "A ⊗ B").reshape(m * r, n * s)
+    fresh array, so the result equals ``np.kron(a, b)`` bit for bit (a NaN
+    times a NaN aside, whose sign and payload numpy does not fix) and shares
+    no memory with either factor.  The multiply writes whole output rows
+    from two row expansions of the factors, which hold (1/m + 1/r) of the
+    result for an m-row ``a`` and an r-row ``b``: about 7% at 30 x 30, but
+    a factor with one row makes the other's expansion as large as the
+    result, so a (1, n) ⊗ (r, 1) product peaks near twice its size."""
+    return _kron_into(as_matrix(a), as_matrix(b), "A ⊗ B")
 
 
 def kron_vec(x, y) -> np.ndarray:

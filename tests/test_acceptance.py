@@ -157,10 +157,15 @@ def test_05_kron_conjugation():
     with criterion(5, "K-conjugation turns B ⊗ A into A ⊗ B"):
         rng = np.random.default_rng(1005)
         for p, q in ((2, 2), (2, 3), (3, 4)):
+            # conjugate_kron and kron share one kernel, so also check the
+            # identity itself: K_{p,q} (B ⊗ A) K_{q,p}, with K_{q,p} = K_{p,q}ᵀ
+            k = build_commutation(p, q).dense()
             for _ in range(20):
                 a = rng.standard_normal((p, p))
                 b = rng.standard_normal((q, q))
                 err = float(np.max(np.abs(conjugate_kron(a, b) - kron(a, b))))
+                assert err <= 1e-12
+                err = float(np.max(np.abs(conjugate_kron(a, b) - k @ kron(b, a) @ k.T)))
                 assert err <= 1e-12
 
 

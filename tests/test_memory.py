@@ -165,6 +165,17 @@ def test_kronecker_products_write_their_result_once(name):
     assert peak <= 1.25 * result.nbytes
 
 
+@pytest.mark.parametrize("x_shape,y_shape", [((1, 900), (900, 1)), ((900, 1), (1, 900))])
+def test_kron_of_a_single_row_factor_expands_to_the_result_size(x_shape, y_shape):
+    # the kernel's row expansions hold (1/m + 1/r) of the result for an
+    # m-row x and an r-row y: a single-row factor costs a second result
+    x, y = _inputs(4, x_shape, y_shape)
+    m, r = x_shape[0], y_shape[0]
+    result, peak = _peak_bytes(lambda: kron(x, y))
+    assert result.shape == (900, 900)
+    assert peak <= (1.25 + 1 / m + 1 / r) * result.nbytes
+
+
 @pytest.mark.parametrize(
     "name,call",
     [
