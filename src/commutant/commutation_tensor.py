@@ -205,6 +205,13 @@ def is_balanced_permutation(a: TensorLike) -> bool:
     return bool(np.all(ones | zeros)) and _monomial_support(ones, m) is not None
 
 
+def _pattern_near_one(ones: np.ndarray, scale: np.ndarray) -> bool:
+    """Whether U_b's entries ``ones`` at U_a's transposed pattern, each times
+    U_a's entry ``scale`` there, are all within ``np.allclose``'s tolerance
+    of 1: the entries of both products on their diagonal."""
+    return bool(np.all(np.abs(ones * scale - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL))
+
+
 def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     """Whether U_a U_b and U_b U_a are near the identity, for the U_a whose
     only nonzeros are ``scale`` at (rows, cols), by ``np.allclose``'s rule
@@ -218,8 +225,7 @@ def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     column maxima, decide both without forming either scaled U_b."""
     half = b.shape[: len(rows)]
     pattern = cols + rows
-    ones = b[pattern] * scale
-    if not np.all(np.abs(ones - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL):
+    if not _pattern_near_one(b[pattern], scale):
         return False
     off = b.copy()
     off[pattern] = 0.0
@@ -253,9 +259,17 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     with its rows scaled by D and permuted and U_b U_a is U_b with its
     columns scaled and permuted; every other term of either product is an
     exact 0 * x.  Both products are then read off U_b in O(N^2) for
-    N = n^m, with the same values as the matrix products.  Any other
-    ``a`` (a stray tiny entry, a positive blob) takes the two dense
-    O(N^3) products.
+    N = n^m, with the same values as the matrix products.
+
+    The input every caller gives, a monomial U_a and a U_b that is nonzero
+    exactly on U_a's transposed pattern, is read once per operand: a nonzero
+    scan of ``a`` and a nonzero count of ``b``.  Every other entry of both
+    is then an exact zero, so the domain checks and the inverse test read
+    only the 2N support entries, in O(N).  Any other ``b`` takes full
+    passes over both operands: their domain checks and U_b's off-pattern
+    row and column maxima.  Any other ``a`` (a stray tiny entry, a
+    positive blob) takes the two dense O(N^3) products.  A finite pair
+    whose products overflow is refused without a RuntimeWarning.
 
     Returns the 0-based (row, column) positions of the positive entries of
     the unfolding of ``a``, sorted by row.  Raises DomainError on a
@@ -266,19 +280,34 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     m, n = _even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    # one min and one max per operand accept the finite nonnegative case
-    # (NaN propagates, so it fails); only a failure pays for the checks
-    # that pick the message
-    if not all(0.0 <= t.array.min() and t.array.max() < math.inf for t in (ta, tb)):
+    # comparisons only, so a NaN, an inf or a negative value warns nowhere
+    # before the domain checks
+    support = _monomial_support(ta.array, m)
+    exact = False
+    if support is not None:
+        rows, cols, scale = support
+        ones = tb.array[cols + rows]
+        # b nonzero on U_a's transposed pattern and nowhere else (a NaN
+        # counts as nonzero): every other entry of both is an exact zero
+        exact = bool(np.all(ones != 0)) and np.count_nonzero(tb.array != 0) == n**m
+    # one min and one max of the values that can fail accept the finite
+    # nonnegative case (NaN propagates, so it fails); only a failure pays
+    # for the checks that pick the message
+    values = (scale, ones) if exact else (ta.array, tb.array)
+    if not all(0.0 <= v.min() and v.max() < math.inf for v in values):
         if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
             raise DomainError("operands must be finite")
         if np.any(ta.array < 0) or np.any(tb.array < 0):
             raise DomainError("operands must be entrywise nonnegative")
-    support = _monomial_support(ta.array, m)
-    if support is None:
-        inverse = _dense_products_near_identity(ta, tb, n**m)
-    else:
-        inverse = _monomial_products_near_identity(tb.array, *support)
+    # a finite pair whose products overflow is no inverse pair; inf says so
+    with np.errstate(over="ignore"):
+        if support is None:
+            inverse = _dense_products_near_identity(ta, tb, n**m)
+        elif exact:
+            # the off-pattern maxima of both products are exact zeros
+            inverse = _pattern_near_one(ones, scale)
+        else:
+            inverse = _monomial_products_near_identity(tb.array, *support)
     if not inverse:
         raise PreconditionError("operands are not mutual inverses")
     # the witnesses are the entries above STRUCTURE_TOL; unless U_a is

@@ -471,6 +471,8 @@ def reference_check_nonneg_inverse(a, b):
     m, n = tensor_mod._even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
+    if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
+        raise DomainError("operands must be finite")
     if np.any(ta.array < 0) or np.any(tb.array < 0):
         raise DomainError("operands must be entrywise nonnegative")
     ident = np.eye(n**m)
@@ -508,6 +510,10 @@ def generalized_permutations(rng, m, n):
     return gens
 
 
+#: values the domain checks refuse, each tried on the support of either operand
+BAD_VALUES = [np.nan, np.inf, -np.inf, -0.5]
+
+
 def monomial_pair(rng, m, n):
     g = build_gct(generalized_permutations(rng, m, n))
     return gct_dense(g).array.copy(), gct_dense(gct_inverse(g)).array.copy()
@@ -517,13 +523,17 @@ def monomial_pair(rng, m, n):
 def nonneg_pairs(draw):
     """A GCT of generalized permutations and its inverse, then one edit:
     none, an added entry of size 1e-14..1, b scaled by 1 +- eps around
-    either tolerance, a zeroed entry, or b built from swapped generators."""
+    either tolerance, a zeroed entry, a NaN, an inf or a negative value on
+    the support, b built from swapped generators, or b's unfolding
+    transposed (a strided view)."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gens = generalized_permutations(rng, m, n)
     a = gct_dense(build_gct(gens)).array.copy()
     b = gct_dense(gct_inverse(build_gct(gens))).array.copy()
-    kind = draw(st.sampled_from(["exact", "add", "scale", "zero", "swap"]))
+    kind = draw(
+        st.sampled_from(["exact", "add", "scale", "zero", "on_support", "swap", "transpose"])
+    )
     target = draw(st.sampled_from([a, b]))
     if kind == "add":
         at = tuple(draw(st.integers(0, n - 1)) for _ in range(2 * m))
@@ -534,17 +544,20 @@ def nonneg_pairs(draw):
         # so that some products land on the tolerance itself
         near = draw(st.sampled_from([0.5, 1.0, 2.0])) * (1.0 + draw(st.integers(-4, 4)) * 1e-12)
         b *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * tol * near
-    elif kind == "zero":
+    elif kind in ("zero", "on_support"):
         nonzero = np.argwhere(target)
-        target[tuple(nonzero[draw(st.integers(0, len(nonzero) - 1))])] = 0.0
+        at = tuple(nonzero[draw(st.integers(0, len(nonzero) - 1))])
+        target[at] = 0.0 if kind == "zero" else draw(st.sampled_from(BAD_VALUES))
     elif kind == "swap":
         b = gct_dense(gct_inverse(build_gct(gens[::-1]))).array.copy()
+    elif kind == "transpose":
+        b = b.transpose(*range(m, 2 * m), *range(m))
     return a, b
 
 
 class TestCheckNonnegInverseMatchesReference:
     """Same list, or the same exception class and message, as the dense
-    reference on finite inputs, on both the monomial and the dense route."""
+    reference, on the exactly monomial, the monomial and the dense route."""
 
     @given(nonneg_pairs())
     @settings(max_examples=400, deadline=None)
@@ -569,6 +582,87 @@ class TestCheckNonnegInverseMatchesReference:
         calls = self.counted_products(monkeypatch)
         assert check_nonneg_inverse(a, b) == reference_check_nonneg_inverse(a, b)
         assert calls == []
+
+    @staticmethod
+    def counted_monomial_products(monkeypatch):
+        calls = []
+        full = ct_mod._monomial_products_near_identity
+
+        def counting(*args):
+            calls.append(1)
+            return full(*args)
+
+        monkeypatch.setattr(ct_mod, "_monomial_products_near_identity", counting)
+        return calls
+
+    def test_exactly_monomial_pair_reads_only_its_support(self, monkeypatch):
+        a, b = monomial_pair(np.random.default_rng(36), 3, 3)
+        calls = self.counted_monomial_products(monkeypatch)
+        assert check_nonneg_inverse(a, b) == reference_check_nonneg_inverse(a, b)
+        assert calls == []
+        # one stray entry in b: the off-pattern maxima decide, as before
+        b[np.unravel_index(np.argmin(b), b.shape)] = 1e-13
+        assert check_nonneg_inverse(a, b) == reference_check_nonneg_inverse(a, b)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_refused_value_on_the_support(self, bad, side):
+        pair = list(monomial_pair(np.random.default_rng(37), 2, 3))
+        pair[side][tuple(np.argwhere(pair[side])[4])] = bad
+        message = "finite" if np.isnan(bad) or np.isinf(bad) else "nonnegative"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                check_nonneg_inverse(*pair)
+            assert outcome(check_nonneg_inverse, *pair) == outcome(
+                reference_check_nonneg_inverse, *pair
+            )
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("on_support,certified", [(False, True), (True, False)])
+    def test_negative_zero(self, side, on_support, certified):
+        # -0.0 == 0 and is not < 0: off the support it is one more zero; on
+        # it, the entry it replaces is gone
+        pair = list(monomial_pair(np.random.default_rng(38), 2, 3))
+        cells = np.argwhere(pair[side]) if on_support else np.argwhere(pair[side] == 0)
+        pair[side][tuple(cells[2])] = -0.0
+        got = outcome(check_nonneg_inverse, *pair)
+        assert got == outcome(reference_check_nonneg_inverse, *pair)
+        assert isinstance(got, list) == certified
+
+    def test_b_exactly_monomial_on_the_wrong_cells(self):
+        gens = generalized_permutations(np.random.default_rng(39), 2, 3)
+        a = gct_dense(build_gct(gens)).array
+        b = gct_dense(gct_inverse(build_gct(gens[::-1]))).array
+        ua, ub = a.reshape(9, 9), b.reshape(9, 9)
+        assert np.count_nonzero(ub) == 9 and not np.array_equal(ua != 0, ub.T != 0)
+        with pytest.raises(PreconditionError, match="not mutual inverses"):
+            check_nonneg_inverse(a, b)
+        assert outcome(check_nonneg_inverse, a, b) == outcome(
+            reference_check_nonneg_inverse, a, b
+        )
+
+    @pytest.mark.parametrize("tau", [[2, 3, 1], [3, 1, 2], [2, 1, 3]])
+    def test_tau_permuted_views(self, monkeypatch, tau):
+        # the same mode permutation on both halves conjugates U_a and U_b
+        # by one permutation matrix: still an exactly monomial inverse pair
+        a, b = monomial_pair(np.random.default_rng(40), 3, 3)
+        axes = [k - 1 for k in tau] + [k + 2 for k in tau]
+        a, b = a.transpose(axes), b.transpose(axes)
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous)
+        calls = self.counted_monomial_products(monkeypatch)
+        got = check_nonneg_inverse(DenseTensor._adopt(a), DenseTensor._adopt(b))
+        assert got == reference_check_nonneg_inverse(a, b)
+        assert calls == []
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 1), (3, 1)])
+    def test_one_mode_or_extent_one(self, monkeypatch, m, n):
+        a, b = monomial_pair(np.random.default_rng(41 + m + n), m, n)
+        calls = self.counted_monomial_products(monkeypatch)
+        got = check_nonneg_inverse(a, b)
+        assert got == reference_check_nonneg_inverse(a, b)
+        assert len(got) == n**m and calls == []
 
     def test_dense_route_certifies_a_stray_tiny_entry(self, monkeypatch):
         a, b = monomial_pair(np.random.default_rng(32), 2, 3)
@@ -645,8 +739,10 @@ class TestCheckNonnegInverseMatchesReference:
         a, b = np.diag([big, 1.0]), np.diag([1.0 / big, 1.0])
         b[at] = off
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an overflow to inf warns; it is not an error
+            warnings.simplefilter("error")
             got = outcome(check_nonneg_inverse, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reference's products overflow to inf
             assert got == outcome(reference_check_nonneg_inverse, a, b)
         assert isinstance(got, list) == certified
 
@@ -656,8 +752,10 @@ class TestCheckNonnegInverseMatchesReference:
         a, b = a * 1e300, b * 1e-300
         b[np.unravel_index(np.argmin(b), b.shape)] = off
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an overflow to inf warns; it is not an error
+            warnings.simplefilter("error")
             got = outcome(check_nonneg_inverse, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reference's products overflow to inf
             assert got == outcome(reference_check_nonneg_inverse, a, b)
         assert isinstance(got, list) == certified
 

@@ -20,10 +20,12 @@ from commutant import (
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
+    check_nonneg_inverse,
     conjugate_kron,
     cp_form,
     ctensor_flatten,
     gct_dense,
+    gct_inverse,
     identity_tensor,
     kron,
     materialize,
@@ -208,3 +210,20 @@ def test_unfoldings_copy_once(name, make, unfold):
     operand = make()
     result, peak = _peak_bytes(lambda: unfold(operand))
     assert peak <= 1.25 * result.nbytes
+
+
+def test_check_nonneg_inverse_reads_an_exactly_monomial_pair_in_place():
+    # a GCT of generalized permutations and its inverse, m = 3, n = 8: the
+    # certifier keeps a nonzero mask of one operand at a time (1/8 of its
+    # bytes) and the 2N support entries, and copies neither operand
+    rng = np.random.default_rng(7)
+    gens = []
+    for _ in range(3):
+        g = np.zeros((8, 8))
+        g[rng.permutation(8), np.arange(8)] = rng.uniform(0.5, 2.0, 8)
+        gens.append(g)
+    a = gct_dense(build_gct(gens))
+    b = gct_dense(gct_inverse(build_gct(gens)))
+    result, peak = _peak_bytes(lambda: check_nonneg_inverse(a, b))
+    assert len(result) == 512
+    assert peak < 0.25 * a.array.nbytes
