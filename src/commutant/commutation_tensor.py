@@ -34,7 +34,7 @@ from .tensor import (
     _even_order_cubic,
     _kron_into,
     _mode_products,
-    _shuffle_dense,
+    _shuffle_index,
     _square_stack,
     as_tensor,
     balance_unfold,
@@ -47,6 +47,10 @@ STRUCTURE_TOL = 1e-12
 INVERSE_CHECK_TOL = 1e-9
 #: relative part of that test, np.allclose's default rtol
 _ALLCLOSE_RTOL = 1e-5
+#: fewest dense entries at which gct_dense tests generators other than the
+#: identity for its scatter route: below it (the group-axioms suite's
+#: sizes among them) the kron route costs no more than the test
+_SCATTER_MIN_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,20 +125,73 @@ def gct_inverse(g: Gct) -> Gct:
     return _operator([linalg.inv(g.generators[t - 1]) for t in inv.images], inv)
 
 
+def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
+    """The dense form of generators with one nonzero per row and per column,
+    ``vals[k, i]`` at column ``cols[k, i]`` of B_k for ``pattern`` = (cols,
+    vals) and the identity for None, as a C-contiguous zero array with each
+    row's one product scattered in; None when a product overflows.  Row i's
+    product is formed as the kron route forms it, B_1·(B_2·(…·B_m)), and
+    lands in kron column sum_k cols[k, i_k]·n^(m-k), read through tau."""
+    m = tau.degree
+    size = n**m
+    prods = 1.0
+    if pattern is not None:
+        cols, vals = pattern
+        kron_col, prods = cols[-1], vals[-1]
+        with np.errstate(over="ignore"):  # an overflow is the kron route's to report
+            for k in range(m - 2, -1, -1):
+                kron_col = np.add.outer(cols[k] * n ** (m - 1 - k), kron_col).ravel()
+                prods = np.multiply.outer(vals[k], prods).ravel()
+        if not prods.max() < math.inf:
+            return None
+    # the result first, as the identity case always allocated: the heap's
+    # high-water mark, hence a process's peak RSS, follows this order
+    arr = np.zeros((n,) * (2 * m))
+    rows = np.arange(size)
+    index = _shuffle_index((n,) * m, tau.zero_based())  # kron column -> column
+    if pattern is not None:
+        index = index[kron_col]
+    arr.reshape(size, size)[rows, index] = prods
+    return arr
+
+
 def gct_dense(g: Gct) -> DenseTensor:
     """The order-2m tensor that acts as ``g`` under ``mul_2m_on_m``: entry
-    (i, j) is ``prod_k B_k[i_k, l_k]`` at l_k = j_{tau(k)}.  Identity
-    generators give the C-contiguous 0/1 array of one axis shuffle; others
-    the C-order unfolding kron(B_1, ..., B_m), accumulated from a copy of
-    B_m by m - 1 calls of the Kronecker kernel, each writing whole output
-    rows, with the trailing modes then viewed by tau.  Shares no memory
-    with g."""
+    (i, j) is ``prod_k B_k[i_k, l_k]`` at l_k = j_{tau(k)}.  Shares no memory
+    with g.  Two routes, with the same bytes wherever both apply:
+
+    * The group case, generators with one nonzero per row and per column,
+      every entry finite with its sign bit clear and every product finite:
+      a C-contiguous zero array with the n^m products scattered in, O(n^m)
+      arithmetic.  Identity generators always take it (the 0/1 array of
+      one axis shuffle); others from ``_SCATTER_MIN_ENTRIES`` dense entries
+      on, below which the kron route is as fast as the test for this one.
+    * Any other stack: the C-order unfolding kron(B_1, ..., B_m),
+      accumulated from a copy of B_m by m - 1 calls of the Kronecker
+      kernel, each writing whole output rows, with the trailing modes then
+      viewed by tau.
+
+    On the first route's inputs the kron route writes +0.0 off the pattern:
+    each such entry is a product of finite nonnegative factors, one of them
+    +0.0, and no partial product overflows, so no 0·inf NaN arises.  A
+    stack whose products overflow (1e200·1e200) takes the kron route and
+    keeps its NaNs.  An over-budget form is refused as the kron route
+    refuses it, at its first step B_k ⊗ acc over the budget, from B_m ⊗ [1]
+    on; identity generators as the shuffle's N x N matrix."""
     m, n = g.m, g.n
     _check_order(2 * m, "dense GCT")
-    eye = np.eye(n).tobytes()  # bytes, so -0.0 takes the kron route like any entry
+    eye = np.eye(n).tobytes()  # bytes, so -0.0 is no identity entry
     if all(gen.tobytes() == eye for gen in g.generators):
-        arr = _shuffle_dense((n,) * m, g.tau.zero_based(), "mode-permutation tensor")
-        return DenseTensor._adopt(arr)
+        _check_dense_budget((n**m, n**m), "mode-permutation tensor")
+        return DenseTensor._adopt(_scatter_dense(None, g.tau, n))
+    if n ** (2 * m) >= _SCATTER_MIN_ENTRIES:
+        pattern = linalg._nonneg_monomial(np.array(g.generators))
+        if pattern is not None:
+            for k in range(m):  # the kron route's steps B_k ⊗ acc
+                _check_dense_budget((n, n**k, n, n**k), "dense GCT")
+            arr = _scatter_dense(pattern, g.tau, n)
+            if arr is not None:
+                return DenseTensor._adopt(arr)
     _check_dense_budget((n, 1, n, 1), "dense GCT")  # as the step B_m ⊗ [1]
     acc = g.generators[-1].copy()
     for gen in reversed(g.generators[:-1]):
@@ -175,23 +232,33 @@ def is_pair_symmetric(a: TensorLike) -> bool:
 
 def _monomial_support(arr: np.ndarray, m: int):
     """The nonzero entries of an order-2m tensor whose balance unfolding has
-    exactly one nonzero per row and per column, as (row multi-index, column
-    multi-index, values); None for any other tensor."""
-    shape = arr.shape[:m]
-    size = math.prod(shape)
-    # scan in memory order: np.nonzero on a strided order-2m view builds its
-    # multi-indices entry by entry, several times slower than this
-    axes = np.argsort(arr.strides)[::-1]
-    walk = arr.transpose(axes) != 0
-    if np.count_nonzero(walk) != size:
+    exactly one nonzero per row and per column, as (rows, cols, values):
+    the flat index, first mode slowest, of each one's first m and last m
+    coordinates, and its value; None for any other tensor."""
+    size = arr.shape[0] ** m
+    # walk each half's modes in memory order, the half of the larger stride
+    # first: on every layout that keeps the halves apart (C, F, any mode
+    # permutation within the halves) that is the memory order itself, so the
+    # mask is one pass and each nonzero is a (major, minor) pair of flat
+    # indices, one into each half
+    strides = arr.strides
+    halves = sorted(
+        (sorted(range(h, h + m), key=lambda k: -strides[k]) for h in (0, m)),
+        key=lambda half: -strides[half[0]],
+    )
+    walk = arr.transpose(halves[0] + halves[1])
+    found = np.flatnonzero(walk != 0)
+    if found.size != size:
         return None
-    found = np.unravel_index(np.flatnonzero(walk), walk.shape)
-    idx = tuple(found[k] for k in np.argsort(axes))
-    rows, cols = idx[:m], idx[m:]
-    for part in (rows, cols):
-        if not np.all(np.bincount(np.ravel_multi_index(part, shape), minlength=size) == 1):
-            return None
-    return rows, cols, arr[idx]
+    major, minor = np.divmod(found, size)
+    # found is sorted, so one nonzero per major index makes major 0..size-1
+    if not (major == np.arange(size)).all() or not np.bincount(minor, minlength=size).all():
+        return None
+    # each half's walk index, read as its own modes' flat index
+    first, second = (_shuffle_index(arr.shape[:m], [k % m for k in half]) for half in halves)
+    second = second[minor]
+    rows, cols = (first, second) if halves[0][0] < m else (second, first)
+    return rows, cols, walk.reshape(-1)[found]
 
 
 def is_balanced_permutation(a: TensorLike) -> bool:
@@ -223,18 +290,16 @@ def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     for s > 0 the largest of s * x over a row or column is s times its
     largest x: one copy of U_b with the pattern zeroed, and its row and
     column maxima, decide both without forming either scaled U_b."""
-    half = b.shape[: len(rows)]
-    pattern = cols + rows
-    if not _pattern_near_one(b[pattern], scale):
+    size = len(rows)
+    off = b.copy().reshape(size, size)
+    if not _pattern_near_one(off[cols, rows], scale):
         return False
-    off = b.copy()
-    off[pattern] = 0.0
-    flat = off.reshape(math.prod(half), -1)
-    row_scale, col_scale = np.empty(half), np.empty(half)
+    off[cols, rows] = 0.0
+    row_scale, col_scale = np.empty(size), np.empty(size)
     row_scale[cols], col_scale[rows] = scale, scale
     return bool(
-        (row_scale.ravel() * flat.max(axis=1)).max() <= INVERSE_CHECK_TOL
-        and (col_scale.ravel() * flat.max(axis=0)).max() <= INVERSE_CHECK_TOL
+        (row_scale * off.max(axis=1)).max() <= INVERSE_CHECK_TOL
+        and (col_scale * off.max(axis=0)).max() <= INVERSE_CHECK_TOL
     )
 
 
@@ -286,7 +351,7 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     exact = False
     if support is not None:
         rows, cols, scale = support
-        ones = tb.array[cols + rows]
+        ones = tb.array.flat[cols * n**m + rows]
         # b nonzero on U_a's transposed pattern and nowhere else (a NaN
         # counts as nonzero): every other entry of both is an exact zero
         exact = bool(np.all(ones != 0)) and np.count_nonzero(tb.array != 0) == n**m
@@ -320,8 +385,8 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
             "inputs are numerically degenerate"
         )
     rows, cols, _ = support
+    # the unfolding's flat indices run first mode fastest: reverse the modes
+    unfold = _shuffle_index((n,) * m, range(m - 1, -1, -1))
     witness = np.empty(n**m, dtype=np.intp)
-    witness[np.ravel_multi_index(rows, (n,) * m, order="F")] = np.ravel_multi_index(
-        cols, (n,) * m, order="F"
-    )
+    witness[unfold[rows]] = unfold[cols]
     return list(enumerate(witness.tolist()))

@@ -11,6 +11,19 @@ through the magnitudes its argmax was read from, rows are swapped by one
 row copy and only when needed, and the rank-1 update is one broadcast
 product.  Its pivots, products and errors are those of the whole-matrix
 loop it replaced, bit for bit.
+
+A nonnegative monomial matrix (one nonzero per row and per column, every
+entry finite with its sign bit clear) skips the loop: its inverse is its
+transposed reciprocals, and these are the loop's bits.  Column c's pivot is
+its one nonzero x, which no earlier step has changed, so the division of
+the pivot row writes 1/x into the inverse and +0/x = +0 around it.  Every
+multiplier of the update is that column's other entries, all +0, times
+entries that are finite with their sign bit clear, so each update
+subtracts +0 and leaves every entry, +0 included, as it was.  That argument
+needs the sign bits: with a -0.0 multiplier or a negative entry the
+products can be -0.0, and x - (-0.0) turns a -0.0 into +0, so such a
+matrix takes the loop.  The first column in order whose pivot is below the
+threshold raises, with the loop's message.
 """
 
 from __future__ import annotations
@@ -25,6 +38,9 @@ from .errors import DimensionError, DomainError, SingularMatrixError
 INVERSE_PIVOT_TOL = 1e-10
 #: determinant magnitude below this is reported as exactly zero
 DET_SINGULAR_TOL = 1e-12
+#: a float64 whose bits, read as an unsigned integer, are below those of
+#: +inf is finite with its sign bit clear
+_INF_BITS = 0x7FF0000000000000
 
 
 def _square(mat) -> np.ndarray:
@@ -36,6 +52,22 @@ def _square(mat) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     return arr
+
+
+def _nonneg_monomial(stack: np.ndarray):
+    """(cols, vals), each (m, n), when each matrix of the (m, n, n) stack has
+    exactly one nonzero per row and per column and every entry is finite
+    with its sign bit clear: row i of matrix k holds vals[k, i] > 0 at
+    column cols[k, i].  None for any other stack."""
+    m, n, _ = stack.shape
+    # a dense stack fails the first test, one count
+    if np.count_nonzero(stack) != m * n or not stack.view(np.uint64).max() < _INF_BITS:
+        return None
+    vals = stack.max(axis=2)
+    # m·n nonzeros with one in every row and every column: exactly one in each
+    if not (vals.all() and stack.max(axis=1).all()):
+        return None
+    return stack.argmax(axis=2), vals
 
 
 def _pivots(mat) -> tuple[float, np.ndarray | None]:
@@ -73,19 +105,30 @@ def _slogdet(mat) -> tuple[float, float]:
     return sign * float(np.prod(np.sign(pivots))), float(np.sum(np.log(np.abs(pivots))))
 
 
+def _low_pivot(pivot) -> SingularMatrixError:
+    return SingularMatrixError(f"pivot {pivot:.3e} below threshold {INVERSE_PIVOT_TOL:g}")
+
+
 def inv(mat) -> np.ndarray:
     """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
     ``INVERSE_PIVOT_TOL``."""
     a = _square(mat)
     n = a.shape[0]
+    pattern = _nonneg_monomial(a[None])
+    if pattern is not None:
+        (cols,), (vals,) = pattern
+        if vals.min() < INVERSE_PIVOT_TOL:
+            pivots = a.max(axis=0)  # the loop meets them column by column
+            raise _low_pivot(pivots[(pivots < INVERSE_PIVOT_TOL).argmax()])
+        out = np.zeros((n, n))
+        out[cols, np.arange(n)] = 1.0 / vals
+        return out
     aug = np.hstack([a, np.eye(n)])
     for col in range(n):
         mags = np.abs(aug[col:, col])
         piv = int(mags.argmax())
         if mags[piv] < INVERSE_PIVOT_TOL:
-            raise SingularMatrixError(
-                f"pivot {mags[piv]:.3e} below threshold {INVERSE_PIVOT_TOL:g}"
-            )
+            raise _low_pivot(mags[piv])
         row = aug[col]
         if piv:
             swapped = row.copy()

@@ -416,6 +416,80 @@ class TestBalancedPermutation:
         )
 
 
+def reference_monomial_support(arr, m):
+    """The support helper as it was, through np.unravel_index and
+    np.ravel_multi_index: the flat indices, first mode slowest, of the
+    nonzeros' first and last m coordinates and their values, sorted by the
+    first; None unless there is exactly one nonzero per row and per column
+    of the balance unfolding."""
+    n = arr.shape[0]
+    size = n**m
+    idx = np.nonzero(arr)
+    if idx[0].size != size:
+        return None
+    rows = np.ravel_multi_index(idx[:m], (n,) * m)
+    cols = np.ravel_multi_index(idx[m:], (n,) * m)
+    for part in (rows, cols):
+        if not np.all(np.bincount(part, minlength=size) == 1):
+            return None
+    order = np.argsort(rows)
+    return rows[order], cols[order], arr[idx][order]
+
+
+def _layouts_of(arr):
+    """``arr`` as C and F copies, views with modes permuted within the
+    halves, with the halves swapped or interleaved, reversed and strided."""
+    m = arr.ndim // 2
+    yield arr
+    yield np.asfortranarray(arr)
+    within = [*range(m - 1, -1, -1), *range(m, 2 * m)]
+    yield np.ascontiguousarray(arr.transpose(within)).transpose(np.argsort(within))
+    swapped = [*range(m, 2 * m), *range(m)]
+    yield np.ascontiguousarray(arr.transpose(swapped)).transpose(np.argsort(swapped))
+    mixed = [k for pair in zip(range(m), range(m, 2 * m)) for k in pair]
+    yield np.ascontiguousarray(arr.transpose(mixed)).transpose(np.argsort(mixed))
+    yield np.flip(np.flip(arr, 0).copy(), 0)
+    wide = np.zeros(arr.shape[:-1] + (2 * arr.shape[-1],))
+    wide[..., ::2] = arr
+    yield wide[..., ::2]
+
+
+class TestMonomialSupport:
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2), (3, 4)])
+    def test_matches_the_unravel_round_trip_on_every_layout(self, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        a, _ = monomial_pair(rng, m, n)
+        stray, twice, missing = a.copy(), a.copy(), a.copy()
+        nonzero, zero = np.argwhere(a), np.argwhere(a == 0)
+        if len(zero):
+            stray[tuple(zero[0])] = 1e-300
+        twice[tuple(nonzero[0])] = 0.0
+        if len(zero):
+            twice[tuple(zero[-1])] = 2.0
+        missing[tuple(nonzero[-1])] = 0.0
+        for base in (a, stray, twice, missing, a != 0, a > 1.0):
+            want = reference_monomial_support(base, m)
+            for arr in _layouts_of(base):
+                assert np.array_equal(arr, base)
+                got = ct_mod._monomial_support(arr, m)
+                if want is None:
+                    assert got is None
+                    continue
+                order = np.argsort(got[0])
+                for part, expected in zip(got, want):
+                    assert np.array_equal(part[order], expected)
+
+    def test_balanced_permutations_keep_their_results(self):
+        for pi in Permutation.all(3):
+            for m in (1, 2, 3):
+                dense = gct_dense(gct_from_permutation(pi, m)).array
+                for arr in _layouts_of(dense):
+                    assert is_balanced_permutation(DenseTensor._adopt(arr))
+                    off = arr.copy()
+                    off.flat[1] += 1.0
+                    assert not is_balanced_permutation(off)
+
+
 class TestCheckNonnegInverse:
     def test_scaled_identity_pair(self):
         ident = gct_dense(gct_identity(2, 2)).array

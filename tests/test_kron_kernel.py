@@ -235,3 +235,124 @@ class TestOverBudgetMessages:
             with pytest.raises(DomainError) as err:
                 gct_dense(build_gct([2 * np.eye(3)] * m))
             assert str(err.value) == "dense GCT: (3, 1, 3, 1) is over MAX_DENSE_ENTRIES=8"
+
+
+def _scaled_permutations(rng, m, n, spread):
+    """m generators, each a permutation matrix with entries 10^e, e drawn
+    from -spread..spread, times a uniform in [0.5, 2)."""
+    gens = []
+    for _ in range(m):
+        g = np.zeros((n, n))
+        scale = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-spread, spread + 1, n)
+        g[rng.permutation(n), np.arange(n)] = scale
+        gens.append(g)
+    return gens
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Run every gct_dense call through the route test (no size floor), and
+    count the stacks the scatter route built."""
+    built = []
+    scatter = ct_mod._scatter_dense
+
+    def counting(pattern, tau, n):
+        arr = scatter(pattern, tau, n)
+        built.append(arr is not None)
+        return arr
+
+    monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", 1)
+    monkeypatch.setattr(ct_mod, "_scatter_dense", counting)
+    return built
+
+
+def _kron_route(g):
+    """gct_dense(g) as the kron route builds it, the route test skipped."""
+    floor = ct_mod._SCATTER_MIN_ENTRIES
+    ct_mod._SCATTER_MIN_ENTRIES = float("inf")
+    try:
+        return gct_dense(g).array
+    finally:
+        ct_mod._SCATTER_MIN_ENTRIES = floor
+
+
+class TestScatterRoute:
+    """Nonnegative monomial generators: the scatter route writes the kron
+    route's bytes, and every stack the route must refuse keeps them."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)])
+    def test_bytes_match_the_kron_route_for_every_tau(self, routes, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        for tau in Permutation.all(m):
+            for spread in (0, 150):
+                g = ct_mod._operator(_scaled_permutations(rng, m, n, spread), tau)
+                with np.errstate(all="ignore"):  # a product may overflow
+                    got, want = gct_dense(g).array, _kron_route(g)
+                    loop, _ = reference_gct_dense(g)
+                assert got.tobytes() == want.tobytes() == loop.tobytes(), tau.images
+                assert not np.shares_memory(got, g.generators[0])
+        # e = ±150 on four modes overflows and underflows some products:
+        # the route builds the in-range stacks and hands the others over
+        assert any(routes) and (m < 3 or n < 2 or not all(routes))
+
+    def test_the_route_is_c_contiguous(self, routes):
+        g = ct_mod._operator(_scaled_permutations(np.random.default_rng(5), 3, 4, 3),
+                             Permutation([3, 1, 2]))
+        arr = gct_dense(g).array
+        assert routes == [True] and arr.flags.c_contiguous
+        assert arr.tobytes() == _kron_route(g).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["negative zero", "negative", "inf", "nan", "second nonzero in a row", "overflow"],
+    )
+    def test_refused_stacks_keep_the_kron_route_bytes(self, routes, edit):
+        n = 3
+        gens = _scaled_permutations(np.random.default_rng(9), 3, n, 2)
+        target = gens[1]
+        on, off = tuple(np.argwhere(target)[1]), tuple(np.argwhere(target == 0)[1])
+        if edit == "negative zero":
+            target[off] = -0.0
+        elif edit == "negative":
+            target[on] = -target[on]
+        elif edit == "inf":
+            target[on] = np.inf
+        elif edit == "nan":
+            target[on] = np.nan
+        elif edit == "second nonzero in a row":
+            target[on[0], (on[1] + 1) % n] = 0.25
+        else:
+            gens = [1e200 * np.eye(2)] * 3
+        g = build_gct(gens)
+        with np.errstate(all="ignore"):
+            got, want = gct_dense(g).array, _kron_route(g)
+            nan_by_nan = reference_gct_dense(g)[1]
+        assert routes in ([], [False])
+        assert got.strides == want.strides and _bits_match(got, want, nan_by_nan)
+
+    def test_overflow_keeps_the_kron_routes_nans(self):
+        # 1e200 * 1e200 overflows to inf on the way, and 0 * inf is NaN: the
+        # route test runs at this size and hands the stack to the kron route
+        g = build_gct([1e200 * np.eye(8)] * 3)
+        with np.errstate(all="ignore"):
+            arr, want = gct_dense(g).array, _kron_route(g)
+        assert np.isnan(arr).sum() == 3584 and arr.tobytes() == want.tobytes()
+        assert not np.isnan(gct_dense(build_gct([1e100 * np.eye(8)] * 3)).array).any()
+
+    def test_over_budget_identity_keeps_the_shuffle_message(self):
+        with pytest.raises(DomainError) as err:
+            gct_dense(build_gct([np.eye(65)] * 2))
+        assert str(err.value) == (
+            "mode-permutation tensor: (4225, 4225) is over MAX_DENSE_ENTRIES=16777216"
+        )
+
+    @pytest.mark.parametrize("m,n", [(2, 65), (3, 17)])
+    def test_over_budget_messages_match_on_both_routes(self, monkeypatch, m, n):
+        gens = _scaled_permutations(np.random.default_rng(n), m, n, 1)
+        messages = []
+        for floor in (1, float("inf")):
+            monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", floor)
+            with pytest.raises(DomainError) as err:
+                gct_dense(build_gct(gens))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]

@@ -214,3 +214,79 @@ def test_inv_at_the_pivot_threshold_matches_the_vectorised_loop(pivot):
     got = _bytes_or_error(linalg.inv, a)
     assert got == _bytes_or_error(_inv_vectorised_reference, a)
     assert isinstance(got, bytes) == (pivot == linalg.INVERSE_PIVOT_TOL)
+
+
+def _scaled_permutation(rng, n, spread):
+    """A permutation matrix with entries 10^e, e in -spread..spread, times a
+    uniform in [0.5, 2)."""
+    a = np.zeros((n, n))
+    a[rng.permutation(n), np.arange(n)] = rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(
+        -spread, spread + 1, n
+    )
+    return a
+
+
+@pytest.fixture
+def shortcuts(monkeypatch):
+    """Count the matrices ``inv`` found nonnegative monomial."""
+    found = []
+    test = linalg._nonneg_monomial
+
+    def counting(stack):
+        pattern = test(stack)
+        found.append(pattern is not None)
+        return pattern
+
+    monkeypatch.setattr(linalg, "_nonneg_monomial", counting)
+    return found
+
+
+def test_inv_of_a_nonnegative_monomial_is_the_loops_bytes(shortcuts):
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 5, 8, 12):
+        for spread in (0, 5, 150, 300):
+            a = _scaled_permutation(rng, n, spread)
+            got = _bytes_or_error(linalg.inv, a)
+            assert got == _bytes_or_error(_inv_vectorised_reference, a)
+    assert all(shortcuts) and len(shortcuts) == 24
+
+
+@pytest.mark.parametrize(
+    "pivots",
+    [
+        {4: linalg.INVERSE_PIVOT_TOL},
+        {4: np.nextafter(linalg.INVERSE_PIVOT_TOL, 0.0)},
+        {4: 1e-11, 1: 1e-12},
+        {4: 1e-300, 1: linalg.INVERSE_PIVOT_TOL, 2: 1e-12},
+    ],
+)
+def test_inv_of_a_nonnegative_monomial_refuses_its_first_low_column(shortcuts, pivots):
+    # the loop meets the pivots in column order, whatever their rows
+    a = _scaled_permutation(np.random.default_rng(44), 6, 0)
+    for col, value in pivots.items():
+        a[np.flatnonzero(a[:, col]), col] = value
+    got = _bytes_or_error(linalg.inv, a)
+    assert got == _bytes_or_error(_inv_vectorised_reference, a)
+    assert shortcuts == [True]
+    low = [col for col, value in sorted(pivots.items()) if value < linalg.INVERSE_PIVOT_TOL]
+    if not low:
+        assert isinstance(got, bytes)
+    else:
+        want = f"pivot {pivots[low[0]]:.3e} below threshold 1e-10"
+        assert got == (SingularMatrixError, want)
+
+
+@pytest.mark.parametrize("edit", ["negative", "negative zero"])
+def test_signed_monomials_take_the_loop(shortcuts, edit):
+    # the shortcut's argument needs every entry's sign bit clear
+    rng = np.random.default_rng(45)
+    for n in (2, 3, 5, 8):
+        for _ in range(20):
+            a = _scaled_permutation(rng, n, 3)
+            if edit == "negative":
+                rows, cols = np.nonzero(a)
+                a[rows[: n // 2 + 1], cols[: n // 2 + 1]] *= -1.0
+            else:
+                a[tuple(np.argwhere(a == 0)[0])] = -0.0
+            assert linalg.inv(a).tobytes() == _inv_vectorised_reference(a).tobytes()
+    assert shortcuts and not any(shortcuts)

@@ -128,6 +128,17 @@ def test_gct_dense_is_c_contiguous(m, n):
     assert np.allclose(arr.reshape(n**m, n**m), want, rtol=1e-15, atol=0)
 
 
+def _scaled_permutations(*sizes):
+    """Permutation matrices of the given sizes with entries in [0.5, 2)."""
+    rng = np.random.default_rng(8)
+    out = []
+    for n in sizes:
+        g = np.zeros((n, n))
+        g[rng.permutation(n), np.arange(n)] = rng.uniform(0.5, 2.0, n)
+        out.append(g)
+    return out
+
+
 def _peak_bytes(call):
     """Result of ``call()`` and the most bytes traced at once while it ran."""
     call()  # numpy's first-call caches are not allocations of the call itself
@@ -187,6 +198,13 @@ def test_kron_of_a_single_row_factor_expands_to_the_result_size(x_shape, y_shape
             lambda: mode_perm_dense(build_mode_perm_tensor(Permutation([3, 1, 4, 2]), 5)),
         ),
         ("gct_dense", lambda: gct_dense(build_gct(_inputs(3, (8, 8), (8, 8), (8, 8))))),
+        # nonnegative monomial generators: zeros with the 512 products scattered in
+        (
+            "gct_dense_monomial",
+            lambda: gct_dense(
+                rank_preserver(_scaled_permutations(8, 8, 8), Permutation([2, 3, 1]))
+            ),
+        ),
     ],
 )
 def test_dense_builders_allocate_their_result_once(name, call):
