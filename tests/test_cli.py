@@ -55,6 +55,20 @@ VERIFY_TEXT = (
     "mode-perm-lemma: PASS (320 checks)\n"
     "preserver-suite: PASS (98 checks)\n"
 )
+VERIFY_FAULT_S3_TEXT = (
+    "vec-identity: FAIL (1/84 checks failed)\n"
+    "  FAIL size 2x2 trial 0: K vec(X) != vec(X^T)\n"
+    "swap-law: PASS (84 checks)\n"
+    "kron-conjugation: PASS (80 checks)\n"
+    "powers: PASS (10 checks)\n"
+    "group-axioms: PASS (192 checks)\n"
+    "mode-perm-lemma: PASS (320 checks)\n"
+    "preserver-suite: PASS (98 checks)\n"
+)
+VERIFY_KRON_FAULT_S5_TEXT = (
+    "kron-conjugation: FAIL (1/80 checks failed)\n"
+    "  FAIL size 2x2 trial 0: conjugation error 1.000e+00 > 1e-12\n"
+)
 VERIFY_JSON_T10_S7 = (
     '{"seed":7,"suites":[{"name":"vec-identity","checks":44,"failures":[]},{'
     '"name":"swap-law","checks":44,"failures":[]},{'
@@ -473,6 +487,22 @@ class TestGoldenBytes:
         monkeypatch.delenv("COMMUTANT_SEED", raising=False)
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
+        assert out == want
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["verify", "--inject-fault", "--seed", "3"], VERIFY_FAULT_S3_TEXT),
+            (
+                ["verify", "--suite", "kron-conjugation", "--inject-fault", "--seed", "5"],
+                VERIFY_KRON_FAULT_S5_TEXT,
+            ),
+        ],
+    )
+    def test_injected_fault_bytes_and_exit_4(self, capsys, monkeypatch, argv, want):
+        monkeypatch.delenv("COMMUTANT_SEED", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and err == ""
         assert out == want
 
     @pytest.mark.parametrize("phi,name,tensor,want", APPLY_CASES)
