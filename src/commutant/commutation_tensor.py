@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,13 @@ class Gct:
     def n(self) -> int:
         return self.generators[0].shape[0]
 
+    @cached_property
+    def _monomial(self):
+        """``linalg._nonneg_monomial`` of the generator stack: the group case's
+        (cols, vals), or None.  Run once per operator, and shared by
+        :func:`gct_dense` and :func:`gct_inverse`."""
+        return linalg._nonneg_monomial(np.array(self.generators))
+
 
 def _operator(generators, tau: Permutation | None = None) -> Gct:
     """The one validator: freeze square generators of one size and check
@@ -119,10 +127,31 @@ def gct_multiply(a: Gct, b: Gct) -> Gct:
 
 def gct_inverse(g: Gct) -> Gct:
     """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
-    tau^-1.  Raises SingularMatrixError if any generator is singular at the
-    pivot threshold."""
+    tau^-1.  Each distinct generator is inverted once and its inverse shared
+    by the modes that hold it.  Nonnegative monomial generators (the
+    operator's one monomial test) are inverted together, as their transposed
+    reciprocals, and the inverse operator's own test is known from them.
+    Raises SingularMatrixError if any generator is singular at the pivot
+    threshold, the first in the order of the inverse's modes."""
     inv = g.tau.inverse()
-    return _operator([linalg.inv(g.generators[t - 1]) for t in inv.images], inv)
+    keys = [t - 1 for t in inv.images]
+    pattern = g._monomial
+    if pattern is not None:
+        cols, vals = pattern
+        stack = np.array(g.generators)[keys]
+        found = linalg._monomial_inverses(stack, (cols[keys], vals[keys]))
+    inverses = {}
+    for j, k in enumerate(keys):
+        b = g.generators[k]
+        if id(b) in inverses:
+            continue
+        inverses[id(b)] = linalg._gauss_jordan(linalg._square(b)) if pattern is None else found[j]
+    out = _operator([inverses[id(g.generators[k])] for k in keys], inv)
+    if pattern is not None:
+        # the inverses are nonnegative monomial by construction, so their
+        # test's result is known: stored where the cached property keeps it
+        out.__dict__["_monomial"] = found.argmax(axis=2), found.max(axis=2)
+    return out
 
 
 def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
@@ -131,27 +160,30 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
     vals) and the identity for None, as a C-contiguous zero array with each
     row's one product scattered in; None when a product overflows.  Row i's
     product is formed as the kron route forms it, B_1·(B_2·(…·B_m)), and
-    lands in kron column sum_k cols[k, i_k]·n^(m-k), read through tau."""
+    lands in the column j with j_tau(k) = cols[k, i_k], whose flat index is
+    sum_k cols[k, i_k]·n^(m - tau(k))."""
     m = tau.degree
     size = n**m
     prods = 1.0
     if pattern is not None:
         cols, vals = pattern
-        kron_col, prods = cols[-1], vals[-1]
+        prods = vals[-1]
         with np.errstate(over="ignore"):  # an overflow is the kron route's to report
             for k in range(m - 2, -1, -1):
-                kron_col = np.add.outer(cols[k] * n ** (m - 1 - k), kron_col).ravel()
-                prods = np.multiply.outer(vals[k], prods).ravel()
+                prods = vals[k].reshape((n,) + (1,) * prods.ndim) * prods
+        prods = prods.ravel()
         if not prods.max() < math.inf:
             return None
     # the result first, as the identity case always allocated: the heap's
     # high-water mark, hence a process's peak RSS, follows this order
     arr = np.zeros((n,) * (2 * m))
-    rows = np.arange(size)
-    index = _shuffle_index((n,) * m, tau.zero_based())  # kron column -> column
-    if pattern is not None:
-        index = index[kron_col]
-    arr.reshape(size, size)[rows, index] = prods
+    if pattern is None:
+        index = _shuffle_index((n,) * m, tau.zero_based())
+    else:
+        index = cols[0] * n ** (m - tau.images[0])
+        for k in range(1, m):
+            index = np.add.outer(index, cols[k] * n ** (m - tau.images[k])).ravel()
+    arr.reshape(size, size)[np.arange(size), index] = prods
     return arr
 
 
@@ -185,7 +217,7 @@ def gct_dense(g: Gct) -> DenseTensor:
         _check_dense_budget((n**m, n**m), "mode-permutation tensor")
         return DenseTensor._adopt(_scatter_dense(None, g.tau, n))
     if n ** (2 * m) >= _SCATTER_MIN_ENTRIES:
-        pattern = linalg._nonneg_monomial(np.array(g.generators))
+        pattern = g._monomial
         if pattern is not None:
             for k in range(m):  # the kron route's steps B_k ⊗ acc
                 _check_dense_budget((n, n**k, n, n**k), "dense GCT")
@@ -239,26 +271,37 @@ def _monomial_support(arr: np.ndarray, m: int):
     # walk each half's modes in memory order, the half of the larger stride
     # first: on every layout that keeps the halves apart (C, F, any mode
     # permutation within the halves) that is the memory order itself, so the
-    # mask is one pass and each nonzero is a (major, minor) pair of flat
-    # indices, one into each half
-    strides = arr.strides
-    halves = sorted(
-        (sorted(range(h, h + m), key=lambda k: -strides[k]) for h in (0, m)),
-        key=lambda half: -strides[half[0]],
-    )
+    # mask is one pass and a matrix whose row index is one half's flat index
+    # and column index the other's
+    if arr.flags.c_contiguous:
+        halves = [list(range(m)), list(range(m, 2 * m))]
+    else:
+        strides = arr.strides
+        halves = sorted(
+            (sorted(range(h, h + m), key=lambda k: -strides[k]) for h in (0, m)),
+            key=lambda half: -strides[half[0]],
+        )
     walk = arr.transpose(halves[0] + halves[1])
-    found = np.flatnonzero(walk != 0)
-    if found.size != size:
+    mask = (walk != 0).reshape(size, size)
+    # size nonzeros, one in every row: exactly one in each
+    if np.count_nonzero(mask) != size:
         return None
-    major, minor = np.divmod(found, size)
-    # found is sorted, so one nonzero per major index makes major 0..size-1
-    if not (major == np.arange(size)).all() or not np.bincount(minor, minlength=size).all():
+    major = np.arange(size)
+    minor = mask.argmax(axis=1)
+    if not mask[major, minor].all() or not np.bincount(minor, minlength=size).all():
         return None
+    values = _gather(walk, major * size + minor)
     # each half's walk index, read as its own modes' flat index
     first, second = (_shuffle_index(arr.shape[:m], [k % m for k in half]) for half in halves)
     second = second[minor]
     rows, cols = (first, second) if halves[0][0] < m else (second, first)
-    return rows, cols, walk.reshape(-1)[found]
+    return rows, cols, values
+
+
+def _gather(arr: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The entries of ``arr`` at C-order flat indices ``flat``, without a
+    copy of a C-contiguous ``arr``."""
+    return arr.reshape(-1)[flat] if arr.flags.c_contiguous else arr.flat[flat]
 
 
 def is_balanced_permutation(a: TensorLike) -> bool:
@@ -276,7 +319,8 @@ def _pattern_near_one(ones: np.ndarray, scale: np.ndarray) -> bool:
     """Whether U_b's entries ``ones`` at U_a's transposed pattern, each times
     U_a's entry ``scale`` there, are all within ``np.allclose``'s tolerance
     of 1: the entries of both products on their diagonal."""
-    return bool(np.all(np.abs(ones * scale - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL))
+    # a NaN is the largest deviation and fails the test
+    return bool(np.abs(ones * scale - 1.0).max() <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL)
 
 
 def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
@@ -345,21 +389,25 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     m, n = _even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
+    size = n**m
     # comparisons only, so a NaN, an inf or a negative value warns nowhere
-    # before the domain checks
+    # before the domain checks.  b is counted first: a caller builds it
+    # last, so it is the operand still in cache (a NaN counts as nonzero)
+    b_nonzeros = np.count_nonzero(tb.array != 0)
     support = _monomial_support(ta.array, m)
     exact = False
     if support is not None:
         rows, cols, scale = support
-        ones = tb.array.flat[cols * n**m + rows]
-        # b nonzero on U_a's transposed pattern and nowhere else (a NaN
-        # counts as nonzero): every other entry of both is an exact zero
-        exact = bool(np.all(ones != 0)) and np.count_nonzero(tb.array != 0) == n**m
-    # one min and one max of the values that can fail accept the finite
-    # nonnegative case (NaN propagates, so it fails); only a failure pays
-    # for the checks that pick the message
+        ones = _gather(tb.array, cols * size + rows)
+        # b nonzero on U_a's transposed pattern and nowhere else: every
+        # other entry of both is an exact zero
+        exact = b_nonzeros == size and bool(ones.all())
+    # finite with the sign bit clear is a uint64 below the bits of +inf: one
+    # max of the values that can fail accepts the finite nonnegative case,
+    # and only a failure (-0.0 among them) pays for the checks that pick
+    # the message
     values = (scale, ones) if exact else (ta.array, tb.array)
-    if not all(0.0 <= v.min() and v.max() < math.inf for v in values):
+    if not all(v.view(np.uint64).max() < linalg._INF_BITS for v in values):
         if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
             raise DomainError("operands must be finite")
         if np.any(ta.array < 0) or np.any(tb.array < 0):
@@ -367,7 +415,7 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
         if support is None:
-            inverse = _dense_products_near_identity(ta, tb, n**m)
+            inverse = _dense_products_near_identity(ta, tb, size)
         elif exact:
             # the off-pattern maxima of both products are exact zeros
             inverse = _pattern_near_one(ones, scale)
@@ -387,6 +435,6 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     rows, cols, _ = support
     # the unfolding's flat indices run first mode fastest: reverse the modes
     unfold = _shuffle_index((n,) * m, range(m - 1, -1, -1))
-    witness = np.empty(n**m, dtype=np.intp)
+    witness = np.empty(size, dtype=np.intp)
     witness[unfold[rows]] = unfold[cols]
     return list(enumerate(witness.tolist()))

@@ -24,6 +24,17 @@ needs the sign bits: with a -0.0 multiplier or a negative entry the
 products can be -0.0, and x - (-0.0) turns a -0.0 into +0, so such a
 matrix takes the loop.  The first column in order whose pivot is below the
 threshold raises, with the loop's message.
+
+The invertibility gate of the rank preservers, :func:`_require_invertible`,
+decides a whole stack of generators without building an inverse.  A pivot
+is read only from the rows at and below it, and those rows take in nothing
+from the rows above or from the right half, so one elimination of the
+(k, n, n) stack that keeps only those rows, with inv's pivot search, row
+swap, row division and update on them, meets inv's pivots bit for bit; a
+nonnegative monomial stack is decided from its pattern, as inv decides it.
+Per column that is five numpy calls for all k matrices where inv makes six
+for one, and the last column's update is skipped, so one generator costs
+no more than inv and k of them about as much as one.
 """
 
 from __future__ import annotations
@@ -109,20 +120,33 @@ def _low_pivot(pivot) -> SingularMatrixError:
     return SingularMatrixError(f"pivot {pivot:.3e} below threshold {INVERSE_PIVOT_TOL:g}")
 
 
-def inv(mat) -> np.ndarray:
-    """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
-    ``INVERSE_PIVOT_TOL``."""
-    a = _square(mat)
+def _refuse_low(pivots: np.ndarray) -> None:
+    """Raise inv's SingularMatrixError for the first matrix of a stack with a
+    pivot below the threshold, given the (k, n) pivot magnitudes in the
+    order the loop meets them; NaN pivots pass, as in the loop."""
+    low = pivots < INVERSE_PIVOT_TOL
+    bad = low.any(axis=1)
+    if bad.any():
+        first = int(bad.argmax())
+        raise _low_pivot(pivots[first, low[first].argmax()])
+
+
+def _monomial_inverses(stack: np.ndarray, pattern) -> np.ndarray:
+    """inv of each matrix of a nonnegative monomial (k, n, n) stack with
+    ``pattern`` = (cols, vals), its transposed reciprocals, or the loop's
+    error for the first matrix it refuses."""
+    cols, vals = pattern
+    if vals.min() < INVERSE_PIVOT_TOL:
+        _refuse_low(stack.max(axis=1))  # the loop meets them column by column
+    k, n = cols.shape
+    out = np.zeros((k, n, n))
+    out[np.arange(k)[:, None], cols, np.arange(n)] = 1.0 / vals
+    return out
+
+
+def _gauss_jordan(a: np.ndarray) -> np.ndarray:
+    """The inverse of a finite square matrix by the loop."""
     n = a.shape[0]
-    pattern = _nonneg_monomial(a[None])
-    if pattern is not None:
-        (cols,), (vals,) = pattern
-        if vals.min() < INVERSE_PIVOT_TOL:
-            pivots = a.max(axis=0)  # the loop meets them column by column
-            raise _low_pivot(pivots[(pivots < INVERSE_PIVOT_TOL).argmax()])
-        out = np.zeros((n, n))
-        out[cols, np.arange(n)] = 1.0 / vals
-        return out
     aug = np.hstack([a, np.eye(n)])
     for col in range(n):
         mags = np.abs(aug[col:, col])
@@ -139,3 +163,51 @@ def inv(mat) -> np.ndarray:
         factor[col] = 0.0  # every row but the pivot row
         aug -= factor[:, None] * row
     return aug[:, n:]
+
+
+def inv(mat) -> np.ndarray:
+    """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
+    ``INVERSE_PIVOT_TOL``."""
+    a = _square(mat)
+    pattern = _nonneg_monomial(a[None])
+    if pattern is not None:
+        return _monomial_inverses(a[None], pattern)[0]
+    return _gauss_jordan(a)
+
+
+def _require_invertible(mats) -> None:
+    """Raise what inv raises on the first of ``mats``, square matrices of one
+    size, that it refuses, and build no inverse: DomainError for a
+    non-finite matrix, SingularMatrixError with inv's message for a pivot
+    below ``INVERSE_PIVOT_TOL``.  The module docstring says why the pivots
+    are inv's."""
+    a = np.array(mats, dtype=float)
+    k, n, _ = a.shape
+    if _nonneg_monomial(a) is not None:
+        pivots = a.max(axis=1)  # each column's one nonzero
+    else:
+        # one matrix is eliminated as a matrix: numpy's cost per call grows
+        # with the number of axes
+        blk, lanes = (a[0], ()) if k == 1 else (a, (np.arange(k),))
+        with np.errstate(all="ignore"):  # a refused matrix runs on past its low pivot
+            for _ in range(n - 1):
+                col = blk[..., 0]
+                piv = np.abs(col).argmax(axis=-1)
+                if np.count_nonzero(piv) if lanes else piv:
+                    rows = blk[lanes + (piv,)].copy()
+                    blk[lanes + (piv,)] = blk[..., 0, :]
+                    blk[..., 0, :] = rows  # the pivot stays on the diagonal
+                top = blk[..., 0, 1:] / col[..., :1]
+                blk = blk[..., 1:, 1:]
+                blk -= col[..., 1:, None] * top[..., None, :]
+        pivots = a.diagonal(0, 1, 2)  # signed
+    # a non-finite entry always reaches some pivot as an inf or a NaN, so
+    # pivots all finite and at or above the threshold accept every matrix;
+    # a NaN fails the test
+    if all(INVERSE_PIVOT_TOL <= abs(p) < math.inf for p in pivots.ravel().tolist()):
+        return
+    finite = np.isfinite(np.array(mats, dtype=float)).all(axis=(1, 2))
+    first = int(finite.argmin()) if not finite.all() else k
+    _refuse_low(np.abs(pivots[:first]))
+    if first < k:
+        raise DomainError("matrix has a non-finite entry")

@@ -9,16 +9,25 @@ matrix on every mode.  The constructors here gate on ``linalg.inv``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .commutation_tensor import Gct, _operator, apply_rank_preserver, gct_multiply
-from .cp import _rank1_residual, rank1
+from .cp import _rank1_residual
 from .errors import ArgumentError, DimensionError
 from .permutation import Permutation
-from .tensor import TensorLike, as_matrix, as_tensor, identity_tensor
+from .tensor import (
+    TensorLike,
+    _check_dense_budget,
+    _mode_products,
+    as_matrix,
+    as_tensor,
+    identity_tensor,
+)
 
 #: relative tolerance for rank-1 certification of preserver outputs
 CERT_TOL = 1e-9
@@ -26,13 +35,18 @@ CERT_TOL = 1e-9
 DET_ONE_TOL = 1e-9
 #: tolerance for structural comparisons (identity fixing, reductions)
 EXACT_TOL = 1e-12
+#: a random factor of smaller norm is drawn again
+_FACTOR_MIN_NORM = 1e-6
+#: most entries in one stack of trial tensors
+_TRIAL_STACK_ENTRIES = 2**16
 
 
 def _invertible(phi: Gct) -> Gct:
-    """The invertibility gate: ``phi`` once ``linalg.inv`` accepts each shared
-    generator once; else SingularMatrixError, or DomainError if non-finite."""
-    for gen in {id(b): b for b in phi.generators}.values():
-        linalg.inv(gen)
+    """The invertibility gate: ``phi`` once ``linalg.inv`` would accept each
+    shared generator; else the error inv raises on the first it refuses,
+    SingularMatrixError, or DomainError if non-finite.  All of them are
+    decided by one pivot-only elimination of their stack."""
+    linalg._require_invertible(list({id(b): b for b in phi.generators}.values()))
     return phi
 
 
@@ -108,25 +122,96 @@ class VerificationReport:
         return self.passed == self.trials
 
 
+def _drawn_factors(seed: int, trial: int, m: int, n: int) -> np.ndarray:
+    """Trial ``trial``'s m unit factors, one at a time from its own stream,
+    a factor of norm below ``_FACTOR_MIN_NORM`` drawn again."""
+    rng = np.random.default_rng((seed, trial))  # the stream of SeedSequence((seed, trial))
+    factors = np.empty((m, n))
+    for f in factors:
+        v = rng.standard_normal(n)
+        norm = np.linalg.norm(v)
+        while norm < _FACTOR_MIN_NORM:
+            v = rng.standard_normal(n)
+            norm = np.linalg.norm(v)
+        f[:] = v / norm
+    return factors
+
+
+def _unit_factors(seed: int, trials: range, m: int, n: int) -> np.ndarray:
+    """The (T, m, n) unit factors of ``trials``, each trial's as
+    :func:`_drawn_factors` gives them.  Its m·n normals are one draw from its
+    stream, the same numbers as m draws of n, and the factor norms are one
+    stacked np.matmul, each a dot product as np.linalg.norm takes it; only
+    a trial with a factor to draw again is drawn again one factor at a
+    time."""
+    draws = np.empty((len(trials), m, n))
+    for out, trial in zip(draws, trials):
+        np.random.default_rng((seed, trial)).standard_normal(out=out)
+    norms = np.sqrt(draws[..., None, :] @ draws[..., :, None])[..., 0]
+    units = draws / norms
+    for i in np.flatnonzero((norms < _FACTOR_MIN_NORM).any(axis=(1, 2))):
+        units[i] = _drawn_factors(seed, trials[i], m, n)
+    return units
+
+
+def _rank1_images(phi: Gct, units: np.ndarray) -> np.ndarray:
+    """``apply_rank_preserver(phi, rank1(units[t]))`` for every t, as one
+    (T, n, ..., n) stack with the same bits: the outer products in rank1's
+    order, the modes shuffled by tau, and one stacked product per mode."""
+    t, m, n = units.shape
+    x = units[:, 0]
+    for k in range(1, m):
+        x = x[..., None] * units[(slice(None), k) + (None,) * k]
+    shuffled = np.transpose(x, (0, *(1 + a for a in phi.tau.zero_based())))
+    with np.errstate(all="ignore"):  # np.matmul warns of an overflow, as np.dot does not
+        return _mode_products(shuffled, enumerate(phi.generators), lead=1)
+
+
+def _rank1_stack(images: np.ndarray) -> np.ndarray:
+    """:func:`is_rank1_tensor` of each tensor of a (T, n, ..., n) stack, as a
+    (T,) bool array: finite, nonzero, and the rank-1 residual of
+    :func:`~commutant.cp._rank1_residual` at most ``CERT_TOL`` times the
+    entry scale, with the same pivot, fibres and products.  The scale max|a|
+    is finite exactly when every entry is, a NaN propagating."""
+    t, m = images.shape[0], images.ndim - 1
+    flat = images.reshape(t, -1)
+    mags = np.abs(flat)
+    scale = mags.max(axis=1)
+    pivot = (np.arange(t), *np.unravel_index(mags.argmax(axis=1), images.shape[1:]))
+    del mags
+    fibres = [images[pivot[: k + 1] + (slice(None),) + pivot[k + 2 :]] for k in range(m)]
+    with np.errstate(all="ignore"):  # a tensor that fails anyway may divide by 0 or overflow
+        cand = fibres[0]
+        for k in range(1, m):
+            f = fibres[k] / images[pivot][:, None]
+            cand = cand[..., None] * f.reshape((t,) + (1,) * k + f.shape[1:])
+        resid = cand.reshape(t, -1)
+        np.abs(np.subtract(flat, resid, out=resid), out=resid)
+        return (0.0 < scale) & (scale < math.inf) & (resid.max(axis=1) <= CERT_TOL * scale)
+
+
 def verify_rank_preservation(phi: Gct, trials: int, seed: int) -> VerificationReport:
     """Draw random unit-factor rank-1 tensors, apply the preserver, and
     certify every output is rank 1.  The random stream is split per trial
-    index, so results are independent of execution order."""
+    index, so results are independent of execution order.
+
+    Trial t draws its m factors from ``SeedSequence((seed, t))``, a factor
+    of norm below 1e-6 drawn again.  The trials are certified as stacks of
+    at most ``max(1, 2**16 // n**m)`` tensors, in a fixed number of numpy
+    calls per stack; each trial's image, and so its verdict, is the one
+    :func:`~commutant.commutation_tensor.apply_rank_preserver` and
+    :func:`is_rank1_tensor` give it alone.  Raises ArgumentError unless
+    ``trials`` is positive and ``seed`` a non-negative integer."""
     if trials < 1:
         raise ArgumentError(f"trials must be positive, got {trials}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     m, n = phi.m, phi.n
+    _check_dense_budget((n,) * m, "rank-1 tensor")
+    chunk = max(1, _TRIAL_STACK_ENTRIES // n**m)
     failures = []
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
-        factors = []
-        for _ in range(m):
-            v = rng.standard_normal(n)
-            norm = np.linalg.norm(v)
-            while norm < 1e-6:
-                v = rng.standard_normal(n)
-                norm = np.linalg.norm(v)
-            factors.append(v / norm)
-        image = apply_rank_preserver(phi, rank1(factors))
-        if not is_rank1_tensor(image):
-            failures.append(f"trial {trial}: image is not rank 1")
+    for start in range(0, trials, chunk):
+        batch = range(start, min(start + chunk, trials))
+        passed = _rank1_stack(_rank1_images(phi, _unit_factors(seed, batch, m, n)))
+        failures += [f"trial {t}: image is not rank 1" for t in np.array(batch)[~passed]]
     return VerificationReport(trials, trials - len(failures), tuple(failures))

@@ -49,7 +49,10 @@ def _check_dense_budget(shape: Sequence[int], what: str) -> None:
 
 def _shuffle_index(shape: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """The gather index that reads an array of ``shape`` as ``transpose(axes)``."""
-    return np.arange(math.prod(shape)).reshape(shape).transpose(axes).ravel()
+    index = np.arange(math.prod(shape))
+    if list(axes) == list(range(len(shape))):
+        return index
+    return index.reshape(shape).transpose(axes).ravel()
 
 
 def _shuffle_dense(shape: Sequence[int], axes: Sequence[int], what: str) -> np.ndarray:
@@ -125,18 +128,28 @@ def _adjacent_swaps(arr: np.ndarray, blocks: int):
         yield np.transpose(arr, axes)
 
 
-def _mode_products(arr: np.ndarray, pairs) -> np.ndarray:
+def _mode_products(arr: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
     """Unchecked ``arr`` times ``mat`` on 0-based mode ``axis``, for each
     ``(axis, mat)`` pair in turn.  Each is one ``np.dot`` on the operands
     ``np.tensordot(mat, arr, ([1], [axis]))`` would build, ``mat`` and
     ``arr`` with ``axis`` first as an (n, -1) matrix, so its bits are
-    tensordot's, without tensordot's axis handling."""
+    tensordot's, without tensordot's axis handling.
+
+    With ``lead`` > 0 the first ``lead`` axes index a stack of tensors, and
+    mode ``axis`` is counted after them.  Each product is then one
+    ``np.matmul`` over the stack, which makes for every tensor the BLAS
+    product an unstacked call makes for it alone (one product of the whole
+    stack would not: BLAS may round a dot product differently with the
+    other columns beside it)."""
+    stack = range(lead)
     for axis, mat in pairs:
+        axis += lead
         later = range(axis + 1, arr.ndim)
-        moved = arr.transpose((axis, *range(axis), *later))
-        flat = moved.reshape(moved.shape[0], -1)
-        out = np.dot(mat, flat).reshape(mat.shape[:1] + moved.shape[1:])
-        arr = out.transpose((*range(1, axis + 1), 0, *later))
+        moved = arr.transpose((*stack, axis, *range(lead, axis), *later))
+        flat = moved.reshape(moved.shape[: lead + 1] + (-1,))
+        out = (np.matmul if lead else np.dot)(mat, flat)
+        out = out.reshape(moved.shape[:lead] + mat.shape[:1] + moved.shape[lead + 1 :])
+        arr = out.transpose((*stack, *range(lead + 1, axis + 1), lead, *later))
     return arr
 
 

@@ -38,6 +38,7 @@ from commutant import (
     tensor_transpose,
 )
 from commutant import commutation_tensor as ct_mod
+from commutant import linalg
 from commutant import tensor as tensor_mod
 
 
@@ -225,6 +226,78 @@ class TestGctInverse:
     def test_singular_generator(self):
         with pytest.raises(SingularMatrixError):
             gct_inverse(build_gct([np.array([[1.0, 2.0], [2.0, 4.0]])]))
+
+    def test_one_matrix_on_every_mode_is_inverted_once_and_shared(self):
+        g = gct_from_permutation(Permutation([2, 3, 4, 1]), 3)
+        inv = gct_inverse(g)
+        assert all(gen is inv.generators[0] for gen in inv.generators)
+        assert not inv.generators[0].flags.writeable
+        want = linalg.inv(g.generators[0]).tobytes()  # each mode's own inverse
+        assert all(gen.tobytes() == want for gen in inv.generators)
+
+    @pytest.mark.parametrize("tau", [[1, 2, 3], [2, 3, 1], [3, 1, 2], [2, 1, 3]])
+    def test_each_distinct_generator_is_inverted_once(self, tau):
+        rng = np.random.default_rng(sum(tau) * 10 + tau[0])
+        a, b = rng.standard_normal((4, 4)) + 4 * np.eye(4), rng.standard_normal((4, 4))
+        g = ct_mod._operator([a, b, a], Permutation(tau))
+        inv = gct_inverse(g)
+        order = [g.generators[t - 1] for t in g.tau.inverse().images]
+        assert [gen.tobytes() for gen in inv.generators] == [
+            linalg.inv(x).tobytes() for x in order
+        ]
+        shared = [k for k, x in enumerate(order) if x is g.generators[0]]
+        assert all(inv.generators[k] is inv.generators[shared[0]] for k in shared)
+        assert len({id(gen) for gen in inv.generators}) == 2
+
+    def test_one_monomial_test_serves_the_operators_dense_form_and_inverse(self, monkeypatch):
+        calls = []
+        test = linalg._nonneg_monomial
+
+        def counting(stack):
+            calls.append(stack.shape)
+            return test(stack)
+
+        monkeypatch.setattr(linalg, "_nonneg_monomial", counting)
+        rng = np.random.default_rng(48)
+        gens = []
+        for _ in range(3):
+            b = np.zeros((8, 8))
+            b[rng.permutation(8), np.arange(8)] = rng.uniform(0.5, 2.0, 8) * 10.0 ** rng.integers(-5, 6, 8)
+            gens.append(b)
+        g = ct_mod._operator(gens, Permutation([2, 3, 1]))
+        gct_dense(g)
+        inv = gct_inverse(g)
+        gct_dense(inv)
+        assert calls == [(3, 8, 8)]  # the inverse's test is known, not run
+        want = test(np.array(inv.generators))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inv._monomial, want))
+        order = [g.generators[t - 1] for t in g.tau.inverse().images]
+        assert [x.tobytes() for x in inv.generators] == [linalg.inv(b).tobytes() for b in order]
+
+    def test_a_dense_generator_is_inverted_by_the_loop(self):
+        rng = np.random.default_rng(49)
+        mono = np.zeros((5, 5))
+        mono[rng.permutation(5), np.arange(5)] = rng.uniform(0.5, 2.0, 5)
+        dense = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        g = ct_mod._operator([mono, dense, mono], Permutation([3, 1, 2]))
+        assert g._monomial is None
+        inv = gct_inverse(g)
+        order = [g.generators[t - 1] for t in g.tau.inverse().images]
+        assert [x.tobytes() for x in inv.generators] == [linalg.inv(b).tobytes() for b in order]
+
+    def test_the_first_singular_generator_in_inversion_order_raises(self):
+        # nonnegative monomial generators, inverted together, and signed ones,
+        # inverted one by one
+        for sign in (1.0, -1.0):
+            low = sign * np.diag([1.0, 3e-11])
+            lower = sign * np.diag([5e-12, 1.0])
+            g = ct_mod._operator([low, lower], Permutation([2, 1]))
+            assert (g._monomial is None) == (sign < 0)
+            # the inverse's first generator is the inverse of generators[tau^-1(1) - 1]
+            with pytest.raises(SingularMatrixError, match="pivot 5.000e-12"):
+                gct_inverse(g)
+            with pytest.raises(SingularMatrixError, match="pivot 3.000e-11"):
+                gct_inverse(ct_mod._operator([low, lower]))
 
 
 class TestGroupAxioms:

@@ -290,3 +290,114 @@ def test_signed_monomials_take_the_loop(shortcuts, edit):
                 a[tuple(np.argwhere(a == 0)[0])] = -0.0
             assert linalg.inv(a).tobytes() == _inv_vectorised_reference(a).tobytes()
     assert shortcuts and not any(shortcuts)
+
+
+def _first_refusal(mats):
+    """What ``inv`` raises on the first of ``mats`` it refuses, or None."""
+    for a in mats:
+        try:
+            linalg.inv(a)
+        except Exception as exc:  # the comparison is the test
+            return type(exc), str(exc)
+    return None
+
+
+def _gate_outcome(mats):
+    try:
+        linalg._require_invertible(mats)
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
+    return None
+
+
+def _gate_matrix(rng, n, kind):
+    if kind == "gaussian":
+        return rng.standard_normal((n, n))
+    if kind == "singular":
+        r = int(rng.integers(0, n))
+        return rng.standard_normal((n, r)) @ rng.standard_normal((r, n))
+    if kind == "tiny":  # pivots about 1e-11, just under the threshold
+        return 1e-11 * rng.standard_normal((n, n))
+    if kind == "near threshold":
+        return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-11, -9, (n, n))
+    if kind == "non-finite":
+        a = rng.standard_normal((n, n))
+        a[rng.integers(0, n), rng.integers(0, n)] = rng.choice([np.nan, np.inf, -np.inf])
+        return a
+    if kind == "integer ties":
+        return rng.integers(-2, 3, (n, n)).astype(float)
+    if kind == "negative zero":
+        a = rng.integers(-1, 2, (n, n)).astype(float)
+        a[a == 0] = -0.0
+        return a
+    if kind == "monomial":
+        return _scaled_permutation(rng, n, int(rng.choice([0, 5, 12])))
+    if kind == "signed monomial":
+        return _scaled_permutation(rng, n, 3) * rng.choice([-1.0, 1.0], n)
+    if kind == "spread":
+        return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-150, 151, (n, n))
+    return rng.standard_normal((n, n)) + n * np.eye(n)  # well conditioned
+
+
+GATE_KINDS = (
+    "gaussian", "singular", "tiny", "near threshold", "non-finite", "integer ties",
+    "negative zero", "monomial", "signed monomial", "spread", "well conditioned",
+)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_gate_refuses_what_inv_refuses_first(seed):
+    # one elimination of the stack meets each matrix's pivots as inv does:
+    # the same first refused matrix, exception type and message
+    rng = np.random.default_rng(900 + seed)
+    refused = accepted = 0
+    for _ in range(300):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        kinds = rng.choice(GATE_KINDS, size=k)
+        if rng.random() < 0.3:  # a stack of one kind, all monomial among them
+            kinds[:] = kinds[0]
+        mats = [_gate_matrix(rng, n, kind) for kind in kinds]
+        want = _first_refusal(mats)
+        assert _gate_outcome(mats) == want, (kinds, n)
+        refused += want is not None
+        accepted += want is None
+    assert refused > 50 and accepted > 50  # both outcomes are exercised
+
+
+@pytest.mark.parametrize(
+    "pivot", [linalg.INVERSE_PIVOT_TOL, np.nextafter(linalg.INVERSE_PIVOT_TOL, 0.0)]
+)
+def test_the_gate_at_the_pivot_threshold(pivot):
+    a = np.diag([2.0, pivot, 3.0])[[1, 0, 2]]
+    for mats in ([a], [np.eye(3), a], [a, -a, np.eye(3)]):
+        assert _gate_outcome(mats) == _first_refusal(mats)
+    assert (_gate_outcome([a]) is None) == (pivot == linalg.INVERSE_PIVOT_TOL)
+
+
+def test_the_gate_takes_the_first_refused_matrix_not_the_first_low_column():
+    late = np.diag([1.0, 1.0, 1.0, 2e-11])  # refused at its last column
+    early = np.diag([3e-11, 1.0, 1.0, 1.0])  # refused at its first
+    bad = np.eye(4)
+    bad[2, 3] = np.nan
+    assert _gate_outcome([late, early]) == (SingularMatrixError, "pivot 2.000e-11 below threshold 1e-10")
+    assert _gate_outcome([early, late]) == (SingularMatrixError, "pivot 3.000e-11 below threshold 1e-10")
+    assert _gate_outcome([np.eye(4), bad, early]) == (DomainError, "matrix has a non-finite entry")
+    assert _gate_outcome([late, bad]) == (SingularMatrixError, "pivot 2.000e-11 below threshold 1e-10")
+
+
+def test_the_gate_decides_a_nonnegative_monomial_stack_from_its_pattern(shortcuts):
+    rng = np.random.default_rng(46)
+    mats = [_scaled_permutation(rng, 6, 4) for _ in range(3)]
+    assert _gate_outcome(mats) is None
+    mats[1][np.flatnonzero(mats[1][:, 2]), 2] = 1e-12
+    assert _gate_outcome(mats) == (SingularMatrixError, "pivot 1.000e-12 below threshold 1e-10")
+    assert shortcuts == [True, True]
+
+
+def test_the_gate_neither_warns_nor_writes_to_its_input():
+    # a zero pivot divides by zero past the refused column; no warning escapes
+    a = np.array([[0.0, 1.0], [0.0, 1.0]])
+    b = np.array([[1e308, 1e308], [-1e308, 1e308]])  # its update overflows
+    before = a.tobytes(), b.tobytes()
+    assert _gate_outcome([b, a]) == _first_refusal([a])
+    assert (a.tobytes(), b.tobytes()) == before

@@ -39,6 +39,7 @@ from commutant import (
     sym_preserver,
     tensor_transpose,
     vec_sandwich,
+    verify_rank_preservation,
 )
 
 
@@ -245,3 +246,38 @@ def test_check_nonneg_inverse_reads_an_exactly_monomial_pair_in_place():
     result, peak = _peak_bytes(lambda: check_nonneg_inverse(a, b))
     assert len(result) == 512
     assert peak < 0.25 * a.array.nbytes
+
+
+def test_verify_rank_preservation_holds_one_stack_of_trials_at_a_time():
+    # 10,000 trials at m = 3, n = 8 are certified 128 at a time (2**16
+    # entries, 512 KiB a stack): the peak is a few stacks, whatever the trial
+    # count, where all trials at once would hold 40 MB per array
+    rng = np.random.default_rng(9)
+    gens = [rng.standard_normal((8, 8)) + 3 * np.eye(8) for _ in range(3)]
+    phi = rank_preserver(gens, Permutation([2, 3, 1]))
+    stack_bytes = 2**16 * 8
+    report, peak = _peak_bytes(lambda: verify_rank_preservation(phi, 10_000, 5))
+    assert report.all_passed and report.trials == 10_000
+    assert peak <= 5 * stack_bytes
+    _, one_stack = _peak_bytes(lambda: verify_rank_preservation(phi, 128, 5))
+    assert peak <= 1.05 * one_stack
+
+
+def test_the_group_case_pipeline_holds_its_two_dense_forms_and_one_mask():
+    # the m3n8 request of the certify benchmark: build, two dense forms, the
+    # inverse and the check.  Past the two 2 MiB results it allocates at most
+    # one nonzero mask (1/8 of a result) and O(N) arrays at a time
+    rng = np.random.default_rng(11)
+    gens = []
+    for _ in range(3):
+        g = np.zeros((8, 8))
+        g[rng.permutation(8), np.arange(8)] = rng.uniform(0.5, 2.0, 8)
+        gens.append(g)
+
+    def pipeline():
+        g = build_gct(gens)
+        return check_nonneg_inverse(gct_dense(g), gct_dense(gct_inverse(g)))
+
+    result, peak = _peak_bytes(pipeline)
+    assert len(result) == 512
+    assert peak <= (2 + 0.25) * 8**6 * 8

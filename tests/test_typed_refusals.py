@@ -70,6 +70,16 @@ REFUSALS = {
         ArgumentError,
         "trials must be positive",
     ),
+    "verify_rank_preservation-negative-seed": (
+        lambda: verify_rank_preservation(sym_preserver(np.eye(2), 2), 3, -1),
+        ArgumentError,
+        "seed must be a non-negative integer, got -1",
+    ),
+    "verify_rank_preservation-float-seed": (
+        lambda: verify_rank_preservation(sym_preserver(np.eye(2), 2), 3, 0.5),
+        ArgumentError,
+        "seed must be a non-negative integer, got 0.5",
+    ),
 }
 
 
