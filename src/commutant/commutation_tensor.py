@@ -48,6 +48,8 @@ STRUCTURE_TOL = 1e-12
 INVERSE_CHECK_TOL = 1e-9
 #: relative part of that test, np.allclose's default rtol
 _ALLCLOSE_RTOL = 1e-5
+#: the bytes of a float64 1.0
+_ONE = np.float64(1.0).tobytes()
 #: fewest dense entries at which gct_dense tests generators other than the
 #: identity for its scatter route: below it (the group-axioms suite's
 #: sizes among them) the kron route costs no more than the test
@@ -138,8 +140,7 @@ def gct_inverse(g: Gct) -> Gct:
     pattern = g._monomial
     if pattern is not None:
         cols, vals = pattern
-        stack = np.array(g.generators)[keys]
-        found = linalg._monomial_inverses(stack, (cols[keys], vals[keys]))
+        found = linalg._monomial_inverses((cols[keys], vals[keys]))
     inverses = {}
     for j, k in enumerate(keys):
         b = g.generators[k]
@@ -212,7 +213,8 @@ def gct_dense(g: Gct) -> DenseTensor:
     on; identity generators as the shuffle's N x N matrix."""
     m, n = g.m, g.n
     _check_order(2 * m, "dense GCT")
-    eye = np.eye(n).tobytes()  # bytes, so -0.0 is no identity entry
+    # the identity's bytes, 1.0 every n + 1 entries, so -0.0 is no identity entry
+    eye = (_ONE + bytes(8 * n)) * (n - 1) + _ONE
     if all(gen.tobytes() == eye for gen in g.generators):
         _check_dense_budget((n**m, n**m), "mode-permutation tensor")
         return DenseTensor._adopt(_scatter_dense(None, g.tau, n))
@@ -273,7 +275,8 @@ def _monomial_support(arr: np.ndarray, m: int):
     # permutation within the halves) that is the memory order itself, so the
     # mask is one pass and a matrix whose row index is one half's flat index
     # and column index the other's
-    if arr.flags.c_contiguous:
+    natural = arr.flags.c_contiguous  # each half's flat index is the walk's own
+    if natural:
         halves = [list(range(m)), list(range(m, 2 * m))]
     else:
         strides = arr.strides
@@ -288,9 +291,13 @@ def _monomial_support(arr: np.ndarray, m: int):
         return None
     major = np.arange(size)
     minor = mask.argmax(axis=1)
-    if not mask[major, minor].all() or not np.bincount(minor, minlength=size).all():
+    values = _gather(walk, size, major, minor)
+    # a row without a nonzero reads a zero, and a column hit twice leaves
+    # another one empty
+    if not values.all() or not np.bincount(minor, minlength=size).all():
         return None
-    values = _gather(walk, major * size + minor)
+    if natural:
+        return major, minor, values
     # each half's walk index, read as its own modes' flat index
     first, second = (_shuffle_index(arr.shape[:m], [k % m for k in half]) for half in halves)
     second = second[minor]
@@ -298,10 +305,12 @@ def _monomial_support(arr: np.ndarray, m: int):
     return rows, cols, values
 
 
-def _gather(arr: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The entries of ``arr`` at C-order flat indices ``flat``, without a
-    copy of a C-contiguous ``arr``."""
-    return arr.reshape(-1)[flat] if arr.flags.c_contiguous else arr.flat[flat]
+def _gather(arr: np.ndarray, size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries (rows, cols) of ``arr`` read in C order as a (size, size)
+    matrix, with no copy of ``arr``."""
+    if arr.flags.c_contiguous:
+        return arr.reshape(size, size)[rows, cols]
+    return arr.flat[rows * size + cols]
 
 
 def is_balanced_permutation(a: TensorLike) -> bool:
@@ -398,7 +407,7 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     exact = False
     if support is not None:
         rows, cols, scale = support
-        ones = _gather(tb.array, cols * size + rows)
+        ones = _gather(tb.array, size, cols, rows)
         # b nonzero on U_a's transposed pattern and nowhere else: every
         # other entry of both is an exact zero
         exact = b_nonzeros == size and bool(ones.all())

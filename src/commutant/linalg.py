@@ -131,16 +131,19 @@ def _refuse_low(pivots: np.ndarray) -> None:
         raise _low_pivot(pivots[first, low[first].argmax()])
 
 
-def _monomial_inverses(stack: np.ndarray, pattern) -> np.ndarray:
-    """inv of each matrix of a nonnegative monomial (k, n, n) stack with
+def _monomial_inverses(pattern) -> np.ndarray:
+    """inv of each matrix of the nonnegative monomial (k, n, n) stack with
     ``pattern`` = (cols, vals), its transposed reciprocals, or the loop's
     error for the first matrix it refuses."""
     cols, vals = pattern
-    if vals.min() < INVERSE_PIVOT_TOL:
-        _refuse_low(stack.max(axis=1))  # the loop meets them column by column
     k, n = cols.shape
+    lanes = np.arange(k)[:, None]
+    if vals.min() < INVERSE_PIVOT_TOL:
+        pivots = np.empty_like(vals)  # the loop meets them column by column
+        pivots[lanes, cols] = vals
+        _refuse_low(pivots)
     out = np.zeros((k, n, n))
-    out[np.arange(k)[:, None], cols, np.arange(n)] = 1.0 / vals
+    out[lanes, cols, np.arange(n)] = 1.0 / vals
     return out
 
 
@@ -171,7 +174,7 @@ def inv(mat) -> np.ndarray:
     a = _square(mat)
     pattern = _nonneg_monomial(a[None])
     if pattern is not None:
-        return _monomial_inverses(a[None], pattern)[0]
+        return _monomial_inverses(pattern)[0]
     return _gauss_jordan(a)
 
 
@@ -192,14 +195,14 @@ def _require_invertible(mats) -> None:
         with np.errstate(all="ignore"):  # a refused matrix runs on past its low pivot
             for _ in range(n - 1):
                 col = blk[..., 0]
-                piv = np.abs(col).argmax(axis=-1)
+                piv = np.abs(col).argmax(-1)
                 if np.count_nonzero(piv) if lanes else piv:
                     rows = blk[lanes + (piv,)].copy()
                     blk[lanes + (piv,)] = blk[..., 0, :]
                     blk[..., 0, :] = rows  # the pivot stays on the diagonal
-                top = blk[..., 0, 1:] / col[..., :1]
+                top = blk[..., :1, 1:] / blk[..., :1, :1]
                 blk = blk[..., 1:, 1:]
-                blk -= col[..., 1:, None] * top[..., None, :]
+                blk -= col[..., 1:, None] * top
         pivots = a.diagonal(0, 1, 2)  # signed
     # a non-finite entry always reaches some pivot as an inf or a NaN, so
     # pivots all finite and at or above the threshold accept every matrix;
