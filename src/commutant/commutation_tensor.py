@@ -381,9 +381,10 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
 
     The input every caller gives, a monomial U_a and a U_b that is nonzero
     exactly on U_a's transposed pattern, is read once per operand: a nonzero
-    scan of ``a`` and a nonzero count of ``b``.  Every other entry of both
-    is then an exact zero, so the domain checks and the inverse test read
-    only the 2N support entries, in O(N).  Any other ``b`` takes full
+    count of ``b`` and one nonzero mask of ``a``, whose count and row-wise
+    first nonzero give U_a's support.  Every other entry of both is then an
+    exact zero, so the domain checks (one max of the support entries'
+    bits) and the inverse test read only the 2N support entries, in O(N).  Any other ``b`` takes full
     passes over both operands: their domain checks and U_b's off-pattern
     row and column maxima.  Any other ``a`` (a stray tiny entry, a
     positive blob) takes the two dense O(N^3) products.  A finite pair

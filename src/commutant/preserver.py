@@ -4,7 +4,11 @@ A preserver is the order-2m operator :class:`~commutant.commutation_tensor.Gct`
 with invertible generators, one per mode, and a mode permutation tau.  At
 m = 2, with P = generators[0] and Q = generators[1]ᵀ, tau = id is Marcus's
 A -> P A Q and the swap is A -> P Aᵀ Q.  The symmetric preserver is one
-matrix on every mode.  The constructors here gate on ``linalg.inv``.
+matrix on every mode.  The constructors here gate on ``linalg.inv``'s
+outcome, decided for all of an operator's distinct generators by one
+pivot-only elimination of their stack (``linalg._require_invertible``).
+:func:`verify_rank_preservation` certifies its trials as stacks, in a fixed
+number of numpy calls per stack, with each trial's verdict its own.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .permutation import Permutation
 from .tensor import (
     TensorLike,
     _check_dense_budget,
-    _mode_products,
+    _stacked_mode_products,
     as_matrix,
     as_tensor,
     identity_tensor,
@@ -164,7 +168,7 @@ def _rank1_images(phi: Gct, units: np.ndarray) -> np.ndarray:
         x = x[..., None] * units[(slice(None), k) + (None,) * k]
     shuffled = np.transpose(x, (0, *(1 + a for a in phi.tau.zero_based())))
     with np.errstate(all="ignore"):  # np.matmul warns of an overflow, as np.dot does not
-        return _mode_products(shuffled, enumerate(phi.generators), lead=1)
+        return _stacked_mode_products(shuffled, enumerate(phi.generators))
 
 
 def _rank1_stack(images: np.ndarray) -> np.ndarray:

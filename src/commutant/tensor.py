@@ -49,10 +49,7 @@ def _check_dense_budget(shape: Sequence[int], what: str) -> None:
 
 def _shuffle_index(shape: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """The gather index that reads an array of ``shape`` as ``transpose(axes)``."""
-    index = np.arange(math.prod(shape))
-    if list(axes) == list(range(len(shape))):
-        return index
-    return index.reshape(shape).transpose(axes).ravel()
+    return np.arange(math.prod(shape)).reshape(shape).transpose(axes).ravel()
 
 
 def _shuffle_dense(shape: Sequence[int], axes: Sequence[int], what: str) -> np.ndarray:
@@ -128,28 +125,34 @@ def _adjacent_swaps(arr: np.ndarray, blocks: int):
         yield np.transpose(arr, axes)
 
 
-def _mode_products(arr: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
+def _mode_products(arr: np.ndarray, pairs) -> np.ndarray:
     """Unchecked ``arr`` times ``mat`` on 0-based mode ``axis``, for each
     ``(axis, mat)`` pair in turn.  Each is one ``np.dot`` on the operands
     ``np.tensordot(mat, arr, ([1], [axis]))`` would build, ``mat`` and
     ``arr`` with ``axis`` first as an (n, -1) matrix, so its bits are
-    tensordot's, without tensordot's axis handling.
-
-    With ``lead`` > 0 the first ``lead`` axes index a stack of tensors, and
-    mode ``axis`` is counted after them.  Each product is then one
-    ``np.matmul`` over the stack, which makes for every tensor the BLAS
-    product an unstacked call makes for it alone (one product of the whole
-    stack would not: BLAS may round a dot product differently with the
-    other columns beside it)."""
-    stack = range(lead)
+    tensordot's, without tensordot's axis handling."""
     for axis, mat in pairs:
-        axis += lead
         later = range(axis + 1, arr.ndim)
-        moved = arr.transpose((*stack, axis, *range(lead, axis), *later))
-        flat = moved.reshape(moved.shape[: lead + 1] + (-1,))
-        out = (np.matmul if lead else np.dot)(mat, flat)
-        out = out.reshape(moved.shape[:lead] + mat.shape[:1] + moved.shape[lead + 1 :])
-        arr = out.transpose((*stack, *range(lead + 1, axis + 1), lead, *later))
+        moved = arr.transpose((axis, *range(axis), *later))
+        flat = moved.reshape(moved.shape[0], -1)
+        out = np.dot(mat, flat).reshape(mat.shape[:1] + moved.shape[1:])
+        arr = out.transpose((*range(1, axis + 1), 0, *later))
+    return arr
+
+
+def _stacked_mode_products(arr: np.ndarray, pairs) -> np.ndarray:
+    """:func:`_mode_products` of each tensor of a stack along ``arr``'s first
+    axis, mode ``axis`` counted after it.  Each product is one ``np.matmul``
+    over the stack, which makes for every tensor the BLAS product
+    :func:`_mode_products` makes for it alone; one product of the whole
+    stack would not, as BLAS may round a dot product differently with other
+    columns beside it."""
+    for axis, mat in pairs:
+        later = range(axis + 2, arr.ndim)
+        moved = arr.transpose((0, axis + 1, *range(1, axis + 1), *later))
+        out = np.matmul(mat, moved.reshape(moved.shape[:2] + (-1,)))
+        out = out.reshape(moved.shape[:1] + mat.shape[:1] + moved.shape[2:])
+        arr = out.transpose((0, *range(2, axis + 2), 1, *later))
     return arr
 
 

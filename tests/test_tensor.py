@@ -410,3 +410,22 @@ def test_identity_tensor_budget_boundary(monkeypatch):
     assert identity_tensor(2, 4).array.size == 16
     with pytest.raises(DomainError):
         identity_tensor(3, 3)
+
+
+@pytest.mark.parametrize("layout", ["c-contiguous", "permuted"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_stacked_mode_products_are_each_tensors_own_bytes(order, layout):
+    # one np.matmul per mode over the stack makes each tensor's own BLAS
+    # product, where one np.dot over the whole stack may round differently
+    rng = np.random.default_rng(200 + 10 * order + len(layout))
+    for _ in range(20):
+        n, stack = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        arr = rng.standard_normal((stack,) + (n,) * order)
+        if layout == "permuted":
+            arr = arr.transpose((0, *(1 + rng.permutation(order))))
+        pairs = [(int(k), rng.standard_normal((n, n))) for k in rng.permutation(order)]
+        got = tensor_mod._stacked_mode_products(arr, pairs)
+        assert got.shape == arr.shape
+        for one, tensor in zip(got, arr):
+            want = tensor_mod._mode_products(tensor, pairs)
+            assert np.ascontiguousarray(one).tobytes() == np.ascontiguousarray(want).tobytes()
