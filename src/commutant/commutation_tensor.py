@@ -165,8 +165,12 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
     sum_k cols[k, i_k]·n^(m - tau(k))."""
     m = tau.degree
     size = n**m
-    prods = 1.0
-    if pattern is not None:
+    if pattern is None:
+        # the result first, as the identity case always allocated: the heap's
+        # high-water mark, hence a process's peak RSS, follows this order
+        arr = np.zeros((n,) * (2 * m))
+        prods, index = 1.0, _shuffle_index((n,) * m, tau.zero_based())
+    else:
         cols, vals = pattern
         prods = vals[-1]
         with np.errstate(over="ignore"):  # an overflow is the kron route's to report
@@ -175,15 +179,12 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
         prods = prods.ravel()
         if not prods.max() < math.inf:
             return None
-    # the result first, as the identity case always allocated: the heap's
-    # high-water mark, hence a process's peak RSS, follows this order
-    arr = np.zeros((n,) * (2 * m))
-    if pattern is None:
-        index = _shuffle_index((n,) * m, tau.zero_based())
-    else:
         index = cols[0] * n ** (m - tau.images[0])
         for k in range(1, m):
             index = np.add.outer(index, cols[k] * n ** (m - tau.images[k])).ravel()
+        # the N-entry operands before the result, so they are built while
+        # the caches still hold them
+        arr = np.zeros((n,) * (2 * m))
     arr.reshape(size, size)[np.arange(size), index] = prods
     return arr
 
@@ -356,6 +357,22 @@ def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     )
 
 
+def _check_nonneg_domain(a: np.ndarray, b: np.ndarray, support_values) -> None:
+    """Refuse a non-finite or a negative entry of either operand, in that
+    order.  Finite with the sign bit clear is a uint64 below the bits of
+    +inf, so one max of the values that can fail (``support_values`` when
+    every other entry is an exact zero) accepts the finite nonnegative case,
+    and only a failure (-0.0 among them) pays for the checks that pick the
+    message."""
+    values = (a, b) if support_values is None else support_values
+    if all(v.view(np.uint64).max() < linalg._INF_BITS for v in values):
+        return
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError("operands must be finite")
+    if np.any(a < 0) or np.any(b < 0):
+        raise DomainError("operands must be entrywise nonnegative")
+
+
 def _dense_products_near_identity(ta: DenseTensor, tb: DenseTensor, size: int) -> bool:
     ident = np.eye(size)
     return np.allclose(
@@ -383,10 +400,11 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     exactly on U_a's transposed pattern, is read once per operand: a nonzero
     count of ``b`` and one nonzero mask of ``a``, whose count and row-wise
     first nonzero give U_a's support.  Every other entry of both is then an
-    exact zero, so the domain checks (one max of the support entries'
-    bits) and the inverse test read only the 2N support entries, in O(N).  Any other ``b`` takes full
-    passes over both operands: their domain checks and U_b's off-pattern
-    row and column maxima.  Any other ``a`` (a stray tiny entry, a
+    exact zero, so the domain checks and the inverse test read only the 2N
+    support entries, in O(N): every scale positive and every pattern
+    product near 1 make each of them finite and positive.  Any other ``b``
+    takes full passes over both operands: their domain checks and U_b's
+    off-pattern row and column maxima.  Any other ``a`` (a stray tiny entry, a
     positive blob) takes the two dense O(N^3) products.  A finite pair
     whose products overflow is refused without a RuntimeWarning.
 
@@ -412,30 +430,26 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
         # b nonzero on U_a's transposed pattern and nowhere else: every
         # other entry of both is an exact zero
         exact = b_nonzeros == size and bool(ones.all())
-    # finite with the sign bit clear is a uint64 below the bits of +inf: one
-    # max of the values that can fail accepts the finite nonnegative case,
-    # and only a failure (-0.0 among them) pays for the checks that pick
-    # the message
-    values = (scale, ones) if exact else (ta.array, tb.array)
-    if not all(v.view(np.uint64).max() < linalg._INF_BITS for v in values):
-        if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
-            raise DomainError("operands must be finite")
-        if np.any(ta.array < 0) or np.any(tb.array < 0):
-            raise DomainError("operands must be entrywise nonnegative")
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
-        if support is None:
-            inverse = _dense_products_near_identity(ta, tb, size)
-        elif exact:
-            # the off-pattern maxima of both products are exact zeros
-            inverse = _pattern_near_one(ones, scale)
-        else:
-            inverse = _monomial_products_near_identity(tb.array, *support)
-    if not inverse:
-        raise PreconditionError("operands are not mutual inverses")
+        # exactly monomial, every scale positive and every pattern product
+        # near 1: each of the 2N nonzeros is finite and positive, so the
+        # domain checks pass, and the off-pattern maxima of both products
+        # are exact zeros, so the operands are mutual inverses
+        lowest = scale.min() if exact else 0.0
+        if not (lowest > 0.0 and _pattern_near_one(ones, scale)):
+            _check_nonneg_domain(ta.array, tb.array, (scale, ones) if exact else None)
+            if support is None:
+                inverse = _dense_products_near_identity(ta, tb, size)
+            elif exact:
+                inverse = _pattern_near_one(ones, scale)
+            else:
+                inverse = _monomial_products_near_identity(tb.array, *support)
+            if not inverse:
+                raise PreconditionError("operands are not mutual inverses")
     # the witnesses are the entries above STRUCTURE_TOL; unless U_a is
     # monomial with all of them there, find them and test their pattern
-    if support is None or support[2].min() <= STRUCTURE_TOL:
+    if support is None or (lowest if exact else support[2].min()) <= STRUCTURE_TOL:
         support = _monomial_support(ta.array > STRUCTURE_TOL, m)
     if support is None:
         raise PreconditionError(

@@ -162,12 +162,11 @@ def _rank1_images(phi: Gct, units: np.ndarray) -> np.ndarray:
     """``apply_rank_preserver(phi, rank1(units[t]))`` for every t, as one
     (T, n, ..., n) stack with the same bits: the outer products in rank1's
     order, the modes shuffled by tau, and one stacked product per mode."""
-    t, m, n = units.shape
     x = units[:, 0]
-    for k in range(1, m):
+    for k in range(1, units.shape[1]):
         x = x[..., None] * units[(slice(None), k) + (None,) * k]
     shuffled = np.transpose(x, (0, *(1 + a for a in phi.tau.zero_based())))
-    with np.errstate(all="ignore"):  # np.matmul warns of an overflow, as np.dot does not
+    with np.errstate(all="ignore"):  # an image that overflows fails its certificate
         return _stacked_mode_products(shuffled, enumerate(phi.generators))
 
 
