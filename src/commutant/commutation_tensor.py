@@ -165,12 +165,8 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
     sum_k cols[k, i_k]·n^(m - tau(k))."""
     m = tau.degree
     size = n**m
-    if pattern is None:
-        # the result first, as the identity case always allocated: the heap's
-        # high-water mark, hence a process's peak RSS, follows this order
-        arr = np.zeros((n,) * (2 * m))
-        prods, index = 1.0, _shuffle_index((n,) * m, tau.zero_based())
-    else:
+    prods = 1.0
+    if pattern is not None:
         cols, vals = pattern
         prods = vals[-1]
         with np.errstate(over="ignore"):  # an overflow is the kron route's to report
@@ -179,12 +175,15 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
         prods = prods.ravel()
         if not prods.max() < math.inf:
             return None
+    # the result first, as the identity case always allocated: the heap's
+    # high-water mark, hence a process's peak RSS, follows this order
+    arr = np.zeros((n,) * (2 * m))
+    if pattern is None:
+        index = _shuffle_index((n,) * m, tau.zero_based())
+    else:
         index = cols[0] * n ** (m - tau.images[0])
         for k in range(1, m):
             index = np.add.outer(index, cols[k] * n ** (m - tau.images[k])).ravel()
-        # the N-entry operands before the result, so they are built while
-        # the caches still hold them
-        arr = np.zeros((n,) * (2 * m))
     arr.reshape(size, size)[np.arange(size), index] = prods
     return arr
 
