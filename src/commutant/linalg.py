@@ -56,6 +56,10 @@ DET_SINGULAR_TOL = 1e-12
 #: a float64 whose bits, read as an unsigned integer, are below those of
 #: +inf is finite with its sign bit clear
 _INF_BITS = 0x7FF0000000000000
+#: entries below this over 2^n keep every partial pivoting step of an n x n
+#: matrix finite: each step at most doubles the largest magnitude, and a row
+#: divided by a pivot of at least INVERSE_PIVOT_TOL grows by 1/that
+_NO_OVERFLOW = np.finfo(float).max * INVERSE_PIVOT_TOL / 2
 
 
 def _square(mat) -> np.ndarray:
@@ -190,12 +194,20 @@ def _require_invertible(mats) -> None:
     are inv's."""
     a = np.array(mats, dtype=float)
     k, n, _ = a.shape
-    if _nonneg_monomial(a) is not None:
-        pivots = a.max(axis=1)  # each column's one nonzero
+    pattern = _nonneg_monomial(a)
+    if pattern is not None:
+        if pattern[1].min() >= INVERSE_PIVOT_TOL:  # the pivots, in row order
+            return
+        pivots = a.max(axis=1)  # each column's one nonzero, in the loop's order
     else:
         # one matrix is eliminated as a matrix: numpy's cost per call grows
         # with the number of axes
         blk, lanes = (a[0], ()) if k == 1 else (a, (np.arange(k),))
+        # a column with no nonzero below its pivot subtracts 0 * x from the
+        # rows below, which changes at most the sign of a zero, and no pivot
+        # magnitude reads that, unless some x is an inf or a NaN: in a sparse
+        # stack far from overflow, skip such a column's division and update
+        skip = 2 * np.count_nonzero(a) <= a.size and np.abs(a).max() < _NO_OVERFLOW / 2.0**n
         with np.errstate(all="ignore"):  # a refused matrix runs on past its low pivot
             for _ in range(n - 1):
                 col = blk[..., 0]
@@ -204,6 +216,9 @@ def _require_invertible(mats) -> None:
                     rows = blk[lanes + (piv,)].copy()
                     blk[lanes + (piv,)] = blk[..., 0, :]
                     blk[..., 0, :] = rows  # the pivot stays on the diagonal
+                if skip and not np.count_nonzero(col[..., 1:]):
+                    blk = blk[..., 1:, 1:]
+                    continue
                 top = blk[..., :1, 1:] / blk[..., :1, :1]
                 blk = blk[..., 1:, 1:]
                 blk -= col[..., 1:, None] * top

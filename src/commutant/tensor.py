@@ -73,13 +73,15 @@ def _square_stack(matrices, what: str) -> tuple[np.ndarray, ...]:
     """Frozen copies of one or more nonempty square matrices of one size.  A
     matrix passed on several modes is copied once and the copy shared."""
     matrices = list(matrices)  # holds every input, so no id is reused
-    copies = {id(m): m for m in matrices}
-    copies = {key: _frozen(as_matrix(m)) for key, m in copies.items()}
+    copies = {}
+    for m in matrices:
+        if id(m) not in copies:
+            copies[id(m)] = _frozen(as_matrix(m))
     mats = tuple(copies[id(m)] for m in matrices)
     if not mats:
         raise ArgumentError(f"at least one of the {what} is required")
     n = mats[0].shape[0]
-    if n < 1 or any(m.shape != (n, n) for m in mats):
+    if n < 1 or any(m.shape != (n, n) for m in copies.values()):
         raise DimensionError(
             f"{what} must be nonempty, square and of one size: {[m.shape for m in mats]}"
         )

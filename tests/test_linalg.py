@@ -336,12 +336,24 @@ def _gate_matrix(rng, n, kind):
         return _scaled_permutation(rng, n, 3) * rng.choice([-1.0, 1.0], n)
     if kind == "spread":
         return rng.standard_normal((n, n)) * 10.0 ** rng.integers(-150, 151, (n, n))
+    if kind == "shear":  # the identity and a few entries off its diagonal
+        a = np.eye(n)
+        a[rng.integers(0, n, 3), rng.integers(0, n, 3)] = rng.choice([0.5, -3.0, 1e5, 1e-12], 3)
+        return a
+    if kind == "sparse":  # about a fifth nonzero, often singular, pivots near the threshold
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-12, 4, (n, n))
+        return a * (rng.random((n, n)) < 0.2)
+    if kind == "sparse near overflow":
+        a = np.eye(n) * rng.choice([1.0, -1.0], n)
+        a[rng.integers(0, n), rng.integers(0, n)] = rng.choice([1e280, 1e295, 1e300, -1e307])
+        return a
     return rng.standard_normal((n, n)) + n * np.eye(n)  # well conditioned
 
 
 GATE_KINDS = (
     "gaussian", "singular", "tiny", "near threshold", "non-finite", "integer ties",
     "negative zero", "monomial", "signed monomial", "spread", "well conditioned",
+    "shear", "sparse", "sparse near overflow",
 )
 
 
@@ -383,6 +395,28 @@ def test_the_gate_takes_the_first_refused_matrix_not_the_first_low_column():
     assert _gate_outcome([early, late]) == (SingularMatrixError, "pivot 3.000e-11 below threshold 1e-10")
     assert _gate_outcome([np.eye(4), bad, early]) == (DomainError, "matrix has a non-finite entry")
     assert _gate_outcome([late, bad]) == (SingularMatrixError, "pivot 2.000e-11 below threshold 1e-10")
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_the_gate_skips_columns_only_far_from_overflow(n):
+    # a sparse stack whose largest entry is below _NO_OVERFLOW / 2**n skips
+    # the columns with no nonzero below the pivot; at the bound or past it,
+    # where a row divided by a small pivot could overflow, nothing is
+    # skipped, and either way the outcome is inv's
+    bound = linalg._NO_OVERFLOW / 2.0**n
+    outcomes = set()
+    for big in (np.nextafter(bound, 0.0), bound, 1e300, np.inf):
+        # the first pivot, 1e-10, divides a row holding big: past the bound
+        # that overflows, and the rows below, which need no update, turn NaN
+        # under inv's 0 * inf, so the last pivot, 2e-11, is never met
+        a = np.eye(n)
+        a[0, 0], a[0, n - 1], a[n - 1, n - 1] = 1e-10, big, 2e-11
+        for mats in ([a], [a, np.eye(n)], [np.eye(n), -a]):
+            with np.errstate(all="ignore"):  # inv warns of the overflow
+                want = _first_refusal(mats)
+            assert _gate_outcome(mats) == want
+            outcomes.add(want and want[0])
+    assert outcomes == {SingularMatrixError, None, DomainError}
 
 
 def test_the_gate_decides_a_nonnegative_monomial_stack_from_its_pattern(shortcuts):
