@@ -34,7 +34,10 @@ swap, row division and update on them, meets inv's pivots bit for bit; a
 nonnegative monomial stack is decided from its pattern, as inv decides it.
 Per column that is five numpy calls for all k matrices where inv makes six
 for one, and the last column's update is skipped, so one generator costs
-no more than inv and k of them about as much as one.  A non-finite entry
+no more than inv and k of them about as much as one.  In a sparse stack far
+from overflow a column with nothing below its pivot is skipped whole: its
+update would subtract 0 * x, which changes at most the sign of a zero, and
+no pivot magnitude reads that sign.  A non-finite entry
 always reaches some pivot as an inf or a NaN, so finite pivots at or above
 the threshold accept the stack with no finiteness pass.  The elimination
 raises no floating-point warning: a refused matrix runs on past its low
