@@ -356,22 +356,6 @@ def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     )
 
 
-def _check_nonneg_domain(a: np.ndarray, b: np.ndarray, support_values) -> None:
-    """Refuse a non-finite or a negative entry of either operand, in that
-    order.  Finite with the sign bit clear is a uint64 below the bits of
-    +inf, so one max of the values that can fail (``support_values`` when
-    every other entry is an exact zero) accepts the finite nonnegative case,
-    and only a failure (-0.0 among them) pays for the checks that pick the
-    message."""
-    values = (a, b) if support_values is None else support_values
-    if all(v.view(np.uint64).max() < linalg._INF_BITS for v in values):
-        return
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DomainError("operands must be finite")
-    if np.any(a < 0) or np.any(b < 0):
-        raise DomainError("operands must be entrywise nonnegative")
-
-
 def _dense_products_near_identity(ta: DenseTensor, tb: DenseTensor, size: int) -> bool:
     ident = np.eye(size)
     return np.allclose(
@@ -396,9 +380,9 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     N = n^m, with the same values as the matrix products.
 
     The input every caller gives, a monomial U_a and a U_b that is nonzero
-    exactly on U_a's transposed pattern, is read once per operand: a nonzero
-    count of ``b`` and one nonzero mask of ``a``, whose count and row-wise
-    first nonzero give U_a's support.  Every other entry of both is then an
+    exactly on U_a's transposed pattern, is read once per operand: one
+    nonzero mask of ``a``, whose count and row-wise first nonzero give U_a's
+    support, and a nonzero count of ``b``.  Every other entry of both is then an
     exact zero, so the domain checks and the inverse test read only the 2N
     support entries, in O(N): every scale positive and every pattern
     product near 1 make each of them finite and positive.  Any other ``b``
@@ -418,17 +402,15 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
     size = n**m
     # comparisons only, so a NaN, an inf or a negative value warns nowhere
-    # before the domain checks.  b is counted first: a caller builds it
-    # last, so it is the operand still in cache (a NaN counts as nonzero)
-    b_nonzeros = np.count_nonzero(tb.array != 0)
+    # before the domain checks
     support = _monomial_support(ta.array, m)
     exact = False
     if support is not None:
         rows, cols, scale = support
         ones = _gather(tb.array, size, cols, rows)
-        # b nonzero on U_a's transposed pattern and nowhere else: every
-        # other entry of both is an exact zero
-        exact = b_nonzeros == size and bool(ones.all())
+        # b nonzero on U_a's transposed pattern and nowhere else (a NaN
+        # counts as nonzero): every other entry of both is an exact zero
+        exact = bool(ones.all()) and np.count_nonzero(tb.array != 0) == size
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
         # exactly monomial, every scale positive and every pattern product
@@ -437,7 +419,16 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
         # are exact zeros, so the operands are mutual inverses
         lowest = scale.min() if exact else 0.0
         if not (lowest > 0.0 and _pattern_near_one(ones, scale)):
-            _check_nonneg_domain(ta.array, tb.array, (scale, ones) if exact else None)
+            # finite with the sign bit clear is a uint64 below the bits of
+            # +inf: one max of the values that can fail accepts the finite
+            # nonnegative case, and only a failure (-0.0 among them) pays
+            # for the checks that pick the message
+            values = (scale, ones) if exact else (ta.array, tb.array)
+            if not all(v.view(np.uint64).max() < linalg._INF_BITS for v in values):
+                if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
+                    raise DomainError("operands must be finite")
+                if np.any(ta.array < 0) or np.any(tb.array < 0):
+                    raise DomainError("operands must be entrywise nonnegative")
             if support is None:
                 inverse = _dense_products_near_identity(ta, tb, size)
             elif exact:
