@@ -382,13 +382,13 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     The input every caller gives, a monomial U_a and a U_b that is nonzero
     exactly on U_a's transposed pattern, is read once per operand: one
     nonzero mask of ``a``, whose count and row-wise first nonzero give U_a's
-    support, and a nonzero count of ``b``.  Every other entry of both is then an
-    exact zero, so the domain checks and the inverse test read only the 2N
-    support entries, in O(N): every scale positive and every pattern
+    support, and a nonzero count of ``b``.  Every other entry of both is
+    then an exact zero, so the domain checks and the inverse test read only
+    the 2N support entries, in O(N): every scale positive and every pattern
     product near 1 make each of them finite and positive.  Any other ``b``
     takes full passes over both operands: their domain checks and U_b's
-    off-pattern row and column maxima.  Any other ``a`` (a stray tiny entry, a
-    positive blob) takes the two dense O(N^3) products.  A finite pair
+    off-pattern row and column maxima.  Any other ``a`` (a stray tiny
+    entry, a positive blob) takes the two dense O(N^3) products.  A finite pair
     whose products overflow is refused without a RuntimeWarning.
 
     Returns the 0-based (row, column) positions of the positive entries of
