@@ -175,16 +175,18 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
         prods = prods.ravel()
         if not prods.max() < math.inf:
             return None
-    # the result first, as the identity case always allocated: the heap's
-    # high-water mark, hence a process's peak RSS, follows this order
+    # the result, then the row index, then the column index, as the identity
+    # case always allocated: the heap's high-water mark, hence a process's
+    # peak RSS, follows this order
     arr = np.zeros((n,) * (2 * m))
+    rows = np.arange(size)
     if pattern is None:
         index = _shuffle_index((n,) * m, tau.zero_based())
     else:
         index = cols[0] * n ** (m - tau.images[0])
         for k in range(1, m):
             index = np.add.outer(index, cols[k] * n ** (m - tau.images[k])).ravel()
-    arr.reshape(size, size)[np.arange(size), index] = prods
+    arr.reshape(size, size)[rows, index] = prods
     return arr
 
 
