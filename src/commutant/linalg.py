@@ -210,7 +210,7 @@ def _require_invertible(mats) -> None:
         # rows below, which changes at most the sign of a zero, and no pivot
         # magnitude reads that, unless some x is an inf or a NaN: in a sparse
         # stack far from overflow, skip such a column's division and update
-        skip = 2 * np.count_nonzero(a) <= a.size and np.abs(a).max() < _NO_OVERFLOW / 2.0**n
+        skip = 2 * np.count_nonzero(a) <= a.size and np.abs(a).max() < math.ldexp(_NO_OVERFLOW, -n)
         with np.errstate(all="ignore"):  # a refused matrix runs on past its low pivot
             for _ in range(n - 1):
                 col = blk[..., 0]

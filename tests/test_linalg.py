@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -403,7 +405,7 @@ def test_the_gate_skips_columns_only_far_from_overflow(n):
     # the columns with no nonzero below the pivot; at the bound or past it,
     # where a row divided by a small pivot could overflow, nothing is
     # skipped, and either way the outcome is inv's
-    bound = linalg._NO_OVERFLOW / 2.0**n
+    bound = math.ldexp(linalg._NO_OVERFLOW, -n)
     outcomes = set()
     for big in (np.nextafter(bound, 0.0), bound, 1e300, np.inf):
         # the first pivot, 1e-10, divides a row holding big: past the bound
@@ -417,6 +419,19 @@ def test_the_gate_skips_columns_only_far_from_overflow(n):
             assert _gate_outcome(mats) == want
             outcomes.add(want and want[0])
     assert outcomes == {SingularMatrixError, None, DomainError}
+
+
+def test_the_gate_takes_a_sparse_signed_matrix_past_n_1024():
+    # 2.0**n overflows a float from n = 1024 on; the skip bound of so large a
+    # matrix underflows towards 0 instead, so nothing is skipped and the
+    # outcome is still inv's (about 6 s: inv's loop at n = 1024)
+    n = 1024
+    assert math.ldexp(linalg._NO_OVERFLOW, -n) < 1.0
+    low = -np.eye(n)
+    low[n - 1, n - 1] = -2e-11
+    assert _gate_outcome([low]) == _first_refusal([low])
+    assert _gate_outcome([low]) == (SingularMatrixError, "pivot 2.000e-11 below threshold 1e-10")
+    assert _gate_outcome([-np.eye(n)]) is None
 
 
 def test_the_gate_decides_a_nonnegative_monomial_stack_from_its_pattern(shortcuts):
