@@ -48,8 +48,6 @@ STRUCTURE_TOL = 1e-12
 INVERSE_CHECK_TOL = 1e-9
 #: relative part of that test, np.allclose's default rtol
 _ALLCLOSE_RTOL = 1e-5
-#: the bytes of a float64 1.0
-_ONE = np.float64(1.0).tobytes()
 #: fewest dense entries at which gct_dense tests generators other than the
 #: identity for its scatter route: below it (the group-axioms suite's
 #: sizes among them) the kron route costs no more than the test
@@ -131,10 +129,10 @@ def gct_inverse(g: Gct) -> Gct:
     """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
     tau^-1.  Each distinct generator is inverted once and its inverse shared
     by the modes that hold it.  Nonnegative monomial generators (the
-    operator's one monomial test) are inverted together, as their transposed
-    reciprocals, and the inverse operator's own test is known from them.
-    Raises SingularMatrixError if any generator is singular at the pivot
-    threshold, the first in the order of the inverse's modes."""
+    operator's one monomial test) are inverted together, as their
+    transposed reciprocals.  Raises SingularMatrixError if any generator is
+    singular at the pivot threshold, the first in the order of the
+    inverse's modes."""
     inv = g.tau.inverse()
     keys = [t - 1 for t in inv.images]
     pattern = g._monomial
@@ -147,47 +145,40 @@ def gct_inverse(g: Gct) -> Gct:
         if id(b) in inverses:
             continue
         inverses[id(b)] = linalg._gauss_jordan(linalg._square(b)) if pattern is None else found[j]
-    out = _operator([inverses[id(g.generators[k])] for k in keys], inv)
-    if pattern is not None:
-        # the inverses are nonnegative monomial by construction, so their
-        # test's result is known: stored where the cached property keeps it
-        out.__dict__["_monomial"] = found.argmax(axis=2), found.max(axis=2)
-    return out
+    return _operator([inverses[id(g.generators[k])] for k in keys], inv)
 
 
-def _scatter_dense(pattern, tau: Permutation, n: int) -> np.ndarray | None:
+def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     """The dense form of generators with one nonzero per row and per column,
     ``vals[k, i]`` at column ``cols[k, i]`` of B_k for ``pattern`` = (cols,
     vals) and the identity for None, as a C-contiguous zero array with each
-    row's one product scattered in; None when a product overflows.  Row i's
+    row's one product scattered in; None when a product overflows.  The
+    tensor keeps where it scattered them as its support, unless a product
+    underflowed to 0 and left its row with no nonzero.  Row i's
     product is formed as the kron route forms it, B_1·(B_2·(…·B_m)), and
-    lands in the column j with j_tau(k) = cols[k, i_k], whose flat index is
-    sum_k cols[k, i_k]·n^(m - tau(k))."""
+    lands in kron column sum_k cols[k, i_k]·n^(m-k), read through tau."""
     m = tau.degree
     size = n**m
     prods = 1.0
     if pattern is not None:
         cols, vals = pattern
-        prods = vals[-1]
+        kron_col, prods = cols[-1], vals[-1]
         with np.errstate(over="ignore"):  # an overflow is the kron route's to report
             for k in range(m - 2, -1, -1):
-                prods = vals[k].reshape((n,) + (1,) * prods.ndim) * prods
-        prods = prods.ravel()
+                kron_col = np.add.outer(cols[k] * n ** (m - 1 - k), kron_col).ravel()
+                prods = np.multiply.outer(vals[k], prods).ravel()
         if not prods.max() < math.inf:
             return None
-    # the result, then the row index, then the column index, as the identity
-    # case always allocated: the heap's high-water mark, hence a process's
-    # peak RSS, follows this order
+    # the result first, as the identity case always allocated: the heap's
+    # high-water mark, hence a process's peak RSS, follows this order
     arr = np.zeros((n,) * (2 * m))
     rows = np.arange(size)
-    if pattern is None:
-        index = _shuffle_index((n,) * m, tau.zero_based())
-    else:
-        index = cols[0] * n ** (m - tau.images[0])
-        for k in range(1, m):
-            index = np.add.outer(index, cols[k] * n ** (m - tau.images[k])).ravel()
+    index = _shuffle_index((n,) * m, tau.zero_based())  # kron column -> column
+    if pattern is not None:
+        index = index[kron_col]
     arr.reshape(size, size)[rows, index] = prods
-    return arr
+    prods = np.broadcast_to(prods, (size,))
+    return DenseTensor._adopt(arr, (rows, index, prods) if prods.min() > 0.0 else None)
 
 
 def gct_dense(g: Gct) -> DenseTensor:
@@ -215,19 +206,18 @@ def gct_dense(g: Gct) -> DenseTensor:
     on; identity generators as the shuffle's N x N matrix."""
     m, n = g.m, g.n
     _check_order(2 * m, "dense GCT")
-    # the identity's bytes, 1.0 every n + 1 entries, so -0.0 is no identity entry
-    eye = (_ONE + bytes(8 * n)) * (n - 1) + _ONE
+    eye = np.eye(n).tobytes()  # bytes, so -0.0 is no identity entry
     if all(gen.tobytes() == eye for gen in g.generators):
         _check_dense_budget((n**m, n**m), "mode-permutation tensor")
-        return DenseTensor._adopt(_scatter_dense(None, g.tau, n))
+        return _scatter_dense(None, g.tau, n)
     if n ** (2 * m) >= _SCATTER_MIN_ENTRIES:
         pattern = g._monomial
         if pattern is not None:
             for k in range(m):  # the kron route's steps B_k ⊗ acc
                 _check_dense_budget((n, n**k, n, n**k), "dense GCT")
-            arr = _scatter_dense(pattern, g.tau, n)
-            if arr is not None:
-                return DenseTensor._adopt(arr)
+            t = _scatter_dense(pattern, g.tau, n)
+            if t is not None:
+                return t
     _check_dense_budget((n, 1, n, 1), "dense GCT")  # as the step B_m ⊗ [1]
     acc = g.generators[-1].copy()
     for gen in reversed(g.generators[:-1]):
@@ -275,44 +265,26 @@ def _monomial_support(arr: np.ndarray, m: int):
     # walk each half's modes in memory order, the half of the larger stride
     # first: on every layout that keeps the halves apart (C, F, any mode
     # permutation within the halves) that is the memory order itself, so the
-    # mask is one pass and a matrix whose row index is one half's flat index
-    # and column index the other's
-    natural = arr.flags.c_contiguous  # each half's flat index is the walk's own
-    if natural:
-        halves = [list(range(m)), list(range(m, 2 * m))]
-    else:
-        strides = arr.strides
-        halves = sorted(
-            (sorted(range(h, h + m), key=lambda k: -strides[k]) for h in (0, m)),
-            key=lambda half: -strides[half[0]],
-        )
+    # mask is one pass and each nonzero is a (major, minor) pair of flat
+    # indices, one into each half
+    strides = arr.strides
+    halves = sorted(
+        (sorted(range(h, h + m), key=lambda k: -strides[k]) for h in (0, m)),
+        key=lambda half: -strides[half[0]],
+    )
     walk = arr.transpose(halves[0] + halves[1])
-    mask = (walk != 0).reshape(size, size)
-    # size nonzeros, one in every row: exactly one in each
-    if np.count_nonzero(mask) != size:
+    found = np.flatnonzero(walk != 0)
+    if found.size != size:
         return None
-    major = np.arange(size)
-    minor = mask.argmax(axis=1)
-    values = _gather(walk, size, major, minor)
-    # a row without a nonzero reads a zero, and a column hit twice leaves
-    # another one empty
-    if not values.all() or not np.bincount(minor, minlength=size).all():
+    major, minor = np.divmod(found, size)
+    # found is sorted, so one nonzero per major index makes major 0..size-1
+    if not (major == np.arange(size)).all() or not np.bincount(minor, minlength=size).all():
         return None
-    if natural:
-        return major, minor, values
     # each half's walk index, read as its own modes' flat index
     first, second = (_shuffle_index(arr.shape[:m], [k % m for k in half]) for half in halves)
     second = second[minor]
     rows, cols = (first, second) if halves[0][0] < m else (second, first)
-    return rows, cols, values
-
-
-def _gather(arr: np.ndarray, size: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries (rows, cols) of ``arr`` read in C order as a (size, size)
-    matrix, with no copy of ``arr``."""
-    if arr.flags.c_contiguous:
-        return arr.reshape(size, size)[rows, cols]
-    return arr.flat[rows * size + cols]
+    return rows, cols, walk.reshape(-1)[found]
 
 
 def is_balanced_permutation(a: TensorLike) -> bool:
@@ -330,8 +302,7 @@ def _pattern_near_one(ones: np.ndarray, scale: np.ndarray) -> bool:
     """Whether U_b's entries ``ones`` at U_a's transposed pattern, each times
     U_a's entry ``scale`` there, are all within ``np.allclose``'s tolerance
     of 1: the entries of both products on their diagonal."""
-    # a NaN is the largest deviation and fails the test
-    return bool(np.abs(ones * scale - 1.0).max() <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL)
+    return bool(np.all(np.abs(ones * scale - 1.0) <= INVERSE_CHECK_TOL + _ALLCLOSE_RTOL))
 
 
 def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
@@ -382,15 +353,15 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     N = n^m, with the same values as the matrix products.
 
     The input every caller gives, a monomial U_a and a U_b that is nonzero
-    exactly on U_a's transposed pattern, is read once per operand: one
-    nonzero mask of ``a``, whose count and row-wise first nonzero give U_a's
-    support, and a nonzero count of ``b``.  Every other entry of both is
-    then an exact zero, so the domain checks and the inverse test read only
-    the 2N support entries, in O(N): every scale positive and every pattern
-    product near 1 make each of them finite and positive.  Any other ``b``
-    takes full passes over both operands: their domain checks and U_b's
-    off-pattern row and column maxima.  Any other ``a`` (a stray tiny
-    entry, a positive blob) takes the two dense O(N^3) products.  A finite pair
+    exactly on U_a's transposed pattern, is read once per operand: a nonzero
+    scan of ``a`` and a nonzero count of ``b``.  An operand that
+    :func:`gct_dense` scattered is not read at all: it keeps its support,
+    which stands for the scan or the count.  Every other entry of both
+    is then an exact zero, so the domain checks and the inverse test read
+    only the 2N support entries, in O(N).  Any other ``b`` takes full
+    passes over both operands: their domain checks and U_b's off-pattern
+    row and column maxima.  Any other ``a`` (a stray tiny entry, a
+    positive blob) takes the two dense O(N^3) products.  A finite pair
     whose products overflow is refused without a RuntimeWarning.
 
     Returns the 0-based (row, column) positions of the positive entries of
@@ -402,46 +373,42 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     m, n = _even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    size = n**m
-    # comparisons only, so a NaN, an inf or a negative value warns nowhere
-    # before the domain checks
-    support = _monomial_support(ta.array, m)
+    # a support the tensor keeps from its build, or a scan with comparisons
+    # only, so a NaN, an inf or a negative value warns nowhere before the
+    # domain checks
+    support = ta._support or _monomial_support(ta.array, m)
     exact = False
     if support is not None:
         rows, cols, scale = support
-        ones = _gather(tb.array, size, cols, rows)
+        ones = tb.array.flat[cols * n**m + rows]
         # b nonzero on U_a's transposed pattern and nowhere else (a NaN
         # counts as nonzero): every other entry of both is an exact zero
-        exact = bool(ones.all()) and np.count_nonzero(tb.array != 0) == size
+        kept = tb._support
+        nonzeros = len(kept[0]) if kept is not None else np.count_nonzero(tb.array != 0)
+        exact = bool(np.all(ones != 0)) and nonzeros == n**m
+    # one min and one max of the values that can fail accept the finite
+    # nonnegative case (NaN propagates, so it fails); only a failure pays
+    # for the checks that pick the message
+    values = (scale, ones) if exact else (ta.array, tb.array)
+    if not all(0.0 <= v.min() and v.max() < math.inf for v in values):
+        if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
+            raise DomainError("operands must be finite")
+        if np.any(ta.array < 0) or np.any(tb.array < 0):
+            raise DomainError("operands must be entrywise nonnegative")
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
-        # exactly monomial, every scale positive and every pattern product
-        # near 1: each of the 2N nonzeros is finite and positive, so the
-        # domain checks pass, and the off-pattern maxima of both products
-        # are exact zeros, so the operands are mutual inverses
-        lowest = scale.min() if exact else 0.0
-        if not (lowest > 0.0 and _pattern_near_one(ones, scale)):
-            # finite with the sign bit clear is a uint64 below the bits of
-            # +inf: one max of the values that can fail accepts the finite
-            # nonnegative case, and only a failure (-0.0 among them) pays
-            # for the checks that pick the message
-            values = (scale, ones) if exact else (ta.array, tb.array)
-            if not all(v.view(np.uint64).max() < linalg._INF_BITS for v in values):
-                if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
-                    raise DomainError("operands must be finite")
-                if np.any(ta.array < 0) or np.any(tb.array < 0):
-                    raise DomainError("operands must be entrywise nonnegative")
-            if support is None:
-                inverse = _dense_products_near_identity(ta, tb, size)
-            elif exact:
-                inverse = _pattern_near_one(ones, scale)
-            else:
-                inverse = _monomial_products_near_identity(tb.array, *support)
-            if not inverse:
-                raise PreconditionError("operands are not mutual inverses")
+        if support is None:
+            inverse = _dense_products_near_identity(ta, tb, n**m)
+        elif exact:
+            # the off-pattern maxima of both products are exact zeros
+            inverse = _pattern_near_one(ones, scale)
+        else:
+            inverse = _monomial_products_near_identity(tb.array, *support)
+    if not inverse:
+        raise PreconditionError("operands are not mutual inverses")
     # the witnesses are the entries above STRUCTURE_TOL; unless U_a is
     # monomial with all of them there, find them and test their pattern
-    if support is None or (lowest if exact else support[2].min()) <= STRUCTURE_TOL:
+    if support is None or support[2].min() <= STRUCTURE_TOL:
         support = _monomial_support(ta.array > STRUCTURE_TOL, m)
     if support is None:
         raise PreconditionError(
@@ -451,6 +418,6 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     rows, cols, _ = support
     # the unfolding's flat indices run first mode fastest: reverse the modes
     unfold = _shuffle_index((n,) * m, range(m - 1, -1, -1))
-    witness = np.empty(size, dtype=np.intp)
+    witness = np.empty(n**m, dtype=np.intp)
     witness[unfold[rows]] = unfold[cols]
     return list(enumerate(witness.tolist()))

@@ -39,9 +39,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
-        if k < 1:
-            raise ArgumentError("permutation degree must be at least 1")
-        return cls._of(tuple(range(1, k + 1)))
+        return cls(range(1, k + 1))
 
     @classmethod
     def from_cycles(cls, k: int, *cycles: Iterable[int]) -> "Permutation":

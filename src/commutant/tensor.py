@@ -73,15 +73,13 @@ def _square_stack(matrices, what: str) -> tuple[np.ndarray, ...]:
     """Frozen copies of one or more nonempty square matrices of one size.  A
     matrix passed on several modes is copied once and the copy shared."""
     matrices = list(matrices)  # holds every input, so no id is reused
-    copies = {}
-    for m in matrices:
-        if id(m) not in copies:
-            copies[id(m)] = _frozen(as_matrix(m))
+    copies = {id(m): m for m in matrices}
+    copies = {key: _frozen(as_matrix(m)) for key, m in copies.items()}
     mats = tuple(copies[id(m)] for m in matrices)
     if not mats:
         raise ArgumentError(f"at least one of the {what} is required")
     n = mats[0].shape[0]
-    if n < 1 or any(m.shape != (n, n) for m in copies.values()):
+    if n < 1 or any(m.shape != (n, n) for m in mats):
         raise DimensionError(
             f"{what} must be nonempty, square and of one size: {[m.shape for m in mats]}"
         )
@@ -178,7 +176,12 @@ class DenseTensor:
         later writes to ``data`` does not change the tensor.  All entries
         are stored as float64.  The package's own builders hand over the
         arrays they allocate through the private :meth:`_adopt`, which
-        freezes in place instead of copying.
+        freezes in place instead of copying.  A builder that scatters one
+        nonzero into each row and each column of a square C-order unfolding
+        also hands over where: ``_support`` is then (rows, cols, values) of
+        those nonzeros, the flat indices of each one's leading and trailing
+        half of the modes, and None on every other tensor.  The entries
+        never change, so it stays true.
 
     Examples
     --------
@@ -191,7 +194,7 @@ class DenseTensor:
     [1.0, 3.0, 2.0, 4.0]
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "_support")
 
     def __init__(self, data):
         try:
@@ -215,12 +218,13 @@ class DenseTensor:
         self._own(arr)
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
+    def _adopt(cls, arr: np.ndarray, support=None) -> "DenseTensor":
         """Wrap a float64 array without copying it, and freeze it in place.
         Only for an array the caller allocated itself and shares with no
         one: never for a view of an array that came from outside."""
         t = cls.__new__(cls)
         t._own(arr)
+        t._support = support
         return t
 
     def _own(self, arr: np.ndarray) -> None:
@@ -231,6 +235,7 @@ class DenseTensor:
             raise ArgumentError(f"every mode extent must be positive, got {arr.shape}")
         arr.flags.writeable = False
         self._array = arr
+        self._support = None
 
     @classmethod
     def from_flat(cls, shape: Sequence[int], values: list[float] | np.ndarray) -> "DenseTensor":

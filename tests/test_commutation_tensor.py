@@ -267,10 +267,11 @@ class TestGctInverse:
         g = ct_mod._operator(gens, Permutation([2, 3, 1]))
         gct_dense(g)
         inv = gct_inverse(g)
+        gct_dense(g)
+        assert calls == [(3, 8, 8)]
+        gct_dense(inv)  # the inverse runs its own test, once
         gct_dense(inv)
-        assert calls == [(3, 8, 8)]  # the inverse's test is known, not run
-        want = test(np.array(inv.generators))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(inv._monomial, want))
+        assert calls == [(3, 8, 8)] * 2
         order = [g.generators[t - 1] for t in g.tau.inverse().images]
         assert [x.tobytes() for x in inv.generators] == [linalg.inv(b).tobytes() for b in order]
 
@@ -914,6 +915,88 @@ class TestCheckNonnegInverseMatchesReference:
         assert outcome(check_nonneg_inverse, a, b) == outcome(
             reference_check_nonneg_inverse, a, b
         )
+
+
+class TestKeptSupport:
+    """The scatter route of gct_dense keeps where it put the nonzeros, and
+    check_nonneg_inverse reads that in place of a scan of ``a`` and a count
+    of ``b``: the support a scan finds, and the outcome plain copies of the
+    operands give."""
+
+    @pytest.fixture(autouse=True)
+    def scatter_at_every_size(self, monkeypatch):
+        monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", 1)
+
+    @staticmethod
+    def operators(rng, m, n):
+        for tau in itertools.permutations(range(1, m + 1)):
+            gens = generalized_permutations(rng, m, n)
+            yield ct_mod._operator(gens, Permutation(tau))
+            yield build_mode_perm_tensor(Permutation(tau), n)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 4)])
+    def test_the_kept_support_is_the_scanned_one(self, m, n):
+        for g in self.operators(np.random.default_rng(60 + 7 * m + n), m, n):
+            t = gct_dense(g)
+            kept = t._support
+            scanned = ct_mod._monomial_support(t.array, m)
+            assert [x.tolist() for x in kept] == [x.tolist() for x in scanned]
+
+    def test_only_the_scatter_route_keeps_a_support(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        gens = generalized_permutations(rng, 2, 3)
+        assert gct_dense(build_gct(gens))._support is not None
+        assert DenseTensor(gct_dense(build_gct(gens)).array)._support is None
+        signed = [gens[0], -gens[1]]
+        assert gct_dense(build_gct(signed))._support is None  # the kron route
+        monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", float("inf"))
+        assert gct_dense(build_gct(gens))._support is None
+
+    def test_a_product_that_underflows_keeps_no_support(self):
+        tiny = np.diag([1e-200, 1.0])
+        t = gct_dense(build_gct([tiny, tiny]))
+        assert t.array.min() == 0.0 and np.count_nonzero(t.array) == 3
+        assert t._support is None
+        assert ct_mod._monomial_support(t.array, 2) is None
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_check_nonneg_inverse_reads_the_support_as_it_reads_the_entries(self, m, n):
+        rng = np.random.default_rng(62 + 5 * m + n)
+        scales = [1.0, 1e-13, 1e-6, 1e90]
+        seen = set()
+        for g in self.operators(rng, m, n):
+            scale = scales[int(rng.integers(len(scales)))]
+            inv = gct_inverse(g)
+            scaled = ct_mod._operator([scale * x for x in g.generators], g.tau)
+            unscaled = ct_mod._operator([x / scale for x in inv.generators], inv.tau)
+            other = generalized_permutations(rng, m, n)
+            pairs = [
+                (scaled, unscaled),
+                (g, inv),
+                (g, build_gct(other)),  # no inverse pair
+                (inv, g),
+            ]
+            for x, y in pairs:
+                a, b = gct_dense(x), gct_dense(y)
+                assert a._support is not None and b._support is not None
+                plain = DenseTensor(a.array), DenseTensor(b.array)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want = outcome(check_nonneg_inverse, *plain)
+                    for pair in ((a, b), (a, plain[1]), (plain[0], b)):
+                        assert outcome(check_nonneg_inverse, *pair) == want
+                seen.add(want[0] if isinstance(want, tuple) else list)
+        assert seen == {list, PreconditionError}
+
+    def test_an_exact_pair_of_kept_supports_reads_no_entries(self, monkeypatch):
+        g = build_gct(generalized_permutations(np.random.default_rng(63), 3, 4))
+        a, b = gct_dense(g), gct_dense(gct_inverse(g))
+
+        def no_scan(arr, m):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(ct_mod, "_monomial_support", no_scan)
+        assert check_nonneg_inverse(a, b) == reference_check_nonneg_inverse(a.array, b.array)
 
 
 def loop_mode_perm_dense(tau, n):
