@@ -241,11 +241,28 @@ def test_check_nonneg_inverse_reads_an_exactly_monomial_pair_in_place():
         g = np.zeros((8, 8))
         g[rng.permutation(8), np.arange(8)] = rng.uniform(0.5, 2.0, 8)
         gens.append(g)
+    # plain tensors of the same entries, so the certifier scans them
+    a = DenseTensor(gct_dense(build_gct(gens)).array)
+    b = DenseTensor(gct_dense(gct_inverse(build_gct(gens))).array)
+    result, peak = _peak_bytes(lambda: check_nonneg_inverse(a, b))
+    assert len(result) == 512
+    assert peak < 0.25 * a.array.nbytes
+
+
+def test_check_nonneg_inverse_allocates_o_n_on_a_kept_pair():
+    # the same pair as gct_dense returns it, each keeping its support: no
+    # mask, only O(N) arrays (N = 512: a few KiB against a 2 MiB operand)
+    rng = np.random.default_rng(7)
+    gens = []
+    for _ in range(3):
+        g = np.zeros((8, 8))
+        g[rng.permutation(8), np.arange(8)] = rng.uniform(0.5, 2.0, 8)
+        gens.append(g)
     a = gct_dense(build_gct(gens))
     b = gct_dense(gct_inverse(build_gct(gens)))
     result, peak = _peak_bytes(lambda: check_nonneg_inverse(a, b))
     assert len(result) == 512
-    assert peak < 0.25 * a.array.nbytes
+    assert peak < 0.05 * a.array.nbytes
 
 
 def test_verify_rank_preservation_holds_one_stack_of_trials_at_a_time():
@@ -281,3 +298,5 @@ def test_the_group_case_pipeline_holds_its_two_dense_forms_and_one_mask():
     result, peak = _peak_bytes(pipeline)
     assert len(result) == 512
     assert peak <= (2 + 0.25) * 8**6 * 8
+    # the dense forms keep their supports, so the check allocates no mask
+    assert peak <= (2 + 0.05) * 8**6 * 8
