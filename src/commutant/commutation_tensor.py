@@ -152,9 +152,9 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     """The dense form of generators with one nonzero per row and per column,
     ``vals[k, i]`` at column ``cols[k, i]`` of B_k for ``pattern`` = (cols,
     vals) and the identity for None, as a C-contiguous zero array with each
-    row's one product scattered in; None when a product overflows.  The
-    tensor keeps where it scattered them as its support, unless a product
-    underflowed to 0 and left its row with no nonzero.  Row i's
+    row's one product scattered in; None when a product overflows.  For
+    the group case the tensor keeps where they went as its support, unless
+    a product underflowed to 0 and left its row with no nonzero.  Row i's
     product is formed as the kron route forms it, B_1·(B_2·(…·B_m)), and
     lands in kron column sum_k cols[k, i_k]·n^(m-k), read through tau."""
     m = tau.degree
@@ -177,8 +177,8 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     if pattern is not None:
         index = index[kron_col]
     arr.reshape(size, size)[rows, index] = prods
-    prods = np.broadcast_to(prods, (size,))
-    return DenseTensor._adopt(arr, (rows, index, prods) if prods.min() > 0.0 else None)
+    kept = pattern is not None and prods.min() > 0.0
+    return DenseTensor._adopt(arr, (rows, index, prods) if kept else None)
 
 
 def gct_dense(g: Gct) -> DenseTensor:

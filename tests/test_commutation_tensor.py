@@ -932,7 +932,9 @@ class TestKeptSupport:
         for tau in itertools.permutations(range(1, m + 1)):
             gens = generalized_permutations(rng, m, n)
             yield ct_mod._operator(gens, Permutation(tau))
-            yield build_mode_perm_tensor(Permutation(tau), n)
+            # one scaled permutation matrix on every mode (never the identity)
+            perm = 2.0 * np.eye(n)[rng.permutation(n)]
+            yield ct_mod._operator([perm] * m, Permutation(tau))
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 4)])
     def test_the_kept_support_is_the_scanned_one(self, m, n):
@@ -949,6 +951,8 @@ class TestKeptSupport:
         assert DenseTensor(gct_dense(build_gct(gens)).array)._support is None
         signed = [gens[0], -gens[1]]
         assert gct_dense(build_gct(signed))._support is None  # the kron route
+        # identity generators scatter a 0/1 shuffle and keep nothing
+        assert gct_dense(build_mode_perm_tensor(Permutation([2, 1]), 3))._support is None
         monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", float("inf"))
         assert gct_dense(build_gct(gens))._support is None
 
