@@ -354,9 +354,10 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
 
     The input every caller gives, a monomial U_a and a U_b that is nonzero
     exactly on U_a's transposed pattern, is read once per operand: a nonzero
-    scan of ``a`` and a nonzero count of ``b``.  An operand that
-    :func:`gct_dense` scattered is not read at all: it keeps its support,
-    which stands for the scan or the count.  Every other entry of both
+    scan of ``a`` and a nonzero count of ``b``.  A dense form that
+    :func:`gct_dense` scattered from generators other than the identity is
+    not read at all: it keeps its support, which stands for the scan or the
+    count.  Every other entry of both
     is then an exact zero, so the domain checks and the inverse test read
     only the 2N support entries, in O(N).  Any other ``b`` takes full
     passes over both operands: their domain checks and U_b's off-pattern
