@@ -102,15 +102,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=_positive_int)
     p.add_argument("q", type=_positive_int)
 
-    p = sub.add_parser(
-        "gen-ktensor", parents=[common], help="emit the order-4 transpose tensor"
-    )
+    p = sub.add_parser("gen-ktensor", help="emit the order-4 transpose tensor")
     p.add_argument("m", type=_positive_int)
     p.add_argument("n", type=_positive_int)
 
-    p = sub.add_parser(
-        "gen-gct", parents=[common], help="emit a generalized commutation tensor"
-    )
+    p = sub.add_parser("gen-gct", help="emit a generalized commutation tensor")
     p.add_argument("m", type=_positive_int)
     p.add_argument("n", type=_positive_int)
     p.add_argument(
@@ -146,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="corrupt one check to demonstrate failure reporting",
     )
 
-    p = sub.add_parser("apply", parents=[common], help="apply a preserver to a tensor")
+    p = sub.add_parser("apply", help="apply a preserver to a tensor")
     p.add_argument("preserver", help="preserver JSON file")
     p.add_argument("tensor", help="tensor JSON or matrix text file")
 

@@ -35,6 +35,7 @@ from .tensor import (
     _even_order_cubic,
     _kron_into,
     _mode_products,
+    _shuffle_dense,
     _shuffle_index,
     _square_stack,
     as_tensor,
@@ -144,41 +145,36 @@ def gct_inverse(g: Gct) -> Gct:
         b = g.generators[k]
         if id(b) in inverses:
             continue
-        inverses[id(b)] = linalg._gauss_jordan(linalg._square(b)) if pattern is None else found[j]
+        inverses[id(b)] = linalg.inv(b) if pattern is None else found[j]
     return _operator([inverses[id(g.generators[k])] for k in keys], inv)
 
 
 def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     """The dense form of generators with one nonzero per row and per column,
     ``vals[k, i]`` at column ``cols[k, i]`` of B_k for ``pattern`` = (cols,
-    vals) and the identity for None, as a C-contiguous zero array with each
-    row's one product scattered in; None when a product overflows.  For
-    the group case the tensor keeps where they went as its support, unless
-    a product underflowed to 0 and left its row with no nonzero.  Row i's
-    product is formed as the kron route forms it, B_1·(B_2·(…·B_m)), and
-    lands in kron column sum_k cols[k, i_k]·n^(m-k), read through tau."""
+    vals), as a C-contiguous zero array with each row's one product
+    scattered in; None when a product overflows.  The tensor keeps where
+    they went as its support, unless a product underflowed to 0 and left
+    its row with no nonzero.  Row i's product is formed as the kron route
+    forms it, B_1·(B_2·(…·B_m)), and lands in kron column
+    sum_k cols[k, i_k]·n^(m-k), read through tau."""
     m = tau.degree
     size = n**m
-    prods = 1.0
-    if pattern is not None:
-        cols, vals = pattern
-        kron_col, prods = cols[-1], vals[-1]
-        with np.errstate(over="ignore"):  # an overflow is the kron route's to report
-            for k in range(m - 2, -1, -1):
-                kron_col = np.add.outer(cols[k] * n ** (m - 1 - k), kron_col).ravel()
-                prods = np.multiply.outer(vals[k], prods).ravel()
-        if not prods.max() < math.inf:
-            return None
-    # the result first, as the identity case always allocated: the heap's
+    cols, vals = pattern
+    kron_col, prods = cols[-1], vals[-1]
+    with np.errstate(over="ignore"):  # an overflow is the kron route's to report
+        for k in range(m - 2, -1, -1):
+            kron_col = np.add.outer(cols[k] * n ** (m - 1 - k), kron_col).ravel()
+            prods = np.multiply.outer(vals[k], prods).ravel()
+    if not prods.max() < math.inf:
+        return None
+    # the result first, as the identity case allocates it: the heap's
     # high-water mark, hence a process's peak RSS, follows this order
     arr = np.zeros((n,) * (2 * m))
     rows = np.arange(size)
-    index = _shuffle_index((n,) * m, tau.zero_based())  # kron column -> column
-    if pattern is not None:
-        index = index[kron_col]
+    index = _shuffle_index((n,) * m, tau.zero_based())[kron_col]  # kron column -> column
     arr.reshape(size, size)[rows, index] = prods
-    kept = pattern is not None and prods.min() > 0.0
-    return DenseTensor._adopt(arr, (rows, index, prods) if kept else None)
+    return DenseTensor._adopt(arr, (rows, index, prods) if prods.min() > 0.0 else None)
 
 
 def gct_dense(g: Gct) -> DenseTensor:
@@ -189,9 +185,11 @@ def gct_dense(g: Gct) -> DenseTensor:
     * The group case, generators with one nonzero per row and per column,
       every entry finite with its sign bit clear and every product finite:
       a C-contiguous zero array with the n^m products scattered in, O(n^m)
-      arithmetic.  Identity generators always take it (the 0/1 array of
-      one axis shuffle); others from ``_SCATTER_MIN_ENTRIES`` dense entries
-      on, below which the kron route is as fast as the test for this one.
+      arithmetic.  Identity generators always take it: their form is the
+      0/1 array of one axis shuffle, built by ``tensor._shuffle_dense`` as
+      K and C are.  Others take it from ``_SCATTER_MIN_ENTRIES`` dense
+      entries on, below which the kron route is as fast as the test for
+      this one.
     * Any other stack: the C-order unfolding kron(B_1, ..., B_m),
       accumulated from a copy of B_m by m - 1 calls of the Kronecker
       kernel, each writing whole output rows, with the trailing modes then
@@ -208,8 +206,8 @@ def gct_dense(g: Gct) -> DenseTensor:
     _check_order(2 * m, "dense GCT")
     eye = np.eye(n).tobytes()  # bytes, so -0.0 is no identity entry
     if all(gen.tobytes() == eye for gen in g.generators):
-        _check_dense_budget((n**m, n**m), "mode-permutation tensor")
-        return _scatter_dense(None, g.tau, n)
+        arr = _shuffle_dense((n,) * m, g.tau.zero_based(), "mode-permutation tensor")
+        return DenseTensor._adopt(arr)
     if n ** (2 * m) >= _SCATTER_MIN_ENTRIES:
         pattern = g._monomial
         if pattern is not None:
@@ -260,31 +258,19 @@ def _monomial_support(arr: np.ndarray, m: int):
     """The nonzero entries of an order-2m tensor whose balance unfolding has
     exactly one nonzero per row and per column, as (rows, cols, values):
     the flat index, first mode slowest, of each one's first m and last m
-    coordinates, and its value; None for any other tensor."""
+    coordinates, and its value; None for any other tensor.  The mask is
+    scanned in C order, so each nonzero's flat index is a (row, column)
+    pair."""
     size = arr.shape[0] ** m
-    # walk each half's modes in memory order, the half of the larger stride
-    # first: on every layout that keeps the halves apart (C, F, any mode
-    # permutation within the halves) that is the memory order itself, so the
-    # mask is one pass and each nonzero is a (major, minor) pair of flat
-    # indices, one into each half
-    strides = arr.strides
-    halves = sorted(
-        (sorted(range(h, h + m), key=lambda k: -strides[k]) for h in (0, m)),
-        key=lambda half: -strides[half[0]],
-    )
-    walk = arr.transpose(halves[0] + halves[1])
-    found = np.flatnonzero(walk != 0)
+    mask = arr != 0
+    found = np.flatnonzero(mask)
     if found.size != size:
         return None
-    major, minor = np.divmod(found, size)
-    # found is sorted, so one nonzero per major index makes major 0..size-1
-    if not (major == np.arange(size)).all() or not np.bincount(minor, minlength=size).all():
+    rows, cols = np.divmod(found, size)
+    # found is sorted, so one nonzero per row makes rows 0..size-1
+    if not (rows == np.arange(size)).all() or not np.bincount(cols, minlength=size).all():
         return None
-    # each half's walk index, read as its own modes' flat index
-    first, second = (_shuffle_index(arr.shape[:m], [k % m for k in half]) for half in halves)
-    second = second[minor]
-    rows, cols = (first, second) if halves[0][0] < m else (second, first)
-    return rows, cols, walk.reshape(-1)[found]
+    return rows, cols, arr[mask]
 
 
 def is_balanced_permutation(a: TensorLike) -> bool:
@@ -353,17 +339,17 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     N = n^m, with the same values as the matrix products.
 
     The input every caller gives, a monomial U_a and a U_b that is nonzero
-    exactly on U_a's transposed pattern, is read once per operand: a nonzero
-    scan of ``a`` and a nonzero count of ``b``.  A dense form that
-    :func:`gct_dense` scattered from generators other than the identity is
-    not read at all: it keeps its support, which stands for the scan or the
-    count.  Every other entry of both
-    is then an exact zero, so the domain checks and the inverse test read
-    only the 2N support entries, in O(N).  Any other ``b`` takes full
-    passes over both operands: their domain checks and U_b's off-pattern
-    row and column maxima.  Any other ``a`` (a stray tiny entry, a
-    positive blob) takes the two dense O(N^3) products.  A finite pair
-    whose products overflow is refused without a RuntimeWarning.
+    exactly on U_a's transposed pattern, is read once per operand: a
+    C-order nonzero scan of ``a`` and a nonzero count of ``b``.  A dense
+    form that :func:`gct_dense` scattered from generators other than the
+    identity is not read at all: it keeps its support, which stands for the
+    scan or the count.  Every other entry of both is then an exact zero,
+    so the domain checks and the inverse test read only the 2N support
+    entries, in O(N).  Any other ``b`` takes full passes over both
+    operands: their domain checks and U_b's off-pattern row and column
+    maxima.  Any other ``a`` (a stray tiny entry, a positive blob) takes
+    the two dense O(N^3) products.  A finite pair whose products overflow
+    is refused without a RuntimeWarning.
 
     Returns the 0-based (row, column) positions of the positive entries of
     the unfolding of ``a``, sorted by row.  Raises DomainError on a

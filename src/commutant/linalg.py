@@ -9,21 +9,7 @@ At the sizes inverted here a column's arithmetic costs less than the numpy
 calls that run it, so the inverse's loop makes few: the pivot is tested
 through the magnitudes its argmax was read from, rows are swapped by one
 row copy and only when needed, and the rank-1 update is one broadcast
-product.  Its pivots, products and errors are those of the whole-matrix
-loop it replaced, bit for bit.
-
-A nonnegative monomial matrix (one nonzero per row and per column, every
-entry finite with its sign bit clear) skips the loop: its inverse is its
-transposed reciprocals, and these are the loop's bits.  Column c's pivot is
-its one nonzero x, which no earlier step has changed, so the division of
-the pivot row writes 1/x into the inverse and +0/x = +0 around it.  Every
-multiplier of the update is that column's other entries, all +0, times
-entries that are finite with their sign bit clear, so each update
-subtracts +0 and leaves every entry, +0 included, as it was.  That argument
-needs the sign bits: with a -0.0 multiplier or a negative entry the
-products can be -0.0, and x - (-0.0) turns a -0.0 into +0, so such a
-matrix takes the loop.  The first column in order whose pivot is below the
-threshold raises, with the loop's message.
+product.
 
 The invertibility gate of the rank preservers, :func:`_require_invertible`,
 decides a whole stack of generators without building an inverse.  A pivot
@@ -31,7 +17,8 @@ is read only from the rows at and below it, and those rows take in nothing
 from the rows above or from the right half, so one elimination of the
 (k, n, n) stack that keeps only those rows, with inv's pivot search, row
 swap, row division and update on them, meets inv's pivots bit for bit; a
-nonnegative monomial stack is decided from its pattern, as inv decides it.
+nonnegative monomial stack is decided from its pattern, whose nonzeros are
+inv's pivots (see :func:`_monomial_inverses`).
 Per column that is five numpy calls for all k matrices where inv makes six
 for one, and the last column's update is skipped, so one generator costs
 no more than inv and k of them about as much as one.  In a sparse stack far
@@ -145,7 +132,18 @@ def _refuse_low(pivots: np.ndarray) -> None:
 def _monomial_inverses(pattern) -> np.ndarray:
     """inv of each matrix of the nonnegative monomial (k, n, n) stack with
     ``pattern`` = (cols, vals), its transposed reciprocals, or the loop's
-    error for the first matrix it refuses."""
+    error for the first matrix it refuses.
+
+    These are the loop's bits.  Column c's pivot is its one nonzero x, which
+    no earlier step has changed, so the division of the pivot row writes
+    1/x into the inverse and +0/x = +0 around it.  Every multiplier of the
+    update is that column's other entries, all +0, times entries that are
+    finite with their sign bit clear, so each update subtracts +0 and
+    leaves every entry, +0 included, as it was.  That argument needs the
+    sign bits: with a -0.0 multiplier or a negative entry the products can
+    be -0.0, and x - (-0.0) turns a -0.0 into +0, so such a matrix takes
+    the loop.  The first column in order whose pivot is below the
+    threshold raises, with the loop's message."""
     cols, vals = pattern
     k, n = cols.shape
     lanes = np.arange(k)[:, None]
@@ -158,8 +156,10 @@ def _monomial_inverses(pattern) -> np.ndarray:
     return out
 
 
-def _gauss_jordan(a: np.ndarray) -> np.ndarray:
-    """The inverse of a finite square matrix by the loop."""
+def inv(mat) -> np.ndarray:
+    """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
+    ``INVERSE_PIVOT_TOL``."""
+    a = _square(mat)
     n = a.shape[0]
     aug = np.hstack([a, np.eye(n)])
     for col in range(n):
@@ -177,16 +177,6 @@ def _gauss_jordan(a: np.ndarray) -> np.ndarray:
         factor[col] = 0.0  # every row but the pivot row
         aug -= factor[:, None] * row
     return aug[:, n:]
-
-
-def inv(mat) -> np.ndarray:
-    """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
-    ``INVERSE_PIVOT_TOL``."""
-    a = _square(mat)
-    pattern = _nonneg_monomial(a[None])
-    if pattern is not None:
-        return _monomial_inverses(pattern)[0]
-    return _gauss_jordan(a)
 
 
 def _require_invertible(mats) -> None:

@@ -45,6 +45,11 @@ _FACTOR_MIN_NORM = 1e-6
 _TRIAL_STACK_ENTRIES = 2**16
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _invertible(phi: Gct) -> Gct:
     """The invertibility gate: ``phi`` once ``linalg.inv`` would accept each
     shared generator; else the error inv raises on the first it refuses,
@@ -204,11 +209,15 @@ def verify_rank_preservation(phi: Gct, trials: int, seed: int) -> VerificationRe
     calls per stack; each trial's image, and so its verdict, is the one
     :func:`~commutant.commutation_tensor.apply_rank_preserver` and
     :func:`is_rank1_tensor` give it alone.  Raises ArgumentError unless
-    ``trials`` is positive and ``seed`` a non-negative integer."""
+    ``trials`` is a positive and ``seed`` a non-negative integer, neither of
+    them a bool."""
+    if not _is_integer(trials):
+        raise ArgumentError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ArgumentError(f"trials must be positive, got {trials}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    trials = int(trials)
     m, n = phi.m, phi.n
     _check_dense_budget((n,) * m, "rank-1 tensor")
     chunk = max(1, _TRIAL_STACK_ENTRIES // n**m)

@@ -28,6 +28,7 @@ from .cp import sym_power
 from .errors import ArgumentError
 from .permutation import Permutation
 from .preserver import (
+    _is_integer,
     apply_rank_preserver,
     fixes_identity,
     is_determinant_preserver,
@@ -61,12 +62,12 @@ class RunConfig:
     def __post_init__(self):
         if not self.sizes:
             raise ArgumentError("at least one size is required")
-        if any(a < 1 or b < 1 for a, b in self.sizes):
-            raise ArgumentError(f"sizes must be positive pairs, got {self.sizes}")
-        if self.seed < 0:
-            raise ArgumentError(f"seed must be non-negative, got {self.seed}")
-        if self.trials < 1:
-            raise ArgumentError(f"trials must be positive, got {self.trials}")
+        if not all(_is_integer(a) and _is_integer(b) and a > 0 and b > 0 for a, b in self.sizes):
+            raise ArgumentError(f"sizes must be pairs of positive integers, got {self.sizes}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ArgumentError(f"trials must be a positive integer, got {self.trials!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ArgumentError(f"tolerance must be positive and finite, got {self.tol}")
 

@@ -181,11 +181,16 @@ class TestGenKtensor:
             for j in range(2):
                 assert t.array[j, i, i, j] == 1.0
 
-    def test_emits_json_regardless_of_format_flag(self, capsys):
-        _, as_text, _ = run(capsys, "gen-ktensor", "2", "2", "--format", "text")
-        _, as_json, _ = run(capsys, "gen-ktensor", "2", "2", "--format", "json")
-        assert as_text == as_json
-        json.loads(as_text)
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-ktensor", "2", "2"], ["gen-gct", "2", "2"], ["apply", "phi.json", "a.txt"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_json_only_subcommands_refuse_the_format_flag(self, capsys, argv, fmt):
+        # they always write JSON, so a --format they would ignore is refused
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2 and out == "" and "--format" in err
 
 
 class TestGenGct:

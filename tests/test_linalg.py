@@ -5,6 +5,7 @@ import pytest
 
 from commutant import DimensionError, DomainError, SingularMatrixError
 from commutant import linalg
+from commutant.commutation_tensor import build_gct, gct_inverse
 
 
 def test_det_small_cases():
@@ -230,7 +231,7 @@ def _scaled_permutation(rng, n, spread):
 
 @pytest.fixture
 def shortcuts(monkeypatch):
-    """Count the matrices ``inv`` found nonnegative monomial."""
+    """Count the stacks found nonnegative monomial."""
     found = []
     test = linalg._nonneg_monomial
 
@@ -243,14 +244,26 @@ def shortcuts(monkeypatch):
     return found
 
 
-def test_inv_of_a_nonnegative_monomial_is_the_loops_bytes(shortcuts):
+def _inverse_generators(*mats):
+    """``gct_inverse`` of the operator with generators ``mats`` and tau = id:
+    the inverse of each, one monomial test for all of them."""
+    return gct_inverse(build_gct(mats)).generators
+
+
+def test_group_case_inverses_are_the_loops_bytes(shortcuts):
+    # bytes for bytes, or the loop's error on the first matrix it refuses
     rng = np.random.default_rng(43)
+    refused = 0
     for n in (1, 2, 3, 5, 8, 12):
         for spread in (0, 5, 150, 300):
-            a = _scaled_permutation(rng, n, spread)
-            got = _bytes_or_error(linalg.inv, a)
-            assert got == _bytes_or_error(_inv_vectorised_reference, a)
+            mats = [_scaled_permutation(rng, n, spread) for _ in range(3)]
+            want = [_bytes_or_error(_inv_vectorised_reference, a) for a in mats]
+            errors = [w for w in want if isinstance(w, tuple)]
+            got = _bytes_or_error(lambda ms: np.array(_inverse_generators(*ms)), mats)
+            assert got == (errors[0] if errors else b"".join(want))
+            refused += bool(errors)
     assert all(shortcuts) and len(shortcuts) == 24
+    assert 0 < refused < 24  # both outcomes are exercised
 
 
 @pytest.mark.parametrize(
@@ -262,12 +275,12 @@ def test_inv_of_a_nonnegative_monomial_is_the_loops_bytes(shortcuts):
         {4: 1e-300, 1: linalg.INVERSE_PIVOT_TOL, 2: 1e-12},
     ],
 )
-def test_inv_of_a_nonnegative_monomial_refuses_its_first_low_column(shortcuts, pivots):
+def test_group_case_inverse_refuses_its_first_low_column(shortcuts, pivots):
     # the loop meets the pivots in column order, whatever their rows
     a = _scaled_permutation(np.random.default_rng(44), 6, 0)
     for col, value in pivots.items():
         a[np.flatnonzero(a[:, col]), col] = value
-    got = _bytes_or_error(linalg.inv, a)
+    got = _bytes_or_error(lambda x: _inverse_generators(x)[0], a)
     assert got == _bytes_or_error(_inv_vectorised_reference, a)
     assert shortcuts == [True]
     low = [col for col, value in sorted(pivots.items()) if value < linalg.INVERSE_PIVOT_TOL]
@@ -280,7 +293,8 @@ def test_inv_of_a_nonnegative_monomial_refuses_its_first_low_column(shortcuts, p
 
 @pytest.mark.parametrize("edit", ["negative", "negative zero"])
 def test_signed_monomials_take_the_loop(shortcuts, edit):
-    # the shortcut's argument needs every entry's sign bit clear
+    # the transposed reciprocals are the loop's bits only with every
+    # entry's sign bit clear
     rng = np.random.default_rng(45)
     for n in (2, 3, 5, 8):
         for _ in range(20):
@@ -290,7 +304,8 @@ def test_signed_monomials_take_the_loop(shortcuts, edit):
                 a[rows[: n // 2 + 1], cols[: n // 2 + 1]] *= -1.0
             else:
                 a[tuple(np.argwhere(a == 0)[0])] = -0.0
-            assert linalg.inv(a).tobytes() == _inv_vectorised_reference(a).tobytes()
+            (got,) = _inverse_generators(a)
+            assert got.tobytes() == _inv_vectorised_reference(a).tobytes()
     assert shortcuts and not any(shortcuts)
 
 

@@ -410,16 +410,27 @@ class TestVerifyRankPreservation:
         failed = [int(f.split()[1].rstrip(":")) for f in report.failures]
         assert report.failures == tuple(f"trial {t}: image is not rank 1" for t in failed)
 
-    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", None, True, False])
     def test_a_bad_seed_is_an_argument_error(self, seed):
         phi = sym_preserver(np.eye(2), 2)
         with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
             verify_rank_preservation(phi, 3, seed)
 
-    @pytest.mark.parametrize("seed", [0, 7, np.int64(5), 2**70, True])
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(5), 2**70])
     def test_any_non_negative_integer_seed_is_taken(self, seed):
         phi = sym_preserver(np.eye(2), 2)
         assert verify_rank_preservation(phi, 2, seed) == _reference_report(phi, 2, seed)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, "3", None, True])
+    def test_non_integer_trials_are_an_argument_error(self, trials):
+        phi = sym_preserver(np.eye(2), 2)
+        with pytest.raises(ArgumentError, match="trials must be an integer"):
+            verify_rank_preservation(phi, trials, 0)
+
+    def test_a_numpy_integer_trial_count_is_reported_as_an_int(self):
+        phi = sym_preserver(np.eye(2), 2)
+        report = verify_rank_preservation(phi, np.int64(3), 0)
+        assert type(report.trials) is int and report == _reference_report(phi, 3, 0)
 
 
 #: at n = 1 trial 2 of seed 16783 draws -1.3e-7 as its third factor, found

@@ -17,7 +17,9 @@ from commutant import (
     build_mode_perm_tensor,
     mode_perm_dense,
 )
+from commutant.commutation_tensor import _operator, gct_dense
 from commutant.serialize import commutation_to_json
+from commutant.tensor import _shuffle_dense
 
 SIZES = list(itertools.product(range(1, 8), repeat=2))
 
@@ -81,3 +83,13 @@ def test_mode_perm_matches_the_indices_scatter_for_every_tau(m, n):
         assert np.array_equal(arr, _mode_perm_scatter(tau, n)), tau
         assert arr.flags.c_contiguous
 
+
+
+@pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), repeat=2)))
+def test_identity_generators_are_the_shuffle_builders_array(m, n):
+    # K, C and every mode-permutation tensor come from one builder
+    for tau in Permutation.all(m):
+        arr = gct_dense(_operator([np.eye(n)] * m, tau)).array
+        want = _shuffle_dense((n,) * m, tau.zero_based(), "mode-permutation tensor")
+        assert arr.tobytes() == want.tobytes() and arr.strides == want.strides, tau
+        assert arr.shape == want.shape

@@ -23,6 +23,7 @@ from commutant import (
     verify_rank_preservation,
 )
 from commutant import serialize as ser
+from commutant.verify import RunConfig
 
 REFUSALS = {
     "permute_modes-wrong-degree": (
@@ -79,6 +80,51 @@ REFUSALS = {
         lambda: verify_rank_preservation(sym_preserver(np.eye(2), 2), 3, 0.5),
         ArgumentError,
         "seed must be a non-negative integer, got 0.5",
+    ),
+    "verify_rank_preservation-bool-seed": (
+        lambda: verify_rank_preservation(sym_preserver(np.eye(2), 2), 3, True),
+        ArgumentError,
+        "seed must be a non-negative integer, got True",
+    ),
+    "verify_rank_preservation-float-trials": (
+        lambda: verify_rank_preservation(sym_preserver(np.eye(2), 2), 2.5, 0),
+        ArgumentError,
+        "trials must be an integer, got 2.5",
+    ),
+    "verify_rank_preservation-bool-trials": (
+        lambda: verify_rank_preservation(sym_preserver(np.eye(2), 2), True, 0),
+        ArgumentError,
+        "trials must be an integer, got True",
+    ),
+    "RunConfig-float-trials": (
+        lambda: RunConfig(trials=2.5),
+        ArgumentError,
+        "trials must be a positive integer, got 2.5",
+    ),
+    "RunConfig-bool-trials": (
+        lambda: RunConfig(trials=True),
+        ArgumentError,
+        "trials must be a positive integer, got True",
+    ),
+    "RunConfig-float-seed": (
+        lambda: RunConfig(seed=1.5),
+        ArgumentError,
+        "seed must be a non-negative integer, got 1.5",
+    ),
+    "RunConfig-bool-seed": (
+        lambda: RunConfig(seed=False),
+        ArgumentError,
+        "seed must be a non-negative integer, got False",
+    ),
+    "RunConfig-float-size": (
+        lambda: RunConfig(sizes=((2.5, 2),)),
+        ArgumentError,
+        r"sizes must be pairs of positive integers, got \(\(2.5, 2\),\)",
+    ),
+    "RunConfig-bool-size": (
+        lambda: RunConfig(sizes=((2, True),)),
+        ArgumentError,
+        "sizes must be pairs of positive integers",
     ),
 }
 
