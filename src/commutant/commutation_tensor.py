@@ -168,7 +168,7 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
             prods = np.multiply.outer(vals[k], prods).ravel()
     if not prods.max() < math.inf:
         return None
-    # the result first, as the identity case allocates it: the heap's
+    # the result first, as ``_shuffle_dense`` allocates it: the heap's
     # high-water mark, hence a process's peak RSS, follows this order
     arr = np.zeros((n,) * (2 * m))
     rows = np.arange(size)

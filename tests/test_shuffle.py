@@ -84,7 +84,6 @@ def test_mode_perm_matches_the_indices_scatter_for_every_tau(m, n):
         assert arr.flags.c_contiguous
 
 
-
 @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 5), repeat=2)))
 def test_identity_generators_are_the_shuffle_builders_array(m, n):
     # K, C and every mode-permutation tensor come from one builder
