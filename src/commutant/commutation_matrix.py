@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, _is_integer
 from .tensor import (
     DenseTensor,
     _check_dense_budget,
@@ -31,8 +31,8 @@ from .tensor import (
 
 
 def _check_dims(p: int, q: int) -> None:
-    if p < 1 or q < 1:
-        raise ArgumentError(f"dimensions must be positive, got p={p}, q={q}")
+    if not (_is_integer(p) and _is_integer(q) and p >= 1 and q >= 1):
+        raise ArgumentError(f"dimensions must be positive integers, got p={p}, q={q}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import ArgumentError, DimensionError, DomainError, PreconditionError
+from .errors import ArgumentError, DimensionError, DomainError, PreconditionError, _is_integer
 from .permutation import Permutation
 from .tensor import (
     DenseTensor,
@@ -49,10 +49,6 @@ STRUCTURE_TOL = 1e-12
 INVERSE_CHECK_TOL = 1e-9
 #: relative part of that test, np.allclose's default rtol
 _ALLCLOSE_RTOL = 1e-5
-#: fewest dense entries at which gct_dense tests generators other than the
-#: identity for its scatter route: below it (the group-axioms suite's
-#: sizes among them) the kron route costs no more than the test
-_SCATTER_MIN_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +93,8 @@ def build_gct(generators) -> Gct:
 
 def gct_from_permutation(pi: Permutation, m: int) -> Gct:
     """The group-case tensor: m copies of the permutation matrix of pi."""
+    if not _is_integer(m) or m < 1:
+        raise ArgumentError(f"m must be a positive integer, got {m}")
     _check_dense_budget((pi.degree, pi.degree), "permutation matrix")
     return _operator([pi.matrix()] * m)
 
@@ -109,8 +107,8 @@ def build_mode_perm_tensor(sigma: Permutation, n: int) -> Gct:
     """The operator that shuffles modes as ``permute_modes(., sigma)``:
     identity generators and tau = sigma^-1.  Its dense entry
     (i_1..i_m, j_1..j_m) is 1 exactly when j_k = i_{sigma(k)} for every k."""
-    if n < 1:
-        raise ArgumentError(f"n must be positive, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise ArgumentError(f"n must be a positive integer, got {n}")
     _check_dense_budget((n, n), "identity generator")
     return _operator([np.eye(n)] * sigma.degree, sigma.inverse())
 
@@ -153,13 +151,15 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     """The dense form of generators with one nonzero per row and per column,
     ``vals[k, i]`` at column ``cols[k, i]`` of B_k for ``pattern`` = (cols,
     vals), as a C-contiguous zero array with each row's one product
-    scattered in; None when a product overflows.  The tensor keeps where
-    they went as its support, unless a product underflowed to 0 and left
-    its row with no nonzero.  Row i's product is formed as the kron route
-    forms it, B_1·(B_2·(…·B_m)), and lands in kron column
+    scattered in; None when a product overflows.  Refused before anything
+    is allocated when its N x N size is over the budget.  The tensor keeps
+    where the products went as its support, unless one underflowed to 0 and
+    left its row with no nonzero.  Row i's product is formed as the kron
+    route forms it, B_1·(B_2·(…·B_m)), and lands in kron column
     sum_k cols[k, i_k]·n^(m-k), read through tau."""
     m = tau.degree
     size = n**m
+    _check_dense_budget((size, size), "dense GCT")
     cols, vals = pattern
     kron_col, prods = cols[-1], vals[-1]
     with np.errstate(over="ignore"):  # an overflow is the kron route's to report
@@ -180,16 +180,15 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
 def gct_dense(g: Gct) -> DenseTensor:
     """The order-2m tensor that acts as ``g`` under ``mul_2m_on_m``: entry
     (i, j) is ``prod_k B_k[i_k, l_k]`` at l_k = j_{tau(k)}.  Shares no memory
-    with g.  Two routes, with the same bytes wherever both apply:
+    with g.  Two routes, chosen by the generators, with the same bytes
+    wherever both apply:
 
     * The group case, generators with one nonzero per row and per column,
       every entry finite with its sign bit clear and every product finite:
       a C-contiguous zero array with the n^m products scattered in, O(n^m)
-      arithmetic.  Identity generators always take it: their form is the
-      0/1 array of one axis shuffle, built by ``tensor._shuffle_dense`` as
-      K and C are.  Others take it from ``_SCATTER_MIN_ENTRIES`` dense
-      entries on, below which the kron route is as fast as the test for
-      this one.
+      arithmetic.  Identity generators are the case whose products are all
+      1: their form is the 0/1 array of one axis shuffle, built by
+      ``tensor._shuffle_dense`` as K and C are.
     * Any other stack: the C-order unfolding kron(B_1, ..., B_m),
       accumulated from a copy of B_m by m - 1 calls of the Kronecker
       kernel, each writing whole output rows, with the trailing modes then
@@ -199,23 +198,20 @@ def gct_dense(g: Gct) -> DenseTensor:
     each such entry is a product of finite nonnegative factors, one of them
     +0.0, and no partial product overflows, so no 0·inf NaN arises.  A
     stack whose products overflow (1e200·1e200) takes the kron route and
-    keeps its NaNs.  An over-budget form is refused as the kron route
-    refuses it, at its first step B_k ⊗ acc over the budget, from B_m ⊗ [1]
-    on; identity generators as the shuffle's N x N matrix."""
+    keeps its NaNs.  An over-budget form is refused before allocating: the
+    group case as its N x N unfolding, any other stack at the kron route's
+    first step B_k ⊗ acc over the budget, from B_m ⊗ [1] on."""
     m, n = g.m, g.n
     _check_order(2 * m, "dense GCT")
     eye = np.eye(n).tobytes()  # bytes, so -0.0 is no identity entry
     if all(gen.tobytes() == eye for gen in g.generators):
         arr = _shuffle_dense((n,) * m, g.tau.zero_based(), "mode-permutation tensor")
         return DenseTensor._adopt(arr)
-    if n ** (2 * m) >= _SCATTER_MIN_ENTRIES:
-        pattern = g._monomial
-        if pattern is not None:
-            for k in range(m):  # the kron route's steps B_k ⊗ acc
-                _check_dense_budget((n, n**k, n, n**k), "dense GCT")
-            t = _scatter_dense(pattern, g.tau, n)
-            if t is not None:
-                return t
+    pattern = g._monomial
+    if pattern is not None:
+        t = _scatter_dense(pattern, g.tau, n)
+        if t is not None:
+            return t
     _check_dense_budget((n, 1, n, 1), "dense GCT")  # as the step B_m ⊗ [1]
     acc = g.generators[-1].copy()
     for gen in reversed(g.generators[:-1]):

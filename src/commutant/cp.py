@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     RankError,
     SymmetryError,
+    _is_integer,
 )
 from .permutation import Permutation
 from .tensor import (
@@ -62,8 +63,8 @@ def rank1(vectors: Sequence) -> DenseTensor:
 
 def sym_power(x, m: int) -> DenseTensor:
     """The m-fold symmetric outer power x^{⊗m} of a nonzero vector."""
-    if m < 1:
-        raise ArgumentError(f"power must be positive, got {m}")
+    if not _is_integer(m) or m < 1:
+        raise ArgumentError(f"power must be a positive integer, got {m}")
     return rank1([x] * m)
 
 

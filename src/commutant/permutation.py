@@ -7,7 +7,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ArgumentError, RangeError
+from .errors import ArgumentError, RangeError, _is_integer
 
 
 class Permutation:
@@ -39,14 +39,18 @@ class Permutation:
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
+        if not _is_integer(k):
+            raise ArgumentError(f"permutation degree must be an integer, got {k!r}")
         return cls(range(1, k + 1))
 
     @classmethod
     def from_cycles(cls, k: int, *cycles: Iterable[int]) -> "Permutation":
         """Build from disjoint cycles, e.g. ``from_cycles(3, (1, 2, 3))``."""
-        imgs = list(range(1, k + 1))
+        imgs = list(cls.identity(k).images)
         for cycle in cycles:
-            cyc = [int(v) for v in cycle]
+            cyc = list(cycle)
+            if not all(map(_is_integer, cyc)):
+                raise ArgumentError(f"cycle entries must be integers: {cyc}")
             if any(v < 1 or v > k for v in cyc):
                 raise RangeError(f"cycle entry outside 1..{k}: {cyc}")
             if len(set(cyc)) != len(cyc):

@@ -14,7 +14,6 @@ number of numpy calls per stack, with each trial's verdict its own.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import linalg
 from .commutation_tensor import Gct, _operator, apply_rank_preserver, gct_multiply
 from .cp import _rank1_residual
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, _is_integer
 from .permutation import Permutation
 from .tensor import (
     TensorLike,
@@ -45,11 +44,6 @@ _FACTOR_MIN_NORM = 1e-6
 _TRIAL_STACK_ENTRIES = 2**16
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer other than a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _invertible(phi: Gct) -> Gct:
     """The invertibility gate: ``phi`` once ``linalg.inv`` would accept each
     shared generator; else the error inv raises on the first it refuses,
@@ -68,6 +62,8 @@ def rank_preserver(matrices, tau: Permutation) -> Gct:
 def sym_preserver(b, m: int) -> Gct:
     """The symmetric preserver: the one matrix ``b`` on each of ``m`` modes,
     tau = id.  All modes hold the same frozen copy of ``b``."""
+    if not _is_integer(m) or m < 1:
+        raise ArgumentError(f"m must be a positive integer, got {m}")
     return _invertible(_operator([b] * m))
 
 

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, DomainError, RangeError
+from .errors import ArgumentError, DimensionError, DomainError, RangeError, _is_integer
 
 TensorLike = Union["DenseTensor", np.ndarray, Sequence]
 
@@ -241,11 +241,12 @@ class DenseTensor:
     def from_flat(cls, shape: Sequence[int], values: list[float] | np.ndarray) -> "DenseTensor":
         """Rebuild from a shape and canonical (first-mode-fastest) flat values.
         The values are converted once, into an array the tensor adopts."""
-        shape = tuple(int(d) for d in shape)
+        shape = tuple(shape)
         vals = np.array(values, dtype=float)
-        size = math.prod(shape) if shape else 0
-        if len(shape) < 1 or any(d < 1 for d in shape):
+        if len(shape) < 1 or any(not _is_integer(d) or d < 1 for d in shape):
             raise ArgumentError(f"bad shape {shape}")
+        shape = tuple(map(int, shape))
+        size = math.prod(shape)
         _check_order(len(shape), "tensor")
         if vals.size != size:
             raise DimensionError(f"{vals.size} values for shape {shape} (need {size})")
@@ -274,6 +275,8 @@ class DenseTensor:
         """Entry at 1-based coordinates."""
         if len(coords) != self.order:
             raise DimensionError(f"{len(coords)} coordinates for order {self.order}")
+        if not all(map(_is_integer, coords)):
+            raise ArgumentError(f"coordinates must be integers, got {coords}")
         for c, d in zip(coords, self.shape):
             if not 1 <= c <= d:
                 raise RangeError(f"coordinate {c} outside 1..{d}")
@@ -363,8 +366,8 @@ def permute_modes(a: TensorLike, tau) -> DenseTensor:
 
 def identity_tensor(m: int, n: int) -> DenseTensor:
     """Order-m tensor with 1 at every diagonal position (i, i, ..., i)."""
-    if m < 1 or n < 1:
-        raise ArgumentError(f"m and n must be positive, got m={m}, n={n}")
+    if not (_is_integer(m) and _is_integer(n) and m >= 1 and n >= 1):
+        raise ArgumentError(f"m and n must be positive integers, got m={m}, n={n}")
     _check_dense_budget((n,) * m, "identity tensor")
     arr = np.zeros((n,) * m)
     arr[(np.arange(n),) * m] = 1.0

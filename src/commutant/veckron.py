@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, _is_integer
 from .tensor import _check_dense_budget, _kron_into, _mode_products, as_matrix
 
 
@@ -28,8 +28,8 @@ def unvec(x, p: int, q: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"expected a vector, got order {arr.ndim}")
-    if p < 1 or q < 1:
-        raise ArgumentError(f"p and q must be positive, got p={p}, q={q}")
+    if not (_is_integer(p) and _is_integer(q) and p >= 1 and q >= 1):
+        raise ArgumentError(f"p and q must be positive integers, got p={p}, q={q}")
     if arr.size != p * q:
         raise DimensionError(f"vector length {arr.size} != {p}*{q}")
     return arr.reshape((p, q), order="F")

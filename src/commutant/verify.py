@@ -8,6 +8,7 @@ and independent of suite execution order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +26,9 @@ from .commutation_tensor import (
     mode_perm_dense,
 )
 from .cp import sym_power
-from .errors import ArgumentError
+from .errors import ArgumentError, _is_integer
 from .permutation import Permutation
 from .preserver import (
-    _is_integer,
     apply_rank_preserver,
     fixes_identity,
     is_determinant_preserver,
@@ -60,16 +60,23 @@ class RunConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
+        pairs = isinstance(self.sizes, (tuple, list)) and all(
+            isinstance(s, (tuple, list))
+            and len(s) == 2
+            and all(_is_integer(d) and d > 0 for d in s)
+            for s in self.sizes
+        )
+        if not pairs:
+            raise ArgumentError(f"sizes must be pairs of positive integers, got {self.sizes}")
         if not self.sizes:
             raise ArgumentError("at least one size is required")
-        if not all(_is_integer(a) and _is_integer(b) and a > 0 and b > 0 for a, b in self.sizes):
-            raise ArgumentError(f"sizes must be pairs of positive integers, got {self.sizes}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_integer(self.trials) or self.trials < 1:
             raise ArgumentError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ArgumentError(f"tolerance must be positive and finite, got {self.tol}")
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not (real and math.isfinite(self.tol) and self.tol > 0):
+            raise ArgumentError(f"tolerance must be positive and finite, got {self.tol!r}")
 
 
 @dataclass

@@ -923,10 +923,6 @@ class TestKeptSupport:
     of ``b``: the support a scan finds, and the outcome plain copies of the
     operands give."""
 
-    @pytest.fixture(autouse=True)
-    def scatter_at_every_size(self, monkeypatch):
-        monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", 1)
-
     @staticmethod
     def operators(rng, m, n):
         for tau in itertools.permutations(range(1, m + 1)):
@@ -944,7 +940,7 @@ class TestKeptSupport:
             scanned = ct_mod._monomial_support(t.array, m)
             assert [x.tolist() for x in kept] == [x.tolist() for x in scanned]
 
-    def test_only_the_scatter_route_keeps_a_support(self, monkeypatch):
+    def test_only_the_scatter_route_keeps_a_support(self):
         rng = np.random.default_rng(61)
         gens = generalized_permutations(rng, 2, 3)
         assert gct_dense(build_gct(gens))._support is not None
@@ -953,8 +949,6 @@ class TestKeptSupport:
         assert gct_dense(build_gct(signed))._support is None  # the kron route
         # identity generators scatter a 0/1 shuffle and keep nothing
         assert gct_dense(build_mode_perm_tensor(Permutation([2, 1]), 3))._support is None
-        monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", float("inf"))
-        assert gct_dense(build_gct(gens))._support is None
 
     def test_a_product_that_underflows_keeps_no_support(self):
         tiny = np.diag([1e-200, 1.0])

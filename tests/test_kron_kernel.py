@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutant import (
     DomainError,
@@ -223,7 +225,7 @@ class TestOverBudgetMessages:
         [(2, 65, "(65, 65, 65, 65)"), (3, 17, "(17, 289, 17, 289)")],
     )
     def test_gct_dense(self, m, n, shape):
-        g = build_gct([2 * np.eye(n)] * m)
+        g = build_gct([np.ones((n, n))] * m)
         with pytest.raises(DomainError) as err:
             gct_dense(g)
         assert str(err.value) == f"dense GCT: {shape} is over MAX_DENSE_ENTRIES=16777216"
@@ -233,7 +235,7 @@ class TestOverBudgetMessages:
         monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 8)
         for m in (1, 2):
             with pytest.raises(DomainError) as err:
-                gct_dense(build_gct([2 * np.eye(3)] * m))
+                gct_dense(build_gct([np.ones((3, 3))] * m))
             assert str(err.value) == "dense GCT: (3, 1, 3, 1) is over MAX_DENSE_ENTRIES=8"
 
 
@@ -251,8 +253,7 @@ def _scaled_permutations(rng, m, n, spread):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Run every gct_dense call through the route test (no size floor), and
-    count the stacks the scatter route built."""
+    """Count the stacks the scatter route built, and those it handed over."""
     built = []
     scatter = ct_mod._scatter_dense
 
@@ -261,24 +262,32 @@ def routes(monkeypatch):
         built.append(arr is not None)
         return arr
 
-    monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", 1)
     monkeypatch.setattr(ct_mod, "_scatter_dense", counting)
     return built
 
 
-def _kron_route(g):
-    """gct_dense(g) as the kron route builds it, the route test skipped."""
-    floor = ct_mod._SCATTER_MIN_ENTRIES
-    ct_mod._SCATTER_MIN_ENTRIES = float("inf")
-    try:
-        return gct_dense(g).array
-    finally:
-        ct_mod._SCATTER_MIN_ENTRIES = floor
+@st.composite
+def monomial_operators(draw):
+    """An operator of m <= 3 nonnegative monomial n x n generators, n <= 5,
+    and any tau: each nonzero a mantissa in [0.5, 2) times 10^e, |e| <= 200,
+    so that products of two or three of them can overflow or underflow."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    tau = Permutation([k + 1 for k in draw(st.permutations(range(m)))])
+    gens = []
+    for _ in range(m):
+        g = np.zeros((n, n))
+        scale = draw(st.lists(st.floats(0.5, 2.0, exclude_max=True), min_size=n, max_size=n))
+        powers = draw(st.lists(st.integers(-200, 200), min_size=n, max_size=n))
+        rows = draw(st.permutations(range(n)))
+        g[rows, np.arange(n)] = np.multiply(scale, 10.0 ** np.array(powers))
+        gens.append(g)
+    return ct_mod._operator(gens, tau)
 
 
 class TestScatterRoute:
-    """Nonnegative monomial generators: the scatter route writes the kron
-    route's bytes, and every stack the route must refuse keeps them."""
+    """Nonnegative monomial generators: the scatter route writes the bytes
+    of the outer-product loop (which are the kron route's), and every stack
+    the route must refuse keeps them."""
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)])
     def test_bytes_match_the_kron_route_for_every_tau(self, routes, m, n):
@@ -287,20 +296,37 @@ class TestScatterRoute:
             for spread in (0, 150):
                 g = ct_mod._operator(_scaled_permutations(rng, m, n, spread), tau)
                 with np.errstate(all="ignore"):  # a product may overflow
-                    got, want = gct_dense(g).array, _kron_route(g)
+                    got = gct_dense(g).array
                     loop, _ = reference_gct_dense(g)
-                assert got.tobytes() == want.tobytes() == loop.tobytes(), tau.images
+                assert got.tobytes() == loop.tobytes(), tau.images
                 assert not np.shares_memory(got, g.generators[0])
         # e = ±150 on four modes overflows and underflows some products:
         # the route builds the in-range stacks and hands the others over
         assert any(routes) and (m < 3 or n < 2 or not all(routes))
+
+    @given(monomial_operators())
+    @settings(max_examples=300, deadline=None)
+    def test_every_size_matches_the_loop_and_keeps_its_support(self, g):
+        m, size = g.m, g.n**g.m
+        with np.errstate(all="ignore"):  # a product may overflow
+            t = gct_dense(g)
+            loop, _ = reference_gct_dense(g)
+        assert t.array.tobytes() == loop.tobytes()
+        finite = bool(np.isfinite(loop).all())
+        in_range = finite and np.count_nonzero(loop) == size  # none over- or underflowed
+        identity = all(np.array_equal(b, np.eye(g.n)) for b in g.generators)
+        assert (t._support is not None) == (in_range and not identity)
+        assert t.array.flags.c_contiguous or not finite
+        if t._support is not None:
+            scanned = ct_mod._monomial_support(t.array, m)
+            assert [x.tolist() for x in t._support] == [x.tolist() for x in scanned]
 
     def test_the_route_is_c_contiguous(self, routes):
         g = ct_mod._operator(_scaled_permutations(np.random.default_rng(5), 3, 4, 3),
                              Permutation([3, 1, 2]))
         arr = gct_dense(g).array
         assert routes == [True] and arr.flags.c_contiguous
-        assert arr.tobytes() == _kron_route(g).tobytes()
+        assert arr.tobytes() == reference_gct_dense(g)[0].tobytes()
 
     @pytest.mark.parametrize(
         "edit",
@@ -324,19 +350,16 @@ class TestScatterRoute:
         else:
             gens = [1e200 * np.eye(2)] * 3
         g = build_gct(gens)
-        with np.errstate(all="ignore"):
-            got, want = gct_dense(g).array, _kron_route(g)
-            nan_by_nan = reference_gct_dense(g)[1]
+        assert _gct_matches(g)
         assert routes in ([], [False])
-        assert got.strides == want.strides and _bits_match(got, want, nan_by_nan)
 
     def test_overflow_keeps_the_kron_routes_nans(self):
         # 1e200 * 1e200 overflows to inf on the way, and 0 * inf is NaN: the
-        # route test runs at this size and hands the stack to the kron route
+        # scatter route hands the stack to the kron route
         g = build_gct([1e200 * np.eye(8)] * 3)
         with np.errstate(all="ignore"):
-            arr, want = gct_dense(g).array, _kron_route(g)
-        assert np.isnan(arr).sum() == 3584 and arr.tobytes() == want.tobytes()
+            arr = gct_dense(g).array
+        assert np.isnan(arr).sum() == 3584 and _gct_matches(g)
         assert not np.isnan(gct_dense(build_gct([1e100 * np.eye(8)] * 3)).array).any()
 
     def test_over_budget_identity_keeps_the_shuffle_message(self):
@@ -346,13 +369,10 @@ class TestScatterRoute:
             "mode-permutation tensor: (4225, 4225) is over MAX_DENSE_ENTRIES=16777216"
         )
 
-    @pytest.mark.parametrize("m,n", [(2, 65), (3, 17)])
-    def test_over_budget_messages_match_on_both_routes(self, monkeypatch, m, n):
+    @pytest.mark.parametrize("m,n,shape", [(2, 65, "(4225, 4225)"), (3, 17, "(4913, 4913)")])
+    def test_over_budget_stack_is_refused_as_its_unfolding(self, routes, m, n, shape):
         gens = _scaled_permutations(np.random.default_rng(n), m, n, 1)
-        messages = []
-        for floor in (1, float("inf")):
-            monkeypatch.setattr(ct_mod, "_SCATTER_MIN_ENTRIES", floor)
-            with pytest.raises(DomainError) as err:
-                gct_dense(build_gct(gens))
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+        with pytest.raises(DomainError) as err:
+            gct_dense(build_gct(gens))
+        assert str(err.value) == f"dense GCT: {shape} is over MAX_DENSE_ENTRIES=16777216"
+        assert routes == []  # refused inside the route, before it built anything

@@ -12,13 +12,19 @@ from commutant import (
     RangeError,
     apply,
     build_commutation,
+    build_ctensor,
+    build_mode_perm_tensor,
     cp_form,
+    det_commutation,
+    gct_from_permutation,
+    gct_identity,
     identity_tensor,
     kron_vec,
     permute_modes,
     rank1,
     sym_power,
     sym_preserver,
+    trace_commutation,
     unvec,
     verify_rank_preservation,
 )
@@ -125,6 +131,116 @@ REFUSALS = {
         lambda: RunConfig(sizes=((2, True),)),
         ArgumentError,
         "sizes must be pairs of positive integers",
+    ),
+    "RunConfig-size-triple": (
+        lambda: RunConfig(sizes=((2, 2, 2),)),
+        ArgumentError,
+        r"sizes must be pairs of positive integers, got \(\(2, 2, 2\),\)",
+    ),
+    "RunConfig-size-not-a-pair": (
+        lambda: RunConfig(sizes=(2,)),
+        ArgumentError,
+        r"sizes must be pairs of positive integers, got \(2,\)",
+    ),
+    "RunConfig-string-tol": (
+        lambda: RunConfig(tol="a"),
+        ArgumentError,
+        "tolerance must be positive and finite, got 'a'",
+    ),
+    "RunConfig-bool-tol": (
+        lambda: RunConfig(tol=True),
+        ArgumentError,
+        "tolerance must be positive and finite, got True",
+    ),
+    "build_ctensor-float-size": (
+        lambda: build_ctensor(2.5, 2),
+        ArgumentError,
+        "dimensions must be positive integers, got p=2.5, q=2",
+    ),
+    "build_commutation-float-size": (
+        lambda: build_commutation(2.5, 3).idx,
+        ArgumentError,
+        "dimensions must be positive integers, got p=2.5, q=3",
+    ),
+    "trace_commutation-float-size": (
+        lambda: trace_commutation(2.5),
+        ArgumentError,
+        "got p=2.5",
+    ),
+    "det_commutation-float-size": (
+        lambda: det_commutation(2.5, 2),
+        ArgumentError,
+        "got p=2.5, q=2",
+    ),
+    "build_mode_perm_tensor-float-size": (
+        lambda: build_mode_perm_tensor(Permutation([2, 1]), 2.5),
+        ArgumentError,
+        "n must be a positive integer, got 2.5",
+    ),
+    "gct_identity-float-modes": (
+        lambda: gct_identity(2.5, 2),
+        ArgumentError,
+        "permutation degree must be an integer, got 2.5",
+    ),
+    "gct_identity-float-size": (
+        lambda: gct_identity(2, 2.5),
+        ArgumentError,
+        "n must be a positive integer, got 2.5",
+    ),
+    "identity_tensor-float-modes": (
+        lambda: identity_tensor(2.5, 2),
+        ArgumentError,
+        "m and n must be positive integers, got m=2.5, n=2",
+    ),
+    "unvec-float-rows": (
+        lambda: unvec(np.ones(4), 2.5, 2),
+        ArgumentError,
+        "p and q must be positive integers, got p=2.5, q=2",
+    ),
+    "gct_from_permutation-float-modes": (
+        lambda: gct_from_permutation(Permutation([2, 1]), 2.5),
+        ArgumentError,
+        "m must be a positive integer, got 2.5",
+    ),
+    "sym_power-float": (
+        lambda: sym_power(np.ones(2), 2.5),
+        ArgumentError,
+        "power must be a positive integer, got 2.5",
+    ),
+    "sym_preserver-float-modes": (
+        lambda: sym_preserver(np.eye(2), 2.5),
+        ArgumentError,
+        "m must be a positive integer, got 2.5",
+    ),
+    "from_flat-float-extent": (
+        lambda: DenseTensor.from_flat([2.5], [1, 2]),
+        ArgumentError,
+        r"bad shape \(2.5,\)",
+    ),
+    "from_flat-bool-extent": (
+        lambda: DenseTensor.from_flat([True, 2], [1, 2]),
+        ArgumentError,
+        r"bad shape \(True, 2\)",
+    ),
+    "from_cycles-float-entry": (
+        lambda: Permutation.from_cycles(3, (1.5, 2)),
+        ArgumentError,
+        r"cycle entries must be integers: \[1.5, 2\]",
+    ),
+    "from_cycles-string-entry": (
+        lambda: Permutation.from_cycles(3, (1, "a")),
+        ArgumentError,
+        "cycle entries must be integers",
+    ),
+    "entry-float-coordinate": (
+        lambda: DenseTensor(np.eye(2)).entry(1.5, 1),
+        ArgumentError,
+        r"coordinates must be integers, got \(1.5, 1\)",
+    ),
+    "entry-bool-coordinate": (
+        lambda: DenseTensor(np.eye(2)).entry(True, 2),
+        ArgumentError,
+        r"coordinates must be integers, got \(True, 2\)",
     ),
 }
 
