@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError, _is_integer
 from .tensor import (
     DenseTensor,
+    _as_array,
     _check_dense_budget,
     _kron_into,
     _shuffle_dense,
@@ -110,9 +111,7 @@ def build_commutation_rank1(p: int, q: int) -> np.ndarray:
 
 def apply(k: CommutationMatrix, x) -> np.ndarray:
     """K x without materializing K: entry s of the result is x[idx[s]]."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a vector, got order {arr.ndim}")
+    arr = _as_array(x, "a vector", 1)
     if arr.size != k.p * k.q:
         raise DimensionError(f"vector length {arr.size} != {k.p}*{k.q}")
     return arr[k.idx]

@@ -95,6 +95,7 @@ def gct_from_permutation(pi: Permutation, m: int) -> Gct:
     """The group-case tensor: m copies of the permutation matrix of pi."""
     if not _is_integer(m) or m < 1:
         raise ArgumentError(f"m must be a positive integer, got {m}")
+    _check_order(m, "group-case tensor")  # before the m copies are listed
     _check_dense_budget((pi.degree, pi.degree), "permutation matrix")
     return _operator([pi.matrix()] * m)
 

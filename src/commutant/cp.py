@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     RankError,
     SymmetryError,
+    _as_list,
     _is_integer,
 )
 from .permutation import Permutation
@@ -29,7 +30,9 @@ from .tensor import (
     DenseTensor,
     TensorLike,
     _adjacent_swaps,
+    _as_array,
     _check_dense_budget,
+    _check_order,
     _frozen,
     _outer,
     as_matrix,
@@ -49,11 +52,11 @@ STRUCTURE_LEAD_TOL = 1e-12
 def rank1(vectors: Sequence) -> DenseTensor:
     """Outer product of m vectors: entry (i_1, ..., i_m) is the product of
     the i_k-th coordinates.  Every vector must be nonzero."""
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
+    vecs = [_as_array(v, "vectors", 1) for v in _as_list(vectors, "rank-1 factors")]
     if not vecs:
         raise ArgumentError("at least one vector is required")
     for v in vecs:
-        if v.ndim != 1 or v.size < 1:
+        if v.size < 1:
             raise DimensionError("factors must be nonempty vectors")
         if not v.any():
             raise DomainError("zero vector is not a rank-1 factor")
@@ -65,6 +68,7 @@ def sym_power(x, m: int) -> DenseTensor:
     """The m-fold symmetric outer power x^{⊗m} of a nonzero vector."""
     if not _is_integer(m) or m < 1:
         raise ArgumentError(f"power must be a positive integer, got {m}")
+    _check_order(m, "symmetric power")  # before [x] * m is built
     return rank1([x] * m)
 
 
@@ -104,7 +108,7 @@ class CpForm:
 
 
 def cp_form(factors: Sequence) -> CpForm:
-    return CpForm(tuple(_frozen(as_matrix(f)) for f in factors))
+    return CpForm(tuple(_frozen(as_matrix(f)) for f in _as_list(factors, "factor matrices")))
 
 
 def materialize(cp: CpForm) -> DenseTensor:

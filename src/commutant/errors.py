@@ -52,3 +52,11 @@ class SingularMatrixError(CommutantError):
 
 class PreconditionError(CommutantError):
     """A checked precondition (e.g. mutual inverses) does not hold."""
+
+
+def _as_list(values, what: str) -> list:
+    """``values`` as a list; a scalar, or anything that does not iterate, is an ArgumentError."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ArgumentError(f"{what} must be a sequence, got {values!r}") from None

@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularMatrixError
+from .tensor import as_matrix
 
 #: a pivot smaller than this makes a matrix singular for inversion purposes
 INVERSE_PIVOT_TOL = 1e-10
@@ -53,9 +54,7 @@ _NO_OVERFLOW = np.finfo(float).max * INVERSE_PIVOT_TOL / 2
 
 
 def _square(mat) -> np.ndarray:
-    arr = np.array(mat, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {arr.shape}")
+    arr = as_matrix(mat).copy(order="K")  # a copy, as the elimination works in place
     if not np.isfinite(arr).all():
         raise DomainError("matrix has a non-finite entry")
     if arr.shape[0] != arr.shape[1]:
@@ -185,7 +184,7 @@ def _require_invertible(mats) -> None:
     non-finite matrix, SingularMatrixError with inv's message for a pivot
     below ``INVERSE_PIVOT_TOL``.  The module docstring says why the pivots
     are inv's."""
-    a = np.array(mats, dtype=float)
+    a = np.array(mats)
     k, n, _ = a.shape
     pattern = _nonneg_monomial(a)
     if pattern is not None:
@@ -221,7 +220,7 @@ def _require_invertible(mats) -> None:
     # a NaN fails the test
     if all(INVERSE_PIVOT_TOL <= abs(p) < math.inf for p in pivots.ravel().tolist()):
         return
-    finite = np.isfinite(np.array(mats, dtype=float)).all(axis=(1, 2))
+    finite = np.isfinite(np.array(mats)).all(axis=(1, 2))
     first = int(finite.argmin()) if not finite.all() else k
     _refuse_low(np.abs(pivots[:first]))
     if first < k:

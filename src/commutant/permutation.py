@@ -7,7 +7,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ArgumentError, RangeError, _is_integer
+from .errors import ArgumentError, RangeError, _as_list, _is_integer
 
 
 class Permutation:
@@ -48,7 +48,7 @@ class Permutation:
         """Build from disjoint cycles, e.g. ``from_cycles(3, (1, 2, 3))``."""
         imgs = list(cls.identity(k).images)
         for cycle in cycles:
-            cyc = list(cycle)
+            cyc = _as_list(cycle, "a cycle")
             if not all(map(_is_integer, cyc)):
                 raise ArgumentError(f"cycle entries must be integers: {cyc}")
             if any(v < 1 or v > k for v in cyc):
@@ -62,14 +62,15 @@ class Permutation:
     @classmethod
     def all(cls, k: int) -> Iterator["Permutation"]:
         """All k! permutations of degree k, lexicographic by images."""
-        for imgs in itertools.permutations(range(1, k + 1)):
-            yield cls(imgs)
+        return map(cls._of, itertools.permutations(cls.identity(k).images))
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if not _is_integer(i):
+            raise ArgumentError(f"index must be an integer, got {i!r}")
         if not 1 <= i <= self.degree:
             raise RangeError(f"index {i} outside 1..{self.degree}")
         return self.images[i - 1]

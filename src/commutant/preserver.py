@@ -26,6 +26,7 @@ from .permutation import Permutation
 from .tensor import (
     TensorLike,
     _check_dense_budget,
+    _check_order,
     _stacked_mode_products,
     as_matrix,
     as_tensor,
@@ -64,12 +65,15 @@ def sym_preserver(b, m: int) -> Gct:
     tau = id.  All modes hold the same frozen copy of ``b``."""
     if not _is_integer(m) or m < 1:
         raise ArgumentError(f"m must be a positive integer, got {m}")
+    _check_order(m, "symmetric preserver")  # before [b] * m is built
     return _invertible(_operator([b] * m))
 
 
 def matrix_preserver(p, q, transposed: bool = False) -> Gct:
     """Marcus's A -> P A Q, or A -> P Aᵀ Q when transposed: the preserver
     with generators (P, Qᵀ) and tau the swap when transposed."""
+    if not isinstance(transposed, (bool, np.bool_)):
+        raise ArgumentError(f"transposed must be True or False, got {transposed!r}")
     tau = Permutation([2, 1]) if transposed else Permutation.identity(2)
     return rank_preserver([p, as_matrix(q).T], tau)
 

@@ -95,14 +95,9 @@ def _loads(text: str) -> Any:
 
 
 def _ints(data: dict, keys: tuple[str, ...], what: str) -> tuple[int, ...]:
-    raw = tuple(data[k] for k in keys)
-    try:
-        ints = tuple(map(int, raw))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    # int() failed, or changed a field that is not integral (2.5, "3"), or
-    # the field is a JSON boolean, which equals 0 or 1
-    if ints != raw or any(isinstance(v, bool) for v in raw):
+    """The fields ``keys``, each a JSON integer: not 2.0, "2" or true."""
+    ints = tuple(data[k] for k in keys)
+    if not all(map(_is_json_int, ints)):
         raise ParseError(f"{what}: fields {list(keys)} must be integers")
     return ints
 
@@ -151,8 +146,8 @@ def tensor_from_json(text: str) -> DenseTensor:
     if not isinstance(values, list) or not all(map(_is_json_number, values)):
         raise ParseError("tensor: values must be a list of numbers")
     try:
-        t = DenseTensor.from_flat(shape, [float(v) for v in values])
-    except (OverflowError, CommutantError) as exc:  # a value beyond float range; a bad shape
+        t = DenseTensor.from_flat(shape, values)
+    except CommutantError as exc:  # a value beyond float range; a bad shape
         raise ParseError(f"tensor: {exc}") from exc
     _finite(t.array, "tensor")
     return t
@@ -189,7 +184,7 @@ def matrix_from_text(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix text: ragged rows")
-    return _finite(np.array(rows, dtype=float), "matrix text")
+    return _finite(as_matrix(rows), "matrix text")
 
 
 def _matrix_lists(mat: np.ndarray) -> list[list[float]]:
@@ -204,11 +199,9 @@ def _matrix_from_lists(data: Any, what: str) -> np.ndarray:
     ):
         raise ParseError(f"{what}: expected a list of rows of numbers")
     try:
-        arr = np.array(data, dtype=float)
-    except (ValueError, OverflowError) as exc:  # ragged rows; an int beyond float range
-        raise ParseError(f"{what}: not a numeric matrix") from exc
-    if arr.ndim != 2:
-        raise ParseError(f"{what}: expected a matrix, got {arr.ndim} dimensions")
+        arr = as_matrix(data)
+    except CommutantError as exc:  # ragged rows, an int beyond float range, not 2-D
+        raise ParseError(f"{what}: {exc}") from exc
     return _finite(arr, what)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, DomainError, RangeError, _is_integer
+from .errors import ArgumentError, DimensionError, DomainError, RangeError, _as_list, _is_integer
 
 TensorLike = Union["DenseTensor", np.ndarray, Sequence]
 
@@ -72,7 +72,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _square_stack(matrices, what: str) -> tuple[np.ndarray, ...]:
     """Frozen copies of one or more nonempty square matrices of one size.  A
     matrix passed on several modes is copied once and the copy shared."""
-    matrices = list(matrices)  # holds every input, so no id is reused
+    matrices = _as_list(matrices, what)  # holds every input, so no id is reused
     copies = {id(m): m for m in matrices}
     copies = {key: _frozen(as_matrix(m)) for key, m in copies.items()}
     mats = tuple(copies[id(m)] for m in matrices)
@@ -164,24 +164,52 @@ def _nesting_depth(data) -> int:
     return depth + np.ndim(data)
 
 
+def _as_array(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """The one array intake: ``value`` as float64, converted only if it is not
+    (a DenseTensor's frozen array as is), so it may share the caller's memory.
+    Ragged data and None, dict, string or complex entries are an
+    ArgumentError; more than MAX_ORDER modes, or other than ``ndim``, a
+    DimensionError.  ``what`` names the expected argument, as "a matrix"."""
+    if isinstance(value, DenseTensor):
+        arr = value.array
+    else:
+        try:
+            arr = np.asarray(value)
+            # None, dict and string entries would convert to NaN, a TypeError or parsed
+            # text; an object array of numbers (an int over 64 bits among them) converts
+            if arr.dtype.kind == "O":
+                numeric = all(isinstance(v, numbers.Real) for v in arr.flat)
+            else:
+                numeric = arr.dtype.kind in "biuf"
+            if not numeric:
+                raise ValueError(f"{arr.dtype} entries")
+            arr = arr.astype(float, copy=False)
+        except (ValueError, OverflowError) as exc:  # not regular, not numbers; an int past float
+            _check_order(_nesting_depth(value), "array")
+            raise ArgumentError(f"not a regular array of numbers for {what}: {exc}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise DimensionError(f"expected {what}, got order {arr.ndim}")
+    return arr
+
+
 class DenseTensor:
     """An immutable dense real tensor of order >= 1.
 
     Parameters
     ----------
     data : array-like
-        A regular array of numbers, as ``np.array`` reads it (ragged data
-        and None, dict or string entries are an ArgumentError, more than
-        MAX_ORDER modes a DimensionError); copied once and frozen, so a caller who
-        later writes to ``data`` does not change the tensor.  All entries
-        are stored as float64.  The package's own builders hand over the
-        arrays they allocate through the private :meth:`_adopt`, which
-        freezes in place instead of copying.  A builder that scatters one
-        nonzero into each row and each column of a square C-order unfolding
-        also hands over where: ``_support`` is then (rows, cols, values) of
-        those nonzeros, the flat indices of each one's leading and trailing
-        half of the modes, and None on every other tensor.  The entries
-        never change, so it stays true.
+        A regular array of numbers, read by the one array intake (ragged data
+        and None, dict, string or complex entries are an ArgumentError, more
+        than MAX_ORDER modes a DimensionError); copied once in its layout and
+        frozen, so a caller who later writes to ``data`` does not change the
+        tensor.  All entries are stored as float64.  The package's own
+        builders hand over the arrays they allocate through the private
+        :meth:`_adopt`, which freezes in place instead of copying.  A builder
+        that scatters one nonzero into each row and each column of a square
+        C-order unfolding also hands over where: ``_support`` is then (rows,
+        cols, values) of those nonzeros, the flat indices of each one's
+        leading and trailing half of the modes, and None on every other
+        tensor.  The entries never change, so it stays true.
 
     Examples
     --------
@@ -197,25 +225,9 @@ class DenseTensor:
     __slots__ = ("_array", "_support")
 
     def __init__(self, data):
-        try:
-            arr = np.asarray(data)  # a list is converted here, anything else copied below
-        except ValueError as exc:  # ragged or too deep
-            _check_order(_nesting_depth(data), "tensor")
-            raise ArgumentError(f"not a regular array of numbers: {exc}") from None
-        # None, dict and string entries read as object or string arrays, which
-        # a float conversion would turn into NaN, a TypeError or parsed text;
-        # an object array of numbers (an int over 64 bits among them) converts
-        if arr.dtype.kind == "O":
-            numeric = all(isinstance(v, numbers.Real) for v in arr.flat)
-        else:
-            numeric = arr.dtype.kind in "biuf"
-        if not numeric:
-            raise ArgumentError(f"not a regular array of numbers: {arr.dtype} entries")
-        try:
-            arr = arr.astype(float, copy=not isinstance(data, (list, tuple)))
-        except OverflowError as exc:  # an int beyond float range
-            raise ArgumentError(f"not a regular array of numbers: {exc}") from None
-        self._own(arr)
+        arr = _as_array(data, "a tensor")
+        # a list or tuple was read into a new array; any other array may be the caller's
+        self._own(arr if isinstance(data, (list, tuple)) else arr.copy(order="K"))
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, support=None) -> "DenseTensor":
@@ -239,10 +251,10 @@ class DenseTensor:
 
     @classmethod
     def from_flat(cls, shape: Sequence[int], values: list[float] | np.ndarray) -> "DenseTensor":
-        """Rebuild from a shape and canonical (first-mode-fastest) flat values.
-        The values are converted once, into an array the tensor adopts."""
-        shape = tuple(shape)
-        vals = np.array(values, dtype=float)
+        """Rebuild from a shape and canonical (first-mode-fastest) flat values,
+        read and copied as the constructor reads its data."""
+        shape = tuple(_as_list(shape, "a shape"))
+        vals = _as_array(values, "tensor values")
         if len(shape) < 1 or any(not _is_integer(d) or d < 1 for d in shape):
             raise ArgumentError(f"bad shape {shape}")
         shape = tuple(map(int, shape))
@@ -250,7 +262,7 @@ class DenseTensor:
         _check_order(len(shape), "tensor")
         if vals.size != size:
             raise DimensionError(f"{vals.size} values for shape {shape} (need {size})")
-        return cls._adopt(vals.reshape(shape, order="F"))
+        return cls(vals.reshape(shape, order="F"))
 
     @property
     def array(self) -> np.ndarray:
@@ -294,11 +306,8 @@ def as_tensor(value: TensorLike) -> DenseTensor:
 
 
 def as_matrix(value: TensorLike) -> np.ndarray:
-    """Coerce to a 2-D float ndarray; rejects any other order."""
-    arr = value.array if isinstance(value, DenseTensor) else np.asarray(value, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a matrix, got order {arr.ndim}")
-    return arr
+    """Coerce to a 2-D float ndarray through the intake of :func:`_as_array`."""
+    return _as_array(value, "a matrix", 2)
 
 
 def _even_order_cubic(t: DenseTensor, name: str) -> tuple[int, int]:
@@ -368,6 +377,7 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     """Order-m tensor with 1 at every diagonal position (i, i, ..., i)."""
     if not (_is_integer(m) and _is_integer(n) and m >= 1 and n >= 1):
         raise ArgumentError(f"m and n must be positive integers, got m={m}, n={n}")
+    _check_order(m, "identity tensor")  # before (n,) * m is built
     _check_dense_budget((n,) * m, "identity tensor")
     arr = np.zeros((n,) * m)
     arr[(np.arange(n),) * m] = 1.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, _is_integer
-from .tensor import _check_dense_budget, _kron_into, _mode_products, as_matrix
+from .tensor import _as_array, _check_dense_budget, _kron_into, _mode_products, as_matrix
 
 
 def vec(mat) -> np.ndarray:
@@ -25,9 +25,7 @@ def vec(mat) -> np.ndarray:
 def unvec(x, p: int, q: int) -> np.ndarray:
     """Reshape a vector of length p*q into a p x q matrix, column by column:
     the inverse of :func:`vec`."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a vector, got order {arr.ndim}")
+    arr = _as_array(x, "a vector", 1)
     if not (_is_integer(p) and _is_integer(q) and p >= 1 and q >= 1):
         raise ArgumentError(f"p and q must be positive integers, got p={p}, q={q}")
     if arr.size != p * q:
@@ -51,10 +49,7 @@ def kron(a, b) -> np.ndarray:
 
 def kron_vec(x, y) -> np.ndarray:
     """Kronecker product of two vectors; entry (i-1)|y| + j is x_i * y_j."""
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    if ax.ndim != 1 or ay.ndim != 1:
-        raise DimensionError("kron_vec takes two vectors")
+    ax, ay = _as_array(x, "two vectors", 1), _as_array(y, "two vectors", 1)
     _check_dense_budget((ax.size, ay.size), "x ⊗ y")
     return np.kron(ax, ay)
 

@@ -106,7 +106,7 @@ class FaultInjector:
         if not self.armed:
             return arr
         self.armed = False
-        out = np.array(arr, dtype=float)
+        out = arr.copy()
         out.flat[0] += 1.0
         return out
 

@@ -1,6 +1,8 @@
 """Each bad library call below is refused with its own CommutantError
 subclass and message, never an untyped numpy or Python error."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from commutant import (
     apply,
     build_commutation,
     build_ctensor,
+    build_gct,
     build_mode_perm_tensor,
     cp_form,
     det_commutation,
@@ -20,12 +23,16 @@ from commutant import (
     gct_identity,
     identity_tensor,
     kron_vec,
+    linalg,
+    matrix_preserver,
     permute_modes,
     rank1,
+    rank_preserver,
     sym_power,
     sym_preserver,
     trace_commutation,
     unvec,
+    vec,
     verify_rank_preservation,
 )
 from commutant import serialize as ser
@@ -242,6 +249,92 @@ REFUSALS = {
         ArgumentError,
         r"coordinates must be integers, got \(True, 2\)",
     ),
+    "Permutation.all-float-degree": (
+        lambda: Permutation.all(2.5),
+        ArgumentError,
+        "permutation degree must be an integer, got 2.5",
+    ),
+    "Permutation-float-index": (
+        lambda: Permutation([2, 1, 3])(1.5),
+        ArgumentError,
+        "index must be an integer, got 1.5",
+    ),
+    "Permutation-bool-index": (
+        lambda: Permutation([2, 1, 3])(True),
+        ArgumentError,
+        "index must be an integer, got True",
+    ),
+    "build_gct-scalar": (lambda: build_gct(2.0), ArgumentError, "must be a sequence, got 2.0"),
+    "rank_preserver-scalar": (
+        lambda: rank_preserver(2.0, Permutation([1])),
+        ArgumentError,
+        "must be a sequence, got 2.0",
+    ),
+    "rank1-scalar": (lambda: rank1(2.0), ArgumentError, "must be a sequence, got 2.0"),
+    "cp_form-scalar": (lambda: cp_form(2.0), ArgumentError, "must be a sequence, got 2.0"),
+    "from_cycles-scalar-cycle": (
+        lambda: Permutation.from_cycles(3, 2),
+        ArgumentError,
+        "a cycle must be a sequence, got 2",
+    ),
+    "from_flat-scalar-shape": (
+        lambda: DenseTensor.from_flat(2, [1, 2]),
+        ArgumentError,
+        "a shape must be a sequence, got 2",
+    ),
+    "vec-string": (
+        lambda: vec("a"),
+        ArgumentError,
+        "not a regular array of numbers for a matrix: <U1 entries",
+    ),
+    "vec-complex": (
+        lambda: vec(np.array([[1 + 2j, 3]])),
+        ArgumentError,
+        "not a regular array of numbers for a matrix: complex128 entries",
+    ),
+    "unvec-ragged": (
+        lambda: unvec([[1.0, 2.0], [3.0]], 1, 2),
+        ArgumentError,
+        "not a regular array of numbers for a vector",
+    ),
+    "apply-none-entries": (
+        lambda: apply(build_commutation(1, 2), [None, 1.0]),
+        ArgumentError,
+        "not a regular array of numbers for a vector: object entries",
+    ),
+    "kron_vec-complex": (
+        lambda: kron_vec(np.ones(2), np.array([1j])),
+        ArgumentError,
+        "not a regular array of numbers for two vectors: complex128 entries",
+    ),
+    "rank1-string-factor": (
+        lambda: rank1([[1.0, 2.0], "ab"]),
+        ArgumentError,
+        "not a regular array of numbers for vectors: <U2 entries",
+    ),
+    "linalg-det-string": (
+        lambda: linalg.det([["1", "2"], ["3", "4"]]),
+        ArgumentError,
+        "not a regular array of numbers for a matrix: <U1 entries",
+    ),
+    "matrix_preserver-array-transposed": (
+        lambda: matrix_preserver(np.eye(2), np.eye(2), np.ones(2)),
+        ArgumentError,
+        "transposed must be True or False",
+    ),
+    "commutation_from_json-integral-float": (
+        lambda: ser.commutation_from_json('{"p":2.0,"q":1,"perm":[1,2]}'),
+        ser.ParseError,
+        r"fields \['p', 'q'\] must be integers",
+    ),
+}
+
+#: calls whose order m is 10**30, over MAX_ORDER
+HUGE_ORDERS = {
+    "identity_tensor": lambda: identity_tensor(10**30, 1),
+    "sym_power": lambda: sym_power([1.0], 10**30),
+    "sym_preserver": lambda: sym_preserver(np.eye(2), 10**30),
+    "gct_from_permutation": lambda: gct_from_permutation(Permutation([2, 1]), 10**30),
 }
 
 
@@ -249,3 +342,16 @@ REFUSALS = {
 def test_refused_with_its_type(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("call", HUGE_ORDERS.values(), ids=HUGE_ORDERS.keys())
+def test_an_order_over_max_order_is_refused_before_any_work(call):
+    # refused by its order alone: no length-m sequence, array or generator is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match=f"order {10**30} is over numpy's 64 modes"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
