@@ -35,6 +35,7 @@ from .tensor import (
     _check_order,
     _frozen,
     _outer,
+    _rank1_residual,
     as_matrix,
     as_tensor,
 )
@@ -143,18 +144,6 @@ def is_symmetric(a: TensorLike) -> bool:
         np.max(np.abs(swapped - t.array)) > SYMMETRY_TOL * scale
         for swapped in _adjacent_swaps(t.array, 1)
     )
-
-
-def _rank1_residual(arr: np.ndarray) -> float:
-    """max|arr - â| for the rank-1 candidate â = f_1 ⊗ (f_2/piv) ⊗ ... ⊗
-    (f_m/piv), where piv is the max-abs entry and f_k the mode-k fibre
-    through it.  â equals ``arr`` iff ``arr`` is rank 1, i.e. iff every
-    unfolding has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs
-    O(m * arr.size); ``arr`` must be finite and nonzero."""
-    pivot = np.unravel_index(np.abs(arr).argmax(), arr.shape)
-    fibres = [arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]] for k in range(arr.ndim)]
-    cand = _outer([fibres[0]] + [f / arr[pivot] for f in fibres[1:]])
-    return float(np.abs(arr - cand).max())
 
 
 def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:

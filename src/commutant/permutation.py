@@ -7,7 +7,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ArgumentError, RangeError, _as_list, _is_integer
+from .errors import ArgumentError, DomainError, RangeError, _as_list, _is_integer
+from .tensor import MAX_DENSE_ENTRIES
 
 
 class Permutation:
@@ -39,8 +40,14 @@ class Permutation:
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
+        """The identity of degree k; a degree over MAX_DENSE_ENTRIES is a
+        DomainError, refused before any image is built."""
         if not _is_integer(k):
             raise ArgumentError(f"permutation degree must be an integer, got {k!r}")
+        if k > MAX_DENSE_ENTRIES:
+            raise DomainError(
+                f"permutation degree {k} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}"
+            )
         return cls(range(1, k + 1))
 
     @classmethod

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import linalg
 from .commutation_tensor import Gct, _operator, apply_rank_preserver, gct_multiply
-from .cp import _rank1_residual
-from .errors import ArgumentError, DimensionError, _is_integer
+from .errors import ArgumentError, DimensionError, DomainError, _is_integer
 from .permutation import Permutation
 from .tensor import (
     TensorLike,
     _check_dense_budget,
     _check_order,
+    _rank1_residual,
     _stacked_mode_products,
     as_matrix,
     as_tensor,
@@ -43,6 +43,9 @@ EXACT_TOL = 1e-12
 _FACTOR_MIN_NORM = 1e-6
 #: most entries in one stack of trial tensors
 _TRIAL_STACK_ENTRIES = 2**16
+#: most random trials one check runs (the verify default is 20); a larger
+#: count is refused before any trial is drawn
+MAX_TRIALS = 2**16
 
 
 def _invertible(phi: Gct) -> Gct:
@@ -178,7 +181,7 @@ def _rank1_images(phi: Gct, units: np.ndarray) -> np.ndarray:
 def _rank1_stack(images: np.ndarray) -> np.ndarray:
     """:func:`is_rank1_tensor` of each tensor of a (T, n, ..., n) stack, as a
     (T,) bool array: finite, nonzero, and the rank-1 residual of
-    :func:`~commutant.cp._rank1_residual` at most ``CERT_TOL`` times the
+    :func:`~commutant.tensor._rank1_residual` at most ``CERT_TOL`` times the
     entry scale, with the same pivot, fibres and products.  The scale max|a|
     is finite exactly when every entry is, a NaN propagating."""
     t, m = images.shape[0], images.ndim - 1
@@ -198,6 +201,12 @@ def _rank1_stack(images: np.ndarray) -> np.ndarray:
         return (0.0 < scale) & (scale < math.inf) & (resid.max(axis=1) <= CERT_TOL * scale)
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count over MAX_TRIALS before any trial runs."""
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials={trials} is over the bound MAX_TRIALS={MAX_TRIALS}")
+
+
 def verify_rank_preservation(phi: Gct, trials: int, seed: int) -> VerificationReport:
     """Draw random unit-factor rank-1 tensors, apply the preserver, and
     certify every output is rank 1.  The random stream is split per trial
@@ -210,11 +219,12 @@ def verify_rank_preservation(phi: Gct, trials: int, seed: int) -> VerificationRe
     :func:`~commutant.commutation_tensor.apply_rank_preserver` and
     :func:`is_rank1_tensor` give it alone.  Raises ArgumentError unless
     ``trials`` is a positive and ``seed`` a non-negative integer, neither of
-    them a bool."""
+    them a bool, and DomainError when ``trials`` is over ``MAX_TRIALS``."""
     if not _is_integer(trials):
         raise ArgumentError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ArgumentError(f"trials must be positive, got {trials}")
+    _check_trials(trials)
     if not _is_integer(seed) or seed < 0:
         raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     trials = int(trials)

@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .commutation_matrix import CommutationMatrix, build_commutation
-from .commutation_tensor import Gct, build_gct
-from .cp import CpForm, cp_form
 from .errors import CommutantError, DimensionError, DomainError
-from .permutation import Permutation
-from .preserver import rank_preserver
 from .tensor import DenseTensor, _check_dense_budget, as_matrix
+
+if TYPE_CHECKING:  # annotations only; each loader imports the layer it builds with
+    from .commutation_matrix import CommutationMatrix
+    from .commutation_tensor import Gct
+    from .cp import CpForm
 
 
 class ParseError(CommutantError):
@@ -213,6 +213,8 @@ def commutation_to_json(k: CommutationMatrix) -> str:
 
 
 def commutation_from_json(text: str) -> CommutationMatrix:
+    from .commutation_matrix import build_commutation
+
     data = _require(_loads(text), ["p", "q", "perm"], "commutation matrix")
     p, q = _ints(data, ("p", "q"), "commutation matrix")
     perm = data["perm"]
@@ -236,6 +238,8 @@ def gct_to_json(g: Gct) -> str:
 
 
 def gct_from_json(text: str) -> Gct:
+    from .commutation_tensor import build_gct
+
     data = _require(_loads(text), ["m", "n", "generators"], "gct")
     gens = data["generators"]
     if not isinstance(gens, list):
@@ -264,6 +268,8 @@ def cp_to_json(cp: CpForm) -> str:
 
 
 def cp_from_json(text: str) -> CpForm:
+    from .cp import cp_form
+
     data = _require(_loads(text), ["m", "n", "rank", "factors"], "cp form")
     factors = data["factors"]
     if not isinstance(factors, list):
@@ -291,13 +297,19 @@ def preserver_to_json(phi: Gct) -> str:
 
 
 def preserver_from_json(text: str) -> Gct:
+    from .permutation import Permutation
+    from .preserver import rank_preserver
+
     data = _require(_loads(text), ["m", "n", "tau", "matrices"], "preserver")
     mats_data = data["matrices"]
     if not isinstance(mats_data, list):
         raise ParseError("preserver: matrices must be a list")
     mats = [_matrix_from_lists(m, "preserver matrix") for m in mats_data]
+    images = data["tau"]
+    if not isinstance(images, list) or not all(map(_is_json_int, images)):
+        raise ParseError("preserver: tau must be a list of integers")
     try:
-        tau = Permutation(data["tau"])
+        tau = Permutation(images)
     except CommutantError as exc:
         raise ParseError(f"preserver: bad tau: {exc}") from exc
     m, n = _ints(data, ("m", "n"), "preserver")

@@ -94,6 +94,18 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
+def _rank1_residual(arr: np.ndarray) -> float:
+    """max|arr - â| for the rank-1 candidate â = f_1 ⊗ (f_2/piv) ⊗ ... ⊗
+    (f_m/piv), where piv is the max-abs entry and f_k the mode-k fibre
+    through it.  â equals ``arr`` iff ``arr`` is rank 1, i.e. iff every
+    unfolding has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs
+    O(m * arr.size); ``arr`` must be finite and nonzero."""
+    pivot = np.unravel_index(np.abs(arr).argmax(), arr.shape)
+    fibres = [arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]] for k in range(arr.ndim)]
+    cand = _outer([fibres[0]] + [f / arr[pivot] for f in fibres[1:]])
+    return float(np.abs(arr - cand).max())
+
+
 def _kron_into(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
     """kron(x, y) of an (m, n) and an (r, s) matrix as a fresh C-contiguous
     (m·r, n·s) array, refused before any allocation when over the budget.

@@ -29,6 +29,7 @@ from .cp import sym_power
 from .errors import ArgumentError, _is_integer
 from .permutation import Permutation
 from .preserver import (
+    _check_trials,
     apply_rank_preserver,
     fixes_identity,
     is_determinant_preserver,
@@ -74,6 +75,7 @@ class RunConfig:
             raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_integer(self.trials) or self.trials < 1:
             raise ArgumentError(f"trials must be a positive integer, got {self.trials!r}")
+        _check_trials(self.trials)
         real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
         if not (real and math.isfinite(self.tol) and self.tol > 0):
             raise ArgumentError(f"tolerance must be positive and finite, got {self.tol!r}")
@@ -405,6 +407,8 @@ def run_suites(
     selected = list(SUITES) if names is None else names
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
-        raise ArgumentError(f"unknown suite(s): {', '.join(unknown)}")
+        raise ArgumentError(
+            f"unknown suite(s): {', '.join(unknown)}; the suites are {', '.join(SUITES)}"
+        )
     fault = FaultInjector(inject_fault)
     return [SUITES[name](cfg, fault) for name in selected]

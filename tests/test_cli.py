@@ -263,13 +263,15 @@ class TestVerify:
         assert "  FAIL " in out
 
     def test_a_valid_tol_reaches_the_run(self, capsys, monkeypatch):
-        seen, real = [], cli.run_suites
+        from commutant import verify
+
+        seen, real = [], verify.run_suites
 
         def spy(cfg, *args, **kwargs):
             seen.append(cfg.tol)
             return real(cfg, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_suites", spy)
+        monkeypatch.setattr(verify, "run_suites", spy)
         code, out, err = run(
             capsys, "verify", "--suite", "kron-conjugation", "--sizes", "2x3", "--trials", "2",
             "--tol", "1e-9",
@@ -278,8 +280,28 @@ class TestVerify:
         assert seen == [1e-9]
 
     def test_unknown_suite_exits_3(self, capsys):
+        from commutant.verify import SUITES
+
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 3 and "unknown suite" in err
+        # --help does not list the suites, so the refusal names them
+        assert err.endswith(f"the suites are {', '.join(SUITES)}\n")
+
+    @pytest.mark.parametrize("trials", ["65537", "1000000000000", str(10**30)])
+    def test_a_trial_count_over_its_bound_exits_3_before_any_trial(
+        self, capsys, monkeypatch, trials
+    ):
+        from commutant import verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_suites", refuse)
+        code, out, err = run(
+            capsys, "verify", "--suite", "vec-identity", "--sizes", "2x2", "--trials", trials
+        )
+        assert code == 3 and out == ""
+        assert f"trials={trials} is over the bound MAX_TRIALS=65536" in err
 
     def test_mode_perm_lemma_past_its_exhaustive_degree_exits_3(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "mode-perm-lemma", "--sizes", "5x2")
@@ -636,6 +658,19 @@ class TestBooleanPermutations:
         code, out, err = run(capsys, "apply", str(pfile), str(tfile))
         assert code == 2 and out == ""
         assert "tau" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tau", ["[2.0,1.0]", "[2,1.0]"])
+    def test_apply_refuses_a_tau_of_integral_floats(self, capsys, tmp_path, tau):
+        # tau's images are JSON integers, as the header fields m and n are;
+        # the same file with [2,1] applies
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t.json"
+        tfile.write_text(A22_JSON, encoding="utf-8")
+        pfile.write_text(PHI22, encoding="utf-8")
+        assert run(capsys, "apply", str(pfile), str(tfile))[0] == 0
+        pfile.write_text(PHI22.replace('"tau":[2,1]', f'"tau":{tau}'), encoding="utf-8")
+        code, out, err = run(capsys, "apply", str(pfile), str(tfile))
+        assert code == 2 and out == ""
+        assert err == "error: preserver: tau must be a list of integers\n"
 
 
 class TestBooleanHeaderFields:

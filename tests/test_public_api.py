@@ -41,13 +41,22 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    # submodules become attributes as tests import them, so they are not counted
-    names = {
+    # names load on first access, so the package's namespace holds only those
+    # used so far: the pin reads __all__, dir() and a star import instead.
+    # Submodules become attributes as tests import them, so they are not counted
+    assert set(commutant.__all__) == PUBLIC
+    listed = {
         name
-        for name, value in vars(commutant).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(commutant)
+        if not name.startswith("_")
+        and not isinstance(getattr(commutant, name), types.ModuleType)
     }
-    assert names == PUBLIC
+    assert listed == PUBLIC
+    star = {}
+    exec("from commutant import *", star)
+    del star["__builtins__"]
+    assert set(star) == PUBLIC
+    assert all(value is getattr(commutant, name) for name, value in star.items())
 
 
 def test_every_name_the_benchmark_calls_resolves():

@@ -304,6 +304,14 @@ class TestStructuredObjects:
         with pytest.raises(ser.ParseError):
             ser.preserver_from_json(text)
 
+    @pytest.mark.parametrize("tau", ["[2.0,1.0]", "[2,1.0]", '"21"', "2", "null"])
+    def test_preserver_tau_follows_the_json_integer_rule(self, tau):
+        # a float image, even an integral one, is refused as 2.0 in m or n is
+        text = '{"m":2,"n":2,"tau":%s,"matrices":[[[1,0],[0,1]],[[1,0],[0,1]]]}'
+        assert ser.preserver_from_json(text % "[2,1]").tau == Permutation([2, 1])
+        with pytest.raises(ser.ParseError, match="preserver: tau must be a list of integers"):
+            ser.preserver_from_json(text % tau)
+
     def test_preserver_rejects_singular(self):
         from commutant import SingularMatrixError
 

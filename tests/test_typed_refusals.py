@@ -10,6 +10,7 @@ from commutant import (
     ArgumentError,
     DenseTensor,
     DimensionError,
+    DomainError,
     Permutation,
     RangeError,
     apply,
@@ -36,6 +37,7 @@ from commutant import (
     verify_rank_preservation,
 )
 from commutant import serialize as ser
+from commutant.preserver import MAX_TRIALS
 from commutant.verify import RunConfig
 
 REFUSALS = {
@@ -337,6 +339,22 @@ HUGE_ORDERS = {
     "gct_from_permutation": lambda: gct_from_permutation(Permutation([2, 1]), 10**30),
 }
 
+#: calls whose permutation degree k is over MAX_DENSE_ENTRIES
+HUGE_DEGREES = {
+    "identity": Permutation.identity,
+    "from_cycles": lambda k: Permutation.from_cycles(k, (1, 2)),
+    "all": Permutation.all,
+    "gct_identity": lambda k: gct_identity(k, 2),
+}
+
+#: calls whose trial count is over MAX_TRIALS
+HUGE_TRIALS = {
+    "RunConfig": lambda t: RunConfig(trials=t),
+    "verify_rank_preservation": lambda t, phi=sym_preserver(np.eye(2), 2): (
+        verify_rank_preservation(phi, t, 0)
+    ),
+}
+
 
 @pytest.mark.parametrize("call,error,message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refused_with_its_type(call, error, message):
@@ -344,14 +362,39 @@ def test_refused_with_its_type(call, error, message):
         call()
 
 
-@pytest.mark.parametrize("call", HUGE_ORDERS.values(), ids=HUGE_ORDERS.keys())
-def test_an_order_over_max_order_is_refused_before_any_work(call):
-    # refused by its order alone: no length-m sequence, array or generator is built
+def _refused_building_nothing(call, error, message):
     tracemalloc.start()
     try:
-        with pytest.raises(DimensionError, match=f"order {10**30} is over numpy's 64 modes"):
+        with pytest.raises(error, match=message):
             call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**14
+
+
+@pytest.mark.parametrize("call", HUGE_ORDERS.values(), ids=HUGE_ORDERS.keys())
+def test_an_order_over_max_order_is_refused_before_any_work(call):
+    # refused by its order alone: no length-m sequence, array or generator is built
+    _refused_building_nothing(call, DimensionError, f"order {10**30} is over numpy's 64 modes")
+
+
+@pytest.mark.parametrize("k", [2**24 + 1, 10**9, 10**30])
+@pytest.mark.parametrize("call", HUGE_DEGREES.values(), ids=HUGE_DEGREES.keys())
+def test_a_degree_over_the_dense_budget_is_refused_before_any_image(call, k):
+    # no range(1, k + 1) is consumed: the refusal is a DomainError, not an overflow
+    _refused_building_nothing(
+        lambda: call(k), DomainError, f"permutation degree {k} is over MAX_DENSE_ENTRIES"
+    )
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12, 10**30])
+@pytest.mark.parametrize("call", HUGE_TRIALS.values(), ids=HUGE_TRIALS.keys())
+def test_a_trial_count_over_its_bound_is_refused_before_any_trial(call, trials):
+    _refused_building_nothing(
+        lambda: call(trials), DomainError, f"trials={trials} is over the bound MAX_TRIALS"
+    )
+
+
+def test_the_largest_trial_count_is_a_config():
+    assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
