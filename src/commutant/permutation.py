@@ -41,14 +41,17 @@ class Permutation:
     @classmethod
     def identity(cls, k: int) -> "Permutation":
         """The identity of degree k; a degree over MAX_DENSE_ENTRIES is a
-        DomainError, refused before any image is built."""
+        DomainError, refused before any image is built.  Its images are
+        built once, as one tuple: a range permutes 1..k by construction."""
         if not _is_integer(k):
             raise ArgumentError(f"permutation degree must be an integer, got {k!r}")
+        if k < 1:
+            raise ArgumentError("permutation degree must be at least 1")
         if k > MAX_DENSE_ENTRIES:
             raise DomainError(
                 f"permutation degree {k} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}"
             )
-        return cls(range(1, k + 1))
+        return cls._of(tuple(range(1, k + 1)))
 
     @classmethod
     def from_cycles(cls, k: int, *cycles: Iterable[int]) -> "Permutation":

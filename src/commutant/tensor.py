@@ -332,6 +332,17 @@ def _even_order_cubic(t: DenseTensor, name: str) -> tuple[int, int]:
     return t.order // 2, n
 
 
+def _contract_half(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """``np.tensordot(a, b, axes=m)`` for an order-2m ``a`` whose last m
+    extents are ``b``'s first m.  It is one ``np.dot`` on the reshapes
+    tensordot builds, ``a`` as (N, N) and ``b`` as (N, -1), each copied
+    only where its layout needs it, as there; so the BLAS call and its
+    bits are tensordot's, without tensordot's axis handling."""
+    size = math.prod(a.shape[:m])
+    out = np.dot(a.reshape(size, size), b.reshape(size, -1))
+    return out.reshape(a.shape[:m] + b.shape[m:])
+
+
 def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:
     """Product of two order-2m tensors with all extents equal:
 
@@ -342,7 +353,7 @@ def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:
     mb, nb = _even_order_cubic(tb, "mul_2m")
     if (m, n) != (mb, nb):
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    return DenseTensor._adopt(np.tensordot(ta.array, tb.array, axes=m))
+    return DenseTensor._adopt(_contract_half(ta.array, tb.array, m))
 
 
 def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
@@ -356,7 +367,7 @@ def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
         raise DimensionError(
             f"operand of shape {tx.shape} does not match acting tensor of shape {ta.shape}"
         )
-    return DenseTensor._adopt(np.tensordot(ta.array, tx.array, axes=m))
+    return DenseTensor._adopt(_contract_half(ta.array, tx.array, m))
 
 
 def balance_unfold(a: TensorLike) -> np.ndarray:

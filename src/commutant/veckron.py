@@ -48,10 +48,11 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_vec(x, y) -> np.ndarray:
-    """Kronecker product of two vectors; entry (i-1)|y| + j is x_i * y_j."""
+    """Kronecker product of two vectors; entry (i-1)|y| + j is x_i * y_j,
+    the one product ``np.kron`` forms there, in a fresh array."""
     ax, ay = _as_array(x, "two vectors", 1), _as_array(y, "two vectors", 1)
     _check_dense_budget((ax.size, ay.size), "x ⊗ y")
-    return np.kron(ax, ay)
+    return np.multiply.outer(ax, ay).ravel()
 
 
 def vec_sandwich(a, b, c) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Named randomized/exhaustive verification suites behind the CLI.
 
-Each suite draws its randomness from a stream split deterministically by
-(seed, suite index, counter), so a run is reproducible from the seed alone
-and independent of suite execution order.
+Each suite draws its randomness from one stream per size, seeded by
+(seed, suite index, size index), so a run is reproducible from the seed
+alone and independent of suite execution order.  A size's trials read their
+inputs from its stream trial by trial, in chunks of at most DRAW_CHUNK
+entries, so the inputs of ``trials=T`` are the first T of any larger trial
+count.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,6 +53,8 @@ MAX_POWER = 64
 MAX_POWER_WORK = 2**36
 #: c in the determinant check's backward-error bound c * n * eps * cond_2(P x Q)
 DET_ROUNDING_FACTOR = 1.0
+#: most entries one draw of a size's trials holds (512 KiB of float64s)
+DRAW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, message: str) -> None:
+    def record(self, ok: bool, message: Callable[[], str]) -> None:
+        """Count one check; ``message()`` is formatted only if it failed."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message())
 
 
 class FaultInjector:
@@ -113,10 +120,21 @@ class FaultInjector:
         return out
 
 
-def _rng(cfg: RunConfig, suite: str, counter: int) -> np.random.Generator:
+def _rng(cfg: RunConfig, suite: str, size_index: int) -> np.random.Generator:
+    """The one stream of ``suite`` at ``cfg.sizes[size_index]``."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((cfg.seed, SUITE_INDEX[suite], counter)))
+        np.random.PCG64(np.random.SeedSequence((cfg.seed, SUITE_INDEX[suite], size_index)))
     )
+
+
+def _trial_draws(rng: np.random.Generator, trials: int, shape) -> Iterator[np.ndarray]:
+    """``trials`` standard normal arrays of ``shape``, read trial by trial
+    from ``rng`` in draws of at most DRAW_CHUNK entries (of one trial at
+    least).  numpy fills a draw in order from the stream, so the arrays do
+    not depend on the chunking, and the first T of them not on ``trials``."""
+    per_draw = max(1, DRAW_CHUNK // math.prod(shape))
+    for start in range(0, trials, per_draw):
+        yield from rng.standard_normal((min(per_draw, trials - start), *shape))
 
 
 def _unit(shape, at) -> np.ndarray:
@@ -148,15 +166,13 @@ def _suite_vec_identity(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         # action must be the built matrix
         res.record(
             _rebuilds_dense(k, lambda i, j: vec(_unit((p, q), (i, j)).T)),
-            f"size {p}x{q}: reconstructed matrix differs from the built one",
+            lambda: f"size {p}x{q}: reconstructed matrix differs from the built one",
         )
-        for t in range(cfg.trials):
-            rng = _rng(cfg, res.name, si * cfg.trials + t)
-            x = rng.standard_normal((p, q))
+        for t, x in enumerate(_trial_draws(_rng(cfg, res.name, si), cfg.trials, (p, q))):
             got = fault.corrupt(kapply(k, vec(x)))
             res.record(
                 np.array_equal(got, vec(x.T)),
-                f"size {p}x{q} trial {t}: K vec(X) != vec(X^T)",
+                lambda: f"size {p}x{q} trial {t}: K vec(X) != vec(X^T)",
             )
     return res
 
@@ -167,16 +183,14 @@ def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         k = build_commutation(p, q)
         res.record(
             _rebuilds_dense(k, lambda i, j: kron_vec(_unit(p, i), _unit(q, j))),
-            f"size {p}x{q}: swap-action reconstruction differs",
+            lambda: f"size {p}x{q}: swap-action reconstruction differs",
         )
-        for t in range(cfg.trials):
-            rng = _rng(cfg, res.name, si * cfg.trials + t)
-            x = rng.standard_normal(q)
-            y = rng.standard_normal(p)
+        for t, xy in enumerate(_trial_draws(_rng(cfg, res.name, si), cfg.trials, (q + p,))):
+            x, y = xy[:q], xy[q:]
             got = fault.corrupt(kapply(k, kron_vec(x, y)))
             res.record(
                 np.array_equal(got, kron_vec(y, x)),
-                f"size {p}x{q} trial {t}: K(x ⊗ y) != y ⊗ x",
+                lambda: f"size {p}x{q} trial {t}: K(x ⊗ y) != y ⊗ x",
             )
     return res
 
@@ -186,16 +200,15 @@ def _suite_kron_conjugation(cfg: RunConfig, fault: FaultInjector) -> SuiteResult
     for si, (p, q) in enumerate(cfg.sizes):
         _check_dense_budget((p, q, p, q), "A ⊗ B")  # before A and B are drawn
         idx = build_commutation(p, q).idx
-        for t in range(cfg.trials):
-            rng = _rng(cfg, res.name, si * cfg.trials + t)
-            a = rng.standard_normal((p, p))
-            b = rng.standard_normal((q, q))
+        draws = _trial_draws(_rng(cfg, res.name, si), cfg.trials, (p * p + q * q,))
+        for t, ab in enumerate(draws):
+            a, b = ab[: p * p].reshape(p, p), ab[p * p :].reshape(q, q)
             got = fault.corrupt(conjugate_kron(a, b))
             # K_{p,q} (B ⊗ A) K_{q,p}, the two permutation products as gathers
             err = float(np.max(np.abs(got - kron(b, a)[idx][:, idx])))
             res.record(
                 err <= cfg.tol,
-                f"size {p}x{q} trial {t}: conjugation error {err:.3e} > {cfg.tol:g}",
+                lambda: f"size {p}x{q} trial {t}: conjugation error {err:.3e} > {cfg.tol:g}",
             )
     return res
 
@@ -224,7 +237,7 @@ def _suite_powers(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             which = "the tensor itself" if exp % 2 == 1 else "its square"
             res.record(
                 np.array_equal(got, want),
-                f"n={n}: power {exp} differs from {which}",
+                lambda: f"n={n}: power {exp} differs from {which}",
             )
     return res
 
@@ -239,13 +252,18 @@ def _suite_group_axioms(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         perms = list(Permutation.all(n))
         elements = {pi.images: gct_from_permutation(pi, m) for pi in perms}
         ident = gct_identity(m, n)
-        dense_ok = n ** (2 * m) <= 5000
+        # each element's dense form, built once, when every one is small
+        dense = (
+            {key: gct_dense(g) for key, g in elements.items()}
+            if n ** (2 * m) <= 5000
+            else None
+        )
         for pi in perms:
             g = elements[pi.images]
             left = gct_multiply(g, ident)
             res.record(
                 all(np.array_equal(a, b) for a, b in zip(left.generators, g.generators)),
-                f"({m},{n}): identity law fails for {pi}",
+                lambda: f"({m},{n}): identity law fails for {pi}",
             )
             ginv = gct_inverse(g)
             prod = gct_multiply(g, ginv)
@@ -254,28 +272,27 @@ def _suite_group_axioms(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
                     np.allclose(a, b, atol=cfg.tol)
                     for a, b in zip(prod.generators, ident.generators)
                 ),
-                f"({m},{n}): inverse law fails for {pi}",
+                lambda: f"({m},{n}): inverse law fails for {pi}",
             )
         for pi1 in perms:
             for pi2 in perms:
-                g1, g2 = elements[pi1.images], elements[pi2.images]
-                prod = gct_multiply(g1, g2)
-                want = elements[pi1.compose(pi2).images]
+                key = pi1.compose(pi2).images
+                prod = gct_multiply(elements[pi1.images], elements[pi2.images])
                 structured_ok = all(
                     np.array_equal(a, b)
-                    for a, b in zip(prod.generators, want.generators)
+                    for a, b in zip(prod.generators, elements[key].generators)
                 )
                 res.record(
                     structured_ok,
-                    f"({m},{n}): closure fails for {pi1}∘{pi2}",
+                    lambda: f"({m},{n}): closure fails for {pi1}∘{pi2}",
                 )
-                if dense_ok:
+                if dense is not None:
                     dense_prod = fault.corrupt(
-                        mul_2m(gct_dense(g1), gct_dense(g2)).array
+                        mul_2m(dense[pi1.images], dense[pi2.images]).array
                     )
                     res.record(
-                        np.array_equal(dense_prod, gct_dense(want).array),
-                        f"({m},{n}): dense product disagrees for {pi1}∘{pi2}",
+                        np.array_equal(dense_prod, dense[key].array),
+                        lambda: f"({m},{n}): dense product disagrees for {pi1}∘{pi2}",
                     )
     return res
 
@@ -285,20 +302,23 @@ def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
     for si, (m, n) in enumerate(cfg.sizes):
         if m > 4:
             raise ArgumentError(f"mode-perm-lemma is exhaustive over S_m; m={m} > 4")
-        counter = 0
         _check_dense_budget((n**m, n**m), "mode-permutation tensor")  # before any generator
-        for tau in Permutation.all(m):
+        taus = list(Permutation.all(m))
+        rng = _rng(cfg, res.name, si)
+        # trial t draws one input per tau; each tau reads the stream again
+        # from its start, so only one chunk of inputs is held at a time
+        start = rng.bit_generator.state
+        for k, tau in enumerate(taus):
             acting = mode_perm_dense(build_mode_perm_tensor(tau, n))
-            for t in range(cfg.trials):
-                rng = _rng(cfg, res.name, si * 1000 + counter)
-                counter += 1
-                a = DenseTensor(rng.standard_normal((n,) * m))
+            rng.bit_generator.state = start
+            for t, inputs in enumerate(_trial_draws(rng, cfg.trials, (len(taus),) + (n,) * m)):
+                a = DenseTensor(inputs[k])
                 shuffled = fault.corrupt(permute_modes(a, tau).array)
                 contracted = mul_2m_on_m(acting, a).array
                 err = float(np.max(np.abs(shuffled - contracted)))
                 res.record(
                     err <= cfg.tol,
-                    f"({m},{n}) tau={tau} trial {t}: routes differ by {err:.3e}",
+                    lambda: f"({m},{n}) tau={tau} trial {t}: routes differ by {err:.3e}",
                 )
     return res
 
@@ -340,7 +360,7 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             err = float(np.max(np.abs(via_tensor - via_matrix)))
             res.record(
                 err <= cfg.tol,
-                f"({m},{n}): order-2 reduction differs by {err:.3e}",
+                lambda: f"({m},{n}): order-2 reduction differs by {err:.3e}",
             )
             # determinant preserver: normalize det(PQ) to 1 through the log
             # determinants of P and Q, since det(PQ) overflows at large n
@@ -352,7 +372,7 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             dp = matrix_preserver(p_mat, q_mat)
             res.record(
                 is_determinant_preserver(dp),
-                f"({m},{n}): normalized pair is not a determinant preserver",
+                lambda: f"({m},{n}): normalized pair is not a determinant preserver",
             )
             x = rng.standard_normal((n, n))
             x = x / math.exp(linalg._slogdet(x)[1] / n)  # |det x| = 1
@@ -360,19 +380,19 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             dx, dfx = linalg.det(x), linalg.det(fx)
             res.record(
                 abs(dfx - dx) <= _det_tolerance(fx) * max(1.0, abs(dx)),
-                f"({m},{n}): determinant not preserved ({dx:.6f} -> {dfx:.6f})",
+                lambda: f"({m},{n}): determinant not preserved ({dx:.6f} -> {dfx:.6f})",
             )
         # identity fixing: permutation matrices fix the identity tensor
         pi_n = Permutation(rng.permutation(n) + 1)
         res.record(
             fixes_identity(sym_preserver(pi_n.matrix(), m)),
-            f"({m},{n}): permutation matrix does not fix the identity tensor",
+            lambda: f"({m},{n}): permutation matrix does not fix the identity tensor",
         )
         shear = np.eye(n)
         shear[0, -1] += 0.5
         res.record(
             not fixes_identity(sym_preserver(shear, m)),
-            f"({m},{n}): shear unexpectedly fixes the identity tensor",
+            lambda: f"({m},{n}): shear unexpectedly fixes the identity tensor",
         )
         # symmetric preserver pushes through the factor
         y = rng.standard_normal(n)
@@ -382,7 +402,7 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         err = float(np.max(np.abs(lhs - rhs)))
         res.record(
             err <= 1e-9 * max(1.0, float(np.max(np.abs(rhs)))),
-            f"({m},{n}): symmetric preserver does not push through the factor",
+            lambda: f"({m},{n}): symmetric preserver does not push through the factor",
         )
     return res
 

@@ -1,7 +1,8 @@
 """The one Kronecker kernel behind ``kron``, ``conjugate_kron`` and
-``gct_dense``: byte for byte equal to ``np.kron`` (and ``gct_dense`` to the
-strided outer-product loop it replaced) on every shape, layout and IEEE
-special value, with the same over-budget messages.
+``gct_dense``, and the outer product behind ``kron_vec``: byte for byte
+equal to ``np.kron`` (and ``gct_dense`` to the strided outer-product loop
+it replaced) on every shape, layout and IEEE special value, with the same
+over-budget messages.
 
 One product has no fixed bytes: NaN times NaN is a NaN whose sign and
 payload IEEE 754 leaves open.  numpy takes it from either operand depending
@@ -23,6 +24,7 @@ from commutant import (
     conjugate_kron,
     gct_dense,
     kron,
+    kron_vec,
 )
 from commutant import commutation_tensor as ct_mod
 from commutant import tensor as tensor_mod
@@ -95,6 +97,17 @@ def test_kron_is_np_kron_byte_for_byte(xs, ys, specials):
         got, want = kron(a, b), np.kron(a, b)
     assert _same(got, want, a, b) and got.flags.writeable
     assert not np.shares_memory(got, a) and not np.shares_memory(got, b)
+
+
+@pytest.mark.parametrize("specials", [False, True])
+@pytest.mark.parametrize("xn,yn", [(1, 1), (1, 7), (7, 1), (3, 4), (30, 30), (0, 3), (2, 0)])
+def test_kron_vec_is_np_kron_byte_for_byte(xn, yn, specials):
+    rng = np.random.default_rng(xn * 31 + yn)
+    x, y = _draw(rng, xn, specials), _draw(rng, yn, specials)
+    with np.errstate(all="ignore"):  # inf * 0 is an invalid operation
+        got, want = kron_vec(x, y), np.kron(x, y)
+    assert _same(got[None], want[None], x[None], y[None]) and got.flags.writeable
+    assert not np.shares_memory(got, x) and not np.shares_memory(got, y)
 
 
 def _layouts(rng, shape):

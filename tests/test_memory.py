@@ -152,6 +152,15 @@ def _peak_bytes(call):
     return result, peak
 
 
+@pytest.mark.parametrize("k", [3, 2**10, 2**16])
+def test_identity_permutation_builds_its_images_once(k):
+    # one tuple of k ints, 8 bytes a slot and 32 an int: 40 bytes a degree,
+    # where checking the images as any Permutation's took 96
+    result, peak = _peak_bytes(lambda: Permutation.identity(k))
+    assert result.degree == k and result.is_identity()
+    assert peak <= 48 * k + 1024
+
+
 def test_vec_sandwich_never_forms_the_kronecker_matrix():
     a, b, c = _inputs(1, (30, 30), (30, 30), (30, 30))
     _, peak = _peak_bytes(lambda: vec_sandwich(a, b, c))

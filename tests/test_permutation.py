@@ -24,6 +24,11 @@ def test_identity():
     assert e.images == (1, 2, 3, 4)
     assert e.is_identity()
     assert e.sign() == 1
+    assert Permutation.identity(np.int64(2)).images == (1, 2)
+    assert all(type(i) is int for i in Permutation.identity(np.int64(2)).images)
+    for k in (0, -3):
+        with pytest.raises(ArgumentError, match="degree must be at least 1"):
+            Permutation.identity(k)
 
 
 def test_rejects_non_permutations():

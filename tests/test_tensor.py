@@ -16,10 +16,12 @@ from commutant import (
     apply_rank_preserver,
     balance_unfold,
     build_gct,
+    gct_dense,
     identity_tensor,
     mul_2m,
     mul_2m_on_m,
     permute_modes,
+    rank_preserver,
 )
 from commutant import tensor as tensor_mod
 
@@ -185,6 +187,47 @@ def test_mode_products_are_the_tensordot_products_byte_for_byte(order, layout):
             pairs.append((int(axis), mat))
         got = tensor_mod._mode_products(arr, pairs)
         want = tensordot_mode_products(arr, pairs)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+#: IEEE special values mixed into the operands of the tensordot byte tests
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -3.0])
+
+
+def _operand(rng, shape, layout):
+    """A DenseTensor of ``shape`` whose array is C-ordered ("c-order"),
+    stored Fortran-ordered ("fortran"), or, for an order-2m cube, the
+    transposed view ``gct_dense`` returns from its Kronecker route for a
+    general generator stack and a tau other than the identity ("kron-view");
+    the first two carry -0.0, infinities and NaNs."""
+    if layout == "kron-view":
+        m, n = len(shape) // 2, shape[0]
+        gens = [rng.standard_normal((n, n)) + 3 * np.eye(n) for _ in range(m)]
+        tau = Permutation(list(range(2, m + 1)) + [1])
+        t = gct_dense(rank_preserver(gens, tau))
+        assert m == 1 or not t.array.flags.c_contiguous
+        return t
+    x = rng.standard_normal(shape)
+    mask = rng.random(shape) < 0.3
+    x[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return DenseTensor(np.asfortranarray(x) if layout == "fortran" else x)
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran", "kron-view"])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_mul_2m_and_mul_2m_on_m_are_tensordot_byte_for_byte(m, n, layout):
+    rng = np.random.default_rng(10 * m + n + len(layout))
+    a = _operand(rng, (n,) * (2 * m), layout)
+    b = _operand(rng, (n,) * (2 * m), "c-order")
+    x = _operand(rng, (n,) * m, "fortran" if layout == "fortran" else "c-order")
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf are invalid operations
+        pairs = [
+            (mul_2m(a, b).array, np.tensordot(a.array, b.array, axes=m)),
+            (mul_2m(b, a).array, np.tensordot(b.array, a.array, axes=m)),
+            (mul_2m_on_m(a, x).array, np.tensordot(a.array, x.array, axes=m)),
+        ]
+    for got, want in pairs:
         assert got.shape == want.shape and got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commutant import ArgumentError
+from commutant import ArgumentError, Permutation, verify
 from commutant.verify import (
     DEFAULT_SIZES,
     SUITES,
@@ -121,3 +121,104 @@ class TestDeterminantBound:
         caught = {f.split(":")[0] for f in res.failures if "determinant not preserved" in f}
         assert caught == {f"(2,{n})" for n in range(1, 9)}
         assert len(res.failures) == len(sizes)
+
+
+#: the public routine each trial-drawing suite hands its drawn inputs to, and
+#: how to read a call: a key naming the size (and tau), and the inputs flat
+DRAWN = {
+    "vec-identity": ("kapply", lambda k, v: ((k.p, k.q), v)),
+    "swap-law": ("kapply", lambda k, v: ((k.p, k.q), v)),
+    "kron-conjugation": (
+        "conjugate_kron",
+        lambda a, b: ((a.shape, b.shape), np.concatenate((a.ravel(), b.ravel()))),
+    ),
+    "mode-perm-lemma": ("permute_modes", lambda a, tau: ((a.shape, tau.images), a.array.ravel())),
+}
+
+
+def _drawn_inputs(monkeypatch, name, cfg):
+    """Per key of DRAWN[name], the inputs the suite's trials drew, in order."""
+    routine, read = DRAWN[name]
+    original = getattr(verify, routine)
+    seen = {}
+
+    def recording(*args):
+        key, flat = read(*args)
+        seen.setdefault(key, []).append(flat.copy())
+        return original(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, routine, recording)
+        [res] = run_suites(cfg, [name])
+    assert res.passed
+    return seen
+
+
+def _rng_keys(monkeypatch, cfg, names=None):
+    """Every key ``verify._rng`` receives in one run."""
+    keys = []
+    original = verify._rng
+
+    def recording(cfg, suite, index):
+        keys.append((cfg.seed, suite, index))
+        return original(cfg, suite, index)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_rng", recording)
+        results = run_suites(cfg, names)
+    assert all(r.passed for r in results)
+    return keys
+
+
+class TestStreams:
+    # one seeded stream per (suite, size), read trial by trial
+
+    SIZES = ((2, 3), (3, 2))
+
+    @pytest.mark.parametrize("name", sorted(DRAWN))
+    def test_fewer_trials_read_a_prefix_of_the_inputs(self, monkeypatch, name):
+        short = _drawn_inputs(monkeypatch, name, RunConfig(sizes=self.SIZES, trials=10, seed=3))
+        full = _drawn_inputs(monkeypatch, name, RunConfig(sizes=self.SIZES, trials=20, seed=3))
+        assert short.keys() == full.keys()
+        for key, inputs in full.items():
+            assert len(inputs) == 20 and len(short[key]) == 10
+            assert all(np.array_equal(a, b) for a, b in zip(short[key], inputs))
+
+    @pytest.mark.parametrize("name", sorted(DRAWN))
+    def test_chunked_draws_equal_one_draw(self, monkeypatch, name):
+        cfg = RunConfig(sizes=self.SIZES, trials=7, seed=4)
+        whole = _drawn_inputs(monkeypatch, name, cfg)
+        monkeypatch.setattr(verify, "DRAW_CHUNK", 1)  # one trial a draw
+        chunked = _drawn_inputs(monkeypatch, name, cfg)
+        assert whole.keys() == chunked.keys()
+        for key, inputs in whole.items():
+            assert all(np.array_equal(a, b) for a, b in zip(chunked[key], inputs, strict=True))
+
+    @pytest.mark.parametrize("chunk", [1, 6, 7, 59, 60, 2**16])
+    def test_trial_draws_do_not_depend_on_the_chunking(self, monkeypatch, chunk):
+        monkeypatch.setattr(verify, "DRAW_CHUNK", chunk)
+        rng = np.random.Generator(np.random.PCG64(5))
+        got = list(verify._trial_draws(rng, 10, (2, 3)))
+        want = np.random.Generator(np.random.PCG64(5)).standard_normal((10, 2, 3))
+        assert len(got) == 10
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_stream_keys_are_distinct_across_sizes(self, monkeypatch):
+        # m! * trials = 1200 draws of mode-perm-lemma at each size: a key
+        # counted per draw would repeat across the two sizes
+        names = [n for n in SUITES if n != "group-axioms"]  # exhaustive to m <= 3
+        keys = _rng_keys(monkeypatch, RunConfig(sizes=((4, 2), (4, 3)), trials=50), names)
+        assert len(keys) == len(set(keys))
+
+    def test_a_default_run_makes_one_stream_per_drawing_suite_and_size(self, monkeypatch):
+        keys = _rng_keys(monkeypatch, RunConfig())
+        assert len(keys) <= 20 and len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("name", ["group-axioms", "mode-perm-lemma"])
+    def test_a_passing_check_formats_no_message(self, monkeypatch, name):
+        def refuse(self):
+            raise AssertionError("a message was formatted for a passing check")
+
+        monkeypatch.setattr(Permutation, "__repr__", refuse)
+        [res] = run_suites(SMALL, [name])
+        assert res.passed and res.checks > 0
