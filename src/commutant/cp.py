@@ -11,6 +11,7 @@ commute with materialization; tests pin those diagrams down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,8 +37,8 @@ from .tensor import (
     _frozen,
     _outer,
     _rank1_residual,
+    _tensor_entries,
     as_matrix,
-    as_tensor,
 )
 
 #: bound on the rank-1 residual, relative to the entry scale, for
@@ -131,19 +132,23 @@ def permute_cp_factors(cp: CpForm, sigma: Permutation) -> CpForm:
     return CpForm(tuple(cp.factors[inv(k) - 1] for k in range(1, cp.m + 1)))
 
 
+def _symmetric(arr: np.ndarray, scale: float) -> bool:
+    """Whether ``arr``, cubical with the finite entry scale ``scale`` =
+    max|arr|, is invariant under every adjacent transposition of its modes
+    to ``SYMMETRY_TOL`` times max(1, scale)."""
+    tol = SYMMETRY_TOL * max(1.0, scale)
+    return not any(np.max(np.abs(swapped - arr)) > tol for swapped in _adjacent_swaps(arr, 1))
+
+
 def is_symmetric(a: TensorLike) -> bool:
     """Whether an order-m cubical tensor is invariant (to relative tolerance
     ``SYMMETRY_TOL``) under every mode shuffle; adjacent transpositions
     suffice.  A tensor with a non-finite entry is never symmetric."""
-    t = as_tensor(a)
-    n = t.shape[0]
-    if any(d != n for d in t.shape) or not np.isfinite(t.array).all():
+    arr = _tensor_entries(a)
+    if any(d != arr.shape[0] for d in arr.shape):
         return False
-    scale = max(1.0, float(np.max(np.abs(t.array))))
-    return not any(
-        np.max(np.abs(swapped - t.array)) > SYMMETRY_TOL * scale
-        for swapped in _adjacent_swaps(t.array, 1)
-    )
+    scale = float(np.abs(arr).max())  # finite exactly when every entry is
+    return scale < math.inf and _symmetric(arr, scale)
 
 
 def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:
@@ -158,29 +163,30 @@ def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:
     not symmetric, RankError if it is not rank 1: the rank-1 residual must
     be at most ``RANK1_MINOR_TOL`` times the entry scale max|a|.  (A 2x2
     unfolding minor of rank-1-plus-E is about scale * |E|, so this matches
-    the former bound of 1e-10 on the minors at unit scale.)
+    the former bound of 1e-10 on the minors at unit scale.)  The entries
+    are read in place, and their scale once.
     """
-    t = as_tensor(a)
-    n = t.shape[0]
-    if any(d != n for d in t.shape):
-        raise DimensionError(f"symmetric tensors are cubical, got shape {t.shape}")
-    if not np.isfinite(t.array).all():
+    arr = _tensor_entries(a)
+    n = arr.shape[0]
+    if any(d != n for d in arr.shape):
+        raise DimensionError(f"symmetric tensors are cubical, got shape {arr.shape}")
+    scale = float(np.abs(arr).max())
+    if not scale < math.inf:  # an inf, or a NaN that the max propagates
         raise DomainError("tensor has a non-finite entry")
-    if not is_symmetric(t):
+    if not _symmetric(arr, scale):
         raise SymmetryError("input is not symmetric")
-    scale = float(np.abs(t.array).max())
     if scale == 0.0:
         raise RankError("zero tensor has no rank-1 form")
-    if _rank1_residual(t.array) > RANK1_MINOR_TOL * scale:
+    if _rank1_residual(arr) > RANK1_MINOR_TOL * scale:
         raise RankError("tensor is not rank 1")
-    unfolding = t.array.reshape(n, -1, order="F")
+    unfolding = arr.reshape(n, -1, order="F")
     col = int(np.argmax(np.linalg.norm(unfolding, axis=0)))
     y = unfolding[:, col]
     y = y / np.linalg.norm(y)
     lead = int(np.argmax(np.abs(y) > STRUCTURE_LEAD_TOL))
     if y[lead] < 0:
         y = -y
-    lam = float(np.dot(t.values, sym_power(y, t.order).values))
-    if t.order % 2 == 1 and lam < 0:
+    lam = float(np.dot(arr.ravel(order="F"), sym_power(y, arr.ndim).values))
+    if arr.ndim % 2 == 1 and lam < 0:
         lam, y = -lam, -y
     return lam, y

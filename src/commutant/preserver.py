@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .commutation_tensor import Gct, _operator, apply_rank_preserver, gct_multiply
+from .commutation_tensor import Gct, _operator, gct_multiply
 from .errors import ArgumentError, DimensionError, DomainError, _is_integer
 from .permutation import Permutation
 from .tensor import (
@@ -28,9 +28,8 @@ from .tensor import (
     _check_order,
     _rank1_residual,
     _stacked_mode_products,
+    _tensor_entries,
     as_matrix,
-    as_tensor,
-    identity_tensor,
 )
 
 #: relative tolerance for rank-1 certification of preserver outputs
@@ -98,27 +97,59 @@ def is_determinant_preserver(phi: Gct) -> bool:
     return abs(linalg.det(p @ q_t.T) - 1.0) <= DET_ONE_TOL
 
 
+def _identity_image(phi: Gct) -> np.ndarray:
+    """The image of the order-m identity tensor I, without building I: the
+    entries of ``apply_rank_preserver(phi, I)`` with their bits up to the
+    sign of zeros, as a fresh C-order (n, n^(m-1)) array whose row is the
+    last mode's index and whose column is the others', first mode slowest.
+
+    I is fixed by every mode shuffle, so tau drops out, and I's first m - 1
+    mode products only multiply: the image before the last mode is the
+    Khatri-Rao array prod_{k<m} B_k[j_k, i] (I is the rank-n CP form with
+    I_n on every mode; Kolda & Bader, SIAM Review 2009, §3).  Built in
+    m - 2 broadcast products, it is the operand of the BLAS product
+    :func:`~commutant.tensor._mode_products` makes last, and that one
+    product is the image: O(n^(m+1)) flops where m mode products take
+    O(m n^(m+1))."""
+    m, n, gens = phi.m, phi.n, phi.generators
+    _check_dense_budget((n,) * m, "identity tensor")
+    if m == 1:
+        return np.dot(gens[0], np.ones((n, 1)))
+    krao = gens[0].T  # at m = 2 the F-order view _mode_products hands on
+    for k in range(1, m - 1):
+        krao = np.multiply(krao[..., None], gens[k].T.reshape((n,) + (1,) * k + (n,)), order="C")
+    return np.dot(gens[-1], krao.reshape(n, -1))
+
+
 def fixes_identity(phi: Gct) -> bool:
-    """Whether the preserver maps the order-m identity tensor to itself.
-    The symmetric preserver of B does precisely when B is a permutation
-    matrix."""
-    ident = identity_tensor(phi.m, phi.n)
-    image = apply_rank_preserver(phi, ident)
-    return bool(np.max(np.abs(image.array - ident.array)) <= EXACT_TOL)
+    """Whether the preserver maps the order-m identity tensor I to itself,
+    each entry within ``EXACT_TOL``, decided by one BLAS product on the
+    generators.  A non-finite image does not.
+
+    The symmetric preserver of B maps I to the sum of the m-th outer powers
+    of B's columns, so by CP uniqueness (Kruskal 1977) it fixes I, at odd
+    m >= 3, precisely when B is a permutation matrix, and at even m >= 4
+    when B is a signed one.  At m = 2 it does when B is orthogonal, B Bᵀ =
+    I, and at m = 1 when every row of B sums to 1."""
+    with np.errstate(all="ignore"):  # an inf or NaN image fails the check
+        image = _identity_image(phi)
+        # entry (i, ..., i) is at flat index i * (1 + n + ... + n^(m-1))
+        image.reshape(-1)[:: sum(phi.n**k for k in range(phi.m))] -= 1.0
+        return bool(np.abs(image, out=image).max() <= EXACT_TOL)
 
 
 def is_rank1_tensor(a: TensorLike) -> bool:
     """Certify rank 1: finite, nonzero, and rank-1 residual at most ``CERT_TOL``
     times the entry scale max|a|, at every order in O(m * a.size).  (A 2x2
     unfolding minor of rank-1-plus-E is about scale * |E|, so this matches
-    the former bound of CERT_TOL * scale**2 on every minor.)"""
-    t = as_tensor(a)
-    if not np.isfinite(t.array).all():
+    the former bound of CERT_TOL * scale**2 on every minor.)  The entries
+    are read in place, and the scale is finite exactly when every entry
+    is, a NaN propagating."""
+    arr = _tensor_entries(a)
+    scale = float(np.abs(arr).max())
+    if not 0.0 < scale < math.inf:
         return False
-    scale = float(np.abs(t.array).max())
-    if scale == 0.0:
-        return False
-    return _rank1_residual(t.array) <= CERT_TOL * scale
+    return _rank1_residual(arr) <= CERT_TOL * scale
 
 
 @dataclass(frozen=True)

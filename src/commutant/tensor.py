@@ -204,6 +204,14 @@ def _as_array(value, what: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _check_extents(arr: np.ndarray) -> None:
+    """A tensor's shape rule: at least one mode, every extent positive."""
+    if arr.ndim < 1:
+        raise DimensionError("a tensor has at least one mode")
+    if any(d < 1 for d in arr.shape):
+        raise ArgumentError(f"every mode extent must be positive, got {arr.shape}")
+
+
 class DenseTensor:
     """An immutable dense real tensor of order >= 1.
 
@@ -253,10 +261,7 @@ class DenseTensor:
 
     def _own(self, arr: np.ndarray) -> None:
         """Validate ``arr`` and keep it as the entries, frozen in place."""
-        if arr.ndim < 1:
-            raise DimensionError("a tensor has at least one mode")
-        if any(d < 1 for d in arr.shape):
-            raise ArgumentError(f"every mode extent must be positive, got {arr.shape}")
+        _check_extents(arr)
         arr.flags.writeable = False
         self._array = arr
         self._support = None
@@ -315,6 +320,16 @@ def as_tensor(value: TensorLike) -> DenseTensor:
     if isinstance(value, DenseTensor):
         return value
     return DenseTensor(value)
+
+
+def _tensor_entries(value: TensorLike) -> np.ndarray:
+    """The entries ``as_tensor(value)`` would hold, for reading only: read
+    by the one intake and refused as the constructor refuses, but not
+    copied, so they may be the caller's own memory."""
+    arr = _as_array(value, "a tensor")
+    if not isinstance(value, DenseTensor):
+        _check_extents(arr)
+    return arr
 
 
 def as_matrix(value: TensorLike) -> np.ndarray:

@@ -21,6 +21,7 @@ from . import linalg
 from .commutation_matrix import apply as kapply
 from .commutation_matrix import build_commutation, build_ctensor, conjugate_kron
 from .commutation_tensor import (
+    apply_rank_preserver,
     build_mode_perm_tensor,
     gct_dense,
     gct_from_permutation,
@@ -34,7 +35,6 @@ from .errors import ArgumentError, _is_integer
 from .permutation import Permutation
 from .preserver import (
     _check_trials,
-    apply_rank_preserver,
     fixes_identity,
     is_determinant_preserver,
     matrix_preserver,

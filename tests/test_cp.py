@@ -15,6 +15,7 @@ from commutant import (
     cp_form,
     extract_sym_rank1,
     identity_tensor,
+    is_rank1_tensor,
     is_symmetric,
     materialize,
     permute_cp_factors,
@@ -238,6 +239,122 @@ class TestExtractSymRank1:
         lam, y = extract_sym_rank1(np.array([0.0, -3.0, 4.0]))
         assert lam == pytest.approx(5.0)
         assert np.allclose(lam * y, [0.0, -3.0, 4.0], atol=1e-12)
+
+
+def _symmetric_inputs():
+    """name -> an order-3 cubical input of each kind the certifiers tell
+    apart: symmetric rank 1, rank 2 and near rank 1, an asymmetric rank 1,
+    ±inf, NaN and zero."""
+    rng = np.random.default_rng(260)
+    y, z = rng.standard_normal(4), rng.standard_normal(4)
+    one = 2.5 * sym_power(y, 3).array
+    noise = rng.standard_normal((4, 4, 4))
+    noise = sum(noise.transpose(p) for p in itertools.permutations(range(3)))
+    out = {
+        "rank1": one,
+        "rank2": one + sym_power(z, 3).array,
+        "near-rank1": one + 1e-6 * noise,
+        "asymmetric": rank1([y, z, y]).array,
+        "zero": np.zeros((4, 4, 4)),
+    }
+    for name, bad in (("inf", np.inf), ("-inf", -np.inf), ("nan", np.nan)):
+        out[name] = one.copy()
+        out[name][1, 2, 3] = bad
+    return out
+
+
+def _layouts(arr):
+    """``arr`` as C- and F-ordered arrays, as a strided view, with reversed
+    strides and with permuted strides: the same entries, other memory."""
+    wide = np.zeros(tuple(2 * d for d in arr.shape))
+    wide[::2, ::2, ::2] = arr
+    flipped = arr[::-1, ::-1, ::-1].copy()
+    permuted = np.ascontiguousarray(arr.transpose(1, 2, 0))
+    return {
+        "C": arr.copy(),
+        "F": np.asfortranarray(arr),
+        "strided": wide[::2, ::2, ::2],
+        "reversed": flipped[::-1, ::-1, ::-1],
+        "permuted": permuted.transpose(2, 0, 1),
+    }
+
+
+def _outcome(call, arg):
+    """What ``call(arg)`` returns, as bytes for arrays, or the type and
+    message of what it raises."""
+    try:
+        out = call(arg)
+    except Exception as exc:  # the outcome under test
+        return type(exc), str(exc)
+    if isinstance(out, tuple):
+        return tuple(np.asarray(x).tobytes() for x in out)
+    return out
+
+
+#: what each certifier gives each input kind of _symmetric_inputs
+CERTIFIED = {
+    "rank1": (True, None),
+    "rank2": (False, RankError),
+    "near-rank1": (False, RankError),
+    "asymmetric": (True, SymmetryError),
+    "zero": (False, RankError),
+    "inf": (False, DomainError),
+    "-inf": (False, DomainError),
+    "nan": (False, DomainError),
+}
+
+
+class TestCertifiersReadTheirArgumentOnce:
+    """is_rank1_tensor, is_symmetric and extract_sym_rank1 read the caller's
+    entries in place, with the DenseTensor constructor's refusals, and take
+    finiteness from the one entry scale max|a|; every verdict, exception,
+    message and (lambda, y) bit is the one the frozen copy gives."""
+
+    @pytest.mark.parametrize("kind", sorted(CERTIFIED))
+    def test_each_layout_gets_the_verdict_of_the_frozen_copy(self, kind):
+        rank1_verdict, extract_error = CERTIFIED[kind]
+        for layout, arr in _layouts(_symmetric_inputs()[kind]).items():
+            held = DenseTensor(arr)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert is_rank1_tensor(arr) is rank1_verdict, layout
+                assert is_symmetric(arr) is is_symmetric(held), layout
+                got = _outcome(extract_sym_rank1, arr)
+            assert got == _outcome(extract_sym_rank1, held), layout
+            if extract_error is not None:
+                assert got[0] is extract_error, layout
+
+    def test_finiteness_is_read_from_the_scale(self):
+        inputs = _symmetric_inputs()
+        assert not is_symmetric(inputs["inf"]) and not is_symmetric(inputs["nan"])
+        both = inputs["inf"].copy()
+        both[0, 0, 0] = np.nan  # a NaN beside an inf is still refused, not an inf
+        for arr in (both, np.full((2, 2), np.nan), np.array([np.inf])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not is_rank1_tensor(arr)
+                assert not is_symmetric(arr)
+                with pytest.raises(DomainError, match="^tensor has a non-finite entry$"):
+                    extract_sym_rank1(arr)
+
+    @pytest.mark.parametrize(
+        "value", [np.float64(2.0), 2.0, np.zeros((0, 3)), np.zeros((2, 0, 2)), [[1.0], [1.0, 2.0]]]
+    )
+    def test_refusals_are_the_constructors(self, value):
+        with pytest.raises((ArgumentError, DimensionError)) as want:
+            DenseTensor(value)
+        for certify in (is_rank1_tensor, is_symmetric, extract_sym_rank1):
+            with pytest.raises(want.type) as got:
+                certify(value)
+            assert str(got.value) == str(want.value)
+
+    def test_the_callers_array_is_left_as_it_was(self):
+        arr = _symmetric_inputs()["rank1"]
+        before = arr.copy()
+        assert is_rank1_tensor(arr) and is_symmetric(arr)
+        lam, y = extract_sym_rank1(arr)
+        assert arr.flags.writeable and np.array_equal(arr, before)
+        assert not np.shares_memory(y, arr)
 
 
 class TestDenseBudget:

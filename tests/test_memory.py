@@ -23,10 +23,12 @@ from commutant import (
     check_nonneg_inverse,
     conjugate_kron,
     cp_form,
+    fixes_identity,
     ctensor_flatten,
     gct_dense,
     gct_inverse,
     identity_tensor,
+    is_rank1_tensor,
     kron,
     materialize,
     mode_perm_dense,
@@ -309,3 +311,36 @@ def test_the_group_case_pipeline_holds_its_two_dense_forms_and_one_mask():
     assert peak <= (2 + 0.25) * 8**6 * 8
     # the dense forms keep their supports, so the check allocates no mask
     assert peak <= (2 + 0.05) * 8**6 * 8
+
+
+#: fixes_identity's traced peak, in image sizes n^m * 8 rounded up, when it
+#: built I and applied the operator mode by mode
+FIXES_IDENTITY_PARENT_PEAK = {(3, 8): 4.45, (4, 8): 4.06, (5, 6): 4.04}
+
+
+@pytest.mark.parametrize("m,n", sorted(FIXES_IDENTITY_PARENT_PEAK))
+def test_fixes_identity_holds_at_most_the_parents_peak(m, n):
+    phi = build_gct(_inputs(12, *[(n, n)] * m))
+    verdict, peak = _peak_bytes(lambda: fixes_identity(phi))
+    assert verdict is False
+    assert peak <= FIXES_IDENTITY_PARENT_PEAK[m, n] * n**m * 8
+
+
+def test_fixes_identity_holds_the_image_and_its_one_operand():
+    # past numpy's constant ufunc buffers: the Khatri-Rao operand and the
+    # product, with no identity tensor and no per-mode intermediate
+    phi = build_gct(_inputs(13, (40, 40), (40, 40), (40, 40)))
+    _, peak = _peak_bytes(lambda: fixes_identity(phi))
+    assert peak <= 2.05 * 40**3 * 8
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_is_rank1_tensor_reads_an_array_in_place(layout):
+    # the traced peak on a caller's array is the one on a tensor that
+    # already holds it: the certificate copies nothing first
+    arr = np.asarray(rank1(_inputs(14, (8,), (8,), (8,), (8,))).array, order=layout)
+    _, on_array = _peak_bytes(lambda: is_rank1_tensor(arr))
+    held = DenseTensor(arr)
+    _, on_tensor = _peak_bytes(lambda: is_rank1_tensor(held))
+    assert on_array <= on_tensor + 1024
+    assert on_array < 4 * arr.nbytes

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from commutant import (
 )
 from commutant import linalg
 from commutant import preserver as preserver_mod
+from commutant.commutation_tensor import _operator
 from commutant.preserver import VerificationReport
 from commutant.verify import _random_invertible as invertible
 
@@ -310,6 +312,116 @@ class TestFixesIdentity:
         assert np.array_equal(identity_tensor(2, 4).array, np.eye(4))
         t = identity_tensor(4, 2)
         assert t.array.sum() == 2.0
+
+    def test_at_order_2_every_orthogonal_matrix_fixes(self):
+        # I is I_n at m = 2, and B I_n Bᵀ = I_n for orthogonal B
+        c, s = np.cos(0.3), np.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]])
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert fixes_identity(sym_preserver(rotation, 2))
+        assert fixes_identity(sym_preserver(hadamard, 2))
+        # from m = 3 on only permutation matrices do (CP uniqueness)
+        assert not fixes_identity(sym_preserver(rotation, 3))
+        assert not fixes_identity(sym_preserver(hadamard, 3))
+
+    @pytest.mark.parametrize("m,fixed", [(2, True), (3, False), (4, True), (5, False)])
+    def test_a_signed_permutation_fixes_at_even_order(self, m, fixed):
+        # column -e_j has the m-th outer power e_j^⊗m exactly when m is even
+        signed = np.diag([-1.0, 1.0, 1.0])[[2, 0, 1]]
+        assert fixes_identity(sym_preserver(signed, m)) is fixed
+
+    def test_at_order_1_unit_row_sums_fix(self):
+        # I is the all-ones vector at m = 1, and B 1 = 1 for unit row sums
+        assert fixes_identity(sym_preserver([[2.0, -1.0], [0.0, 1.0]], 1))
+        assert not fixes_identity(sym_preserver([[2.0, 0.0], [0.0, 1.0]], 1))
+        assert not fixes_identity(sym_preserver([[2.0, -1.0], [0.0, 1.0]], 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_non_finite_generator_fails_without_warnings(self, bad, m):
+        b = np.eye(3)
+        b[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not fixes_identity(build_gct([b] * m))
+            assert not fixes_identity(build_gct([np.eye(3)] * (m - 1) + [b]))
+
+    def test_an_operator_over_the_dense_budget_is_refused_before_allocating(self):
+        phi = build_gct([np.eye(17)] * 6)  # 17^6 entries are over 2^24
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DomainError,
+                match=r"^identity tensor: \(17, 17, 17, 17, 17, 17\) is over MAX_DENSE_ENTRIES",
+            ):
+                fixes_identity(phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(DimensionError, match="^identity tensor: order 65 is over"):
+            fixes_identity(build_gct([np.eye(1)] * 65))
+
+
+#: generator kinds of the fixes_identity property
+GENERATOR_KINDS = (
+    "permutation", "signed-permutation", "gaussian", "perturbed", "negative-zero", "inf", "nan",
+)
+
+
+def _generator(rng, kind, n):
+    """An n x n generator of ``kind``: a permutation matrix, signed or with
+    -0.0 for its zeros, one entry moved by ±1e-12 or made inf or NaN; or a
+    Gaussian matrix."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, n))
+    b = np.eye(n)[rng.permutation(n)]
+    if kind == "signed-permutation":
+        b *= rng.choice([-1.0, 1.0], n)
+    elif kind == "negative-zero":
+        b[b == 0.0] = -0.0
+    elif kind != "permutation":
+        step = {"perturbed": rng.choice([-1e-12, 1e-12]), "inf": np.inf, "nan": np.nan}[kind]
+        b.flat[rng.integers(n * n)] += step
+    return b
+
+
+class TestFixesIdentityProperty:
+    """fixes_identity decides from one product on the generators; its
+    verdict and its image are the dense route's, which builds I and applies
+    the operator to it."""
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.tuples(
+                st.permutations(range(1, m + 1)),
+                st.lists(st.sampled_from(GENERATOR_KINDS), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(1, 6),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_dense_route(self, tau_kinds, n, shared, seed):
+        images, kinds = tau_kinds
+        rng = np.random.default_rng(seed)
+        m = len(images)
+        if shared:  # one matrix on every mode, as a symmetric preserver has
+            gens = [_generator(rng, kinds[0], n)] * m
+        else:
+            gens = [_generator(rng, kind, n) for kind in kinds]
+        phi = _operator(gens, Permutation(images))  # no invertibility gate
+        ident = identity_tensor(m, n)
+        with np.errstate(all="ignore"):
+            want = apply_rank_preserver(phi, ident).array
+            want_fixed = bool(np.max(np.abs(want - ident.array)) <= preserver_mod.EXACT_TOL)
+            got = preserver_mod._identity_image(phi)
+        assert fixes_identity(phi) == want_fixed
+        if all(np.isfinite(g).all() for g in gens):
+            # the last mode is first in the one product's (n, n^(m-1)) layout
+            got = np.moveaxis(got.reshape((n,) * m), 0, -1)
+            assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
 
 class TestRank1Certification:
