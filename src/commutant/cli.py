@@ -159,11 +159,11 @@ def _read(path: str) -> str:
         raise serialize.ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_tensor_file(path: str) -> DenseTensor:
+def _read_tensor_file(path: str) -> DenseTensor | np.ndarray:
     text = _read(path)
     if text.lstrip().startswith("{"):
         return serialize.tensor_from_json(text)
-    return DenseTensor(serialize.matrix_from_text(text))
+    return serialize.matrix_from_text(text)
 
 
 def _effective_seed(args) -> int:

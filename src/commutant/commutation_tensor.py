@@ -38,7 +38,7 @@ from .tensor import (
     _shuffle_dense,
     _shuffle_index,
     _square_stack,
-    as_tensor,
+    _tensor_entries,
     balance_unfold,
     mul_2m,
 )
@@ -230,11 +230,11 @@ def apply_rank_preserver(g: Gct, a: TensorLike) -> DenseTensor:
     then act with generators[k] on mode k, in O(m n^(m+1)).  On a rank-1
     input with factors alpha_k the output factors are generators[k] @
     alpha_{tau(k)}."""
-    t = as_tensor(a)
-    if t.order != g.m or any(d != g.n for d in t.shape):
-        raise DimensionError(f"tensor shape {t.shape} does not fit {g.m} modes of size {g.n}")
+    arr = _tensor_entries(a)
+    if arr.ndim != g.m or any(d != g.n for d in arr.shape):
+        raise DimensionError(f"tensor shape {arr.shape} does not fit {g.m} modes of size {g.n}")
     # permute_modes by tau^-1, whose transpose axes are tau's own images
-    shuffled = np.transpose(t.array, g.tau.zero_based())
+    shuffled = np.transpose(arr, g.tau.zero_based())
     return DenseTensor._adopt(_mode_products(shuffled, enumerate(g.generators)))
 
 
@@ -246,9 +246,9 @@ def is_pair_symmetric(a: TensorLike) -> bool:
     halves at once, generate S_m, so invariance under them is invariance
     under every permutation.
     """
-    t = as_tensor(a)
-    _even_order_cubic(t, "is_pair_symmetric")
-    return all(np.array_equal(s, t.array) for s in _adjacent_swaps(t.array, 2))
+    arr = _tensor_entries(a)
+    _even_order_cubic(arr, "is_pair_symmetric")
+    return all(np.array_equal(s, arr) for s in _adjacent_swaps(arr, 2))
 
 
 def _monomial_support(arr: np.ndarray, m: int):
@@ -274,10 +274,10 @@ def is_balanced_permutation(a: TensorLike) -> bool:
     """Whether the balance unfolding is a permutation matrix: every entry
     within ``STRUCTURE_TOL`` of 0 or 1, with exactly one 1 per row and per
     column."""
-    t = as_tensor(a)
-    m, _ = _even_order_cubic(t, "is_balanced_permutation")
-    ones = np.abs(t.array - 1.0) <= STRUCTURE_TOL
-    zeros = np.abs(t.array) <= STRUCTURE_TOL
+    arr = _tensor_entries(a)
+    m, _ = _even_order_cubic(arr, "is_balanced_permutation")
+    ones = np.abs(arr - 1.0) <= STRUCTURE_TOL
+    zeros = np.abs(arr) <= STRUCTURE_TOL
     return bool(np.all(ones | zeros)) and _monomial_support(ones, m) is not None
 
 
@@ -312,7 +312,7 @@ def _monomial_products_near_identity(b: np.ndarray, rows, cols, scale) -> bool:
     )
 
 
-def _dense_products_near_identity(ta: DenseTensor, tb: DenseTensor, size: int) -> bool:
+def _dense_products_near_identity(ta: np.ndarray, tb: np.ndarray, size: int) -> bool:
     ident = np.eye(size)
     return np.allclose(
         balance_unfold(mul_2m(ta, tb)), ident, atol=INVERSE_CHECK_TOL
@@ -353,31 +353,31 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     non-finite or negative entry and PreconditionError if the operands are
     not mutual inverses.
     """
-    ta, tb = as_tensor(a), as_tensor(b)
+    ta, tb = _tensor_entries(a), _tensor_entries(b)
     m, n = _even_order_cubic(ta, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    # a support the tensor keeps from its build, or a scan with comparisons
-    # only, so a NaN, an inf or a negative value warns nowhere before the
-    # domain checks
-    support = ta._support or _monomial_support(ta.array, m)
+    # the support a DenseTensor keeps from its build, or a scan with
+    # comparisons only, so a NaN, an inf or a negative value warns nowhere
+    # before the domain checks
+    kept_a, kept_b = (t._support if isinstance(t, DenseTensor) else None for t in (a, b))
+    support = kept_a or _monomial_support(ta, m)
     exact = False
     if support is not None:
         rows, cols, scale = support
-        ones = tb.array.flat[cols * n**m + rows]
+        ones = tb.flat[cols * n**m + rows]
         # b nonzero on U_a's transposed pattern and nowhere else (a NaN
         # counts as nonzero): every other entry of both is an exact zero
-        kept = tb._support
-        nonzeros = len(kept[0]) if kept is not None else np.count_nonzero(tb.array != 0)
+        nonzeros = len(kept_b[0]) if kept_b is not None else np.count_nonzero(tb != 0)
         exact = bool(np.all(ones != 0)) and nonzeros == n**m
     # one min and one max of the values that can fail accept the finite
     # nonnegative case (NaN propagates, so it fails); only a failure pays
     # for the checks that pick the message
-    values = (scale, ones) if exact else (ta.array, tb.array)
+    values = (scale, ones) if exact else (ta, tb)
     if not all(0.0 <= v.min() and v.max() < math.inf for v in values):
-        if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
+        if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
             raise DomainError("operands must be finite")
-        if np.any(ta.array < 0) or np.any(tb.array < 0):
+        if np.any(ta < 0) or np.any(tb < 0):
             raise DomainError("operands must be entrywise nonnegative")
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
@@ -387,13 +387,13 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
             # the off-pattern maxima of both products are exact zeros
             inverse = _pattern_near_one(ones, scale)
         else:
-            inverse = _monomial_products_near_identity(tb.array, *support)
+            inverse = _monomial_products_near_identity(tb, *support)
     if not inverse:
         raise PreconditionError("operands are not mutual inverses")
     # the witnesses are the entries above STRUCTURE_TOL; unless U_a is
     # monomial with all of them there, find them and test their pattern
     if support is None or support[2].min() <= STRUCTURE_TOL:
-        support = _monomial_support(ta.array > STRUCTURE_TOL, m)
+        support = _monomial_support(ta > STRUCTURE_TOL, m)
     if support is None:
         raise PreconditionError(
             "unfolding is not a generalized permutation matrix; "

@@ -170,14 +170,15 @@ def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:
     n = arr.shape[0]
     if any(d != n for d in arr.shape):
         raise DimensionError(f"symmetric tensors are cubical, got shape {arr.shape}")
-    scale = float(np.abs(arr).max())
-    if not scale < math.inf:  # an inf, or a NaN that the max propagates
+    pivot = int(np.abs(arr).argmax())  # a NaN counts as the max
+    scale = abs(float(arr.flat[pivot]))
+    if not scale < math.inf:  # an inf, or a NaN
         raise DomainError("tensor has a non-finite entry")
     if not _symmetric(arr, scale):
         raise SymmetryError("input is not symmetric")
     if scale == 0.0:
         raise RankError("zero tensor has no rank-1 form")
-    if _rank1_residual(arr) > RANK1_MINOR_TOL * scale:
+    if _rank1_residual(arr, pivot) > RANK1_MINOR_TOL * scale:
         raise RankError("tensor is not rank 1")
     unfolding = arr.reshape(n, -1, order="F")
     col = int(np.argmax(np.linalg.norm(unfolding, axis=0)))

@@ -146,10 +146,11 @@ def is_rank1_tensor(a: TensorLike) -> bool:
     are read in place, and the scale is finite exactly when every entry
     is, a NaN propagating."""
     arr = _tensor_entries(a)
-    scale = float(np.abs(arr).max())
+    pivot = int(np.abs(arr).argmax())  # a NaN counts as the max
+    scale = abs(float(arr.flat[pivot]))
     if not 0.0 < scale < math.inf:
         return False
-    return _rank1_residual(arr) <= CERT_TOL * scale
+    return _rank1_residual(arr, pivot) <= CERT_TOL * scale
 
 
 @dataclass(frozen=True)

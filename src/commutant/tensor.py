@@ -94,13 +94,14 @@ def _outer(factors) -> np.ndarray:
     return out
 
 
-def _rank1_residual(arr: np.ndarray) -> float:
+def _rank1_residual(arr: np.ndarray, pivot: int) -> float:
     """max|arr - â| for the rank-1 candidate â = f_1 ⊗ (f_2/piv) ⊗ ... ⊗
-    (f_m/piv), where piv is the max-abs entry and f_k the mode-k fibre
-    through it.  â equals ``arr`` iff ``arr`` is rank 1, i.e. iff every
-    unfolding has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs
-    O(m * arr.size); ``arr`` must be finite and nonzero."""
-    pivot = np.unravel_index(np.abs(arr).argmax(), arr.shape)
+    (f_m/piv), where piv is the entry at the C-order flat index ``pivot``,
+    the caller's ``np.abs(arr).argmax()``, and f_k the mode-k fibre through
+    it.  â equals ``arr`` iff ``arr`` is rank 1, i.e. iff every unfolding
+    has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs O(m * arr.size);
+    ``arr`` must be finite and nonzero."""
+    pivot = np.unravel_index(pivot, arr.shape)
     fibres = [arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]] for k in range(arr.ndim)]
     cand = _outer([fibres[0]] + [f / arr[pivot] for f in fibres[1:]])
     return float(np.abs(arr - cand).max())
@@ -315,15 +316,8 @@ class DenseTensor:
         return f"DenseTensor(shape={self.shape})"
 
 
-def as_tensor(value: TensorLike) -> DenseTensor:
-    """Coerce a DenseTensor or array-like into a DenseTensor."""
-    if isinstance(value, DenseTensor):
-        return value
-    return DenseTensor(value)
-
-
 def _tensor_entries(value: TensorLike) -> np.ndarray:
-    """The entries ``as_tensor(value)`` would hold, for reading only: read
+    """The entries ``DenseTensor(value)`` would hold, for reading only: read
     by the one intake and refused as the constructor refuses, but not
     copied, so they may be the caller's own memory."""
     arr = _as_array(value, "a tensor")
@@ -337,14 +331,14 @@ def as_matrix(value: TensorLike) -> np.ndarray:
     return _as_array(value, "a matrix", 2)
 
 
-def _even_order_cubic(t: DenseTensor, name: str) -> tuple[int, int]:
-    """Validate order 2m with all extents equal; return (m, n)."""
-    if t.order % 2 != 0:
-        raise DimensionError(f"{name}: order must be even, got {t.order}")
-    n = t.shape[0]
+def _even_order_cubic(t, name: str) -> tuple[int, int]:
+    """Validate ``t.shape``: order 2m with all extents equal; return (m, n)."""
+    order, n = len(t.shape), t.shape[0]
+    if order % 2 != 0:
+        raise DimensionError(f"{name}: order must be even, got {order}")
     if any(d != n for d in t.shape):
         raise DimensionError(f"{name}: all mode extents must agree, got {t.shape}")
-    return t.order // 2, n
+    return order // 2, n
 
 
 def _contract_half(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -363,12 +357,12 @@ def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:
 
     ``(ab)[i_1..i_m, j_1..j_m] = sum_{k_1..k_m} a[i, k] * b[k, j]``.
     """
-    ta, tb = as_tensor(a), as_tensor(b)
+    ta, tb = _tensor_entries(a), _tensor_entries(b)
     m, n = _even_order_cubic(ta, "mul_2m")
     mb, nb = _even_order_cubic(tb, "mul_2m")
     if (m, n) != (mb, nb):
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    return DenseTensor._adopt(_contract_half(ta.array, tb.array, m))
+    return DenseTensor._adopt(_contract_half(ta, tb, m))
 
 
 def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
@@ -376,13 +370,13 @@ def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
 
     ``(a·x)[i_1..i_m] = sum_{k_1..k_m} a[i, k] * x[k]``.
     """
-    ta, tx = as_tensor(a), as_tensor(x)
+    ta, tx = _tensor_entries(a), _tensor_entries(x)
     m, n = _even_order_cubic(ta, "mul_2m_on_m")
-    if tx.order != m or any(d != n for d in tx.shape):
+    if tx.ndim != m or any(d != n for d in tx.shape):
         raise DimensionError(
             f"operand of shape {tx.shape} does not match acting tensor of shape {ta.shape}"
         )
-    return DenseTensor._adopt(_contract_half(ta.array, tx.array, m))
+    return DenseTensor._adopt(_contract_half(ta, tx, m))
 
 
 def balance_unfold(a: TensorLike) -> np.ndarray:
@@ -392,23 +386,23 @@ def balance_unfold(a: TensorLike) -> np.ndarray:
     homomorphism: the unfolding of ``mul_2m(a, b)`` is the matrix product of
     the unfoldings.  Returns a fresh writable array, copied once.
     """
-    t = as_tensor(a)
-    m, n = _even_order_cubic(t, "balance_unfold")
+    arr = _tensor_entries(a)
+    m, n = _even_order_cubic(arr, "balance_unfold")
     # one copy that reverses the modes within each half, then a reshape
     rev = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
-    return np.array(t.array.transpose(rev), order="C").reshape(n**m, n**m)
+    return np.array(arr.transpose(rev), order="C").reshape(n**m, n**m)
 
 
 def permute_modes(a: TensorLike, tau) -> DenseTensor:
     """Shuffle modes: entry ``(i_1, ..., i_m)`` of the result is
     ``a[i_{tau(1)}, ..., i_{tau(m)}]``.
     """
-    t = as_tensor(a)
-    if tau.degree != t.order:
-        raise DimensionError(f"permutation degree {tau.degree} != order {t.order}")
+    arr = _tensor_entries(a)
+    if tau.degree != arr.ndim:
+        raise DimensionError(f"permutation degree {tau.degree} != order {arr.ndim}")
     # np.transpose's axes[k] names the source axis that becomes result axis k,
     # which is the inverse of the index-level rule above.
-    return DenseTensor(np.transpose(t.array, tau.inverse().zero_based()))
+    return DenseTensor(np.transpose(arr, tau.inverse().zero_based()))
 
 
 def identity_tensor(m: int, n: int) -> DenseTensor:

@@ -28,7 +28,6 @@ from .commutation_tensor import (
     gct_identity,
     gct_inverse,
     gct_multiply,
-    mode_perm_dense,
 )
 from .cp import sym_power
 from .errors import ArgumentError, _is_integer
@@ -309,7 +308,7 @@ def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         # from its start, so only one chunk of inputs is held at a time
         start = rng.bit_generator.state
         for k, tau in enumerate(taus):
-            acting = mode_perm_dense(build_mode_perm_tensor(tau, n))
+            acting = gct_dense(build_mode_perm_tensor(tau, n))
             rng.bit_generator.state = start
             for t, inputs in enumerate(_trial_draws(rng, cfg.trials, (len(taus),) + (n,) * m)):
                 a = DenseTensor(inputs[k])

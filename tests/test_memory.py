@@ -1,7 +1,8 @@
 """Who owns the arrays a builder returns, and how much a builder allocates.
 
 A DenseTensor built from a caller's array copies it; a tensor a builder
-fills itself adopts that array, frozen in place.  The budgets below count
+fills itself adopts that array, frozen in place.  A call that only reads a
+tensor operand reads it in place, and writes and shares none of it.  The budgets below count
 bytes with tracemalloc, which numpy reports every allocation to, so they
 hold on any machine and do not depend on timing.
 """
@@ -23,11 +24,15 @@ from commutant import (
     check_nonneg_inverse,
     conjugate_kron,
     cp_form,
+    extract_sym_rank1,
     fixes_identity,
     ctensor_flatten,
     gct_dense,
     gct_inverse,
+    gct_from_permutation,
     identity_tensor,
+    is_balanced_permutation,
+    is_pair_symmetric,
     is_rank1_tensor,
     kron,
     materialize,
@@ -344,3 +349,103 @@ def test_is_rank1_tensor_reads_an_array_in_place(layout):
     _, on_tensor = _peak_bytes(lambda: is_rank1_tensor(held))
     assert on_array <= on_tensor + 1024
     assert on_array < 4 * arr.nbytes
+
+
+#: a call on C-contiguous float64 operands, and how many result sizes it
+#: holds at its peak past a small constant; a copy of any operand is more
+IN_PLACE = {
+    "mul_2m": lambda: (mul_2m, _inputs(20, (8,) * 6, (8,) * 6), 1),
+    "mul_2m_on_m": lambda: (mul_2m_on_m, _inputs(21, (8,) * 6, (8,) * 3), 1),
+    "balance_unfold": lambda: (balance_unfold, _inputs(22, (8,) * 6), 1),
+    "permute_modes": lambda: (
+        functools.partial(permute_modes, tau=Permutation([2, 3, 1, 5, 6, 4])),
+        _inputs(23, (8,) * 6),
+        1,
+    ),
+    # m = 1: one product, whose result is the operand's size
+    "apply_rank_preserver": lambda: (
+        functools.partial(apply_rank_preserver, build_gct(_inputs(24, (1024, 1024)))),
+        _inputs(25, (1024,)),
+        1,
+    ),
+    # m = 2: the first mode product is held while the second is written
+    "apply_rank_preserver_m2": lambda: (
+        functools.partial(
+            apply_rank_preserver,
+            rank_preserver(_inputs(26, (300, 300), (300, 300)), Permutation([2, 1])),
+        ),
+        _inputs(27, (300, 300)),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE))
+def test_tensor_operands_are_read_in_place(name):
+    call, operands, results = IN_PLACE[name]()
+    assert all(x.flags.c_contiguous and x.dtype == np.float64 for x in operands)
+    result, peak = _peak_bytes(lambda: call(*operands))
+    out = result if isinstance(result, np.ndarray) else result.array
+    assert peak <= results * out.nbytes + 2048
+
+
+def _nonneg_pair():
+    g = build_gct(_scaled_permutations(3, 3))
+    return [gct_dense(g).array.copy(), gct_dense(gct_inverse(g)).array.copy()]
+
+
+#: every public call that reads tensor operands in place, with writable
+#: operands of its domain; each returns an array, a tensor, (lambda, y), a
+#: bool or a list
+READERS = {
+    "mul_2m": (mul_2m, lambda: _inputs(30, (3,) * 4, (3,) * 4)),
+    "mul_2m_on_m": (mul_2m_on_m, lambda: _inputs(31, (3,) * 4, (3,) * 2)),
+    "balance_unfold": (balance_unfold, lambda: _inputs(32, (2,) * 6)),
+    "permute_modes": (
+        lambda x: permute_modes(x, Permutation([3, 1, 2])),
+        lambda: _inputs(33, (2, 3, 4)),
+    ),
+    "apply_rank_preserver": (
+        lambda x: apply_rank_preserver(
+            rank_preserver(_inputs(34, (3, 3), (3, 3), (3, 3)), Permutation([2, 3, 1])), x
+        ),
+        lambda: _inputs(35, (3, 3, 3)),
+    ),
+    "is_pair_symmetric": (is_pair_symmetric, lambda: _inputs(36, (3,) * 4)),
+    "is_balanced_permutation": (
+        is_balanced_permutation,
+        lambda: [gct_dense(gct_from_permutation(Permutation([2, 3, 1]), 2)).array.copy()],
+    ),
+    "check_nonneg_inverse": (check_nonneg_inverse, _nonneg_pair),
+    "is_rank1_tensor": (is_rank1_tensor, lambda: [rank1(_inputs(37, (3,), (4,))).array.copy()]),
+    "extract_sym_rank1": (
+        extract_sym_rank1,
+        lambda: [sym_power(_inputs(38, (4,))[0], 3).array.copy()],
+    ),
+}
+
+
+def _layout(x, layout):
+    """``x``'s entries in a fresh writable array of the named layout."""
+    if layout == "strided":  # every other row of a larger array
+        big = np.zeros((2 * x.shape[0],) + x.shape[1:])
+        big[::2] = x
+        return big[::2]
+    return np.array(x, order=layout)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_readers_leave_the_callers_array_as_it_was(name, layout):
+    call, make = READERS[name]
+    operands = [_layout(x, layout) for x in make()]
+    before = [x.tobytes() for x in operands]
+    result = call(*operands)
+    for x, b in zip(operands, before):
+        assert x.flags.writeable and x.tobytes() == b
+    if isinstance(result, tuple):  # extract_sym_rank1's (lambda, y)
+        result = result[1]
+    out = result.array if isinstance(result, DenseTensor) else result
+    assert isinstance(out, (np.ndarray, bool, list))
+    if isinstance(out, np.ndarray):
+        assert not any(np.shares_memory(out, x) for x in operands)
