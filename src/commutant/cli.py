@@ -24,15 +24,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import serialize
 from .errors import ArgumentError, CommutantError, RangeError
-from .tensor import DenseTensor, balance_unfold
 
-# Past serialize and the tensor layer under it, each handler imports the
-# layers its subcommand runs, so a ``gen-kmat`` process never loads the
-# certifiers or the suites.
+# Only the stdlib and the error types load with this module, so a usage
+# error exits before numpy is imported.  Each handler imports the layers its
+# subcommand runs, so a ``gen-kmat`` process never loads the certifiers or
+# the suites.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,14 +149,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    from .serialize import ParseError
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise serialize.ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_tensor_file(path: str) -> DenseTensor | np.ndarray:
+def _read_tensor_file(path: str):
+    """A tensor JSON file as a DenseTensor, a matrix text file as an ndarray."""
+    from . import serialize
+
     text = _read(path)
     if text.lstrip().startswith("{"):
         return serialize.tensor_from_json(text)
@@ -167,18 +169,21 @@ def _read_tensor_file(path: str) -> DenseTensor | np.ndarray:
 
 
 def _effective_seed(args) -> int:
+    from .serialize import ParseError
+
     env = os.environ.get("COMMUTANT_SEED")
     if env is None:
         return args.seed
     try:
         return _seed(env)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise serialize.ParseError(
+        raise ParseError(
             f"COMMUTANT_SEED is not a non-negative integer: {env!r}"
         ) from exc
 
 
 def _cmd_gen_kmat(args) -> int:
+    from . import serialize
     from .commutation_matrix import build_commutation
 
     k = build_commutation(args.p, args.q)
@@ -190,6 +195,7 @@ def _cmd_gen_kmat(args) -> int:
 
 
 def _cmd_gen_ktensor(args) -> int:
+    from . import serialize
     from .commutation_matrix import build_ctensor
 
     kt = build_ctensor(args.m, args.n)
@@ -198,6 +204,7 @@ def _cmd_gen_ktensor(args) -> int:
 
 
 def _cmd_gen_gct(args) -> int:
+    from . import serialize
     from .commutation_tensor import gct_from_permutation
     from .permutation import Permutation
 
@@ -214,7 +221,7 @@ def _cmd_gen_gct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
+    from . import serialize, verify
 
     cfg = verify.RunConfig(
         sizes=args.sizes if args.sizes is not None else verify.DEFAULT_SIZES,
@@ -245,6 +252,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    import numpy as np
+
+    from . import serialize
     from .commutation_tensor import apply_rank_preserver
 
     phi = serialize.preserver_from_json(_read(args.preserver))
@@ -255,9 +265,12 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
+    from . import serialize
+    from .tensor import balance_unfold
+
     unfolded = balance_unfold(_read_tensor_file(args.tensor))
     if args.format == "json":
-        print(serialize.tensor_to_json(DenseTensor(unfolded)))
+        print(serialize.tensor_to_json(unfolded))
     else:
         sys.stdout.write(serialize.matrix_to_text(unfolded))
     return EXIT_OK
@@ -281,9 +294,11 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code in (0, None):
             return EXIT_OK
         return EXIT_USAGE
+    from .serialize import ParseError
+
     try:
         return _COMMANDS[args.command](args)
-    except serialize.ParseError as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CommutantError as exc:

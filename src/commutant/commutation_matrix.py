@@ -2,9 +2,11 @@
 C_{p,q}, and their calculus.
 
 K_{p,q} is the pq x pq permutation matrix with K vec(X) = vec(Xᵀ) for every
-p x q matrix X.  It is the axis swap of a (q, p) C-order grid, stored as the
-shared shuffle index of :mod:`commutant.tensor`: applying it is one gather,
-and the dense matrix is the same shuffle's dense form, built on demand.
+p x q matrix X.  It is the axis swap of a (q, p) C-order grid, the perfect
+shuffle (Van Loan 2000), so it acts as a transpose copy and stores nothing.
+Its row index, the shared shuffle index of :mod:`commutant.tensor`, is its
+serialized form, and its dense matrix is the same shuffle's dense form; both
+are built only when read.
 
 C_{p,q} is the same permutation with its row and column indices split into
 pairs: the order-4 0/1 tensor of shape (q, p, p, q) whose contraction
@@ -38,10 +40,11 @@ def _check_dims(p: int, q: int) -> None:
 
 @dataclass(frozen=True)
 class CommutationMatrix:
-    """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based).  The index
-    is K's only stored form, built on first use; read as an order-4 tensor,
-    K is the commutation tensor C_{p,q}, its ``backing``, also built on
-    first use."""
+    """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based).  K acts by
+    :func:`apply`, a transpose copy that reads no index; ``idx`` is K's
+    serialized form (the ``gen-kmat`` rows, the JSON ``perm``), built and
+    cached only when read.  Read as an order-4 tensor, K is the commutation
+    tensor C_{p,q}, its ``backing``, also built when first read."""
 
     p: int
     q: int
@@ -68,7 +71,8 @@ class CommutationMatrix:
 
 
 def build_commutation(p: int, q: int) -> CommutationMatrix:
-    """Build K_{p,q} structurally: O(1) until its index is first used."""
+    """Build K_{p,q} structurally, in O(1); :func:`apply` keeps it so, and
+    only reading ``idx`` or ``backing`` stores anything."""
     return CommutationMatrix(p, q)
 
 
@@ -110,11 +114,14 @@ def build_commutation_rank1(p: int, q: int) -> np.ndarray:
 
 
 def apply(k: CommutationMatrix, x) -> np.ndarray:
-    """K x without materializing K: entry s of the result is x[idx[s]]."""
+    """K x without materializing K or its index: x read as the (q, p) C-order
+    grid of vec(X), written out transposed as a fresh C-order vector.  Entry
+    s is x[idx[s]], the same bits (-0.0, inf and NaN payloads included);
+    ``flatten`` copies even at p = 1 or q = 1, where the transpose is x."""
     arr = _as_array(x, "a vector", 1)
     if arr.size != k.p * k.q:
         raise DimensionError(f"vector length {arr.size} != {k.p}*{k.q}")
-    return arr[k.idx]
+    return arr.reshape(k.q, k.p).T.flatten()
 
 
 def det_commutation(p: int, q: int) -> int:

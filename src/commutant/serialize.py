@@ -10,7 +10,7 @@ Schemas
 * tensor:        ``{"shape": [...], "values": [...]}`` — values in canonical
   flat order (first mode fastest).
 * commutation:   ``{"p": p, "q": q, "perm": [...]}`` — K_{p,q}'s 1-based row
-  images, written from its gather index as ``idx + 1``.
+  images, written from its row index as ``idx + 1``.
 * gct:           ``{"m": m, "n": n, "generators": [[[...]]]}`` — matrices as
   lists of rows; tau = id only.
 * cp form:       ``{"m": m, "n": n, "rank": r, "factors": [[[...]]]}``.
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from .errors import CommutantError, DimensionError, DomainError
-from .tensor import DenseTensor, _check_dense_budget, as_matrix
+from .tensor import DenseTensor, TensorLike, _check_dense_budget, _tensor_entries, as_matrix
 
 if TYPE_CHECKING:  # annotations only; each loader imports the layer it builds with
     from .commutation_matrix import CommutationMatrix
@@ -131,9 +131,11 @@ def _require(data: Any, keys: list[str], what: str) -> dict:
 # ---------------------------------------------------------------- tensors
 
 
-def tensor_to_json(t: DenseTensor) -> str:
+def tensor_to_json(t: TensorLike) -> str:
+    """A DenseTensor or array, read in place, in the tensor schema."""
+    arr = _tensor_entries(t)
     return canonical_json(
-        {"shape": list(t.shape), "values": [float(v) for v in t.values]}
+        {"shape": list(arr.shape), "values": arr.ravel(order="F").tolist()}
     )
 
 

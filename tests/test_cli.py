@@ -469,6 +469,17 @@ class TestUnfold:
         assert got.shape == (9, 9)
         assert np.array_equal(got.array, t.array.reshape((9, 9), order="F"))
 
+    def test_order4_json_bytes(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        values = "1,-0,3,4,5,6,7,8,9,10,11,12,13,14,15,0.1"
+        path.write_text('{"shape":[2,2,2,2],"values":[%s]}' % values, encoding="utf-8")
+        code, out, _ = run(capsys, "unfold", str(path), "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"shape":[4,4],"values":[1,-0,3,4,5,6,7,8,9,10,11,12,13,14,15,'
+            '0.10000000000000001]}\n'
+        )
+
     def test_unequal_extents_exit_3(self, capsys, tmp_path):
         t = DenseTensor(np.ones((2, 3, 2, 3)))
         path = tmp_path / "t.json"

@@ -96,6 +96,49 @@ def test_apply_examples():
         apply(k, np.ones(5))
 
 
+def _special_entries(size, seed):
+    """``size`` Gaussian entries with -0.0, +inf, -inf and a NaN whose payload
+    is not the default one written over the first of them."""
+    x = np.random.default_rng(seed).standard_normal(size)
+    nan = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+    specials = np.array([-0.0, np.inf, -np.inf, nan])
+    x[: min(size, 4)] = specials[: min(size, 4)]
+    return x
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_apply_is_the_closed_form_gather_bit_for_bit(p):
+    # row s of K_{p,q} has its 1 in column (s mod q)·p + ⌊s/q⌋, so K x is that gather
+    for q in range(1, 13):
+        s = np.arange(p * q)
+        x = np.random.default_rng(p * 100 + q).permutation(_special_entries(p * q, q))
+        got = apply(build_commutation(p, q), x)
+        want = x[(s % q) * p + s // q]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, q)
+
+
+def test_apply_stores_nothing_on_k():
+    k = build_commutation(4, 7)
+    apply(k, np.arange(28.0))
+    assert "idx" not in vars(k) and "backing" not in vars(k)
+
+
+@pytest.mark.parametrize(
+    "p,q,layout",
+    [(1, 1, "contiguous"), (1, 6, "contiguous"), (6, 1, "contiguous"),
+     (3, 4, "strided"), (1, 5, "strided"), (4, 1, "strided")],
+)
+def test_apply_result_is_fresh(p, q, layout):
+    base = _special_entries(2 * p * q, p + q)
+    x = base[::2] if layout == "strided" else base[: p * q]
+    before = x.copy()
+    got = apply(build_commutation(p, q), x)
+    assert not np.shares_memory(got, base)
+    assert got.flags.c_contiguous and got.flags.writeable
+    got[...] = 7.0
+    assert x.tobytes() == before.tobytes()
+
+
 def test_apply_agrees_with_dense():
     rng = np.random.default_rng(99)
     for p, q in [(2, 3), (4, 3), (5, 2)]:

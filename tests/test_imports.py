@@ -1,7 +1,8 @@
 """What a process loads.  ``import commutant`` loads no submodule, and each
 CLI subcommand loads only the layers it runs, so a ``gen-kmat`` process pays
-nothing for the certifiers or the verify suites.  Each case runs in a fresh
-interpreter, since this one has loaded every module by now."""
+nothing for the certifiers or the verify suites, and a usage error nothing
+for numpy.  Each case runs in a fresh interpreter, since this one has loaded
+every module by now."""
 
 import json
 import os
@@ -24,7 +25,8 @@ import contextlib, io, json, sys
 from commutant import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("commutant"))]))
+loaded = (m for m in sys.modules if m.partition(".")[0] in ("commutant", "numpy"))
+print(json.dumps([code, sorted(loaded)]))
 """
 
 
@@ -70,3 +72,12 @@ def test_a_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, unused):
     code, loaded = _fresh(RUN_MAIN, *(str(files.get(a, a)) for a in argv))
     assert code == exit_code
     assert "commutant.cli" in loaded and unused.isdisjoint(loaded), loaded
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen-kmat", "7", "x"], ["verify", "--sizes", "0x2"]], ids=["gen-kmat", "verify"]
+)
+def test_a_usage_error_exits_before_numpy_loads(argv):
+    code, loaded = _fresh(RUN_MAIN, *argv)
+    assert code == 2
+    assert loaded == ["commutant", "commutant.cli", "commutant.errors"]

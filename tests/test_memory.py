@@ -16,8 +16,10 @@ import pytest
 from commutant import (
     DenseTensor,
     Permutation,
+    apply,
     apply_rank_preserver,
     balance_unfold,
+    build_commutation,
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
@@ -179,6 +181,14 @@ def test_tensor_transpose_allocates_only_its_result():
     x = _inputs(6, (60, 40))[0]
     result, peak = _peak_bytes(lambda: tensor_transpose(kt, x))
     assert result.shape == (40, 60) and peak <= 1.25 * result.nbytes
+
+
+def test_k_acts_with_no_index():
+    # K built in the call, as each request builds it: the action is a transpose
+    # copy, where a gather through a fresh int64 index held 720 KB more
+    x = _inputs(7, (300 * 300,))[0]
+    result, peak = _peak_bytes(lambda: apply(build_commutation(300, 300), x))
+    assert result.nbytes == x.nbytes and peak <= result.nbytes + 4096
 
 
 SIZED = {

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,19 @@ class TestTensorJson:
     def test_values_in_canonical_order(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         assert ser.tensor_to_json(t) == '{"shape":[2,2],"values":[1,3,2,4]}'
+
+    @pytest.mark.parametrize("layout", ["c", "f", "strided"])
+    def test_an_array_writes_as_its_dense_tensor(self, layout):
+        x = np.random.default_rng(202).standard_normal((3, 4, 2))
+        x = {"c": x, "f": np.asfortranarray(x), "strided": x[::2, ::-1]}[layout]
+        assert ser.tensor_to_json(x) == ser.tensor_to_json(DenseTensor(x))
+
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones((2, 0)), [["a"]]])
+    def test_an_array_is_refused_as_its_dense_tensor(self, bad):
+        with pytest.raises(CommutantError) as want:
+            DenseTensor(bad)
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            ser.tensor_to_json(bad)
 
     def test_parse_errors(self):
         with pytest.raises(ser.ParseError):
