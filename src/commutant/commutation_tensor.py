@@ -130,22 +130,28 @@ def gct_inverse(g: Gct) -> Gct:
     tau^-1.  Each distinct generator is inverted once and its inverse shared
     by the modes that hold it.  Nonnegative monomial generators (the
     operator's one monomial test) are inverted together, as their
-    transposed reciprocals.  Raises SingularMatrixError if any generator is
-    singular at the pivot threshold, the first in the order of the
-    inverse's modes."""
+    transposed reciprocals, and the inverse is handed its own pattern: row
+    cols[k, i] of its generator holds 1/vals[k, i] at column i, which is
+    what ``linalg._nonneg_monomial`` would find, so neither its dense form
+    nor its inverse scans it again.  Raises SingularMatrixError if any
+    generator is singular at the pivot threshold, the first in the order
+    of the inverse's modes."""
     inv = g.tau.inverse()
     keys = [t - 1 for t in inv.images]
     pattern = g._monomial
     if pattern is not None:
         cols, vals = pattern
-        found = linalg._monomial_inverses((cols[keys], vals[keys]))
+        found, inv_pattern = linalg._monomial_inverses((cols[keys], vals[keys]))
     inverses = {}
     for j, k in enumerate(keys):
         b = g.generators[k]
         if id(b) in inverses:
             continue
         inverses[id(b)] = linalg.inv(b) if pattern is None else found[j]
-    return _operator([inverses[id(g.generators[k])] for k in keys], inv)
+    out = _operator([inverses[id(g.generators[k])] for k in keys], inv)
+    if pattern is not None:
+        vars(out)["_monomial"] = inv_pattern  # the cached property's slot
+    return out
 
 
 def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
@@ -157,7 +163,8 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     where the products went as its support, unless one underflowed to 0 and
     left its row with no nonzero.  Row i's product is formed as the kron
     route forms it, B_1·(B_2·(…·B_m)), and lands in kron column
-    sum_k cols[k, i_k]·n^(m-k), read through tau."""
+    sum_k cols[k, i_k]·n^(m-k), read through tau (at tau = id, that
+    column itself)."""
     m = tau.degree
     size = n**m
     _check_dense_budget((size, size), "dense GCT")
@@ -173,7 +180,9 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     # high-water mark, hence a process's peak RSS, follows this order
     arr = np.zeros((n,) * (2 * m))
     rows = np.arange(size)
-    index = _shuffle_index((n,) * m, tau.zero_based())[kron_col]  # kron column -> column
+    index = kron_col  # kron column -> column: at tau = id the gather is arange
+    if not tau.is_identity():
+        index = _shuffle_index((n,) * m, tau.zero_based())[kron_col]
     arr.reshape(size, size)[rows, index] = prods
     return DenseTensor._adopt(arr, (rows, index, prods) if prods.min() > 0.0 else None)
 

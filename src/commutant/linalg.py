@@ -17,8 +17,10 @@ is read only from the rows at and below it, and those rows take in nothing
 from the rows above or from the right half, so one elimination of the
 (k, n, n) stack that keeps only those rows, with inv's pivot search, row
 swap, row division and update on them, meets inv's pivots bit for bit; a
-nonnegative monomial stack is decided from its pattern, whose nonzeros are
-inv's pivots (see :func:`_monomial_inverses`).
+nonnegative monomial stack is decided from its row maxima alone
+(:func:`_monomial_pivots`): each row's one nonzero is inv's pivot of its
+column (see :func:`_monomial_inverses`), so no column argmax is paid for,
+and only a low one is put in the loop's column order, by the column maxima.
 Per column that is five numpy calls for all k matrices where inv makes six
 for one, and the last column's update is skipped, so one generator costs
 no more than inv and k of them about as much as one.  In a sparse stack far
@@ -62,11 +64,12 @@ def _square(mat) -> np.ndarray:
     return arr
 
 
-def _nonneg_monomial(stack: np.ndarray):
-    """(cols, vals), each (m, n), when each matrix of the (m, n, n) stack has
-    exactly one nonzero per row and per column and every entry is finite
-    with its sign bit clear: row i of matrix k holds vals[k, i] > 0 at
-    column cols[k, i].  None for any other stack."""
+def _monomial_pivots(stack: np.ndarray):
+    """The (m, n) row maxima of the (m, n, n) stack when each of its matrices
+    has exactly one nonzero per row and per column and every entry is
+    finite with its sign bit clear: each row's one nonzero, which is inv's
+    pivot of its column.  None for any other stack.  This is the one
+    monomial test; :func:`_nonneg_monomial` adds the columns."""
     m, n, _ = stack.shape
     # a dense stack fails the first test, one count
     if np.count_nonzero(stack) != m * n or not stack.view(np.uint64).max() < _INF_BITS:
@@ -75,7 +78,15 @@ def _nonneg_monomial(stack: np.ndarray):
     # m·n nonzeros with one in every row and every column: exactly one in each
     if not (vals.all() and stack.max(axis=1).all()):
         return None
-    return stack.argmax(axis=2), vals
+    return vals
+
+
+def _nonneg_monomial(stack: np.ndarray):
+    """(cols, vals), each (m, n), when :func:`_monomial_pivots` finds the
+    (m, n, n) stack nonnegative monomial: row i of matrix k holds
+    vals[k, i] > 0 at column cols[k, i].  None for any other stack."""
+    vals = _monomial_pivots(stack)
+    return None if vals is None else (stack.argmax(axis=2), vals)
 
 
 def _pivots(mat) -> tuple[float, np.ndarray | None]:
@@ -128,10 +139,14 @@ def _refuse_low(pivots: np.ndarray) -> None:
         raise _low_pivot(pivots[first, low[first].argmax()])
 
 
-def _monomial_inverses(pattern) -> np.ndarray:
+def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """inv of each matrix of the nonnegative monomial (k, n, n) stack with
-    ``pattern`` = (cols, vals), its transposed reciprocals, or the loop's
-    error for the first matrix it refuses.
+    ``pattern`` = (cols, vals), its transposed reciprocals, and the
+    inverses' own pattern, or the loop's error for the first matrix it
+    refuses.  Row cols[k, i] of inverse k holds 1/vals[k, i] at column i,
+    so the inverses' pattern is that of :func:`_nonneg_monomial` on them
+    without a scan: each 1/x of a pivot x >= INVERSE_PIVOT_TOL is finite,
+    and positive, as 1/DBL_MAX rounds to a subnormal, not to 0.
 
     These are the loop's bits.  Column c's pivot is its one nonzero x, which
     no earlier step has changed, so the division of the pivot row writes
@@ -150,9 +165,12 @@ def _monomial_inverses(pattern) -> np.ndarray:
         pivots = np.empty_like(vals)  # the loop meets them column by column
         pivots[lanes, cols] = vals
         _refuse_low(pivots)
+    rows, recips = np.arange(n), 1.0 / vals
     out = np.zeros((k, n, n))
-    out[lanes, cols, np.arange(n)] = 1.0 / vals
-    return out
+    out[lanes, cols, rows] = recips
+    inv_cols = np.empty_like(cols)  # the column of each inverse's row
+    inv_cols[lanes, cols] = rows
+    return out, (inv_cols, recips[lanes, inv_cols])
 
 
 def inv(mat) -> np.ndarray:
@@ -186,9 +204,9 @@ def _require_invertible(mats) -> None:
     are inv's."""
     a = np.array(mats)
     k, n, _ = a.shape
-    pattern = _nonneg_monomial(a)
-    if pattern is not None:
-        if pattern[1].min() >= INVERSE_PIVOT_TOL:  # the pivots, in row order
+    row_pivots = _monomial_pivots(a)
+    if row_pivots is not None:
+        if row_pivots.min() >= INVERSE_PIVOT_TOL:  # inv's pivots, in row order
             return
         pivots = a.max(axis=1)  # each column's one nonzero, in the loop's order
     else:

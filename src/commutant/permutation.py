@@ -8,7 +8,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ArgumentError, DomainError, RangeError, _as_list, _is_integer
-from .tensor import MAX_DENSE_ENTRIES
+
+#: highest degree of Permutation.identity: its images are a tuple of Python
+#: ints, ~36 B each with the tuple's slot, so 2**21 of them take ~72 MiB,
+#: within the 128 MiB that tensor.MAX_DENSE_ENTRIES allows an array
+_MAX_DEGREE = 2**21
 
 
 class Permutation:
@@ -40,17 +44,15 @@ class Permutation:
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":
-        """The identity of degree k; a degree over MAX_DENSE_ENTRIES is a
+        """The identity of degree k; a degree over ``_MAX_DEGREE`` is a
         DomainError, refused before any image is built.  Its images are
         built once, as one tuple: a range permutes 1..k by construction."""
         if not _is_integer(k):
             raise ArgumentError(f"permutation degree must be an integer, got {k!r}")
         if k < 1:
             raise ArgumentError("permutation degree must be at least 1")
-        if k > MAX_DENSE_ENTRIES:
-            raise DomainError(
-                f"permutation degree {k} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}"
-            )
+        if k > _MAX_DEGREE:
+            raise DomainError(f"permutation degree {k} is over the bound {_MAX_DEGREE}")
         return cls._of(tuple(range(1, k + 1)))
 
     @classmethod

@@ -134,7 +134,8 @@ def fixes_identity(phi: Gct) -> bool:
     with np.errstate(all="ignore"):  # an inf or NaN image fails the check
         image = _identity_image(phi)
         # entry (i, ..., i) is at flat index i * (1 + n + ... + n^(m-1))
-        image.reshape(-1)[:: sum(phi.n**k for k in range(phi.m))] -= 1.0
+        m, n = phi.m, phi.n
+        image.reshape(-1)[:: (n**m - 1) // (n - 1) if n > 1 else m] -= 1.0
         return bool(np.abs(image, out=image).max() <= EXACT_TOL)
 
 

@@ -70,20 +70,27 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _square_stack(matrices, what: str) -> tuple[np.ndarray, ...]:
-    """Frozen copies of one or more nonempty square matrices of one size.  A
-    matrix passed on several modes is copied once and the copy shared."""
+    """Frozen copies of one or more nonempty square matrices of one size, in
+    one pass: each distinct matrix is read, copied and frozen once, its
+    copy shared by every mode that holds it, and its shape checked once.
+    Every matrix is read before any shape is refused, so an unreadable
+    matrix is an ArgumentError wherever it stands; the DimensionError lists
+    every mode's shape."""
     matrices = _as_list(matrices, what)  # holds every input, so no id is reused
-    copies = {id(m): m for m in matrices}
-    copies = {key: _frozen(as_matrix(m)) for key, m in copies.items()}
-    mats = tuple(copies[id(m)] for m in matrices)
-    if not mats:
+    if not matrices:
         raise ArgumentError(f"at least one of the {what} is required")
+    copies, mats = {}, []
+    for m in matrices:
+        copy = copies.get(id(m))
+        if copy is None:
+            copy = copies[id(m)] = _frozen(as_matrix(m))
+        mats.append(copy)
     n = mats[0].shape[0]
-    if n < 1 or any(m.shape != (n, n) for m in mats):
+    if n < 1 or any(m.shape != (n, n) for m in copies.values()):
         raise DimensionError(
             f"{what} must be nonempty, square and of one size: {[m.shape for m in mats]}"
         )
-    return mats
+    return tuple(mats)
 
 
 def _outer(factors) -> np.ndarray:
@@ -100,11 +107,22 @@ def _rank1_residual(arr: np.ndarray, pivot: int) -> float:
     the caller's ``np.abs(arr).argmax()``, and f_k the mode-k fibre through
     it.  â equals ``arr`` iff ``arr`` is rank 1, i.e. iff every unfolding
     has rank <= 1 (Kolda & Bader, SIAM Review 2009).  Costs O(m * arr.size);
-    ``arr`` must be finite and nonzero."""
-    pivot = np.unravel_index(pivot, arr.shape)
-    fibres = [arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]] for k in range(arr.ndim)]
-    cand = _outer([fibres[0]] + [f / arr[pivot] for f in fibres[1:]])
-    return float(np.abs(arr - cand).max())
+    ``arr`` must be finite and nonzero, and is never written.
+
+    The pivot's coordinates are taken by divmod, and â starts from f_1
+    itself, not from 1.0 ⊗ f_1: 1.0 * x is x, so the bits are those of the
+    outer products from a 0-d 1.0.  The residual is formed in â's own
+    buffer, except at m = 1, where â is a view of ``arr``."""
+    coords = ()
+    for d in reversed(arr.shape):
+        pivot, i = divmod(pivot, d)
+        coords = (i,) + coords
+    piv = arr[coords]
+    cand = arr[(slice(None),) + coords[1:]]
+    for k in range(1, arr.ndim):
+        cand = np.multiply.outer(cand, arr[coords[:k] + (slice(None),) + coords[k + 1 :]] / piv)
+    resid = np.subtract(arr, cand, out=None if arr.ndim == 1 else cand)
+    return float(np.abs(resid, out=resid).max())
 
 
 def _kron_into(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:

@@ -269,11 +269,34 @@ class TestGctInverse:
         inv = gct_inverse(g)
         gct_dense(g)
         assert calls == [(3, 8, 8)]
-        gct_dense(inv)  # the inverse runs its own test, once
+        gct_dense(inv)  # the inverse carries its pattern: no scan of its own
         gct_dense(inv)
-        assert calls == [(3, 8, 8)] * 2
+        gct_inverse(inv)
+        assert calls == [(3, 8, 8)]
         order = [g.generators[t - 1] for t in g.tau.inverse().images]
         assert [x.tobytes() for x in inv.generators] == [linalg.inv(b).tobytes() for b in order]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_inverse_carries_the_pattern_a_scan_would_find(self, data):
+        # m <= 3, n <= 5, every tau, nonzeros from 1e-10 to 1e10, and a
+        # generator shared by several modes
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        tau = Permutation([k + 1 for k in data.draw(st.permutations(range(m)))])
+        powers = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+        gens = []
+        for _ in range(m):
+            g = np.zeros((n, n))
+            rows = data.draw(st.permutations(range(n)))
+            g[rows, np.arange(n)] = np.maximum(10.0 ** np.array(data.draw(powers)), 1e-10)
+            gens.append(g)
+        if m > 1 and data.draw(st.booleans()):
+            gens[-1] = gens[0]
+        inv = gct_inverse(ct_mod._operator(gens, tau))
+        cols, vals = inv._monomial
+        want_cols, want_vals = linalg._nonneg_monomial(np.array(inv.generators))
+        assert cols.dtype == want_cols.dtype and cols.tolist() == want_cols.tolist()
+        assert vals.tobytes() == want_vals.tobytes()
 
     def test_a_dense_generator_is_inverted_by_the_loop(self):
         rng = np.random.default_rng(49)

@@ -317,6 +317,19 @@ class TestScatterRoute:
         # the route builds the in-range stacks and hands the others over
         assert any(routes) and (m < 3 or n < 2 or not all(routes))
 
+    @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 4), (4, 3)])
+    def test_bytes_match_the_kron_routes_own_at_tau_id_and_not(self, routes, m, n):
+        # the kron route itself, taken by a twin operator whose monomial test
+        # is set to None; tau = id scatters with no shuffle gather
+        rng = np.random.default_rng(700 + 10 * m + n)
+        for tau in Permutation.all(m):
+            gens = _scaled_permutations(rng, m, n, 3)
+            twin = ct_mod._operator(gens, tau)
+            vars(twin)["_monomial"] = None
+            got = gct_dense(ct_mod._operator(gens, tau)).array
+            assert got.tobytes() == gct_dense(twin).array.tobytes(), tau.images
+        assert routes == [True] * len(list(Permutation.all(m)))
+
     @given(monomial_operators())
     @settings(max_examples=300, deadline=None)
     def test_every_size_matches_the_loop_and_keeps_its_support(self, g):

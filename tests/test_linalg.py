@@ -231,16 +231,17 @@ def _scaled_permutation(rng, n, spread):
 
 @pytest.fixture
 def shortcuts(monkeypatch):
-    """Count the stacks found nonnegative monomial."""
+    """Count the stacks found nonnegative monomial, by the one test that
+    the gate and the pattern of :func:`linalg._nonneg_monomial` both run."""
     found = []
-    test = linalg._nonneg_monomial
+    test = linalg._monomial_pivots
 
     def counting(stack):
-        pattern = test(stack)
-        found.append(pattern is not None)
-        return pattern
+        pivots = test(stack)
+        found.append(pivots is not None)
+        return pivots
 
-    monkeypatch.setattr(linalg, "_nonneg_monomial", counting)
+    monkeypatch.setattr(linalg, "_monomial_pivots", counting)
     return found
 
 

@@ -346,6 +346,20 @@ class TestFixesIdentity:
             assert not fixes_identity(build_gct([b] * m))
             assert not fixes_identity(build_gct([np.eye(3)] * (m - 1) + [b]))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+    def test_at_n_1_the_verdict_is_the_images(self, m):
+        # the diagonal stride is m at n = 1, where (n^m - 1)/(n - 1) is 0/0
+        values = [1.0, -1.0, 2.0, 0.5, -0.0, 1.0 + 1e-13, 1.0 + 1e-11, np.inf, np.nan]
+        rng = np.random.default_rng(600 + m)
+        stacks = [[v] * m for v in values] + [list(rng.choice(values, m)) for _ in range(20)]
+        ident = identity_tensor(m, 1).array
+        for stack in stacks:
+            phi = build_gct([[[v]] for v in stack])
+            with np.errstate(all="ignore"):  # a non-finite image fails
+                image = apply_rank_preserver(phi, ident).array
+                want = bool(np.abs(image - ident).max() <= preserver_mod.EXACT_TOL)
+            assert fixes_identity(phi) is want, stack
+
     def test_an_operator_over_the_dense_budget_is_refused_before_allocating(self):
         phi = build_gct([np.eye(17)] * 6)  # 17^6 entries are over 2^24
         tracemalloc.start()

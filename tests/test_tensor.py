@@ -472,3 +472,40 @@ def test_stacked_mode_products_are_each_tensors_own_bytes(order, layout):
         for one, tensor in zip(got, arr):
             want = tensor_mod._mode_products(tensor, pairs)
             assert np.ascontiguousarray(one).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _rank1_residual_reference(arr, pivot):
+    """The residual as formed from np.unravel_index and a 0-d 1.0."""
+    pivot = np.unravel_index(pivot, arr.shape)
+    fibres = [arr[pivot[:k] + (slice(None),) + pivot[k + 1 :]] for k in range(arr.ndim)]
+    cand = tensor_mod._outer([fibres[0]] + [f / arr[pivot] for f in fibres[1:]])
+    return float(np.abs(arr - cand).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_rank1_residual_is_the_reference_bit_for_bit_and_reads_only(m):
+    # a pivot at every corner, factors holding -0.0 and subnormals, and the
+    # same tensors with -0.0 and subnormal entries written in off the pivot
+    rng = np.random.default_rng(500 + m)
+    shape = tuple(int(d) for d in rng.integers(2, 4, m))
+    for corner in itertools.product(*[(0, d - 1) for d in shape]):
+        factors = []
+        for d, c in zip(shape, corner):
+            f = rng.uniform(-1.0, 1.0, d)
+            f[(c + 1) % d] = rng.choice([-0.0, 5e-324, -2.5e-310])
+            f[c] = rng.choice([-4.0, 4.0])
+            factors.append(f)
+        rank1 = tensor_mod._outer(factors)
+        edited = rank1 + 1e-3 * rng.standard_normal(shape)
+        others = [i for i in range(edited.size) if i != np.ravel_multi_index(corner, shape)]
+        for i, value in zip(rng.choice(others, 2, replace=False), (-0.0, -3e-320)):
+            edited.flat[i] = value
+        for arr in (rank1, edited):
+            arr.flags.writeable = False  # a write into the operand raises
+            before = arr.tobytes()
+            pivot = int(np.abs(arr).argmax())
+            assert np.unravel_index(pivot, shape) == corner
+            got = tensor_mod._rank1_residual(arr, pivot)
+            want = _rank1_residual_reference(arr, pivot)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert arr.tobytes() == before

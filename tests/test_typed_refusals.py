@@ -339,7 +339,7 @@ HUGE_ORDERS = {
     "gct_from_permutation": lambda: gct_from_permutation(Permutation([2, 1]), 10**30),
 }
 
-#: calls whose permutation degree k is over MAX_DENSE_ENTRIES
+#: calls whose permutation degree k is over the bound 2**21 of Permutation.identity
 HUGE_DEGREES = {
     "identity": Permutation.identity,
     "from_cycles": lambda k: Permutation.from_cycles(k, (1, 2)),
@@ -379,12 +379,13 @@ def test_an_order_over_max_order_is_refused_before_any_work(call):
     _refused_building_nothing(call, DimensionError, f"order {10**30} is over numpy's 64 modes")
 
 
-@pytest.mark.parametrize("k", [2**24 + 1, 10**9, 10**30])
+@pytest.mark.parametrize("k", [2**21 + 1, 2**24 + 1, 10**9, 10**30])
 @pytest.mark.parametrize("call", HUGE_DEGREES.values(), ids=HUGE_DEGREES.keys())
 def test_a_degree_over_the_dense_budget_is_refused_before_any_image(call, k):
-    # no range(1, k + 1) is consumed: the refusal is a DomainError, not an overflow
+    # no range(1, k + 1) is consumed: the refusal is a DomainError, not an
+    # overflow; the bound keeps the image tuple (~36 B an image) near 72 MiB
     _refused_building_nothing(
-        lambda: call(k), DomainError, f"permutation degree {k} is over MAX_DENSE_ENTRIES"
+        lambda: call(k), DomainError, f"^permutation degree {k} is over the bound 2097152$"
     )
 
 
