@@ -1,5 +1,5 @@
 """commutant: commutation matrices and tensors, vec-Kronecker calculus,
-rank-1 CP forms, and linear rank/determinant preservers.
+rank-1 forms, and linear rank/determinant preservers.
 
 Each public name is imported from its submodule on first access (PEP 562)
 and then cached here, so ``import commutant`` loads no submodule and a
@@ -20,8 +20,7 @@ _NAMES_BY_MODULE = {
         "mode_perm_dense",
     ),
     "cp": (
-        "CpForm", "cp_form", "extract_sym_rank1", "is_symmetric", "materialize",
-        "permute_cp_factors", "rank1", "sym_power",
+        "extract_sym_rank1", "is_symmetric", "rank1", "sym_power",
     ),
     "errors": (
         "ArgumentError", "CommutantError", "DimensionError", "DomainError",

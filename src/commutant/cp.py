@@ -1,18 +1,13 @@
-"""Rank-1 and CP (sum-of-rank-1) tensor forms.
+"""Rank-1 tensor forms.
 
-A rank-1 order-m tensor is an outer product of m vectors; a CP form stores
-one factor matrix per mode, column r of mode k being the k-th vector of the
-r-th rank-1 term.  A symmetric rank-1 term is a power y^{⊗m}
-(:func:`sym_power`).
-
-Factor-level operations (permuting factors, applying a matrix per mode)
-commute with materialization; tests pin those diagrams down.
+A rank-1 order-m tensor is an outer product of m vectors (:func:`rank1`);
+a symmetric rank-1 tensor is a power y^{⊗m} (:func:`sym_power`), and
+:func:`extract_sym_rank1` recovers (lambda, y) from lambda * y^{⊗m}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +21,6 @@ from .errors import (
     _as_list,
     _is_integer,
 )
-from .permutation import Permutation
 from .tensor import (
     DenseTensor,
     TensorLike,
@@ -34,11 +28,9 @@ from .tensor import (
     _as_array,
     _check_dense_budget,
     _check_order,
-    _frozen,
     _outer,
     _rank1_residual,
     _tensor_entries,
-    as_matrix,
 )
 
 #: bound on the rank-1 residual, relative to the entry scale, for
@@ -72,64 +64,6 @@ def sym_power(x, m: int) -> DenseTensor:
         raise ArgumentError(f"power must be a positive integer, got {m}")
     _check_order(m, "symmetric power")  # before [x] * m is built
     return rank1([x] * m)
-
-
-@dataclass(frozen=True, eq=False)
-class CpForm:
-    """CP form with one n x R factor matrix per mode (R = rank, columns are
-    factors).  Zero columns are rejected: every stored term is genuinely
-    rank 1."""
-
-    factors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ArgumentError("at least one factor matrix is required")
-        first = self.factors[0]
-        for f in self.factors:
-            if f.ndim != 2:
-                raise DimensionError("factor matrices must be 2-D")
-            if f.shape[1] != first.shape[1]:
-                raise DimensionError("all factor matrices must share a column count")
-            if f.shape[1] < 1:
-                raise ArgumentError("rank must be at least 1")
-            if not np.all(f.any(axis=0)):
-                raise DomainError("factor matrices must have no zero column")
-
-    @property
-    def m(self) -> int:
-        return len(self.factors)
-
-    @property
-    def rank(self) -> int:
-        return self.factors[0].shape[1]
-
-    @property
-    def extents(self) -> tuple[int, ...]:
-        return tuple(f.shape[0] for f in self.factors)
-
-
-def cp_form(factors: Sequence) -> CpForm:
-    return CpForm(tuple(_frozen(as_matrix(f)) for f in _as_list(factors, "factor matrices")))
-
-
-def materialize(cp: CpForm) -> DenseTensor:
-    """Dense sum of the rank-1 terms."""
-    _check_dense_budget(cp.extents, "CP form")
-    out = np.zeros(cp.extents)
-    for r in range(cp.rank):
-        out += _outer([f[:, r] for f in cp.factors])
-    return DenseTensor._adopt(out)
-
-
-def permute_cp_factors(cp: CpForm, sigma: Permutation) -> CpForm:
-    """Move the factor matrix of mode k to mode sigma(k), so that
-    materializing commutes with the mode shuffle
-    :func:`~commutant.tensor.permute_modes` by sigma."""
-    if sigma.degree != cp.m:
-        raise DimensionError(f"permutation degree {sigma.degree} != {cp.m} modes")
-    inv = sigma.inverse()
-    return CpForm(tuple(cp.factors[inv(k) - 1] for k in range(1, cp.m + 1)))
 
 
 def _symmetric(arr: np.ndarray, scale: float) -> bool:

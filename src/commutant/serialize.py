@@ -13,7 +13,6 @@ Schemas
   images, written from its row index as ``idx + 1``.
 * gct:           ``{"m": m, "n": n, "generators": [[[...]]]}`` — matrices as
   lists of rows; tau = id only.
-* cp form:       ``{"m": m, "n": n, "rank": r, "factors": [[[...]]]}``.
 * preserver:     ``{"m": m, "n": n, "tau": [...], "matrices": [[[...]]]}`` —
   any operator, its generators as ``matrices``.
 * matrix text:   one row per line, entries space-separated.
@@ -27,13 +26,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import CommutantError, DimensionError, DomainError
+from .errors import CommutantError, DomainError
 from .tensor import DenseTensor, TensorLike, _check_dense_budget, _tensor_entries, as_matrix
 
 if TYPE_CHECKING:  # annotations only; each loader imports the layer it builds with
     from .commutation_matrix import CommutationMatrix
     from .commutation_tensor import Gct
-    from .cp import CpForm
 
 
 class ParseError(CommutantError):
@@ -254,37 +252,6 @@ def gct_from_json(text: str) -> Gct:
     if (g.m, g.n) != _ints(data, ("m", "n"), "gct"):
         raise ParseError("gct: m/n fields disagree with the generators")
     return g
-
-
-def cp_to_json(cp: CpForm) -> str:
-    if len(set(cp.extents)) != 1:
-        raise DimensionError("only cubical CP forms serialize to this schema")
-    return canonical_json(
-        {
-            "m": cp.m,
-            "n": cp.extents[0],
-            "rank": cp.rank,
-            "factors": [_matrix_lists(f) for f in cp.factors],
-        }
-    )
-
-
-def cp_from_json(text: str) -> CpForm:
-    from .cp import cp_form
-
-    data = _require(_loads(text), ["m", "n", "rank", "factors"], "cp form")
-    factors = data["factors"]
-    if not isinstance(factors, list):
-        raise ParseError("cp form: factors must be a list")
-    mats = [_matrix_from_lists(f, "cp factor") for f in factors]
-    try:
-        cp = cp_form(mats)
-    except CommutantError as exc:
-        raise ParseError(f"cp form: {exc}") from exc
-    m, n, rank = _ints(data, ("m", "n", "rank"), "cp form")
-    if (cp.m, cp.rank) != (m, rank) or any(e != n for e in cp.extents):
-        raise ParseError("cp form: m/n/rank fields disagree with the factors")
-    return cp
 
 
 def preserver_to_json(phi: Gct) -> str:

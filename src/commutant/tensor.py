@@ -27,7 +27,7 @@ from .errors import ArgumentError, DimensionError, DomainError, RangeError, _as_
 
 TensorLike = Union["DenseTensor", np.ndarray, Sequence]
 
-#: most entries any dense builder materializes (2**24 float64s = 128 MiB)
+#: most entries any dense builder allocates (2**24 float64s = 128 MiB)
 MAX_DENSE_ENTRIES = 2**24
 #: most modes a numpy array can have
 MAX_ORDER = 64

@@ -41,7 +41,7 @@ from .preserver import (
     sym_preserver,
     verify_rank_preservation,
 )
-from .tensor import DenseTensor, _check_dense_budget, mul_2m, mul_2m_on_m, permute_modes
+from .tensor import _check_dense_budget, mul_2m, mul_2m_on_m, permute_modes
 from .veckron import kron, kron_vec, vec
 
 DEFAULT_SIZES: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -50,8 +50,6 @@ MAX_POWER = 64
 #: largest (kmax + 1) * n^6 the powers suite admits: its kmax products are
 #: n^2 x n^2 matrix products of n^6 multiply-adds each
 MAX_POWER_WORK = 2**36
-#: c in the determinant check's backward-error bound c * n * eps * cond_2(P x Q)
-DET_ROUNDING_FACTOR = 1.0
 #: most entries one draw of a size's trials holds (512 KiB of float64s)
 DRAW_CHUNK = 2**16
 
@@ -311,9 +309,8 @@ def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             acting = gct_dense(build_mode_perm_tensor(tau, n))
             rng.bit_generator.state = start
             for t, inputs in enumerate(_trial_draws(rng, cfg.trials, (len(taus),) + (n,) * m)):
-                a = DenseTensor(inputs[k])
-                shuffled = fault.corrupt(permute_modes(a, tau).array)
-                contracted = mul_2m_on_m(acting, a).array
+                shuffled = fault.corrupt(permute_modes(inputs[k], tau).array)
+                contracted = mul_2m_on_m(acting, inputs[k]).array
                 err = float(np.max(np.abs(shuffled - contracted)))
                 res.record(
                     err <= cfg.tol,
@@ -333,9 +330,9 @@ def _det_tolerance(fx: np.ndarray) -> float:
     """Relative bound on |det(P x Q) - det x| for the image ``fx`` = P x Q:
     the rounding of forming and factoring an n x n matrix perturbs its
     determinant by about n * eps * cond_2 relative to it, so the bound is
-    that, scaled by DET_ROUNDING_FACTOR, and never below 1e-9."""
+    that, with a rounding factor of 1, and never below 1e-9."""
     n = fx.shape[0]
-    return max(1e-9, DET_ROUNDING_FACTOR * n * np.finfo(float).eps * np.linalg.cond(fx))
+    return max(1e-9, n * np.finfo(float).eps * np.linalg.cond(fx))
 
 
 def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:

@@ -12,13 +12,10 @@ from commutant import (
     Permutation,
     RankError,
     SymmetryError,
-    cp_form,
     extract_sym_rank1,
     identity_tensor,
     is_rank1_tensor,
     is_symmetric,
-    materialize,
-    permute_cp_factors,
     permute_modes,
     rank1,
     sym_power,
@@ -67,64 +64,6 @@ class TestSymPower:
     def test_power_one(self):
         x = np.array([1.0, 2.0])
         assert np.array_equal(sym_power(x, 1).array, x)
-
-
-class TestCpForm:
-    def test_materialize_single_term(self):
-        vecs = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        cp = cp_form([v.reshape(-1, 1) for v in vecs])
-        assert np.array_equal(materialize(cp).array, rank1(vecs).array)
-
-    def test_identity_matrix_factors_materialize_to_identity(self):
-        # factors = identity: sum over r of e_r ⊗ e_r ⊗ ... ⊗ e_r
-        for m, n in [(2, 3), (3, 2)]:
-            cp = cp_form([np.eye(n)] * m)
-            assert np.array_equal(materialize(cp).array, identity_tensor(m, n).array)
-
-    def test_materialize_matches_termwise_sum(self):
-        rng = np.random.default_rng(70)
-        factors = [rng.standard_normal((2, 3)) for _ in range(3)]
-        cp = cp_form(factors)
-        want = np.zeros((2, 2, 2))
-        for r in range(3):
-            want += rank1([f[:, r] for f in factors]).array
-        assert np.allclose(materialize(cp).array, want, atol=1e-12)
-
-    def test_zero_column_rejected(self):
-        bad = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(DomainError):
-            cp_form([bad, np.eye(2)])
-
-    def test_column_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            cp_form([np.ones((2, 2)), np.ones((2, 3))])
-
-
-class TestPermuteCpFactors:
-    def test_identity(self):
-        rng = np.random.default_rng(72)
-        cp = cp_form([rng.standard_normal((2, 2)) for _ in range(3)])
-        out = permute_cp_factors(cp, Permutation.identity(3))
-        assert all(np.array_equal(a, b) for a, b in zip(out.factors, cp.factors))
-
-    def test_swap_transposes(self):
-        rng = np.random.default_rng(73)
-        cp = cp_form([rng.standard_normal((3, 2)), rng.standard_normal((3, 2))])
-        out = permute_cp_factors(cp, Permutation([2, 1]))
-        assert np.allclose(
-            materialize(out).array, materialize(cp).array.T, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_commutes_with_materialization(self, m):
-        # the governing diagram: materialize then shuffle modes ==
-        # shuffle factors then materialize
-        rng = np.random.default_rng(74 + m)
-        cp = cp_form([rng.standard_normal((2, 2)) for _ in range(m)])
-        for sigma in Permutation.all(m):
-            lhs = materialize(permute_cp_factors(cp, sigma)).array
-            rhs = permute_modes(materialize(cp), sigma).array
-            assert np.allclose(lhs, rhs, atol=1e-12), f"sigma={sigma}"
 
 
 class TestIsSymmetric:
@@ -364,10 +303,7 @@ class TestDenseBudget:
         monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
         assert rank1([np.ones(4), np.ones(4)]).array.size == 16
         assert sym_power(np.ones(2), 4).array.size == 16
-        assert materialize(cp_form([np.ones((2, 1)), np.ones((8, 1))])).array.size == 16
         with pytest.raises(DomainError):
             rank1([np.ones(17)])
         with pytest.raises(DomainError):
             sym_power(np.ones(2), 5)
-        with pytest.raises(DomainError):
-            materialize(cp_form([np.ones((2, 1)), np.ones((9, 1))]))

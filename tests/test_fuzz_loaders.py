@@ -1,4 +1,4 @@
-"""Fuzz the five JSON loaders and the CLI's external inputs.
+"""Fuzz the four JSON loaders and the CLI's external inputs.
 
 Each document either loads to an object whose writer output reloads to the
 same bytes, or is refused with a CommutantError.  `apply` and `unfold` on
@@ -28,14 +28,12 @@ LOADERS = {
     "tensor": (ser.tensor_from_json, ser.tensor_to_json),
     "commutation": (ser.commutation_from_json, ser.commutation_to_json),
     "gct": (ser.gct_from_json, ser.gct_to_json),
-    "cp": (ser.cp_from_json, ser.cp_to_json),
     "preserver": (ser.preserver_from_json, ser.preserver_to_json),
 }
 KEYS = {
     "tensor": ["shape", "values"],
     "commutation": ["p", "q", "perm"],
     "gct": ["m", "n", "generators"],
-    "cp": ["m", "n", "rank", "factors"],
     "preserver": ["m", "n", "tau", "matrices"],
 }
 
@@ -83,10 +81,6 @@ def _valid(kind: str, seed: int) -> dict:
         return {"p": m, "q": n, "perm": ((s % n) * m + s // n + 1).tolist()}
     if kind == "gct":
         return {"m": m, "n": n, "generators": [_matrix(rng, n, n) for _ in range(m)]}
-    if kind == "cp":
-        rank = int(rng.integers(1, 3))
-        factors = [_matrix(rng, n, rank, 3.0) for _ in range(m)]
-        return {"m": m, "n": n, "rank": rank, "factors": factors}
     return {
         "m": m,
         "n": n,

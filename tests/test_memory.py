@@ -25,7 +25,6 @@ from commutant import (
     build_mode_perm_tensor,
     check_nonneg_inverse,
     conjugate_kron,
-    cp_form,
     extract_sym_rank1,
     fixes_identity,
     ctensor_flatten,
@@ -37,7 +36,6 @@ from commutant import (
     is_pair_symmetric,
     is_rank1_tensor,
     kron,
-    materialize,
     mode_perm_dense,
     mul_2m,
     mul_2m_on_m,
@@ -76,7 +74,6 @@ BUILDERS = {
     "rank1": ([(2,), (3,), (4,)], lambda *v: rank1(v)),
     "rank1_one_vector": ([(5,)], lambda v: rank1([v])),
     "sym_power": ([(3,)], lambda v: sym_power(v, 3)),
-    "materialize": ([(2, 2), (3, 2)], lambda f, g: materialize(cp_form([f, g]))),
     "gct_dense": ([(3, 3), (3, 3)], lambda a, b: gct_dense(build_gct([a, b]))),
     "gct_dense_m1": ([(4, 4)], lambda a: gct_dense(build_gct([a]))),
     "apply_rank_preserver": (

@@ -2,6 +2,7 @@
 (or shrinks) the API without a visible change here."""
 
 import argparse
+import importlib
 import re
 import types
 from pathlib import Path
@@ -10,6 +11,7 @@ import commutant
 from commutant import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 PUBLIC = {
     # errors
@@ -25,9 +27,8 @@ PUBLIC = {
     "check_nonneg_inverse", "gct_dense", "gct_from_permutation", "gct_identity",
     "gct_inverse", "gct_multiply", "is_balanced_permutation", "is_pair_symmetric",
     "mode_perm_dense",
-    # CP forms
-    "CpForm", "cp_form", "extract_sym_rank1", "is_symmetric", "materialize",
-    "permute_cp_factors", "rank1", "sym_power",
+    # rank-1 forms
+    "extract_sym_rank1", "is_symmetric", "rank1", "sym_power",
     # preservers
     "VerificationReport", "compose_rank_preservers", "fixes_identity",
     "is_determinant_preserver", "is_rank1_tensor", "matrix_preserver", "rank_preserver",
@@ -70,6 +71,18 @@ def test_every_name_the_benchmark_calls_resolves():
     }
     assert called, "no C.<name> call found under bench/"
     assert sorted(name for name in called if not hasattr(commutant, name)) == []
+
+
+def test_console_script_resolves_to_cli_main():
+    # the installed ``commutant`` command runs what [project.scripts] names;
+    # a moved or renamed main fails here, not at a user's shell
+    pyproject = PYPROJECT.read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, flags=re.S | re.M)
+    assert scripts, "no [project.scripts] table in pyproject.toml"
+    target = re.search(r'^commutant\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), flags=re.M)
+    assert target, "no commutant entry under [project.scripts]"
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_readme_library_entry_points_run():

@@ -3,18 +3,17 @@ element of a list or tuple argument) replaced by a bad value, either
 returns a valid result or raises a CommutantError: never an untyped numpy or
 Python error, and never a warning (pytest turns warnings into errors).
 
-An argument that is one of the package's own objects (a Gct, Permutation,
-CommutationMatrix or CpForm) is held fixed: a float in its place is a
-programming error that Python reports as an AttributeError.  So callables
-whose arguments are all such objects (``gct_dense``, ``gct_inverse``,
-``gct_multiply``, ``materialize``, ``compose_rank_preservers`` and the like)
-are not swept."""
+An argument that is one of the package's own objects (a Gct, Permutation
+or CommutationMatrix) is held fixed: a float in its place is a programming
+error that Python reports as an AttributeError.  So callables whose
+arguments are all such objects (``gct_dense``, ``gct_inverse``,
+``gct_multiply``, ``compose_rank_preservers`` and the like) are not swept."""
 
 import numpy as np
 import pytest
 
 import commutant as C
-from commutant import CommutantError, CommutationMatrix, CpForm, DenseTensor, Gct, Permutation
+from commutant import CommutantError, CommutationMatrix, DenseTensor, Gct, Permutation
 
 BAD = {
     "2.5": 2.5,
@@ -66,7 +65,6 @@ GOOD = {
     "is_balanced_permutation": (C.is_balanced_permutation, (IDENTITY_2M,)),
     "is_pair_symmetric": (C.is_pair_symmetric, (np.ones((2, 2, 2, 2)),)),
     "check_nonneg_inverse": (C.check_nonneg_inverse, (IDENTITY_2M, IDENTITY_2M)),
-    "cp_form": (C.cp_form, ([np.ones((2, 1)), np.ones((2, 1))],)),
     "extract_sym_rank1": (C.extract_sym_rank1, (np.ones((2, 2)),)),
     "is_symmetric": (C.is_symmetric, (np.ones((2, 2)),)),
     "rank1": (C.rank1, ([[1.0, 2.0], [3.0, 4.0]],)),
@@ -83,7 +81,7 @@ GOOD = {
     "vec_sandwich": (C.vec_sandwich, (np.eye(2), np.ones((2, 3)), np.eye(3))),
 }
 
-OWN_TYPES = (Gct, Permutation, CommutationMatrix, CpForm)
+OWN_TYPES = (Gct, Permutation, CommutationMatrix)
 
 
 def _cases():

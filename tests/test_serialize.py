@@ -11,7 +11,6 @@ from commutant import (
     build_commutation,
     build_gct,
     build_mode_perm_tensor,
-    cp_form,
     rank_preserver,
 )
 from commutant import serialize as ser
@@ -189,15 +188,9 @@ class TestStructuredObjects:
 
     @pytest.mark.parametrize("bad", ["x", None, [2], float("inf")])
     def test_non_integer_header_fields(self, bad):
-        rng = np.random.default_rng(205)
         phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
         cases = [
             (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)])), ("m", "n")),
-            (
-                ser.cp_from_json,
-                ser.cp_to_json(cp_form([rng.standard_normal((2, 2))] * 2)),
-                ("m", "n", "rank"),
-            ),
             (ser.preserver_from_json, ser.preserver_to_json(phi), ("m", "n")),
         ]
         for parse, text, keys in cases:
@@ -209,12 +202,10 @@ class TestStructuredObjects:
 
     def test_non_integral_header_fields(self):
         # a header field is a JSON integer: 2.5, "2" and an integral 2.0 are refused
-        rng = np.random.default_rng(206)
         phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
         cases = [
             (ser.commutation_from_json, ser.commutation_to_json(build_commutation(3, 2))),
             (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)] * 2))),
-            (ser.cp_from_json, ser.cp_to_json(cp_form([rng.standard_normal((2, 2))] * 2))),
             (ser.preserver_from_json, ser.preserver_to_json(phi)),
         ]
         for parse, text in cases:
@@ -235,8 +226,6 @@ class TestStructuredObjects:
             (ser.commutation_from_json, '{"p":2,"q":true,"perm":[1,2]}'),
             (ser.gct_from_json, '{"m":true,"n":2,"generators":[[[1,0],[0,1]]]}'),
             (ser.gct_from_json, '{"m":1,"n":true,"generators":[[[3]]]}'),
-            (ser.cp_from_json, '{"m":true,"n":2,"rank":1,"factors":[[[1],[2]]]}'),
-            (ser.cp_from_json, '{"m":1,"n":2,"rank":true,"factors":[[[1],[2]]]}'),
             (ser.preserver_from_json, '{"m":true,"n":2,"tau":[1],"matrices":[[[1,0],[0,1]]]}'),
             (ser.preserver_from_json, '{"m":1,"n":true,"tau":[1],"matrices":[[[3]]]}'),
         ],
@@ -253,7 +242,6 @@ class TestStructuredObjects:
         phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
         texts = [
             (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)]))),
-            (ser.cp_from_json, ser.cp_to_json(cp_form([np.eye(2)] * 2))),
             (ser.preserver_from_json, ser.preserver_to_json(phi)),
         ]
         for parse, text in texts:
@@ -276,7 +264,6 @@ class TestStructuredObjects:
         phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([2, 1]))
         texts = [
             (ser.gct_from_json, ser.gct_to_json(build_gct([np.eye(2)]))),
-            (ser.cp_from_json, ser.cp_to_json(cp_form([np.eye(2)] * 2))),
             (ser.preserver_from_json, ser.preserver_to_json(phi)),
         ]
         for parse, text in texts:
@@ -295,14 +282,6 @@ class TestStructuredObjects:
     def test_matrix_shape_errors(self, bad):
         with pytest.raises(ser.ParseError):
             ser.gct_from_json('{"m":1,"n":2,"generators":[%s]}' % bad)
-
-    def test_cp_roundtrip(self):
-        rng = np.random.default_rng(203)
-        cp = cp_form([rng.standard_normal((3, 2)) for _ in range(2)])
-        back = ser.cp_from_json(ser.cp_to_json(cp))
-        assert back.m == cp.m and back.rank == cp.rank
-        for a, b in zip(back.factors, cp.factors):
-            assert np.array_equal(a, b)
 
     def test_preserver_roundtrip(self):
         rng = np.random.default_rng(204)

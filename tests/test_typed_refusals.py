@@ -18,7 +18,6 @@ from commutant import (
     build_ctensor,
     build_gct,
     build_mode_perm_tensor,
-    cp_form,
     det_commutation,
     gct_from_permutation,
     gct_identity,
@@ -51,11 +50,6 @@ REFUSALS = {
         lambda: DenseTensor(np.eye(2)).entry(1),
         DimensionError,
         "1 coordinates for order 2",
-    ),
-    "cp_to_json-non-cubical": (
-        lambda: ser.cp_to_json(cp_form([np.ones((2, 1)), np.ones((3, 1))])),
-        DimensionError,
-        "cubical",
     ),
     "kron_vec-matrix": (lambda: kron_vec(np.eye(2), np.ones(2)), DimensionError, "two vectors"),
     "unvec-zero-rows": (lambda: unvec(np.ones(4), 0, 2), ArgumentError, "p=0"),
@@ -273,7 +267,6 @@ REFUSALS = {
         "must be a sequence, got 2.0",
     ),
     "rank1-scalar": (lambda: rank1(2.0), ArgumentError, "must be a sequence, got 2.0"),
-    "cp_form-scalar": (lambda: cp_form(2.0), ArgumentError, "must be a sequence, got 2.0"),
     "from_cycles-scalar-cycle": (
         lambda: Permutation.from_cycles(3, 2),
         ArgumentError,

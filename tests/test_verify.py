@@ -132,7 +132,7 @@ DRAWN = {
         "conjugate_kron",
         lambda a, b: ((a.shape, b.shape), np.concatenate((a.ravel(), b.ravel()))),
     ),
-    "mode-perm-lemma": ("permute_modes", lambda a, tau: ((a.shape, tau.images), a.array.ravel())),
+    "mode-perm-lemma": ("permute_modes", lambda a, tau: ((a.shape, tau.images), a.ravel())),
 }
 
 
