@@ -66,6 +66,25 @@ class TestSymPower:
         assert np.array_equal(sym_power(x, 1).array, x)
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [tau for m in range(1, 5) for tau in Permutation.all(m)],
+    ids=lambda tau: "-".join(map(str, tau.images)),
+)
+def test_a_mode_shuffle_of_a_rank1_tensor_shuffles_its_factors(tau):
+    # permute_modes(a, tau) holds a[i_tau(1), ..., i_tau(m)] at (i_1, ..., i_m),
+    # so the outer product of v_1, ..., v_m goes to the outer product whose
+    # j-th factor is v_{tau^-1(j)}.  Factors of distinct lengths make a wrong
+    # direction change the shape; small integers make every product exact.
+    m = len(tau.images)
+    vecs = [np.arange(1.0, k + 3.0) * (-1) ** k for k in range(m)]
+    inv = tau.inverse()
+    got = permute_modes(rank1(vecs), tau).array
+    want = rank1([vecs[inv(j) - 1] for j in range(1, m + 1)]).array
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 class TestIsSymmetric:
     def test_accepts_and_rejects(self):
         assert is_symmetric(identity_tensor(3, 2))

@@ -1,7 +1,8 @@
-"""Every public callable, given a known-good call with one argument (or one
-element of a list or tuple argument) replaced by a bad value, either
-returns a valid result or raises a CommutantError: never an untyped numpy or
-Python error, and never a warning (pytest turns warnings into errors).
+"""Every public callable, and each array writer of the serialize module,
+given a known-good call with one argument (or one element of a list or
+tuple argument) replaced by a bad value, either returns a valid result or
+raises a CommutantError: never an untyped numpy or Python error, and never
+a warning (pytest turns warnings into errors).
 
 An argument that is one of the package's own objects (a Gct, Permutation
 or CommutationMatrix) is held fixed: a float in its place is a programming
@@ -14,6 +15,7 @@ import pytest
 
 import commutant as C
 from commutant import CommutantError, CommutationMatrix, DenseTensor, Gct, Permutation
+from commutant import serialize
 
 BAD = {
     "2.5": 2.5,
@@ -79,6 +81,8 @@ GOOD = {
     "unvec": (C.unvec, (np.arange(6.0), 2, 3)),
     "vec": (C.vec, (np.ones((2, 3)),)),
     "vec_sandwich": (C.vec_sandwich, (np.eye(2), np.ones((2, 3)), np.eye(3))),
+    "serialize.tensor_to_json": (serialize.tensor_to_json, (np.ones((2, 3)),)),
+    "serialize.matrix_to_text": (serialize.matrix_to_text, (np.eye(2),)),
 }
 
 OWN_TYPES = (Gct, Permutation, CommutationMatrix)
