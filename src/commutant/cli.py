@@ -15,6 +15,12 @@ Exit codes: 0 success, 2 usage or parse error, 3 dimension/domain error,
 
 Output is deterministic: a fixed command line (plus seed) yields identical
 bytes.  The environment variable ``COMMUTANT_SEED`` overrides ``--seed``.
+
+Input is parsed with the standard library and built with numpy: a handler
+reads its files through ``serialize``'s parse stages, checks ``--perm`` and
+``COMMUTANT_SEED``, and only then imports the layers that build and run.  So
+a malformed argument, file or seed exits 2 before numpy loads, and ``apply``
+refuses a file that does not parse before it builds either file.
 """
 
 from __future__ import annotations
@@ -158,14 +164,15 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_tensor_file(path: str):
-    """A tensor JSON file as a DenseTensor, a matrix text file as an ndarray."""
+def _parse_tensor_file(path: str):
+    """Parse a tensor JSON or matrix text file; return its build stage, which
+    makes a DenseTensor or an ndarray."""
     from . import serialize
 
     text = _read(path)
     if text.lstrip().startswith("{"):
-        return serialize.tensor_from_json(text)
-    return serialize.matrix_from_text(text)
+        return serialize._parse_tensor(text)
+    return serialize._parse_matrix_text(text)
 
 
 def _effective_seed(args) -> int:
@@ -205,7 +212,6 @@ def _cmd_gen_ktensor(args) -> int:
 
 def _cmd_gen_gct(args) -> int:
     from . import serialize
-    from .commutation_tensor import gct_from_permutation
     from .permutation import Permutation
 
     images = args.perm if args.perm is not None else tuple(range(1, args.n + 1))
@@ -215,17 +221,21 @@ def _cmd_gen_gct(args) -> int:
             raise ArgumentError(f"degree {pi.degree} != {args.n}")
     except (ArgumentError, RangeError) as exc:
         raise serialize.ParseError(f"--perm must permute 1..{args.n}: {exc}") from exc
+    from .commutation_tensor import gct_from_permutation
+
     g = gct_from_permutation(pi, args.m)
     print(serialize.gct_to_json(g))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    seed = _effective_seed(args)
+
     from . import serialize, verify
 
     cfg = verify.RunConfig(
         sizes=args.sizes if args.sizes is not None else verify.DEFAULT_SIZES,
-        seed=_effective_seed(args),
+        seed=seed,
         trials=args.trials,
         tol=args.tol,
     )
@@ -252,23 +262,28 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from . import serialize
+
+    build_phi = serialize._parse_preserver(_read(args.preserver))
+    build_tensor = _parse_tensor_file(args.tensor)
+
     import numpy as np
 
-    from . import serialize
     from .commutation_tensor import apply_rank_preserver
 
-    phi = serialize.preserver_from_json(_read(args.preserver))
-    tensor = _read_tensor_file(args.tensor)
+    phi, tensor = build_phi(), build_tensor()
     with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf and nan
         print(serialize.tensor_to_json(apply_rank_preserver(phi, tensor)))
     return EXIT_OK
 
 
 def _cmd_unfold(args) -> int:
+    build_tensor = _parse_tensor_file(args.tensor)
+
     from . import serialize
     from .tensor import balance_unfold
 
-    unfolded = balance_unfold(_read_tensor_file(args.tensor))
+    unfolded = balance_unfold(build_tensor())
     if args.format == "json":
         print(serialize.tensor_to_json(unfolded))
     else:

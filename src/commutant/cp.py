@@ -114,14 +114,19 @@ def extract_sym_rank1(a: TensorLike) -> tuple[float, np.ndarray]:
         raise RankError("zero tensor has no rank-1 form")
     if _rank1_residual(arr, pivot) > RANK1_MINOR_TOL * scale:
         raise RankError("tensor is not rank 1")
+    # both norms are formed as np.linalg.norm forms them, for its bits: the
+    # column norms by one reduction, the vector norm as the dot product of
+    # a contiguous copy, since np.dot on the strided column rounds otherwise
     unfolding = arr.reshape(n, -1, order="F")
-    col = int(np.argmax(np.linalg.norm(unfolding, axis=0)))
+    col = int(np.argmax(np.sqrt(np.add.reduce(unfolding * unfolding, axis=0))))
     y = unfolding[:, col]
-    y = y / np.linalg.norm(y)
+    flat = y.ravel(order="K")
+    y = y / np.sqrt(flat.dot(flat))
     lead = int(np.argmax(np.abs(y) > STRUCTURE_LEAD_TOL))
     if y[lead] < 0:
         y = -y
-    lam = float(np.dot(arr.ravel(order="F"), sym_power(y, arr.ndim).values))
+    # y is a unit vector, so its power needs none of sym_power's checks
+    lam = float(np.dot(arr.ravel(order="F"), _outer([y] * arr.ndim).ravel(order="F")))
     if arr.ndim % 2 == 1 and lam < 0:
         lam, y = -lam, -y
     return lam, y

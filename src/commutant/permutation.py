@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ArgumentError, DomainError, RangeError, _as_list, _is_integer
+
+if TYPE_CHECKING:  # numpy loads only when matrix() is called
+    import numpy as np
 
 #: highest degree of Permutation.identity: its images are a tuple of Python
 #: ints, ~36 B each with the tuple's slot, so 2**21 of them take ~72 MiB,
@@ -29,8 +31,10 @@ class Permutation:
         if len(imgs) == 0:
             raise ArgumentError("permutation degree must be at least 1")
         # imgs != raw: some image is not integral (1.7), so int() changed it;
-        # True == 1 passes that test, so a boolean image is told by its type
-        booleans = not {bool, np.bool_}.isdisjoint(map(type, raw))
+        # True == 1 passes that test, so a boolean image is told by its type;
+        # a numpy bool exists only once numpy has loaded
+        bools = {bool, getattr(sys.modules.get("numpy"), "bool_", bool)}
+        booleans = not bools.isdisjoint(map(type, raw))
         if imgs != raw or booleans or sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ArgumentError(f"not a permutation of 1..{len(imgs)}: {raw}")
         self.images = imgs
@@ -115,6 +119,8 @@ class Permutation:
 
         Under this column convention P(σ)·P(τ) = P(σ∘τ).
         """
+        import numpy as np
+
         k = self.degree
         mat = np.zeros((k, k))
         mat[self.zero_based(), np.arange(k)] = 1.0

@@ -16,22 +16,33 @@ Schemas
 * preserver:     ``{"m": m, "n": n, "tau": [...], "matrices": [[[...]]]}`` —
   any operator, its generators as ``matrices``.
 * matrix text:   one row per line, entries space-separated.
+
+Each reader runs in two stages.  The parse stage uses only the standard
+library: it reads the JSON or text and makes, in the reader's order, every
+check it can state itself (JSON syntax, keys, header integers, JSON numbers,
+non-finite entries of a matrix, tau as a permutation).  It returns the build
+stage, which imports numpy, converts and builds, and refuses what only the
+conversion can word (ragged rows, an int beyond float range, a tensor's
+shape and value count).  So a document the parse stage refuses is refused
+before numpy loads; neither numpy nor ``tensor`` loads with this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING, Any
-
-import numpy as np
+import sys
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from .errors import CommutantError, DomainError
-from .tensor import DenseTensor, TensorLike, _check_dense_budget, _tensor_entries, as_matrix
 
-if TYPE_CHECKING:  # annotations only; each loader imports the layer it builds with
+if TYPE_CHECKING:  # annotations only; each stage imports the layer it runs
+    import numpy as np
+
     from .commutation_matrix import CommutationMatrix
     from .commutation_tensor import Gct
+    from .tensor import DenseTensor, TensorLike
 
 
 class ParseError(CommutantError):
@@ -70,18 +81,25 @@ def _emit(obj: Any, parts: list[str]) -> None:
         parts.append("]")
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise DomainError(f"cannot write the non-finite float {obj} as JSON")
-        parts.append(format_float(float(obj)))
+        parts.append(format_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif obj is None:
         parts.append("null")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        # a numpy scalar exists only once numpy has loaded
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(obj, np.integer):
+            _emit(int(obj), parts)
+        elif np is not None and isinstance(obj, np.floating):
+            _emit(float(obj), parts)
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _loads(text: str) -> Any:
@@ -111,10 +129,10 @@ def _is_json_number(v: Any) -> bool:
     return _is_json_int(v) or isinstance(v, float)
 
 
-def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+def _refuse_non_finite(rows: list[list[float]], what: str) -> None:
+    """Refuse rows of floats holding a NaN or an infinity."""
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise ParseError(f"{what}: values must be finite")
-    return arr
 
 
 def _require(data: Any, keys: list[str], what: str) -> dict:
@@ -131,6 +149,8 @@ def _require(data: Any, keys: list[str], what: str) -> dict:
 
 def tensor_to_json(t: TensorLike) -> str:
     """A DenseTensor or array, read in place, in the tensor schema."""
+    from .tensor import _tensor_entries
+
     arr = _tensor_entries(t)
     return canonical_json(
         {"shape": list(arr.shape), "values": arr.ravel(order="F").tolist()}
@@ -138,6 +158,10 @@ def tensor_to_json(t: TensorLike) -> str:
 
 
 def tensor_from_json(text: str) -> DenseTensor:
+    return _parse_tensor(text)()
+
+
+def _parse_tensor(text: str) -> Callable[[], DenseTensor]:
     data = _require(_loads(text), ["shape", "values"], "tensor")
     shape = data["shape"]
     values = data["values"]
@@ -145,11 +169,20 @@ def tensor_from_json(text: str) -> DenseTensor:
         raise ParseError("tensor: shape must be a list of integers")
     if not isinstance(values, list) or not all(map(_is_json_number, values)):
         raise ParseError("tensor: values must be a list of numbers")
+    return partial(_build_tensor, shape, values)
+
+
+def _build_tensor(shape: list[int], values: list) -> DenseTensor:
+    import numpy as np
+
+    from .tensor import DenseTensor
+
     try:
         t = DenseTensor.from_flat(shape, values)
     except CommutantError as exc:  # a value beyond float range; a bad shape
         raise ParseError(f"tensor: {exc}") from exc
-    _finite(t.array, "tensor")
+    if not np.isfinite(t.array).all():
+        raise ParseError("tensor: values must be finite")
     return t
 
 
@@ -157,6 +190,8 @@ def tensor_from_json(text: str) -> DenseTensor:
 
 
 def matrix_to_text(mat) -> str:
+    from .tensor import as_matrix
+
     m = as_matrix(mat)
     return "\n".join(" ".join(format_float(v) for v in row) for row in m) + "\n"
 
@@ -165,12 +200,18 @@ def _commutation_to_text(k: CommutationMatrix) -> str:
     """``matrix_to_text(k.dense())`` written from K's index: row s is a 1 at
     column ``idx[s]`` among zeros, and format_float writes 0.0 as "0" and
     1.0 as "1".  Refused as ``k.dense()`` refuses an over-budget K."""
+    from .tensor import _check_dense_budget
+
     size = k.p * k.q
     _check_dense_budget((size, size), f"K_{{{k.p},{k.q}}}")
     return "".join("0 " * s + "1" + " 0" * (size - 1 - s) + "\n" for s in k.idx.tolist())
 
 
 def matrix_from_text(text: str) -> np.ndarray:
+    return _parse_matrix_text(text)()
+
+
+def _parse_matrix_text(text: str) -> Callable[[], np.ndarray]:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -184,25 +225,46 @@ def matrix_from_text(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix text: ragged rows")
-    return _finite(as_matrix(rows), "matrix text")
+    # nonempty rows of one width convert, so this is the check after them
+    _refuse_non_finite(rows, "matrix text")
+    return partial(_matrix, rows, "matrix text")
 
 
 def _matrix_lists(mat: np.ndarray) -> list[list[float]]:
     return [[float(v) for v in row] for row in mat]
 
 
-def _matrix_from_lists(data: Any, what: str) -> np.ndarray:
-    """A matrix from a JSON list of rows whose entries are JSON numbers;
-    strings and booleans are refused, not converted."""
+def _parse_matrix_lists(data: Any, what: str) -> bool:
+    """The parse stage of a matrix given as a JSON list of rows.  Refuses
+    anything but rows of JSON numbers (strings and booleans are refused,
+    not converted).  Returns whether numpy's conversion will read the rows
+    as a matrix, and if it will, refuses a non-finite entry, the check that
+    follows the conversion.  It will not read an empty list (order 1),
+    ragged rows or an int beyond float range; :func:`_matrix` refuses those
+    in the build stage, in numpy's words."""
     if not isinstance(data, list) or not all(
         isinstance(row, list) and all(map(_is_json_number, row)) for row in data
     ):
         raise ParseError(f"{what}: expected a list of rows of numbers")
+    if not data or any(len(row) != len(data[0]) for row in data):
+        return False
     try:
-        arr = as_matrix(data)
+        rows = [[float(v) for v in row] for row in data]
+    except OverflowError:
+        return False
+    _refuse_non_finite(rows, what)
+    return True
+
+
+def _matrix(data: list, what: str) -> np.ndarray:
+    """The build stage of a matrix: ``data`` through the one array intake,
+    whose refusals are a ParseError."""
+    from .tensor import as_matrix
+
+    try:
+        return as_matrix(data)
     except CommutantError as exc:  # ragged rows, an int beyond float range, not 2-D
         raise ParseError(f"{what}: {exc}") from exc
-    return _finite(arr, what)
 
 
 # ------------------------------------------------- structured objects
@@ -213,18 +275,31 @@ def commutation_to_json(k: CommutationMatrix) -> str:
 
 
 def commutation_from_json(text: str) -> CommutationMatrix:
-    from .commutation_matrix import build_commutation
+    return _parse_commutation(text)()
 
+
+def _parse_commutation(text: str) -> Callable[[], CommutationMatrix]:
     data = _require(_loads(text), ["p", "q", "perm"], "commutation matrix")
     p, q = _ints(data, ("p", "q"), "commutation matrix")
     perm = data["perm"]
     # the length test comes first, so a huge p*q never builds its index
     if min(p, q) >= 1 and isinstance(perm, list) and len(perm) == p * q:
-        k = build_commutation(p, q)
-        # true == 1 in Python, so the images must be JSON integers first
-        if all(map(_is_json_int, perm)) and perm == (k.idx + 1).tolist():
-            return k
-    raise ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
+        return partial(_build_commutation, p, q, perm)
+    raise _no_commutation(p, q)
+
+
+def _build_commutation(p: int, q: int, perm: list) -> CommutationMatrix:
+    from .commutation_matrix import build_commutation
+
+    k = build_commutation(p, q)
+    # true == 1 in Python, so the images must be JSON integers first
+    if all(map(_is_json_int, perm)) and perm == (k.idx + 1).tolist():
+        return k
+    raise _no_commutation(p, q)
+
+
+def _no_commutation(p: int, q: int) -> ParseError:
+    return ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
 
 
 def gct_to_json(g: Gct) -> str:
@@ -238,13 +313,24 @@ def gct_to_json(g: Gct) -> str:
 
 
 def gct_from_json(text: str) -> Gct:
-    from .commutation_tensor import build_gct
+    return _parse_gct(text)()
 
+
+def _parse_gct(text: str) -> Callable[[], Gct]:
     data = _require(_loads(text), ["m", "n", "generators"], "gct")
     gens = data["generators"]
     if not isinstance(gens, list):
         raise ParseError("gct: generators must be a list")
-    mats = [_matrix_from_lists(g, "gct generator") for g in gens]
+    for gen in gens:
+        if not _parse_matrix_lists(gen, "gct generator"):
+            return partial(_matrix, gen, "gct generator")  # its conversion refuses it
+    return partial(_build_gct, data)
+
+
+def _build_gct(data: dict) -> Gct:
+    from .commutation_tensor import build_gct
+
+    mats = [_matrix(g, "gct generator") for g in data["generators"]]
     try:
         g = build_gct(mats)
     except CommutantError as exc:
@@ -266,14 +352,19 @@ def preserver_to_json(phi: Gct) -> str:
 
 
 def preserver_from_json(text: str) -> Gct:
+    return _parse_preserver(text)()
+
+
+def _parse_preserver(text: str) -> Callable[[], Gct]:
     from .permutation import Permutation
-    from .preserver import rank_preserver
 
     data = _require(_loads(text), ["m", "n", "tau", "matrices"], "preserver")
-    mats_data = data["matrices"]
-    if not isinstance(mats_data, list):
+    mats = data["matrices"]
+    if not isinstance(mats, list):
         raise ParseError("preserver: matrices must be a list")
-    mats = [_matrix_from_lists(m, "preserver matrix") for m in mats_data]
+    for mat in mats:
+        if not _parse_matrix_lists(mat, "preserver matrix"):
+            return partial(_matrix, mat, "preserver matrix")  # its conversion refuses it
     images = data["tau"]
     if not isinstance(images, list) or not all(map(_is_json_int, images)):
         raise ParseError("preserver: tau must be a list of integers")
@@ -282,7 +373,12 @@ def preserver_from_json(text: str) -> Gct:
     except CommutantError as exc:
         raise ParseError(f"preserver: bad tau: {exc}") from exc
     m, n = _ints(data, ("m", "n"), "preserver")
-    if len(mats) != m or (mats and mats[0].shape[0] != n):
+    if len(mats) != m or (mats and len(mats[0]) != n):
         raise ParseError("preserver: m/n fields disagree with the matrices")
-    return rank_preserver(mats, tau)
+    return partial(_build_preserver, mats, tau)
 
+
+def _build_preserver(mats: list, tau) -> Gct:
+    from .preserver import rank_preserver
+
+    return rank_preserver([_matrix(m, "preserver matrix") for m in mats], tau)

@@ -867,3 +867,89 @@ class TestPowersBound:
 
         code, out, _ = run(capsys, "verify", "--suite", "powers", "--sizes", f"{MAX_POWER}x2")
         assert code == 0 and out == f"powers: PASS ({MAX_POWER} checks)\n"
+
+
+#: a tensor file cut off inside a key, as a partial write leaves it
+TRUNCATED = json.dumps({"shape": [3, 3], "values": [1.0] * 9})[:20]
+TRUNCATED_ERR = "error: invalid JSON: Unterminated string starting at: line 1 column 19 (char 18)\n"
+
+
+class TestParseRefusalBytes:
+    """The refusals the readers' parse stage makes before numpy loads keep
+    the exit code and stderr bytes they had when numpy loaded first."""
+
+    @pytest.mark.parametrize(
+        "phi,tensor,want",
+        [
+            pytest.param(
+                PHI22.replace("[2,1],[1,1]", "[NaN,1],[1,1]"),
+                A22_JSON,
+                "error: preserver matrix: values must be finite\n",
+                id="nan-preserver",
+            ),
+            pytest.param(
+                PHI22, "1 2\ninf 4\n", "error: matrix text: values must be finite\n", id="inf-text"
+            ),
+            pytest.param(
+                PHI22.replace('"m":2', '"m":"x"'),
+                A22_JSON,
+                "error: preserver: fields ['m', 'n'] must be integers\n",
+                id="non-integer-m",
+            ),
+            pytest.param(PHI22, TRUNCATED, TRUNCATED_ERR, id="truncated-tensor"),
+        ],
+    )
+    def test_apply(self, capsys, tmp_path, phi, tensor, want):
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t"
+        pfile.write_text(phi, encoding="utf-8")
+        tfile.write_text(tensor, encoding="utf-8")
+        assert run(capsys, "apply", str(pfile), str(tfile)) == (2, "", want)
+
+    def test_apply_missing_file(self, capsys, tmp_path):
+        tfile, missing = tmp_path / "t.json", tmp_path / "nope.json"
+        tfile.write_text(A22_JSON, encoding="utf-8")
+        want = f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+        assert run(capsys, "apply", str(missing), str(tfile)) == (2, "", want)
+
+    def test_gen_gct_bad_perm(self, capsys):
+        want = "error: --perm must permute 1..3: not a permutation of 1..3: (1, 1, 2)\n"
+        assert run(capsys, "gen-gct", "2", "3", "--perm", "1,1,2") == (2, "", want)
+
+    def test_unfold_truncated_tensor(self, capsys, tmp_path):
+        tfile = tmp_path / "t.json"
+        tfile.write_text(TRUNCATED, encoding="utf-8")
+        assert run(capsys, "unfold", str(tfile)) == (2, "", TRUNCATED_ERR)
+
+    def test_verify_bad_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("COMMUTANT_SEED", "x")
+        want = "error: COMMUTANT_SEED is not a non-negative integer: 'x'\n"
+        assert run(capsys, "verify") == (2, "", want)
+
+
+class TestApplyParsesBothFilesFirst:
+    """``apply`` parses both files before it builds either, so a tensor file
+    that does not parse is refused ahead of whatever building the preserver
+    refuses.  Numpy loaded first, the preserver was built before the tensor
+    file was read, and its refusal won: exit 3 for a singular matrix."""
+
+    SINGULAR = '{"m":1,"n":2,"tau":[1],"matrices":[[[0,0],[0,0]]]}'
+    # ragged rows are refused by numpy's conversion, so in the build stage
+    RAGGED = '{"m":1,"n":2,"tau":[1],"matrices":[[[1,0],[0]]]}'
+
+    @staticmethod
+    def _apply(capsys, tmp_path, phi, tensor):
+        pfile, tfile = tmp_path / "phi.json", tmp_path / "t.json"
+        pfile.write_text(phi, encoding="utf-8")
+        tfile.write_text(tensor, encoding="utf-8")
+        return run(capsys, "apply", str(pfile), str(tfile))
+
+    def test_a_singular_preserver_gives_way_to_the_tensor_parse_error(self, capsys, tmp_path):
+        alone = self._apply(capsys, tmp_path, self.SINGULAR, '{"shape":[2],"values":[1,2]}')
+        assert alone == (3, "", "error: pivot 0.000e+00 below threshold 1e-10\n")
+        assert self._apply(capsys, tmp_path, self.SINGULAR, TRUNCATED) == (2, "", TRUNCATED_ERR)
+
+    def test_a_conversion_refusal_gives_way_to_the_tensor_parse_error(self, capsys, tmp_path):
+        code, out, err = self._apply(capsys, tmp_path, self.RAGGED, '{"shape":[2],"values":[1,2]}')
+        assert (code, out) == (2, "")
+        assert err.startswith("error: preserver matrix: not a regular array of numbers")
+        assert self._apply(capsys, tmp_path, self.RAGGED, TRUNCATED) == (2, "", TRUNCATED_ERR)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from commutant import (
     rank1,
     sym_power,
 )
+from commutant import cp as cp_mod
 from commutant import tensor as tensor_mod
 
 
@@ -197,6 +199,64 @@ class TestExtractSymRank1:
         lam, y = extract_sym_rank1(np.array([0.0, -3.0, 4.0]))
         assert lam == pytest.approx(5.0)
         assert np.allclose(lam * y, [0.0, -3.0, 4.0], atol=1e-12)
+
+
+def _former_extract_sym_rank1(a):
+    """extract_sym_rank1 as it was when it took both norms by np.linalg.norm
+    and formed lambda through sym_power: the reference for its bits."""
+    arr = tensor_mod._tensor_entries(a)
+    n = arr.shape[0]
+    if any(d != n for d in arr.shape):
+        raise DimensionError(f"symmetric tensors are cubical, got shape {arr.shape}")
+    pivot = int(np.abs(arr).argmax())
+    scale = abs(float(arr.flat[pivot]))
+    if not scale < math.inf:
+        raise DomainError("tensor has a non-finite entry")
+    if not cp_mod._symmetric(arr, scale):
+        raise SymmetryError("input is not symmetric")
+    if scale == 0.0:
+        raise RankError("zero tensor has no rank-1 form")
+    if tensor_mod._rank1_residual(arr, pivot) > cp_mod.RANK1_MINOR_TOL * scale:
+        raise RankError("tensor is not rank 1")
+    unfolding = arr.reshape(n, -1, order="F")
+    col = int(np.argmax(np.linalg.norm(unfolding, axis=0)))
+    y = unfolding[:, col]
+    y = y / np.linalg.norm(y)
+    lead = int(np.argmax(np.abs(y) > cp_mod.STRUCTURE_LEAD_TOL))
+    if y[lead] < 0:
+        y = -y
+    lam = float(np.dot(arr.ravel(order="F"), sym_power(y, arr.ndim).values))
+    if arr.ndim % 2 == 1 and lam < 0:
+        lam, y = -lam, -y
+    return lam, y
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_extract_sym_rank1_keeps_the_former_bits(m, n):
+    """lambda, y and every refusal, byte for byte as the former formula gave
+    them: powers of eight Gaussian vectors (np.dot on the strided column of
+    an order-2 input rounds otherwise for about one in five at n >= 4), an
+    integer and a partly zero vector, at scales ±1 and ±1e3, the integer
+    powers also as int64 arrays, and a rank-2 sum, an asymmetric product and
+    a NaN among them."""
+    rng = np.random.default_rng(100 * m + n)
+    sparse = rng.standard_normal(n)
+    sparse[rng.random(n) < 0.5] = 0.0
+    ints = rng.integers(-3, 4, n)
+    inputs = []
+    for v in (*rng.standard_normal((8, n)), sparse, ints):
+        for scale in (1.0, -1.0, 1e3, -1e3):
+            inputs.append(scale * tensor_mod._outer([v] * m))
+    inputs += [(s * tensor_mod._outer([ints] * m)).astype(np.int64) for s in (1, -1000)]
+    v, w = rng.standard_normal(n), rng.standard_normal(n)
+    inputs.append(tensor_mod._outer([v] * m) + tensor_mod._outer([w] * m))
+    inputs.append(tensor_mod._outer([w] + [v] * (m - 1)))
+    inputs.append(tensor_mod._outer([v] * m))
+    inputs[-1].flat[-1] = np.nan
+    outcomes = [_outcome(extract_sym_rank1, a) for a in inputs]
+    assert outcomes == [_outcome(_former_extract_sym_rank1, a) for a in inputs]
+    assert any(isinstance(out[0], bytes) for out in outcomes)
 
 
 def _symmetric_inputs():

@@ -1,7 +1,7 @@
 """What a process loads.  ``import commutant`` loads no submodule, and each
 CLI subcommand loads only the layers it runs, so a ``gen-kmat`` process pays
-nothing for the certifiers or the verify suites, and a usage error nothing
-for numpy.  Each case runs in a fresh interpreter, since this one has loaded
+nothing for the certifiers or the verify suites, and a usage error or an
+input that does not parse nothing for numpy.  Each case runs in a fresh interpreter, since this one has loaded
 every module by now."""
 
 import json
@@ -30,14 +30,15 @@ print(json.dumps([code, sorted(loaded)]))
 """
 
 
-def _fresh(code: str, *argv: str):
-    """Run ``code`` in a new interpreter and parse the JSON line it prints."""
+def _fresh(code: str, *argv: str, env=None):
+    """Run ``code`` in a new interpreter, with ``env`` added to its
+    environment, and parse the JSON line it prints."""
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         check=True,
-        env=ENV,
+        env={**ENV, **(env or {})},
         timeout=60,
     )
     return json.loads(done.stdout)
@@ -49,6 +50,15 @@ def test_import_commutant_loads_no_submodule():
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('commutant'))))"
     )
     assert loaded == ["commutant"]
+
+
+def test_import_serialize_loads_no_numpy():
+    loaded = _fresh(
+        "import json, sys, commutant.serialize\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] in "
+        "('commutant', 'numpy'))))"
+    )
+    assert loaded == ["commutant", "commutant.errors", "commutant.serialize"]
 
 
 @pytest.mark.parametrize(
@@ -72,6 +82,7 @@ def test_a_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, unused):
     code, loaded = _fresh(RUN_MAIN, *(str(files.get(a, a)) for a in argv))
     assert code == exit_code
     assert "commutant.cli" in loaded and unused.isdisjoint(loaded), loaded
+    assert ("numpy" in loaded) == (exit_code == 0), loaded
 
 
 @pytest.mark.parametrize(
@@ -81,3 +92,37 @@ def test_a_usage_error_exits_before_numpy_loads(argv):
     code, loaded = _fresh(RUN_MAIN, *argv)
     assert code == 2
     assert loaded == ["commutant", "commutant.cli", "commutant.errors"]
+
+
+PHI = '{"m":2,"n":2,"tau":[2,1],"matrices":[[[1,0],[0,1]],[[2,1],[1,1]]]}'
+PARSE_ERROR_FILES = {
+    "PHI": PHI,
+    "NAN_PHI": PHI.replace("[2,1],[1,1]", "[NaN,1],[1,1]"),
+    "STRING_M_PHI": PHI.replace('"m":2', '"m":"x"'),
+    "TENSOR": '{"shape":[2,2],"values":[1,2,3,4]}',
+    "INF_TEXT": "1 2\ninf 4\n",
+    "TRUNCATED": '{"shape": [3, 3], "v',
+}
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["apply", "NAN_PHI", "TENSOR"], None),
+        (["apply", "PHI", "INF_TEXT"], None),
+        (["apply", "STRING_M_PHI", "TENSOR"], None),
+        (["apply", "PHI", "TRUNCATED"], None),
+        (["gen-gct", "2", "3", "--perm", "1,1,2"], None),
+        (["apply", "MISSING", "TENSOR"], None),
+        (["verify"], {"COMMUTANT_SEED": "x"}),
+    ],
+    ids=["nan-preserver", "inf-text", "string-m", "truncated", "bad-perm", "missing", "bad-seed"],
+)
+def test_a_parse_error_exits_before_numpy_loads(tmp_path, argv, env):
+    files = {"MISSING": tmp_path / "missing.json"}
+    for name, text in PARSE_ERROR_FILES.items():
+        files[name] = tmp_path / name
+        files[name].write_text(text, encoding="utf-8")
+    code, loaded = _fresh(RUN_MAIN, *(str(files.get(a, a)) for a in argv), env=env)
+    assert code == 2
+    assert "numpy" not in loaded and "commutant.tensor" not in loaded, loaded
