@@ -214,6 +214,11 @@ def _cmd_gen_gct(args) -> int:
     from . import serialize
     from .permutation import Permutation
 
+    if args.perm is None:  # gct_from_permutation's refusals, before the n images exist
+        from .tensor import _check_dense_budget, _check_order
+
+        _check_order(args.m, "group-case tensor")
+        _check_dense_budget((args.n, args.n), "permutation matrix")
     images = args.perm if args.perm is not None else tuple(range(1, args.n + 1))
     try:
         pi = Permutation(images)

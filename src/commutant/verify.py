@@ -6,6 +6,10 @@ alone and independent of suite execution order.  A size's trials read their
 inputs from its stream trial by trial, in chunks of at most DRAW_CHUNK
 entries, so the inputs of ``trials=T`` are the first T of any larger trial
 count.
+
+Every check that compares a computed array calls ``SuiteResult._compare``,
+and an injected fault lands on the run's first such comparison, so a run with
+``inject_fault`` always reports exactly one failed check.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
+    #: whether the run's one injected fault is still to land
+    _armed: bool = field(default=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -100,21 +106,26 @@ class SuiteResult:
         if not ok:
             self.failures.append(message())
 
-
-class FaultInjector:
-    """Corrupts exactly one computed value when armed — used to prove the
-    harness can see a failure."""
-
-    def __init__(self, armed: bool = False):
-        self.armed = armed
-
-    def corrupt(self, arr: np.ndarray) -> np.ndarray:
-        if not self.armed:
-            return arr
-        self.armed = False
-        out = arr.copy()
-        out.flat[0] += 1.0
-        return out
+    def _compare(
+        self, got: np.ndarray, want: np.ndarray, tol: float | None, message: Callable[..., str]
+    ) -> None:
+        """Count one check that ``got`` is ``want``: exactly when ``tol`` is None,
+        else within ``tol`` in every entry.  ``message(err)``, err the largest
+        entry error (None when exact), is formatted only on failure.  An armed
+        run's fault lands here: a copy of ``got`` gets 1.0 (2 * tol when tol >= 1)
+        added to its first entry, and the run is disarmed."""
+        if self._armed:
+            self._armed = False
+            got = got.copy()
+            got.flat[0] += 1.0 if tol is None or tol < 1.0 else 2.0 * tol
+        if tol is None:
+            ok, err = np.array_equal(got, want), None
+        else:
+            err = float(np.max(np.abs(got - want)))
+            ok = err <= tol
+        self.checks += 1
+        if not ok:
+            self.failures.append(message(err))
 
 
 def _rng(cfg: RunConfig, suite: str, size_index: int) -> np.random.Generator:
@@ -155,8 +166,7 @@ def _rebuilds_dense(k, column) -> bool:
     return np.array_equal(recon, dense)
 
 
-def _suite_vec_identity(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("vec-identity")
+def _suite_vec_identity(cfg: RunConfig, res: SuiteResult) -> None:
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
         # uniqueness: the matrix reconstructed column-by-column from the vec
@@ -166,16 +176,13 @@ def _suite_vec_identity(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             lambda: f"size {p}x{q}: reconstructed matrix differs from the built one",
         )
         for t, x in enumerate(_trial_draws(_rng(cfg, res.name, si), cfg.trials, (p, q))):
-            got = fault.corrupt(kapply(k, vec(x)))
-            res.record(
-                np.array_equal(got, vec(x.T)),
-                lambda: f"size {p}x{q} trial {t}: K vec(X) != vec(X^T)",
+            res._compare(
+                kapply(k, vec(x)), vec(x.T), None,
+                lambda _: f"size {p}x{q} trial {t}: K vec(X) != vec(X^T)",
             )
-    return res
 
 
-def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("swap-law")
+def _suite_swap_law(cfg: RunConfig, res: SuiteResult) -> None:
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
         res.record(
@@ -184,34 +191,27 @@ def _suite_swap_law(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         )
         for t, xy in enumerate(_trial_draws(_rng(cfg, res.name, si), cfg.trials, (q + p,))):
             x, y = xy[:q], xy[q:]
-            got = fault.corrupt(kapply(k, kron_vec(x, y)))
-            res.record(
-                np.array_equal(got, kron_vec(y, x)),
-                lambda: f"size {p}x{q} trial {t}: K(x ⊗ y) != y ⊗ x",
+            res._compare(
+                kapply(k, kron_vec(x, y)), kron_vec(y, x), None,
+                lambda _: f"size {p}x{q} trial {t}: K(x ⊗ y) != y ⊗ x",
             )
-    return res
 
 
-def _suite_kron_conjugation(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("kron-conjugation")
+def _suite_kron_conjugation(cfg: RunConfig, res: SuiteResult) -> None:
     for si, (p, q) in enumerate(cfg.sizes):
         _check_dense_budget((p, q, p, q), "A ⊗ B")  # before A and B are drawn
         idx = build_commutation(p, q).idx
         draws = _trial_draws(_rng(cfg, res.name, si), cfg.trials, (p * p + q * q,))
         for t, ab in enumerate(draws):
             a, b = ab[: p * p].reshape(p, p), ab[p * p :].reshape(q, q)
-            got = fault.corrupt(conjugate_kron(a, b))
             # K_{p,q} (B ⊗ A) K_{q,p}, the two permutation products as gathers
-            err = float(np.max(np.abs(got - kron(b, a)[idx][:, idx])))
-            res.record(
-                err <= cfg.tol,
-                lambda: f"size {p}x{q} trial {t}: conjugation error {err:.3e} > {cfg.tol:g}",
+            res._compare(
+                conjugate_kron(a, b), kron(b, a)[idx][:, idx], cfg.tol,
+                lambda err: f"size {p}x{q} trial {t}: conjugation error {err:.3e} > {cfg.tol:g}",
             )
-    return res
 
 
-def _suite_powers(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("powers")
+def _suite_powers(cfg: RunConfig, res: SuiteResult) -> None:
     for kmax, _ in cfg.sizes:
         if kmax > MAX_POWER:
             raise ArgumentError(f"powers: kmax={kmax} is over the bound MAX_POWER={MAX_POWER}")
@@ -229,18 +229,14 @@ def _suite_powers(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         for exp in range(1, kmax + 1):
             if exp > 1:  # one product per power
                 power = mul_2m(power, base)
-            got = fault.corrupt(power.array)
             want = base.array if exp % 2 == 1 else square.array
             which = "the tensor itself" if exp % 2 == 1 else "its square"
-            res.record(
-                np.array_equal(got, want),
-                lambda: f"n={n}: power {exp} differs from {which}",
+            res._compare(
+                power.array, want, None, lambda _: f"n={n}: power {exp} differs from {which}"
             )
-    return res
 
 
-def _suite_group_axioms(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("group-axioms")
+def _suite_group_axioms(cfg: RunConfig, res: SuiteResult) -> None:
     for m, n in cfg.sizes:
         if math.factorial(n) > 120 or m > 3:
             raise ArgumentError(
@@ -250,11 +246,7 @@ def _suite_group_axioms(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         elements = {pi.images: gct_from_permutation(pi, m) for pi in perms}
         ident = gct_identity(m, n)
         # each element's dense form, built once, when every one is small
-        dense = (
-            {key: gct_dense(g) for key, g in elements.items()}
-            if n ** (2 * m) <= 5000
-            else None
-        )
+        dense = {k: gct_dense(g) for k, g in elements.items()} if n ** (2 * m) <= 5000 else None
         for pi in perms:
             g = elements[pi.images]
             left = gct_multiply(g, ident)
@@ -274,28 +266,19 @@ def _suite_group_axioms(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         for pi1 in perms:
             for pi2 in perms:
                 key = pi1.compose(pi2).images
-                prod = gct_multiply(elements[pi1.images], elements[pi2.images])
-                structured_ok = all(
-                    np.array_equal(a, b)
-                    for a, b in zip(prod.generators, elements[key].generators)
-                )
-                res.record(
-                    structured_ok,
-                    lambda: f"({m},{n}): closure fails for {pi1}∘{pi2}",
-                )
                 if dense is not None:
-                    dense_prod = fault.corrupt(
-                        mul_2m(dense[pi1.images], dense[pi2.images]).array
+                    res._compare(
+                        mul_2m(dense[pi1.images], dense[pi2.images]).array, dense[key].array, None,
+                        lambda _: f"({m},{n}): dense product disagrees for {pi1}∘{pi2}",
                     )
-                    res.record(
-                        np.array_equal(dense_prod, dense[key].array),
-                        lambda: f"({m},{n}): dense product disagrees for {pi1}∘{pi2}",
-                    )
-    return res
+                prod = gct_multiply(elements[pi1.images], elements[pi2.images])
+                res._compare(
+                    np.array(prod.generators), np.array(elements[key].generators), None,
+                    lambda _: f"({m},{n}): closure fails for {pi1}∘{pi2}",
+                )
 
 
-def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("mode-perm-lemma")
+def _suite_mode_perm_lemma(cfg: RunConfig, res: SuiteResult) -> None:
     for si, (m, n) in enumerate(cfg.sizes):
         if m > 4:
             raise ArgumentError(f"mode-perm-lemma is exhaustive over S_m; m={m} > 4")
@@ -309,14 +292,12 @@ def _suite_mode_perm_lemma(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
             acting = gct_dense(build_mode_perm_tensor(tau, n))
             rng.bit_generator.state = start
             for t, inputs in enumerate(_trial_draws(rng, cfg.trials, (len(taus),) + (n,) * m)):
-                shuffled = fault.corrupt(permute_modes(inputs[k], tau).array)
-                contracted = mul_2m_on_m(acting, inputs[k]).array
-                err = float(np.max(np.abs(shuffled - contracted)))
-                res.record(
-                    err <= cfg.tol,
-                    lambda: f"({m},{n}) tau={tau} trial {t}: routes differ by {err:.3e}",
+                res._compare(
+                    permute_modes(inputs[k], tau).array,
+                    mul_2m_on_m(acting, inputs[k]).array,
+                    cfg.tol,
+                    lambda err: f"({m},{n}) tau={tau} trial {t}: routes differ by {err:.3e}",
                 )
-    return res
 
 
 def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -335,28 +316,23 @@ def _det_tolerance(fx: np.ndarray) -> float:
     return max(1e-9, n * np.finfo(float).eps * np.linalg.cond(fx))
 
 
-def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
-    res = SuiteResult("preserver-suite")
+def _suite_preserver(cfg: RunConfig, res: SuiteResult) -> None:
     for si, (m, n) in enumerate(cfg.sizes):
         rng = _rng(cfg, res.name, si)
         tau = Permutation(rng.permutation(m) + 1)
         phi = rank_preserver([_random_invertible(rng, n) for _ in range(m)], tau)
         report = verify_rank_preservation(phi, cfg.trials, cfg.seed + si)
         res.checks += report.trials
-        res.failures.extend(
-            f"({m},{n}) rank preservation: {msg}" for msg in report.failures
-        )
+        res.failures.extend(f"({m},{n}) rank preservation: {msg}" for msg in report.failures)
         if m == 2:
             # reduction to Marcus's formulae, both branches, written out
             p_mat = phi.generators[0]
             q_mat = phi.generators[1].T
             a = rng.standard_normal((n, n))
-            via_tensor = fault.corrupt(apply_rank_preserver(phi, a).array)
             via_matrix = p_mat @ (a if tau.is_identity() else a.T) @ q_mat
-            err = float(np.max(np.abs(via_tensor - via_matrix)))
-            res.record(
-                err <= cfg.tol,
-                lambda: f"({m},{n}): order-2 reduction differs by {err:.3e}",
+            res._compare(
+                apply_rank_preserver(phi, a).array, via_matrix, cfg.tol,
+                lambda err: f"({m},{n}): order-2 reduction differs by {err:.3e}",
             )
             # determinant preserver: normalize det(PQ) to 1 through the log
             # determinants of P and Q, since det(PQ) overflows at large n
@@ -395,12 +371,10 @@ def _suite_preserver(cfg: RunConfig, fault: FaultInjector) -> SuiteResult:
         b = _random_invertible(rng, n)
         lhs = apply_rank_preserver(sym_preserver(b, m), sym_power(y, m)).array
         rhs = sym_power(b @ y, m).array
-        err = float(np.max(np.abs(lhs - rhs)))
-        res.record(
-            err <= 1e-9 * max(1.0, float(np.max(np.abs(rhs)))),
-            lambda: f"({m},{n}): symmetric preserver does not push through the factor",
+        res._compare(
+            lhs, rhs, 1e-9 * max(1.0, float(np.max(np.abs(rhs)))),
+            lambda _: f"({m},{n}): symmetric preserver does not push through the factor",
         )
-    return res
 
 
 SUITES = {
@@ -419,12 +393,18 @@ SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
 def run_suites(
     cfg: RunConfig, names: list[str] | None = None, inject_fault: bool = False
 ) -> list[SuiteResult]:
-    """Run the named suites (all, by default) under one config."""
+    """Run the named suites (all, by default) under one config; with
+    ``inject_fault``, the run's first comparison is corrupted."""
     selected = list(SUITES) if names is None else names
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ArgumentError(
             f"unknown suite(s): {', '.join(unknown)}; the suites are {', '.join(SUITES)}"
         )
-    fault = FaultInjector(inject_fault)
-    return [SUITES[name](cfg, fault) for name in selected]
+    results, armed = [], inject_fault
+    for name in selected:
+        res = SuiteResult(name, _armed=armed)
+        SUITES[name](cfg, res)
+        results.append(res)
+        armed = res._armed
+    return results

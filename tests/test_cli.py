@@ -69,6 +69,14 @@ VERIFY_KRON_FAULT_S5_TEXT = (
     "kron-conjugation: FAIL (1/80 checks failed)\n"
     "  FAIL size 2x2 trial 0: conjugation error 1.000e+00 > 1e-12\n"
 )
+VERIFY_GROUP_FAULT_2X2_TEXT = (
+    "group-axioms: FAIL (1/12 checks failed)\n"
+    "  FAIL (2,2): dense product disagrees for Permutation([1, 2])∘Permutation([1, 2])\n"
+)
+VERIFY_PRESERVER_FAULT_2X2_TEXT = (
+    "preserver-suite: FAIL (1/26 checks failed)\n"
+    "  FAIL (2,2): order-2 reduction differs by 1.000e+00\n"
+)
 VERIFY_JSON_T10_S7 = (
     '{"seed":7,"suites":[{"name":"vec-identity","checks":44,"failures":[]},{'
     '"name":"swap-law","checks":44,"failures":[]},{'
@@ -261,6 +269,34 @@ class TestVerify:
         assert code == 4
         assert "powers: FAIL" in out
         assert "  FAIL " in out
+
+    @pytest.mark.parametrize(
+        "suite,sizes,first",
+        [
+            ("preserver-suite", "1x1", "(1,1): symmetric preserver does not push through"),
+            ("preserver-suite", "3x3", "(3,3): symmetric preserver does not push through"),
+            (
+                "group-axioms",
+                "3x5",
+                "(3,5): closure fails for "
+                "Permutation([1, 2, 3, 4, 5])∘Permutation([1, 2, 3, 4, 5])",
+            ),
+        ],
+    )
+    def test_inject_fault_lands_where_no_fault_site_was(self, capsys, suite, sizes, first):
+        # the fault lands on the run's first comparison, whichever check that is
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--sizes", sizes, "--inject-fault")
+        assert code == 4
+        fails = [ln for ln in out.splitlines() if ln.startswith("  FAIL ")]
+        assert len(fails) == 1 and fails[0].startswith(f"  FAIL {first}")
+
+    @pytest.mark.parametrize("suite", ["kron-conjugation", "mode-perm-lemma", "preserver-suite"])
+    def test_inject_fault_lands_under_a_loose_tol(self, capsys, suite):
+        # a tolerance of 1 or more would absorb a fault of 1.0
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--sizes", "2x2", "--tol", "2", "--inject-fault"
+        )
+        assert code == 4 and out.count("  FAIL ") == 1
 
     def test_a_valid_tol_reaches_the_run(self, capsys, monkeypatch):
         from commutant import verify
@@ -535,6 +571,14 @@ class TestGoldenBytes:
                 ["verify", "--suite", "kron-conjugation", "--inject-fault", "--seed", "5"],
                 VERIFY_KRON_FAULT_S5_TEXT,
             ),
+            (
+                ["verify", "--suite", "group-axioms", "--sizes", "2x2", "--inject-fault"],
+                VERIFY_GROUP_FAULT_2X2_TEXT,
+            ),
+            (
+                ["verify", "--suite", "preserver-suite", "--sizes", "2x2", "--inject-fault"],
+                VERIFY_PRESERVER_FAULT_2X2_TEXT,
+            ),
         ],
     )
     def test_injected_fault_bytes_and_exit_4(self, capsys, monkeypatch, argv, want):
@@ -792,6 +836,28 @@ class TestDenseBudget:
         assert code == 3 and out == ""
         assert f"{size} is over MAX_DENSE_ENTRIES" in err
         assert peak < 8 * 2**20
+
+    def test_gen_gct_refuses_before_building_the_identity_images(self, capsys):
+        # the n identity images alone, as Python ints, were 18 MiB at n = 200000
+        import commutant.commutation_tensor  # noqa: F401
+
+        run(capsys, "gen-gct", "65", "1")  # loads what the refusal path imports
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gen-gct", "2", "200000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = "error: permutation matrix: (200000, 200000) is over MAX_DENSE_ENTRIES=16777216\n"
+        assert (code, out, err) == (3, "", want)
+        assert peak < 2**20
+
+    def test_gen_gct_refusal_precedence(self, capsys):
+        # a bad --perm first, then the order, then the generators' budget
+        want = "error: --perm must permute 1..3: not a permutation of 1..3: (1, 1, 2)\n"
+        assert run(capsys, "gen-gct", "65", "3", "--perm", "1,1,2") == (2, "", want)
+        want = "error: group-case tensor: order 65 is over numpy's 64 modes\n"
+        assert run(capsys, "gen-gct", "65", "200000") == (3, "", want)
 
     def test_preserver_suite_over_numpys_order_exits_3(self, capsys):
         # 1^70 entries fit the budget, but numpy arrays have at most 64 modes

@@ -5,8 +5,8 @@ from commutant import ArgumentError, Permutation, verify
 from commutant.verify import (
     DEFAULT_SIZES,
     SUITES,
-    FaultInjector,
     RunConfig,
+    SuiteResult,
     run_suites,
 )
 
@@ -81,19 +81,77 @@ class TestFaultInjection:
         assert "power" in res.failures[0]
 
     def test_fault_hits_only_first_selected_suite(self):
-        results = run_suites(SMALL, ["vec-identity", "powers"], inject_fault=True)
-        assert results[0].failures and not results[1].failures
+        # once per run, not once per suite
+        results = run_suites(SMALL, list(SUITES), inject_fault=True)
+        assert [len(r.failures) for r in results] == [1] + [0] * (len(SUITES) - 1)
 
-    def test_injector_corrupts_once(self):
-        inj = FaultInjector(armed=True)
-        outs = [inj.corrupt(np.zeros(3)) for _ in range(4)]
-        corrupted = [k for k, out in enumerate(outs) if np.any(out != 0.0)]
-        assert corrupted == [0]
+    @pytest.mark.parametrize(
+        "name,sizes",
+        [(name, ((1, 1), (2, 3))) for name in sorted(SUITES)]
+        + [
+            ("preserver-suite", ((3, 3),)),
+            ("preserver-suite", ((1, 4), (3, 2))),
+            ("preserver-suite", ((4, 2), (2, 5))),
+            ("group-axioms", ((3, 5),)),
+            ("group-axioms", ((3, 5), (2, 2))),
+        ],
+    )
+    def test_fault_lands_on_the_first_comparison(self, monkeypatch, name, sizes):
+        # every comparison but the run's first passes; the first fails
+        verdicts, real = [], SuiteResult._compare
 
-    def test_disarmed_injector_is_identity(self):
-        inj = FaultInjector()
-        arr = np.arange(4.0)
-        assert np.array_equal(inj.corrupt(arr), arr)
+        def spy(self, *args):
+            before = len(self.failures)
+            real(self, *args)
+            verdicts.append(len(self.failures) > before)
+
+        monkeypatch.setattr(SuiteResult, "_compare", spy)
+        cfg = RunConfig(sizes=sizes, trials=2, seed=5)
+        [res] = run_suites(cfg, [name], inject_fault=True)
+        assert verdicts[0] and not any(verdicts[1:])
+        assert len(res.failures) == 1
+
+
+class TestCompare:
+    def test_exact_rule(self):
+        res = SuiteResult("s")
+        res._compare(np.arange(3.0), np.arange(3.0), None, lambda err: "a")
+        res._compare(np.arange(3.0), np.arange(3.0) + 1e-15, None, lambda err: f"b {err}")
+        assert res.checks == 2 and res.failures == ["b None"]
+
+    def test_tolerance_rule(self):
+        res = SuiteResult("s")
+        want = np.zeros(4)
+        res._compare(np.array([0.0, -0.5, 0.25, 0.0]), want, 0.5, lambda err: "within")
+        res._compare(np.array([0.0, 0.0, -0.75, 0.0]), want, 0.5, lambda err: f"{err:g}")
+        assert res.checks == 2 and res.failures == ["0.75"]
+
+    @pytest.mark.parametrize("tol", [None, 1e-12, 1e300])
+    def test_nan_fails(self, tol):
+        res = SuiteResult("s")
+        got = np.array([0.0, np.nan])
+        res._compare(got, np.zeros(2), tol, lambda err: "nan")
+        res._compare(got, got.copy(), tol, lambda err: "nan against nan")
+        assert res.failures == ["nan", "nan against nan"]
+
+    def test_message_is_formatted_only_on_failure(self):
+        def refuse(err):
+            raise AssertionError("formatted for a passing check")
+
+        res = SuiteResult("s")
+        res._compare(np.ones(2), np.ones(2), None, refuse)
+        res._compare(np.ones(2), np.ones(2), 1e-12, refuse)
+        assert res.checks == 2 and res.passed
+
+    @pytest.mark.parametrize("tol", [None, 1e-12, 0.6, 1.0, 1e300])
+    def test_armed_fault_lands_once_and_never_writes_got(self, tol):
+        res = SuiteResult("s", _armed=True)
+        got = np.arange(4.0)
+        got.flags.writeable = False  # a write to the caller's array raises
+        for _ in range(3):
+            res._compare(got, np.arange(4.0), tol, lambda err: "fault")
+        assert res.checks == 3 and res.failures == ["fault"]
+        assert not res._armed
 
 
 class TestDeterminantBound:
