@@ -20,7 +20,10 @@ Input is parsed with the standard library and built with numpy: a handler
 reads its files through ``serialize``'s parse stages, checks ``--perm`` and
 ``COMMUTANT_SEED``, and only then imports the layers that build and run.  So
 a malformed argument, file or seed exits 2 before numpy loads, and ``apply``
-refuses a file that does not parse before it builds either file.
+refuses a file that does not parse before it builds either file.  The
+``gen-*`` subcommands build nothing: ``serialize`` writes K, C and the
+permutation GCTs from their closed forms with the standard library, so they
+never load numpy, and refuse an over-budget size with ``tensor``'s message.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .errors import ArgumentError, CommutantError, RangeError
 
 # Only the stdlib and the error types load with this module, so a usage
 # error exits before numpy is imported.  Each handler imports the layers its
-# subcommand runs, so a ``gen-kmat`` process never loads the certifiers or
-# the suites.
+# subcommand runs, so a ``gen-kmat`` process never loads numpy, the
+# certifiers or the suites.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,22 +194,18 @@ def _effective_seed(args) -> int:
 
 def _cmd_gen_kmat(args) -> int:
     from . import serialize
-    from .commutation_matrix import build_commutation
 
-    k = build_commutation(args.p, args.q)
     if args.format == "json":
-        print(serialize.commutation_to_json(k))
+        print(serialize._commutation_json(args.p, args.q))
     else:
-        sys.stdout.write(serialize._commutation_to_text(k))
+        sys.stdout.write(serialize._commutation_to_text(args.p, args.q))
     return EXIT_OK
 
 
 def _cmd_gen_ktensor(args) -> int:
     from . import serialize
-    from .commutation_matrix import build_ctensor
 
-    kt = build_ctensor(args.m, args.n)
-    print(serialize.tensor_to_json(kt.backing))
+    print(serialize._ctensor_to_json(args.m, args.n))
     return EXIT_OK
 
 
@@ -214,22 +213,19 @@ def _cmd_gen_gct(args) -> int:
     from . import serialize
     from .permutation import Permutation
 
-    if args.perm is None:  # gct_from_permutation's refusals, before the n images exist
-        from .tensor import _check_dense_budget, _check_order
-
-        _check_order(args.m, "group-case tensor")
-        _check_dense_budget((args.n, args.n), "permutation matrix")
-    images = args.perm if args.perm is not None else tuple(range(1, args.n + 1))
-    try:
-        pi = Permutation(images)
-        if pi.degree != args.n:
-            raise ArgumentError(f"degree {pi.degree} != {args.n}")
-    except (ArgumentError, RangeError) as exc:
-        raise serialize.ParseError(f"--perm must permute 1..{args.n}: {exc}") from exc
-    from .commutation_tensor import gct_from_permutation
-
-    g = gct_from_permutation(pi, args.m)
-    print(serialize.gct_to_json(g))
+    if args.perm is not None:
+        try:
+            pi = Permutation(args.perm)
+            if pi.degree != args.n:
+                raise ArgumentError(f"degree {pi.degree} != {args.n}")
+        except (ArgumentError, RangeError) as exc:
+            raise serialize.ParseError(f"--perm must permute 1..{args.n}: {exc}") from exc
+    # gct_from_permutation's refusals, before the default's n images exist
+    serialize._check_order(args.m, "group-case tensor")
+    serialize._check_dense_budget((args.n, args.n), "permutation matrix")
+    if args.perm is None:
+        pi = Permutation.identity(args.n)
+    print(serialize._permutation_gct_to_json(pi, args.m))
     return EXIT_OK
 
 

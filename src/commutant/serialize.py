@@ -10,7 +10,7 @@ Schemas
 * tensor:        ``{"shape": [...], "values": [...]}`` — values in canonical
   flat order (first mode fastest).
 * commutation:   ``{"p": p, "q": q, "perm": [...]}`` — K_{p,q}'s 1-based row
-  images, written from its row index as ``idx + 1``.
+  images, written from the perfect shuffle's closed form (:func:`_k_columns`).
 * gct:           ``{"m": m, "n": n, "generators": [[[...]]]}`` — matrices as
   lists of rows; tau = id only.
 * preserver:     ``{"m": m, "n": n, "tau": [...], "matrices": [[[...]]]}`` —
@@ -25,6 +25,12 @@ stage, which imports numpy, converts and builds, and refuses what only the
 conversion can word (ragged rows, an int beyond float range, a tensor's
 shape and value count).  So a document the parse stage refuses is refused
 before numpy loads; neither numpy nor ``tensor`` loads with this module.
+
+The paper's discrete objects are written from their closed forms with the
+standard library alone: K_{p,q} as text or JSON, the commutation tensor
+C_{m,n}, and the group-case GCT of a permutation.  Their over-budget
+refusals are ``tensor``'s, word for word, from this module's copy of the
+dense budget.
 """
 
 from __future__ import annotations
@@ -33,16 +39,37 @@ import json
 import math
 import sys
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from .errors import CommutantError, DomainError
+from .errors import CommutantError, DimensionError, DomainError
 
 if TYPE_CHECKING:  # annotations only; each stage imports the layer it runs
     import numpy as np
 
     from .commutation_matrix import CommutationMatrix
     from .commutation_tensor import Gct
+    from .permutation import Permutation
     from .tensor import DenseTensor, TensorLike
+
+#: ``tensor.MAX_DENSE_ENTRIES`` and ``tensor.MAX_ORDER``, which a test pins
+#: equal to these: the writers below refuse as ``tensor`` does, without numpy
+MAX_DENSE_ENTRIES = 2**24
+MAX_ORDER = 64
+
+
+def _check_order(order: int, what: str) -> None:
+    """``tensor._check_order``: refuse more modes than numpy allows."""
+    if order > MAX_ORDER:
+        raise DimensionError(f"{what}: order {order} is over numpy's {MAX_ORDER} modes")
+
+
+def _check_dense_budget(shape: Sequence[int], what: str) -> None:
+    """``tensor._check_dense_budget``: refuse, before anything is built, a
+    dense array over MAX_DENSE_ENTRIES or over MAX_ORDER modes."""
+    _check_order(len(shape), what)
+    if math.prod(shape) > MAX_DENSE_ENTRIES:
+        raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
 
 
 class ParseError(CommutantError):
@@ -196,15 +223,34 @@ def matrix_to_text(mat) -> str:
     return "\n".join(" ".join(format_float(v) for v in row) for row in m) + "\n"
 
 
-def _commutation_to_text(k: CommutationMatrix) -> str:
-    """``matrix_to_text(k.dense())`` written from K's index: row s is a 1 at
-    column ``idx[s]`` among zeros, and format_float writes 0.0 as "0" and
-    1.0 as "1".  Refused as ``k.dense()`` refuses an over-budget K."""
-    from .tensor import _check_dense_budget
+def _unit_entries(length: int, ones: Iterable[int], sep: str) -> str:
+    """``length`` entries joined by ``sep``: "1" at the increasing offsets
+    ``ones``, of which there is at least one, and "0" elsewhere.  These are
+    format_float's words for 1.0 and 0.0."""
+    parts, start = [], 0
+    for one in ones:
+        parts.append(("0" + sep) * (one - start) + "1")
+        start = one + 1
+    return sep.join(parts) + (sep + "0") * (length - start)
 
-    size = k.p * k.q
-    _check_dense_budget((size, size), f"K_{{{k.p},{k.q}}}")
-    return "".join("0 " * s + "1" + " 0" * (size - 1 - s) + "\n" for s in k.idx.tolist())
+
+def _k_columns(p: int, q: int, base: int = 0) -> list[range]:
+    """K_{p,q}'s row images in row order, counted from ``base``, as p
+    ranges of q rows each: row s = a·q + b (a < p, b < q) holds its 1 in
+    column b·p + a, the perfect shuffle (Magnus & Neudecker 1979; Van Loan
+    2000).  A test pins it to ``CommutationMatrix.idx``."""
+    size = p * q
+    return [range(a + base, size + base, p) for a in range(p)]
+
+
+def _commutation_to_text(p: int, q: int) -> str:
+    """``matrix_to_text(build_commutation(p, q).dense())`` from the closed
+    form: row s is a 1 at its column among zeros.  Refused as ``dense()``
+    refuses an over-budget K."""
+    size = p * q
+    _check_dense_budget((size, size), f"K_{{{p},{q}}}")
+    columns = chain.from_iterable(_k_columns(p, q))
+    return "".join(_unit_entries(size, (c,), " ") + "\n" for c in columns)
 
 
 def matrix_from_text(text: str) -> np.ndarray:
@@ -271,7 +317,17 @@ def _matrix(data: list, what: str) -> np.ndarray:
 
 
 def commutation_to_json(k: CommutationMatrix) -> str:
-    return canonical_json({"p": k.p, "q": k.q, "perm": (k.idx + 1).tolist()})
+    return _commutation_json(k.p, k.q)
+
+
+def _commutation_json(p: int, q: int) -> str:
+    """The commutation schema from the closed form, with canonical_json's
+    bytes; a ``perm`` over MAX_DENSE_ENTRIES images is refused before any of
+    it is built.  Each range is joined on its own, which holds a fifth of
+    the memory that one join of every image holds."""
+    _check_dense_budget((p * q,), f"K_{{{p},{q}}} index")
+    perm = ",".join([",".join(map(str, block)) for block in _k_columns(p, q, 1)])
+    return f'{{"p":{p},"q":{q},"perm":[{perm}]}}'
 
 
 def commutation_from_json(text: str) -> CommutationMatrix:
@@ -291,15 +347,26 @@ def _parse_commutation(text: str) -> Callable[[], CommutationMatrix]:
 def _build_commutation(p: int, q: int, perm: list) -> CommutationMatrix:
     from .commutation_matrix import build_commutation
 
-    k = build_commutation(p, q)
     # true == 1 in Python, so the images must be JSON integers first
-    if all(map(_is_json_int, perm)) and perm == (k.idx + 1).tolist():
-        return k
+    if all(map(_is_json_int, perm)) and perm == list(chain.from_iterable(_k_columns(p, q, 1))):
+        return build_commutation(p, q)
     raise _no_commutation(p, q)
 
 
 def _no_commutation(p: int, q: int) -> ParseError:
     return ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
+
+
+def _ctensor_to_json(m: int, n: int) -> str:
+    """``tensor_to_json(build_ctensor(m, n).backing)`` from the closed form,
+    refused as ``build_ctensor`` refuses.  C_{m,n} has shape (n, m, m, n)
+    and entry (i, j, k, l) is 1 exactly when j = k and i = l, so in the
+    first-mode-fastest order its 1s sit at the increasing offsets
+    i·(1 + n·m²) + j·(n + n·m), i < n, j < m."""
+    size = m * n
+    _check_dense_budget((size, size), "transpose tensor")
+    ones = (i * (1 + n * m * m) + j * (n + n * m) for i in range(n) for j in range(m))
+    return f'{{"shape":[{n},{m},{m},{n}],"values":[{_unit_entries(size * size, ones, ",")}]}}'
 
 
 def gct_to_json(g: Gct) -> str:
@@ -310,6 +377,15 @@ def gct_to_json(g: Gct) -> str:
     return canonical_json(
         {"m": g.m, "n": g.n, "generators": [_matrix_lists(gen) for gen in g.generators]}
     )
+
+
+def _permutation_gct_to_json(pi: Permutation, m: int) -> str:
+    """``gct_to_json(gct_from_permutation(pi, m))`` from pi's images: P
+    e_j = e_pi(j), so row i of P holds its 1 in column pi⁻¹(i).  The
+    caller refuses m and P against the budget first."""
+    n = pi.degree
+    rows = ",".join(f"[{_unit_entries(n, (c,), ',')}]" for c in pi.inverse().zero_based())
+    return f'{{"m":{m},"n":{n},"generators":[{",".join([f"[{rows}]"] * m)}]}}'
 
 
 def gct_from_json(text: str) -> Gct:

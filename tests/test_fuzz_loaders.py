@@ -7,20 +7,31 @@ strict JSON, with no NaN or Infinity token.  The documents are random JSON
 (NaN/Infinity tokens, booleans, strings, nested lists, huge integers) and
 valid documents with one field replaced, removed or nudged.  `verify` with
 random `COMMUTANT_SEED`, `--seed` and `--sizes` text exits 0, 2, 3 or 4.
+`gen-kmat`, `gen-ktensor` and `gen-gct`, which write from closed forms, write
+the bytes of the numpy objects they stand for at random sizes.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commutant import CommutantError
+from commutant import (
+    CommutantError,
+    Permutation,
+    build_commutation,
+    build_ctensor,
+    gct_from_permutation,
+)
 from commutant import serialize as ser
 from commutant.cli import main
 
@@ -297,3 +308,116 @@ def test_verify_seed_arg_exits_0_or_2(seed):
 @settings(max_examples=200, deadline=None)
 def test_verify_sizes_exit_0_2_3_or_4(sizes):
     _check_verify([*CHEAP, f"--sizes={sizes}"])
+
+
+# The gen-* writers against the numpy objects they stand for.  Every size
+# whose output fits the dense budget can be drawn; one example writes at
+# most WRITE_CAP entries, so that its numpy oracle runs in milliseconds.
+WRITE_CAP = 2**14
+
+
+@st.composite
+def _two_sides(draw, cap):
+    """(a, b) with a * b <= cap, either of which can reach cap."""
+    a = draw(st.integers(1, cap))
+    b = draw(st.integers(1, cap // a))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@given(_two_sides(math.isqrt(WRITE_CAP)))
+@settings(max_examples=100, deadline=None)
+@example((1, 1))
+def test_gen_kmat_text_writes_the_dense_k(sides):
+    p, q = sides
+    want = ser.matrix_to_text(build_commutation(p, q).dense())
+    assert _run("gen-kmat", str(p), str(q)) == (0, want, "")
+
+
+@given(_two_sides(WRITE_CAP))
+@settings(max_examples=100, deadline=None)
+@example((64, 64))
+@example((4096, 1))
+@example((1, 4096))
+def test_gen_kmat_json_writes_ks_index(sides):
+    p, q = sides
+    perm = (build_commutation(p, q).idx + 1).tolist()
+    want = ser.canonical_json({"p": p, "q": q, "perm": perm})
+    assert _run("gen-kmat", str(p), str(q), "--format", "json") == (0, want + "\n", "")
+
+
+@given(_two_sides(math.isqrt(WRITE_CAP)))
+@settings(max_examples=100, deadline=None)
+@example((1, 64))
+def test_gen_ktensor_writes_the_backing(sides):
+    m, n = sides
+    want = ser.tensor_to_json(build_ctensor(m, n).backing)
+    assert _run("gen-ktensor", str(m), str(n)) == (0, want + "\n", "")
+
+
+@st.composite
+def _group_cases(draw):
+    """(m, images, given): m copies of an n x n permutation matrix, at most
+    WRITE_CAP entries in all, its images given by --perm or the default
+    identity."""
+    m = draw(st.integers(1, ser.MAX_ORDER))
+    n = draw(st.integers(1, math.isqrt(WRITE_CAP // m)))
+    if draw(st.booleans()):
+        return m, tuple(range(1, n + 1)), False
+    return m, tuple(draw(st.permutations(range(1, n + 1)))), True
+
+
+@given(_group_cases())
+@settings(max_examples=100, deadline=None)
+@example((1, (1,), False))
+@example((3, (2, 3, 1), True))
+def test_gen_gct_writes_the_group_case_tensor(case):
+    m, images, given_perm = case
+    argv = ["gen-gct", str(m), str(len(images))]
+    if given_perm:
+        argv += ["--perm", ",".join(map(str, images))]
+    want = ser.gct_to_json(gct_from_permutation(Permutation(images), m))
+    assert _run(*argv) == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize("p,q", [(1, 64), (64, 1)])
+def test_gen_kmat_with_a_unit_side_writes_the_identity(p, q):
+    assert _run("gen-kmat", str(p), str(q)) == (0, ser.matrix_to_text(np.eye(p * q)), "")
+
+
+#: (length, sha256) of stdout at the budget's edge, as the numpy writers
+#: wrote it; the dense oracles take seconds at this size
+AT_THE_BUDGET = {
+    ("gen-kmat", "64", "64"): (
+        33554432,
+        "949f1cf8b6b8dbc79b52cd91cc64bfbae0eda0257a494d9fd6e490121de08ad2",
+    ),
+    ("gen-ktensor", "64", "64"): (
+        33554467,
+        "aefb29299f69dfb091fb155d07ac7558b2420aa59c27a355c3d7ee978a82afaf",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(AT_THE_BUDGET), ids=" ".join)
+def test_gen_writes_the_pinned_bytes_at_the_budget(argv):
+    code, out, err = _run(*argv)
+    data = out.encode()
+    assert (code, err) == (0, "")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == AT_THE_BUDGET[argv]
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["gen-kmat", "4097", "1"], "K_{4097,1}: (4097, 4097)"),
+        (["gen-ktensor", "65", "65"], "transpose tensor: (4225, 4225)"),
+        (
+            ["gen-kmat", "100000", "100000", "--format", "json"],
+            "K_{100000,100000} index: (10000000000,)",
+        ),
+    ],
+    ids=["gen-kmat", "gen-ktensor", "gen-kmat-json"],
+)
+def test_gen_refuses_one_past_the_budget(argv, err):
+    want = f"error: {err} is over MAX_DENSE_ENTRIES=16777216\n"
+    assert _run(*argv) == (3, "", want)

@@ -1,8 +1,8 @@
 """What a process loads.  ``import commutant`` loads no submodule, and each
 CLI subcommand loads only the layers it runs, so a ``gen-kmat`` process pays
-nothing for the certifiers or the verify suites, and a usage error or an
-input that does not parse nothing for numpy.  Each case runs in a fresh interpreter, since this one has loaded
-every module by now."""
+nothing for the certifiers or the verify suites, and a ``gen-*`` command, a
+usage error or an input that does not parse nothing for numpy.  Each case
+runs in a fresh interpreter, since this one has loaded every module by now."""
 
 import json
 import os
@@ -82,7 +82,9 @@ def test_a_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, unused):
     code, loaded = _fresh(RUN_MAIN, *(str(files.get(a, a)) for a in argv))
     assert code == exit_code
     assert "commutant.cli" in loaded and unused.isdisjoint(loaded), loaded
-    assert ("numpy" in loaded) == (exit_code == 0), loaded
+    # the gen-* commands write from closed forms; apply and unfold build
+    builds = exit_code == 0 and not argv[0].startswith("gen-")
+    assert ("numpy" in loaded) == builds and ("commutant.tensor" in loaded) == builds, loaded
 
 
 @pytest.mark.parametrize(
@@ -92,6 +94,22 @@ def test_a_usage_error_exits_before_numpy_loads(argv):
     code, loaded = _fresh(RUN_MAIN, *argv)
     assert code == 2
     assert loaded == ["commutant", "commutant.cli", "commutant.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-kmat", "5000", "5000"],
+        ["gen-kmat", "100000", "100000", "--format", "json"],
+        ["gen-ktensor", "65", "65"],
+        ["gen-gct", "65", "3"],
+    ],
+    ids=["gen-kmat", "gen-kmat-json", "gen-ktensor", "gen-gct"],
+)
+def test_a_gen_refusal_exits_before_numpy_loads(argv):
+    code, loaded = _fresh(RUN_MAIN, *argv)
+    assert code == 3
+    assert "numpy" not in loaded and "commutant.tensor" not in loaded, loaded
 
 
 PHI = '{"m":2,"n":2,"tau":[2,1],"matrices":[[[1,0],[0,1]],[[2,1],[1,1]]]}'

@@ -7,6 +7,7 @@ import pytest
 from commutant import (
     CommutantError,
     DenseTensor,
+    DomainError,
     Permutation,
     build_commutation,
     build_gct,
@@ -14,6 +15,7 @@ from commutant import (
     rank_preserver,
 )
 from commutant import serialize as ser
+from commutant import tensor as tensor_mod
 
 
 class TestCanonicalJson:
@@ -129,6 +131,61 @@ class TestMatrixText:
         for bad in ("nan", "inf", "-inf", "1e999"):
             with pytest.raises(ser.ParseError):
                 ser.matrix_from_text(f"1 2\n{bad} 4\n")
+
+
+class TestDenseBudgetCopy:
+    """The closed-form writers refuse with serialize's copy of tensor's
+    dense budget, so that they never load numpy; the copy is pinned to it."""
+
+    def test_the_constants_are_tensors(self):
+        assert ser.MAX_DENSE_ENTRIES == tensor_mod.MAX_DENSE_ENTRIES
+        assert ser.MAX_ORDER == tensor_mod.MAX_ORDER
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (2**24 - 1,),
+            (2**24,),
+            (2**24 + 1,),
+            (4095, 4096),
+            (4096, 4096),
+            (4096, 4097),
+            (1,) * 64,
+            (1,) * 65,
+            (2,) * 65,
+            (10**10,),
+        ],
+    )
+    def test_both_checks_refuse_alike(self, shape):
+        # under the budget, at it, one over it, and over numpy's order
+        outcomes = []
+        for check in (ser._check_dense_budget, tensor_mod._check_dense_budget):
+            try:
+                check(shape, "x")
+                outcomes.append(None)
+            except CommutantError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (len(shape) <= 64 and np.prod(shape) <= 2**24)
+
+    @pytest.mark.parametrize("order", [1, 64, 65, 1000])
+    def test_both_order_checks_refuse_alike(self, order):
+        outcomes = []
+        for check in (ser._check_order, tensor_mod._check_order):
+            try:
+                check(order, "x")
+                outcomes.append(None)
+            except CommutantError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (order <= 64)
+
+    def test_a_k_index_over_the_budget_is_refused_before_it_is_built(self):
+        with pytest.raises(DomainError) as err:
+            ser.commutation_to_json(build_commutation(100000, 100000))
+        assert str(err.value) == (
+            "K_{100000,100000} index: (10000000000,) is over MAX_DENSE_ENTRIES=16777216"
+        )
 
 
 class TestStructuredObjects:

@@ -18,7 +18,7 @@ from commutant import (
     mode_perm_dense,
 )
 from commutant.commutation_tensor import _operator, gct_dense
-from commutant.serialize import commutation_to_json
+from commutant.serialize import _k_columns, commutation_to_json
 from commutant.tensor import _shuffle_dense
 
 SIZES = list(itertools.product(range(1, 8), repeat=2))
@@ -65,6 +65,14 @@ def test_k_json_is_written_from_the_closed_form(p, q):
     images = ",".join(str(v) for v in _k_closed_form(p, q) + 1)
     want = f'{{"p":{p},"q":{q},"perm":[{images}]}}'
     assert commutation_to_json(build_commutation(p, q)) == want
+
+
+def test_the_writers_closed_form_is_ks_index():
+    # the one K index rule: gen-kmat's text and JSON and the JSON reader
+    # read serialize's closed form, and K's own index must equal it
+    for p, q in itertools.product(range(1, 65), repeat=2):
+        want = build_commutation(p, q).idx.tolist()
+        assert list(itertools.chain.from_iterable(_k_columns(p, q))) == want, (p, q)
 
 
 @pytest.mark.parametrize("m,n", SIZES)
