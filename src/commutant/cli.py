@@ -10,8 +10,8 @@ Subcommands
 * ``apply PHI A``       — apply a preserver file to a tensor/matrix file.
 * ``unfold A``          — emit the balance unfolding of an even-order tensor.
 
-Exit codes: 0 success, 2 usage or parse error, 3 dimension/domain error,
-4 verification failure.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 usage or parse error, 3 dimension/domain error, 4 verification failure.
 
 Output is deterministic: a fixed command line (plus seed) yields identical
 bytes.  The environment variable ``COMMUTANT_SEED`` overrides ``--seed``.
@@ -24,11 +24,19 @@ refuses a file that does not parse before it builds either file.  The
 ``gen-*`` subcommands build nothing: ``serialize`` writes K, C and the
 permutation GCTs from their closed forms with the standard library, so they
 never load numpy, and refuse an over-budget size with ``tensor``'s message.
+Nor does ``unfold``: a tensor's first-mode-fastest values are its balance
+unfolding's entries column by column, so ``serialize`` re-indexes the parsed
+values and refuses what building would refuse, in the same order and words.
+
+:func:`run`, the process entry, calls :func:`main` and then freezes the
+heap, so that interpreter exit frees it by reference counts instead of
+collecting every object the imports made.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -41,6 +49,7 @@ from .errors import ArgumentError, CommutantError, RangeError
 # certifiers or the suites.
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
@@ -167,15 +176,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_tensor_file(path: str):
-    """Parse a tensor JSON or matrix text file; return its build stage, which
-    makes a DenseTensor or an ndarray."""
-    from . import serialize
-
+def _read_tensor_file(path: str, json_reader, text_reader):
+    """Read a tensor JSON or matrix text file with the reader of its format."""
     text = _read(path)
     if text.lstrip().startswith("{"):
-        return serialize._parse_tensor(text)
-    return serialize._parse_matrix_text(text)
+        return json_reader(text)
+    return text_reader(text)
 
 
 def _effective_seed(args) -> int:
@@ -225,7 +231,7 @@ def _cmd_gen_gct(args) -> int:
     serialize._check_dense_budget((args.n, args.n), "permutation matrix")
     if args.perm is None:
         pi = Permutation.identity(args.n)
-    print(serialize._permutation_gct_to_json(pi, args.m))
+    sys.stdout.writelines(serialize._permutation_gct_json(pi, args.m))
     return EXIT_OK
 
 
@@ -266,7 +272,9 @@ def _cmd_apply(args) -> int:
     from . import serialize
 
     build_phi = serialize._parse_preserver(_read(args.preserver))
-    build_tensor = _parse_tensor_file(args.tensor)
+    build_tensor = _read_tensor_file(
+        args.tensor, serialize._parse_tensor, serialize._parse_matrix_text
+    )
 
     import numpy as np
 
@@ -279,16 +287,14 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_unfold(args) -> int:
-    build_tensor = _parse_tensor_file(args.tensor)
-
     from . import serialize
-    from .tensor import balance_unfold
 
-    unfolded = balance_unfold(build_tensor())
-    if args.format == "json":
-        print(serialize.tensor_to_json(unfolded))
-    else:
-        sys.stdout.write(serialize.matrix_to_text(unfolded))
+    shape, values = _read_tensor_file(
+        args.tensor, serialize._flat_tensor, serialize._flat_matrix_text
+    )
+    side = serialize._balance_side(shape)
+    write = serialize._unfolding_json if args.format == "json" else serialize._unfolding_text
+    sys.stdout.writelines(write(side, values))
     return EXIT_OK
 
 
@@ -322,5 +328,32 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
 
 
+def run(argv: list[str] | None = None) -> int:
+    """The process entry of ``python -m commutant.cli`` and the ``commutant``
+    script: :func:`main`, then ``gc.freeze()``.
+
+    Interpreter exit flushes the standard streams and runs the atexit
+    handlers, then runs full collections over every object the imports
+    made; frozen, those are freed by their reference counts alone, which
+    saved 7-10 ms a process on a 2-core VM.  Only the finalizers of objects
+    in reference cycles are skipped, and the OS takes back their memory
+    anyway.  ``main`` itself does not freeze: a caller that runs it in
+    process keeps its collector.
+
+    A closed stdout ends the process with exit 1 and nothing on stderr:
+    stdout is pointed at the null device, as Python's ``signal`` docs
+    advise, so that the flush at exit does not fail again."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_CLOSED_STDOUT
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

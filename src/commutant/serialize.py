@@ -30,7 +30,11 @@ The paper's discrete objects are written from their closed forms with the
 standard library alone: K_{p,q} as text or JSON, the commutation tensor
 C_{m,n}, and the group-case GCT of a permutation.  Their over-budget
 refusals are ``tensor``'s, word for word, from this module's copy of the
-dense budget.
+dense budget.  The balance unfolding is written the same way: the flat
+readers (:func:`_flat_tensor`, :func:`_flat_matrix_text`) make the build
+stage's refusals in its order and words, from this module's copy of their
+wording, and return the values as floats in the tensor schema's order,
+which are the unfolding's entries column by column.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ import math
 import sys
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import CommutantError, DimensionError, DomainError
+from .errors import ArgumentError, CommutantError, DimensionError, DomainError
 
 if TYPE_CHECKING:  # annotations only; each stage imports the layer it runs
     import numpy as np
@@ -189,6 +193,12 @@ def tensor_from_json(text: str) -> DenseTensor:
 
 
 def _parse_tensor(text: str) -> Callable[[], DenseTensor]:
+    return partial(_build_tensor, *_tensor_fields(text))
+
+
+def _tensor_fields(text: str) -> tuple[list[int], list]:
+    """The tensor reader's parse stage: ``shape`` as JSON integers and
+    ``values`` as JSON numbers, neither converted."""
     data = _require(_loads(text), ["shape", "values"], "tensor")
     shape = data["shape"]
     values = data["values"]
@@ -196,7 +206,7 @@ def _parse_tensor(text: str) -> Callable[[], DenseTensor]:
         raise ParseError("tensor: shape must be a list of integers")
     if not isinstance(values, list) or not all(map(_is_json_number, values)):
         raise ParseError("tensor: values must be a list of numbers")
-    return partial(_build_tensor, shape, values)
+    return shape, values
 
 
 def _build_tensor(shape: list[int], values: list) -> DenseTensor:
@@ -211,6 +221,39 @@ def _build_tensor(shape: list[int], values: list) -> DenseTensor:
     if not np.isfinite(t.array).all():
         raise ParseError("tensor: values must be finite")
     return t
+
+
+def _flat_tensor(text: str) -> tuple[tuple[int, ...], list[float]]:
+    """A tensor document's shape and its values as floats, in the first-mode-
+    fastest order, read with the standard library alone.  Refused as
+    :func:`_build_tensor` refuses, in its order and words: an int beyond
+    float range, a bad shape, more than MAX_ORDER modes and a value count
+    that does not fit the shape, as ``DenseTensor.from_flat`` words them;
+    then a NaN or an infinity."""
+    shape, values = _tensor_fields(text)
+    try:
+        floats = _flat_values(tuple(shape), values)
+    except CommutantError as exc:
+        raise ParseError(f"tensor: {exc}") from exc
+    if not all(map(math.isfinite, floats)):
+        raise ParseError("tensor: values must be finite")
+    return tuple(shape), floats
+
+
+def _flat_values(shape: tuple[int, ...], values: list) -> list[float]:
+    """``DenseTensor.from_flat(shape, values).values`` as floats, with its
+    refusals; numpy's conversion rounds an int to float as ``float`` does."""
+    try:
+        floats = list(map(float, values))
+    except OverflowError as exc:
+        raise ArgumentError(f"not a regular array of numbers for tensor values: {exc}") from None
+    if not shape or min(shape) < 1:
+        raise ArgumentError(f"bad shape {shape}")
+    size = math.prod(shape)
+    _check_order(len(shape), "tensor")
+    if len(floats) != size:
+        raise DimensionError(f"{len(floats)} values for shape {shape} (need {size})")
+    return floats
 
 
 # ---------------------------------------------------------------- matrices
@@ -258,6 +301,19 @@ def matrix_from_text(text: str) -> np.ndarray:
 
 
 def _parse_matrix_text(text: str) -> Callable[[], np.ndarray]:
+    return partial(_matrix, _matrix_text_rows(text), "matrix text")
+
+
+def _flat_matrix_text(text: str) -> tuple[tuple[int, int], list[float]]:
+    """Matrix text's shape and its entries column by column, the tensor
+    schema's order, read with the standard library alone.  Its conversion
+    refuses nothing that the parse stage lets through."""
+    rows = _matrix_text_rows(text)
+    return (len(rows), len(rows[0])), [v for col in zip(*rows) for v in col]
+
+
+def _matrix_text_rows(text: str) -> list[list[float]]:
+    """Matrix text's parse stage: nonempty rows of one width, finite."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -273,7 +329,7 @@ def _parse_matrix_text(text: str) -> Callable[[], np.ndarray]:
         raise ParseError("matrix text: ragged rows")
     # nonempty rows of one width convert, so this is the check after them
     _refuse_non_finite(rows, "matrix text")
-    return partial(_matrix, rows, "matrix text")
+    return rows
 
 
 def _matrix_lists(mat: np.ndarray) -> list[list[float]]:
@@ -311,6 +367,45 @@ def _matrix(data: list, what: str) -> np.ndarray:
         return as_matrix(data)
     except CommutantError as exc:  # ragged rows, an int beyond float range, not 2-D
         raise ParseError(f"{what}: {exc}") from exc
+
+
+# ------------------------------------------------------------ unfoldings
+
+
+def _balance_side(shape: tuple[int, ...]) -> int:
+    """The side n^m of the balance unfolding of an order-2m tensor of this
+    shape, refused in ``tensor.balance_unfold``'s words unless the order is
+    even and every extent agrees."""
+    order, n = len(shape), shape[0]
+    if order % 2 != 0:
+        raise DimensionError(f"balance_unfold: order must be even, got {order}")
+    if any(d != n for d in shape):
+        raise DimensionError(f"balance_unfold: all mode extents must agree, got {shape}")
+    return n ** (order // 2)
+
+
+# The unfolding's row index is the canonical flat index of the first m
+# modes and its column index that of the last m, so entry (r, c) sits at
+# offset r + side·c of the tensor's first-mode-fastest values: those values
+# are the unfolding's entries column by column, and row r is values[r::side].
+
+
+def _unfolding_json(side: int, values: list[float]) -> Iterator[str]:
+    """``tensor_to_json(balance_unfold(t))`` and a newline, in parts, one
+    per column, for the finite first-mode-fastest ``values`` of a t whose
+    unfolding has side ``side``."""
+    yield f'{{"shape":[{side},{side}],"values":['
+    for start in range(0, len(values), side):
+        yield ("," if start else "") + ",".join(map(format_float, values[start : start + side]))
+    yield "]}\n"
+
+
+def _unfolding_text(side: int, values: list[float]) -> Iterator[str]:
+    """``matrix_to_text(balance_unfold(t))`` in parts, one per row, for the
+    finite first-mode-fastest ``values`` of a t whose unfolding has side
+    ``side``."""
+    for r in range(side):
+        yield " ".join(map(format_float, values[r::side])) + "\n"
 
 
 # ------------------------------------------------- structured objects
@@ -379,13 +474,20 @@ def gct_to_json(g: Gct) -> str:
     )
 
 
-def _permutation_gct_to_json(pi: Permutation, m: int) -> str:
-    """``gct_to_json(gct_from_permutation(pi, m))`` from pi's images: P
-    e_j = e_pi(j), so row i of P holds its 1 in column pi⁻¹(i).  The
-    caller refuses m and P against the budget first."""
+def _permutation_gct_json(pi: Permutation, m: int) -> Iterator[str]:
+    """``gct_to_json(gct_from_permutation(pi, m))`` and a newline, in parts
+    that hold its one generator P once and repeat it for each mode, so a
+    writer holds one copy of P.  P e_j = e_pi(j), so row i of P holds its
+    1 in column pi⁻¹(i).  The caller refuses m and P against the budget
+    first."""
     n = pi.degree
     rows = ",".join(f"[{_unit_entries(n, (c,), ',')}]" for c in pi.inverse().zero_based())
-    return f'{{"m":{m},"n":{n},"generators":[{",".join([f"[{rows}]"] * m)}]}}'
+    yield f'{{"m":{m},"n":{n},"generators":['
+    for k in range(m):
+        yield ",[" if k else "["
+        yield rows
+        yield "]"
+    yield "]}\n"
 
 
 def gct_from_json(text: str) -> Gct:

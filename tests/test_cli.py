@@ -1,5 +1,11 @@
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +154,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))}
+
+
 class TestGenKmat:
     def test_golden_2x3(self, capsys):
         code, out, err = run(capsys, "gen-kmat", "2", "3")
@@ -226,6 +236,48 @@ class TestGenGct:
         assert code == 2 and "error:" in err
         code, _, err = run(capsys, "gen-gct", "2", "3", "--perm", "a,b")
         assert code == 2 and "bad permutation" in err
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (
+                ["gen-gct", "3", "4", "--perm", "2,4,1,3"],
+                "b74b7540d4c67cfdc1d58088a909b837a6967f2c7a94c04ad2ab3f43bfa5fc5e",
+            ),
+            (
+                ["gen-gct", "8", "64"],
+                "6f4f1738ba7f99fa58da6ea3be7226fef929bad079952caf247df0c17a340fd4",
+            ),
+        ],
+    )
+    def test_pinned_bytes(self, capsys, argv, sha256):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_holds_one_copy_of_its_generator(self):
+        # peak RSS of a fresh process, in KiB: the 8 MiB generator is
+        # written once per mode, not joined into one string of every mode
+        peak = """
+import resource, sys
+from commutant import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+        peaks = {}
+        for m in ("1", "8"):
+            done = subprocess.run(
+                [sys.executable, "-c", peak, "gen-gct", m, "2048"],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                env=ENV,
+                check=True,
+                timeout=120,
+            )
+            code, peaks[m] = map(int, done.stderr.split())
+            assert code == 0
+        assert peaks["8"] - peaks["1"] <= 16 * 1024, peaks
 
 
 class TestVerify:
@@ -544,6 +596,45 @@ class TestHarness:
         _, second, _ = run(capsys, "verify", "--suite", "powers", "--sizes", "3x3",
                            "--format", "json")
         assert first == second
+
+
+class TestProcessEntry:
+    """``run`` is the process entry: ``main``, then a frozen heap, so that
+    interpreter exit frees it by reference counts; ``main`` leaves the
+    collector alone."""
+
+    def test_run_returns_mains_exit_code_and_freezes_the_heap(self, capsys):
+        try:
+            assert cli.run(["gen-kmat", "7", "x"]) == 2
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert "error:" in capsys.readouterr().err
+
+    def test_main_leaves_the_collector_as_it_was(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(capsys, "gen-kmat", "2", "3") == (0, K23_TEXT, "")
+        assert run(capsys, "verify", "--suite", "powers", "--sizes", "2x2")[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_a_closed_stdout_exits_1_with_nothing_on_stderr(self):
+        # ~16 MB of output, far more than a pipe holds, so the writer is
+        # still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "commutant.cli", "gen-gct", "2", "2000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=ENV,
+        )
+        try:
+            assert proc.stdout.read(5) == b'{"m":'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (code, err) == (1, b"")
 
 
 class TestGoldenBytes:

@@ -1,8 +1,9 @@
 """What a process loads.  ``import commutant`` loads no submodule, and each
 CLI subcommand loads only the layers it runs, so a ``gen-kmat`` process pays
-nothing for the certifiers or the verify suites, and a ``gen-*`` command, a
-usage error or an input that does not parse nothing for numpy.  Each case
-runs in a fresh interpreter, since this one has loaded every module by now."""
+nothing for the certifiers or the verify suites, and a ``gen-*`` command, an
+``unfold``, a usage error or an input that does not parse nothing for
+numpy.  Each case runs in a fresh interpreter, since this one has loaded
+every module by now."""
 
 import json
 import os
@@ -61,29 +62,67 @@ def test_import_serialize_loads_no_numpy():
     assert loaded == ["commutant", "commutant.errors", "commutant.serialize"]
 
 
+#: tensor files for ``unfold``: one it unfolds, and one for each of its
+#: refusals after the parse stage, the conversion's and the unfolding's
+UNFOLD_FILES = {
+    "TENSOR": '{"shape":[2,2],"values":[1,2,3,4]}',
+    "TEXT": "1 2\n3 4\n",
+    "HUGE_INT": '{"shape":[2],"values":[1,1%s]}' % ("0" * 400),
+    "BAD_SHAPE": '{"shape":[0,2],"values":[]}',
+    "COUNT": '{"shape":[2,2],"values":[1,2,3]}',
+    "NAN": '{"shape":[2,2],"values":[1,NaN,3,4]}',
+    "ODD": '{"shape":[2,2,2],"values":[1,2,3,4,5,6,7,8]}',
+    "NOT_SQUARE": "1 2 3\n4 5 6\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv,exit_code,unused",
     [
         (["gen-kmat", "7", "5"], 0, UNUSED),
         (["gen-ktensor", "2", "3"], 0, UNUSED),
         (["unfold", "TENSOR"], 0, UNUSED),
+        (["unfold", "TEXT", "--format", "json"], 0, UNUSED),
+        (["unfold", "HUGE_INT"], 2, UNUSED),
+        (["unfold", "BAD_SHAPE"], 2, UNUSED),
+        (["unfold", "COUNT"], 2, UNUSED),
+        (["unfold", "NAN"], 2, UNUSED),
+        (["unfold", "ODD"], 3, UNUSED),
+        (["unfold", "NOT_SQUARE"], 3, UNUSED),
         (["gen-kmat", "7", "x"], 2, UNUSED),
         (["gen-gct", "2", "3", "--perm", "2,3,1"], 0, UNUSED),
         (["apply", "PHI", "TENSOR"], 0, {"commutant.verify", "commutant.cp"}),
     ],
-    ids=["gen-kmat", "gen-ktensor", "unfold", "usage-error", "gen-gct", "apply"],
+    ids=[
+        "gen-kmat",
+        "gen-ktensor",
+        "unfold",
+        "unfold-text",
+        "unfold-huge-int",
+        "unfold-bad-shape",
+        "unfold-count",
+        "unfold-nan",
+        "unfold-odd-order",
+        "unfold-not-square",
+        "usage-error",
+        "gen-gct",
+        "apply",
+    ],
 )
 def test_a_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, unused):
-    files = {"TENSOR": tmp_path / "t.json", "PHI": tmp_path / "phi.json"}
-    files["TENSOR"].write_text('{"shape":[2,2],"values":[1,2,3,4]}', encoding="utf-8")
+    files = {"PHI": tmp_path / "phi.json"}
     files["PHI"].write_text(
         '{"m":2,"n":2,"tau":[2,1],"matrices":[[[1,0],[0,1]],[[2,1],[1,1]]]}', encoding="utf-8"
     )
+    for name, text in UNFOLD_FILES.items():
+        files[name] = tmp_path / name
+        files[name].write_text(text, encoding="utf-8")
     code, loaded = _fresh(RUN_MAIN, *(str(files.get(a, a)) for a in argv))
     assert code == exit_code
     assert "commutant.cli" in loaded and unused.isdisjoint(loaded), loaded
-    # the gen-* commands write from closed forms; apply and unfold build
-    builds = exit_code == 0 and not argv[0].startswith("gen-")
+    # the gen-* commands write from closed forms and unfold re-indexes its
+    # input's values, whether it writes or refuses; only apply builds
+    builds = argv[0] == "apply"
     assert ("numpy" in loaded) == builds and ("commutant.tensor" in loaded) == builds, loaded
 
 

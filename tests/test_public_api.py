@@ -73,16 +73,16 @@ def test_every_name_the_benchmark_calls_resolves():
     assert sorted(name for name in called if not hasattr(commutant, name)) == []
 
 
-def test_console_script_resolves_to_cli_main():
+def test_console_script_resolves_to_cli_run():
     # the installed ``commutant`` command runs what [project.scripts] names;
-    # a moved or renamed main fails here, not at a user's shell
+    # a moved or renamed entry fails here, not at a user's shell
     pyproject = PYPROJECT.read_text(encoding="utf-8")
     scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, flags=re.S | re.M)
     assert scripts, "no [project.scripts] table in pyproject.toml"
     target = re.search(r'^commutant\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), flags=re.M)
     assert target, "no commutant entry under [project.scripts]"
     module, attr = target.groups()
-    assert getattr(importlib.import_module(module), attr) is cli.main
+    assert getattr(importlib.import_module(module), attr) is cli.run
 
 
 def test_readme_library_entry_points_run():
