@@ -24,9 +24,11 @@ refuses a file that does not parse before it builds either file.  The
 ``gen-*`` subcommands build nothing: ``serialize`` writes K, C and the
 permutation GCTs from their closed forms with the standard library, so they
 never load numpy, and refuse an over-budget size with ``tensor``'s message.
-Nor does ``unfold``: a tensor's first-mode-fastest values are its balance
-unfolding's entries column by column, so ``serialize`` re-indexes the parsed
-values and refuses what building would refuse, in the same order and words.
+Nor does ``unfold``: the tensor reader checks the values with the standard
+library, and a tensor's first-mode-fastest values are its balance
+unfolding's entries column by column, so ``serialize`` re-indexes them.
+``apply`` and ``unfold`` write their tensor in parts, and ``apply`` refuses a
+non-finite result before it writes any of it.
 
 :func:`run`, the process entry, calls :func:`main` and then freezes the
 heap, so that interpreter exit frees it by reference counts instead of
@@ -281,8 +283,11 @@ def _cmd_apply(args) -> int:
     from .commutation_tensor import apply_rank_preserver
 
     phi, tensor = build_phi(), build_tensor()
-    with np.errstate(over="ignore", invalid="ignore"):  # the writer refuses inf and nan
-        print(serialize.tensor_to_json(apply_rank_preserver(phi, tensor)))
+    del build_tensor  # it holds the parsed values, as many objects as the result's
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any byte
+        result = apply_rank_preserver(phi, tensor).array
+    values = serialize._finite_values(result)
+    sys.stdout.writelines(serialize._tensor_json(result.shape, values, "\n"))
     return EXIT_OK
 
 
@@ -293,8 +298,11 @@ def _cmd_unfold(args) -> int:
         args.tensor, serialize._flat_tensor, serialize._flat_matrix_text
     )
     side = serialize._balance_side(shape)
-    write = serialize._unfolding_json if args.format == "json" else serialize._unfolding_text
-    sys.stdout.writelines(write(side, values))
+    if args.format == "json":
+        parts = serialize._tensor_json((side, side), values, "\n")
+    else:
+        parts = serialize._unfolding_text(side, values)
+    sys.stdout.writelines(parts)
     return EXIT_OK
 
 

@@ -17,24 +17,23 @@ Schemas
   any operator, its generators as ``matrices``.
 * matrix text:   one row per line, entries space-separated.
 
-Each reader runs in two stages.  The parse stage uses only the standard
-library: it reads the JSON or text and makes, in the reader's order, every
+Three formats are read, one reader each: tensor JSON, matrix text and the
+preserver; K and GCT documents are only written.  A reader's parse stage
+uses only the standard library and makes, in the reader's order, every
 check it can state itself (JSON syntax, keys, header integers, JSON numbers,
-non-finite entries of a matrix, tau as a permutation).  It returns the build
-stage, which imports numpy, converts and builds, and refuses what only the
-conversion can word (ragged rows, an int beyond float range, a tensor's
-shape and value count).  So a document the parse stage refuses is refused
-before numpy loads; neither numpy nor ``tensor`` loads with this module.
+non-finite matrix entries, tau as a permutation).  It returns the build
+stage, which refuses the rest and builds, so a document the parse stage
+refuses is refused before numpy loads; neither numpy nor ``tensor`` loads
+with this module.  A tensor's build stage checks its values with the
+standard library too (:func:`_tensor_values`), so ``unfold`` re-indexes
+them without numpy and ``apply`` only reshapes them; one writer,
+:func:`_tensor_json`, streams the tensor schema for both.
 
 The paper's discrete objects are written from their closed forms with the
 standard library alone: K_{p,q} as text or JSON, the commutation tensor
 C_{m,n}, and the group-case GCT of a permutation.  Their over-budget
 refusals are ``tensor``'s, word for word, from this module's copy of the
-dense budget.  The balance unfolding is written the same way: the flat
-readers (:func:`_flat_tensor`, :func:`_flat_matrix_text`) make the build
-stage's refusals in its order and words, from this module's copy of their
-wording, and return the values as floats in the tensor schema's order,
-which are the unfolding's entries column by column.
+dense budget.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import json
 import math
 import sys
 from functools import partial
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ArgumentError, CommutantError, DimensionError, DomainError
@@ -183,16 +182,40 @@ def tensor_to_json(t: TensorLike) -> str:
     from .tensor import _tensor_entries
 
     arr = _tensor_entries(t)
-    return canonical_json(
-        {"shape": list(arr.shape), "values": arr.ravel(order="F").tolist()}
-    )
+    return "".join(_tensor_json(arr.shape, _finite_values(arr)))
+
+
+def _finite_values(arr: np.ndarray) -> list[float]:
+    """``arr``'s entries as floats in the first-mode-fastest order, refused
+    with canonical_json's message at the first NaN or infinity, so that a
+    refused tensor is refused before any of it is written."""
+    values = arr.ravel(order="F").tolist()
+    bad = next(filterfalse(math.isfinite, values), None)
+    if bad is not None:
+        raise DomainError(f"cannot write the non-finite float {bad} as JSON")
+    return values
+
+
+#: values per part of a streamed tensor document
+_PART = 2**16
+
+
+def _tensor_json(shape: Sequence[int], values: list[float], end: str = "") -> Iterator[str]:
+    """``canonical_json({"shape": shape, "values": values}) + end`` in parts
+    of at most _PART values each, for finite floats ``values``."""
+    yield f'{{"shape":[{",".join(map(str, shape))}],"values":['
+    for start in range(0, len(values), _PART):
+        yield ("," if start else "") + ",".join(map(format_float, values[start : start + _PART]))
+    yield "]}" + end
 
 
 def tensor_from_json(text: str) -> DenseTensor:
-    return _parse_tensor(text)()
+    from .tensor import DenseTensor
+
+    return DenseTensor._adopt(_parse_tensor(text)())
 
 
-def _parse_tensor(text: str) -> Callable[[], DenseTensor]:
+def _parse_tensor(text: str) -> Callable[[], np.ndarray]:
     return partial(_build_tensor, *_tensor_fields(text))
 
 
@@ -209,35 +232,34 @@ def _tensor_fields(text: str) -> tuple[list[int], list]:
     return shape, values
 
 
-def _build_tensor(shape: list[int], values: list) -> DenseTensor:
+def _build_tensor(shape: list[int], values: list) -> np.ndarray:
+    """The tensor reader's build stage: its checked floats reshaped first
+    mode fastest."""
     import numpy as np
 
-    from .tensor import DenseTensor
-
-    try:
-        t = DenseTensor.from_flat(shape, values)
-    except CommutantError as exc:  # a value beyond float range; a bad shape
-        raise ParseError(f"tensor: {exc}") from exc
-    if not np.isfinite(t.array).all():
-        raise ParseError("tensor: values must be finite")
-    return t
+    return np.array(_tensor_values(shape, values)).reshape(shape, order="F")
 
 
 def _flat_tensor(text: str) -> tuple[tuple[int, ...], list[float]]:
     """A tensor document's shape and its values as floats, in the first-mode-
-    fastest order, read with the standard library alone.  Refused as
-    :func:`_build_tensor` refuses, in its order and words: an int beyond
-    float range, a bad shape, more than MAX_ORDER modes and a value count
-    that does not fit the shape, as ``DenseTensor.from_flat`` words them;
-    then a NaN or an infinity."""
+    fastest order, read and refused as the tensor reader refuses, with the
+    standard library alone."""
     shape, values = _tensor_fields(text)
+    return tuple(shape), _tensor_values(shape, values)
+
+
+def _tensor_values(shape: list[int], values: list) -> list[float]:
+    """The tensor reader's checks after its parse stage: ``values`` as floats,
+    refused in ``DenseTensor.from_flat``'s order and words (an int beyond
+    float range, a bad shape, more than MAX_ORDER modes, a value count that
+    does not fit the shape), then a NaN or an infinity."""
     try:
         floats = _flat_values(tuple(shape), values)
     except CommutantError as exc:
         raise ParseError(f"tensor: {exc}") from exc
     if not all(map(math.isfinite, floats)):
         raise ParseError("tensor: values must be finite")
-    return tuple(shape), floats
+    return floats
 
 
 def _flat_values(shape: tuple[int, ...], values: list) -> list[float]:
@@ -390,16 +412,6 @@ def _balance_side(shape: tuple[int, ...]) -> int:
 # are the unfolding's entries column by column, and row r is values[r::side].
 
 
-def _unfolding_json(side: int, values: list[float]) -> Iterator[str]:
-    """``tensor_to_json(balance_unfold(t))`` and a newline, in parts, one
-    per column, for the finite first-mode-fastest ``values`` of a t whose
-    unfolding has side ``side``."""
-    yield f'{{"shape":[{side},{side}],"values":['
-    for start in range(0, len(values), side):
-        yield ("," if start else "") + ",".join(map(format_float, values[start : start + side]))
-    yield "]}\n"
-
-
 def _unfolding_text(side: int, values: list[float]) -> Iterator[str]:
     """``matrix_to_text(balance_unfold(t))`` in parts, one per row, for the
     finite first-mode-fastest ``values`` of a t whose unfolding has side
@@ -423,33 +435,6 @@ def _commutation_json(p: int, q: int) -> str:
     _check_dense_budget((p * q,), f"K_{{{p},{q}}} index")
     perm = ",".join([",".join(map(str, block)) for block in _k_columns(p, q, 1)])
     return f'{{"p":{p},"q":{q},"perm":[{perm}]}}'
-
-
-def commutation_from_json(text: str) -> CommutationMatrix:
-    return _parse_commutation(text)()
-
-
-def _parse_commutation(text: str) -> Callable[[], CommutationMatrix]:
-    data = _require(_loads(text), ["p", "q", "perm"], "commutation matrix")
-    p, q = _ints(data, ("p", "q"), "commutation matrix")
-    perm = data["perm"]
-    # the length test comes first, so a huge p*q never builds its index
-    if min(p, q) >= 1 and isinstance(perm, list) and len(perm) == p * q:
-        return partial(_build_commutation, p, q, perm)
-    raise _no_commutation(p, q)
-
-
-def _build_commutation(p: int, q: int, perm: list) -> CommutationMatrix:
-    from .commutation_matrix import build_commutation
-
-    # true == 1 in Python, so the images must be JSON integers first
-    if all(map(_is_json_int, perm)) and perm == list(chain.from_iterable(_k_columns(p, q, 1))):
-        return build_commutation(p, q)
-    raise _no_commutation(p, q)
-
-
-def _no_commutation(p: int, q: int) -> ParseError:
-    return ParseError(f"commutation matrix: no K_{{{p},{q}}} has this perm")
 
 
 def _ctensor_to_json(m: int, n: int) -> str:
@@ -488,34 +473,6 @@ def _permutation_gct_json(pi: Permutation, m: int) -> Iterator[str]:
         yield rows
         yield "]"
     yield "]}\n"
-
-
-def gct_from_json(text: str) -> Gct:
-    return _parse_gct(text)()
-
-
-def _parse_gct(text: str) -> Callable[[], Gct]:
-    data = _require(_loads(text), ["m", "n", "generators"], "gct")
-    gens = data["generators"]
-    if not isinstance(gens, list):
-        raise ParseError("gct: generators must be a list")
-    for gen in gens:
-        if not _parse_matrix_lists(gen, "gct generator"):
-            return partial(_matrix, gen, "gct generator")  # its conversion refuses it
-    return partial(_build_gct, data)
-
-
-def _build_gct(data: dict) -> Gct:
-    from .commutation_tensor import build_gct
-
-    mats = [_matrix(g, "gct generator") for g in data["generators"]]
-    try:
-        g = build_gct(mats)
-    except CommutantError as exc:
-        raise ParseError(f"gct: {exc}") from exc
-    if (g.m, g.n) != _ints(data, ("m", "n"), "gct"):
-        raise ParseError("gct: m/n fields disagree with the generators")
-    return g
 
 
 def preserver_to_json(phi: Gct) -> str:

@@ -157,6 +157,33 @@ def run(capsys, *argv):
 SRC = str(Path(cli.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.getenv("PYTHONPATH")]))}
 
+# the process's own peak RSS, VmHWM: ru_maxrss would start from the peak of
+# the process that started it, since Linux carries it across exec
+PEAK = """
+import re, sys
+from commutant import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1), file=sys.stderr)
+"""
+
+
+def _peak_kib(*argv) -> int:
+    """Peak RSS, in KiB, of a fresh process that runs ``main(argv)`` and
+    exits 0, its stdout discarded."""
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=ENV,
+        check=True,
+        timeout=120,
+    )
+    code, peak = map(int, done.stderr.split())
+    assert code == 0
+    return peak
+
 
 class TestGenKmat:
     def test_golden_2x3(self, capsys):
@@ -215,19 +242,14 @@ class TestGenGct:
     def test_identity_default(self, capsys):
         code, out, _ = run(capsys, "gen-gct", "2", "2")
         assert code == 0
-        g = ser.gct_from_json(out)
-        assert g.m == 2 and g.n == 2
-        for gen in g.generators:
-            assert np.array_equal(gen, np.eye(2))
+        assert _strict_json(out) == {"m": 2, "n": 2, "generators": [[[1, 0], [0, 1]]] * 2}
 
     def test_cycle_perm(self, capsys):
         code, out, _ = run(capsys, "gen-gct", "2", "3", "--perm", "2,3,1")
         assert code == 0
-        g = ser.gct_from_json(out)
-        want = Permutation([2, 3, 1]).matrix()
-        assert len(g.generators) == 2
-        for gen in g.generators:
-            assert np.array_equal(gen, want)
+        # P e_j = e_perm(j): column j holds its 1 in row perm(j)
+        want = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        assert _strict_json(out) == {"m": 2, "n": 3, "generators": [want] * 2}
 
     def test_bad_perm_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen-gct", "2", "3", "--perm", "1,1,2")
@@ -256,27 +278,9 @@ class TestGenGct:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_holds_one_copy_of_its_generator(self):
-        # peak RSS of a fresh process, in KiB: the 8 MiB generator is
-        # written once per mode, not joined into one string of every mode
-        peak = """
-import resource, sys
-from commutant import cli
-code = cli.main(sys.argv[1:])
-sys.stdout.flush()
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-"""
-        peaks = {}
-        for m in ("1", "8"):
-            done = subprocess.run(
-                [sys.executable, "-c", peak, "gen-gct", m, "2048"],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                env=ENV,
-                check=True,
-                timeout=120,
-            )
-            code, peaks[m] = map(int, done.stderr.split())
-            assert code == 0
+        # the 8 MiB generator is written once per mode, not joined into one
+        # string of every mode
+        peaks = {m: _peak_kib("gen-gct", m, "2048") for m in ("1", "8")}
         assert peaks["8"] - peaks["1"] <= 16 * 1024, peaks
 
 
@@ -495,6 +499,36 @@ class TestApply:
         code, out, _ = run(capsys, "apply", pfile, tfile)
         assert code == 0
         assert out == ser.tensor_to_json(apply_rank_preserver(phi, a)) + "\n"
+
+    def test_matches_library_route_over_several_parts(self, capsys, tmp_path):
+        # 90,000 values, more than one part of the streamed writer
+        rng = np.random.default_rng(43)
+        mats = [rng.standard_normal((300, 300)) + 20 * np.eye(300) for _ in range(2)]
+        phi = rank_preserver(mats, Permutation([2, 1]))
+        a = rng.standard_normal((300, 300))
+        pfile = self._write(tmp_path, "phi.json", ser.preserver_to_json(phi))
+        tfile = self._write(tmp_path, "a.json", ser.tensor_to_json(a))
+        code, out, _ = run(capsys, "apply", pfile, tfile)
+        assert code == 0
+        result = apply_rank_preserver(phi, a).array
+        want = {"shape": [300, 300], "values": result.ravel(order="F").tolist()}
+        assert out == ser.canonical_json(want) + "\n"
+
+    def test_writes_its_result_in_parts(self, tmp_path):
+        # an order-4, n = 30 result is 810,000 values; written as one string
+        # of them all, they took ~170 MiB over the peak of an n = 2 apply
+        rng = np.random.default_rng(44)
+        files = {}
+        for n in (2, 30):
+            mats = [(rng.standard_normal((n, n)) + 6 * np.eye(n)).tolist() for _ in range(4)]
+            phi = {"m": 4, "n": n, "tau": [2, 3, 4, 1], "matrices": mats}
+            a = {"shape": [n] * 4, "values": rng.standard_normal(n**4).tolist()}
+            files[n] = [
+                self._write(tmp_path, f"{k}{n}.json", json.dumps(doc))
+                for k, doc in (("phi", phi), ("a", a))
+            ]
+        peaks = {n: _peak_kib("apply", *paths) for n, paths in files.items()}
+        assert peaks[30] - peaks[2] <= 96 * 1024, peaks
 
     def test_shape_mismatch_exits_3(self, capsys, tmp_path):
         phi = rank_preserver([np.eye(2), np.eye(2)], Permutation([1, 2]))

@@ -1,4 +1,4 @@
-"""Fuzz the four JSON loaders and the CLI's external inputs.
+"""Fuzz the two JSON loaders and the CLI's external inputs.
 
 Each document either loads to an object whose writer output reloads to the
 same bytes, or is refused with a CommutantError.  `apply` and `unfold` on
@@ -8,7 +8,8 @@ strict JSON, with no NaN or Infinity token.  The documents are random JSON
 valid documents with one field replaced, removed or nudged.  `verify` with
 random `COMMUTANT_SEED`, `--seed` and `--sizes` text exits 0, 2, 3 or 4.
 `gen-kmat`, `gen-ktensor` and `gen-gct`, which write from closed forms, write
-the bytes of the numpy objects they stand for at random sizes.
+the bytes of the numpy objects they stand for at random sizes, and their
+random argument text exits 0, 2 or 3.
 """
 
 import contextlib
@@ -37,14 +38,10 @@ from commutant.cli import main
 
 LOADERS = {
     "tensor": (ser.tensor_from_json, ser.tensor_to_json),
-    "commutation": (ser.commutation_from_json, ser.commutation_to_json),
-    "gct": (ser.gct_from_json, ser.gct_to_json),
     "preserver": (ser.preserver_from_json, ser.preserver_to_json),
 }
 KEYS = {
     "tensor": ["shape", "values"],
-    "commutation": ["p", "q", "perm"],
-    "gct": ["m", "n", "generators"],
     "preserver": ["m", "n", "tau", "matrices"],
 }
 
@@ -76,10 +73,6 @@ def _render(doc) -> str:
     return json.dumps(doc).replace(json.dumps(HUGE), HUGE_LITERAL)
 
 
-def _matrix(rng, rows, cols, shift=0.0):
-    return (rng.uniform(-2, 2, (rows, cols)) + shift * np.eye(rows, cols)).tolist()
-
-
 def _valid(kind: str, seed: int) -> dict:
     """A small valid document of ``kind``."""
     rng = np.random.default_rng(seed)
@@ -87,16 +80,11 @@ def _valid(kind: str, seed: int) -> dict:
     if kind == "tensor":
         shape = rng.integers(1, 4, int(rng.integers(1, 5))).tolist()
         return {"shape": shape, "values": rng.uniform(-2, 2, int(np.prod(shape))).tolist()}
-    if kind == "commutation":
-        s = np.arange(m * n)
-        return {"p": m, "q": n, "perm": ((s % n) * m + s // n + 1).tolist()}
-    if kind == "gct":
-        return {"m": m, "n": n, "generators": [_matrix(rng, n, n) for _ in range(m)]}
     return {
         "m": m,
         "n": n,
         "tau": (rng.permutation(m) + 1).tolist(),
-        "matrices": [_matrix(rng, n, n, 5.0) for _ in range(m)],
+        "matrices": [(rng.uniform(-2, 2, (n, n)) + 5 * np.eye(n)).tolist() for _ in range(m)],
     }
 
 
@@ -169,11 +157,10 @@ CASES = st.sampled_from(sorted(LOADERS)).flatmap(lambda k: st.tuples(st.just(k),
 @given(CASES)
 @settings(max_examples=400, deadline=None)
 @example(("preserver", TAU_OVERFLOW))
-@example(("commutation", '{"p":true,"q":2,"perm":[1,2]}'))
 @example(("preserver", '{"m":true,"n":2,"tau":[1],"matrices":[[[1,0],[0,1]]]}'))
 @example(("tensor", '{"shape":[2],"values":[-0.0,1]}'))
 @example(("tensor", '{"shape":[1],"values":[%s]}' % HUGE_LITERAL))
-@example(("gct", '{"m":1,"n":1,"generators":%s}' % ("[" * 5000 + "]" * 5000)))
+@example(("preserver", '{"m":1,"n":1,"tau":[1],"matrices":%s}' % ("[" * 5000 + "]" * 5000)))
 def test_loaders_return_round_trips_or_refuse(case):
     kind, text = case
     _check_loader(kind, text)
@@ -421,3 +408,56 @@ def test_gen_writes_the_pinned_bytes_at_the_budget(argv):
 def test_gen_refuses_one_past_the_budget(argv, err):
     want = f"error: {err} is over MAX_DENSE_ENTRIES=16777216\n"
     assert _run(*argv) == (3, "", want)
+
+
+# gen-* argument text: small sides, text int() reads or refuses, and sides
+# over every budget, which each command refuses before it builds or writes
+# anything; no side between them, so no example writes more than a few
+# thousand entries
+GEN_SIDES = st.one_of(
+    st.integers(1, 9).map(str),
+    st.sampled_from(["0", "-0", "-2", "+3", " 4", "07", "1e3", "2.0", "0x10", "", "9" * 5000]),
+    st.sampled_from([2**24 + 1, 10**10, 10**30]).map(str),
+    JUNK,
+)
+
+
+@st.composite
+def gen_argvs(draw):
+    command = draw(st.sampled_from(["gen-kmat", "gen-ktensor", "gen-gct"]))
+    argv = [command, draw(GEN_SIDES), draw(GEN_SIDES)]
+    if command == "gen-kmat" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "text"]))]
+    if command == "gen-gct" and draw(st.booleans()):
+        argv += ["--perm", ",".join(draw(st.lists(GEN_SIDES, max_size=4)))]
+    return argv
+
+
+def _matrix_text_rows(text: str) -> list[list[float]]:
+    rows = [list(map(float, line.split())) for line in text.splitlines()]
+    assert rows and all(len(row) == len(rows[0]) > 0 for row in rows), text
+    return rows
+
+
+@given(gen_argvs())
+@settings(max_examples=300, deadline=None)
+@example(["gen-kmat", "+3", "07"])
+@example(["gen-kmat", "0", "2"])
+@example(["gen-kmat", "1e3", "2", "--format", "json"])
+@example(["gen-kmat", str(2**24 + 1), "1", "--format", "json"])
+@example(["gen-ktensor", "-2", "3"])
+@example(["gen-gct", "65", "2"])
+@example(["gen-gct", "2", str(10**10)])
+@example(["gen-gct", "2", "3", "--perm", "+2, 3,1"])
+def test_gen_argument_text_exits_0_2_or_3(argv):
+    code, out, err = _run(*argv)
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and err
+    elif argv[0] == "gen-kmat" and "json" not in argv:
+        rows = _matrix_text_rows(out)
+        assert len(rows) == len(rows[0])
+    else:
+        assert out.endswith("\n")
+        _strict_json(out)

@@ -317,10 +317,10 @@ REFUSALS = {
         ArgumentError,
         "transposed must be True or False",
     ),
-    "commutation_from_json-integral-float": (
-        lambda: ser.commutation_from_json('{"p":2.0,"q":1,"perm":[1,2]}'),
+    "preserver_from_json-integral-float": (
+        lambda: ser.preserver_from_json('{"m":1,"n":1.0,"tau":[1],"matrices":[[[2]]]}'),
         ser.ParseError,
-        r"fields \['p', 'q'\] must be integers",
+        r"fields \['m', 'n'\] must be integers",
     ),
 }
 

@@ -3,10 +3,12 @@
 A tensor's first-mode-fastest values are its balance unfolding's entries
 column by column, so the CLI re-indexes the parsed values with the standard
 library instead of building the tensor.  These tests hold it to the library
-route it stands for, ``balance_unfold`` of the loaded tensor written by
-``tensor_to_json`` or ``matrix_to_text``: the same exit code, stdout and
-stderr on random documents, and pinned bytes for each refusal in the
-route's order.  ``balance_unfold`` is the oracle of the index rule.
+route it stands for, ``balance_unfold`` of the tensor built through numpy,
+written by ``canonical_json`` or ``matrix_to_text``: the same exit code,
+stdout and stderr on random documents, and pinned bytes for each refusal in
+the route's order.  ``balance_unfold`` is the oracle of the index rule, and
+``DenseTensor.from_flat`` that of the tensor reader's checks, which
+``unfold`` and ``tensor_from_json`` share.
 """
 
 import contextlib
@@ -17,11 +19,12 @@ import os
 import tempfile
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commutant import CommutantError, balance_unfold
+from commutant import CommutantError, DenseTensor, balance_unfold
 from commutant import serialize as ser
 from commutant import tensor as tensor_mod
 from commutant.cli import main
@@ -78,11 +81,27 @@ def matrix_texts(draw):
     return "".join(" ".join(line) + "\n" for line in lines)
 
 
+def _built_tensor(text: str) -> DenseTensor:
+    """Tensor JSON loaded as ``serialize`` loaded it through numpy: ``json``
+    (a ``-0`` is -0.0, the format's rule), ``DenseTensor.from_flat`` and
+    ``np.isfinite``.  The documents drawn here have a list of JSON integers
+    as ``shape`` and JSON numbers as ``values``, which the parse stage lets
+    through."""
+    data = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+    try:
+        t = DenseTensor.from_flat(data["shape"], data["values"])
+    except CommutantError as exc:
+        raise ser.ParseError(f"tensor: {exc}") from exc
+    if not np.isfinite(t.array).all():
+        raise ser.ParseError("tensor: values must be finite")
+    return t
+
+
 def _library_route(text: str, fmt: str):
     """What ``unfold`` wrote when it built the tensor: exit code, stdout, stderr."""
     try:
         if text.lstrip().startswith("{"):
-            loaded = ser.tensor_from_json(text)
+            loaded = _built_tensor(text)
         else:
             loaded = ser.matrix_from_text(text)
         unfolded = balance_unfold(loaded)
@@ -91,7 +110,8 @@ def _library_route(text: str, fmt: str):
     except CommutantError as exc:
         return 3, "", f"error: {exc}\n"
     if fmt == "json":
-        return 0, ser.tensor_to_json(unfolded) + "\n", ""
+        doc = {"shape": list(unfolded.shape), "values": unfolded.ravel(order="F").tolist()}
+        return 0, ser.canonical_json(doc) + "\n", ""
     return 0, ser.matrix_to_text(unfolded), ""
 
 
