@@ -16,18 +16,22 @@ Exit codes: 0 success, 1 stdout closed before the output was written,
 Output is deterministic: a fixed command line (plus seed) yields identical
 bytes.  The environment variable ``COMMUTANT_SEED`` overrides ``--seed``.
 
-Input is parsed with the standard library and built with numpy: a handler
-reads its files through ``serialize``'s parse stages, checks ``--perm`` and
-``COMMUTANT_SEED``, and only then imports the layers that build and run.  So
-a malformed argument, file or seed exits 2 before numpy loads, and ``apply``
-refuses a file that does not parse before it builds either file.  The
-``gen-*`` subcommands build nothing: ``serialize`` writes K, C and the
-permutation GCTs from their closed forms with the standard library, so they
-never load numpy, and refuse an over-budget size with ``tensor``'s message.
-Nor does ``unfold``: the tensor reader checks the values with the standard
-library, and a tensor's first-mode-fastest values are its balance
-unfolding's entries column by column, so ``serialize`` re-indexes them.
-``apply`` and ``unfold`` write their tensor in parts, and ``apply`` refuses a
+Input is read with the standard library and built with numpy: a handler
+reads its files through ``serialize``'s readers, one per format, checks
+``--perm`` and ``COMMUTANT_SEED``, and only then imports the layers that
+build and run.  So a malformed argument, file or seed exits 2 before numpy
+loads.  ``apply`` reads both files before it builds the preserver: every
+check of its tensor file comes before numpy loads, ahead of what only the
+preserver's build refuses.  Tensor JSON and matrix text are read to the
+same shape and first-mode-fastest values, so one matrix gives the same
+``apply`` bytes in either format.  The ``gen-*`` subcommands build nothing:
+``serialize`` writes K, C and the permutation GCTs from their closed forms
+with the standard library, so they never load numpy, and refuse an
+over-budget size with ``tensor``'s message.  Nor does ``unfold``: a
+tensor's first-mode-fastest values are its balance unfolding's entries
+column by column, so ``serialize`` re-indexes the checked values.
+``apply`` and ``unfold`` write their result in parts, through the writers
+of ``tensor_to_json`` and ``matrix_to_text``, and ``apply`` refuses a
 non-finite result before it writes any of it.
 
 :func:`run`, the process entry, calls :func:`main` and then freezes the
@@ -178,12 +182,15 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_tensor_file(path: str, json_reader, text_reader):
-    """Read a tensor JSON or matrix text file with the reader of its format."""
+def _read_tensor_file(path: str) -> tuple[tuple[int, ...], list[float]]:
+    """A tensor JSON or matrix text file's shape and first-mode-fastest
+    values, read and checked by the reader of its format."""
+    from . import serialize
+
     text = _read(path)
     if text.lstrip().startswith("{"):
-        return json_reader(text)
-    return text_reader(text)
+        return serialize._flat_tensor(text)
+    return serialize._flat_matrix_text(text)
 
 
 def _effective_seed(args) -> int:
@@ -274,16 +281,14 @@ def _cmd_apply(args) -> int:
     from . import serialize
 
     build_phi = serialize._parse_preserver(_read(args.preserver))
-    build_tensor = _read_tensor_file(
-        args.tensor, serialize._parse_tensor, serialize._parse_matrix_text
-    )
+    shape, values = _read_tensor_file(args.tensor)
 
     import numpy as np
 
     from .commutation_tensor import apply_rank_preserver
 
-    phi, tensor = build_phi(), build_tensor()
-    del build_tensor  # it holds the parsed values, as many objects as the result's
+    phi, tensor = build_phi(), serialize._array(shape, values)
+    del values  # as many objects as the result's values
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any byte
         result = apply_rank_preserver(phi, tensor).array
     values = serialize._finite_values(result)
@@ -294,14 +299,12 @@ def _cmd_apply(args) -> int:
 def _cmd_unfold(args) -> int:
     from . import serialize
 
-    shape, values = _read_tensor_file(
-        args.tensor, serialize._flat_tensor, serialize._flat_matrix_text
-    )
+    shape, values = _read_tensor_file(args.tensor)
     side = serialize._balance_side(shape)
     if args.format == "json":
         parts = serialize._tensor_json((side, side), values, "\n")
     else:
-        parts = serialize._unfolding_text(side, values)
+        parts = serialize._matrix_text(side, values)
     sys.stdout.writelines(parts)
     return EXIT_OK
 

@@ -18,16 +18,21 @@ Schemas
 * matrix text:   one row per line, entries space-separated.
 
 Three formats are read, one reader each: tensor JSON, matrix text and the
-preserver; K and GCT documents are only written.  A reader's parse stage
-uses only the standard library and makes, in the reader's order, every
-check it can state itself (JSON syntax, keys, header integers, JSON numbers,
-non-finite matrix entries, tau as a permutation).  It returns the build
-stage, which refuses the rest and builds, so a document the parse stage
-refuses is refused before numpy loads; neither numpy nor ``tensor`` loads
-with this module.  A tensor's build stage checks its values with the
-standard library too (:func:`_tensor_values`), so ``unfold`` re-indexes
-them without numpy and ``apply`` only reshapes them; one writer,
-:func:`_tensor_json`, streams the tensor schema for both.
+preserver; K and GCT documents are only written.  The tensor JSON and
+matrix text readers, :func:`_flat_tensor` and :func:`_flat_matrix_text`,
+make every check of their format with the standard library alone and
+return its shape and its values as floats, first mode fastest.  ``unfold``
+re-indexes those values without numpy; ``apply``, :func:`tensor_from_json`
+and :func:`matrix_from_text` reshape them with one helper,
+:func:`_array`.  The preserver reader alone keeps two stages, because
+numpy's conversion words some of its refusals: its parse stage uses only
+the standard library and makes, in order, every check it can state itself
+(JSON syntax, keys, header integers, JSON numbers, non-finite entries, tau
+as a permutation), and returns the build stage, which refuses the rest and
+builds.  Neither numpy nor ``tensor`` loads with this module.  Each text
+format has one writer, which the CLI streams and the public writers join:
+:func:`_tensor_json` for the tensor schema and :func:`_matrix_text` for
+matrix text.
 
 The paper's discrete objects are written from their closed forms with the
 standard library alone: K_{p,q} as text or JSON, the commutation tensor
@@ -185,14 +190,15 @@ def tensor_to_json(t: TensorLike) -> str:
     return "".join(_tensor_json(arr.shape, _finite_values(arr)))
 
 
-def _finite_values(arr: np.ndarray) -> list[float]:
+def _finite_values(arr: np.ndarray, fmt: str = "JSON") -> list[float]:
     """``arr``'s entries as floats in the first-mode-fastest order, refused
-    with canonical_json's message at the first NaN or infinity, so that a
-    refused tensor is refused before any of it is written."""
+    at the first NaN or infinity as canonical_json refuses it, naming the
+    format ``fmt``, so that a refused array is refused before any of it is
+    written."""
     values = arr.ravel(order="F").tolist()
     bad = next(filterfalse(math.isfinite, values), None)
     if bad is not None:
-        raise DomainError(f"cannot write the non-finite float {bad} as JSON")
+        raise DomainError(f"cannot write the non-finite float {bad} as {fmt}")
     return values
 
 
@@ -212,54 +218,38 @@ def _tensor_json(shape: Sequence[int], values: list[float], end: str = "") -> It
 def tensor_from_json(text: str) -> DenseTensor:
     from .tensor import DenseTensor
 
-    return DenseTensor._adopt(_parse_tensor(text)())
+    return DenseTensor._adopt(_array(*_flat_tensor(text)))
 
 
-def _parse_tensor(text: str) -> Callable[[], np.ndarray]:
-    return partial(_build_tensor, *_tensor_fields(text))
-
-
-def _tensor_fields(text: str) -> tuple[list[int], list]:
-    """The tensor reader's parse stage: ``shape`` as JSON integers and
-    ``values`` as JSON numbers, neither converted."""
-    data = _require(_loads(text), ["shape", "values"], "tensor")
-    shape = data["shape"]
-    values = data["values"]
-    if not isinstance(shape, list) or not all(_is_json_int(d) for d in shape):
-        raise ParseError("tensor: shape must be a list of integers")
-    if not isinstance(values, list) or not all(map(_is_json_number, values)):
-        raise ParseError("tensor: values must be a list of numbers")
-    return shape, values
-
-
-def _build_tensor(shape: list[int], values: list) -> np.ndarray:
-    """The tensor reader's build stage: its checked floats reshaped first
-    mode fastest."""
+def _array(shape: Sequence[int], values: list[float]) -> np.ndarray:
+    """The numpy operand of a reader's shape and first-mode-fastest floats."""
     import numpy as np
 
-    return np.array(_tensor_values(shape, values)).reshape(shape, order="F")
+    return np.array(values).reshape(shape, order="F")
 
 
 def _flat_tensor(text: str) -> tuple[tuple[int, ...], list[float]]:
-    """A tensor document's shape and its values as floats, in the first-mode-
-    fastest order, read and refused as the tensor reader refuses, with the
-    standard library alone."""
-    shape, values = _tensor_fields(text)
-    return tuple(shape), _tensor_values(shape, values)
-
-
-def _tensor_values(shape: list[int], values: list) -> list[float]:
-    """The tensor reader's checks after its parse stage: ``values`` as floats,
-    refused in ``DenseTensor.from_flat``'s order and words (an int beyond
-    float range, a bad shape, more than MAX_ORDER modes, a value count that
-    does not fit the shape), then a NaN or an infinity."""
+    """The tensor reader: a document's shape and its values as floats, in the
+    first-mode-fastest order, with the standard library alone.  It refuses,
+    in this order, bad JSON, a missing key, a ``shape`` of anything but JSON
+    integers and ``values`` of anything but JSON numbers; then, in
+    ``DenseTensor.from_flat``'s order and words, an int beyond float range,
+    a bad shape, more than MAX_ORDER modes and a value count that does not
+    fit the shape; then a NaN or an infinity."""
+    data = _require(_loads(text), ["shape", "values"], "tensor")
+    shape, values = data["shape"], data["values"]
+    if not isinstance(shape, list) or not all(map(_is_json_int, shape)):
+        raise ParseError("tensor: shape must be a list of integers")
+    if not isinstance(values, list) or not all(map(_is_json_number, values)):
+        raise ParseError("tensor: values must be a list of numbers")
+    shape = tuple(shape)
     try:
-        floats = _flat_values(tuple(shape), values)
+        floats = _flat_values(shape, values)
     except CommutantError as exc:
         raise ParseError(f"tensor: {exc}") from exc
     if not all(map(math.isfinite, floats)):
         raise ParseError("tensor: values must be finite")
-    return floats
+    return shape, floats
 
 
 def _flat_values(shape: tuple[int, ...], values: list) -> list[float]:
@@ -282,10 +272,23 @@ def _flat_values(shape: tuple[int, ...], values: list) -> list[float]:
 
 
 def matrix_to_text(mat) -> str:
+    """A matrix as matrix text.  A matrix the reader would refuse, one with
+    no entries or one holding a NaN or an infinity, is refused with
+    DomainError before any of it is written."""
     from .tensor import as_matrix
 
     m = as_matrix(mat)
-    return "\n".join(" ".join(format_float(v) for v in row) for row in m) + "\n"
+    if not m.size:
+        raise DomainError(f"cannot write the empty {m.shape} matrix as matrix text")
+    return "".join(_matrix_text(len(m), _finite_values(m, "matrix text")))
+
+
+def _matrix_text(rows: int, values: list[float]) -> Iterator[str]:
+    """Matrix text in parts, one per row, of the matrix with ``rows`` rows
+    whose entries column by column are the finite ``values``: row r is
+    ``values[r::rows]``."""
+    for r in range(rows):
+        yield " ".join(map(format_float, values[r::rows])) + "\n"
 
 
 def _unit_entries(length: int, ones: Iterable[int], sep: str) -> str:
@@ -319,23 +322,14 @@ def _commutation_to_text(p: int, q: int) -> str:
 
 
 def matrix_from_text(text: str) -> np.ndarray:
-    return _parse_matrix_text(text)()
-
-
-def _parse_matrix_text(text: str) -> Callable[[], np.ndarray]:
-    return partial(_matrix, _matrix_text_rows(text), "matrix text")
+    return _array(*_flat_matrix_text(text))
 
 
 def _flat_matrix_text(text: str) -> tuple[tuple[int, int], list[float]]:
-    """Matrix text's shape and its entries column by column, the tensor
-    schema's order, read with the standard library alone.  Its conversion
-    refuses nothing that the parse stage lets through."""
-    rows = _matrix_text_rows(text)
-    return (len(rows), len(rows[0])), [v for col in zip(*rows) for v in col]
-
-
-def _matrix_text_rows(text: str) -> list[list[float]]:
-    """Matrix text's parse stage: nonempty rows of one width, finite."""
+    """The matrix text reader: the shape and the entries column by column,
+    the tensor schema's order, with the standard library alone.  It refuses
+    a token that is not a float, no rows, ragged rows and then a NaN or an
+    infinity; blank lines are skipped."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -349,9 +343,8 @@ def _matrix_text_rows(text: str) -> list[list[float]]:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix text: ragged rows")
-    # nonempty rows of one width convert, so this is the check after them
     _refuse_non_finite(rows, "matrix text")
-    return rows
+    return (len(rows), width), [v for col in zip(*rows) for v in col]
 
 
 def _matrix_lists(mat: np.ndarray) -> list[list[float]]:
@@ -380,15 +373,16 @@ def _parse_matrix_lists(data: Any, what: str) -> bool:
     return True
 
 
-def _matrix(data: list, what: str) -> np.ndarray:
-    """The build stage of a matrix: ``data`` through the one array intake,
-    whose refusals are a ParseError."""
+def _matrix(data: list) -> np.ndarray:
+    """The build stage of a preserver matrix: ``data`` through the one array
+    intake, whose refusals (ragged rows, an int beyond float range, not
+    2-D) are a ParseError in numpy's words."""
     from .tensor import as_matrix
 
     try:
         return as_matrix(data)
-    except CommutantError as exc:  # ragged rows, an int beyond float range, not 2-D
-        raise ParseError(f"{what}: {exc}") from exc
+    except CommutantError as exc:
+        raise ParseError(f"preserver matrix: {exc}") from exc
 
 
 # ------------------------------------------------------------ unfoldings
@@ -409,15 +403,7 @@ def _balance_side(shape: tuple[int, ...]) -> int:
 # The unfolding's row index is the canonical flat index of the first m
 # modes and its column index that of the last m, so entry (r, c) sits at
 # offset r + side·c of the tensor's first-mode-fastest values: those values
-# are the unfolding's entries column by column, and row r is values[r::side].
-
-
-def _unfolding_text(side: int, values: list[float]) -> Iterator[str]:
-    """``matrix_to_text(balance_unfold(t))`` in parts, one per row, for the
-    finite first-mode-fastest ``values`` of a t whose unfolding has side
-    ``side``."""
-    for r in range(side):
-        yield " ".join(map(format_float, values[r::side])) + "\n"
+# are the unfolding's entries column by column, which _matrix_text writes.
 
 
 # ------------------------------------------------- structured objects
@@ -499,7 +485,7 @@ def _parse_preserver(text: str) -> Callable[[], Gct]:
         raise ParseError("preserver: matrices must be a list")
     for mat in mats:
         if not _parse_matrix_lists(mat, "preserver matrix"):
-            return partial(_matrix, mat, "preserver matrix")  # its conversion refuses it
+            return partial(_matrix, mat)  # its conversion refuses it
     images = data["tau"]
     if not isinstance(images, list) or not all(map(_is_json_int, images)):
         raise ParseError("preserver: tau must be a list of integers")
@@ -516,4 +502,4 @@ def _parse_preserver(text: str) -> Callable[[], Gct]:
 def _build_preserver(mats: list, tau) -> Gct:
     from .preserver import rank_preserver
 
-    return rank_preserver([_matrix(m, "preserver matrix") for m in mats], tau)
+    return rank_preserver([_matrix(m) for m in mats], tau)

@@ -514,6 +514,24 @@ class TestApply:
         want = {"shape": [300, 300], "values": result.ravel(order="F").tolist()}
         assert out == ser.canonical_json(want) + "\n"
 
+    @pytest.mark.parametrize("tau", [[1, 2], [2, 1]])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 18, 19, 20, 25, 26, 27, 28, 32, 33, 34, 35, 36])
+    def test_one_matrix_gives_the_same_bytes_in_either_format(self, capsys, tmp_path, n, tau):
+        # the sizes at which apply_rank_preserver gives a C-ordered and an
+        # F-ordered copy of one matrix other bits; both readers build F order
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        mats = [(rng.standard_normal((n, n)) + 6 * np.eye(n)).tolist() for _ in range(2)]
+        phi = {"m": 2, "n": n, "tau": tau, "matrices": mats}
+        pfile = self._write(tmp_path, "phi.json", json.dumps(phi))
+        as_json = {"shape": [n, n], "values": a.ravel(order="F").tolist()}
+        as_text = "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist())
+        outs = [
+            run(capsys, "apply", pfile, self._write(tmp_path, name, text))
+            for name, text in (("a.json", json.dumps(as_json)), ("a.txt", as_text))
+        ]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
     def test_writes_its_result_in_parts(self, tmp_path):
         # an order-4, n = 30 result is 810,000 values; written as one string
         # of them all, they took ~170 MiB over the peak of an n = 2 apply
@@ -1118,14 +1136,26 @@ class TestParseRefusalBytes:
 
 
 class TestApplyParsesBothFilesFirst:
-    """``apply`` parses both files before it builds either, so a tensor file
-    that does not parse is refused ahead of whatever building the preserver
-    refuses.  Numpy loaded first, the preserver was built before the tensor
-    file was read, and its refusal won: exit 3 for a singular matrix."""
+    """``apply`` reads both files before it builds the preserver, so every
+    refusal of the tensor file, its value count and its non-finite values
+    among them, comes ahead of whatever building the preserver refuses:
+    a singular matrix (exit 3) or ragged rows (numpy's message)."""
 
     SINGULAR = '{"m":1,"n":2,"tau":[1],"matrices":[[[0,0],[0,0]]]}'
     # ragged rows are refused by numpy's conversion, so in the build stage
     RAGGED = '{"m":1,"n":2,"tau":[1],"matrices":[[[1,0],[0]]]}'
+    #: tensor files refused after their JSON parses, with their messages
+    TENSOR_REFUSALS = [
+        pytest.param(
+            '{"shape":[2],"values":[1,2,3]}',
+            "error: tensor: 3 values for shape (2,) (need 2)\n",
+            id="count",
+        ),
+        pytest.param(
+            '{"shape":[2],"values":[1,NaN]}', "error: tensor: values must be finite\n", id="nan"
+        ),
+        pytest.param(TRUNCATED, TRUNCATED_ERR, id="truncated"),
+    ]
 
     @staticmethod
     def _apply(capsys, tmp_path, phi, tensor):
@@ -1134,13 +1164,19 @@ class TestApplyParsesBothFilesFirst:
         tfile.write_text(tensor, encoding="utf-8")
         return run(capsys, "apply", str(pfile), str(tfile))
 
-    def test_a_singular_preserver_gives_way_to_the_tensor_parse_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("tensor,err", TENSOR_REFUSALS)
+    def test_a_singular_preserver_gives_way_to_the_tensor_parse_error(
+        self, capsys, tmp_path, tensor, err
+    ):
         alone = self._apply(capsys, tmp_path, self.SINGULAR, '{"shape":[2],"values":[1,2]}')
         assert alone == (3, "", "error: pivot 0.000e+00 below threshold 1e-10\n")
-        assert self._apply(capsys, tmp_path, self.SINGULAR, TRUNCATED) == (2, "", TRUNCATED_ERR)
+        assert self._apply(capsys, tmp_path, self.SINGULAR, tensor) == (2, "", err)
 
-    def test_a_conversion_refusal_gives_way_to_the_tensor_parse_error(self, capsys, tmp_path):
-        code, out, err = self._apply(capsys, tmp_path, self.RAGGED, '{"shape":[2],"values":[1,2]}')
+    @pytest.mark.parametrize("tensor,err", TENSOR_REFUSALS)
+    def test_a_conversion_refusal_gives_way_to_the_tensor_parse_error(
+        self, capsys, tmp_path, tensor, err
+    ):
+        code, out, alone = self._apply(capsys, tmp_path, self.RAGGED, '{"shape":[2],"values":[1,2]}')
         assert (code, out) == (2, "")
-        assert err.startswith("error: preserver matrix: not a regular array of numbers")
-        assert self._apply(capsys, tmp_path, self.RAGGED, TRUNCATED) == (2, "", TRUNCATED_ERR)
+        assert alone.startswith("error: preserver matrix: not a regular array of numbers")
+        assert self._apply(capsys, tmp_path, self.RAGGED, tensor) == (2, "", err)

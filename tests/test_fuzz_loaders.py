@@ -1,7 +1,8 @@
 """Fuzz the two JSON loaders and the CLI's external inputs.
 
 Each document either loads to an object whose writer output reloads to the
-same bytes, or is refused with a CommutantError.  `apply` and `unfold` on
+same bytes, or is refused with a CommutantError; a tensor it loads holds the
+bits that ``json`` and ``DenseTensor.from_flat`` read from it.  `apply` and `unfold` on
 such files exit 0, 2 or 3 and never raise.  On exit 0 their stdout is
 strict JSON, with no NaN or Infinity token.  The documents are random JSON
 (NaN/Infinity tokens, booleans, strings, nested lists, huge integers) and
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 
 from commutant import (
     CommutantError,
+    DenseTensor,
     Permutation,
     build_commutation,
     build_ctensor,
@@ -135,12 +137,22 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def _tensor_oracle(text: str) -> np.ndarray:
+    """An accepted tensor document read without serialize's reader: ``json``
+    (a ``-0`` is -0.0, the format's rule) and ``DenseTensor.from_flat``."""
+    data = json.loads(text, parse_int=lambda t: -0.0 if t == "-0" else int(t))
+    return DenseTensor.from_flat(data["shape"], data["values"]).array
+
+
 def _check_loader(kind: str, text: str) -> None:
     load, dump = LOADERS[kind]
     try:
         obj = load(text)
     except CommutantError:
         return
+    if kind == "tensor":
+        want = _tensor_oracle(text)
+        assert obj.shape == want.shape and obj.array.tobytes() == want.tobytes()
     out = dump(obj)
     given = json.loads(text)
     # json loads true as a bool, which equals 1: a field written as an

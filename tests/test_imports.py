@@ -159,6 +159,8 @@ PARSE_ERROR_FILES = {
     "TENSOR": '{"shape":[2,2],"values":[1,2,3,4]}',
     "INF_TEXT": "1 2\ninf 4\n",
     "TRUNCATED": '{"shape": [3, 3], "v',
+    "COUNT": '{"shape":[2,2],"values":[1,2,3]}',
+    "NAN_TENSOR": '{"shape":[2,2],"values":[1,NaN,3,4]}',
 }
 
 
@@ -169,11 +171,23 @@ PARSE_ERROR_FILES = {
         (["apply", "PHI", "INF_TEXT"], None),
         (["apply", "STRING_M_PHI", "TENSOR"], None),
         (["apply", "PHI", "TRUNCATED"], None),
+        (["apply", "PHI", "COUNT"], None),
+        (["apply", "PHI", "NAN_TENSOR"], None),
         (["gen-gct", "2", "3", "--perm", "1,1,2"], None),
         (["apply", "MISSING", "TENSOR"], None),
         (["verify"], {"COMMUTANT_SEED": "x"}),
     ],
-    ids=["nan-preserver", "inf-text", "string-m", "truncated", "bad-perm", "missing", "bad-seed"],
+    ids=[
+        "nan-preserver",
+        "inf-text",
+        "string-m",
+        "truncated",
+        "tensor-count",
+        "nan-tensor",
+        "bad-perm",
+        "missing",
+        "bad-seed",
+    ],
 )
 def test_a_parse_error_exits_before_numpy_loads(tmp_path, argv, env):
     files = {"MISSING": tmp_path / "missing.json"}

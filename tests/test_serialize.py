@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commutant import (
     CommutantError,
@@ -138,6 +140,20 @@ class TestTensorJson:
             ser.tensor_to_json(x)
 
 
+#: matrix entries: any float, and the edges of the float64 range
+MATRIX_ENTRIES = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072e-308, 2.2250738585072014e-308, 1e308, -1e308]
+)
+
+
+@st.composite
+def _matrices(draw):
+    """Matrices of 0 to 4 rows and columns of MATRIX_ENTRIES."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = draw(st.lists(MATRIX_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
+
+
 class TestMatrixText:
     def test_emit(self):
         mat = np.array([[1.0, 0.0], [0.5, -2.0]])
@@ -163,6 +179,33 @@ class TestMatrixText:
         for bad in ("nan", "inf", "-inf", "1e999"):
             with pytest.raises(ser.ParseError):
                 ser.matrix_from_text(f"1 2\n{bad} 4\n")
+
+    @pytest.mark.parametrize(
+        "mat,message",
+        [
+            ([[1, np.nan], [np.inf, 2]], "cannot write the non-finite float inf as matrix text"),
+            ([[1, np.nan], [3, 2]], "cannot write the non-finite float nan as matrix text"),
+            (np.zeros((0, 3)), "cannot write the empty (0, 3) matrix as matrix text"),
+            (np.zeros((3, 0)), "cannot write the empty (3, 0) matrix as matrix text"),
+        ],
+        ids=["inf-first", "nan", "0x3", "3x0"],
+    )
+    def test_refuses_what_its_reader_refuses(self, mat, message):
+        # the first non-finite entry in the column-by-column order is named
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ser.matrix_to_text(mat)
+
+    @given(_matrices())
+    @settings(max_examples=300, deadline=None)
+    @example(np.array([[-0.0, 5e-324], [1e308, -2.2250738585072e-308]]))
+    def test_what_it_writes_reads_back_bit_for_bit(self, mat):
+        try:
+            text = ser.matrix_to_text(mat)
+        except DomainError:
+            assert mat.size == 0 or not np.isfinite(mat).all()
+            return
+        back = ser.matrix_from_text(text)
+        assert back.shape == mat.shape and back.tobytes() == mat.tobytes()
 
 
 class TestDenseBudgetCopy:

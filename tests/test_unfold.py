@@ -4,11 +4,14 @@ A tensor's first-mode-fastest values are its balance unfolding's entries
 column by column, so the CLI re-indexes the parsed values with the standard
 library instead of building the tensor.  These tests hold it to the library
 route it stands for, ``balance_unfold`` of the tensor built through numpy,
-written by ``canonical_json`` or ``matrix_to_text``: the same exit code,
-stdout and stderr on random documents, and pinned bytes for each refusal in
-the route's order.  ``balance_unfold`` is the oracle of the index rule, and
-``DenseTensor.from_flat`` that of the tensor reader's checks, which
-``unfold`` and ``tensor_from_json`` share.
+written by ``canonical_json`` or row by row with ``%.17g``: the same exit
+code, stdout and stderr on random documents, and pinned bytes for each
+refusal in the route's order.  ``balance_unfold`` is the oracle of the index
+rule, ``DenseTensor.from_flat`` that of the tensor reader's checks, and
+``np.array`` of the rows that of the matrix text reader's.  Those readers
+and the matrix text writer are shared by ``unfold``, ``apply``,
+``tensor_from_json``, ``matrix_from_text`` and ``matrix_to_text``, so the
+route here reads and writes without them.
 """
 
 import contextlib
@@ -97,13 +100,25 @@ def _built_tensor(text: str) -> DenseTensor:
     return t
 
 
+def _built_matrix(text: str) -> np.ndarray:
+    """Matrix text loaded as ``serialize`` loaded it through numpy: ``float``
+    of each token on the nonblank lines, ``np.array`` of the rows and
+    ``np.isfinite``.  The texts drawn here have nonempty rows of one width
+    of float tokens, which the reader's first checks let through."""
+    rows = [[float(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
+    mat = np.array(rows)
+    if not np.isfinite(mat).all():
+        raise ser.ParseError("matrix text: values must be finite")
+    return mat
+
+
 def _library_route(text: str, fmt: str):
     """What ``unfold`` wrote when it built the tensor: exit code, stdout, stderr."""
     try:
         if text.lstrip().startswith("{"):
             loaded = _built_tensor(text)
         else:
-            loaded = ser.matrix_from_text(text)
+            loaded = _built_matrix(text)
         unfolded = balance_unfold(loaded)
     except ser.ParseError as exc:
         return 2, "", f"error: {exc}\n"
@@ -112,7 +127,8 @@ def _library_route(text: str, fmt: str):
     if fmt == "json":
         doc = {"shape": list(unfolded.shape), "values": unfolded.ravel(order="F").tolist()}
         return 0, ser.canonical_json(doc) + "\n", ""
-    return 0, ser.matrix_to_text(unfolded), ""
+    rows = unfolded.tolist()
+    return 0, "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in rows), ""
 
 
 def _unfold(text: str, fmt: str):
