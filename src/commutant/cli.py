@@ -27,9 +27,11 @@ same shape and first-mode-fastest values, so one matrix gives the same
 ``apply`` bytes in either format.  The ``gen-*`` subcommands build nothing:
 ``serialize`` writes K, C and the permutation GCTs from their closed forms
 with the standard library, so they never load numpy, and refuse an
-over-budget size with ``tensor``'s message.  Nor does ``unfold``: a
-tensor's first-mode-fastest values are its balance unfolding's entries
-column by column, so ``serialize`` re-indexes the checked values.
+over-budget size with the dense budget of :mod:`commutant.errors`, which
+the builders obey.  Nor does ``unfold``: it checks the shape with
+``balance_unfold``'s rule from the same module, and a tensor's
+first-mode-fastest values are its balance unfolding's entries column by
+column, so ``serialize`` re-indexes the checked values.
 ``apply`` and ``unfold`` write their result in parts, through the writers
 of ``tensor_to_json`` and ``matrix_to_text``, and ``apply`` refuses a
 non-finite result before it writes any of it.
@@ -48,9 +50,10 @@ import os
 import sys
 
 from .errors import ArgumentError, CommutantError, RangeError
+from .errors import _check_dense_budget, _check_order, _even_order_cubic
 
-# Only the stdlib and the error types load with this module, so a usage
-# error exits before numpy is imported.  Each handler imports the layers its
+# Only the stdlib and ``errors`` (the error types and the shape rules) load
+# with this module, so a usage error exits before numpy is imported.  Each handler imports the layers its
 # subcommand runs, so a ``gen-kmat`` process never loads numpy, the
 # certifiers or the suites.
 
@@ -236,8 +239,8 @@ def _cmd_gen_gct(args) -> int:
         except (ArgumentError, RangeError) as exc:
             raise serialize.ParseError(f"--perm must permute 1..{args.n}: {exc}") from exc
     # gct_from_permutation's refusals, before the default's n images exist
-    serialize._check_order(args.m, "group-case tensor")
-    serialize._check_dense_budget((args.n, args.n), "permutation matrix")
+    _check_order(args.m, "group-case tensor")
+    _check_dense_budget((args.n, args.n), "permutation matrix")
     if args.perm is None:
         pi = Permutation.identity(args.n)
     sys.stdout.writelines(serialize._permutation_gct_json(pi, args.m))
@@ -300,7 +303,8 @@ def _cmd_unfold(args) -> int:
     from . import serialize
 
     shape, values = _read_tensor_file(args.tensor)
-    side = serialize._balance_side(shape)
+    m, n = _even_order_cubic(shape, "balance_unfold")
+    side = n**m
     if args.format == "json":
         parts = serialize._tensor_json((side, side), values, "\n")
     else:

@@ -41,10 +41,12 @@ def _check_dims(p: int, q: int) -> None:
 @dataclass(frozen=True)
 class CommutationMatrix:
     """K_{p,q}: row s has its 1 in column ``idx[s]`` (0-based).  K acts by
-    :func:`apply`, a transpose copy that reads no index; ``idx`` is K's
-    serialized form (the ``gen-kmat`` rows, the JSON ``perm``), built and
-    cached only when read.  Read as an order-4 tensor, K is the commutation
-    tensor C_{p,q}, its ``backing``, also built when first read."""
+    :func:`apply`, a transpose copy that reads no index; ``idx``, built and
+    cached only when read, serves the tests, the ``kron-conjugation`` oracle
+    and library callers.  K's writers read no ``idx``: they write from the
+    closed form, ``serialize._k_columns``.  Read as an order-4 tensor, K is
+    the commutation tensor C_{p,q}, its ``backing``, also built when first
+    read."""
 
     p: int
     q: int

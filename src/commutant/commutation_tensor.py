@@ -238,13 +238,22 @@ def apply_rank_preserver(g: Gct, a: TensorLike) -> DenseTensor:
     shuffle the modes so that mode k draws its factor from mode tau(k),
     then act with generators[k] on mode k, in O(m n^(m+1)).  On a rank-1
     input with factors alpha_k the output factors are generators[k] @
-    alpha_{tau(k)}."""
+    alpha_{tau(k)}.
+
+    A matrix is read in F order, a C-ordered one through a copy that is
+    dropped once the first mode product is made, so that its layout does
+    not change the bits: BLAS may round the two layouts apart.  At m >= 3
+    that product reads the operand into C order in either layout."""
     arr = _tensor_entries(a)
     if arr.ndim != g.m or any(d != g.n for d in arr.shape):
         raise DimensionError(f"tensor shape {arr.shape} does not fit {g.m} modes of size {g.n}")
     # permute_modes by tau^-1, whose transpose axes are tau's own images
-    shuffled = np.transpose(arr, g.tau.zero_based())
-    return DenseTensor._adopt(_mode_products(shuffled, enumerate(g.generators)))
+    axes, pairs = g.tau.zero_based(), enumerate(g.generators)
+    if arr.ndim == 2:
+        arr = _mode_products(np.asfortranarray(arr).transpose(axes), [next(pairs)])
+    else:
+        arr = arr.transpose(axes)
+    return DenseTensor._adopt(_mode_products(arr, pairs))
 
 
 def is_pair_symmetric(a: TensorLike) -> bool:
@@ -256,7 +265,7 @@ def is_pair_symmetric(a: TensorLike) -> bool:
     under every permutation.
     """
     arr = _tensor_entries(a)
-    _even_order_cubic(arr, "is_pair_symmetric")
+    _even_order_cubic(arr.shape, "is_pair_symmetric")
     return all(np.array_equal(s, arr) for s in _adjacent_swaps(arr, 2))
 
 
@@ -284,7 +293,7 @@ def is_balanced_permutation(a: TensorLike) -> bool:
     within ``STRUCTURE_TOL`` of 0 or 1, with exactly one 1 per row and per
     column."""
     arr = _tensor_entries(a)
-    m, _ = _even_order_cubic(arr, "is_balanced_permutation")
+    m, _ = _even_order_cubic(arr.shape, "is_balanced_permutation")
     ones = np.abs(arr - 1.0) <= STRUCTURE_TOL
     zeros = np.abs(arr) <= STRUCTURE_TOL
     return bool(np.all(ones | zeros)) and _monomial_support(ones, m) is not None
@@ -363,7 +372,7 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     not mutual inverses.
     """
     ta, tb = _tensor_entries(a), _tensor_entries(b)
-    m, n = _even_order_cubic(ta, "check_nonneg_inverse")
+    m, n = _even_order_cubic(ta.shape, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
     # the support a DenseTensor keeps from its build, or a scan with

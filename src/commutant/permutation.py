@@ -13,7 +13,7 @@ if TYPE_CHECKING:  # numpy loads only when matrix() is called
 
 #: highest degree of Permutation.identity: its images are a tuple of Python
 #: ints, ~36 B each with the tuple's slot, so 2**21 of them take ~72 MiB,
-#: within the 128 MiB that tensor.MAX_DENSE_ENTRIES allows an array
+#: within the 128 MiB that errors.MAX_DENSE_ENTRIES allows an array
 _MAX_DEGREE = 2**21
 
 

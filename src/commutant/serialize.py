@@ -36,9 +36,10 @@ matrix text.
 
 The paper's discrete objects are written from their closed forms with the
 standard library alone: K_{p,q} as text or JSON, the commutation tensor
-C_{m,n}, and the group-case GCT of a permutation.  Their over-budget
-refusals are ``tensor``'s, word for word, from this module's copy of the
-dense budget.
+C_{m,n}, and the group-case GCT of a permutation.  They and the tensor
+reader refuse with the shape and budget rules of :mod:`commutant.errors`,
+which ``tensor`` builds under, so their refusals are the builders' word for
+word.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import partial
 from itertools import chain, filterfalse
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import ArgumentError, CommutantError, DimensionError, DomainError
+from .errors import ArgumentError, CommutantError, DomainError, _check_dense_budget, _check_flat
 
 if TYPE_CHECKING:  # annotations only; each stage imports the layer it runs
     import numpy as np
@@ -59,26 +60,6 @@ if TYPE_CHECKING:  # annotations only; each stage imports the layer it runs
     from .commutation_tensor import Gct
     from .permutation import Permutation
     from .tensor import DenseTensor, TensorLike
-
-#: ``tensor.MAX_DENSE_ENTRIES`` and ``tensor.MAX_ORDER``, which a test pins
-#: equal to these: the writers below refuse as ``tensor`` does, without numpy
-MAX_DENSE_ENTRIES = 2**24
-MAX_ORDER = 64
-
-
-def _check_order(order: int, what: str) -> None:
-    """``tensor._check_order``: refuse more modes than numpy allows."""
-    if order > MAX_ORDER:
-        raise DimensionError(f"{what}: order {order} is over numpy's {MAX_ORDER} modes")
-
-
-def _check_dense_budget(shape: Sequence[int], what: str) -> None:
-    """``tensor._check_dense_budget``: refuse, before anything is built, a
-    dense array over MAX_DENSE_ENTRIES or over MAX_ORDER modes."""
-    _check_order(len(shape), what)
-    if math.prod(shape) > MAX_DENSE_ENTRIES:
-        raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
-
 
 class ParseError(CommutantError):
     """Input text does not parse as the expected format."""
@@ -164,9 +145,9 @@ def _is_json_number(v: Any) -> bool:
     return _is_json_int(v) or isinstance(v, float)
 
 
-def _refuse_non_finite(rows: list[list[float]], what: str) -> None:
-    """Refuse rows of floats holding a NaN or an infinity."""
-    if not all(math.isfinite(v) for row in rows for v in row):
+def _refuse_non_finite(values: Iterable[float], what: str) -> None:
+    """Refuse floats among which is a NaN or an infinity."""
+    if not all(map(math.isfinite, values)):
         raise ParseError(f"{what}: values must be finite")
 
 
@@ -247,8 +228,7 @@ def _flat_tensor(text: str) -> tuple[tuple[int, ...], list[float]]:
         floats = _flat_values(shape, values)
     except CommutantError as exc:
         raise ParseError(f"tensor: {exc}") from exc
-    if not all(map(math.isfinite, floats)):
-        raise ParseError("tensor: values must be finite")
+    _refuse_non_finite(floats, "tensor")
     return shape, floats
 
 
@@ -259,12 +239,7 @@ def _flat_values(shape: tuple[int, ...], values: list) -> list[float]:
         floats = list(map(float, values))
     except OverflowError as exc:
         raise ArgumentError(f"not a regular array of numbers for tensor values: {exc}") from None
-    if not shape or min(shape) < 1:
-        raise ArgumentError(f"bad shape {shape}")
-    size = math.prod(shape)
-    _check_order(len(shape), "tensor")
-    if len(floats) != size:
-        raise DimensionError(f"{len(floats)} values for shape {shape} (need {size})")
+    _check_flat(shape, len(floats))
     return floats
 
 
@@ -286,7 +261,10 @@ def matrix_to_text(mat) -> str:
 def _matrix_text(rows: int, values: list[float]) -> Iterator[str]:
     """Matrix text in parts, one per row, of the matrix with ``rows`` rows
     whose entries column by column are the finite ``values``: row r is
-    ``values[r::rows]``."""
+    ``values[r::rows]``.  ``unfold`` writes its balance unfolding with it:
+    the unfolding's row index is the canonical flat index of the first m
+    modes and its column index that of the last m, so entry (r, c) sits at
+    offset r + side·c of the tensor's first-mode-fastest values."""
     for r in range(rows):
         yield " ".join(map(format_float, values[r::rows])) + "\n"
 
@@ -343,7 +321,7 @@ def _flat_matrix_text(text: str) -> tuple[tuple[int, int], list[float]]:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("matrix text: ragged rows")
-    _refuse_non_finite(rows, "matrix text")
+    _refuse_non_finite(chain.from_iterable(rows), "matrix text")
     return (len(rows), width), [v for col in zip(*rows) for v in col]
 
 
@@ -366,10 +344,10 @@ def _parse_matrix_lists(data: Any, what: str) -> bool:
     if not data or any(len(row) != len(data[0]) for row in data):
         return False
     try:
-        rows = [[float(v) for v in row] for row in data]
+        floats = list(map(float, chain.from_iterable(data)))
     except OverflowError:
         return False
-    _refuse_non_finite(rows, what)
+    _refuse_non_finite(floats, what)
     return True
 
 
@@ -383,27 +361,6 @@ def _matrix(data: list) -> np.ndarray:
         return as_matrix(data)
     except CommutantError as exc:
         raise ParseError(f"preserver matrix: {exc}") from exc
-
-
-# ------------------------------------------------------------ unfoldings
-
-
-def _balance_side(shape: tuple[int, ...]) -> int:
-    """The side n^m of the balance unfolding of an order-2m tensor of this
-    shape, refused in ``tensor.balance_unfold``'s words unless the order is
-    even and every extent agrees."""
-    order, n = len(shape), shape[0]
-    if order % 2 != 0:
-        raise DimensionError(f"balance_unfold: order must be even, got {order}")
-    if any(d != n for d in shape):
-        raise DimensionError(f"balance_unfold: all mode extents must agree, got {shape}")
-    return n ** (order // 2)
-
-
-# The unfolding's row index is the canonical flat index of the first m
-# modes and its column index that of the last m, so entry (r, c) sits at
-# offset r + side·c of the tensor's first-mode-fastest values: those values
-# are the unfolding's entries column by column, which _matrix_text writes.
 
 
 # ------------------------------------------------- structured objects

@@ -23,29 +23,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, DomainError, RangeError, _as_list, _is_integer
+from .errors import MAX_DENSE_ENTRIES, MAX_ORDER  # the budget, also read as tensor.MAX_*
+from .errors import ArgumentError, DimensionError, RangeError, _as_list, _is_integer
+from .errors import _check_dense_budget, _check_flat, _check_order, _even_order_cubic
 
 TensorLike = Union["DenseTensor", np.ndarray, Sequence]
-
-#: most entries any dense builder allocates (2**24 float64s = 128 MiB)
-MAX_DENSE_ENTRIES = 2**24
-#: most modes a numpy array can have
-MAX_ORDER = 64
-
-
-def _check_order(order: int, what: str) -> None:
-    """Refuse a dense array of more modes than numpy allows."""
-    if order > MAX_ORDER:
-        raise DimensionError(f"{what}: order {order} is over numpy's {MAX_ORDER} modes")
-
-
-def _check_dense_budget(shape: Sequence[int], what: str) -> None:
-    """Refuse, before allocating, a dense array over MAX_DENSE_ENTRIES or
-    over numpy's MAX_ORDER modes."""
-    _check_order(len(shape), what)
-    if math.prod(shape) > MAX_DENSE_ENTRIES:
-        raise DomainError(f"{what}: {shape} is over MAX_DENSE_ENTRIES={MAX_DENSE_ENTRIES}")
-
 
 def _shuffle_index(shape: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     """The gather index that reads an array of ``shape`` as ``transpose(axes)``."""
@@ -291,14 +273,7 @@ class DenseTensor:
         read and copied as the constructor reads its data."""
         shape = tuple(_as_list(shape, "a shape"))
         vals = _as_array(values, "tensor values")
-        if len(shape) < 1 or any(not _is_integer(d) or d < 1 for d in shape):
-            raise ArgumentError(f"bad shape {shape}")
-        shape = tuple(map(int, shape))
-        size = math.prod(shape)
-        _check_order(len(shape), "tensor")
-        if vals.size != size:
-            raise DimensionError(f"{vals.size} values for shape {shape} (need {size})")
-        return cls(vals.reshape(shape, order="F"))
+        return cls(vals.reshape(_check_flat(shape, vals.size), order="F"))
 
     @property
     def array(self) -> np.ndarray:
@@ -349,16 +324,6 @@ def as_matrix(value: TensorLike) -> np.ndarray:
     return _as_array(value, "a matrix", 2)
 
 
-def _even_order_cubic(t, name: str) -> tuple[int, int]:
-    """Validate ``t.shape``: order 2m with all extents equal; return (m, n)."""
-    order, n = len(t.shape), t.shape[0]
-    if order % 2 != 0:
-        raise DimensionError(f"{name}: order must be even, got {order}")
-    if any(d != n for d in t.shape):
-        raise DimensionError(f"{name}: all mode extents must agree, got {t.shape}")
-    return order // 2, n
-
-
 def _contract_half(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """``np.tensordot(a, b, axes=m)`` for an order-2m ``a`` whose last m
     extents are ``b``'s first m.  It is one ``np.dot`` on the reshapes
@@ -376,8 +341,8 @@ def mul_2m(a: TensorLike, b: TensorLike) -> DenseTensor:
     ``(ab)[i_1..i_m, j_1..j_m] = sum_{k_1..k_m} a[i, k] * b[k, j]``.
     """
     ta, tb = _tensor_entries(a), _tensor_entries(b)
-    m, n = _even_order_cubic(ta, "mul_2m")
-    mb, nb = _even_order_cubic(tb, "mul_2m")
+    m, n = _even_order_cubic(ta.shape, "mul_2m")
+    mb, nb = _even_order_cubic(tb.shape, "mul_2m")
     if (m, n) != (mb, nb):
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
     return DenseTensor._adopt(_contract_half(ta, tb, m))
@@ -389,7 +354,7 @@ def mul_2m_on_m(a: TensorLike, x: TensorLike) -> DenseTensor:
     ``(a·x)[i_1..i_m] = sum_{k_1..k_m} a[i, k] * x[k]``.
     """
     ta, tx = _tensor_entries(a), _tensor_entries(x)
-    m, n = _even_order_cubic(ta, "mul_2m_on_m")
+    m, n = _even_order_cubic(ta.shape, "mul_2m_on_m")
     if tx.ndim != m or any(d != n for d in tx.shape):
         raise DimensionError(
             f"operand of shape {tx.shape} does not match acting tensor of shape {ta.shape}"
@@ -405,7 +370,7 @@ def balance_unfold(a: TensorLike) -> np.ndarray:
     the unfoldings.  Returns a fresh writable array, copied once.
     """
     arr = _tensor_entries(a)
-    m, n = _even_order_cubic(arr, "balance_unfold")
+    m, n = _even_order_cubic(arr.shape, "balance_unfold")
     # one copy that reverses the modes within each half, then a reshape
     rev = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
     return np.array(arr.transpose(rev), order="C").reshape(n**m, n**m)

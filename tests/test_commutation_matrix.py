@@ -21,7 +21,7 @@ from commutant import (
     transpose_matrix,
     vec,
 )
-from commutant import tensor as tensor_mod
+from commutant import errors as errors_mod
 
 # The anchor instance: every 1 placed by hand from the defining action
 # K vec(X) = vec(X^T) on 2x3 inputs.
@@ -369,7 +369,7 @@ class TestDenseBudget:
             build_commutation_rank1(5000, 5000)
 
     def test_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 36)
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 36)
         assert build_commutation(2, 3).dense().size == 36
         assert build_commutation_rank1(3, 2).size == 36
         with pytest.raises(DomainError):
@@ -378,7 +378,7 @@ class TestDenseBudget:
             build_commutation_rank1(7, 1)
 
     def test_conjugate_kron_budget(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 36)
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 36)
         assert conjugate_kron(np.eye(2), np.eye(3)).size == 36
         with pytest.raises(DomainError):
             conjugate_kron(np.eye(7), np.eye(1))

@@ -38,8 +38,8 @@ from commutant import (
     tensor_transpose,
 )
 from commutant import commutation_tensor as ct_mod
+from commutant import errors as errors_mod
 from commutant import linalg
-from commutant import tensor as tensor_mod
 
 
 class TestBuildCtensor:
@@ -639,7 +639,7 @@ def reference_check_nonneg_inverse(a, b):
     """The dense O(N^3) certifier: both products formed as matrices and
     compared to np.eye, positions read off the positive mask."""
     ta, tb = DenseTensor(a), DenseTensor(b)
-    m, n = tensor_mod._even_order_cubic(ta, "check_nonneg_inverse")
+    m, n = errors_mod._even_order_cubic(ta.shape, "check_nonneg_inverse")
     if ta.shape != tb.shape:
         raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
     if not (np.isfinite(ta.array).all() and np.isfinite(tb.array).all()):
@@ -1059,7 +1059,7 @@ class TestDenseBudget:
             mode_perm_dense(t)
 
     def test_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 16)
         assert mode_perm_dense(build_mode_perm_tensor(Permutation([2, 1]), 2)).array.size == 16
         assert build_ctensor(2, 2).backing.array.size == 16
         with pytest.raises(DomainError):
@@ -1073,7 +1073,7 @@ class TestDenseBudget:
             gct_dense(build_gct([np.eye(300)] * 2))
 
     def test_gct_dense_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 16)
         assert gct_dense(build_gct([np.eye(2)] * 2)).array.size == 16
         assert gct_dense(build_gct([np.eye(4)])).array.size == 16
         with pytest.raises(DomainError):

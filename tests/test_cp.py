@@ -22,6 +22,7 @@ from commutant import (
     sym_power,
 )
 from commutant import cp as cp_mod
+from commutant import errors as errors_mod
 from commutant import tensor as tensor_mod
 
 
@@ -379,7 +380,7 @@ class TestDenseBudget:
     # each builder checks its dense size before allocating anything of it
 
     def test_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 16)
         assert rank1([np.ones(4), np.ones(4)]).array.size == 16
         assert sym_power(np.ones(2), 4).array.size == 16
         with pytest.raises(DomainError):

@@ -35,6 +35,7 @@ from commutant import (
     build_ctensor,
     gct_from_permutation,
 )
+from commutant import errors as errors_mod
 from commutant import serialize as ser
 from commutant.cli import main
 
@@ -358,7 +359,7 @@ def _group_cases(draw):
     """(m, images, given): m copies of an n x n permutation matrix, at most
     WRITE_CAP entries in all, its images given by --perm or the default
     identity."""
-    m = draw(st.integers(1, ser.MAX_ORDER))
+    m = draw(st.integers(1, errors_mod.MAX_ORDER))
     n = draw(st.integers(1, math.isqrt(WRITE_CAP // m)))
     if draw(st.booleans()):
         return m, tuple(range(1, n + 1)), False

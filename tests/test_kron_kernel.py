@@ -27,7 +27,7 @@ from commutant import (
     kron_vec,
 )
 from commutant import commutation_tensor as ct_mod
-from commutant import tensor as tensor_mod
+from commutant import errors as errors_mod
 
 
 def _nan(bits):
@@ -245,7 +245,7 @@ class TestOverBudgetMessages:
 
     def test_gct_dense_first_step(self, monkeypatch):
         # a generator alone over the budget is refused as the step B_m ⊗ [1]
-        monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 8)
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 8)
         for m in (1, 2):
             with pytest.raises(DomainError) as err:
                 gct_dense(build_gct([np.ones((3, 3))] * m))

@@ -375,7 +375,8 @@ IN_PLACE = {
         _inputs(25, (1024,)),
         1,
     ),
-    # m = 2: the first mode product is held while the second is written
+    # m = 2: the first mode product is held while the second is written; a
+    # C-ordered matrix is read through an F-ordered copy, dropped before then
     "apply_rank_preserver_m2": lambda: (
         functools.partial(
             apply_rank_preserver,

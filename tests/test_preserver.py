@@ -138,6 +138,20 @@ class TestApplyRankPreserver:
         rhs = 2.0 * apply_rank_preserver(phi, a).array + apply_rank_preserver(phi, b).array
         assert np.allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [17, 20, 33])
+    @pytest.mark.parametrize("images", [[1, 2], [2, 1]], ids=["id", "swap"])
+    def test_a_matrix_gives_the_same_bits_in_either_layout(self, n, images):
+        # C- and F-ordered copies of one matrix: BLAS may round a product
+        # differently by the layout it is handed, so the layout is fixed first
+        rng = np.random.default_rng(n)
+        for _ in range(8):
+            mats = [rng.standard_normal((n, n)) + 6 * np.eye(n) for _ in range(2)]
+            phi = rank_preserver(mats, Permutation(images))
+            a = rng.standard_normal((n, n))
+            c_bits = apply_rank_preserver(phi, np.ascontiguousarray(a)).array.tobytes()
+            f_bits = apply_rank_preserver(phi, np.asfortranarray(a)).array.tobytes()
+            assert c_bits == f_bits
+
     def test_shape_mismatch(self):
         phi = rank_preserver([np.eye(2)] * 2, Permutation.identity(2))
         with pytest.raises(DimensionError):

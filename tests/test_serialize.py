@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from commutant import (
     CommutantError,
     DenseTensor,
+    DimensionError,
     DomainError,
     Permutation,
     build_commutation,
@@ -16,6 +17,8 @@ from commutant import (
     build_mode_perm_tensor,
     rank_preserver,
 )
+from commutant import cli
+from commutant import errors as errors_mod
 from commutant import serialize as ser
 from commutant import tensor as tensor_mod
 
@@ -208,52 +211,68 @@ class TestMatrixText:
         assert back.shape == mat.shape and back.tobytes() == mat.tobytes()
 
 
-class TestDenseBudgetCopy:
-    """The closed-form writers refuse with serialize's copy of tensor's
-    dense budget, so that they never load numpy; the copy is pinned to it."""
+class TestDenseBudget:
+    """One dense budget, in ``errors``: the builders in ``tensor`` and the
+    closed-form writers here, which never load numpy, refuse with it."""
 
-    def test_the_constants_are_tensors(self):
-        assert ser.MAX_DENSE_ENTRIES == tensor_mod.MAX_DENSE_ENTRIES
-        assert ser.MAX_ORDER == tensor_mod.MAX_ORDER
+    def test_the_constants_live_in_errors(self):
+        assert errors_mod.MAX_DENSE_ENTRIES == 2**24 and errors_mod.MAX_ORDER == 64
+        assert tensor_mod.MAX_DENSE_ENTRIES is errors_mod.MAX_DENSE_ENTRIES
+        assert not hasattr(ser, "MAX_DENSE_ENTRIES") and not hasattr(ser, "MAX_ORDER")
 
     @pytest.mark.parametrize(
-        "shape",
+        "shape,refusal",
         [
-            (2**24 - 1,),
-            (2**24,),
-            (2**24 + 1,),
-            (4095, 4096),
-            (4096, 4096),
-            (4096, 4097),
-            (1,) * 64,
-            (1,) * 65,
-            (2,) * 65,
-            (10**10,),
+            ((2**24 - 1,), None),
+            ((2**24,), None),
+            ((2**24 + 1,), (DomainError, "x: (16777217,) is over MAX_DENSE_ENTRIES=16777216")),
+            ((4095, 4096), None),
+            ((4096, 4096), None),
+            ((4096, 4097), (DomainError, "x: (4096, 4097) is over MAX_DENSE_ENTRIES=16777216")),
+            ((1,) * 64, None),
+            ((1,) * 65, (DimensionError, "x: order 65 is over numpy's 64 modes")),
+            ((2,) * 65, (DimensionError, "x: order 65 is over numpy's 64 modes")),
+            ((10**10,), (DomainError, "x: (10000000000,) is over MAX_DENSE_ENTRIES=16777216")),
         ],
+        ids=[f"shape{i}" for i in range(10)],
     )
-    def test_both_checks_refuse_alike(self, shape):
+    def test_the_budget_refuses_over_it(self, shape, refusal):
         # under the budget, at it, one over it, and over numpy's order
-        outcomes = []
-        for check in (ser._check_dense_budget, tensor_mod._check_dense_budget):
-            try:
-                check(shape, "x")
-                outcomes.append(None)
-            except CommutantError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is None) == (len(shape) <= 64 and np.prod(shape) <= 2**24)
+        try:
+            errors_mod._check_dense_budget(shape, "x")
+            outcome = None
+        except CommutantError as exc:
+            outcome = (type(exc), str(exc))
+        assert outcome == refusal
 
-    @pytest.mark.parametrize("order", [1, 64, 65, 1000])
-    def test_both_order_checks_refuse_alike(self, order):
-        outcomes = []
-        for check in (ser._check_order, tensor_mod._check_order):
-            try:
-                check(order, "x")
-                outcomes.append(None)
-            except CommutantError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is None) == (order <= 64)
+    @pytest.mark.parametrize(
+        "order,refusal",
+        [
+            (1, None),
+            (64, None),
+            (65, "x: order 65 is over numpy's 64 modes"),
+            (1000, "x: order 1000 is over numpy's 64 modes"),
+        ],
+        ids=["1", "64", "65", "1000"],
+    )
+    def test_the_order_check_refuses_over_numpys_modes(self, order, refusal):
+        try:
+            errors_mod._check_order(order, "x")
+            outcome = None
+        except DimensionError as exc:
+            outcome = str(exc)
+        assert outcome == refusal
+
+    def test_a_patched_budget_governs_the_writer_and_the_builder(self, monkeypatch, capsys):
+        # K_{2,4} is 8 x 8 = 64 entries, over a budget of 36
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 36)
+        assert cli.main(["gen-kmat", "2", "4"]) == 3
+        out, err = capsys.readouterr()
+        want = "K_{2,4}: (8, 8) is over MAX_DENSE_ENTRIES=36"
+        assert out == "" and err == f"error: {want}\n"
+        with pytest.raises(DomainError) as exc:
+            build_commutation(2, 4).dense()
+        assert str(exc.value) == want
 
     def test_a_k_index_over_the_budget_is_refused_before_it_is_built(self):
         with pytest.raises(DomainError) as err:

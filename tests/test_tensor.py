@@ -23,6 +23,7 @@ from commutant import (
     permute_modes,
     rank_preserver,
 )
+from commutant import errors as errors_mod
 from commutant import tensor as tensor_mod
 
 
@@ -449,7 +450,7 @@ def test_identity_tensor_matches_entry_loop(m, n):
 
 
 def test_identity_tensor_budget_boundary(monkeypatch):
-    monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+    monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 16)
     assert identity_tensor(2, 4).array.size == 16
     with pytest.raises(DomainError):
         identity_tensor(3, 3)

@@ -20,16 +20,15 @@ import json
 import math
 import os
 import tempfile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commutant import CommutantError, DenseTensor, balance_unfold
+from commutant import CommutantError, DenseTensor, DimensionError, balance_unfold
+from commutant import errors as errors_mod
 from commutant import serialize as ser
-from commutant import tensor as tensor_mod
 from commutant.cli import main
 
 HUGE_INT = "1" + "0" * 400
@@ -183,18 +182,29 @@ def test_each_refusal_keeps_its_exit_code_and_message(text, exit_code, message, 
     assert _library_route(text, fmt) == (exit_code, "", f"error: {message}\n")
 
 
+ODD = "balance_unfold: order must be even, got "
+UNEQUAL = "balance_unfold: all mode extents must agree, got "
+
+
 @pytest.mark.parametrize(
-    "shape", [(2, 2), (3, 3, 3, 3), (1,), (1, 1), (2, 2, 2), (2, 3), (3, 2, 2, 2), (2,) * 64]
+    "shape,want",
+    [
+        ((2, 2), 2),
+        ((3, 3, 3, 3), 9),
+        ((1,), ODD + "1"),
+        ((1, 1), 1),
+        ((2, 2, 2), ODD + "3"),
+        ((2, 3), UNEQUAL + "(2, 3)"),
+        ((3, 2, 2, 2), UNEQUAL + "(3, 2, 2, 2)"),
+        ((2,) * 64, 2**32),
+    ],
+    ids=[f"shape{i}" for i in range(8)],
 )
-def test_the_side_rule_refuses_as_balance_unfold_does(shape):
-    # serialize's copy of balance_unfold's shape rule, pinned to tensor's
+def test_the_side_rule_refuses_as_balance_unfold_does(shape, want):
+    # the one shape rule, which unfold reads for the side n^m of the unfolding
     try:
-        m, n = tensor_mod._even_order_cubic(SimpleNamespace(shape=shape), "balance_unfold")
-        want = n**m
-    except CommutantError as exc:
-        want = (type(exc), str(exc))
-    try:
-        got = ser._balance_side(shape)
-    except CommutantError as exc:
-        got = (type(exc), str(exc))
+        m, n = errors_mod._even_order_cubic(shape, "balance_unfold")
+        got = n**m
+    except DimensionError as exc:
+        got = str(exc)
     assert got == want

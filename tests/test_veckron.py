@@ -12,8 +12,8 @@ from commutant import (
     vec,
     vec_sandwich,
 )
+from commutant import errors as errors_mod
 from commutant import linalg
-from commutant import tensor as tensor_mod
 
 
 def test_vec_stacks_columns():
@@ -159,7 +159,7 @@ def test_kron_refuses_non_matrices():
 
 
 def test_kronecker_products_check_the_dense_budget(monkeypatch):
-    monkeypatch.setattr(tensor_mod, "MAX_DENSE_ENTRIES", 16)
+    monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 16)
     assert kron(np.ones((2, 2)), np.ones((2, 2))).size == 16
     assert kron_vec(np.ones(4), np.ones(4)).size == 16
     with pytest.raises(DomainError):
