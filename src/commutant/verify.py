@@ -7,9 +7,10 @@ inputs from its stream trial by trial, in chunks of at most DRAW_CHUNK
 entries, so the inputs of ``trials=T`` are the first T of any larger trial
 count.
 
-Every check that compares a computed array calls ``SuiteResult._compare``,
-and an injected fault lands on the run's first such comparison, so a run with
-``inject_fault`` always reports exactly one failed check.
+A suite yields checks, each a verdict ``(ok, message)`` or a comparison
+``(got, want, tol, message)``, and one judge decides each as it is yielded.
+``run_suites`` alone counts them, keeps the failures and lands an injected
+fault on the run's first comparison, so an injected run fails one check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -93,39 +94,35 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
-    #: whether the run's one injected fault is still to land
-    _armed: bool = field(default=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, message: Callable[[], str]) -> None:
-        """Count one check; ``message()`` is formatted only if it failed."""
-        self.checks += 1
-        if not ok:
-            self.failures.append(message())
 
-    def _compare(
-        self, got: np.ndarray, want: np.ndarray, tol: float | None, message: Callable[..., str]
-    ) -> None:
-        """Count one check that ``got`` is ``want``: exactly when ``tol`` is None,
-        else within ``tol`` in every entry.  ``message(err)``, err the largest
-        entry error (None when exact), is formatted only on failure.  An armed
-        run's fault lands here: a copy of ``got`` gets 1.0 (2 * tol when tol >= 1)
-        added to its first entry, and the run is disarmed."""
-        if self._armed:
-            self._armed = False
-            got = got.copy()
-            got.flat[0] += 1.0 if tol is None or tol < 1.0 else 2.0 * tol
-        if tol is None:
-            ok, err = np.array_equal(got, want), None
-        else:
-            err = float(np.max(np.abs(got - want)))
-            ok = err <= tol
-        self.checks += 1
-        if not ok:
-            self.failures.append(message(err))
+def _within(got, want, tol: float | None) -> tuple[bool, float | None]:
+    """Whether ``got`` is ``want``: exactly when ``tol`` is None, else within
+    ``tol`` in every entry (a NaN fails both); and the largest entry error."""
+    if tol is None:
+        return np.array_equal(got, want), None
+    err = float(np.max(np.abs(got - want)))
+    return err <= tol, err
+
+
+def _judge(check: tuple, fault: bool) -> str | None:
+    """The failure message of one check, or None when it passes.  A verdict's
+    ``message()`` and a comparison's ``message(err)`` are formatted only on
+    failure.  With ``fault``, a comparison is judged on a copy of ``got`` with
+    1.0 (2 * tol when tol >= 1) added to its first entry."""
+    if len(check) == 2:
+        ok, message = check
+        return None if ok else message()
+    got, want, tol, message = check
+    if fault:
+        got = got.copy()
+        got.flat[0] += 1.0 if tol is None or tol < 1.0 else 2.0 * tol
+    ok, err = _within(got, want, tol)
+    return None if ok else message(err)
 
 
 def _rng(cfg: RunConfig, suite: str, size_index: int) -> np.random.Generator:
@@ -166,52 +163,52 @@ def _rebuilds_dense(k, column) -> bool:
     return np.array_equal(recon, dense)
 
 
-def _suite_vec_identity(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_vec_identity(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
         # uniqueness: the matrix reconstructed column-by-column from the vec
         # action must be the built matrix
-        res.record(
+        yield (
             _rebuilds_dense(k, lambda i, j: vec(_unit((p, q), (i, j)).T)),
             lambda: f"size {p}x{q}: reconstructed matrix differs from the built one",
         )
-        for t, x in enumerate(_trial_draws(_rng(cfg, res.name, si), cfg.trials, (p, q))):
-            res._compare(
+        for t, x in enumerate(_trial_draws(_rng(cfg, name, si), cfg.trials, (p, q))):
+            yield (
                 kapply(k, vec(x)), vec(x.T), None,
                 lambda _: f"size {p}x{q} trial {t}: K vec(X) != vec(X^T)",
             )
 
 
-def _suite_swap_law(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_swap_law(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for si, (p, q) in enumerate(cfg.sizes):
         k = build_commutation(p, q)
-        res.record(
+        yield (
             _rebuilds_dense(k, lambda i, j: kron_vec(_unit(p, i), _unit(q, j))),
             lambda: f"size {p}x{q}: swap-action reconstruction differs",
         )
-        for t, xy in enumerate(_trial_draws(_rng(cfg, res.name, si), cfg.trials, (q + p,))):
+        for t, xy in enumerate(_trial_draws(_rng(cfg, name, si), cfg.trials, (q + p,))):
             x, y = xy[:q], xy[q:]
-            res._compare(
+            yield (
                 kapply(k, kron_vec(x, y)), kron_vec(y, x), None,
                 lambda _: f"size {p}x{q} trial {t}: K(x ⊗ y) != y ⊗ x",
             )
 
 
-def _suite_kron_conjugation(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_kron_conjugation(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for si, (p, q) in enumerate(cfg.sizes):
         _check_dense_budget((p, q, p, q), "A ⊗ B")  # before A and B are drawn
         idx = build_commutation(p, q).idx
-        draws = _trial_draws(_rng(cfg, res.name, si), cfg.trials, (p * p + q * q,))
+        draws = _trial_draws(_rng(cfg, name, si), cfg.trials, (p * p + q * q,))
         for t, ab in enumerate(draws):
             a, b = ab[: p * p].reshape(p, p), ab[p * p :].reshape(q, q)
             # K_{p,q} (B ⊗ A) K_{q,p}, the two permutation products as gathers
-            res._compare(
+            yield (
                 conjugate_kron(a, b), kron(b, a)[idx][:, idx], cfg.tol,
                 lambda err: f"size {p}x{q} trial {t}: conjugation error {err:.3e} > {cfg.tol:g}",
             )
 
 
-def _suite_powers(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_powers(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for kmax, _ in cfg.sizes:
         if kmax > MAX_POWER:
             raise ArgumentError(f"powers: kmax={kmax} is over the bound MAX_POWER={MAX_POWER}")
@@ -231,12 +228,10 @@ def _suite_powers(cfg: RunConfig, res: SuiteResult) -> None:
                 power = mul_2m(power, base)
             want = base.array if exp % 2 == 1 else square.array
             which = "the tensor itself" if exp % 2 == 1 else "its square"
-            res._compare(
-                power.array, want, None, lambda _: f"n={n}: power {exp} differs from {which}"
-            )
+            yield power.array, want, None, lambda _: f"n={n}: power {exp} differs from {which}"
 
 
-def _suite_group_axioms(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_group_axioms(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for m, n in cfg.sizes:
         if math.factorial(n) > 120 or m > 3:
             raise ArgumentError(
@@ -250,41 +245,38 @@ def _suite_group_axioms(cfg: RunConfig, res: SuiteResult) -> None:
         for pi in perms:
             g = elements[pi.images]
             left = gct_multiply(g, ident)
-            res.record(
+            yield (
                 all(np.array_equal(a, b) for a, b in zip(left.generators, g.generators)),
                 lambda: f"({m},{n}): identity law fails for {pi}",
             )
             ginv = gct_inverse(g)
             prod = gct_multiply(g, ginv)
-            res.record(
-                all(
-                    np.allclose(a, b, atol=cfg.tol)
-                    for a, b in zip(prod.generators, ident.generators)
-                ),
+            yield (
+                all(_within(a, b, cfg.tol)[0] for a, b in zip(prod.generators, ident.generators)),
                 lambda: f"({m},{n}): inverse law fails for {pi}",
             )
         for pi1 in perms:
             for pi2 in perms:
                 key = pi1.compose(pi2).images
                 if dense is not None:
-                    res._compare(
+                    yield (
                         mul_2m(dense[pi1.images], dense[pi2.images]).array, dense[key].array, None,
                         lambda _: f"({m},{n}): dense product disagrees for {pi1}∘{pi2}",
                     )
                 prod = gct_multiply(elements[pi1.images], elements[pi2.images])
-                res._compare(
+                yield (
                     np.array(prod.generators), np.array(elements[key].generators), None,
                     lambda _: f"({m},{n}): closure fails for {pi1}∘{pi2}",
                 )
 
 
-def _suite_mode_perm_lemma(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_mode_perm_lemma(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for si, (m, n) in enumerate(cfg.sizes):
         if m > 4:
             raise ArgumentError(f"mode-perm-lemma is exhaustive over S_m; m={m} > 4")
         _check_dense_budget((n**m, n**m), "mode-permutation tensor")  # before any generator
         taus = list(Permutation.all(m))
-        rng = _rng(cfg, res.name, si)
+        rng = _rng(cfg, name, si)
         # trial t draws one input per tau; each tau reads the stream again
         # from its start, so only one chunk of inputs is held at a time
         start = rng.bit_generator.state
@@ -292,7 +284,7 @@ def _suite_mode_perm_lemma(cfg: RunConfig, res: SuiteResult) -> None:
             acting = gct_dense(build_mode_perm_tensor(tau, n))
             rng.bit_generator.state = start
             for t, inputs in enumerate(_trial_draws(rng, cfg.trials, (len(taus),) + (n,) * m)):
-                res._compare(
+                yield (
                     permute_modes(inputs[k], tau).array,
                     mul_2m_on_m(acting, inputs[k]).array,
                     cfg.tol,
@@ -316,21 +308,23 @@ def _det_tolerance(fx: np.ndarray) -> float:
     return max(1e-9, n * np.finfo(float).eps * np.linalg.cond(fx))
 
 
-def _suite_preserver(cfg: RunConfig, res: SuiteResult) -> None:
+def _suite_preserver(cfg: RunConfig, name: str) -> Iterator[tuple]:
     for si, (m, n) in enumerate(cfg.sizes):
-        rng = _rng(cfg, res.name, si)
+        rng = _rng(cfg, name, si)
         tau = Permutation(rng.permutation(m) + 1)
         phi = rank_preserver([_random_invertible(rng, n) for _ in range(m)], tau)
         report = verify_rank_preservation(phi, cfg.trials, cfg.seed + si)
-        res.checks += report.trials
-        res.failures.extend(f"({m},{n}) rank preservation: {msg}" for msg in report.failures)
+        # one verdict per rank-1 trial: the report's failures, in order, then its passes
+        fails = report.failures
+        for t in range(report.trials):
+            yield t >= len(fails), lambda: f"({m},{n}) rank preservation: {fails[t]}"
         if m == 2:
             # reduction to Marcus's formulae, both branches, written out
             p_mat = phi.generators[0]
             q_mat = phi.generators[1].T
             a = rng.standard_normal((n, n))
             via_matrix = p_mat @ (a if tau.is_identity() else a.T) @ q_mat
-            res._compare(
+            yield (
                 apply_rank_preserver(phi, a).array, via_matrix, cfg.tol,
                 lambda err: f"({m},{n}): order-2 reduction differs by {err:.3e}",
             )
@@ -342,7 +336,7 @@ def _suite_preserver(cfg: RunConfig, res: SuiteResult) -> None:
                 q_mat[:, 0] = -q_mat[:, 0]
             q_mat = q_mat / math.exp((log_p + log_q) / n)
             dp = matrix_preserver(p_mat, q_mat)
-            res.record(
+            yield (
                 is_determinant_preserver(dp),
                 lambda: f"({m},{n}): normalized pair is not a determinant preserver",
             )
@@ -350,19 +344,19 @@ def _suite_preserver(cfg: RunConfig, res: SuiteResult) -> None:
             x = x / math.exp(linalg._slogdet(x)[1] / n)  # |det x| = 1
             fx = apply_rank_preserver(dp, x).array
             dx, dfx = linalg.det(x), linalg.det(fx)
-            res.record(
+            yield (
                 abs(dfx - dx) <= _det_tolerance(fx) * max(1.0, abs(dx)),
                 lambda: f"({m},{n}): determinant not preserved ({dx:.6f} -> {dfx:.6f})",
             )
         # identity fixing: permutation matrices fix the identity tensor
         pi_n = Permutation(rng.permutation(n) + 1)
-        res.record(
+        yield (
             fixes_identity(sym_preserver(pi_n.matrix(), m)),
             lambda: f"({m},{n}): permutation matrix does not fix the identity tensor",
         )
         shear = np.eye(n)
         shear[0, -1] += 0.5
-        res.record(
+        yield (
             not fixes_identity(sym_preserver(shear, m)),
             lambda: f"({m},{n}): shear unexpectedly fixes the identity tensor",
         )
@@ -371,7 +365,7 @@ def _suite_preserver(cfg: RunConfig, res: SuiteResult) -> None:
         b = _random_invertible(rng, n)
         lhs = apply_rank_preserver(sym_preserver(b, m), sym_power(y, m)).array
         rhs = sym_power(b @ y, m).array
-        res._compare(
+        yield (
             lhs, rhs, 1e-9 * max(1.0, float(np.max(np.abs(rhs)))),
             lambda _: f"({m},{n}): symmetric preserver does not push through the factor",
         )
@@ -403,8 +397,12 @@ def run_suites(
         )
     results, armed = [], inject_fault
     for name in selected:
-        res = SuiteResult(name, _armed=armed)
-        SUITES[name](cfg, res)
+        res = SuiteResult(name)
+        for check in SUITES[name](cfg, name):
+            failure = _judge(check, armed and len(check) == 4)
+            armed = armed and len(check) == 2  # until the first comparison
+            res.checks += 1
+            if failure is not None:
+                res.failures.append(failure)
         results.append(res)
-        armed = res._armed
     return results

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from commutant import ArgumentError, Permutation, verify
+from commutant.preserver import VerificationReport, rank_preserver
 from commutant.verify import (
     DEFAULT_SIZES,
     SUITES,
     RunConfig,
-    SuiteResult,
+    _judge,
     run_suites,
 )
 
@@ -61,6 +62,21 @@ class TestSuites:
             (r.name, r.checks, r.failures) for r in b
         ]
 
+    def test_the_inverse_law_is_decided_by_tol_alone(self, monkeypatch):
+        # an inverse off by 1e-7 on its diagonal is within np.allclose's
+        # default rtol of 1e-5, but not within --tol 1e-12
+        from commutant.commutation_tensor import gct_inverse, gct_multiply
+
+        def drifted(g):
+            drift = rank_preserver([(1 + 1e-7) * np.eye(g.n)] * g.m, Permutation.identity(g.m))
+            return gct_multiply(gct_inverse(g), drift)
+
+        monkeypatch.setattr(verify, "gct_inverse", drifted)
+        [res] = run_suites(RunConfig(sizes=((2, 2),), tol=1e-12), ["group-axioms"])
+        assert res.failures == [f"(2,2): inverse law fails for {pi}" for pi in Permutation.all(2)]
+        [loose] = run_suites(RunConfig(sizes=((2, 2),), tol=1e-6), ["group-axioms"])
+        assert loose.passed
+
     def test_group_axioms_guards_size(self):
         with pytest.raises(ArgumentError):
             run_suites(RunConfig(sizes=((4, 2),)), ["group-axioms"])
@@ -98,60 +114,59 @@ class TestFaultInjection:
     )
     def test_fault_lands_on_the_first_comparison(self, monkeypatch, name, sizes):
         # every comparison but the run's first passes; the first fails
-        verdicts, real = [], SuiteResult._compare
+        verdicts = []
 
-        def spy(self, *args):
-            before = len(self.failures)
-            real(self, *args)
-            verdicts.append(len(self.failures) > before)
+        def spy(check, fault):
+            failure = _judge(check, fault)
+            if len(check) == 4:
+                verdicts.append(failure is not None)
+            return failure
 
-        monkeypatch.setattr(SuiteResult, "_compare", spy)
+        monkeypatch.setattr(verify, "_judge", spy)
         cfg = RunConfig(sizes=sizes, trials=2, seed=5)
         [res] = run_suites(cfg, [name], inject_fault=True)
         assert verdicts[0] and not any(verdicts[1:])
         assert len(res.failures) == 1
 
 
-class TestCompare:
+def _comparison(got, want, tol, message, fault=False):
+    return _judge((got, want, tol, message), fault)
+
+
+class TestJudge:
     def test_exact_rule(self):
-        res = SuiteResult("s")
-        res._compare(np.arange(3.0), np.arange(3.0), None, lambda err: "a")
-        res._compare(np.arange(3.0), np.arange(3.0) + 1e-15, None, lambda err: f"b {err}")
-        assert res.checks == 2 and res.failures == ["b None"]
+        assert _comparison(np.arange(3.0), np.arange(3.0), None, lambda err: "a") is None
+        got = np.arange(3.0) + 1e-15
+        assert _comparison(got, np.arange(3.0), None, lambda err: f"b {err}") == "b None"
 
     def test_tolerance_rule(self):
-        res = SuiteResult("s")
         want = np.zeros(4)
-        res._compare(np.array([0.0, -0.5, 0.25, 0.0]), want, 0.5, lambda err: "within")
-        res._compare(np.array([0.0, 0.0, -0.75, 0.0]), want, 0.5, lambda err: f"{err:g}")
-        assert res.checks == 2 and res.failures == ["0.75"]
+        assert _comparison(np.array([0.0, -0.5, 0.25, 0.0]), want, 0.5, lambda err: "in") is None
+        got = np.array([0.0, 0.0, -0.75, 0.0])
+        assert _comparison(got, want, 0.5, lambda err: f"{err:g}") == "0.75"
 
     @pytest.mark.parametrize("tol", [None, 1e-12, 1e300])
     def test_nan_fails(self, tol):
-        res = SuiteResult("s")
         got = np.array([0.0, np.nan])
-        res._compare(got, np.zeros(2), tol, lambda err: "nan")
-        res._compare(got, got.copy(), tol, lambda err: "nan against nan")
-        assert res.failures == ["nan", "nan against nan"]
+        assert _comparison(got, np.zeros(2), tol, lambda err: "nan") == "nan"
+        assert _comparison(got, got.copy(), tol, lambda err: "both") == "both"
 
     def test_message_is_formatted_only_on_failure(self):
-        def refuse(err):
+        def refuse(*err):
             raise AssertionError("formatted for a passing check")
 
-        res = SuiteResult("s")
-        res._compare(np.ones(2), np.ones(2), None, refuse)
-        res._compare(np.ones(2), np.ones(2), 1e-12, refuse)
-        assert res.checks == 2 and res.passed
+        assert _comparison(np.ones(2), np.ones(2), None, refuse) is None
+        assert _comparison(np.ones(2), np.ones(2), 1e-12, refuse) is None
+        assert _judge((True, refuse), False) is None
+        assert _judge((False, lambda: "verdict"), False) == "verdict"
 
     @pytest.mark.parametrize("tol", [None, 1e-12, 0.6, 1.0, 1e300])
-    def test_armed_fault_lands_once_and_never_writes_got(self, tol):
-        res = SuiteResult("s", _armed=True)
+    def test_armed_fault_fails_the_check_and_never_writes_got(self, tol):
         got = np.arange(4.0)
         got.flags.writeable = False  # a write to the caller's array raises
-        for _ in range(3):
-            res._compare(got, np.arange(4.0), tol, lambda err: "fault")
-        assert res.checks == 3 and res.failures == ["fault"]
-        assert not res._armed
+        assert _comparison(got, np.arange(4.0), tol, lambda err: "fault", fault=True) == "fault"
+        assert _comparison(got, np.arange(4.0), tol, lambda err: "fault") is None
+        assert np.array_equal(got, np.arange(4.0))
 
 
 class TestDeterminantBound:
@@ -179,6 +194,26 @@ class TestDeterminantBound:
         caught = {f.split(":")[0] for f in res.failures if "determinant not preserved" in f}
         assert caught == {f"(2,{n})" for n in range(1, 9)}
         assert len(res.failures) == len(sizes)
+
+
+class TestRankTrials:
+    def test_a_failed_rank1_trial_is_counted_once_and_reported_in_order(self, monkeypatch):
+        # each rank-1 trial is one verdict; the report's failures keep their text and order
+        cfg = RunConfig(sizes=((2, 2), (3, 2)), trials=4, seed=1)
+        [clean] = run_suites(cfg, ["preserver-suite"])
+
+        def failing(phi, trials, seed):
+            failed = [f"trial {t}: image is not rank 1" for t in range(phi.m - 1, trials, 2)]
+            return VerificationReport(trials, trials - len(failed), tuple(failed))
+
+        monkeypatch.setattr(verify, "verify_rank_preservation", failing)
+        [res] = run_suites(cfg, ["preserver-suite"])
+        assert clean.passed and res.checks == clean.checks
+        assert res.failures == [
+            "(2,2) rank preservation: trial 1: image is not rank 1",
+            "(2,2) rank preservation: trial 3: image is not rank 1",
+            "(3,2) rank preservation: trial 2: image is not rank 1",
+        ]
 
 
 #: the public routine each trial-drawing suite hands its drawn inputs to, and
