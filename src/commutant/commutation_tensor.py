@@ -128,27 +128,31 @@ def gct_multiply(a: Gct, b: Gct) -> Gct:
 def gct_inverse(g: Gct) -> Gct:
     """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
     tau^-1.  Each distinct generator is inverted once and its inverse shared
-    by the modes that hold it.  Nonnegative monomial generators (the
+    by the modes that hold it: one ``linalg.inv`` call on their stack, in
+    the order of the inverse's modes.  Nonnegative monomial generators (the
     operator's one monomial test) are inverted together, as their
     transposed reciprocals, and the inverse is handed its own pattern: row
     cols[k, i] of its generator holds 1/vals[k, i] at column i, which is
     what ``linalg._nonneg_monomial`` would find, so neither its dense form
     nor its inverse scans it again.  Raises SingularMatrixError if any
     generator is singular at the pivot threshold, the first in the order
-    of the inverse's modes."""
+    of the inverse's modes, and DomainError if one is non-finite or has an
+    inverse that overflows."""
     inv = g.tau.inverse()
     keys = [t - 1 for t in inv.images]
+    gens = [g.generators[k] for k in keys]
+    first = {}  # the first of the inverse's modes to hold each distinct generator
+    for j, b in enumerate(gens):
+        first.setdefault(id(b), j)
     pattern = g._monomial
-    if pattern is not None:
+    if pattern is None:
+        found = linalg.inv(np.array([gens[j] for j in first.values()]))
+        inverses = dict(zip(first, found))
+    else:
         cols, vals = pattern
         found, inv_pattern = linalg._monomial_inverses((cols[keys], vals[keys]))
-    inverses = {}
-    for j, k in enumerate(keys):
-        b = g.generators[k]
-        if id(b) in inverses:
-            continue
-        inverses[id(b)] = linalg.inv(b) if pattern is None else found[j]
-    out = _operator([inverses[id(g.generators[k])] for k in keys], inv)
+        inverses = {key: found[j] for key, j in first.items()}
+    out = _operator([inverses[id(b)] for b in gens], inv)
     if pattern is not None:
         vars(out)["_monomial"] = inv_pattern  # the cached property's slot
     return out

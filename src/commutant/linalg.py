@@ -1,36 +1,29 @@
-"""Small dense linear algebra by Gaussian elimination with partial pivoting.
+"""Small dense linear algebra: determinants and inverses by LAPACK
+(``np.linalg``), behind the one rule this package owns, the invertibility
+gate.
 
-Deterministic and dependency-free on purpose: the determinant and its log
-share one elimination, and the inverse keeps its own pivot threshold,
-instead of inheriting one from a backend.  Non-finite matrices are refused.
-Matrices at this scale are tiny, so O(n^3) elimination is plenty.
+Non-finite matrices are refused.  :func:`det` snaps a magnitude below
+``DET_SINGULAR_TOL`` to 0.0, and :func:`_slogdet` stays finite where the
+determinant overflows.  :func:`inv` inverts a matrix or a (k, n, n) stack
+once the gate accepts it, and refuses an inverse that overflows.
 
-At the sizes inverted here a column's arithmetic costs less than the numpy
-calls that run it, so the inverse's loop makes few: the pivot is tested
-through the magnitudes its argmax was read from, rows are swapped by one
-row copy and only when needed, and the rank-1 update is one broadcast
-product.
-
-The invertibility gate of the rank preservers, :func:`_require_invertible`,
-decides a whole stack of generators without building an inverse.  A pivot
-is read only from the rows at and below it, and those rows take in nothing
-from the rows above or from the right half, so one elimination of the
-(k, n, n) stack that keeps only those rows, with inv's pivot search, row
-swap, row division and update on them, meets inv's pivots bit for bit; a
-nonnegative monomial stack is decided from its row maxima alone
-(:func:`_monomial_pivots`): each row's one nonzero is inv's pivot of its
-column (see :func:`_monomial_inverses`), so no column argmax is paid for,
-and only a low one is put in the loop's column order, by the column maxima.
-Per column that is five numpy calls for all k matrices where inv makes six
-for one, and the last column's update is skipped, so one generator costs
-no more than inv and k of them about as much as one.  In a sparse stack far
-from overflow a column with nothing below its pivot is skipped whole: its
-update would subtract 0 * x, which changes at most the sign of a zero, and
-no pivot magnitude reads that sign.  A non-finite entry
+The gate, :func:`_require_invertible`, is the one elimination written here:
+Gaussian elimination with partial pivoting of a whole (k, n, n) stack,
+which refuses the first matrix with a pivot below ``INVERSE_PIVOT_TOL`` and
+names that pivot, without building an inverse.  A pivot is read only from
+the rows at and below it, so the elimination keeps only those rows: per
+column that is five numpy calls for all k matrices, and the last column's
+update is skipped.  A nonnegative monomial stack is decided from its row
+maxima alone (:func:`_monomial_pivots`): each row's one nonzero is the
+pivot of its column, as no step changes it, so no column argmax is paid
+for, and only a low one is put in column order, by the column maxima.  In a
+sparse stack far from overflow a column with nothing below its pivot is
+skipped whole: its update would subtract 0 * x, which changes at most the
+sign of a zero, and no pivot magnitude reads that sign.  A non-finite entry
 always reaches some pivot as an inf or a NaN, so finite pivots at or above
 the threshold accept the stack with no finiteness pass.  The elimination
 raises no floating-point warning: a refused matrix runs on past its low
-pivot, and an overflow that inv would warn of keeps inv's outcome.
+pivot.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularMatrixError
-from .tensor import as_matrix
+from .tensor import _as_array, as_matrix
 
 #: a pivot smaller than this makes a matrix singular for inversion purposes
 INVERSE_PIVOT_TOL = 1e-10
@@ -55,11 +48,16 @@ _INF_BITS = 0x7FF0000000000000
 _NO_OVERFLOW = np.finfo(float).max * INVERSE_PIVOT_TOL / 2
 
 
-def _square(mat) -> np.ndarray:
-    arr = as_matrix(mat).copy(order="K")  # a copy, as the elimination works in place
-    if not np.isfinite(arr).all():
-        raise DomainError("matrix has a non-finite entry")
-    if arr.shape[0] != arr.shape[1]:
+def _square(mat, stack: bool = False) -> np.ndarray:
+    """``mat`` as a finite square matrix, or with ``stack`` also as a
+    (k, n, n) stack of square matrices, whose non-finite ones the gate
+    refuses in order."""
+    arr = _as_array(mat, "a matrix")
+    if not (stack and arr.ndim == 3):
+        arr = as_matrix(arr)
+        if not np.isfinite(arr).all():
+            raise DomainError("matrix has a non-finite entry")
+    if arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
@@ -67,8 +65,8 @@ def _square(mat) -> np.ndarray:
 def _monomial_pivots(stack: np.ndarray):
     """The (m, n) row maxima of the (m, n, n) stack when each of its matrices
     has exactly one nonzero per row and per column and every entry is
-    finite with its sign bit clear: each row's one nonzero, which is inv's
-    pivot of its column.  None for any other stack.  This is the one
+    finite with its sign bit clear: each row's one nonzero, which is the
+    gate's pivot of its column.  None for any other stack.  This is the one
     monomial test; :func:`_nonneg_monomial` adds the columns."""
     m, n, _ = stack.shape
     # a dense stack fails the first test, one count
@@ -89,39 +87,17 @@ def _nonneg_monomial(stack: np.ndarray):
     return None if vals is None else (stack.argmax(axis=2), vals)
 
 
-def _pivots(mat) -> tuple[float, np.ndarray | None]:
-    """The sign of the row swaps and the LU pivots of ``mat``, by partial
-    pivoting, or None in place of the pivots when a column has no nonzero
-    one."""
-    a = _square(mat)
-    sign = 1.0
-    for col in range(a.shape[0]):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return sign, None
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            sign = -sign
-        a[col + 1 :, col:] -= np.outer(a[col + 1 :, col] / a[col, col], a[col, col:])
-    return sign, np.diagonal(a)
-
-
 def det(mat) -> float:
-    """Determinant via LU with partial pivoting; snaps |det| < 1e-12 to 0.0."""
-    sign, pivots = _pivots(mat)
-    if pivots is None:
-        return 0.0
-    value = sign * float(np.prod(pivots))
+    """Determinant by LAPACK's LU; snaps |det| < 1e-12 to 0.0."""
+    value = float(np.linalg.det(_square(mat)))
     return 0.0 if abs(value) < DET_SINGULAR_TOL else value
 
 
 def _slogdet(mat) -> tuple[float, float]:
-    """Sign and log|det| of ``mat`` from the same pivots as :func:`det`, so
-    finite where the determinant itself overflows; (0.0, -inf) if singular."""
-    sign, pivots = _pivots(mat)
-    if pivots is None:
-        return 0.0, -math.inf
-    return sign * float(np.prod(np.sign(pivots))), float(np.sum(np.log(np.abs(pivots))))
+    """Sign and log|det| of ``mat`` by LAPACK's LU, so finite where the
+    determinant itself overflows; (0.0, -inf) if singular."""
+    sign, logabs = np.linalg.slogdet(_square(mat))
+    return float(sign), float(logabs)
 
 
 def _low_pivot(pivot) -> SingularMatrixError:
@@ -129,9 +105,9 @@ def _low_pivot(pivot) -> SingularMatrixError:
 
 
 def _refuse_low(pivots: np.ndarray) -> None:
-    """Raise inv's SingularMatrixError for the first matrix of a stack with a
-    pivot below the threshold, given the (k, n) pivot magnitudes in the
-    order the loop meets them; NaN pivots pass, as in the loop."""
+    """Raise the gate's SingularMatrixError for the first matrix of a stack
+    with a pivot below the threshold, given the (k, n) pivot magnitudes in
+    the order the elimination meets them; NaN pivots pass."""
     low = pivots < INVERSE_PIVOT_TOL
     bad = low.any(axis=1)
     if bad.any():
@@ -140,29 +116,22 @@ def _refuse_low(pivots: np.ndarray) -> None:
 
 
 def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """inv of each matrix of the nonnegative monomial (k, n, n) stack with
-    ``pattern`` = (cols, vals), its transposed reciprocals, and the
-    inverses' own pattern, or the loop's error for the first matrix it
-    refuses.  Row cols[k, i] of inverse k holds 1/vals[k, i] at column i,
-    so the inverses' pattern is that of :func:`_nonneg_monomial` on them
-    without a scan: each 1/x of a pivot x >= INVERSE_PIVOT_TOL is finite,
-    and positive, as 1/DBL_MAX rounds to a subnormal, not to 0.
-
-    These are the loop's bits.  Column c's pivot is its one nonzero x, which
-    no earlier step has changed, so the division of the pivot row writes
-    1/x into the inverse and +0/x = +0 around it.  Every multiplier of the
-    update is that column's other entries, all +0, times entries that are
-    finite with their sign bit clear, so each update subtracts +0 and
-    leaves every entry, +0 included, as it was.  That argument needs the
-    sign bits: with a -0.0 multiplier or a negative entry the products can
-    be -0.0, and x - (-0.0) turns a -0.0 into +0, so such a matrix takes
-    the loop.  The first column in order whose pivot is below the
-    threshold raises, with the loop's message."""
+    """The inverse of each matrix of the nonnegative monomial (k, n, n)
+    stack with ``pattern`` = (cols, vals), and the inverses' own pattern, or
+    the gate's error for the first matrix it refuses.  Each inverse is the
+    exact transposed reciprocals: its matrix transposed, each nonzero x
+    replaced by the rounded 1/x and every other entry +0, so row cols[k, i]
+    of inverse k holds 1/vals[k, i] at column i.  The inverses' pattern is
+    then that of :func:`_nonneg_monomial` on them without a scan: each 1/x
+    of a pivot x >= INVERSE_PIVOT_TOL is finite, and positive, as 1/DBL_MAX
+    rounds to a subnormal, not to 0.  A monomial matrix's pivots are its
+    nonzeros, met column by column, so the first column in order whose
+    entry is below the threshold raises, with the gate's message."""
     cols, vals = pattern
     k, n = cols.shape
     lanes = np.arange(k)[:, None]
     if vals.min() < INVERSE_PIVOT_TOL:
-        pivots = np.empty_like(vals)  # the loop meets them column by column
+        pivots = np.empty_like(vals)  # the gate meets them column by column
         pivots[lanes, cols] = vals
         _refuse_low(pivots)
     rows, recips = np.arange(n), 1.0 / vals
@@ -174,41 +143,35 @@ def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
 
 
 def inv(mat) -> np.ndarray:
-    """Inverse via Gauss-Jordan; raises SingularMatrixError on a pivot below
-    ``INVERSE_PIVOT_TOL``."""
-    a = _square(mat)
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        mags = np.abs(aug[col:, col])
-        piv = int(mags.argmax())
-        if mags[piv] < INVERSE_PIVOT_TOL:
-            raise _low_pivot(mags[piv])
-        row = aug[col]
-        if piv:
-            swapped = row.copy()
-            row[:] = aug[col + piv]
-            aug[col + piv] = swapped
-        row /= row[col]
-        factor = aug[:, col].copy()
-        factor[col] = 0.0  # every row but the pivot row
-        aug -= factor[:, None] * row
-    return aug[:, n:]
+    """The inverse of a square matrix, or of each matrix of a (k, n, n)
+    stack, by LAPACK once the gate accepts them: the gate's error for the
+    first matrix it refuses, and DomainError for an inverse that
+    overflows."""
+    a = _square(mat, stack=True)
+    if a.size:  # an empty matrix or stack has nothing to refuse
+        _require_invertible(a if a.ndim == 3 else a[None])
+    try:
+        out = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot the gate did not
+        raise _low_pivot(0.0) from None
+    if not np.isfinite(out).all():
+        raise DomainError("inverse has a non-finite entry")
+    return out
 
 
 def _require_invertible(mats) -> None:
-    """Raise what inv raises on the first of ``mats``, square matrices of one
-    size, that it refuses, and build no inverse: DomainError for a
-    non-finite matrix, SingularMatrixError with inv's message for a pivot
-    below ``INVERSE_PIVOT_TOL``.  The module docstring says why the pivots
-    are inv's."""
+    """Raise on the first of ``mats``, square matrices of one size, that is
+    not invertible at the pivot threshold, and build no inverse:
+    DomainError for a non-finite matrix, SingularMatrixError naming its
+    first pivot below ``INVERSE_PIVOT_TOL``.  The module docstring says how
+    the stack is eliminated."""
     a = np.array(mats)
     k, n, _ = a.shape
     row_pivots = _monomial_pivots(a)
     if row_pivots is not None:
-        if row_pivots.min() >= INVERSE_PIVOT_TOL:  # inv's pivots, in row order
+        if row_pivots.min() >= INVERSE_PIVOT_TOL:  # the pivots, in row order
             return
-        pivots = a.max(axis=1)  # each column's one nonzero, in the loop's order
+        pivots = a.max(axis=1)  # each column's one nonzero, in column order
     else:
         # one matrix is eliminated as a matrix: numpy's cost per call grows
         # with the number of axes

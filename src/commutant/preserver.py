@@ -4,9 +4,9 @@ A preserver is the order-2m operator :class:`~commutant.commutation_tensor.Gct`
 with invertible generators, one per mode, and a mode permutation tau.  At
 m = 2, with P = generators[0] and Q = generators[1]ᵀ, tau = id is Marcus's
 A -> P A Q and the swap is A -> P Aᵀ Q.  The symmetric preserver is one
-matrix on every mode.  The constructors here gate on ``linalg.inv``'s
-outcome, decided for all of an operator's distinct generators by one
-pivot-only elimination of their stack (``linalg._require_invertible``).
+matrix on every mode.  The constructors here gate on invertibility, decided
+for all of an operator's distinct generators by one pivot-only elimination
+of their stack (``linalg._require_invertible``, which ``linalg.inv`` runs).
 :func:`verify_rank_preservation` certifies its trials as stacks, in a fixed
 number of numpy calls per stack, with each trial's verdict its own.
 """
@@ -48,10 +48,10 @@ MAX_TRIALS = 2**16
 
 
 def _invertible(phi: Gct) -> Gct:
-    """The invertibility gate: ``phi`` once ``linalg.inv`` would accept each
-    shared generator; else the error inv raises on the first it refuses,
-    SingularMatrixError, or DomainError if non-finite.  All of them are
-    decided by one pivot-only elimination of their stack."""
+    """The invertibility gate: ``phi`` once each shared generator passes;
+    else the gate's error on the first it refuses, SingularMatrixError, or
+    DomainError if non-finite.  All of them are decided by one pivot-only
+    elimination of their stack."""
     linalg._require_invertible(list({id(b): b for b in phi.generators}.values()))
     return phi
 

@@ -26,7 +26,7 @@ import contextlib, io, json, sys
 from commutant import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-loaded = (m for m in sys.modules if m.partition(".")[0] in ("commutant", "numpy"))
+loaded = (m for m in sys.modules if m.partition(".")[0] in ("commutant", "numpy", "scipy"))
 print(json.dumps([code, sorted(loaded)]))
 """
 
@@ -92,6 +92,7 @@ UNFOLD_FILES = {
         (["gen-kmat", "7", "x"], 2, UNUSED),
         (["gen-gct", "2", "3", "--perm", "2,3,1"], 0, UNUSED),
         (["apply", "PHI", "TENSOR"], 0, {"commutant.verify", "commutant.cp"}),
+        (["verify", "--sizes", "2x2"], 0, set()),
     ],
     ids=[
         "gen-kmat",
@@ -107,6 +108,7 @@ UNFOLD_FILES = {
         "usage-error",
         "gen-gct",
         "apply",
+        "verify",
     ],
 )
 def test_a_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, unused):
@@ -121,9 +123,12 @@ def test_a_subcommand_loads_only_its_layers(tmp_path, argv, exit_code, unused):
     assert code == exit_code
     assert "commutant.cli" in loaded and unused.isdisjoint(loaded), loaded
     # the gen-* commands write from closed forms and unfold re-indexes its
-    # input's values, whether it writes or refuses; only apply builds
-    builds = argv[0] == "apply"
+    # input's values, whether it writes or refuses; only apply and verify
+    # build, and neither imports scipy (scipy.linalg alone takes a few
+    # hundred ms to import): the linear algebra is numpy's
+    builds = argv[0] in ("apply", "verify")
     assert ("numpy" in loaded) == builds and ("commutant.tensor" in loaded) == builds, loaded
+    assert not any(m.partition(".")[0] == "scipy" for m in loaded), loaded
 
 
 @pytest.mark.parametrize(
