@@ -145,15 +145,16 @@ def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
 def inv(mat) -> np.ndarray:
     """The inverse of a square matrix, or of each matrix of a (k, n, n)
     stack, by LAPACK once the gate accepts them: the gate's error for the
-    first matrix it refuses, and DomainError for an inverse that
-    overflows."""
+    first matrix it refuses, SingularMatrixError for a stack the gate
+    accepts but LAPACK's own LU finds exactly singular (LAPACK does not say
+    which matrix), and DomainError for an inverse that overflows."""
     a = _square(mat, stack=True)
     if a.size:  # an empty matrix or stack has nothing to refuse
         _require_invertible(a if a.ndim == 3 else a[None])
     try:
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot the gate did not
-        raise _low_pivot(0.0) from None
+        raise SingularMatrixError("matrix is exactly singular in LAPACK's LU") from None
     if not np.isfinite(out).all():
         raise DomainError("inverse has a non-finite entry")
     return out

@@ -138,7 +138,7 @@ def _test_matrices(rng, count):
             yield rng.integers(0, 2, (rows, cols)).astype(float)
 
 
-def test_det_matches_the_reference_loop_bit_for_bit():
+def test_det_matches_the_reference_loop_to_rounding():
     # LAPACK's LU rounds otherwise than the loop: the same determinants snap
     # to zero, and the others agree to 1e-12 relative
     rng = np.random.default_rng(31)
@@ -157,13 +157,13 @@ def _outcome(f, a):
         return type(exc), str(exc)
 
 
-def _assert_same_inverse(got, want, rtol=1e-12):
-    """The same refusal, or inverses within ``rtol`` of the largest entry:
+def _assert_same_inverse(got, want):
+    """The same refusal, or inverses within 1e-12 of the largest entry:
     LAPACK's inverse rounds otherwise than the loops."""
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
     else:
-        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_inv_matches_the_reference_loop():
@@ -205,7 +205,7 @@ def test_inv_refuses_an_exactly_zero_lapack_pivot():
     # the threshold, so the gate accepts; LAPACK's is exactly 0
     a = np.array([[1e7 / 7, 5e7 / 7]] * 2)
     assert _gate_outcome([a]) is None
-    with pytest.raises(SingularMatrixError, match="^pivot 0.000e[+]00 below threshold 1e-10$"):
+    with pytest.raises(SingularMatrixError, match="^matrix is exactly singular in LAPACK's LU$"):
         linalg.inv(a)
 
 
@@ -249,18 +249,24 @@ def _gauss_jordan_cases(rng):
             yield rng.standard_normal((n, n)) * 10.0 ** rng.integers(-150, 151, (n, n))
 
 
-def test_inv_matches_the_vectorised_loop_byte_for_byte():
-    # the loop's refusals exactly, and its values to rounding: two backward
-    # stable inverses of a differ by about cond(a) * eps relative (Higham,
-    # Accuracy and Stability, ch. 14), so no digit is shared past 1/eps
-    singular = total = 0
+def test_inv_matches_the_vectorised_loop_to_rounding():
+    # the loop's refusals exactly, and its values to 1e-12 of the largest
+    # entry where cond(a) * eps < 1; past that, two backward-stable inverses
+    # share no digit (Higham, Accuracy and Stability, ch. 14), so the values
+    # of those matrices, all "spread" ones with cond(a) >= 2e21, are not
+    # compared, and their count is pinned
+    singular = total = uncompared = 0
     for a in _gauss_jordan_cases(np.random.default_rng(41)):
-        want = _outcome(_inv_vectorised_reference, a)
-        rtol = max(1e-12, 10 * np.linalg.cond(a) * np.finfo(float).eps)
-        _assert_same_inverse(_outcome(linalg.inv, a), want, rtol)
+        got, want = _outcome(linalg.inv, a), _outcome(_inv_vectorised_reference, a)
+        if isinstance(want, tuple) or np.linalg.cond(a) * np.finfo(float).eps < 1:
+            _assert_same_inverse(got, want)
+        else:
+            assert not isinstance(got, tuple)
+            uncompared += 1
         singular += isinstance(want, tuple)
         total += 1
     assert 0 < singular < total  # both outcomes are exercised
+    assert uncompared == 160
 
 
 @pytest.mark.parametrize(
