@@ -136,8 +136,8 @@ def gct_inverse(g: Gct) -> Gct:
     what ``linalg._nonneg_monomial`` would find, so neither its dense form
     nor its inverse scans it again.  Raises SingularMatrixError if any
     generator is singular at the pivot threshold, the first in the order
-    of the inverse's modes, and DomainError if one is non-finite or has an
-    inverse that overflows."""
+    of the inverse's modes, and DomainError if one is non-finite, overflows
+    a pivot in the gate's elimination or has an inverse that overflows."""
     inv = g.tau.inverse()
     keys = [t - 1 for t in inv.images]
     gens = [g.generators[k] for k in keys]
@@ -161,14 +161,15 @@ def gct_inverse(g: Gct) -> Gct:
 def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
     """The dense form of generators with one nonzero per row and per column,
     ``vals[k, i]`` at column ``cols[k, i]`` of B_k for ``pattern`` = (cols,
-    vals), as a C-contiguous zero array with each row's one product
-    scattered in; None when a product overflows.  Refused before anything
-    is allocated when its N x N size is over the budget.  The tensor keeps
-    where the products went as its support, unless one underflowed to 0 and
-    left its row with no nonzero.  Row i's product is formed as the kron
-    route forms it, B_1·(B_2·(…·B_m)), and lands in kron column
-    sum_k cols[k, i_k]·n^(m-k), read through tau (at tau = id, that
-    column itself)."""
+    vals): a C-contiguous zero array with each row's one product scattered
+    in; None when a product overflows.  Refused before anything is
+    allocated when its N x N size is over the budget.  The tensor keeps
+    where the products go as its support, and writes its array only when
+    its entries are first read; a stack with a product that underflowed to
+    0, which leaves its row with no nonzero, is written at once and keeps
+    none.  Row i's product is formed as the kron route forms it,
+    B_1·(B_2·(…·B_m)), and lands in kron column sum_k cols[k, i_k]·n^(m-k),
+    read through tau (at tau = id, that column itself)."""
     m = tau.degree
     size = n**m
     _check_dense_budget((size, size), "dense GCT")
@@ -180,15 +181,15 @@ def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
             prods = np.multiply.outer(vals[k], prods).ravel()
     if not prods.max() < math.inf:
         return None
-    # the result first, as ``_shuffle_dense`` allocates it: the heap's
-    # high-water mark, hence a process's peak RSS, follows this order
-    arr = np.zeros((n,) * (2 * m))
     rows = np.arange(size)
     index = kron_col  # kron column -> column: at tau = id the gather is arange
     if not tau.is_identity():
         index = _shuffle_index((n,) * m, tau.zero_based())[kron_col]
+    if prods.min() > 0.0:
+        return DenseTensor._kept((n,) * (2 * m), (rows, index, prods))
+    arr = np.zeros((n,) * (2 * m))
     arr.reshape(size, size)[rows, index] = prods
-    return DenseTensor._adopt(arr, (rows, index, prods) if prods.min() > 0.0 else None)
+    return DenseTensor._adopt(arr)
 
 
 def gct_dense(g: Gct) -> DenseTensor:
@@ -199,9 +200,11 @@ def gct_dense(g: Gct) -> DenseTensor:
 
     * The group case, generators with one nonzero per row and per column,
       every entry finite with its sign bit clear and every product finite:
-      a C-contiguous zero array with the n^m products scattered in, O(n^m)
-      arithmetic.  Identity generators are the case whose products are all
-      1: their form is the 0/1 array of one axis shuffle, built by
+      the n^m products and where they go, kept as the tensor's support in
+      O(n^m) arithmetic.  Its entries, a C-contiguous zero array with the
+      products scattered in, are written the first time they are read.
+      Identity generators are the case whose products are all 1: their
+      form is the 0/1 array of one axis shuffle, built at once by
       ``tensor._shuffle_dense`` as K and C are.
     * Any other stack: the C-order unfolding kron(B_1, ..., B_m),
       accumulated from a copy of B_m by m - 1 calls of the Kronecker
@@ -361,40 +364,54 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     exactly on U_a's transposed pattern, is read once per operand: a
     C-order nonzero scan of ``a`` and a nonzero count of ``b``.  A dense
     form that :func:`gct_dense` scattered from generators other than the
-    identity is not read at all: it keeps its support, which stands for the
-    scan or the count.  Every other entry of both is then an exact zero,
-    so the domain checks and the inverse test read only the 2N support
-    entries, in O(N).  Any other ``b`` takes full passes over both
-    operands: their domain checks and U_b's off-pattern row and column
-    maxima.  Any other ``a`` (a stray tiny entry, a positive blob) takes
-    the two dense O(N^3) products.  A finite pair whose products overflow
-    is refused without a RuntimeWarning.
+    identity keeps its support, which stands for the scan or the count, and
+    a pair of them is decided from the two supports alone: neither writes
+    its array unless a test below reads entries.  Every other entry of
+    both is then an exact zero, so the domain checks and the inverse test
+    read only the 2N support entries, in O(N).  Any other ``b`` takes full
+    passes over both operands: their domain checks and U_b's off-pattern
+    row and column maxima.  Any other ``a`` (a stray tiny entry, a positive
+    blob) takes the two dense O(N^3) products.  A finite pair whose
+    products overflow is refused without a RuntimeWarning.
 
     Returns the 0-based (row, column) positions of the positive entries of
     the unfolding of ``a``, sorted by row.  Raises DomainError on a
     non-finite or negative entry and PreconditionError if the operands are
     not mutual inverses.
     """
-    ta, tb = _tensor_entries(a), _tensor_entries(b)
-    m, n = _even_order_cubic(ta.shape, "check_nonneg_inverse")
-    if ta.shape != tb.shape:
-        raise DimensionError(f"operand shapes differ: {ta.shape} vs {tb.shape}")
-    # the support a DenseTensor keeps from its build, or a scan with
-    # comparisons only, so a NaN, an inf or a negative value warns nowhere
-    # before the domain checks
     kept_a, kept_b = (t._support if isinstance(t, DenseTensor) else None for t in (a, b))
+    both_kept = kept_a is not None and kept_b is not None
+    # a pair of kept supports reads its entries only where a test needs them
+    ta, tb = (None, None) if both_kept else (_tensor_entries(a), _tensor_entries(b))
+    shape_a, shape_b = (a.shape, b.shape) if both_kept else (ta.shape, tb.shape)
+    m, n = _even_order_cubic(shape_a, "check_nonneg_inverse")
+    if shape_a != shape_b:
+        raise DimensionError(f"operand shapes differ: {shape_a} vs {shape_b}")
+    size = n**m
+    # the kept support, or a scan with comparisons only, so a NaN, an inf or
+    # a negative value warns nowhere before the domain checks
     support = kept_a or _monomial_support(ta, m)
     exact = False
     if support is not None:
         rows, cols, scale = support
-        ones = tb.flat[cols * n**m + rows]
+        if kept_b is None:
+            ones = tb.flat[cols * size + rows]
+            nonzeros = np.count_nonzero(tb != 0)
+        else:
+            # U_b's row cols[k] holds its one nonzero at b's kept column for
+            # that row: ones[k] is its value where that column is rows[k], else 0
+            _, b_cols, b_vals = kept_b
+            ones = np.where(b_cols[cols] == rows, b_vals[cols], 0.0)
+            nonzeros = size
         # b nonzero on U_a's transposed pattern and nowhere else (a NaN
         # counts as nonzero): every other entry of both is an exact zero
-        nonzeros = len(kept_b[0]) if kept_b is not None else np.count_nonzero(tb != 0)
-        exact = bool(np.all(ones != 0)) and nonzeros == n**m
+        exact = bool(np.all(ones != 0)) and nonzeros == size
+    if not exact and ta is None:  # the products below read U_b
+        ta, tb = _tensor_entries(a), _tensor_entries(b)
     # one min and one max of the values that can fail accept the finite
     # nonnegative case (NaN propagates, so it fails); only a failure pays
-    # for the checks that pick the message
+    # for the checks that pick the message.  A kept support's values are
+    # finite and positive, so an exact kept pair never fails
     values = (scale, ones) if exact else (ta, tb)
     if not all(0.0 <= v.min() and v.max() < math.inf for v in values):
         if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
@@ -404,7 +421,7 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
         if support is None:
-            inverse = _dense_products_near_identity(ta, tb, n**m)
+            inverse = _dense_products_near_identity(ta, tb, size)
         elif exact:
             # the off-pattern maxima of both products are exact zeros
             inverse = _pattern_near_one(ones, scale)
@@ -415,6 +432,8 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     # the witnesses are the entries above STRUCTURE_TOL; unless U_a is
     # monomial with all of them there, find them and test their pattern
     if support is None or support[2].min() <= STRUCTURE_TOL:
+        if ta is None:
+            ta = _tensor_entries(a)
         support = _monomial_support(ta > STRUCTURE_TOL, m)
     if support is None:
         raise PreconditionError(
@@ -424,6 +443,6 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     rows, cols, _ = support
     # the unfolding's flat indices run first mode fastest: reverse the modes
     unfold = _shuffle_index((n,) * m, range(m - 1, -1, -1))
-    witness = np.empty(n**m, dtype=np.intp)
+    witness = np.empty(size, dtype=np.intp)
     witness[unfold[rows]] = unfold[cols]
     return list(enumerate(witness.tolist()))

@@ -5,7 +5,8 @@ gate.
 Non-finite matrices are refused.  :func:`det` snaps a magnitude below
 ``DET_SINGULAR_TOL`` to 0.0, and :func:`_slogdet` stays finite where the
 determinant overflows.  :func:`inv` inverts a matrix or a (k, n, n) stack
-once the gate accepts it, and refuses an inverse that overflows.
+once the gate accepts it, and refuses a matrix whose elimination
+overflows a pivot, which the gate reports, and an inverse that overflows.
 
 The gate, :func:`_require_invertible`, is the one elimination written here:
 Gaussian elimination with partial pivoting of a whole (k, n, n) stack,
@@ -145,12 +146,15 @@ def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
 def inv(mat) -> np.ndarray:
     """The inverse of a square matrix, or of each matrix of a (k, n, n)
     stack, by LAPACK once the gate accepts them: the gate's error for the
-    first matrix it refuses, SingularMatrixError for a stack the gate
-    accepts but LAPACK's own LU finds exactly singular (LAPACK does not say
-    which matrix), and DomainError for an inverse that overflows."""
+    first matrix it refuses, DomainError for an accepted stack whose
+    elimination overflows a pivot (its LU is no longer exact enough to
+    invert by), SingularMatrixError for a stack the gate accepts but
+    LAPACK's own LU finds exactly singular (LAPACK does not say which
+    matrix), and DomainError for an inverse that overflows."""
     a = _square(mat, stack=True)
-    if a.size:  # an empty matrix or stack has nothing to refuse
-        _require_invertible(a if a.ndim == 3 else a[None])
+    # an empty matrix or stack has nothing to refuse
+    if a.size and _require_invertible(a if a.ndim == 3 else a[None]):
+        raise DomainError("a pivot overflows in elimination")
     try:
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot the gate did not
@@ -160,18 +164,19 @@ def inv(mat) -> np.ndarray:
     return out
 
 
-def _require_invertible(mats) -> None:
+def _require_invertible(mats) -> bool:
     """Raise on the first of ``mats``, square matrices of one size, that is
     not invertible at the pivot threshold, and build no inverse:
     DomainError for a non-finite matrix, SingularMatrixError naming its
-    first pivot below ``INVERSE_PIVOT_TOL``.  The module docstring says how
-    the stack is eliminated."""
+    first pivot below ``INVERSE_PIVOT_TOL``.  Return whether a pivot of
+    the stack it accepts overflowed to inf, which the gate itself does not
+    refuse.  The module docstring says how the stack is eliminated."""
     a = np.array(mats)
     k, n, _ = a.shape
     row_pivots = _monomial_pivots(a)
     if row_pivots is not None:
         if row_pivots.min() >= INVERSE_PIVOT_TOL:  # the pivots, in row order
-            return
+            return False
         pivots = a.max(axis=1)  # each column's one nonzero, in column order
     else:
         # one matrix is eliminated as a matrix: numpy's cost per call grows
@@ -201,9 +206,10 @@ def _require_invertible(mats) -> None:
     # pivots all finite and at or above the threshold accept every matrix;
     # a NaN fails the test
     if all(INVERSE_PIVOT_TOL <= abs(p) < math.inf for p in pivots.ravel().tolist()):
-        return
+        return False
     finite = np.isfinite(np.array(mats)).all(axis=(1, 2))
     first = int(finite.argmin()) if not finite.all() else k
     _refuse_low(np.abs(pivots[:first]))
     if first < k:
         raise DomainError("matrix has a non-finite entry")
+    return bool(np.isinf(pivots).any())

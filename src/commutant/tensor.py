@@ -225,12 +225,18 @@ class DenseTensor:
         frozen, so a caller who later writes to ``data`` does not change the
         tensor.  All entries are stored as float64.  The package's own
         builders hand over the arrays they allocate through the private
-        :meth:`_adopt`, which freezes in place instead of copying.  A builder
-        that scatters one nonzero into each row and each column of a square
-        C-order unfolding also hands over where: ``_support`` is then (rows,
-        cols, values) of those nonzeros, the flat indices of each one's
-        leading and trailing half of the modes, and None on every other
-        tensor.  The entries never change, so it stays true.
+        :meth:`_adopt`, which freezes in place instead of copying.
+
+    A builder of a square C-order unfolding with one positive finite entry
+    in each row and each column may hand over only where they are, through
+    the private :meth:`_kept`: ``_support`` is then (rows, cols, values),
+    rows 0..N-1 in order, each row's column and its value, and None on every
+    other tensor.  Such a tensor holds its support and its shape, and writes
+    its zero array with the values scattered in on the first read of its
+    entries (``array``, ``values``, ``entry``, or as an operand), then keeps
+    it, frozen; ``shape``, ``order`` and ``repr`` read none.  Two threads
+    racing at that first read build equal arrays and keep one.  The entries
+    never change, so the support stays true.
 
     Examples
     --------
@@ -243,7 +249,7 @@ class DenseTensor:
     [1.0, 3.0, 2.0, 4.0]
     """
 
-    __slots__ = ("_array", "_support")
+    __slots__ = ("_array", "_shape", "_support")
 
     def __init__(self, data):
         arr = _as_array(data, "a tensor")
@@ -251,21 +257,27 @@ class DenseTensor:
         self._own(arr if isinstance(data, (list, tuple)) else arr.copy(order="K"))
 
     @classmethod
-    def _adopt(cls, arr: np.ndarray, support=None) -> "DenseTensor":
+    def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
         """Wrap a float64 array without copying it, and freeze it in place.
         Only for an array the caller allocated itself and shares with no
         one: never for a view of an array that came from outside."""
         t = cls.__new__(cls)
         t._own(arr)
-        t._support = support
+        return t
+
+    @classmethod
+    def _kept(cls, shape: tuple[int, ...], support) -> "DenseTensor":
+        """The tensor of ``shape`` whose entries are +0.0 but for its kept
+        ``support``, as the class docstring describes, with no array yet."""
+        t = cls.__new__(cls)
+        t._array, t._shape, t._support = None, shape, support
         return t
 
     def _own(self, arr: np.ndarray) -> None:
         """Validate ``arr`` and keep it as the entries, frozen in place."""
         _check_extents(arr)
         arr.flags.writeable = False
-        self._array = arr
-        self._support = None
+        self._array, self._shape, self._support = arr, arr.shape, None
 
     @classmethod
     def from_flat(cls, shape: Sequence[int], values: list[float] | np.ndarray) -> "DenseTensor":
@@ -278,21 +290,28 @@ class DenseTensor:
     @property
     def array(self) -> np.ndarray:
         """Read-only ndarray view of the entries."""
-        return self._array
+        arr = self._array
+        if arr is None:
+            rows, cols, vals = self._support
+            arr = np.zeros(self._shape)
+            arr.reshape(len(rows), -1)[rows, cols] = vals
+            arr.flags.writeable = False
+            self._array = arr
+        return arr
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._array.shape
+        return self._shape
 
     @property
     def order(self) -> int:
         """Number of modes."""
-        return self._array.ndim
+        return len(self._shape)
 
     @property
     def values(self) -> np.ndarray:
         """Entries in canonical flat order (first mode fastest)."""
-        return self._array.ravel(order="F")
+        return self.array.ravel(order="F")
 
     def entry(self, *coords: int) -> float:
         """Entry at 1-based coordinates."""
@@ -303,7 +322,7 @@ class DenseTensor:
         for c, d in zip(coords, self.shape):
             if not 1 <= c <= d:
                 raise RangeError(f"coordinate {c} outside 1..{d}")
-        return float(self._array[tuple(c - 1 for c in coords)])
+        return float(self.array[tuple(c - 1 for c in coords)])
 
     def __repr__(self) -> str:
         return f"DenseTensor(shape={self.shape})"

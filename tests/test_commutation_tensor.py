@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -696,7 +698,9 @@ def nonneg_pairs(draw):
     none, an added entry of size 1e-14..1, b scaled by 1 +- eps around
     either tolerance, a zeroed entry, a NaN, an inf or a negative value on
     the support, b built from swapped generators, or b's unfolding
-    transposed (a strided view)."""
+    transposed (a strided view).  Returns the kind and the two arrays, and
+    for the unedited kinds the dense forms as ``gct_dense`` returns them,
+    with their entries not yet written."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gens = generalized_permutations(rng, m, n)
@@ -705,6 +709,10 @@ def nonneg_pairs(draw):
     kind = draw(
         st.sampled_from(["exact", "add", "scale", "zero", "on_support", "swap", "transpose"])
     )
+    kept = None
+    if kind in ("exact", "swap"):
+        inverted = gens[::-1] if kind == "swap" else gens
+        kept = gct_dense(build_gct(gens)), gct_dense(gct_inverse(build_gct(inverted)))
     target = draw(st.sampled_from([a, b]))
     if kind == "add":
         at = tuple(draw(st.integers(0, n - 1)) for _ in range(2 * m))
@@ -723,7 +731,7 @@ def nonneg_pairs(draw):
         b = gct_dense(gct_inverse(build_gct(gens[::-1]))).array.copy()
     elif kind == "transpose":
         b = b.transpose(*range(m, 2 * m), *range(m))
-    return a, b
+    return kind, a, b, kept
 
 
 class TestCheckNonnegInverseMatchesReference:
@@ -733,9 +741,17 @@ class TestCheckNonnegInverseMatchesReference:
     @given(nonneg_pairs())
     @settings(max_examples=400, deadline=None)
     def test_edited_gct_pairs(self, pair):
-        a, b = pair
+        kind, a, b, kept = pair
         want = outcome(reference_check_nonneg_inverse, a, b)
         assert outcome(check_nonneg_inverse, a, b) == want
+        if kept is not None:
+            # decided from the two kept supports: an exact inverse pair
+            # writes neither dense form; copies take the scan route
+            got = outcome(check_nonneg_inverse, *kept)
+            if kind == "exact":
+                assert kept[0]._array is None and kept[1]._array is None
+            copies = [DenseTensor(t.array) for t in kept]
+            assert got == outcome(check_nonneg_inverse, *copies) == want
 
     @staticmethod
     def counted_products(monkeypatch):
@@ -941,10 +957,10 @@ class TestCheckNonnegInverseMatchesReference:
 
 
 class TestKeptSupport:
-    """The scatter route of gct_dense keeps where it put the nonzeros, and
-    check_nonneg_inverse reads that in place of a scan of ``a`` and a count
-    of ``b``: the support a scan finds, and the outcome plain copies of the
-    operands give."""
+    """The scatter route of gct_dense keeps where the nonzeros go and writes
+    its array on the first read, and check_nonneg_inverse reads that
+    support in place of a scan of ``a`` and a count of ``b``: the support a
+    scan finds, and the outcome plain copies of the operands give."""
 
     @staticmethod
     def operators(rng, m, n):
@@ -973,9 +989,103 @@ class TestKeptSupport:
         # identity generators scatter a 0/1 shuffle and keep nothing
         assert gct_dense(build_mode_perm_tensor(Permutation([2, 1]), 3))._support is None
 
+    @staticmethod
+    def literal_scatter(g):
+        """The group-case form as a zero array with each row's product
+        written in, one entry at a time: entry (i, j) is prod_k B_k[i_k, l_k]
+        at l_k = j_{tau(k)}, formed B_1·(B_2·(…·B_m)), where l_k is the
+        column of row i_k's one nonzero in B_k."""
+        m, n = g.m, g.n
+        arr = np.zeros((n,) * (2 * m))
+        for i in itertools.product(range(n), repeat=m):
+            cols = [int(np.flatnonzero(b[r])[0]) for b, r in zip(g.generators, i)]
+            prod = g.generators[-1][i[-1], cols[-1]]
+            for k in range(m - 2, -1, -1):
+                prod = g.generators[k][i[k], cols[k]] * prod
+            j = [0] * m
+            for k in range(m):
+                j[g.tau(k + 1) - 1] = cols[k]
+            arr[i + tuple(j)] = prod
+        return arr
+
+    @pytest.mark.parametrize("m,n", list(itertools.product(range(1, 4), range(1, 6))))
+    def test_the_deferred_form_is_the_literal_scatter(self, m, n):
+        rng = np.random.default_rng(70 + 7 * m + n)
+        for tau in Permutation.all(m):
+            gens = []
+            for _ in range(m):  # a permutation matrix scaled entrywise, never the identity
+                b = np.zeros((n, n))
+                b[np.arange(n), rng.permutation(n)] = rng.uniform(0.25, 4.0, n)
+                gens.append(b)
+            g = ct_mod._operator(gens, tau)
+            t = gct_dense(g)
+            assert t._array is None and t._support is not None
+            shape = (n,) * (2 * m)
+            assert (t.shape, t.order, repr(t)) == (shape, 2 * m, f"DenseTensor(shape={shape})")
+            assert t._array is None  # neither shape, order nor repr writes it
+            arr = t.array
+            assert arr.tobytes() == self.literal_scatter(g).tobytes()
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            assert t.array is arr
+            scanned = ct_mod._monomial_support(arr, m)
+            assert [x.tolist() for x in t._support] == [x.tolist() for x in scanned]
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda t: t.values,
+            lambda t: t.entry(1, 2, 1, 2),
+            lambda t: DenseTensor(t),
+            lambda t: mul_2m(t, t),
+        ],
+    )
+    def test_every_read_of_the_entries_writes_them_once(self, read):
+        t = gct_dense(build_gct(generalized_permutations(np.random.default_rng(71), 2, 3)))
+        assert t._array is None
+        read(t)
+        arr = t._array
+        assert arr is not None and t.array is arr
+
+    def test_racing_first_reads_build_equal_arrays_and_keep_one(self):
+        # four threads on a 2-core machine read each fresh form at once,
+        # with a short switch interval: every read gets the same bytes, and
+        # the tensor keeps one of the arrays they built
+        g = build_gct(generalized_permutations(np.random.default_rng(73), 3, 4))
+        want = gct_dense(g).array.tobytes()
+        threads, interval = 4, sys.getswitchinterval()
+        barrier = threading.Barrier(threads)
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                t, seen = gct_dense(g), []
+
+                def read(t=t, seen=seen):
+                    barrier.wait(timeout=10)
+                    seen.append(t.array)
+
+                workers = [threading.Thread(target=read) for _ in range(threads)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=10)
+                assert not any(w.is_alive() for w in workers) and len(seen) == threads
+                assert all(arr.tobytes() == want and not arr.flags.writeable for arr in seen)
+                assert any(t.array is arr for arr in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_over_budget_form_is_refused_in_gct_dense(self, monkeypatch):
+        # the 9 x 9 unfolding is refused at the build, not at a later read
+        monkeypatch.setattr(errors_mod, "MAX_DENSE_ENTRIES", 80)
+        g = build_gct(generalized_permutations(np.random.default_rng(72), 2, 3))
+        with pytest.raises(DomainError) as err:
+            gct_dense(g)
+        assert str(err.value) == "dense GCT: (9, 9) is over MAX_DENSE_ENTRIES=80"
+
     def test_a_product_that_underflows_keeps_no_support(self):
         tiny = np.diag([1e-200, 1.0])
         t = gct_dense(build_gct([tiny, tiny]))
+        assert t._array is not None  # written at once
         assert t.array.min() == 0.0 and np.count_nonzero(t.array) == 3
         assert t._support is None
         assert ct_mod._monomial_support(t.array, 2) is None
@@ -1017,7 +1127,39 @@ class TestKeptSupport:
             raise AssertionError("scanned")
 
         monkeypatch.setattr(ct_mod, "_monomial_support", no_scan)
-        assert check_nonneg_inverse(a, b) == reference_check_nonneg_inverse(a.array, b.array)
+        got = check_nonneg_inverse(a, b)
+        assert a._array is None and b._array is None
+        assert got == reference_check_nonneg_inverse(a.array, b.array)
+
+    def test_a_kept_pair_that_is_no_inverse_pair_is_refused_unwritten(self):
+        # one pattern, other values: refused from the supports alone
+        rng = np.random.default_rng(64)
+        g = build_gct(generalized_permutations(rng, 2, 3))
+        other = ct_mod._operator([2.0 * x for x in gct_inverse(g).generators])
+        a, b = gct_dense(g), gct_dense(other)
+        got = outcome(check_nonneg_inverse, a, b)
+        assert a._array is None and b._array is None
+        assert got == (PreconditionError, "operands are not mutual inverses")
+        assert got == outcome(check_nonneg_inverse, DenseTensor(a.array), DenseTensor(b.array))
+
+    def test_a_kept_pair_on_the_wrong_cells_is_no_inverse_pair(self):
+        # 0/1 forms with every value on b's support the reciprocal of a's,
+        # but b is a's own pattern, not its transpose: U_b's entries at
+        # U_a's transposed pattern are 0 where the columns differ
+        g = gct_from_permutation(Permutation([2, 3, 1]), 2)
+        a, b = gct_dense(g), gct_dense(g)
+        got = outcome(check_nonneg_inverse, a, b)
+        assert got == (PreconditionError, "operands are not mutual inverses")
+        assert got == outcome(check_nonneg_inverse, DenseTensor(a.array), DenseTensor(b.array))
+
+    def test_a_shape_mismatch_is_refused_unwritten(self):
+        rng = np.random.default_rng(65)
+        a = gct_dense(build_gct(generalized_permutations(rng, 2, 3)))
+        b = gct_dense(build_gct(generalized_permutations(rng, 3, 2)))
+        got = outcome(check_nonneg_inverse, a, b)
+        assert a._array is None and b._array is None
+        assert got == (DimensionError, "operand shapes differ: (3, 3, 3, 3) vs (2, 2, 2, 2, 2, 2)")
+        assert got == outcome(check_nonneg_inverse, DenseTensor(a.array), DenseTensor(b.array))
 
 
 def loop_mode_perm_dense(tau, n):

@@ -200,6 +200,24 @@ def test_an_inverse_that_overflows_is_refused():
         gct_inverse(build_gct([np.eye(2), a]))
 
 
+def test_a_pivot_that_overflows_is_refused_before_lapack(monkeypatch):
+    # the gate's second pivot is 1e308 + 1e308 = inf: it accepts the matrix,
+    # whose LAPACK inverse would be the finite but wrong [[1e-308, 0], [0, 0]]
+    a = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    assert _gate_outcome([a]) is None
+
+    def no_lapack(x):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_lapack)
+    with pytest.raises(DomainError, match="^a pivot overflows in elimination$"):
+        linalg.inv(a)
+    with pytest.raises(DomainError, match="^a pivot overflows in elimination$"):
+        linalg.inv(np.stack([np.eye(2), a]))
+    with pytest.raises(DomainError, match="^a pivot overflows in elimination$"):
+        gct_inverse(build_gct([np.eye(2), a]))
+
+
 def test_inv_refuses_an_exactly_zero_lapack_pivot():
     # two equal rows: the loop's pivot x * (y / x) - y is rounding, above
     # the threshold, so the gate accepts; LAPACK's is exactly 0
