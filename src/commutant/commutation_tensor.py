@@ -59,6 +59,7 @@ class Gct:
 
     generators: tuple[np.ndarray, ...]
     tau: Permutation
+    _gated = False  # set by preserver._invertible once the gate accepts the generators
 
     @property
     def m(self) -> int:
@@ -129,15 +130,17 @@ def gct_inverse(g: Gct) -> Gct:
     """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
     tau^-1.  Each distinct generator is inverted once and its inverse shared
     by the modes that hold it: one ``linalg.inv`` call on their stack, in
-    the order of the inverse's modes.  Nonnegative monomial generators (the
-    operator's one monomial test) are inverted together, as their
-    transposed reciprocals, and the inverse is handed its own pattern: row
-    cols[k, i] of its generator holds 1/vals[k, i] at column i, which is
-    what ``linalg._nonneg_monomial`` would find, so neither its dense form
-    nor its inverse scans it again.  Raises SingularMatrixError if any
-    generator is singular at the pivot threshold, the first in the order
-    of the inverse's modes, and DomainError if one is non-finite, overflows
-    a pivot in the gate's elimination or has an inverse that overflows."""
+    the order of the inverse's modes, or LAPACK's inverse alone, with the
+    same bytes, for an operator the gate accepted (a preserver).
+    Nonnegative monomial generators (the operator's one monomial test) are
+    inverted together, as their transposed reciprocals, and the inverse is
+    handed its own pattern: row cols[k, i] of its generator holds
+    1/vals[k, i] at column i, which is what ``linalg._nonneg_monomial``
+    would find, so neither its dense form nor its inverse scans it again.
+    Raises SingularMatrixError if any generator is singular at the pivot
+    threshold, the first in the order of the inverse's modes, and
+    DomainError if one is non-finite, overflows a pivot in the gate's
+    elimination or has an inverse that overflows."""
     inv = g.tau.inverse()
     keys = [t - 1 for t in inv.images]
     gens = [g.generators[k] for k in keys]
@@ -146,7 +149,8 @@ def gct_inverse(g: Gct) -> Gct:
         first.setdefault(id(b), j)
     pattern = g._monomial
     if pattern is None:
-        found = linalg.inv(np.array([gens[j] for j in first.values()]))
+        invert = linalg._lapack_inv if g._gated else linalg.inv
+        found = invert(np.array([gens[j] for j in first.values()]))
         inverses = dict(zip(first, found))
     else:
         cols, vals = pattern
@@ -365,8 +369,8 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     C-order nonzero scan of ``a`` and a nonzero count of ``b``.  A dense
     form that :func:`gct_dense` scattered from generators other than the
     identity keeps its support, which stands for the scan or the count, and
-    a pair of them is decided from the two supports alone: neither writes
-    its array unless a test below reads entries.  Every other entry of
+    writes its array only if a test below reads entries: a pair of them is
+    decided from the two supports alone.  Every other entry of
     both is then an exact zero, so the domain checks and the inverse test
     read only the 2N support entries, in O(N).  Any other ``b`` takes full
     passes over both operands: their domain checks and U_b's off-pattern
@@ -380,23 +384,22 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
     not mutual inverses.
     """
     kept_a, kept_b = (t._support if isinstance(t, DenseTensor) else None for t in (a, b))
-    both_kept = kept_a is not None and kept_b is not None
-    # a pair of kept supports reads its entries only where a test needs them
-    ta, tb = (None, None) if both_kept else (_tensor_entries(a), _tensor_entries(b))
-    shape_a, shape_b = (a.shape, b.shape) if both_kept else (ta.shape, tb.shape)
-    m, n = _even_order_cubic(shape_a, "check_nonneg_inverse")
-    if shape_a != shape_b:
-        raise DimensionError(f"operand shapes differ: {shape_a} vs {shape_b}")
+    # a kept operand writes its entries only where a test below reads them
+    a = a if kept_a else _tensor_entries(a)
+    b = b if kept_b else _tensor_entries(b)
+    m, n = _even_order_cubic(a.shape, "check_nonneg_inverse")
+    if a.shape != b.shape:
+        raise DimensionError(f"operand shapes differ: {a.shape} vs {b.shape}")
     size = n**m
     # the kept support, or a scan with comparisons only, so a NaN, an inf or
     # a negative value warns nowhere before the domain checks
-    support = kept_a or _monomial_support(ta, m)
+    support = kept_a or _monomial_support(a, m)
     exact = False
     if support is not None:
         rows, cols, scale = support
         if kept_b is None:
-            ones = tb.flat[cols * size + rows]
-            nonzeros = np.count_nonzero(tb != 0)
+            ones = b.flat[cols * size + rows]
+            nonzeros = np.count_nonzero(b != 0)
         else:
             # U_b's row cols[k] holds its one nonzero at b's kept column for
             # that row: ones[k] is its value where that column is rows[k], else 0
@@ -406,35 +409,34 @@ def check_nonneg_inverse(a: TensorLike, b: TensorLike) -> list[tuple[int, int]]:
         # b nonzero on U_a's transposed pattern and nowhere else (a NaN
         # counts as nonzero): every other entry of both is an exact zero
         exact = bool(np.all(ones != 0)) and nonzeros == size
-    if not exact and ta is None:  # the products below read U_b
-        ta, tb = _tensor_entries(a), _tensor_entries(b)
+    if not exact:  # the products below read U_b
+        a, b = _tensor_entries(a), _tensor_entries(b)
     # one min and one max of the values that can fail accept the finite
     # nonnegative case (NaN propagates, so it fails); only a failure pays
     # for the checks that pick the message.  A kept support's values are
     # finite and positive, so an exact kept pair never fails
-    values = (scale, ones) if exact else (ta, tb)
+    values = (scale, ones) if exact else (a, b)
     if not all(0.0 <= v.min() and v.max() < math.inf for v in values):
-        if not (np.isfinite(ta).all() and np.isfinite(tb).all()):
+        a, b = _tensor_entries(a), _tensor_entries(b)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise DomainError("operands must be finite")
-        if np.any(ta < 0) or np.any(tb < 0):
+        if np.any(a < 0) or np.any(b < 0):
             raise DomainError("operands must be entrywise nonnegative")
     # a finite pair whose products overflow is no inverse pair; inf says so
     with np.errstate(over="ignore"):
         if support is None:
-            inverse = _dense_products_near_identity(ta, tb, size)
+            inverse = _dense_products_near_identity(a, b, size)
         elif exact:
             # the off-pattern maxima of both products are exact zeros
             inverse = _pattern_near_one(ones, scale)
         else:
-            inverse = _monomial_products_near_identity(tb, *support)
+            inverse = _monomial_products_near_identity(b, *support)
     if not inverse:
         raise PreconditionError("operands are not mutual inverses")
     # the witnesses are the entries above STRUCTURE_TOL; unless U_a is
     # monomial with all of them there, find them and test their pattern
     if support is None or support[2].min() <= STRUCTURE_TOL:
-        if ta is None:
-            ta = _tensor_entries(a)
-        support = _monomial_support(ta > STRUCTURE_TOL, m)
+        support = _monomial_support(_tensor_entries(a) > STRUCTURE_TOL, m)
     if support is None:
         raise PreconditionError(
             "unfolding is not a generalized permutation matrix; "

@@ -5,16 +5,17 @@ gate.
 Non-finite matrices are refused.  :func:`det` snaps a magnitude below
 ``DET_SINGULAR_TOL`` to 0.0, and :func:`_slogdet` stays finite where the
 determinant overflows.  :func:`inv` inverts a matrix or a (k, n, n) stack
-once the gate accepts it, and refuses a matrix whose elimination
-overflows a pivot, which the gate reports, and an inverse that overflows.
+once the gate accepts it, and refuses what LAPACK's inverse alone can
+find: an exactly zero LU pivot and an inverse that overflows.
 
-The gate, :func:`_require_invertible`, is the one elimination written here:
-Gaussian elimination with partial pivoting of a whole (k, n, n) stack,
-which refuses the first matrix with a pivot below ``INVERSE_PIVOT_TOL`` and
-names that pivot, without building an inverse.  A pivot is read only from
-the rows at and below it, so the elimination keeps only those rows: per
-column that is five numpy calls for all k matrices, and the last column's
-update is skipped.  A nonnegative monomial stack is decided from its row
+The gate, :func:`_require_invertible`, is the one elimination written here
+and the one invertibility rule: Gaussian elimination with partial pivoting
+of a whole (k, n, n) stack, which refuses the first matrix with a pivot
+below ``INVERSE_PIVOT_TOL``, naming it, then a pivot that overflows,
+without building an inverse.  A pivot is read only from the rows at and
+below it, so the elimination keeps only those rows: per column that is
+five numpy calls for all k matrices, and the last column's update is
+skipped.  A nonnegative monomial stack is decided from its row
 maxima alone (:func:`_monomial_pivots`): each row's one nonzero is the
 pivot of its column, as no step changes it, so no column argmax is paid
 for, and only a low one is put in column order, by the column maxima.  In a
@@ -146,15 +147,18 @@ def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
 def inv(mat) -> np.ndarray:
     """The inverse of a square matrix, or of each matrix of a (k, n, n)
     stack, by LAPACK once the gate accepts them: the gate's error for the
-    first matrix it refuses, DomainError for an accepted stack whose
-    elimination overflows a pivot (its LU is no longer exact enough to
-    invert by), SingularMatrixError for a stack the gate accepts but
-    LAPACK's own LU finds exactly singular (LAPACK does not say which
-    matrix), and DomainError for an inverse that overflows."""
+    first matrix it refuses, then :func:`_lapack_inv`'s two refusals."""
     a = _square(mat, stack=True)
-    # an empty matrix or stack has nothing to refuse
-    if a.size and _require_invertible(a if a.ndim == 3 else a[None]):
-        raise DomainError("a pivot overflows in elimination")
+    if a.size:  # an empty matrix or stack has nothing to refuse
+        _require_invertible(a if a.ndim == 3 else a[None])
+    return _lapack_inv(a)
+
+
+def _lapack_inv(a: np.ndarray) -> np.ndarray:
+    """LAPACK's inverse of a matrix or stack the gate has accepted:
+    SingularMatrixError when LAPACK's own LU finds one exactly singular
+    (LAPACK does not say which matrix), and DomainError for an inverse
+    that overflows."""
     try:
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot the gate did not
@@ -164,19 +168,20 @@ def inv(mat) -> np.ndarray:
     return out
 
 
-def _require_invertible(mats) -> bool:
+def _require_invertible(mats) -> None:
     """Raise on the first of ``mats``, square matrices of one size, that is
     not invertible at the pivot threshold, and build no inverse:
     DomainError for a non-finite matrix, SingularMatrixError naming its
-    first pivot below ``INVERSE_PIVOT_TOL``.  Return whether a pivot of
-    the stack it accepts overflowed to inf, which the gate itself does not
-    refuse.  The module docstring says how the stack is eliminated."""
+    first pivot below ``INVERSE_PIVOT_TOL``, then DomainError for a stack
+    whose elimination overflows a pivot to inf, as its LU is no longer
+    exact enough to invert by.  The module docstring says how the stack
+    is eliminated."""
     a = np.array(mats)
     k, n, _ = a.shape
     row_pivots = _monomial_pivots(a)
     if row_pivots is not None:
         if row_pivots.min() >= INVERSE_PIVOT_TOL:  # the pivots, in row order
-            return False
+            return
         pivots = a.max(axis=1)  # each column's one nonzero, in column order
     else:
         # one matrix is eliminated as a matrix: numpy's cost per call grows
@@ -206,10 +211,11 @@ def _require_invertible(mats) -> bool:
     # pivots all finite and at or above the threshold accept every matrix;
     # a NaN fails the test
     if all(INVERSE_PIVOT_TOL <= abs(p) < math.inf for p in pivots.ravel().tolist()):
-        return False
+        return
     finite = np.isfinite(np.array(mats)).all(axis=(1, 2))
     first = int(finite.argmin()) if not finite.all() else k
     _refuse_low(np.abs(pivots[:first]))
     if first < k:
         raise DomainError("matrix has a non-finite entry")
-    return bool(np.isinf(pivots).any())
+    if np.isinf(pivots).any():
+        raise DomainError("a pivot overflows in elimination")

@@ -589,6 +589,21 @@ class TestApply:
         code, _, _ = run(capsys, "apply", pfile, tfile)
         assert code == 3
 
+    @pytest.mark.parametrize("tau", ["[1,2]", "[2,1]"])
+    def test_a_preserver_whose_pivot_overflows_exits_3_before_any_product(
+        self, capsys, tmp_path, tau
+    ):
+        # the gate refuses the generator, so no NaN product is ever written
+        pfile = self._write(
+            tmp_path,
+            "phi.json",
+            '{"m":2,"n":2,"tau":' + tau + ',"matrices":[[[1e308,1e308],[-1e308,1e308]],'
+            "[[1,0],[0,1]]]}",
+        )
+        tfile = self._write(tmp_path, "t.json", '{"shape":[2,2],"values":[1,2,3,4]}')
+        code, out, err = run(capsys, "apply", pfile, tfile)
+        assert (code, out, err) == (3, "", "error: a pivot overflows in elimination\n")
+
 
 class TestUnfold:
     def test_matrix_text_roundtrip(self, capsys, tmp_path):

@@ -1119,6 +1119,31 @@ class TestKeptSupport:
                 seen.add(want[0] if isinstance(want, tuple) else list)
         assert seen == {list, PreconditionError}
 
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_a_plain_first_operand_leaves_a_kept_second_unwritten(self, m, n):
+        # a plain a is scanned and b's kept support stands for its entries:
+        # an exact pair, accepted or refused, never writes b's dense form,
+        # and each outcome is the all-plain call's
+        rng = np.random.default_rng(66 + 5 * m + n)
+        seen = set()
+        for g in self.operators(rng, m, n):
+            inv = gct_inverse(g)
+            # three times the inverse: never identity generators, which keep no support
+            tripled = ct_mod._operator([3.0 * x for x in inv.generators], inv.tau)
+            for y in (inv, tripled):
+                a, b = DenseTensor(gct_dense(g).array), gct_dense(y)
+                want = outcome(check_nonneg_inverse, a, DenseTensor(gct_dense(y).array))
+                assert outcome(check_nonneg_inverse, a, b) == want
+                assert b._array is None
+                seen.add(want[1] if isinstance(want, tuple) else list)
+            # a refused value in a: the same message, whatever b writes
+            bad = gct_dense(g).array.copy()
+            bad.flat[np.flatnonzero(bad)[-1]] *= -1.0
+            want = outcome(check_nonneg_inverse, bad, DenseTensor(gct_dense(inv).array))
+            assert want == (DomainError, "operands must be entrywise nonnegative")
+            assert outcome(check_nonneg_inverse, bad, gct_dense(inv)) == want
+        assert seen == {list, "operands are not mutual inverses"}
+
     def test_an_exact_pair_of_kept_supports_reads_no_entries(self, monkeypatch):
         g = build_gct(generalized_permutations(np.random.default_rng(63), 3, 4))
         a, b = gct_dense(g), gct_dense(gct_inverse(g))

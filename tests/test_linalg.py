@@ -6,6 +6,13 @@ import pytest
 from commutant import DimensionError, DomainError, SingularMatrixError
 from commutant import linalg
 from commutant.commutation_tensor import build_gct, gct_inverse
+from commutant.permutation import Permutation
+from commutant.preserver import (
+    compose_rank_preservers,
+    matrix_preserver,
+    rank_preserver,
+    sym_preserver,
+)
 
 
 def test_det_small_cases():
@@ -201,10 +208,11 @@ def test_an_inverse_that_overflows_is_refused():
 
 
 def test_a_pivot_that_overflows_is_refused_before_lapack(monkeypatch):
-    # the gate's second pivot is 1e308 + 1e308 = inf: it accepts the matrix,
-    # whose LAPACK inverse would be the finite but wrong [[1e-308, 0], [0, 0]]
+    # the gate's second pivot is 1e308 + 1e308 = inf: the gate refuses the
+    # matrix, whose LAPACK inverse would be the finite but wrong
+    # [[1e-308, 0], [0, 0]]
     a = np.array([[1e308, 1e308], [-1e308, 1e308]])
-    assert _gate_outcome([a]) is None
+    assert _gate_outcome([a]) == (DomainError, "a pivot overflows in elimination")
 
     def no_lapack(x):
         raise AssertionError("LAPACK called")
@@ -285,6 +293,88 @@ def test_inv_matches_the_vectorised_loop_to_rounding():
         total += 1
     assert 0 < singular < total  # both outcomes are exercised
     assert uncompared == 160
+
+
+#: the gate's second pivot is 1e308 + 1e308 = inf
+OVERFLOW = np.array([[1e308, 1e308], [-1e308, 1e308]])
+#: what inv alone refuses, after the gate accepts: LAPACK's own LU meets an
+#: exact zero, or the inverse overflows
+LAPACK_REFUSALS = {
+    (SingularMatrixError, "matrix is exactly singular in LAPACK's LU"),
+    (DomainError, "inverse has a non-finite entry"),
+}
+
+
+def _outcome_of(call):
+    try:
+        call()
+    except Exception as exc:  # the comparison is the test
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_preserver_refuses_what_inv_refuses(seed):
+    # the constructor and inv run one gate: the same first refused matrix,
+    # exception type and message; LAPACK's two refusals stay inv's alone
+    rng = np.random.default_rng(950 + seed)
+    seen = set()
+    for _ in range(150):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        mats = [_gate_matrix(rng, n, kind) for kind in rng.choice(GATE_KINDS, size=k)]
+        if rng.random() < 0.3:  # the overflowing matrix in the top corner of I
+            over = np.eye(n)
+            over[:2, :2] = OVERFLOW
+            mats.insert(int(rng.integers(0, k + 1)), over)
+        want = _gate_outcome(mats)
+        got = _outcome_of(lambda: rank_preserver(mats, Permutation.identity(len(mats))))
+        assert got == want, n
+        inverted = _outcome_of(lambda: linalg.inv(np.stack(mats)))
+        assert inverted == want or (want is None and inverted in LAPACK_REFUSALS), n
+        seen.add(want and want[1][:5])  # enough of the message to name its refusal
+    # accepted stacks, low pivots, non-finite matrices and overflowed pivots
+    assert seen == {None, "pivot", "matri", "a piv"}
+
+
+def test_every_gated_constructor_refuses_a_pivot_that_overflows():
+    want = (DomainError, "a pivot overflows in elimination")
+    eye, shear = np.eye(2), np.array([[1.0, 1.0], [-1.0, 1.0]])
+    big = rank_preserver([1e308 * eye, eye], Permutation([1, 2]))
+    assert np.array_equal(big.generators[0] @ shear, OVERFLOW)
+    for tau in (Permutation([1, 2]), Permutation([2, 1])):
+        assert _outcome_of(lambda: rank_preserver([OVERFLOW, eye], tau)) == want
+        assert _outcome_of(lambda: rank_preserver([eye, OVERFLOW], tau)) == want
+        # generator 0 of the product is 1e308 I @ shear, which is OVERFLOW
+        inner = rank_preserver([shear, eye], tau)
+        assert _outcome_of(lambda: compose_rank_preservers(big, inner)) == want
+    assert _outcome_of(lambda: sym_preserver(OVERFLOW, 3)) == want
+    for transposed in (False, True):
+        assert _outcome_of(lambda: matrix_preserver(OVERFLOW, eye, transposed)) == want
+        assert _outcome_of(lambda: matrix_preserver(eye, OVERFLOW.T, transposed)) == want
+
+
+def test_the_inverse_of_a_preserver_is_gated_once(monkeypatch):
+    # gct_inverse hands a gated operator's distinct generators, in the
+    # inverse's mode order, to LAPACK alone: the bytes of linalg.inv on them
+    rng = np.random.default_rng(951)
+    b, c, d = (rng.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(3))
+    phi = rank_preserver([b, c, d, b], Permutation([2, 3, 4, 1]))
+    keys = [t - 1 for t in phi.tau.inverse().images]  # mode k of the inverse inverts keys[k]
+    distinct = list({id(phi.generators[j]): phi.generators[j] for j in keys}.values())
+    want = linalg.inv(np.array(distinct))
+    plain = build_gct(phi.generators)
+    gated = []
+    full = linalg._require_invertible
+    monkeypatch.setattr(linalg, "_require_invertible", lambda mats: gated.append(1) or full(mats))
+    got = gct_inverse(phi)
+    assert gated == []
+    for k, j in enumerate(keys):
+        i = next(i for i, x in enumerate(distinct) if x is phi.generators[j])
+        assert got.generators[k].tobytes() == want[i].tobytes()
+    assert len({id(x) for x in got.generators}) == 3  # b's inverse is shared
+    # an operator no constructor gated is gated by gct_inverse, as before
+    gct_inverse(plain)
+    assert gated == [1]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ hold on any machine and do not depend on timing.
 """
 
 import functools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,41 @@ def _peak_bytes(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def _large_steps(call, size):
+    """Result of ``call()`` and how many of its steps, each one bytecode
+    instruction of a Python frame it runs, raised the traced bytes by at
+    least ``size / 2``: one per array that large, whether or not it is freed
+    before the call's peak.  Half, because a step may free a few small
+    objects before it allocates."""
+    call()  # numpy's first-call caches are not allocations of the call itself
+    steps, before, tracer = 0, 0, sys.gettrace()
+
+    def step(frame, event, arg):
+        nonlocal steps, before
+        current, peak = tracemalloc.get_traced_memory()
+        steps += peak - before >= size / 2
+        tracemalloc.reset_peak()
+        before = current
+        return step
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return step(frame, event, arg)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sys.settrace(enter)
+        try:
+            result = call()
+        finally:
+            sys.settrace(tracer)
+        step(None, "return", None)
+    finally:
+        tracemalloc.stop()
+    return result, steps
 
 
 @pytest.mark.parametrize("k", [3, 2**10, 2**16])
@@ -324,6 +360,18 @@ def test_the_group_case_pipeline_writes_no_dense_form():
     assert peak < 0.05 * 8**6 * 8
 
 
+def test_check_nonneg_inverse_writes_no_kept_second_operand():
+    # a plain first operand and the inverse's dense form as gct_dense
+    # returns it: a is scanned (a mask of 1/8 of its bytes) and b's support
+    # stands for its nonzero count, so b's 2 MiB array is never written
+    gens = _scaled_permutations(8, 8, 8)
+    a = DenseTensor(gct_dense(build_gct(gens)).array)
+    inverse = gct_inverse(build_gct(gens))
+    result, peak = _peak_bytes(lambda: check_nonneg_inverse(a, gct_dense(inverse)))
+    assert len(result) == 512
+    assert peak < 0.25 * a.array.nbytes
+
+
 #: fixes_identity's traced peak, in image sizes n^m * 8 rounded up, when it
 #: built I and applied the operator mode by mode
 FIXES_IDENTITY_PARENT_PEAK = {(3, 8): 4.45, (4, 8): 4.06, (5, 6): 4.04}
@@ -357,15 +405,20 @@ def test_is_rank1_tensor_reads_an_array_in_place(layout):
     assert on_array < 4 * arr.nbytes
 
 
-#: a call on C-contiguous float64 operands, and how many result sizes it
-#: holds at its peak past a small constant; a copy of any operand is more
+#: a call on C-contiguous float64 operands, how many result sizes it holds
+#: at its peak past a small constant, and how many arrays at least half its
+#: smallest operand's size it allocates: its results and products, never a
+#: copy of an operand.  The one exception is by design: apply_rank_preserver
+#: reads a C-ordered matrix (m = 2) through an F-ordered copy, so that the
+#: operand's layout does not change the product's bits
 IN_PLACE = {
-    "mul_2m": lambda: (mul_2m, _inputs(20, (8,) * 6, (8,) * 6), 1),
-    "mul_2m_on_m": lambda: (mul_2m_on_m, _inputs(21, (8,) * 6, (8,) * 3), 1),
-    "balance_unfold": lambda: (balance_unfold, _inputs(22, (8,) * 6), 1),
+    "mul_2m": lambda: (mul_2m, _inputs(20, (8,) * 6, (8,) * 6), 1, 1),
+    "mul_2m_on_m": lambda: (mul_2m_on_m, _inputs(21, (8,) * 6, (8,) * 3), 1, 1),
+    "balance_unfold": lambda: (balance_unfold, _inputs(22, (8,) * 6), 1, 1),
     "permute_modes": lambda: (
         functools.partial(permute_modes, tau=Permutation([2, 3, 1, 5, 6, 4])),
         _inputs(23, (8,) * 6),
+        1,
         1,
     ),
     # m = 1: one product, whose result is the operand's size
@@ -373,9 +426,10 @@ IN_PLACE = {
         functools.partial(apply_rank_preserver, build_gct(_inputs(24, (1024, 1024)))),
         _inputs(25, (1024,)),
         1,
+        1,
     ),
-    # m = 2: the first mode product is held while the second is written; a
-    # C-ordered matrix is read through an F-ordered copy, dropped before then
+    # m = 2: the first mode product is held while the second is written; the
+    # F-ordered copy is dropped before then, and is the third array
     "apply_rank_preserver_m2": lambda: (
         functools.partial(
             apply_rank_preserver,
@@ -383,17 +437,21 @@ IN_PLACE = {
         ),
         _inputs(27, (300, 300)),
         2,
+        3,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(IN_PLACE))
 def test_tensor_operands_are_read_in_place(name):
-    call, operands, results = IN_PLACE[name]()
+    call, operands, results, arrays = IN_PLACE[name]()
     assert all(x.flags.c_contiguous and x.dtype == np.float64 for x in operands)
     result, peak = _peak_bytes(lambda: call(*operands))
     out = result if isinstance(result, np.ndarray) else result.array
     assert peak <= results * out.nbytes + 2048
+    # the peak misses a copy dropped before it; the count of large arrays does not
+    _, allocated = _large_steps(lambda: call(*operands), min(x.nbytes for x in operands))
+    assert allocated == arrays
 
 
 def _nonneg_pair():
