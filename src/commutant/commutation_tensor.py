@@ -59,7 +59,6 @@ class Gct:
 
     generators: tuple[np.ndarray, ...]
     tau: Permutation
-    _gated = False  # set by preserver._invertible once the gate accepts the generators
 
     @property
     def m(self) -> int:
@@ -130,17 +129,15 @@ def gct_inverse(g: Gct) -> Gct:
     """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
     tau^-1.  Each distinct generator is inverted once and its inverse shared
     by the modes that hold it: one ``linalg.inv`` call on their stack, in
-    the order of the inverse's modes, or LAPACK's inverse alone, with the
-    same bytes, for an operator the gate accepted (a preserver).
-    Nonnegative monomial generators (the operator's one monomial test) are
-    inverted together, as their transposed reciprocals, and the inverse is
-    handed its own pattern: row cols[k, i] of its generator holds
-    1/vals[k, i] at column i, which is what ``linalg._nonneg_monomial``
-    would find, so neither its dense form nor its inverse scans it again.
-    Raises SingularMatrixError if any generator is singular at the pivot
-    threshold, the first in the order of the inverse's modes, and
-    DomainError if one is non-finite, overflows a pivot in the gate's
-    elimination or has an inverse that overflows."""
+    the order of the inverse's modes.  Nonnegative monomial generators (the
+    operator's one monomial test) are inverted together, as their
+    transposed reciprocals, and the inverse is handed its own pattern: row
+    cols[k, i] of its generator holds 1/vals[k, i] at column i, which is
+    what ``linalg._nonneg_monomial`` would find, so neither its dense form
+    nor its inverse scans it again.  Raises SingularMatrixError if any
+    generator is singular at the pivot threshold, the first in the order
+    of the inverse's modes, and DomainError if one is non-finite, overflows
+    a pivot in the gate's elimination or has an inverse that overflows."""
     inv = g.tau.inverse()
     keys = [t - 1 for t in inv.images]
     gens = [g.generators[k] for k in keys]
@@ -149,8 +146,7 @@ def gct_inverse(g: Gct) -> Gct:
         first.setdefault(id(b), j)
     pattern = g._monomial
     if pattern is None:
-        invert = linalg._lapack_inv if g._gated else linalg.inv
-        found = invert(np.array([gens[j] for j in first.values()]))
+        found = linalg.inv(np.array([gens[j] for j in first.values()]))
         inverses = dict(zip(first, found))
     else:
         cols, vals = pattern

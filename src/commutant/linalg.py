@@ -147,18 +147,12 @@ def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarra
 def inv(mat) -> np.ndarray:
     """The inverse of a square matrix, or of each matrix of a (k, n, n)
     stack, by LAPACK once the gate accepts them: the gate's error for the
-    first matrix it refuses, then :func:`_lapack_inv`'s two refusals."""
+    first matrix it refuses, SingularMatrixError for a stack the gate
+    accepts but LAPACK's own LU finds exactly singular (LAPACK does not say
+    which matrix), and DomainError for an inverse that overflows."""
     a = _square(mat, stack=True)
     if a.size:  # an empty matrix or stack has nothing to refuse
         _require_invertible(a if a.ndim == 3 else a[None])
-    return _lapack_inv(a)
-
-
-def _lapack_inv(a: np.ndarray) -> np.ndarray:
-    """LAPACK's inverse of a matrix or stack the gate has accepted:
-    SingularMatrixError when LAPACK's own LU finds one exactly singular
-    (LAPACK does not say which matrix), and DomainError for an inverse
-    that overflows."""
     try:
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot the gate did not

@@ -48,13 +48,11 @@ MAX_TRIALS = 2**16
 
 
 def _invertible(phi: Gct) -> Gct:
-    """The invertibility gate: ``phi`` once each shared generator passes,
-    recorded on it so that its inverse is not gated again; else the gate's
-    error on the first it refuses, SingularMatrixError, or DomainError if
-    non-finite or a pivot overflows.  All of them are decided by one
-    pivot-only elimination of their stack."""
+    """The invertibility gate: ``phi`` once each shared generator passes;
+    else the gate's error on the first it refuses, SingularMatrixError, or
+    DomainError if non-finite or a pivot overflows.  All of them are
+    decided by one pivot-only elimination of their stack."""
     linalg._require_invertible(list({id(b): b for b in phi.generators}.values()))
-    vars(phi)["_gated"] = True  # frozen: set as gct_inverse sets _monomial
     return phi
 
 

@@ -353,30 +353,6 @@ def test_every_gated_constructor_refuses_a_pivot_that_overflows():
         assert _outcome_of(lambda: matrix_preserver(eye, OVERFLOW.T, transposed)) == want
 
 
-def test_the_inverse_of_a_preserver_is_gated_once(monkeypatch):
-    # gct_inverse hands a gated operator's distinct generators, in the
-    # inverse's mode order, to LAPACK alone: the bytes of linalg.inv on them
-    rng = np.random.default_rng(951)
-    b, c, d = (rng.standard_normal((4, 4)) + 4 * np.eye(4) for _ in range(3))
-    phi = rank_preserver([b, c, d, b], Permutation([2, 3, 4, 1]))
-    keys = [t - 1 for t in phi.tau.inverse().images]  # mode k of the inverse inverts keys[k]
-    distinct = list({id(phi.generators[j]): phi.generators[j] for j in keys}.values())
-    want = linalg.inv(np.array(distinct))
-    plain = build_gct(phi.generators)
-    gated = []
-    full = linalg._require_invertible
-    monkeypatch.setattr(linalg, "_require_invertible", lambda mats: gated.append(1) or full(mats))
-    got = gct_inverse(phi)
-    assert gated == []
-    for k, j in enumerate(keys):
-        i = next(i for i, x in enumerate(distinct) if x is phi.generators[j])
-        assert got.generators[k].tobytes() == want[i].tobytes()
-    assert len({id(x) for x in got.generators}) == 3  # b's inverse is shared
-    # an operator no constructor gated is gated by gct_inverse, as before
-    gct_inverse(plain)
-    assert gated == [1]
-
-
 @pytest.mark.parametrize(
     "pivot", [linalg.INVERSE_PIVOT_TOL, np.nextafter(linalg.INVERSE_PIVOT_TOL, 0.0)]
 )

@@ -406,11 +406,11 @@ def test_is_rank1_tensor_reads_an_array_in_place(layout):
 
 
 #: a call on C-contiguous float64 operands, how many result sizes it holds
-#: at its peak past a small constant, and how many arrays at least half its
-#: smallest operand's size it allocates: its results and products, never a
-#: copy of an operand.  The one exception is by design: apply_rank_preserver
-#: reads a C-ordered matrix (m = 2) through an F-ordered copy, so that the
-#: operand's layout does not change the product's bits
+#: at its peak past a small constant, and at most how many arrays at least
+#: half its smallest operand's size it allocates: its results and products,
+#: never a copy of an operand.  The one exception is by design:
+#: apply_rank_preserver reads a C-ordered matrix (m = 2) through an F-ordered
+#: copy, so that the operand's layout does not change the product's bits
 IN_PLACE = {
     "mul_2m": lambda: (mul_2m, _inputs(20, (8,) * 6, (8,) * 6), 1, 1),
     "mul_2m_on_m": lambda: (mul_2m_on_m, _inputs(21, (8,) * 6, (8,) * 3), 1, 1),
@@ -451,7 +451,7 @@ def test_tensor_operands_are_read_in_place(name):
     assert peak <= results * out.nbytes + 2048
     # the peak misses a copy dropped before it; the count of large arrays does not
     _, allocated = _large_steps(lambda: call(*operands), min(x.nbytes for x in operands))
-    assert allocated == arrays
+    assert allocated <= arrays
 
 
 def _nonneg_pair():
