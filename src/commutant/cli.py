@@ -13,8 +13,14 @@ Subcommands
 Exit codes: 0 success, 1 stdout closed before the output was written,
 2 usage or parse error, 3 dimension/domain error, 4 verification failure.
 
-Output is deterministic: a fixed command line (plus seed) yields identical
-bytes.  The environment variable ``COMMUTANT_SEED`` overrides ``--seed``.
+A fixed command line (plus seed) yields identical bytes on one machine with
+one BLAS thread count.  Across machines, ``apply``'s floats may differ:
+their rounding depends on the BLAS build, its kernel and its thread count.
+Verdicts, counts, refusals and exit codes do not, nor does ``verify``'s
+output, which prints verdicts and counts, nor do the ``gen-*`` and
+``unfold`` bytes, which are closed forms and a re-indexing with no
+arithmetic.  The environment variable ``COMMUTANT_SEED`` overrides
+``--seed``.
 
 Input is read with the standard library and built with numpy: a handler
 reads its files through ``serialize``'s readers, one per format, checks

@@ -247,20 +247,14 @@ def apply_rank_preserver(g: Gct, a: TensorLike) -> DenseTensor:
     input with factors alpha_k the output factors are generators[k] @
     alpha_{tau(k)}.
 
-    A matrix is read in F order, a C-ordered one through a copy that is
-    dropped once the first mode product is made, so that its layout does
-    not change the bits: BLAS may round the two layouts apart.  At m >= 3
-    that product reads the operand into C order in either layout."""
+    The mode products are the m cyclic GEMMs of ``tensor._mode_products``
+    on the shuffled operand in C order, copied once where its layout or
+    tau needs it, so the operand's layout does not change the bits."""
     arr = _tensor_entries(a)
     if arr.ndim != g.m or any(d != g.n for d in arr.shape):
         raise DimensionError(f"tensor shape {arr.shape} does not fit {g.m} modes of size {g.n}")
     # permute_modes by tau^-1, whose transpose axes are tau's own images
-    axes, pairs = g.tau.zero_based(), enumerate(g.generators)
-    if arr.ndim == 2:
-        arr = _mode_products(np.asfortranarray(arr).transpose(axes), [next(pairs)])
-    else:
-        arr = arr.transpose(axes)
-    return DenseTensor._adopt(_mode_products(arr, pairs))
+    return DenseTensor._adopt(_mode_products(arr.transpose(g.tau.zero_based()), g.generators))
 
 
 def is_pair_symmetric(a: TensorLike) -> bool:

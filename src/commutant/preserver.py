@@ -26,8 +26,8 @@ from .tensor import (
     TensorLike,
     _check_dense_budget,
     _check_order,
+    _mode_products,
     _rank1_residual,
-    _stacked_mode_products,
     _tensor_entries,
     as_matrix,
 )
@@ -99,26 +99,25 @@ def is_determinant_preserver(phi: Gct) -> bool:
 
 def _identity_image(phi: Gct) -> np.ndarray:
     """The image of the order-m identity tensor I, without building I: the
-    entries of ``apply_rank_preserver(phi, I)`` with their bits up to the
-    sign of zeros, as a fresh C-order (n, n^(m-1)) array whose row is the
-    last mode's index and whose column is the others', first mode slowest.
+    entries of ``apply_rank_preserver(phi, I)``, for finite generators with
+    their bits up to the sign of zeros, as a fresh C-order (n^(m-1), n)
+    array, the image's own layout read as a matrix.
 
     I is fixed by every mode shuffle, so tau drops out, and I's first m - 1
-    mode products only multiply: the image before the last mode is the
-    Khatri-Rao array prod_{k<m} B_k[j_k, i] (I is the rank-n CP form with
-    I_n on every mode; Kolda & Bader, SIAM Review 2009, §3).  Built in
-    m - 2 broadcast products, it is the operand of the BLAS product
-    :func:`~commutant.tensor._mode_products` makes last, and that one
+    mode products only multiply: before its last step
+    :func:`~commutant.tensor._mode_products` holds the Khatri-Rao array
+    prod_{k<m} B_k[j_k, i], C-ordered with I's last index i first (I is the
+    rank-n CP form with I_n on every mode; Kolda & Bader, SIAM Review 2009,
+    §3).  Built here in m - 2 broadcast products in the kernel's order, it
+    takes that last step's one BLAS product on the same view, and that
     product is the image: O(n^(m+1)) flops where m mode products take
     O(m n^(m+1))."""
     m, n, gens = phi.m, phi.n, phi.generators
     _check_dense_budget((n,) * m, "identity tensor")
-    if m == 1:
-        return np.dot(gens[0], np.ones((n, 1)))
-    krao = gens[0].T  # at m = 2 the F-order view _mode_products hands on
+    krao = np.ascontiguousarray(gens[0].T) if m > 1 else np.ones((n, 1))
     for k in range(1, m - 1):
         krao = np.multiply(krao[..., None], gens[k].T.reshape((n,) + (1,) * k + (n,)), order="C")
-    return np.dot(gens[-1], krao.reshape(n, -1))
+    return np.matmul(krao.reshape(n, -1).T, gens[-1].T)
 
 
 def fixes_identity(phi: Gct) -> bool:
@@ -202,13 +201,14 @@ def _unit_factors(seed: int, trials: range, m: int, n: int) -> np.ndarray:
 def _rank1_images(phi: Gct, units: np.ndarray) -> np.ndarray:
     """``apply_rank_preserver(phi, rank1(units[t]))`` for every t, as one
     (T, n, ..., n) stack with the same bits: the outer products in rank1's
-    order, the modes shuffled by tau, and one stacked product per mode."""
+    order, the modes shuffled by tau, and the m cyclic GEMMs of the one
+    kernel over the stack."""
     x = units[:, 0]
     for k in range(1, units.shape[1]):
         x = x[..., None] * units[(slice(None), k) + (None,) * k]
     shuffled = np.transpose(x, (0, *(1 + a for a in phi.tau.zero_based())))
     with np.errstate(all="ignore"):  # an image that overflows fails its certificate
-        return _stacked_mode_products(shuffled, enumerate(phi.generators))
+        return _mode_products(shuffled, phi.generators)
 
 
 def _rank1_stack(images: np.ndarray) -> np.ndarray:

@@ -138,35 +138,24 @@ def _adjacent_swaps(arr: np.ndarray, blocks: int):
         yield np.transpose(arr, axes)
 
 
-def _mode_products(arr: np.ndarray, pairs) -> np.ndarray:
-    """Unchecked ``arr`` times ``mat`` on 0-based mode ``axis``, for each
-    ``(axis, mat)`` pair in turn.  Each is one ``np.dot`` on the operands
-    ``np.tensordot(mat, arr, ([1], [axis]))`` would build, ``mat`` and
-    ``arr`` with ``axis`` first as an (n, -1) matrix, so its bits are
-    tensordot's, without tensordot's axis handling."""
-    for axis, mat in pairs:
-        later = range(axis + 1, arr.ndim)
-        moved = arr.transpose((axis, *range(axis), *later))
-        flat = moved.reshape(moved.shape[0], -1)
-        out = np.dot(mat, flat).reshape(mat.shape[:1] + moved.shape[1:])
-        arr = out.transpose((*range(1, axis + 1), 0, *later))
-    return arr
-
-
-def _stacked_mode_products(arr: np.ndarray, pairs) -> np.ndarray:
-    """:func:`_mode_products` of each tensor of a stack along ``arr``'s first
-    axis, mode ``axis`` counted after it.  Each product is one ``np.matmul``
-    over the stack, which makes for every tensor the BLAS product
-    :func:`_mode_products` makes for it alone; one product of the whole
-    stack would not, as BLAS may round a dot product differently with other
-    columns beside it."""
-    for axis, mat in pairs:
-        later = range(axis + 2, arr.ndim)
-        moved = arr.transpose((0, axis + 1, *range(1, axis + 1), *later))
-        out = np.matmul(mat, moved.reshape(moved.shape[:2] + (-1,)))
-        out = out.reshape(moved.shape[:1] + mat.shape[:1] + moved.shape[2:])
-        arr = out.transpose((0, *range(2, axis + 2), 1, *later))
-    return arr
+def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
+    """Unchecked ``arr`` times ``mats[k]`` on mode k, for every mode in
+    order, as m cyclic GEMMs (de Boor, ACM TOMS 1979).  ``arr`` is read
+    into C order once, copied only if it is not C-contiguous, so its layout
+    does not change the bits.  Each step reads the array as an (n, rest)
+    matrix and makes one ``np.matmul`` of its transposed view, which BLAS
+    reads in place, by ``mat.T``: the fresh C-contiguous result holds the
+    product's mode last, so no step copies and after m steps the modes are
+    back in order.  Axes before the last ``len(mats)`` are a stack, and
+    each of its tensors gets the BLAS product it gets alone; one product
+    of the whole stack would not, as BLAS may round a dot product
+    differently with other columns beside it."""
+    arr = np.ascontiguousarray(arr)
+    lead = arr.shape[: arr.ndim - len(mats)]
+    for mat in mats:
+        flat = arr.reshape(lead + (mat.shape[1], -1))
+        arr = np.matmul(flat.swapaxes(-1, -2), mat.T)
+    return arr.reshape(lead + tuple(mat.shape[0] for mat in mats))
 
 
 def _nesting_depth(data) -> int:

@@ -65,5 +65,5 @@ def vec_sandwich(a, b, c) -> np.ndarray:
         raise DimensionError(
             f"chain {am.shape} · {bm.shape} · {cm.shape} does not compose"
         )
-    return vec(_mode_products(bm, [(0, am), (1, cm.T)]))
+    return _mode_products(bm, (am, cm.T)).ravel(order="F")
 

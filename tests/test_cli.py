@@ -745,6 +745,37 @@ class TestGoldenBytes:
         assert code == 4 and err == ""
         assert out == want
 
+    @pytest.mark.parametrize(
+        "blas",
+        [
+            {"OPENBLAS_NUM_THREADS": "1"},
+            {"OPENBLAS_NUM_THREADS": "2"},
+            {"OPENBLAS_CORETYPE": "Prescott"},  # a kernel with no FMA
+        ],
+        ids=["one-thread", "two-threads", "prescott"],
+    )
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["verify"], VERIFY_TEXT),
+            (["verify", "--format", "json", "--trials", "10", "--seed", "7"], VERIFY_JSON_T10_S7),
+        ],
+        ids=["text", "json-t10-s7"],
+    )
+    def test_verify_bytes_do_not_depend_on_the_blas(self, blas, argv, want):
+        # verify prints verdicts and counts, not floats, so neither the BLAS
+        # kernel nor its thread count may move its bytes; each setting acts
+        # only on this child process
+        env = {k: v for k, v in ENV.items() if not k.startswith(("OPENBLAS_", "COMMUTANT_"))}
+        done = subprocess.run(
+            [sys.executable, "-m", "commutant.cli", *argv],
+            capture_output=True,
+            env={**env, **blas},
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.decode("utf-8") == want
+
     @pytest.mark.parametrize("phi,name,tensor,want", APPLY_CASES)
     def test_apply_stdout_bytes(self, capsys, tmp_path, phi, name, tensor, want):
         pfile, tfile = tmp_path / "phi.json", tmp_path / name

@@ -408,9 +408,7 @@ def test_is_rank1_tensor_reads_an_array_in_place(layout):
 #: a call on C-contiguous float64 operands, how many result sizes it holds
 #: at its peak past a small constant, and at most how many arrays at least
 #: half its smallest operand's size it allocates: its results and products,
-#: never a copy of an operand.  The one exception is by design:
-#: apply_rank_preserver reads a C-ordered matrix (m = 2) through an F-ordered
-#: copy, so that the operand's layout does not change the product's bits
+#: and a copy of an operand only where a mode shuffle reorders it
 IN_PLACE = {
     "mul_2m": lambda: (mul_2m, _inputs(20, (8,) * 6, (8,) * 6), 1, 1),
     "mul_2m_on_m": lambda: (mul_2m_on_m, _inputs(21, (8,) * 6, (8,) * 3), 1, 1),
@@ -428,8 +426,9 @@ IN_PLACE = {
         1,
         1,
     ),
-    # m = 2: the first mode product is held while the second is written; the
-    # F-ordered copy is dropped before then, and is the third array
+    # m = 2, tau the swap: the first mode product is held while the second is
+    # written; the shuffle's C-ordered copy is dropped before then, and is the
+    # third array
     "apply_rank_preserver_m2": lambda: (
         functools.partial(
             apply_rank_preserver,
@@ -438,6 +437,35 @@ IN_PLACE = {
         _inputs(27, (300, 300)),
         2,
         3,
+    ),
+    # tau = id: one array per mode product, each step reading the last in place
+    "apply_rank_preserver_m2_id": lambda: (
+        functools.partial(
+            apply_rank_preserver,
+            rank_preserver(_inputs(26, (300, 300), (300, 300)), Permutation.identity(2)),
+        ),
+        _inputs(27, (300, 300)),
+        2,
+        2,
+    ),
+    "apply_rank_preserver_m3": lambda: (
+        functools.partial(
+            apply_rank_preserver,
+            rank_preserver(_inputs(28, *[(40, 40)] * 3), Permutation.identity(3)),
+        ),
+        _inputs(29, (40, 40, 40)),
+        2,
+        3,
+    ),
+    # the shuffle's copy and the three products
+    "apply_rank_preserver_m3_tau": lambda: (
+        functools.partial(
+            apply_rank_preserver,
+            rank_preserver(_inputs(28, *[(40, 40)] * 3), Permutation([2, 3, 1])),
+        ),
+        _inputs(29, (40, 40, 40)),
+        2,
+        4,
     ),
 }
 

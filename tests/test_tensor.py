@@ -120,9 +120,12 @@ class TestDenseTensor:
 
 
 def mode_n_product(t, mat, k):
-    """The mode-k product (k 1-based) by the kernel that the operator action
-    and ``vec_sandwich`` run on."""
-    return tensor_mod._mode_products(np.asarray(t), [(k - 1, np.asarray(mat))])
+    """The mode-k product (k 1-based) by the one kernel that the operator
+    action and ``vec_sandwich`` run on, with I on every other mode."""
+    t = np.asarray(t)
+    mats = [np.eye(d) for d in t.shape]
+    mats[k - 1] = np.asarray(mat)
+    return tensor_mod._mode_products(t, mats)
 
 
 class TestModeNProduct:
@@ -161,16 +164,21 @@ class TestModeNProduct:
         assert out.shape == (2, 5)
 
 
-def tensordot_mode_products(arr, pairs):
-    """The tensordot formulation ``_mode_products`` must reproduce bit for bit."""
-    for axis, mat in pairs:
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=([1], [axis])), 0, axis)
+def cyclic_gemms(arr, mats):
+    """The rule the kernel must reproduce bit for bit, one step at a time:
+    read the operand in C order, then for each mode in turn take the
+    C-ordered array as an (n, rest) matrix and multiply its transpose by
+    ``mat.T`` in one GEMM, whose (rest, n') result holds that mode last."""
+    arr = np.array(arr, order="C")
+    for mat in mats:
+        out = np.dot(arr.reshape(arr.shape[0], -1).T, mat.T)
+        arr = out.reshape(arr.shape[1:] + mat.shape[:1])
     return arr
 
 
 @pytest.mark.parametrize("layout", ["c-contiguous", "permuted", "strided"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-def test_mode_products_are_the_tensordot_products_byte_for_byte(order, layout):
+def test_an_operator_acts_by_m_cyclic_gemms(order, layout):
     rng = np.random.default_rng(100 * order + len(layout))
     for _ in range(30):
         shape = tuple(int(d) for d in rng.integers(1, 6, order))
@@ -180,15 +188,16 @@ def test_mode_products_are_the_tensordot_products_byte_for_byte(order, layout):
         elif layout == "strided":
             big = rng.standard_normal(tuple(2 * d for d in shape))
             arr = big[(slice(None, None, 2),) * order].transpose(rng.permutation(order))
-        pairs = []
-        for axis in rng.permutation(order)[: int(rng.integers(1, order + 1))]:
-            mat = rng.standard_normal((arr.shape[axis], int(rng.integers(1, 6)))).T
+        mats = []
+        for d in arr.shape:
+            mat = rng.standard_normal((d, int(rng.integers(1, 6)))).T
             if rng.integers(2):
                 mat = np.ascontiguousarray(mat)  # C order as well as a transposed view
-            pairs.append((int(axis), mat))
-        got = tensor_mod._mode_products(arr, pairs)
-        want = tensordot_mode_products(arr, pairs)
-        assert got.shape == want.shape and got.strides == want.strides
+            mats.append(mat)
+        got = tensor_mod._mode_products(arr, mats)
+        want = cyclic_gemms(arr, mats)
+        assert got.shape == want.shape == tuple(mat.shape[0] for mat in mats)
+        assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
 
 
@@ -458,7 +467,7 @@ def test_identity_tensor_budget_boundary(monkeypatch):
 
 @pytest.mark.parametrize("layout", ["c-contiguous", "permuted"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-def test_stacked_mode_products_are_each_tensors_own_bytes(order, layout):
+def test_each_tensor_of_a_stack_gets_its_own_bytes(order, layout):
     # one np.matmul per mode over the stack makes each tensor's own BLAS
     # product, where one np.dot over the whole stack may round differently
     rng = np.random.default_rng(200 + 10 * order + len(layout))
@@ -467,12 +476,11 @@ def test_stacked_mode_products_are_each_tensors_own_bytes(order, layout):
         arr = rng.standard_normal((stack,) + (n,) * order)
         if layout == "permuted":
             arr = arr.transpose((0, *(1 + rng.permutation(order))))
-        pairs = [(int(k), rng.standard_normal((n, n))) for k in rng.permutation(order)]
-        got = tensor_mod._stacked_mode_products(arr, pairs)
-        assert got.shape == arr.shape
+        mats = [rng.standard_normal((n, n)) for _ in range(order)]
+        got = tensor_mod._mode_products(arr, mats)
+        assert got.shape == arr.shape and got.flags.c_contiguous
         for one, tensor in zip(got, arr):
-            want = tensor_mod._mode_products(tensor, pairs)
-            assert np.ascontiguousarray(one).tobytes() == np.ascontiguousarray(want).tobytes()
+            assert one.tobytes() == tensor_mod._mode_products(tensor, mats).tobytes()
 
 
 def _rank1_residual_reference(arr, pivot):
