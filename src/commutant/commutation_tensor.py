@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +54,9 @@ _ALLCLOSE_RTOL = 1e-5
 class Gct:
     """m generator matrices B_k, each n x n, and a mode permutation tau: the
     operator that maps the rank-1 tensor with factors ``alpha_k`` to the one
-    with factors ``B_k @ alpha_{tau(k)}``.  Built only by :func:`_operator`."""
+    with factors ``B_k @ alpha_{tau(k)}``.  Built only by :func:`_operator`,
+    and holds nothing else: each function that needs the group-case test
+    runs it on the generators it reads."""
 
     generators: tuple[np.ndarray, ...]
     tau: Permutation
@@ -67,13 +68,6 @@ class Gct:
     @property
     def n(self) -> int:
         return self.generators[0].shape[0]
-
-    @cached_property
-    def _monomial(self):
-        """``linalg._nonneg_monomial`` of the generator stack: the group case's
-        (cols, vals), or None.  Run once per operator, and shared by
-        :func:`gct_dense` and :func:`gct_inverse`."""
-        return linalg._nonneg_monomial(np.array(self.generators))
 
 
 def _operator(generators, tau: Permutation | None = None) -> Gct:
@@ -129,33 +123,18 @@ def gct_inverse(g: Gct) -> Gct:
     """The inverse operator: generators ``B_{tau^-1(k)}^-1`` and permutation
     tau^-1.  Each distinct generator is inverted once and its inverse shared
     by the modes that hold it: one ``linalg.inv`` call on their stack, in
-    the order of the inverse's modes.  Nonnegative monomial generators (the
-    operator's one monomial test) are inverted together, as their
-    transposed reciprocals, and the inverse is handed its own pattern: row
-    cols[k, i] of its generator holds 1/vals[k, i] at column i, which is
-    what ``linalg._nonneg_monomial`` would find, so neither its dense form
-    nor its inverse scans it again.  Raises SingularMatrixError if any
-    generator is singular at the pivot threshold, the first in the order
-    of the inverse's modes, and DomainError if one is non-finite, overflows
-    a pivot in the gate's elimination or has an inverse that overflows."""
+    the order of the inverse's modes, so nonnegative monomial generators
+    (the group case) get their exact transposed reciprocals and any other
+    stack LAPACK's inverse.  Raises SingularMatrixError if any generator is
+    singular at the pivot threshold, the first in the order of the
+    inverse's modes, and DomainError if one is non-finite, turns a pivot
+    of the gate's elimination inf or NaN, or has an inverse that
+    overflows."""
     inv = g.tau.inverse()
-    keys = [t - 1 for t in inv.images]
-    gens = [g.generators[k] for k in keys]
-    first = {}  # the first of the inverse's modes to hold each distinct generator
-    for j, b in enumerate(gens):
-        first.setdefault(id(b), j)
-    pattern = g._monomial
-    if pattern is None:
-        found = linalg.inv(np.array([gens[j] for j in first.values()]))
-        inverses = dict(zip(first, found))
-    else:
-        cols, vals = pattern
-        found, inv_pattern = linalg._monomial_inverses((cols[keys], vals[keys]))
-        inverses = {key: found[j] for key, j in first.items()}
-    out = _operator([inverses[id(b)] for b in gens], inv)
-    if pattern is not None:
-        vars(out)["_monomial"] = inv_pattern  # the cached property's slot
-    return out
+    gens = [g.generators[t - 1] for t in inv.images]
+    distinct = {id(b): b for b in gens}  # in the order of first appearance
+    inverses = dict(zip(distinct, linalg.inv(np.array(list(distinct.values())))))
+    return _operator([inverses[id(b)] for b in gens], inv)
 
 
 def _scatter_dense(pattern, tau: Permutation, n: int) -> DenseTensor | None:
@@ -224,7 +203,7 @@ def gct_dense(g: Gct) -> DenseTensor:
     if all(gen.tobytes() == eye for gen in g.generators):
         arr = _shuffle_dense((n,) * m, g.tau.zero_based(), "mode-permutation tensor")
         return DenseTensor._adopt(arr)
-    pattern = g._monomial
+    pattern = linalg._nonneg_monomial(np.array(g.generators))
     if pattern is not None:
         t = _scatter_dense(pattern, g.tau, n)
         if t is not None:

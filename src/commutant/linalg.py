@@ -4,14 +4,16 @@ gate.
 
 Non-finite matrices are refused.  :func:`det` snaps a magnitude below
 ``DET_SINGULAR_TOL`` to 0.0, and :func:`_slogdet` stays finite where the
-determinant overflows.  :func:`inv` inverts a matrix or a (k, n, n) stack
-once the gate accepts it, and refuses what LAPACK's inverse alone can
-find: an exactly zero LU pivot and an inverse that overflows.
+determinant overflows.  :func:`inv` is the one inverse route: it inverts a
+matrix or a (k, n, n) stack once the gate accepts it, a nonnegative
+monomial stack (the group case) as its exact transposed reciprocals and
+any other by LAPACK, which alone can find an exactly zero LU pivot and an
+inverse that overflows.
 
 The gate, :func:`_require_invertible`, is the one elimination written here
 and the one invertibility rule: Gaussian elimination with partial pivoting
 of a whole (k, n, n) stack, which refuses the first matrix with a pivot
-below ``INVERSE_PIVOT_TOL``, naming it, then a pivot that overflows,
+below ``INVERSE_PIVOT_TOL``, naming it, then a pivot that is inf or NaN,
 without building an inverse.  A pivot is read only from the rows at and
 below it, so the elimination keeps only those rows: per column that is
 five numpy calls for all k matrices, and the last column's update is
@@ -117,42 +119,22 @@ def _refuse_low(pivots: np.ndarray) -> None:
         raise _low_pivot(pivots[first, low[first].argmax()])
 
 
-def _monomial_inverses(pattern) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The inverse of each matrix of the nonnegative monomial (k, n, n)
-    stack with ``pattern`` = (cols, vals), and the inverses' own pattern, or
-    the gate's error for the first matrix it refuses.  Each inverse is the
-    exact transposed reciprocals: its matrix transposed, each nonzero x
-    replaced by the rounded 1/x and every other entry +0, so row cols[k, i]
-    of inverse k holds 1/vals[k, i] at column i.  The inverses' pattern is
-    then that of :func:`_nonneg_monomial` on them without a scan: each 1/x
-    of a pivot x >= INVERSE_PIVOT_TOL is finite, and positive, as 1/DBL_MAX
-    rounds to a subnormal, not to 0.  A monomial matrix's pivots are its
-    nonzeros, met column by column, so the first column in order whose
-    entry is below the threshold raises, with the gate's message."""
-    cols, vals = pattern
-    k, n = cols.shape
-    lanes = np.arange(k)[:, None]
-    if vals.min() < INVERSE_PIVOT_TOL:
-        pivots = np.empty_like(vals)  # the gate meets them column by column
-        pivots[lanes, cols] = vals
-        _refuse_low(pivots)
-    rows, recips = np.arange(n), 1.0 / vals
-    out = np.zeros((k, n, n))
-    out[lanes, cols, rows] = recips
-    inv_cols = np.empty_like(cols)  # the column of each inverse's row
-    inv_cols[lanes, cols] = rows
-    return out, (inv_cols, recips[lanes, inv_cols])
-
-
 def inv(mat) -> np.ndarray:
     """The inverse of a square matrix, or of each matrix of a (k, n, n)
-    stack, by LAPACK once the gate accepts them: the gate's error for the
-    first matrix it refuses, SingularMatrixError for a stack the gate
-    accepts but LAPACK's own LU finds exactly singular (LAPACK does not say
-    which matrix), and DomainError for an inverse that overflows."""
+    stack, once the gate accepts them, or the gate's error for the first
+    matrix it refuses.  A stack the gate finds nonnegative monomial (the
+    group case) is inverted exactly: each matrix transposed, each nonzero
+    x replaced by the rounded 1/x, which is finite and positive for a
+    pivot x >= INVERSE_PIVOT_TOL, and every other entry +0, so no sign bit
+    is set.  Any other stack is inverted by LAPACK: SingularMatrixError
+    for a stack the gate accepts but LAPACK's own LU finds exactly
+    singular (LAPACK does not say which matrix), and DomainError for an
+    inverse that overflows."""
     a = _square(mat, stack=True)
-    if a.size:  # an empty matrix or stack has nothing to refuse
-        _require_invertible(a if a.ndim == 3 else a[None])
+    # an empty matrix or stack has nothing to refuse
+    if a.size and _require_invertible(a if a.ndim == 3 else a[None]):
+        recips = np.divide(1.0, a, out=np.zeros_like(a), where=a != 0)
+        return np.swapaxes(recips, -1, -2).copy()
     try:
         out = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot the gate did not
@@ -162,20 +144,22 @@ def inv(mat) -> np.ndarray:
     return out
 
 
-def _require_invertible(mats) -> None:
+def _require_invertible(mats) -> bool:
     """Raise on the first of ``mats``, square matrices of one size, that is
     not invertible at the pivot threshold, and build no inverse:
     DomainError for a non-finite matrix, SingularMatrixError naming its
     first pivot below ``INVERSE_PIVOT_TOL``, then DomainError for a stack
-    whose elimination overflows a pivot to inf, as its LU is no longer
-    exact enough to invert by.  The module docstring says how the stack
-    is eliminated."""
+    whose elimination turns a pivot non-finite (an overflow to inf, or the
+    0 * inf NaN one leaves below it), as its LU is no longer exact enough
+    to invert by.  Otherwise return whether the stack is nonnegative
+    monomial, the case the gate decides from its pattern.  The module
+    docstring says how the stack is eliminated."""
     a = np.array(mats)
     k, n, _ = a.shape
     row_pivots = _monomial_pivots(a)
     if row_pivots is not None:
         if row_pivots.min() >= INVERSE_PIVOT_TOL:  # the pivots, in row order
-            return
+            return True
         pivots = a.max(axis=1)  # each column's one nonzero, in column order
     else:
         # one matrix is eliminated as a matrix: numpy's cost per call grows
@@ -205,11 +189,11 @@ def _require_invertible(mats) -> None:
     # pivots all finite and at or above the threshold accept every matrix;
     # a NaN fails the test
     if all(INVERSE_PIVOT_TOL <= abs(p) < math.inf for p in pivots.ravel().tolist()):
-        return
+        return False
     finite = np.isfinite(np.array(mats)).all(axis=(1, 2))
     first = int(finite.argmin()) if not finite.all() else k
     _refuse_low(np.abs(pivots[:first]))
     if first < k:
         raise DomainError("matrix has a non-finite entry")
-    if np.isinf(pivots).any():
-        raise DomainError("a pivot overflows in elimination")
+    # what is left is a pivot of a finite stack that is inf or NaN
+    raise DomainError("a pivot overflows in elimination")

@@ -66,7 +66,9 @@ class ParseError(CommutantError):
 
 
 def format_float(v: float) -> str:
-    """Shortest-but-exact decimal for a float64 (1.0 -> "1")."""
+    """A float64 as ``%.17g``: exact, as 17 significant digits round-trip
+    every float64, but not always the shortest such decimal (1.0 -> "1",
+    0.1 -> "0.10000000000000001")."""
     return format(float(v), ".17g")
 
 

@@ -251,15 +251,15 @@ class TestGctInverse:
         assert all(inv.generators[k] is inv.generators[shared[0]] for k in shared)
         assert len({id(gen) for gen in inv.generators}) == 2
 
-    def test_one_monomial_test_serves_the_operators_dense_form_and_inverse(self, monkeypatch):
+    def test_each_dense_form_and_each_inverse_run_one_monomial_test(self, monkeypatch):
         calls = []
-        test = linalg._nonneg_monomial
+        test = linalg._monomial_pivots
 
         def counting(stack):
             calls.append(stack.shape)
             return test(stack)
 
-        monkeypatch.setattr(linalg, "_nonneg_monomial", counting)
+        monkeypatch.setattr(linalg, "_monomial_pivots", counting)
         rng = np.random.default_rng(48)
         gens = []
         for _ in range(3):
@@ -268,19 +268,18 @@ class TestGctInverse:
             gens.append(b)
         g = ct_mod._operator(gens, Permutation([2, 3, 1]))
         gct_dense(g)
+        assert calls == [(3, 8, 8)]  # the dense form's scan
         inv = gct_inverse(g)
-        gct_dense(g)
-        assert calls == [(3, 8, 8)]
-        gct_dense(inv)  # the inverse carries its pattern: no scan of its own
+        assert calls == [(3, 8, 8)] * 2  # the gate's, in linalg.inv
         gct_dense(inv)
-        gct_inverse(inv)
-        assert calls == [(3, 8, 8)]
+        gct_dense(g)
+        assert calls == [(3, 8, 8)] * 4  # the operator caches no pattern
         order = [g.generators[t - 1] for t in g.tau.inverse().images]
         assert [x.tobytes() for x in inv.generators] == [linalg.inv(b).tobytes() for b in order]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_the_inverse_carries_the_pattern_a_scan_would_find(self, data):
+    def test_a_group_case_inverse_is_the_closed_form(self, data):
         # m <= 3, n <= 5, every tau, nonzeros from 1e-10 to 1e10, and a
         # generator shared by several modes
         m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
@@ -294,11 +293,18 @@ class TestGctInverse:
             gens.append(g)
         if m > 1 and data.draw(st.booleans()):
             gens[-1] = gens[0]
-        inv = gct_inverse(ct_mod._operator(gens, tau))
-        cols, vals = inv._monomial
-        want_cols, want_vals = linalg._nonneg_monomial(np.array(inv.generators))
-        assert cols.dtype == want_cols.dtype and cols.tolist() == want_cols.tolist()
-        assert vals.tobytes() == want_vals.tobytes()
+        g = ct_mod._operator(gens, tau)
+        inv = gct_inverse(g)
+        for b, got in zip((g.generators[t - 1] for t in inv.tau.images), inv.generators):
+            # the transposed reciprocals, written out: +0 off the pattern
+            rows, cols = np.nonzero(b)
+            want = np.zeros((n, n))
+            want[cols, rows] = 1.0 / b[rows, cols]
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got).any()
+        # so its dense form is the group case's, and keeps its support
+        identity = all(b.tobytes() == np.eye(n).tobytes() for b in inv.generators)
+        assert (gct_dense(inv)._support is None) == identity
 
     def test_a_dense_generator_is_inverted_by_the_loop(self):
         rng = np.random.default_rng(49)
@@ -306,7 +312,7 @@ class TestGctInverse:
         mono[rng.permutation(5), np.arange(5)] = rng.uniform(0.5, 2.0, 5)
         dense = rng.standard_normal((5, 5)) + 5 * np.eye(5)
         g = ct_mod._operator([mono, dense, mono], Permutation([3, 1, 2]))
-        assert g._monomial is None
+        assert linalg._nonneg_monomial(np.array(g.generators)) is None
         inv = gct_inverse(g)
         order = [g.generators[t - 1] for t in g.tau.inverse().images]
         assert [x.tobytes() for x in inv.generators] == [linalg.inv(b).tobytes() for b in order]
@@ -318,7 +324,7 @@ class TestGctInverse:
             low = sign * np.diag([1.0, 3e-11])
             lower = sign * np.diag([5e-12, 1.0])
             g = ct_mod._operator([low, lower], Permutation([2, 1]))
-            assert (g._monomial is None) == (sign < 0)
+            assert (linalg._nonneg_monomial(np.array(g.generators)) is None) == (sign < 0)
             # the inverse's first generator is the inverse of generators[tau^-1(1) - 1]
             with pytest.raises(SingularMatrixError, match="pivot 5.000e-12"):
                 gct_inverse(g)

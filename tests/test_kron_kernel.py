@@ -28,6 +28,7 @@ from commutant import (
 )
 from commutant import commutation_tensor as ct_mod
 from commutant import errors as errors_mod
+from commutant import linalg
 
 
 def _nan(bits):
@@ -318,16 +319,17 @@ class TestScatterRoute:
         assert any(routes) and (m < 3 or n < 2 or not all(routes))
 
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 4), (4, 3)])
-    def test_bytes_match_the_kron_routes_own_at_tau_id_and_not(self, routes, m, n):
-        # the kron route itself, taken by a twin operator whose monomial test
-        # is set to None; tau = id scatters with no shuffle gather
+    def test_bytes_match_the_kron_routes_own_at_tau_id_and_not(self, routes, monkeypatch, m, n):
+        # the kron route itself, taken by a twin operator while the monomial
+        # test finds nothing; tau = id scatters with no shuffle gather
         rng = np.random.default_rng(700 + 10 * m + n)
         for tau in Permutation.all(m):
             gens = _scaled_permutations(rng, m, n, 3)
-            twin = ct_mod._operator(gens, tau)
-            vars(twin)["_monomial"] = None
             got = gct_dense(ct_mod._operator(gens, tau)).array
-            assert got.tobytes() == gct_dense(twin).array.tobytes(), tau.images
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_nonneg_monomial", lambda stack: None)
+                kron = gct_dense(ct_mod._operator(gens, tau)).array
+            assert got.tobytes() == kron.tobytes(), tau.images
         assert routes == [True] * len(list(Permutation.all(m)))
 
     @given(monomial_operators())

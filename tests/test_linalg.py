@@ -110,22 +110,33 @@ def _inv_reference(mat):
     return aug[:, n:]
 
 
+#: the gate's refusal of a pivot that its elimination turned inf or NaN
+PIVOT_OVERFLOW = (DomainError, "a pivot overflows in elimination")
+
+
 def _inv_vectorised_reference(mat):
     """The whole-matrix Gauss-Jordan loop ``inv`` ran before its per-column
-    numpy calls were cut: same pivots, same products, same errors."""
+    numpy calls were cut: same pivots, same products, same errors.  A pivot
+    that is inf or NaN is refused once the loop has met every pivot, so a
+    low one after it keeps its precedence."""
     a = linalg._square(mat)
     n = a.shape[0]
     aug = np.hstack([a, np.eye(n)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < linalg.INVERSE_PIVOT_TOL:
-            raise _low_pivot(abs(aug[piv, col]))
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        factor = aug[:, col].copy()
-        factor[col] = 0.0
-        aug -= np.outer(factor, aug[col])
+    overflowed = False
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        for col in range(n):
+            piv = col + int(np.argmax(np.abs(aug[col:, col])))
+            if abs(aug[piv, col]) < linalg.INVERSE_PIVOT_TOL:
+                raise _low_pivot(abs(aug[piv, col]))
+            overflowed |= not math.isfinite(aug[piv, col])
+            if piv != col:
+                aug[[col, piv]] = aug[[piv, col]]
+            aug[col] /= aug[col, col]
+            factor = aug[:, col].copy()
+            factor[col] = 0.0
+            aug -= np.outer(factor, aug[col])
+    if overflowed:
+        raise DomainError(PIVOT_OVERFLOW[1])
     return aug[:, n:]
 
 
@@ -199,8 +210,8 @@ def test_inv_inverts_a_stack_as_each_matrix():
 
 
 def test_an_inverse_that_overflows_is_refused():
-    # every pivot of a is at the threshold, and its inverse holds -1e320
-    a = np.array([[1e-10, 1e300], [0.0, 1e-10]])
+    # every pivot of a is at the threshold, and its inverse holds -1e310
+    a = np.array([[1e-10, 1e290], [0.0, 1e-10]])
     with pytest.raises(DomainError, match="^inverse has a non-finite entry$"):
         linalg.inv(a)
     with pytest.raises(DomainError, match="^inverse has a non-finite entry$"):
@@ -353,6 +364,24 @@ def test_every_gated_constructor_refuses_a_pivot_that_overflows():
         assert _outcome_of(lambda: matrix_preserver(eye, OVERFLOW.T, transposed)) == want
 
 
+def test_a_pivot_turned_nan_is_refused_as_an_overflow():
+    # the first pivot, 1e-10, divides a row holding 1e300 to inf, and the
+    # rows below turn 0 * inf = NaN, so the last pivot, 2e-11, is met as a
+    # NaN: every gated constructor and inv refuse it as an overflow
+    a = np.eye(3)
+    a[0, 0], a[0, 2], a[2, 2] = 1e-10, 1e300, 2e-11
+    assert _gate_outcome([a]) == _first_refusal([a]) == PIVOT_OVERFLOW
+    assert _outcome_of(lambda: rank_preserver([a], Permutation([1]))) == PIVOT_OVERFLOW
+    assert _outcome_of(lambda: sym_preserver(a, 2)) == PIVOT_OVERFLOW
+    assert _outcome_of(lambda: linalg.inv(a)) == PIVOT_OVERFLOW
+    assert _outcome_of(lambda: gct_inverse(build_gct([a]))) == PIVOT_OVERFLOW
+    # a low pivot of any matrix of the stack comes first
+    low = (SingularMatrixError, "pivot 3.000e-11 below threshold 1e-10")
+    stack = [a, np.diag([1.0, 3e-11, 1.0])]
+    assert _gate_outcome(stack) == _first_refusal(stack) == low
+    assert _outcome_of(lambda: linalg.inv(np.stack(stack))) == low
+
+
 @pytest.mark.parametrize(
     "pivot", [linalg.INVERSE_PIVOT_TOL, np.nextafter(linalg.INVERSE_PIVOT_TOL, 0.0)]
 )
@@ -462,12 +491,13 @@ def test_signed_monomials_take_the_loop(shortcuts, edit):
 
 def _first_refusal(mats):
     """What the vectorised loop raises on the first of ``mats`` it refuses,
-    or None: the gate's oracle, built on no code of the gate's."""
-    for a in mats:
-        got = _outcome(_inv_vectorised_reference, a)
-        if isinstance(got, tuple):
-            return got
-    return None
+    or None: the gate's oracle, built on no code of the gate's.  A pivot
+    that overflows is refused only where no matrix has a low pivot or a
+    non-finite entry, as the gate eliminates the whole stack first."""
+    outcomes = [_outcome(_inv_vectorised_reference, a) for a in mats]
+    refusals = [got for got in outcomes if isinstance(got, tuple)]
+    firm = [got for got in refusals if got != PIVOT_OVERFLOW]
+    return (firm or refusals or [None])[0]
 
 
 def _gate_outcome(mats):
@@ -576,15 +606,19 @@ def test_the_gate_skips_columns_only_far_from_overflow(n):
     for big in (np.nextafter(bound, 0.0), bound, 1e300, np.inf):
         # the first pivot, 1e-10, divides a row holding big: past the bound
         # that overflows, and the rows below, which need no update, turn NaN
-        # under inv's 0 * inf, so the last pivot, 2e-11, is never met
+        # under 0 * inf, so the last pivot, 2e-11, is met as a NaN, which
+        # is refused as an overflow
         a = np.eye(n)
         a[0, 0], a[0, n - 1], a[n - 1, n - 1] = 1e-10, big, 2e-11
         for mats in ([a], [a, np.eye(n)], [np.eye(n), -a]):
-            with np.errstate(all="ignore"):  # inv warns of the overflow
-                want = _first_refusal(mats)
+            want = _first_refusal(mats)
             assert _gate_outcome(mats) == want
-            outcomes.add(want and want[0])
-    assert outcomes == {SingularMatrixError, None, DomainError}
+            outcomes.add(want)
+    assert outcomes == {
+        (SingularMatrixError, "pivot 2.000e-11 below threshold 1e-10"),
+        PIVOT_OVERFLOW,
+        (DomainError, "matrix has a non-finite entry"),
+    }
 
 
 def test_the_gate_takes_a_sparse_signed_matrix_past_n_1024():
